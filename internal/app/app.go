@@ -6,16 +6,20 @@ package app
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // App is a snapshotable application state machine.
 type App interface {
-	// Snapshot serializes the current state.
-	Snapshot() []byte
+	// AppendSnapshot appends the serialized current state to dst and returns
+	// the extended slice. The kernel snapshots on every checkpoint, under the
+	// node's lock, into a buffer it reuses: an implementation that encodes
+	// straight into dst keeps checkpoints free of garbage.
+	AppendSnapshot(dst []byte) []byte
 	// Restore replaces the state with a previously snapshotted one.
 	Restore(snapshot []byte) error
 }
@@ -23,22 +27,50 @@ type App interface {
 // KV is a tiny key-value store with a monotone operation counter; it is the
 // stand-in for "the application's local state" of the model. Safe for
 // concurrent use.
+//
+// Keys are never removed, so every key owns a fixed slot in vals, and order
+// lists the keys sorted — maintained on insertion, so a snapshot is one pass
+// over two slices: no sorting, no hashing, no allocation.
 type KV struct {
-	mu   sync.Mutex
-	data map[string]int64
-	ops  int64
+	mu    sync.Mutex
+	slot  map[string]int // key -> its position in vals
+	vals  []int64
+	order []kvKey // every key, ascending
+	ops   int64
+}
+
+type kvKey struct {
+	key  string
+	slot int
 }
 
 // NewKV returns an empty store.
 func NewKV() *KV {
-	return &KV{data: make(map[string]int64)}
+	return &KV{slot: make(map[string]int)}
+}
+
+// slotLocked returns key's slot, creating a zero-valued one (and its place
+// in the sorted order) on first use.
+func (kv *KV) slotLocked(key string) int {
+	if i, ok := kv.slot[key]; ok {
+		return i
+	}
+	i := len(kv.vals)
+	kv.vals = append(kv.vals, 0)
+	kv.slot[key] = i
+	at := len(kv.order) // keys mostly arrive ascending: try the append first
+	if at > 0 && key < kv.order[at-1].key {
+		at, _ = slices.BinarySearchFunc(kv.order, key, func(e kvKey, k string) int { return cmp.Compare(e.key, k) })
+	}
+	kv.order = slices.Insert(kv.order, at, kvKey{key: key, slot: i})
+	return i
 }
 
 // Set stores a value and bumps the operation counter.
 func (kv *KV) Set(key string, v int64) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	kv.data[key] = v
+	kv.vals[kv.slotLocked(key)] = v
 	kv.ops++
 }
 
@@ -46,7 +78,7 @@ func (kv *KV) Set(key string, v int64) {
 func (kv *KV) Add(key string, delta int64) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	kv.data[key] += delta
+	kv.vals[kv.slotLocked(key)] += delta
 	kv.ops++
 }
 
@@ -54,8 +86,11 @@ func (kv *KV) Add(key string, delta int64) {
 func (kv *KV) Get(key string) (int64, bool) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	v, ok := kv.data[key]
-	return v, ok
+	i, ok := kv.slot[key]
+	if !ok {
+		return 0, false
+	}
+	return kv.vals[i], true
 }
 
 // Ops returns the number of mutations applied since creation or the last
@@ -70,72 +105,73 @@ func (kv *KV) Ops() int64 {
 func (kv *KV) Len() int {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	return len(kv.data)
+	return len(kv.order)
 }
 
-// Snapshot implements App: ops counter, then sorted key/value pairs.
-func (kv *KV) Snapshot() []byte {
+// AppendSnapshot implements App: ops counter, key count, then the key/value
+// pairs in ascending key order, every integer a little-endian int64.
+func (kv *KV) AppendSnapshot(dst []byte) []byte {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	var buf bytes.Buffer
-	w := func(v int64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(kv.ops)
-	w(int64(len(kv.data)))
-	keys := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		keys = append(keys, k)
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(kv.ops))
+	dst = le.AppendUint64(dst, uint64(len(kv.order)))
+	for _, k := range kv.order {
+		dst = le.AppendUint64(dst, uint64(len(k.key)))
+		dst = append(dst, k.key...)
+		dst = le.AppendUint64(dst, uint64(kv.vals[k.slot]))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w(int64(len(k)))
-		buf.WriteString(k)
-		w(kv.data[k])
-	}
-	return buf.Bytes()
+	return dst
 }
 
-// Restore implements App.
+// Restore implements App. The snapshot must decode exactly: a truncated
+// field or bytes past the last pair reject it, leaving the state untouched.
 func (kv *KV) Restore(snapshot []byte) error {
-	r := bytes.NewReader(snapshot)
-	rd := func() (int64, error) {
-		var v int64
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
+	rest := snapshot
+	next := func() (int64, bool) {
+		if len(rest) < 8 {
+			return 0, false
+		}
+		v := int64(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+		return v, true
 	}
-	ops, err := rd()
-	if err != nil {
-		return fmt.Errorf("app: corrupt snapshot: %w", err)
+	ops, ok := next()
+	if !ok {
+		return fmt.Errorf("app: corrupt snapshot: %d-byte header", len(snapshot))
 	}
-	count, err := rd()
-	if err != nil || count < 0 {
+	// A pair is at least its key length and its value, 16 bytes.
+	count, ok := next()
+	if !ok || count < 0 || count > int64(len(rest)/16) {
 		return fmt.Errorf("app: corrupt snapshot length")
 	}
-	data := make(map[string]int64, count)
+	re := KV{slot: make(map[string]int, count), vals: make([]int64, 0, count), order: make([]kvKey, 0, count)}
 	for i := int64(0); i < count; i++ {
-		kl, err := rd()
-		if err != nil || kl < 0 || kl > 1<<20 {
+		kl, ok := next()
+		if !ok || kl < 0 || kl > 1<<20 {
 			return fmt.Errorf("app: corrupt key length")
 		}
-		key := make([]byte, kl)
-		if _, err := r.Read(key); err != nil && kl > 0 {
-			return fmt.Errorf("app: corrupt key: %w", err)
+		if kl > int64(len(rest)) {
+			return fmt.Errorf("app: corrupt key: %d of %d bytes", len(rest), kl)
 		}
-		v, err := rd()
-		if err != nil {
-			return fmt.Errorf("app: corrupt value: %w", err)
+		key := string(rest[:kl])
+		rest = rest[kl:]
+		v, ok := next()
+		if !ok {
+			return fmt.Errorf("app: corrupt value of key %q", key)
 		}
-		data[string(key)] = v
+		re.vals[re.slotLocked(key)] = v
+	}
+	if len(rest) > 0 {
+		return fmt.Errorf("app: corrupt snapshot: %d trailing bytes", len(rest))
 	}
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	kv.data = data
-	kv.ops = ops
+	kv.slot, kv.vals, kv.order, kv.ops = re.slot, re.vals, re.order, ops
 	return nil
 }
 
 // Equal reports whether two stores hold identical state (counter + data).
 func (kv *KV) Equal(other *KV) bool {
-	a := kv.Snapshot()
-	b := other.Snapshot()
-	return bytes.Equal(a, b)
+	return bytes.Equal(kv.AppendSnapshot(nil), other.AppendSnapshot(nil))
 }

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"sync"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/metrics"
@@ -90,6 +92,12 @@ func Suite(sizes []int) []Case {
 	// allocations gate; the slack absorbs batch-boundary jitter (whether a
 	// save opens a batch or joins one changes its allocation count).
 	add("storage/save-group", false, 3, saveGroupCase)
+	// The collector's steady state on the log store: every save is followed
+	// by the delete of the checkpoint it made obsolete. The delete stages a
+	// tombstone that rides the next save's batch, so the cycle is one flush
+	// (a no-op here: the CPU and hand-off cost is what shows) and one
+	// allocation, the index entry. Scheduler-bound: allocations gate.
+	add("storage/delete-log", false, 1, deleteLogCase)
 	// Log crash recovery: open a segmented log holding delta-chained
 	// checkpoints, verify every batch checksum and rebuild the index — what
 	// a restarting process pays before rejoining.
@@ -100,6 +108,13 @@ func Suite(sizes []int) []Case {
 	// both engines now execute per message. Forced-checkpoint saves hit
 	// the in-memory store, whose map growth adds slight allocation jitter.
 	add("node/deliver", true, 1, nodeDeliverCase)
+	// A whole kernel checkpoint with an application attached: a 170-key KV
+	// (≈4 KiB) snapshotted into the kernel's scratch buffer, encoded and
+	// group-committed on a log store with a no-op sync, then RDT-LGC's
+	// per-checkpoint work and the collected checkpoint's tombstone. The
+	// commit crosses to the committer goroutine and back, so ns/op is
+	// scheduler-bound and only allocations gate.
+	add("node/checkpoint-kv", false, 1, nodeCheckpointKVCase)
 	// The kernel's compressed send path: incremental encode against the
 	// per-destination state, plus the receiving kernel's sparse expand,
 	// FIFO verification and merge — the hot path of WithCompression runs.
@@ -444,6 +459,54 @@ func saveGroupCase(n int) func(*T) {
 	}
 }
 
+// openBenchLog opens a log store with the device flush stubbed out in a
+// fresh temporary directory; cleanup closes the store and removes it.
+func openBenchLog(t *T, pattern string) (ls *logstore.LogStore, cleanup func()) {
+	dir, err := os.MkdirTemp("", pattern)
+	if err != nil {
+		t.Fatalf("tempdir: %v", err)
+	}
+	ls, err = logstore.Open(dir, logstore.Options{Sync: func(*os.File) error { return nil }})
+	if err != nil {
+		_ = os.RemoveAll(dir)
+		t.Fatalf("open: %v", err)
+	}
+	return ls, func() {
+		_ = ls.Close()
+		_ = os.RemoveAll(dir)
+	}
+}
+
+func deleteLogCase(n int) func(*T) {
+	return func(t *T) {
+		ls, cleanup := openBenchLog(t, "bench-delete-log-")
+		defer cleanup() // runs after Stop; also on Fatalf
+		cp := storage.Checkpoint{Process: 0, DV: vclock.New(n), State: make([]byte, stateBytes)}
+		cycle := func(i int) {
+			cp.DV[0] = i + 1 // one entry moves: the collector's usual delta record
+			cp.Index = i
+			if err := ls.Save(cp); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			if i > 0 {
+				if err := ls.Delete(i - 1); err != nil {
+					t.Fatalf("delete: %v", err)
+				}
+			}
+		}
+		const warm = 64 // fills the batch freelist and the index
+		for i := 0; i < warm; i++ {
+			cycle(i)
+		}
+		t.Start()
+		for i := 0; i < t.N; i++ {
+			cycle(warm + i)
+		}
+		t.Stop()
+		t.Metric("retained", float64(ls.Stats().Live))
+	}
+}
+
 func replayCase(n int) func(*T) {
 	return func(t *T) {
 		dir, err := os.MkdirTemp("", "bench-replay-")
@@ -533,6 +596,50 @@ func benchKernel(t *T, id, n int, compress bool) *node.Kernel {
 		t.Fatalf("kernel: %v", err)
 	}
 	return k
+}
+
+// kvKeys is the application pre-fill of the checkpoint case: 170 eight-byte
+// keys make a snapshot of about 4 KiB.
+const kvKeys = 170
+
+func nodeCheckpointKVCase(n int) func(*T) {
+	return func(t *T) {
+		ls, cleanup := openBenchLog(t, "bench-checkpoint-kv-")
+		defer cleanup() // runs after Stop; also on Fatalf
+		k, err := node.New(node.Config{
+			ID: 0, N: n, Store: ls,
+			Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
+			LocalGC: func(self, nn int, st storage.Store) gc.Local {
+				return core.New(self, nn, st)
+			},
+			NewApp: func(int) app.App {
+				kv := app.NewKV()
+				for i := 0; i < kvKeys; i++ {
+					kv.Set(fmt.Sprintf("key-%04d", i), 1)
+				}
+				return kv
+			},
+		})
+		if err != nil {
+			t.Fatalf("kernel: %v", err)
+		}
+		kv := k.App().(*app.KV)
+		checkpoint := func() {
+			kv.Add("key-0007", 1)
+			if _, err := k.Checkpoint(true); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			checkpoint() // warms the scratch buffer, the batch freelist, the index
+		}
+		t.Start()
+		for i := 0; i < t.N; i++ {
+			checkpoint()
+		}
+		t.Stop()
+		t.Metric("retained", float64(ls.Stats().Live))
+	}
 }
 
 func nodeDeliverCase(n int) func(*T) {

@@ -25,6 +25,12 @@ import (
 // the acknowledged prefix (every checkpoint the collector counted present,
 // nothing unacknowledged partially present), or it refuses loudly with
 // storage.ErrCorrupt. A silently wrong view fails the run.
+//
+// On the log backend a collection is acknowledged as durable only by the
+// next acknowledged Save or Close — its tombstone rides that batch — so the
+// prefixes a crash may expose end at commit boundaries, not at every op: a
+// cut before a batch of tombstones resurrects exactly the checkpoints those
+// tombstones name, which the restart's Rollback collects again.
 
 // TortureConfig parameterizes one torture matrix.
 type TortureConfig struct {
@@ -166,16 +172,18 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	}
 }
 
-// tortureLog drives the op stream serially through a log store (one commit
-// per op — the commit list is the boundary map), then reopens crash images
-// truncated at and inside every commit boundary plus bit-flipped images.
+// tortureLog drives the op stream serially through a log store, then
+// reopens crash images truncated at and inside every commit boundary plus
+// bit-flipped images. Compaction is off, so the log holds one record per op
+// in op order and the running sum of Commit.Records is the boundary map:
+// commit k made exactly ops[:sum(Records[0..k])] durable.
 func tortureLog(cfg TortureConfig, rng *rand.Rand, ops []tortureOp) (TortureResult, error) {
 	res := TortureResult{Ops: len(ops)}
 	liveDir := filepath.Join(cfg.Dir, "live")
 	var commits []logstore.Commit
 	s, err := logstore.Open(liveDir, logstore.Options{
 		SegmentBytes: cfg.SegmentBytes,
-		NoCompact:    true, // boundaries must map 1:1 to ops
+		NoCompact:    true, // records must map 1:1 to ops
 		OnCommit:     func(c logstore.Commit) { commits = append(commits, c) },
 	})
 	if err != nil {
@@ -194,28 +202,35 @@ func tortureLog(cfg TortureConfig, rng *rand.Rand, ops []tortureOp) (TortureResu
 	if err := s.Close(); err != nil {
 		return res, fmt.Errorf("torture: close live store: %w", err)
 	}
-	if len(commits) != len(ops) {
-		return res, fmt.Errorf("torture: %d ops produced %d commits; serial ops must commit one batch each", len(ops), len(commits))
+	durable := 0
+	for _, c := range commits {
+		durable += c.Records
+	}
+	if durable != len(ops) {
+		return res, fmt.Errorf("torture: %d ops produced %d durable records in %d commits; Close must leave every op durable", len(ops), durable, len(commits))
 	}
 	segs, err := snapshotDir(liveDir)
 	if err != nil {
 		return res, err
 	}
 
-	// Crash images: for op k's commit, a cut at Start leaves ops [0,k), a
-	// cut at End leaves [0,k], and any cut between must behave exactly like
-	// Start — the batch is all-or-nothing.
+	// Crash images: with before ops durable ahead of commit k, a cut at
+	// Start leaves ops[:before], a cut at End leaves ops[:before+Records],
+	// and any cut between must behave exactly like Start — the batch, the
+	// Save and the tombstones riding with it, is all-or-nothing.
+	before := 0
 	for k, c := range commits {
 		span := c.End - c.Start
 		cuts := []struct {
 			at   int64
 			want int // ops surviving
 		}{
-			{c.Start, k},
-			{c.Start + 1 + int64(rng.Intn(int(span-1))), k},
-			{c.End - 1, k},
-			{c.End, k + 1},
+			{c.Start, before},
+			{c.Start + 1 + int64(rng.Intn(int(span-1))), before},
+			{c.End - 1, before},
+			{c.End, before + c.Records},
 		}
+		before += c.Records
 		for _, cut := range cuts {
 			dir := filepath.Join(cfg.Dir, "img")
 			if err := writeLogImage(dir, segs, c.Seg, cut.at); err != nil {
@@ -224,13 +239,13 @@ func tortureLog(cfg TortureConfig, rng *rand.Rand, ops []tortureOp) (TortureResu
 			res.Injections++
 			r, err := logstore.Open(dir, logstore.Options{NoCompact: true})
 			if err != nil {
-				return res, fmt.Errorf("torture: op %d cut %d@seg%d: truncation crash must rehydrate, got: %w", k, cut.at, c.Seg, err)
+				return res, fmt.Errorf("torture: commit %d cut %d@seg%d: truncation crash must rehydrate, got: %w", k, cut.at, c.Seg, err)
 			}
 			res.TornTails += r.TornTails()
 			verr := checkView(r, viewAfter(ops, cut.want))
 			r.Close()
 			if verr != nil {
-				return res, fmt.Errorf("torture: op %d cut %d@seg%d: %w", k, cut.at, c.Seg, verr)
+				return res, fmt.Errorf("torture: commit %d cut %d@seg%d: want ops[:%d]: %w", k, cut.at, c.Seg, cut.want, verr)
 			}
 			res.CleanPrefix++
 			if err := os.RemoveAll(dir); err != nil {

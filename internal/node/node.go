@@ -95,6 +95,10 @@ type Kernel struct {
 	// scratch is the reused changed-index buffer of the delivery-path
 	// merge.
 	scratch []int
+	// snap is the reused buffer the application snapshots into on every
+	// checkpoint; Store.Save never retains cp.State, so the next checkpoint
+	// overwrites it.
+	snap []byte
 
 	// Batch receive state (deliver.go): the composed entries of the
 	// pending same-sender run, its ComposePatch ping-pong buffer, and the
@@ -173,7 +177,7 @@ func New(cfg Config) (*Kernel, error) {
 	// Stores copy DV and State defensively (see storage.Store.Save), so
 	// the live vector and reused state buffers are passed without clones.
 	if err := k.store.Save(storage.Checkpoint{
-		Process: cfg.ID, Index: 0, DV: k.dv, State: k.Snapshot(),
+		Process: cfg.ID, Index: 0, DV: k.dv, State: k.snapshot(),
 	}); err != nil {
 		return nil, fmt.Errorf("node: initial checkpoint of p%d: %w", cfg.ID, err)
 	}
@@ -315,7 +319,7 @@ func (k *Kernel) Deliver(pb Piggyback) (forced bool, err error) {
 func (k *Kernel) Checkpoint(basic bool) (int, error) {
 	index := k.dv[k.cfg.ID]
 	if err := k.store.Save(storage.Checkpoint{
-		Process: k.cfg.ID, Index: index, DV: k.dv, State: k.Snapshot(),
+		Process: k.cfg.ID, Index: index, DV: k.dv, State: k.snapshot(),
 	}); err != nil {
 		return 0, fmt.Errorf("node: checkpoint %d of p%d: %w", index, k.cfg.ID, err)
 	}
@@ -436,11 +440,13 @@ func (k *Kernel) ResetCompression() {
 	}
 }
 
-// Snapshot captures the state saved with a checkpoint: the application's
-// snapshot when one is attached, else the driver's opaque payload.
-func (k *Kernel) Snapshot() []byte {
+// snapshot captures the state saved with a checkpoint: the application's
+// snapshot when one is attached (valid until the next call — it lives in the
+// kernel's scratch buffer), else the driver's opaque payload.
+func (k *Kernel) snapshot() []byte {
 	if k.app != nil {
-		return k.app.Snapshot()
+		k.snap = k.app.AppendSnapshot(k.snap[:0])
+		return k.snap
 	}
 	if k.cfg.Driver != nil {
 		return k.cfg.Driver.CheckpointState()

@@ -3,15 +3,18 @@ package node_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/node"
 	"repro/internal/protocol"
 	"repro/internal/storage"
+	"repro/internal/storage/logstore"
 	"repro/internal/vclock"
 )
 
@@ -378,5 +381,49 @@ func TestDeliverBatchMatchesSequential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCheckpointAllocationBudget holds a whole checkpoint — 170-key
+// application snapshot into the kernel's scratch buffer, record encode,
+// group commit on a log store, collector work, the collected checkpoint's
+// tombstone — to the allocations it needs: the store's index entry.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	ls, err := logstore.Open(t.TempDir(), logstore.Options{Sync: func(*os.File) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	k, err := node.New(node.Config{
+		ID: 0, N: 4, Store: ls,
+		Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
+		LocalGC:  func(self, nn int, st storage.Store) gc.Local { return core.New(self, nn, st) },
+		NewApp: func(int) app.App {
+			kv := app.NewKV()
+			for i := 0; i < 170; i++ {
+				kv.Set(fmt.Sprintf("key-%04d", i), 1)
+			}
+			return kv
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func() {
+		k.App().(*app.KV).Add("key-0007", 1)
+		if _, err := k.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		checkpoint() // warm the scratch buffer, the batch freelist, the index
+	}
+	allocs := testing.AllocsPerRun(200, checkpoint)
+	t.Logf("Kernel.Checkpoint, 170-key KV on a log store: %v allocs/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("Kernel.Checkpoint: %v allocs/op, want <= 2", allocs)
+	}
+	if live := ls.Stats().Live; live != 1 {
+		t.Fatalf("a process that never communicates retains %d checkpoints, want 1", live)
 	}
 }

@@ -119,14 +119,16 @@ func TestIngressBackpressureBounded(t *testing.T) {
 // is busy, or Quiesce hangs on their in-flight accounting.
 func TestQuiesceAfterBreakLinkMidDrain(t *testing.T) {
 	const n = 4
-	var delivered atomic.Int64
+	var fromZero atomic.Int64 // deliveries at n-1 that travelled the 0->3 link
 	c, err := runtime.NewCluster(runtime.Config{
 		N: n, TCP: true,
-		OnDeliver: func(self int, _ app.App, _ []byte) {
+		OnDeliver: func(self int, _ app.App, payload []byte) {
 			if self == n-1 {
 				busyWait(20 * time.Microsecond) // keep the receiver mid-drain
+				if payload[0] == 0 {
+					fromZero.Add(1)
+				}
 			}
-			delivered.Add(1)
 		},
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
 			return core.New(self, nn, st)
@@ -149,27 +151,24 @@ func TestQuiesceAfterBreakLinkMidDrain(t *testing.T) {
 					return
 				default:
 				}
-				if err := c.Node(id).SendPayload(n-1, []byte{1}); err != nil {
+				if err := c.Node(id).SendPayload(n-1, []byte{byte(id)}); err != nil {
 					t.Errorf("p%d send: %v", id, err)
 					return
 				}
 			}
 		}(i)
 	}
-	for delivered.Load() == 0 {
+	// The 0->3 pair dials lazily, and BreakLink blocks the pair whether or
+	// not a stream exists yet — called too early it would keep the pair from
+	// ever dialling. A delivery from p0 is the read-only proof that the link
+	// is up; then break it, once.
+	for deadline := time.Now().Add(20 * time.Second); fromZero.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no message from p0 reached p3 in 20s")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	// The 0->3 pair dials lazily; under load on one CPU the first
-	// deliveries may all come from the other senders, so retry until the
-	// link exists to break.
-	broke := false
-	for i := 0; i < 1000 && !broke; i++ {
-		broke = c.BreakLink(0, n-1)
-		if !broke {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if !broke {
+	if !c.BreakLink(0, n-1) {
 		t.Error("no live 0->3 link to break")
 	}
 	time.Sleep(5 * time.Millisecond)

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sort"
@@ -83,7 +82,15 @@ func (s *LogStore) compactOnce() bool {
 	// so chain links dissolve pairwise as each side goes full.
 	sort.Ints(lives)
 	sort.Ints(carry)
-	waits := make(map[*batch]struct{})
+	// Staging fills one batch until it seals, so the distinct batches to
+	// hold come in runs: comparing with the last one held finds them all.
+	var held []*batch
+	hold := func(b *batch) {
+		if len(held) == 0 || held[len(held)-1] != b {
+			held = append(held, b)
+			s.holdLocked(b)
+		}
+	}
 	for _, idx := range lives {
 		cp, err := s.loadLocked(idx)
 		if err != nil {
@@ -91,24 +98,16 @@ func (s *LogStore) compactOnce() bool {
 			s.mu.Unlock()
 			return false
 		}
-		waits[s.stageRewriteLocked(cp)] = struct{}{}
+		hold(s.stageRewriteLocked(cp))
 	}
 	for _, idx := range carry {
-		var body [8]byte
-		binary.LittleEndian.PutUint64(body[:], uint64(idx))
-		s.roomLocked(frameHdrLen + len(body))
-		b, _, _ := s.appendFrameLocked(kindTombstone, body[:])
+		b := s.stageTombstoneLocked(idx)
 		s.recs[idx].tombSeg = b.seg
-		waits[b] = struct{}{}
+		hold(b)
 	}
-	s.mu.Unlock()
-	for b := range waits {
-		<-b.done
-		if b.err != nil {
-			return false
-		}
+	for _, b := range held {
+		_ = s.awaitLocked(b) // a failure is sticky: s.failed reports it below
 	}
-	s.mu.Lock()
 	if s.failed != nil || s.closed {
 		// Abort without dropping the victim: its copies are merely
 		// superseded, which replay resolves.

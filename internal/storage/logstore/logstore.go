@@ -32,14 +32,27 @@
 // precisely so a flipped bit in payloadLen cannot make acknowledged data
 // masquerade as a torn tail.
 //
-// Durability contract: Save and Delete return only after the batch holding
-// their record has been written and synced (or after the store has failed,
-// loudly). In-memory index state is applied at staging time under the
-// store lock, so the Store view is sequentially consistent for callers even
-// while batches are in flight; Load serves not-yet-durable records from the
+// Durability contract: Save returns only after the batch holding its record
+// has been written and synced (or after the store has failed, loudly).
+// Delete stages its tombstone and returns: the paper's collector is
+// asynchronous, so eliminating an obsolete checkpoint is never worth a flush
+// of its own. The tombstone rides the next batch somebody waits for — the
+// next Save, a compaction rewrite, or Close — and because batches commit in
+// staging order it is never durable before the Save it follows. A crash
+// before that batch resurrects the checkpoint; the Rollback every restart
+// runs (Algorithm 3) rebuilds UC from whatever survived and collects it
+// again. Deleting the most recent checkpoint is the exception: only a
+// rollback does that, a restart resumes from the most recent checkpoint it
+// finds, and a rolled-back checkpoint that came back would be taken for the
+// process's last stable state. That Delete waits for its batch — which, the
+// log being FIFO, also settles every tombstone staged before it, so a
+// rollback that discards k checkpoints in ascending order pays one flush.
+// In-memory index state is applied at staging time under the store
+// lock, so the Store view is sequentially consistent for callers even while
+// batches are in flight; Load serves not-yet-durable records from the
 // staging buffer.
 //
-// Deletion writes a tombstone and keeps the record's bookkeeping: the dead
+// Deletion keeps the dead record's bookkeeping: the dead
 // bytes stay in their segment until background compaction rewrites a
 // segment whose live ratio has dropped below Options.CompactRatio —
 // surviving records are re-appended at the tail as self-contained full
@@ -105,8 +118,9 @@ type Options struct {
 	// Sync flushes a segment file to stable storage; nil means
 	// (*os.File).Sync. The torture harness injects failures here.
 	Sync func(*os.File) error
-	// OnCommit, if set, is called after every durable batch with its extent.
-	// The torture harness records these boundaries as injection points.
+	// OnCommit, if set, is called with the extent of every durable batch,
+	// before the operations it carried are acknowledged. The torture harness
+	// records these boundaries as injection points.
 	OnCommit func(Commit)
 }
 
@@ -173,8 +187,11 @@ type segInfo struct {
 }
 
 // batch is one group commit being assembled or awaiting the committer. buf
-// holds the 20-byte header placeholder followed by the payload; done is
-// closed (after err is set) once the batch is durable or the store failed.
+// holds the 20-byte header placeholder followed by the payload. waiters
+// counts the callers that hold the batch (holdLocked) until it is done —
+// durable, or failed with err; an open batch nobody holds carries only
+// tombstones and stays open. Batches and their buffers are recycled through
+// LogStore.free once done and released.
 type batch struct {
 	seg     int
 	off     int64
@@ -183,8 +200,9 @@ type batch struct {
 	records int
 	saved   []int // checkpoint indices staged here, for pending cleanup
 	born    time.Time
+	waiters int
+	done    bool
 	err     error
-	done    chan struct{}
 }
 
 // LogStore is a segmented group-commit log implementing storage.Store. Use
@@ -193,6 +211,7 @@ type LogStore struct {
 	mu     sync.Mutex
 	commit sync.Cond // committer waits here for staged batches
 	flow   sync.Cond // writers wait here under MaxStaged backpressure
+	synced sync.Cond // batch holders wait here for their batch to be done
 	dir    string
 	opt    Options
 
@@ -213,6 +232,7 @@ type LogStore struct {
 
 	queue       []*batch // staged batches, FIFO
 	cur         *batch   // open batch accepting records (tail of queue)
+	free        []*batch // committed batches awaiting reuse
 	stagedBytes int
 
 	tornTails int
@@ -264,6 +284,7 @@ func Open(dir string, opt Options) (*LogStore, error) {
 	}
 	s.commit.L = &s.mu
 	s.flow.L = &s.mu
+	s.synced.L = &s.mu
 	if err := s.replay(); err != nil {
 		return nil, err
 	}
@@ -312,13 +333,48 @@ func (s *LogStore) failLocked(err error) {
 	}
 	s.failed = fmt.Errorf("logstore: commit failed: %w", err)
 	for _, b := range s.queue {
-		b.err = s.failed
-		close(b.done)
+		b.done, b.err = true, s.failed
 	}
 	s.queue = nil
 	s.cur = nil
+	s.synced.Broadcast()
 	s.flow.Broadcast()
 	s.commit.Broadcast()
+}
+
+// holdLocked registers the caller as a waiter of b and wakes the committer:
+// a held batch is one worth a flush. Every hold is paired with one
+// awaitLocked.
+func (s *LogStore) holdLocked(b *batch) {
+	if b.waiters == 0 && s.opt.CommitDelay > 0 {
+		b.born = time.Now() // the accumulation window opens with the first waiter
+	}
+	b.waiters++
+	s.commit.Signal()
+}
+
+// awaitLocked blocks until held batch b is durable (nil) or the store has
+// failed (the sticky error), then releases the hold.
+func (s *LogStore) awaitLocked(b *batch) error {
+	for !b.done {
+		s.synced.Wait()
+	}
+	err := b.err
+	b.waiters--
+	s.recycleLocked(b)
+	return err
+}
+
+// recycleLocked returns a committed batch nobody holds to the freelist, so
+// the next commit reuses its struct and its buffer. A failed batch is left
+// to the collector: its buffer still backs the pending bodies Load serves.
+func (s *LogStore) recycleLocked(b *batch) {
+	const keep = 4 // staged batches in flight rarely exceed the open one and the one being flushed
+	if b.waiters > 0 || b.err != nil || len(s.free) == keep || cap(b.buf) > s.opt.MaxStaged {
+		return
+	}
+	*b = batch{buf: b.buf[:0], saved: b.saved[:0]}
+	s.free = append(s.free, b)
 }
 
 // Save implements Store: the record is staged into the open batch and the
@@ -355,17 +411,18 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		}
 	}
 	b := s.stageSaveLocked(cp)
+	s.holdLocked(b)
+	err := s.awaitLocked(b)
 	s.mu.Unlock()
-	<-b.done
-	if b.err == nil && saveNs != nil {
+	if err == nil && saveNs != nil {
 		saveNs.Observe(time.Since(t0).Nanoseconds())
 	}
-	return b.err
+	return err
 }
 
 // stageSaveLocked encodes cp (delta against the previous save when the
 // chain rules allow, full otherwise), stages the frame, and applies index
-// state. The caller waits on the returned batch for durability.
+// state. The caller holds and awaits the returned batch for durability.
 func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
 	prevLast := s.lastIdx
 	asDelta := prevLast >= 0 && s.chain < storage.FullEvery-1 && len(s.lastDV) == len(cp.DV)
@@ -466,16 +523,14 @@ func (s *LogStore) roomLocked(need int) (rolled bool) {
 		s.chain = 0
 		rolled = true
 	}
-	b := &batch{
-		seg:    s.projSeg,
-		off:    s.projOff,
-		newSeg: rolled,
-		buf:    make([]byte, batchHdrLen, batchHdrLen+need),
-		done:   make(chan struct{}),
+	var b *batch
+	if k := len(s.free); k > 0 {
+		b, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		b = &batch{buf: make([]byte, 0, batchHdrLen+need)}
 	}
-	if s.opt.CommitDelay > 0 {
-		b.born = time.Now()
-	}
+	b.seg, b.off, b.newSeg = s.projSeg, s.projOff, rolled
+	b.buf = append(b.buf, make([]byte, batchHdrLen)...) // header placeholder
 	s.cur = b
 	s.queue = append(s.queue, b)
 	s.segs[b.seg].batches++
@@ -499,28 +554,37 @@ func (s *LogStore) appendFrameLocked(kind byte, body []byte) (*batch, int64, []b
 	s.projOff += int64(n)
 	s.segs[b.seg].size += int64(n)
 	s.stagedBytes += n
-	s.commit.Signal()
 	return b, bodyOff, b.buf[len(b.buf)-len(body):]
 }
 
-// Delete implements Store: the record is marked dead and a tombstone is
-// staged; the call returns once the tombstone is durable. The dead bytes
-// stay in their segment until compaction claims it.
-func (s *LogStore) Delete(index int) error {
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	ri := s.recs[index]
-	if ri == nil || ri.dead {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
-	}
+// stageTombstoneLocked stages the deletion tombstone of checkpoint index in
+// the open batch. It wakes nobody: a caller that needs the tombstone durable
+// holds the returned batch.
+func (s *LogStore) stageTombstoneLocked(index int) *batch {
 	var body [8]byte
 	binary.LittleEndian.PutUint64(body[:], uint64(index))
 	s.roomLocked(frameHdrLen + len(body))
 	b, _, _ := s.appendFrameLocked(kindTombstone, body[:])
+	return b
+}
+
+// Delete implements Store: the record is marked dead — every later call
+// sees it gone — and its tombstone is staged to ride the next batch somebody
+// waits for; only the delete of the most recent checkpoint waits for that
+// batch itself (see the package comment for the durability contract). The
+// dead bytes stay in their segment until compaction claims it.
+func (s *LogStore) Delete(index int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.usableLocked(); err != nil {
+		return err
+	}
+	ri := s.recs[index]
+	if ri == nil || ri.dead {
+		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
+	}
+	newest := index == s.sorted[len(s.sorted)-1]
+	b := s.stageTombstoneLocked(index)
 
 	if s.lastIdx == index {
 		s.lastIdx = -1 // the next save opens a fresh chain
@@ -537,9 +601,14 @@ func (s *LogStore) Delete(index int) error {
 	s.flight.Record(obs.Event{Kind: obs.EvCollect, P: s.proc, Msg: index})
 	s.unlinkLocked(index)
 	s.kickCompactLocked()
-	s.mu.Unlock()
-	<-b.done
-	return b.err
+	if newest {
+		s.holdLocked(b)
+		return s.awaitLocked(b)
+	}
+	if s.stagedBytes > s.opt.MaxStaged {
+		s.commit.Signal()
+	}
+	return nil
 }
 
 // unlinkLocked dissolves the chain links of a dead childless record and
@@ -647,8 +716,9 @@ func (s *LogStore) Stats() storage.Stats {
 	return s.stats
 }
 
-// Close seals the store: staged batches are committed, the goroutines exit,
-// the tail file handle closes. Later operations fail; Close is idempotent.
+// Close seals the store: staged batches — the tombstones no Save has carried
+// yet among them — are committed, the goroutines exit, the tail file handle
+// closes. Later operations fail; Close is idempotent.
 func (s *LogStore) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -683,7 +753,14 @@ func (s *LogStore) committer() {
 			break
 		}
 		b := s.queue[0]
-		if s.opt.CommitDelay > 0 && b == s.cur && b.records > 0 {
+		if b == s.cur && b.waiters == 0 && !s.closed && s.stagedBytes <= s.opt.MaxStaged {
+			// The open batch holds only tombstones: leave it open for the
+			// next Save to share its flush. Close commits it as it is, and
+			// so does a pile of tombstones past the staging bound.
+			s.commit.Wait()
+			continue
+		}
+		if s.opt.CommitDelay > 0 && b == s.cur && !s.closed {
 			if wait := s.opt.CommitDelay - time.Since(b.born); wait > 0 {
 				s.mu.Unlock()
 				time.Sleep(wait)
@@ -691,13 +768,9 @@ func (s *LogStore) committer() {
 				continue
 			}
 		}
-		if b.records == 0 && b == s.cur {
-			// An open batch no record ever reached (rolled away from
-			// immediately); wait for content or a seal.
-			s.commit.Wait()
-			continue
-		}
-		s.queue = s.queue[1:]
+		// Shift down rather than reslice: the queue is a handful of entries,
+		// and a resliced head would make every append reallocate.
+		s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 		if b == s.cur {
 			s.cur = nil
 		}
@@ -713,12 +786,18 @@ func (s *LogStore) committer() {
 		if commitNs != nil {
 			commitNs.Observe(time.Since(t0).Nanoseconds())
 		}
+		if err == nil && s.opt.OnCommit != nil {
+			// Before the waiters are released: every acknowledged operation
+			// has had its commit reported. The dequeued batch is ours alone.
+			s.opt.OnCommit(Commit{Seg: b.seg, Start: b.off, End: b.off + int64(len(b.buf)), Records: b.records})
+		}
 
 		s.mu.Lock()
 		if err != nil {
+			// b left the queue before failLocked could sweep it.
 			s.failLocked(err)
-			b.err = s.failed
-			close(b.done)
+			b.done, b.err = true, s.failed
+			s.synced.Broadcast()
 			continue
 		}
 		if seg := s.segs[b.seg]; seg != nil {
@@ -732,16 +811,11 @@ func (s *LogStore) committer() {
 		}
 		s.obs.BatchRecords.Observe(int64(b.records))
 		s.updateLiveRatioLocked()
-		c := Commit{Seg: b.seg, Start: b.off, End: b.off + int64(len(b.buf)), Records: b.records}
-		b.err = nil
-		close(b.done)
+		b.done = true
+		s.synced.Broadcast()
+		s.recycleLocked(b)
 		s.flow.Broadcast()
 		s.kickCompactLocked()
-		if s.opt.OnCommit != nil {
-			s.mu.Unlock()
-			s.opt.OnCommit(c)
-			s.mu.Lock()
-		}
 	}
 	s.mu.Unlock()
 	if s.f != nil {

@@ -439,8 +439,11 @@ func TestLogStoreConcurrent(t *testing.T) {
 // TestTortureGroupCommitCrash is the staged-but-unsynced-batch oracle:
 // concurrent Save/Delete traffic runs until the sync hook simulates a power
 // failure (the batch is written but never synced, and the store fails
-// loudly). Every op acknowledged before the crash must replay; the ops in
-// the crashed batch were never acknowledged and must be absent after
+// loudly). Every op acknowledged before the crash must replay — where a
+// Delete counts as acknowledged once a later Save of the same worker was
+// (its tombstone rode that Save's batch or an earlier one); a Delete no Save
+// followed may have lost its tombstone, so its checkpoint may resurrect. The
+// ops in the crashed batch were never acknowledged and must be absent after
 // replay — partially-applied batches must not exist, at any truncation
 // point inside the torn batch.
 func TestTortureGroupCommitCrash(t *testing.T) {
@@ -504,16 +507,23 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 	}
 	s.Close()
 
-	// Expected live view: acked saves minus acked deletes. (A delete only
-	// acks after its save did, so per-worker replay order is safe.)
-	want := map[int]bool{}
+	// Expected live view: acked saves minus the deletes a later acked save
+	// of the same worker covered; the worker's trailing deletes may go
+	// either way.
+	want, may := map[int]bool{}, map[int]bool{}
 	for _, ops := range acked {
+		var trailing []int
 		for _, o := range ops {
 			if o.del {
 				delete(want, o.idx)
+				trailing = append(trailing, o.idx)
 			} else {
 				want[o.idx] = true
+				trailing = trailing[:0]
 			}
+		}
+		for _, idx := range trailing {
+			may[idx] = true
 		}
 	}
 
@@ -560,7 +570,7 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 			}
 		}
 		for idx := range got {
-			if !want[idx] {
+			if !want[idx] && !may[idx] {
 				t.Fatalf("cut=%d: unacknowledged checkpoint %d surfaced after replay", cut, idx)
 			}
 		}
@@ -717,4 +727,231 @@ func TestLogStoreBackendRegistered(t *testing.T) {
 		t.Fatalf("storage.Open(log) = %T, want *LogStore", st)
 	}
 	st.(*LogStore).Close()
+}
+
+// TestDeleteRidesTheNextCommit pins Delete's contract: it returns without a
+// flush of its own (even while the committer is held inside one), the view
+// reflects it at once, the tombstone shares the next Save's batch, and Close
+// makes a trailing tombstone durable.
+func TestDeleteRidesTheNextCommit(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		mu      sync.Mutex
+		commits []Commit
+		hold    bool
+	)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s := openTest(t, dir, Options{
+		NoCompact: true,
+		OnCommit:  func(c Commit) { mu.Lock(); commits = append(commits, c); mu.Unlock() },
+		Sync: func(*os.File) error {
+			mu.Lock()
+			h := hold
+			mu.Unlock()
+			if h {
+				entered <- struct{}{}
+				<-release
+			}
+			return nil
+		},
+	})
+	records := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		var rs []int
+		for _, c := range commits {
+			rs = append(rs, c.Records)
+		}
+		return rs
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mu.Lock()
+	hold = true
+	mu.Unlock()
+	saved := make(chan error, 1)
+	go func() { saved <- s.Save(ckpt(3)) }()
+	<-entered // the committer now sits inside the flush of Save(3)
+
+	deleted := make(chan error, 1)
+	go func() { deleted <- s.Delete(0) }()
+	select {
+	case err := <-deleted:
+		if err != nil {
+			t.Fatalf("Delete(0): %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Delete waited for the flush in progress")
+	}
+	if got, want := s.Indices(), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices = %v while the tombstone is staged, want %v", got, want)
+	}
+	if st := s.Stats(); st.Live != 3 || st.Collected != 1 {
+		t.Fatalf("Stats = %+v while the tombstone is staged, want Live 3, Collected 1", st)
+	}
+	if _, err := s.Load(0); err == nil {
+		t.Fatal("Load(0) served a deleted checkpoint")
+	}
+	if err := s.Delete(0); err == nil {
+		t.Fatal("double Delete(0) should fail")
+	}
+
+	mu.Lock()
+	hold = false
+	mu.Unlock()
+	close(release)
+	if err := <-saved; err != nil {
+		t.Fatalf("Save(3): %v", err)
+	}
+	if got, want := records(), []int{1, 1, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("records per commit %v, want %v: the tombstone must wait for a Save", got, want)
+	}
+
+	// The next Save carries the tombstone: one batch, two records.
+	if err := s.Save(ckpt(4)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := records(), []int{1, 1, 1, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("records per commit %v, want %v", got, want)
+	}
+
+	// A trailing tombstone is made durable by Close.
+	if err := s.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := records(), []int{1, 1, 1, 1, 2, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("records per commit after Close %v, want %v", got, want)
+	}
+	r := openTest(t, dir, Options{NoCompact: true})
+	if got, want := r.Indices(), []int{2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened Indices = %v, want %v", got, want)
+	}
+	if r.TornTails() != 0 {
+		t.Fatalf("reopen truncated %d torn tails of a cleanly closed store", r.TornTails())
+	}
+}
+
+// TestFailedCommitSurfacesOnNextOp: the commit carrying a staged tombstone
+// fails; the Save that waited on it reports the failure and every later
+// Save, Delete and Close repeats it.
+func TestFailedCommitSurfacesOnNextOp(t *testing.T) {
+	boom := errors.New("injected flush failure")
+	var fail sync.Mutex // guards failing
+	failing := false
+	s := openTest(t, t.TempDir(), Options{NoCompact: true, Sync: func(*os.File) error {
+		fail.Lock()
+		defer fail.Unlock()
+		if failing {
+			return boom
+		}
+		return nil
+	}})
+	for i := 0; i < 2; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail.Lock()
+	failing = true
+	fail.Unlock()
+	if err := s.Delete(0); err != nil {
+		t.Fatalf("Delete(0) stages only; got %v", err)
+	}
+	if err := s.Save(ckpt(2)); !errors.Is(err, boom) {
+		t.Fatalf("Save on a failing flush = %v, want the injected failure", err)
+	}
+	if err := s.Delete(1); !errors.Is(err, boom) {
+		t.Fatalf("Delete after a failed commit = %v, want the sticky failure", err)
+	}
+	if err := s.Save(ckpt(3)); !errors.Is(err, boom) {
+		t.Fatalf("Save after a failed commit = %v, want the sticky failure", err)
+	}
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close after a failed commit = %v, want the sticky failure", err)
+	}
+}
+
+// TestSaveAllocationBudget holds the steady-state Save+Delete cycle to the
+// one allocation it needs (the index entry): batch structs and their
+// buffers come off the freelist.
+func TestSaveAllocationBudget(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Sync: func(*os.File) error { return nil }})
+	cp := ckpt(0)
+	cp.State = make([]byte, 4096)
+	next := 0
+	cycle := func() {
+		cp.Index = next
+		cp.DV[0] = next
+		if err := s.Save(cp); err != nil {
+			t.Fatal(err)
+		}
+		if next > 0 {
+			if err := s.Delete(next - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next++
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the freelist, the index map and the sorted slice
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	t.Logf("Save+Delete steady state: %v allocs/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("Save+Delete steady state: %v allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestDeleteOfNewestIsDurableOnReturn: a rollback discards the checkpoints
+// above its target in ascending order. The last of those deletes removes the
+// store's most recent checkpoint, waits for its batch, and thereby settles
+// the ones staged before it: the disk as it stands when Delete returns — no
+// Close, no further Save — reopens without any of them.
+func TestDeleteOfNewestIsDurableOnReturn(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var records []int
+	s := openTest(t, dir, Options{NoCompact: true, OnCommit: func(c Commit) {
+		mu.Lock()
+		records = append(records, c.Records)
+		mu.Unlock()
+	}})
+	for i := 0; i < 5; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, idx := range []int{3, 4} { // roll back to checkpoint 2
+		if err := s.Delete(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	got := append([]int(nil), records...)
+	mu.Unlock()
+	if want := []int{1, 1, 1, 1, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("records per commit %v, want %v: both tombstones in one flush", got, want)
+	}
+	img := t.TempDir()
+	for _, name := range segFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(img, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := openTest(t, img, Options{NoCompact: true})
+	if got, want := r.Indices(), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("crash image after the rollback's deletes reopens with %v, want %v", got, want)
+	}
 }

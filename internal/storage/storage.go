@@ -39,8 +39,23 @@ type Store interface {
 	// returning), so callers can pass live vectors and reused buffers —
 	// the per-message paths depend on this to stay allocation-lean.
 	Save(cp Checkpoint) error
-	// Delete removes the checkpoint with the given index. Deleting an
-	// absent index is an error: the collectors must never double-free.
+	// Delete removes the checkpoint with the given index: every later call
+	// on this Store sees it gone. Deleting an absent index is an error: the
+	// collectors must never double-free.
+	//
+	// Durability. The paper's collector is asynchronous — eliminating an
+	// obsolete checkpoint saves space and is never on the correctness path —
+	// so a store need not make a delete durable before returning, only no
+	// later than the next acknowledged Save or Close. A crash in between
+	// may resurrect the checkpoint. That is safe: an obsolete checkpoint
+	// belongs to no recovery line, and the Rollback every restart runs
+	// (Algorithm 3) rebuilds UC from whatever checkpoints survive and
+	// eliminates the unreferenced ones again. The exception is the most
+	// recent checkpoint, which only a rollback deletes: a restart resumes
+	// from the most recent checkpoint it finds, so that delete — and with it
+	// every delete issued before it — is durable when Delete returns.
+	// MemStore and FileStore apply every delete at once; the log store
+	// defers as far as this contract allows.
 	Delete(index int) error
 	// Load returns the checkpoint with the given index.
 	Load(index int) (Checkpoint, error)
