@@ -12,6 +12,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/protocol"
 	"repro/internal/runtime"
+	"repro/internal/runtime/history"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/storage/logstore"
@@ -133,6 +134,18 @@ func Suite(sizes []int) []Case {
 	// The same live path with compressed piggybacks: encode O(changed) at
 	// send, sparse decision + merge at delivery.
 	add("runtime/delivery-compressed", false, 2, deliveryCompressedCase)
+	// What one message adds to the live cluster's history: a send event in
+	// the sender's log and a receive event in the receiver's, 16 bytes
+	// each into a chunk. No allocation except a fresh chunk every 256
+	// events, so allocs/op is ~0.008. The cost does not depend on n; one
+	// size is measured.
+	addTo("runtime/history-record", true, 0, 4, historyRecordCase)
+	// What a recovery session pays to cut a rolled-back process's history:
+	// a log holding 10^5 events loses a 64-event tail back to its last
+	// checkpoint (re-recorded each iteration, so ns/op is 64 records plus
+	// the cut). The cut walks back from the tail, so the 10^5 events before
+	// it cost nothing, and nothing is allocated.
+	addTo("runtime/session-truncate", true, 0, 4, sessionTruncateCase)
 	// Deterministic simulator: a full uniform-workload run per iteration
 	// (FDAS + RDT-LGC), the grid cell the sweep experiments are made of.
 	// Thousands of allocs per run amortize fractionally, so a slack of 2
@@ -771,6 +784,53 @@ func deliveryCase(n int) func(*T) {
 		}
 		c.Quiesce()
 		t.Stop()
+	}
+}
+
+func historyRecordCase(n int) func(*T) {
+	return func(t *T) {
+		logs := make([]history.Log, n)
+		tick := uint64(0)
+		t.Start()
+		for i := 0; i < t.N; i++ {
+			tick++
+			logs[i%n].Send(tick)
+			tick++
+			logs[(i+1)%n].Recv(tick, tick-1)
+		}
+		t.Stop()
+		Sink += logs[0].Len()
+	}
+}
+
+func sessionTruncateCase(int) func(*T) {
+	return func(t *T) {
+		const events, tail = 100_000, 64
+		var l history.Log
+		tick := uint64(0)
+		for l.Len() < events-1 {
+			tick++
+			if l.Len()%50 == 0 {
+				l.Checkpoint(tick)
+			} else {
+				l.Send(tick)
+			}
+		}
+		tick++
+		l.Checkpoint(tick)
+		line := l.Checkpoints()
+		t.Start()
+		for i := 0; i < t.N; i++ {
+			for k := 0; k < tail; k++ {
+				tick++
+				l.Send(tick)
+			}
+			Sink += l.CutAfterCheckpoint(line)
+		}
+		t.Stop()
+		if l.Len() != events {
+			t.Fatalf("log holds %d events after the cuts, want %d", l.Len(), events)
+		}
 	}
 }
 

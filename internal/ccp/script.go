@@ -43,7 +43,10 @@ type Script struct {
 	N   int
 	Ops []Op
 
-	sends int // cached count of OpSend ops appended via Send
+	// sends caches the count of OpSend ops. A script assembled from its
+	// exported fields (a History() copy, a prefix of one) starts with the
+	// cache at zero; Send recounts then, so such a copy can be extended.
+	sends int
 }
 
 // Checkpoint appends a checkpoint op for process p.
@@ -51,6 +54,13 @@ func (s *Script) Checkpoint(p int) { s.Ops = append(s.Ops, Op{Kind: OpCheckpoint
 
 // Send appends a send op for process p and returns the message number.
 func (s *Script) Send(p int) int {
+	if s.sends == 0 {
+		for _, op := range s.Ops {
+			if op.Kind == OpSend {
+				s.sends++
+			}
+		}
+	}
 	m := s.sends
 	s.Ops = append(s.Ops, Op{Kind: OpSend, P: p, Msg: m})
 	s.sends++

@@ -122,7 +122,7 @@ func (n *Node) drainLocked() {
 // applyBatches delivers one drain group to the kernel under a single
 // receiver-lock acquisition: epoch and crash filtering first, then one
 // DeliverBatch over the survivors, with postDeliver running per message for
-// the application handler, the linearized history record, and the flight
+// the application handler, the node's history record, and the flight
 // event — the same per-message sequence deliverPending performed, in the
 // same arrival order.
 //
@@ -181,9 +181,7 @@ func (n *Node) postDeliver(i int) {
 	if n.c.cfg.OnDeliver != nil {
 		n.c.cfg.OnDeliver(n.id, n.k.App(), m.payload)
 	}
-	n.c.recMu.Lock()
-	n.c.rec.Recv(n.id, m.msg)
-	n.c.recMu.Unlock()
+	n.log.Recv(n.c.tick.Add(1), uint64(m.msg))
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvDeliver, P: n.id, Msg: m.msg, Aux: m.from, Clock: n.k.DVRef()[n.id],
 	})

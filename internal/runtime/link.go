@@ -24,8 +24,8 @@ import (
 //     pooled queue's per-pair due-time clamp) application send order.
 //   - window holds exactly the frames accepted onto the wire and not yet
 //     known delivered, oldest first; winBase is the cumulative
-//     wire-acceptance index of window[0] and wireDeliv the cumulative
-//     delivered count, so pruning window[0] while winBase < wireDeliv
+//     wire-acceptance index of its oldest frame and wireDeliv the cumulative
+//     delivered count, so popping the oldest while winBase < wireDeliv
 //     discards only frames the receiver has consumed.
 //   - OnLinkDown moves the window's undelivered tail to the FRONT of
 //     parked (frames that failed a later send are already there and are
@@ -40,14 +40,46 @@ import (
 type pairLink struct {
 	mu      sync.Mutex
 	sendSeq uint64    // next wire seq to stamp
-	window  []pending // wire-accepted, not yet known-delivered, oldest first
-	winBase int64     // cumulative wire-acceptance index of window[0]
+	window  frameRing // wire-accepted, not yet known-delivered, oldest first
+	winBase int64     // cumulative wire-acceptance index of the window's oldest frame
 	parked  []pending // awaiting reconnect, wire-seq order; no inflight held
 	tries   int       // consecutive failed flushes (drives the backoff)
 	timer   *time.Timer
 	down    bool // a link-down flight event was recorded and not yet matched
 
 	wire []transport.Message // reused frame batch for this pair's sends
+}
+
+// frameRing is a pair's retransmit window: a FIFO of frames in a ring that
+// doubles while it is too small — never past LinkOptions.Window, which
+// wireSend enforces before it pushes — and is then reused in place, so a
+// pair in steady state accepts and prunes frames without allocating. It
+// keeps its high-water size; a pair that never talks never builds one.
+type frameRing struct {
+	buf  []pending // len is zero or a power of two
+	head int       // slot of the oldest frame
+	n    int       // frames held
+}
+
+func (r *frameRing) at(i int) *pending { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *frameRing) push(p *pending) {
+	if r.n == len(r.buf) {
+		grown := make([]pending, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = *r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.n++
+	*r.at(r.n - 1) = *p
+}
+
+// pop drops the oldest frame, releasing the references its slot held.
+func (r *frameRing) pop() {
+	*r.at(0) = pending{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 }
 
 // LinkOptions tunes the reliability layer and the mesh's failure behavior
@@ -164,23 +196,20 @@ func (c *Cluster) wireSend(pl *pairLink, from, to int, run []pending, haveFlight
 	c.pruneWindow(pl, from, to)
 	msgs := pl.wire[:0]
 	for k := range run {
-		msgs = append(msgs, wireMessage(from, to, run[k]))
+		msgs = append(msgs, wireMessage(from, to, &run[k]))
 	}
 	accepted, _ := c.mesh.SendBatch(from, to, msgs)
 	clear(msgs)
 	pl.wire = msgs[:0]
 	for k := 0; k < accepted; k++ {
-		if len(pl.window) >= c.linkOpts.Window {
+		if pl.window.n >= c.linkOpts.Window {
 			// Window overflow: the oldest wire-accepted frame loses its
 			// retransmit coverage. It is not lost yet — only unprotected; if
 			// its stream dies before delivering it, OnLinkDown counts it
 			// under the gap (linkLost) path.
-			c.recycleDV(pl.window[0].pb.DV)
-			pl.window[0] = pending{}
-			pl.window = pl.window[1:]
-			pl.winBase++
+			c.dropOldest(pl)
 		}
-		pl.window = append(pl.window, run[k])
+		pl.window.push(&run[k])
 	}
 	if accepted < len(run) {
 		c.park(pl, from, to, run[accepted:], haveFlight)
@@ -199,7 +228,7 @@ func (c *Cluster) park(pl *pairLink, from, to int, run []pending, releaseFlight 
 		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: len(run)})
 	}
 	for k := range run {
-		if c.closed.Load() || len(pl.parked)+len(pl.window) >= c.linkOpts.Window {
+		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
 			c.obs.LinkLost.Inc()
 			c.recycleDV(run[k].pb.DV)
 		} else {
@@ -220,15 +249,17 @@ func (c *Cluster) park(pl *pairLink, from, to int, run []pending, releaseFlight 
 // pl.mu held.
 func (c *Cluster) pruneWindow(pl *pairLink, from, to int) {
 	deliv := c.wireDeliv[from*c.cfg.N+to].Load()
-	for len(pl.window) > 0 && pl.winBase < deliv {
-		c.recycleDV(pl.window[0].pb.DV)
-		pl.window[0] = pending{}
-		pl.window = pl.window[1:]
-		pl.winBase++
+	for pl.window.n > 0 && pl.winBase < deliv {
+		c.dropOldest(pl)
 	}
-	if len(pl.window) == 0 {
-		pl.window = nil // let the backing array go once fully consumed
-	}
+}
+
+// dropOldest retires the window's oldest frame, returning its piggyback
+// snapshot to the freelist. Called with pl.mu held.
+func (c *Cluster) dropOldest(pl *pairLink) {
+	c.recycleDV(pl.window.at(0).pb.DV)
+	pl.window.pop()
+	pl.winBase++
 }
 
 // onLinkDown is the mesh's lost-frame reconciliation on a reliable
@@ -240,48 +271,48 @@ func (c *Cluster) pruneWindow(pl *pairLink, from, to int) {
 func (c *Cluster) onLinkDown(from, to, lost int) {
 	pl := c.link(from, to)
 	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	c.pruneWindow(pl, from, to)
-	gone := lost - len(pl.window)
-	if gone < 0 {
-		// Cannot happen while the transport's lost count is exact; guard so
-		// accounting never goes negative if it ever stops being.
-		gone = 0
+	if lost <= 0 {
+		return
 	}
-	if keep := lost - gone; keep > 0 || gone > 0 {
-		if !pl.down {
-			pl.down = true
-			c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: lost - gone})
-		}
-		drop := c.closed.Load()
-		kept := 0
-		if !drop && len(pl.window) > 0 {
-			head := pl.window
-			if len(head) > lost {
-				head = head[len(head)-lost:]
-			}
-			pl.parked = append(head[:len(head):len(head)], pl.parked...)
-			kept = len(head)
-			c.obs.LinkParked.Add(int64(kept))
-		}
-		for i := kept; i < len(pl.window); i++ {
-			c.recycleDV(pl.window[i].pb.DV)
-		}
-		if dropped := gone + (len(pl.window) - kept); dropped > 0 {
-			c.obs.LinkLost.Add(uint64(dropped))
-		}
-		// Lost frames held in-flight accounting since their send; parked or
-		// dropped, they are no longer in transit.
-		c.inflight.Add(-lost)
-		pl.window = nil
-		// Re-base to the delivered count: the lost frames' wire slots will
-		// never deliver, so carrying their acceptance indices forward would
-		// leave the prune cursor permanently behind. The count is final —
-		// the transport reconciles a dead stream only after its deliveries
-		// have completed.
-		pl.winBase = c.wireDeliv[from*c.cfg.N+to].Load()
-		c.armRetry(pl, from, to)
+	// keep counts the lost frames the window still covers: all it holds —
+	// or its newest "lost", should it ever hold more, which cannot happen
+	// while the transport's lost count is exact. The rest overflowed their
+	// coverage.
+	keep := min(lost, pl.window.n)
+	dropped := lost - keep
+	if !pl.down {
+		pl.down = true
+		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: keep})
 	}
-	pl.mu.Unlock()
+	if c.closed.Load() {
+		keep = 0
+	}
+	for pl.window.n > keep {
+		c.dropOldest(pl)
+		dropped++
+	}
+	if dropped > 0 {
+		c.obs.LinkLost.Add(uint64(dropped))
+	}
+	if keep > 0 {
+		parked := make([]pending, 0, keep+len(pl.parked))
+		for ; pl.window.n > 0; pl.window.pop() {
+			parked = append(parked, *pl.window.at(0))
+		}
+		pl.parked = append(parked, pl.parked...)
+		c.obs.LinkParked.Add(int64(keep))
+	}
+	// Lost frames held in-flight accounting since their send; parked or
+	// dropped, they are no longer in transit.
+	c.inflight.Add(-lost)
+	// Re-base to the delivered count: the lost frames' wire slots will never
+	// deliver, so carrying their acceptance indices forward would leave the
+	// prune cursor permanently behind. The count is final — the transport
+	// reconciles a dead stream only after its deliveries have completed.
+	pl.winBase = c.wireDeliv[from*c.cfg.N+to].Load()
+	c.armRetry(pl, from, to)
 }
 
 // armRetry schedules the pair's next flush attempt with exponential

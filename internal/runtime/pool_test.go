@@ -69,7 +69,15 @@ func TestQuiesceReturnsAfterLinkKill(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// The 0->1 pair dials lazily, and on a loaded machine 5 ms was not
+	// always enough for it. p1 hears only from p0, so its vector learning of
+	// p0 is the read-only proof that the link is up.
+	for deadline := time.Now().Add(20 * time.Second); c.Node(1).CurrentDV()[0] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no message from p0 reached p1 in 20s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if !c.BreakLink(0, 1) {
 		t.Error("no live 0->1 link to break")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ccp"
 	"repro/internal/gc"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -71,7 +70,7 @@ func (c *Cluster) Down() []int {
 //  5. roll back every process whose component is stable (Algorithm 3 on
 //     its collector, with LI when globalLI is true) and release stale UC
 //     entries on the others;
-//  6. truncate the recorded history to the post-recovery pattern, resume.
+//  6. cut the rolled-back processes' recorded history at the line, resume.
 //
 // Recover models processes that fail and rejoin within one session. For
 // processes that crashed earlier via Crash use Restart, which rehydrates
@@ -97,15 +96,11 @@ func (c *Cluster) Restart(globalLI bool) (Report, error) {
 
 // session is the shared recovery-session body of Recover and Restart.
 func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, error) {
-	c.stateMu.Lock()
-	c.halted = true
-	c.epoch++
-	c.stateMu.Unlock()
-	defer func() {
-		c.stateMu.Lock()
-		c.halted = false
-		c.stateMu.Unlock()
-	}()
+	// Halt first, then advance the epoch: a reader in between sees "halted"
+	// (sends refuse), never the new epoch with the flag still clear.
+	c.st.Or(1)
+	c.st.Add(2)
+	defer c.st.And(^uint64(1))
 	c.Quiesce()
 	// Frames parked behind a broken link carry the pre-session epoch: the
 	// advance above already declared them lost, so drop them now rather
@@ -189,6 +184,10 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, er
 		if err := n.k.Rollback(line[j], liArg); err != nil {
 			return rep, err
 		}
+		// The process's history is cut with it, at its stable component;
+		// processes that keep their state keep their logs untouched, and the
+		// receives this orphans are dropped when History next merges.
+		c.cutVisited += n.log.CutAfterCheckpoint(line[j])
 		c.flight.Record(obs.Event{Kind: obs.EvRollback, P: j, Msg: line[j], Clock: line[j]})
 	}
 
@@ -198,28 +197,16 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, er
 	for _, n := range c.nodes {
 		n.k.ResetCompression()
 	}
-
-	// Truncate the recorded history at the line so the oracle reflects the
-	// post-recovery pattern: rolled-back processes are cut at their stable
-	// component, the others keep their whole history.
-	cut := make([]int, c.cfg.N)
-	for p := range c.nodes {
-		cut[p] = -1
-	}
-	for _, p := range rep.RolledBack {
-		cut[p] = line[p]
-	}
-	c.recMu.Lock()
-	c.rec, _ = ccp.Truncate(c.rec, cut)
-	c.recMu.Unlock()
 	return rep, nil
 }
 
 // haltedView adapts a fully locked cluster to gc.View. It must only be used
-// while session holds every node lock.
+// while session holds every node lock — which is also why CurrentDV can lend
+// the live vectors: ComputeLine only compares them, and cloning all n cost
+// 8 KB of garbage per session at n = 32.
 type haltedView struct{ c *Cluster }
 
 func (v haltedView) N() int                    { return v.c.cfg.N }
 func (v haltedView) LastStable(i int) int      { return v.c.nodes[i].k.LastStable() }
-func (v haltedView) CurrentDV(i int) vclock.DV { return v.c.nodes[i].k.DV() }
+func (v haltedView) CurrentDV(i int) vclock.DV { return v.c.nodes[i].k.DVRef() }
 func (v haltedView) Store(i int) storage.Store { return v.c.nodes[i].k.Store() }

@@ -11,11 +11,15 @@
 // "evaluation in a practical environment" the paper lists as future work
 // (Section 6), with deliveries racing application activity.
 //
-// The cluster records every middleware event in a linearized history (each
-// event is appended while its node's lock is held, and a receive is only
-// processed after its send returned), so tests can still rebuild the exact
-// checkpoint and communication pattern and run the internal/ccp oracles
-// against a concurrent execution.
+// Every node records its own middleware events — checkpoints, sends,
+// receives — in its own append-only log, under the lock it already holds,
+// each stamped with a tick from one cluster-wide atomic counter; no message
+// touches shared history state. History merges the logs by tick when asked.
+// Tick order is a linearization (a node's ticks increase under its lock, and
+// a receive draws its tick after its send returned) and, for a serialized
+// execution, is exactly the order things happened — so tests can still
+// rebuild the exact checkpoint and communication pattern and run the
+// internal/ccp oracles against a concurrent execution (see package history).
 package runtime
 
 import (
@@ -33,6 +37,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/runtime/history"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -118,12 +123,16 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	stateMu sync.Mutex // guards epoch and halted
-	epoch   uint64
-	halted  bool
+	// st packs the network epoch and the halt flag (epoch<<1 | halted) into
+	// one word, so the send path and the drains read both as one snapshot
+	// with a load. A recovery session is the only writer.
+	st atomic.Uint64
 
-	recMu sync.Mutex
-	rec   ccp.Script // linearized history of middleware events
+	// tick orders the nodes' logs (see package history): every recorded event
+	// draws the next value, and a send's tick doubles as its message id.
+	// cutVisited sums what sessions looked at while cutting logs.
+	tick       atomic.Uint64
+	cutVisited int
 
 	// dvMu guards dvFree, the freelist full-vector piggyback snapshots are
 	// drawn from (CloneDV) and returned to once a delivery has consumed
@@ -201,6 +210,9 @@ type Node struct {
 	// ErrCrashed until Restart rehydrates it from stable storage.
 	down bool
 
+	// log is this process's history, appended to under mu.
+	log history.Log
+
 	// ing is the bounded ingress ring every inbound batch passes through
 	// (see ingress.go); pbs/meta are the drain's reusable kernel-call
 	// scratch and postFn the pre-bound per-message post hook, all owned by
@@ -229,7 +241,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Net.Seed)),
-		rec:    ccp.Script{N: cfg.N},
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
 		flight: cfg.Obs.Recorder,
 	}
@@ -487,11 +498,21 @@ func (c *Cluster) Quiesce() {
 
 // History returns a snapshot of the linearized middleware history; replayed
 // through internal/ccp it reconstructs the exact pattern of the concurrent
-// execution so far.
+// execution so far. It is built on demand by merging the nodes' logs, with
+// every node locked for the duration (as a recovery session locks them), so
+// the snapshot is exactly the events recorded before it.
 func (c *Cluster) History() ccp.Script {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	return ccp.Script{N: c.rec.N, Ops: append([]ccp.Op(nil), c.rec.Ops...)}
+	logs := make([]*history.Log, len(c.nodes))
+	for i, n := range c.nodes {
+		n.mu.Lock()
+		logs[i] = &n.log
+	}
+	defer func() {
+		for _, n := range c.nodes {
+			n.mu.Unlock()
+		}
+	}()
+	return history.Linearize(logs)
 }
 
 // Oracle rebuilds the ground-truth CCP from the recorded history.
@@ -549,12 +570,10 @@ func (c *Cluster) recycleDV(dv vclock.DV) {
 func (c *Cluster) CheckpointState() []byte { return nil }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
-// forced ones the delivery path takes) land in the linearized history the
+// forced ones the delivery path takes) land in the node's history the
 // instant they become durable, while the node's lock is held.
 func (c *Cluster) OnKernelCheckpoint(self, index int, basic bool) {
-	c.recMu.Lock()
-	c.rec.Checkpoint(self)
-	c.recMu.Unlock()
+	c.nodes[self].log.Checkpoint(c.tick.Add(1))
 	forced := 0
 	if !basic {
 		forced = 1
@@ -564,28 +583,19 @@ func (c *Cluster) OnKernelCheckpoint(self, index int, basic bool) {
 	})
 }
 
-func (c *Cluster) curEpoch() uint64 {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.epoch
-}
+func (c *Cluster) curEpoch() uint64 { return c.st.Load() >> 1 }
 
-// state reads the halt flag and the epoch as one atomic snapshot. The send
-// path must use this combined form: reading them separately can pair a
-// stale "not halted" with a post-session epoch, which would let a message
-// encoded against pre-session compressor state sail into the new epoch
-// (and trip the receiver's FIFO verification).
+// state reads the halt flag and the epoch as one snapshot — one load of the
+// packed word. The send path must use this combined form: reading them
+// separately can pair a stale "not halted" with a post-session epoch, which
+// would let a message encoded against pre-session compressor state sail
+// into the new epoch (and trip the receiver's FIFO verification).
 func (c *Cluster) state() (halted bool, epoch uint64) {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.halted, c.epoch
+	s := c.st.Load()
+	return s&1 != 0, s >> 1
 }
 
-func (c *Cluster) isHalted() bool {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.halted
-}
+func (c *Cluster) isHalted() bool { return c.st.Load()&1 != 0 }
 
 // SetNetwork reshapes the asynchronous network in flight: fault-injection
 // harnesses use it for message-loss and delay bursts. The seeded RNG stream
@@ -702,9 +712,11 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		n.mu.Unlock()
 		return err
 	}
-	n.c.recMu.Lock()
-	msg := n.c.rec.Send(n.id)
-	n.c.recMu.Unlock()
+	// The send's tick is the message's id on the wire and in the flight
+	// recorder: unique, increasing per sender, never rewound by a session.
+	tick := n.c.tick.Add(1)
+	n.log.Send(tick)
+	msg := int(tick)
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvSend, P: n.id, Msg: msg, Aux: to, Clock: n.k.DVRef()[n.id],
 	})
@@ -760,7 +772,7 @@ func (n *Node) sendSpawn(to, msg int, pb node.Piggyback, epoch uint64, payload [
 			ps.wait(ticket)
 		}
 		if mesh := n.c.mesh; mesh != nil {
-			err := mesh.Send(wireMessage(n.id, to, pending{
+			err := mesh.Send(wireMessage(n.id, to, &pending{
 				delivery: delivery{msg: msg, pb: pb, epoch: epoch, payload: payload},
 			}))
 			// The frame is encoded into the connection buffer; the

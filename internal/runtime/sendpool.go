@@ -261,7 +261,7 @@ func (c *Cluster) dispatch(to int, batch []pending) {
 }
 
 // wireMessage frames one pending message for the mesh.
-func wireMessage(from, to int, p pending) transport.Message {
+func wireMessage(from, to int, p *pending) transport.Message {
 	w := transport.Message{
 		From: from, To: to, Msg: p.msg, Epoch: p.epoch,
 		Index: p.pb.Index, Payload: p.payload, Seq: p.wseq,
