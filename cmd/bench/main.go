@@ -14,8 +14,8 @@
 //	go run ./cmd/bench                       # human-readable table (full budget)
 //	go run ./cmd/bench -quick -out BENCH_core.json   # record the gate baseline
 //	go run ./cmd/bench -quick -check BENCH_core.json   # the CI perf gate:
-//	    exit non-zero on any allocs/op regression, or an ns/op regression
-//	    beyond -tolerance after cross-machine speed normalization
+//	    exit non-zero on any allocs/op regression or a missing case; ns/op
+//	    is printed as information (time is judged by go run ./benchmark)
 //
 // The baseline must be recorded in the same mode the gate measures with
 // (-quick); -check refuses a mode-mismatched baseline.
@@ -33,35 +33,19 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
 func main() {
 	var (
-		sizes     = flag.String("sizes", "4,8,16,32,64,128,256,512,1024", "comma-separated process counts")
-		quick     = flag.Bool("quick", false, "short per-case budget (CI-sized run)")
-		jsonOut   = flag.Bool("json", false, "emit the JSON document instead of the table")
-		outFile   = flag.String("out", "", "also write the JSON document to this file")
-		check     = flag.String("check", "", "baseline JSON to gate against; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "fractional ns/op regression tolerated by -check")
-		filter    = flag.String("filter", "", "only run cases whose path contains this substring")
-		thru      = flag.Bool("throughput", false, "run the offered-load throughput sweep instead of the hot-path suite")
-		metrics   = flag.Bool("metrics", false, "throughput mode: attach a live metrics registry and print its snapshot after the sweep")
-		debugHTTP = flag.String("debug-http", "", "throughput mode: serve /metrics, expvar and pprof on this address while the sweep runs")
+		sizes   = flag.String("sizes", "4,8,16,32,64,128,256,512,1024", "comma-separated process counts")
+		quick   = flag.Bool("quick", false, "short per-case budget (CI-sized run)")
+		jsonOut = flag.Bool("json", false, "emit the JSON document instead of the table")
+		outFile = flag.String("out", "", "also write the JSON document to this file")
+		check   = flag.String("check", "", "baseline JSON to gate against; exit 1 on regression")
+		filter  = flag.String("filter", "", "only run cases whose path contains this substring")
 	)
 	flag.Parse()
-
-	if (*metrics || *debugHTTP != "") && !*thru {
-		// The hot-path suite measures allocs/op down to zero; attaching a
-		// registry there would measure the instrumentation, not the system.
-		fmt.Fprintln(os.Stderr, "bench: -metrics and -debug-http require -throughput")
-		os.Exit(2)
-	}
-	if *thru {
-		runThroughput(*quick, *jsonOut, *metrics, *outFile, *check, *debugHTTP, *tolerance, *filter, *sizes)
-		return
-	}
 
 	ns, err := sweep.ParseSizes(*sizes)
 	if err != nil {
@@ -145,7 +129,7 @@ func main() {
 				*check, uncovered, example)
 			os.Exit(2)
 		}
-		regs := bench.Compare(cases, base, results, *tolerance)
+		regs := bench.Compare(cases, base, results)
 		if len(regs) > 0 {
 			fmt.Fprintf(os.Stderr, "bench: %d regression(s) against %s:\n", len(regs), *check)
 			for _, r := range regs {
@@ -153,115 +137,9 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "bench: no regressions against %s (%d cases, ns tolerance %.0f%%, allocs exact)\n",
-			*check, len(results), *tolerance*100)
+		fmt.Fprintf(os.Stderr, "bench: no regressions against %s (%d cases, allocs exact, ns/op informational)\n",
+			*check, len(results))
 	}
-}
-
-// runThroughput is the -throughput mode: the closed-loop offered-load
-// sweep (internal/bench.RunThroughput) with the same record/check contract
-// as the hot-path suite — BENCH_throughput.json is recorded with
-// -quick -out and gated mode-for-mode with -quick -check.
-func runThroughput(quick, jsonOut, metrics bool, outFile, check, debugHTTP string, tolerance float64, filter, sizes string) {
-	if filter != "" || sizes != "4,8,16,32,64,128,256,512,1024" {
-		fmt.Fprintln(os.Stderr, "bench: -throughput always runs its full grid; drop -filter and -sizes")
-		os.Exit(2)
-	}
-	// Instrumented runs measure the instrumented system, so they must not
-	// record or gate the uninstrumented baseline.
-	if (metrics || debugHTTP != "") && (outFile != "" || check != "") {
-		fmt.Fprintln(os.Stderr, "bench: -metrics/-debug-http runs cannot -out or -check a baseline")
-		os.Exit(2)
-	}
-	var reg *obs.Registry
-	if metrics || debugHTTP != "" {
-		reg = obs.NewRegistry()
-	}
-	if debugHTTP != "" {
-		ln, err := obs.ServeDebug(debugHTTP, reg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "bench: debug listener on http://%s/\n", ln.Addr())
-	}
-	doc, err := bench.RunThroughput(quick, reg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if metrics {
-		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if outFile != "" {
-		if err := writeDoc(outFile, doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		writeThroughputTable(os.Stdout, doc.Results)
-	}
-	if check != "" {
-		data, err := os.ReadFile(check)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var base bench.ThroughputDoc
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: parse %s: %v\n", check, err)
-			os.Exit(1)
-		}
-		if base.Quick != quick {
-			fmt.Fprintf(os.Stderr,
-				"bench: %s was recorded with quick=%v but this run used quick=%v; "+
-					"re-record with -throughput -quick -out\n", check, base.Quick, quick)
-			os.Exit(2)
-		}
-		// Throughput scales with scheduler parallelism, so msgs/sec gates
-		// are only meaningful at matching GOMAXPROCS — the geometric-mean
-		// normalization corrects machine speed, not parallelism shape.
-		if base.GOMAXPROCS != doc.GOMAXPROCS {
-			fmt.Fprintf(os.Stderr,
-				"bench: %s was recorded at GOMAXPROCS=%d but this run used %d; "+
-					"re-record with -throughput -out at this setting\n",
-				check, base.GOMAXPROCS, doc.GOMAXPROCS)
-			os.Exit(2)
-		}
-		regs := bench.CompareThroughput(base, doc, tolerance)
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "bench: %d throughput regression(s) against %s:\n", len(regs), check)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr,
-			"bench: no throughput regressions against %s (%d cells, tolerance %.0f%%, pool/spawn floor enforced)\n",
-			check, len(doc.Results), tolerance*100)
-	}
-}
-
-func writeThroughputTable(w *os.File, results []bench.ThroughputResult) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tn\twindow\tmsgs\tmsgs/sec\tp50 µs\tp99 µs")
-	for _, r := range results {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.0f\t%.1f\t%.1f\n",
-			r.Engine, r.N, r.Window, r.Msgs, r.MsgsPerSec, r.P50Ns/1e3, r.P99Ns/1e3)
-	}
-	_ = tw.Flush()
 }
 
 func writeTable(w *os.File, results []bench.Result) {
@@ -290,7 +168,7 @@ func metricsCol(r bench.Result) string {
 	return strings.Join(parts, " ")
 }
 
-func writeDoc(path string, doc any) error {
+func writeDoc(path string, doc bench.Doc) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -9,8 +9,9 @@
 // control messages precisely so that its per-message cost stays negligible;
 // this package is what measures that cost — and Compare is what defends it:
 // cmd/bench -check gates every PR against the checked-in BENCH_core.json
-// baseline (any allocs/op regression, or an ns/op regression beyond the
-// tolerance after cross-machine normalization, fails the build).
+// baseline (any allocs/op regression, or a case that disappeared, fails the
+// build; ns/op is recorded as information — wall-clock time is judged by
+// `go run ./benchmark`).
 package bench
 
 import (
@@ -91,11 +92,6 @@ type Case struct {
 	Path string
 	// N is the process count the case runs at.
 	N int
-	// GateNs includes the case in the ns/op regression gate. IO-bound and
-	// concurrency-heavy cases leave it false: their wall clock is dominated
-	// by the disk or the scheduler, which the allocation gate does not
-	// depend on.
-	GateNs bool
 	// AllocSlack is the allocs/op increase tolerated before the gate fails.
 	// Deterministic single-goroutine paths use 0 (any regression fails);
 	// concurrent cases allow the scheduler a little noise.

@@ -25,8 +25,8 @@ import (
 // and the production-scale extrapolation up to 1024. Past n=128 the size-n
 // vector every message carries (the Strom–Yemini overhead) dominates the
 // dense paths; the delta-path cases alongside them are what must stay flat
-// there — a reintroduced O(n) cost shows up as a gated ns/op regression at
-// the large sizes.
+// there — a reintroduced O(n) cost shows up in the ns/op column at the
+// large sizes.
 var DefaultSizes = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // stateBytes is the opaque application state saved with benchmarked
@@ -38,114 +38,114 @@ const stateBytes = 256
 // stable.
 func Suite(sizes []int) []Case {
 	var cases []Case
-	addTo := func(path string, gateNs bool, slack float64, maxN int, mk func(n int) func(*T)) {
+	addTo := func(path string, slack float64, maxN int, mk func(n int) func(*T)) {
 		for _, n := range sizes {
 			if n > maxN {
 				continue
 			}
-			cases = append(cases, Case{Path: path, N: n, GateNs: gateNs, AllocSlack: slack, Fn: mk(n)})
+			cases = append(cases, Case{Path: path, N: n, AllocSlack: slack, Fn: mk(n)})
 		}
 	}
 	const noCap = 1 << 30
-	add := func(path string, gateNs bool, slack float64, mk func(n int) func(*T)) {
-		addTo(path, gateNs, slack, noCap, mk)
+	add := func(path string, slack float64, mk func(n int) func(*T)) {
+		addTo(path, slack, noCap, mk)
 	}
 
 	// The DV piggyback merge, exactly as the per-message delivery path
 	// performs it: fold the received vector in and report which entries
 	// rose (what RDT-LGC's OnNewInfo consumes).
-	add("vclock/merge", true, 0, mergeCase)
+	add("vclock/merge", 0, mergeCase)
 	// The sparse form: a compressed delivery merges only the changed
 	// entries, so the cost is O(changed) — flat across the size sweep.
-	add("vclock/merge-delta", true, 0, mergeDeltaCase)
+	add("vclock/merge-delta", 0, mergeDeltaCase)
 	// The DV clone every send piggybacks.
-	add("vclock/clone", true, 0, cloneCase)
+	add("vclock/clone", 0, cloneCase)
 	// FDAS's forced-checkpoint decision on delivery: the new-information
 	// scan over the piggybacked vector (Algorithm 4's test).
-	add("protocol/fdas-decision", true, 0, fdasCase)
+	add("protocol/fdas-decision", 0, fdasCase)
 	// RDT-LGC's collect path: the release/link bookkeeping per delivery
 	// carrying new causal information, plus the per-checkpoint CCB work.
-	add("core/collect", true, 0, collectCase)
+	add("core/collect", 0, collectCase)
 	// Checkpoint record encoding + decoding (the storage wire format).
-	add("storage/encode", true, 0, encodeCase)
+	add("storage/encode", 0, encodeCase)
 	// Durable checkpoint save/delete steady state on a real FileStore,
 	// with incompressible vectors so every record is a full one — the
 	// dense gauge the delta case below is compared against. ns/op is
 	// disk-bound, so only allocations are gated; the small slack absorbs
 	// kernel-dependent allocation jitter in the file ops (a real
 	// regression in the encode path adds tens of allocs per op).
-	add("storage/save", false, 2, saveCase)
+	add("storage/save", 2, saveCase)
 	// The delta-encoded save path: one vector entry changes per
 	// checkpoint (the sparse-traffic shape), so the record written is
 	// O(changed) + state however large the system is.
-	add("storage/save-delta", false, 2, saveDeltaCase)
+	add("storage/save-delta", 2, saveDeltaCase)
 	// Crash-recovery rehydration: open a store directory holding n
 	// checkpoints and decode every record (full records, the dense gauge).
-	add("storage/rehydrate", false, 2, rehydrateCase)
+	add("storage/rehydrate", 2, rehydrateCase)
 	// Rehydration over delta chains: the same n checkpoints stored as
 	// full-every-K chains of single-entry deltas, so the scan decodes
 	// O(changed) per record.
-	add("storage/rehydrate-delta", false, 2, rehydrateDeltaCase)
+	add("storage/rehydrate-delta", 2, rehydrateDeltaCase)
 	// Group-commit durable saves on the segmented log store: concurrent
 	// savers stage records the committer goroutine batches under one fsync,
 	// so ns/op is the acknowledged per-save latency with the sync cost
 	// amortized across the batch. Disk- and scheduler-bound, so only
 	// allocations gate; the slack absorbs batch-boundary jitter (whether a
 	// save opens a batch or joins one changes its allocation count).
-	add("storage/save-group", false, 3, saveGroupCase)
+	add("storage/save-group", 3, saveGroupCase)
 	// The collector's steady state on the log store: every save is followed
 	// by the delete of the checkpoint it made obsolete. The delete stages a
 	// tombstone that rides the next save's batch, so the cycle is one flush
 	// (a no-op here: the CPU and hand-off cost is what shows) and one
 	// allocation, the index entry. Scheduler-bound: allocations gate.
-	add("storage/delete-log", false, 1, deleteLogCase)
+	add("storage/delete-log", 1, deleteLogCase)
 	// Log crash recovery: open a segmented log holding delta-chained
 	// checkpoints, verify every batch checksum and rebuild the index — what
 	// a restarting process pays before rejoining.
-	add("storage/replay", false, 2, replayCase)
+	add("storage/replay", 2, replayCase)
 	// The shared middleware kernel's end-to-end delivery path: FIFO
 	// bookkeeping-free full-vector deliver — forced-checkpoint decision,
 	// merge, RDT-LGC collect, periodic forced checkpoints — exactly what
 	// both engines now execute per message. Forced-checkpoint saves hit
 	// the in-memory store, whose map growth adds slight allocation jitter.
-	add("node/deliver", true, 1, nodeDeliverCase)
+	add("node/deliver", 1, nodeDeliverCase)
 	// A whole kernel checkpoint with an application attached: a 170-key KV
 	// (≈4 KiB) snapshotted into the kernel's scratch buffer, encoded and
 	// group-committed on a log store with a no-op sync, then RDT-LGC's
 	// per-checkpoint work and the collected checkpoint's tombstone. The
 	// commit crosses to the committer goroutine and back, so ns/op is
 	// scheduler-bound and only allocations gate.
-	add("node/checkpoint-kv", false, 1, nodeCheckpointKVCase)
+	add("node/checkpoint-kv", 1, nodeCheckpointKVCase)
 	// The kernel's compressed send path: incremental encode against the
 	// per-destination state, plus the receiving kernel's sparse expand,
 	// FIFO verification and merge — the hot path of WithCompression runs.
-	add("node/send-compressed", true, 1, nodeSendCompressedCase)
+	add("node/send-compressed", 1, nodeSendCompressedCase)
 	// TCP mesh framing round trip (encode + decode of one message).
-	add("transport/roundtrip", true, 0, transportCase)
+	add("transport/roundtrip", 0, transportCase)
 	// Sparse frame round trip: a handful of changed entries instead of a
 	// size-n vector, so framing cost is O(changed).
-	add("transport/roundtrip-sparse", true, 0, transportSparseCase)
+	add("transport/roundtrip-sparse", 0, transportSparseCase)
 	// Live-runtime end-to-end delivery: send through the asynchronous
 	// in-process network, forced-checkpoint decision, merge, collect.
-	// Concurrent (goroutine per message), so ns/op is scheduler-bound and
+	// Concurrent (sender-pool workers), so ns/op is scheduler-bound and
 	// the alloc gate allows slight scheduling noise. The snapshot
 	// freelist keeps the piggyback clone out of the per-message allocs.
-	add("runtime/delivery", false, 2, deliveryCase)
+	add("runtime/delivery", 2, deliveryCase)
 	// The same live path with compressed piggybacks: encode O(changed) at
 	// send, sparse decision + merge at delivery.
-	add("runtime/delivery-compressed", false, 2, deliveryCompressedCase)
+	add("runtime/delivery-compressed", 2, deliveryCompressedCase)
 	// What one message adds to the live cluster's history: a send event in
 	// the sender's log and a receive event in the receiver's, 16 bytes
 	// each into a chunk. No allocation except a fresh chunk every 256
 	// events, so allocs/op is ~0.008. The cost does not depend on n; one
 	// size is measured.
-	addTo("runtime/history-record", true, 0, 4, historyRecordCase)
+	addTo("runtime/history-record", 0, 4, historyRecordCase)
 	// What a recovery session pays to cut a rolled-back process's history:
 	// a log holding 10^5 events loses a 64-event tail back to its last
 	// checkpoint (re-recorded each iteration, so ns/op is 64 records plus
 	// the cut). The cut walks back from the tail, so the 10^5 events before
 	// it cost nothing, and nothing is allocated.
-	addTo("runtime/session-truncate", true, 0, 4, sessionTruncateCase)
+	addTo("runtime/session-truncate", 0, 4, sessionTruncateCase)
 	// Deterministic simulator: a full uniform-workload run per iteration
 	// (FDAS + RDT-LGC), the grid cell the sweep experiments are made of.
 	// Thousands of allocs per run amortize fractionally, so a slack of 2
@@ -153,10 +153,10 @@ func Suite(sizes []int) []Case {
 	// per run) still fails loudly. Capped at 256: one run is a whole
 	// 20n-operation experiment, which at n=1024 costs most of a second —
 	// the per-message paths above are what the large sizes gate.
-	addTo("sim/run", true, 2, 256, simCase(false))
+	addTo("sim/run", 2, 256, simCase(false))
 	// The same grid cell with compressed piggybacks: the deterministic
 	// engine's lazy encode (snapshot + send-time log position) end to end.
-	addTo("sim/run-compressed", true, 2, 256, simCase(true))
+	addTo("sim/run-compressed", 2, 256, simCase(true))
 
 	return cases
 }

@@ -32,7 +32,7 @@ func RandomScript(rng *rand.Rand, opts RandomOptions) Script {
 	}
 	var inflight []transit
 
-	deliverOne := func() bool {
+	deliverRandom := func() bool {
 		if len(inflight) == 0 {
 			return false
 		}
@@ -63,14 +63,14 @@ func RandomScript(rng *rand.Rand, opts RandomOptions) Script {
 			from := rng.Intn(opts.N)
 			inflight = append(inflight, transit{msg: s.Send(from), from: from})
 		default:
-			if !deliverOne() {
+			if !deliverRandom() {
 				s.Checkpoint(rng.Intn(opts.N))
 			}
 		}
 	}
 	// Drain what remains in transit so most messages are part of the CCP.
 	for len(inflight) > 0 {
-		deliverOne()
+		deliverRandom()
 	}
 	return s
 }

@@ -440,6 +440,52 @@ func (k *Kernel) ResetCompression() {
 	}
 }
 
+// ApplyLine is the per-process half of a recovery session, shared by both
+// drivers: given the recovery line (one checkpoint index per kernel, where
+// last_s(j)+1 denotes a volatile component), every kernel whose component is
+// stable rolls back to it and the others resume — running ReleaseStale when
+// the manager distributes the last-interval vector (globalLI) — and then
+// every pair's incremental piggyback state is reset: rolled-back receivers
+// lost knowledge the encoders assumed covered. rolledBack is told each
+// process that rolled back, once it has, and how many stable checkpoints
+// beyond the line it discarded. The caller owns everything around it (halting,
+// locks, computing and checking the line, cutting recorded history) and
+// guarantees len(line) == len(ks) and 0 <= line[j] <= last_s(j)+1. On error
+// the kernels are left as far as the session got, compression state not
+// reset.
+func ApplyLine(ks []*Kernel, line []int, globalLI bool, rolledBack func(j, lostCheckpoints int)) error {
+	var li []int
+	if globalLI {
+		// LI[j] = last_s(j)+1 in the post-recovery pattern: a process with a
+		// stable component c rolls back to it (new last_s = c); a process
+		// with a volatile component keeps its last_s.
+		li = make([]int, len(ks))
+		for j, k := range ks {
+			li[j] = min(line[j], k.lastS) + 1
+		}
+	}
+	for j, k := range ks {
+		if line[j] > k.lastS {
+			// Volatile component: the process resumes where it was.
+			if globalLI {
+				if err := k.ReleaseStale(li); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		lost := k.lastS - line[j]
+		if err := k.Rollback(line[j], li); err != nil {
+			return err
+		}
+		rolledBack(j, lost)
+	}
+	for _, k := range ks {
+		k.ResetCompression()
+	}
+	return nil
+}
+
 // snapshot captures the state saved with a checkpoint: the application's
 // snapshot when one is attached (valid until the next call — it lives in the
 // kernel's scratch buffer), else the driver's opaque payload.

@@ -262,12 +262,12 @@ func (c *Cluster) dropOldest(pl *pairLink) {
 	pl.winBase++
 }
 
-// onLinkDown is the mesh's lost-frame reconciliation on a reliable
-// cluster: the lost count is exact (sent minus delivered for the dead
-// stream), and after a final prune the window holds exactly those frames —
-// minus any that overflowed their retransmit coverage. The survivors move
-// to the front of the parked backlog to await the reconnect; the overflow
-// is a permanent loss and its accounting ends here.
+// onLinkDown is the mesh's lost-frame reconciliation: the lost count is
+// exact (sent minus delivered for the dead stream), and after a final prune
+// the window holds exactly those frames — minus any that overflowed their
+// retransmit coverage. The survivors move to the front of the parked
+// backlog to await the reconnect; the overflow is a permanent loss and its
+// accounting ends here.
 func (c *Cluster) onLinkDown(from, to, lost int) {
 	pl := c.link(from, to)
 	pl.mu.Lock()
@@ -413,14 +413,12 @@ func (c *Cluster) dropParkedLocked(pl *pairLink) {
 	pl.down = false
 }
 
-// purgeParked drops every pair's backlog. A recovery session calls it with
-// the cluster halted: the parked frames carry the pre-session epoch, so
-// delivery would drop them anyway — exactly the "in transit at the
-// failure" loss the model already permits.
+// purgeParked drops every pair's backlog and stops its retry timer. A
+// recovery session calls it with the cluster halted: the parked frames
+// carry the pre-session epoch, so delivery would drop them anyway — exactly
+// the "in transit at the failure" loss the model already permits. Close
+// calls it to abandon what a partition stranded.
 func (c *Cluster) purgeParked() {
-	if c.links == nil {
-		return
-	}
 	for i := range c.links {
 		if pl := c.links[i].Load(); pl != nil {
 			pl.mu.Lock()
@@ -458,10 +456,10 @@ func (c *Cluster) flushPair(from, to int) {
 }
 
 // Partition severs every directed pair that crosses the given groups on
-// the mesh, atomically: cross-group sends park (reliable clusters) or
-// refuse (spawn clusters) until HealAll. Nodes absent from every group
-// form one implicit extra group, so Partition([][]int{{3}}) isolates node
-// 3. Only TCP clusters have links to partition.
+// the mesh, atomically: cross-group sends park until HealAll. Nodes absent
+// from every group form one implicit extra group, so
+// Partition([][]int{{3}}) isolates node 3. Only TCP clusters have links to
+// partition.
 func (c *Cluster) Partition(groups [][]int) error {
 	if c.mesh == nil {
 		return fmt.Errorf("runtime: partitions require a TCP cluster")
@@ -477,11 +475,9 @@ func (c *Cluster) HealAll() int {
 		return 0
 	}
 	healed := c.mesh.HealAll()
-	if c.links != nil {
-		for i := range c.links {
-			if pl := c.links[i].Load(); pl != nil {
-				c.flushPair(i/c.cfg.N, i%c.cfg.N)
-			}
+	for i := range c.links {
+		if c.links[i].Load() != nil {
+			c.flushPair(i/c.cfg.N, i%c.cfg.N)
 		}
 	}
 	return healed
@@ -494,9 +490,7 @@ func (c *Cluster) HealLink(from, to int) bool {
 		return false
 	}
 	healed := c.mesh.HealLink(from, to)
-	if c.links != nil {
-		c.flushPair(from, to)
-	}
+	c.flushPair(from, to)
 	return healed
 }
 

@@ -147,31 +147,6 @@ func TestPooledDelayedFIFOCompressed(t *testing.T) {
 	}
 }
 
-// TestSpawnBaselineStillWorks keeps the measurable pre-pool baseline
-// honest: the spawn path must remain a correct engine, or the throughput
-// comparison against it is meaningless.
-func TestSpawnBaselineStillWorks(t *testing.T) {
-	for _, tcp := range []bool{false, true} {
-		c, err := runtime.NewCluster(runtime.Config{
-			N: 3, TCP: tcp, Spawn: true, Compress: true,
-			Net: runtime.NetworkOptions{MaxDelay: 100 * time.Microsecond, Seed: 7},
-			LocalGC: func(self, nn int, st storage.Store) gc.Local {
-				return core.New(self, nn, st)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveRandom(t, c, 40, 31)
-		if v, bad := c.Oracle().FirstRDTViolation(); bad {
-			t.Fatalf("spawn(tcp=%v) execution produced non-RDT pattern: %v", tcp, v)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSaturationSmoke floods a TCP cluster through the batched path —
 // windowed senders on every node, checkpoints interleaved, a recovery
 // session in the middle — and checks the linearized history stays

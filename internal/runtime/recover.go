@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/gc"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -95,7 +96,17 @@ func (c *Cluster) Restart(globalLI bool) (Report, error) {
 }
 
 // session is the shared recovery-session body of Recover and Restart.
-func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, error) {
+func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report, err error) {
+	// Refuse a malformed request before anything is disturbed: past this
+	// point the session drops everything in transit.
+	isFaulty := make([]bool, c.cfg.N)
+	for _, f := range faulty {
+		if f < 0 || f >= c.cfg.N {
+			return Report{}, fmt.Errorf("runtime: faulty process %d out of range", f)
+		}
+		isFaulty[f] = true
+	}
+
 	// Halt first, then advance the epoch: a reader in between sees "halted"
 	// (sends refuse), never the new epoch with the flag still clear.
 	c.st.Or(1)
@@ -109,24 +120,27 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, er
 	c.purgeParked()
 
 	// All activity has ceased; it is now safe to read node state directly.
-	for i := range c.nodes {
-		c.nodes[i].mu.Lock()
+	for _, n := range c.nodes {
+		n.mu.Lock()
 	}
 	defer func() {
-		for i := range c.nodes {
-			c.nodes[i].mu.Unlock()
+		for _, n := range c.nodes {
+			n.mu.Unlock()
+		}
+	}()
+	// The epoch moved, so messages encoded against the compressors' state
+	// were dropped: every pair must restart from a full set of entries on
+	// every way out. node.ApplyLine does it on success; a session refused
+	// or failed past this point does it here, still under the node locks.
+	defer func() {
+		if err != nil {
+			for _, k := range c.kernels {
+				k.ResetCompression()
+			}
 		}
 	}()
 
-	isFaulty := make([]bool, c.cfg.N)
-	for _, f := range faulty {
-		if f < 0 || f >= c.cfg.N {
-			return Report{}, fmt.Errorf("runtime: faulty process %d out of range", f)
-		}
-		isFaulty[f] = true
-	}
-
-	rep := Report{Faulty: append([]int(nil), faulty...)}
+	rep = Report{Faulty: append([]int(nil), faulty...)}
 	for i, n := range c.nodes {
 		if !n.down {
 			continue
@@ -156,48 +170,16 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (Report, er
 	if err != nil {
 		return Report{}, fmt.Errorf("runtime: %w", err)
 	}
-
-	li := make([]int, c.cfg.N)
-	for j, n := range c.nodes {
-		if line[j] <= n.k.LastStable() {
-			li[j] = line[j] + 1
-		} else {
-			li[j] = n.k.LastStable() + 1
-		}
-	}
-
 	rep.Line = line
-	for j, n := range c.nodes {
-		if line[j] > n.k.LastStable() {
-			if globalLI {
-				if err := n.k.ReleaseStale(li); err != nil {
-					return rep, err
-				}
-			}
-			continue
-		}
+	err = node.ApplyLine(c.kernels, line, globalLI, func(j, _ int) {
 		rep.RolledBack = append(rep.RolledBack, j)
-		var liArg []int
-		if globalLI {
-			liArg = li
-		}
-		if err := n.k.Rollback(line[j], liArg); err != nil {
-			return rep, err
-		}
 		// The process's history is cut with it, at its stable component;
 		// processes that keep their state keep their logs untouched, and the
 		// receives this orphans are dropped when History next merges.
-		c.cutVisited += n.log.CutAfterCheckpoint(line[j])
+		c.cutVisited += c.nodes[j].log.CutAfterCheckpoint(line[j])
 		c.flight.Record(obs.Event{Kind: obs.EvRollback, P: j, Msg: line[j], Clock: line[j]})
-	}
-
-	// Rolled-back receivers lost knowledge the incremental encoders assumed
-	// covered, and the epoch advance dropped in-transit messages; every
-	// pair restarts from a full set of entries.
-	for _, n := range c.nodes {
-		n.k.ResetCompression()
-	}
-	return rep, nil
+	})
+	return rep, err
 }
 
 // haltedView adapts a fully locked cluster to gc.View. It must only be used

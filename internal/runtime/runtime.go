@@ -91,19 +91,11 @@ type Config struct {
 	// checkpoint (if any) and the vector merge, so state it mutates is
 	// atomic with respect to checkpoints — exactly like Node.Update.
 	OnDeliver func(self int, a app.App, payload []byte)
-	// Spawn restores the pre-pool send path — one goroutine and one
-	// time.Sleep per in-flight message, one frame per TCP write — and is
-	// retained purely as the measurable baseline the sender pool is gated
-	// against (cmd/bench -throughput benchmarks both). Production
-	// configurations leave it false.
-	Spawn bool
 	// Link tunes the self-healing machinery of a TCP cluster: redial
 	// backoff, socket deadlines, and the per-pair retransmit window that
 	// replays frames stranded by a severed or partitioned link after it
-	// heals. Ignored (zero-value defaults applied) unless TCP is set; the
-	// retransmit layer is active on pooled TCP clusters (Spawn keeps the
-	// baseline lose-on-break semantics, matching its role as the
-	// pre-pool reference path).
+	// heals. Ignored unless TCP is set; every TCP cluster runs the
+	// retransmit layer.
 	Link LinkOptions
 	// Obs attaches live telemetry: a metrics registry instrumenting the
 	// kernel, sender pool, mesh and stores, and a flight recorder capturing
@@ -116,6 +108,9 @@ type Config struct {
 type Cluster struct {
 	cfg   Config
 	nodes []*Node
+	// kernels[i] is nodes[i].k: the form node.ApplyLine takes, built once so
+	// a recovery session allocates nothing for it.
+	kernels []*node.Kernel
 
 	inflight inflight
 	closed   atomic.Bool // set by Close; retry timers and parks observe it
@@ -157,14 +152,6 @@ type Cluster struct {
 	queues  []destQueue
 	pairDue []time.Time
 
-	// pairs sequences per-(from,to) delivery in spawn mode with Compress
-	// on: tickets are taken in send order under the sender's lock, and a
-	// delivery (or mesh hand-off) only proceeds when its ticket is up. The
-	// n×n table is built once at construction, so the send path reaches
-	// its sequencer without any shared lock. The pooled path does not need
-	// it: queue order enforces pair FIFO.
-	pairs []pairSeq
-
 	// wireErrs counts connections the mesh severed on undecodable frames —
 	// a poisoned link is a diagnosable counter, not a silent hang. Cluster-
 	// owned (the accessor predates the registry); with Config.Obs set the
@@ -176,13 +163,12 @@ type Cluster struct {
 
 	mesh *transport.TCP // nil for direct in-process delivery
 
-	// reliable marks a pooled TCP cluster, where the link.go retransmit
-	// layer runs: links/linkOpts hold its per-pair state, wireDeliv the
+	// The link.go retransmit layer of a TCP cluster (all nil without a
+	// mesh): links/linkOpts hold its per-pair state, wireDeliv the
 	// cumulative frames handed to onWire per (from,to) pair (duplicates
 	// included — it prunes the retransmit window, whose entries are wire
 	// acceptances), and recvSeq the next expected wire seq per pair (the
 	// receiver-side dedup cursor).
-	reliable  bool
 	linkOpts  LinkOptions
 	links     []atomic.Pointer[pairLink]
 	wireDeliv []atomic.Int64
@@ -246,7 +232,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.Obs.Registry.RegisterCounter(obs.RuntimeWireErrors, &c.wireErrs)
 	c.inflight.init()
-	c.reliable = cfg.TCP && !cfg.Spawn
 	c.queues = make([]destQueue, cfg.N)
 	for i := range c.queues {
 		c.queues[i].to = i
@@ -261,19 +246,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.queues[i].batch = make([]pending, 0, 4)
 		c.queues[i].timer = time.NewTimer(workerIdle)
 	}
-	if cfg.Compress || c.reliable {
+	if cfg.Compress || cfg.TCP {
 		// Compressed piggybacking needs strict per-pair send-order FIFO; so
 		// does the retransmit layer (wire seqs are stamped in dispatch
 		// order, so dispatch order must equal send order).
 		c.pairDue = make([]time.Time, cfg.N*cfg.N)
-	}
-	if cfg.Compress {
-		if cfg.Spawn {
-			c.pairs = make([]pairSeq, cfg.N*cfg.N)
-			for i := range c.pairs {
-				c.pairs[i].cond = sync.NewCond(&c.pairs[i].mu)
-			}
-		}
 	}
 	if cfg.TCP {
 		c.linkOpts = cfg.Link.withDefaults()
@@ -285,20 +262,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		// Frames written to a stream that dies before delivering them are
-		// reconciled here, so Quiesce cannot hang on a torn-down link. On a
-		// reliable cluster the reconciliation parks them for retransmit; in
-		// spawn mode they are simply released as lost.
-		if c.reliable {
-			c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
-			c.wireDeliv = make([]atomic.Int64, cfg.N*cfg.N)
-			c.recvSeq = make([]atomic.Uint64, cfg.N*cfg.N)
-			c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
-			mesh.OnLinkDown = c.onLinkDown
-		} else {
-			mesh.OnLinkDown = func(from, to, lost int) {
-				c.inflight.Add(-lost)
-			}
-		}
+		// reconciled by onLinkDown, which parks them for retransmit — so
+		// Quiesce cannot hang on a torn-down link.
+		c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
+		c.wireDeliv = make([]atomic.Int64, cfg.N*cfg.N)
+		c.recvSeq = make([]atomic.Uint64, cfg.N*cfg.N)
+		c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
+		mesh.OnLinkDown = c.onLinkDown
 		mesh.OnFrameError = func(from, to int, err error) {
 			c.wireErrs.Inc()
 			log.Printf("runtime: mesh link %d->%d severed on bad frame: %v", from, to, err)
@@ -340,6 +310,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nd.meta = make([]deliverMeta, 0, 8)
 		k.PrewarmBatch()
 		c.nodes = append(c.nodes, nd)
+		c.kernels = append(c.kernels, k)
 	}
 	if c.mesh != nil {
 		if err := c.mesh.StartBatched(c.onWire); err != nil {
@@ -350,8 +321,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// onWire feeds a batch of messages arriving from one TCP stream — all
-// from the same (sender, receiver) pair, in stream order — into the
+// onWire feeds a non-empty batch of messages arriving from one TCP stream —
+// all from the same (sender, receiver) pair, in stream order — into the
 // receiver's ingress ring. The matching inflight increments happened at
 // send. Everything here is a view: sparse entries, full vectors and
 // payloads alias the readLoop's frame buffers (zero-copy decode), which
@@ -362,30 +333,25 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (c *Cluster) onWire(ms []transport.Message) {
 	defer c.inflight.Add(-len(ms))
 	batch := c.getPending(len(ms))
-	var seqCur *atomic.Uint64
-	if c.reliable && len(ms) > 0 {
-		pair := ms[0].From*c.cfg.N + ms[0].To
-		// Count every frame the wire handed over, duplicates included: the
-		// sender's retransmit window tracks wire acceptances, so its prune
-		// cursor must advance one-for-one with them.
-		c.wireDeliv[pair].Add(int64(len(ms)))
-		seqCur = &c.recvSeq[pair]
-	}
+	pair := ms[0].From*c.cfg.N + ms[0].To
+	// Count every frame the wire handed over, duplicates included: the
+	// sender's retransmit window tracks wire acceptances, so its prune
+	// cursor must advance one-for-one with them.
+	c.wireDeliv[pair].Add(int64(len(ms)))
+	seqCur := &c.recvSeq[pair]
 	for _, m := range ms {
-		if seqCur != nil {
-			// Receiver-side dedup: a frame below the pair's expected wire seq
-			// is a retransmit that raced its own original delivery — drop it.
-			// A gap above it is a permanent loss (the frame fell past the
-			// sender's retransmit coverage); advance over it, and let the
-			// compressed-piggyback Ord verification fail loudly if the
-			// configuration promised lossless FIFO. Same-pair deliveries are
-			// serialized by the transport, so load-then-store is race-free.
-			if exp := seqCur.Load(); m.Seq < exp {
-				c.obs.LinkDups.Inc()
-				continue
-			}
-			seqCur.Store(m.Seq + 1)
+		// Receiver-side dedup: a frame below the pair's expected wire seq is
+		// a retransmit that raced its own original delivery — drop it. A gap
+		// above it is a permanent loss (the frame fell past the sender's
+		// retransmit coverage); advance over it, and let the
+		// compressed-piggyback Ord verification fail loudly if the
+		// configuration promised lossless FIFO. Same-pair deliveries are
+		// serialized by the transport, so load-then-store is race-free.
+		if exp := seqCur.Load(); m.Seq < exp {
+			c.obs.LinkDups.Inc()
+			continue
 		}
+		seqCur.Store(m.Seq + 1)
 		if err := m.Validate(c.cfg.N); err != nil {
 			// Structurally sound but semantically damaged — an entry index
 			// outside the cluster, a wrong-size vector: the frame is
@@ -445,15 +411,7 @@ func (c *Cluster) putPending(b []pending) {
 // out a backoff schedule.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
-	if c.links != nil {
-		for i := range c.links {
-			if pl := c.links[i].Load(); pl != nil {
-				pl.mu.Lock()
-				c.dropParkedLocked(pl)
-				pl.mu.Unlock()
-			}
-		}
-	}
+	c.purgeParked()
 	if c.mesh != nil {
 		return c.mesh.Close()
 	}
@@ -462,11 +420,12 @@ func (c *Cluster) Close() error {
 
 // BreakLink severs the mesh stream from "from" to "to" and blocks the
 // pair until HealLink (or HealAll), modeling a link failure on a TCP
-// cluster: messages already on the stream may still arrive. On a reliable
-// (pooled) cluster the undelivered remainder parks for retransmit and is
-// replayed after the heal; in spawn mode it is lost — either way it is
-// accounted, so Quiesce still returns. Reports whether there was a live
-// link to break (false on non-TCP clusters).
+// cluster: messages already on the stream may still arrive; the
+// undelivered remainder parks for retransmit and is replayed after the
+// heal, holding no in-flight accounting meanwhile, so Quiesce still
+// returns. The block is installed whether or not a stream existed; the
+// result only reports whether a live one was severed (always false on
+// non-TCP clusters, which have no links to block).
 func (c *Cluster) BreakLink(from, to int) bool {
 	if c.mesh == nil {
 		return false
@@ -624,43 +583,6 @@ func (c *Cluster) randDelayDrop() (time.Duration, bool) {
 	return d, drop
 }
 
-// pairSeq orders one (sender, receiver) pair's deliveries: tickets are
-// taken in send order and redeemed in that order, whatever delivery delays
-// the network draws — the FIFO channel compressed piggybacking needs.
-type pairSeq struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	next uint64
-	tail uint64
-}
-
-func (c *Cluster) pair(from, to int) *pairSeq {
-	return &c.pairs[from*c.cfg.N+to]
-}
-
-func (ps *pairSeq) take() uint64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	t := ps.tail
-	ps.tail++
-	return t
-}
-
-func (ps *pairSeq) wait(ticket uint64) {
-	ps.mu.Lock()
-	for ps.next != ticket {
-		ps.cond.Wait()
-	}
-	ps.mu.Unlock()
-}
-
-func (ps *pairSeq) done() {
-	ps.mu.Lock()
-	ps.next++
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
-}
-
 // Send transmits a message to process "to" through the asynchronous
 // network. It returns once the message is handed to the network; delivery
 // happens later, on another goroutine, unless the network drops it.
@@ -720,9 +642,6 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvSend, P: n.id, Msg: msg, Aux: to, Clock: n.k.DVRef()[n.id],
 	})
-	if n.c.cfg.Spawn {
-		return n.sendSpawn(to, msg, pb, epoch, payload)
-	}
 	delay, drop := n.c.randDelayDrop()
 	if drop {
 		// The unused snapshot still feeds the freelist. A compressed
@@ -739,76 +658,6 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	n.c.enqueue(n.id, to, delivery{msg: msg, pb: pb, epoch: epoch, payload: payload}, delay)
 	n.mu.Unlock()
 	return nil
-}
-
-// sendSpawn is the retained pre-pool send path (Config.Spawn): one
-// goroutine and one sleeping timer per in-flight message, one frame per
-// TCP write, tickets for per-pair FIFO. It exists as the baseline the
-// sender pool's throughput gate measures against. Called with the sender's
-// lock held; unlocks it.
-func (n *Node) sendSpawn(to, msg int, pb node.Piggyback, epoch uint64, payload []byte) error {
-	// The FIFO ticket must be taken under the sender's lock, so the
-	// per-pair delivery order matches the per-pair encode order.
-	var ps *pairSeq
-	var ticket uint64
-	if n.c.cfg.Compress {
-		ps = n.c.pair(n.id, to)
-		ticket = ps.take()
-	}
-	n.mu.Unlock()
-
-	delay, drop := n.c.randDelayDrop()
-	n.c.inflight.Add(1)
-	go func() {
-		if drop {
-			n.c.recycleDV(pb.DV)
-			n.c.inflight.Done()
-			return
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if ps != nil {
-			ps.wait(ticket)
-		}
-		if mesh := n.c.mesh; mesh != nil {
-			err := mesh.Send(wireMessage(n.id, to, &pending{
-				delivery: delivery{msg: msg, pb: pb, epoch: epoch, payload: payload},
-			}))
-			// The frame is encoded into the connection buffer; the
-			// snapshot is dead either way and feeds the freelist.
-			n.c.recycleDV(pb.DV)
-			if ps != nil {
-				// The mesh is FIFO per connection, so sequencing the
-				// hand-off sequences the delivery.
-				ps.done()
-			}
-			if err != nil {
-				// The link is down or the mesh is closing; the message is
-				// lost, which the model permits.
-				n.c.inflight.Done()
-			}
-			// On success the delivery callback (or the link reaper)
-			// calls Done.
-			return
-		}
-		n.c.deliverOne(n.id, to, delivery{msg: msg, pb: pb, epoch: epoch, payload: payload})
-		if ps != nil {
-			ps.done()
-		}
-		n.c.inflight.Done()
-	}()
-	return nil
-}
-
-// deliverOne delivers a single message (spawn path). The one-element batch
-// escapes into the ingress ring, so it heap-allocates per message — an
-// accepted cost on the measured baseline path; the pooled path hands whole
-// dispatch batches to ingest with no per-message allocation.
-func (c *Cluster) deliverOne(from, to int, d delivery) {
-	batch := [1]pending{{delivery: d, from: from}}
-	c.nodes[to].ingest(batch[:])
-	c.recycleDV(d.pb.DV)
 }
 
 // Checkpoint takes a basic checkpoint.

@@ -62,6 +62,44 @@ func driveRandom(t *testing.T, c *runtime.Cluster, opsPerNode int, seed int64) {
 	c.Quiesce()
 }
 
+// checkOracles replays the quiesced cluster's history and checks what every
+// recovery must preserve: the pattern is RDT, the live vectors and last_s
+// agree with the replay, no process retains more than n checkpoints, every
+// collected checkpoint is obsolete (Theorem 4) and the collectors' reference
+// counts are clean.
+func checkOracles(t *testing.T, c *runtime.Cluster) {
+	t.Helper()
+	oracle := c.Oracle()
+	if v, bad := oracle.FirstRDTViolation(); bad {
+		t.Fatalf("pattern is not RDT: %v", v)
+	}
+	for i := 0; i < c.N(); i++ {
+		node := c.Node(i)
+		vol := ccp.CheckpointID{Process: i, Index: oracle.VolatileIndex(i)}
+		if !node.CurrentDV().Equal(oracle.DV(vol)) {
+			t.Errorf("p%d live DV %v != replayed %v", i, node.CurrentDV(), oracle.DV(vol))
+		}
+		if node.LastStable() != oracle.LastStable(i) {
+			t.Errorf("p%d lastS %d != replayed %d", i, node.LastStable(), oracle.LastStable(i))
+		}
+		stored := map[int]bool{}
+		for _, idx := range node.Store().Indices() {
+			stored[idx] = true
+		}
+		if len(stored) > c.N() {
+			t.Errorf("p%d retains %d > n checkpoints", i, len(stored))
+		}
+		for g := 0; g <= oracle.LastStable(i); g++ {
+			if !stored[g] && !oracle.Obsolete(i, g) {
+				t.Errorf("p%d collected non-obsolete s^%d", i, g)
+			}
+		}
+		if err := node.Collector().(*core.LGC).CheckRefCounts(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestLiveClusterMaintainsRDTAndTheorems runs a genuinely concurrent
 // execution under FDAS + RDT-LGC with delays and loss, then rebuilds the
 // pattern from the linearized history and checks: the pattern is RDT, every
@@ -77,39 +115,12 @@ func TestLiveClusterMaintainsRDTAndTheorems(t *testing.T) {
 	})
 	driveRandom(t, c, 60, 99)
 
+	checkOracles(t, c)
 	oracle := c.Oracle()
-	if v, bad := oracle.FirstRDTViolation(); bad {
-		t.Fatalf("live FDAS execution produced non-RDT pattern: %v", v)
-	}
 	for i := 0; i < n; i++ {
-		node := c.Node(i)
-		// History replay agrees with the live middleware state.
-		vol := ccp.CheckpointID{Process: i, Index: oracle.VolatileIndex(i)}
-		if !node.CurrentDV().Equal(oracle.DV(vol)) {
-			t.Errorf("p%d live DV %v != replayed %v", i, node.CurrentDV(), oracle.DV(vol))
-		}
-		if node.LastStable() != oracle.LastStable(i) {
-			t.Errorf("p%d lastS %d != replayed %d", i, node.LastStable(), oracle.LastStable(i))
-		}
-		// Theorem 4 and the space bound.
-		stored := map[int]bool{}
-		for _, idx := range node.Store().Indices() {
-			stored[idx] = true
-		}
-		if len(stored) > n {
-			t.Errorf("p%d retains %d > n checkpoints", i, len(stored))
-		}
-		for g := 0; g <= oracle.LastStable(i); g++ {
-			if !stored[g] && !oracle.Obsolete(i, g) {
-				t.Errorf("p%d collected non-obsolete s^%d", i, g)
-			}
-		}
-		if err := node.Collector().(*core.LGC).CheckRefCounts(); err != nil {
-			t.Error(err)
-		}
 		// Theorem 3 invariant on the quiesced concurrent execution: every
 		// retention obligation is met by the matching UC entry.
-		lgc := node.Collector().(*core.LGC)
+		lgc := c.Node(i).Collector().(*core.LGC)
 		for f := 0; f < n; f++ {
 			last := ccp.CheckpointID{Process: f, Index: oracle.LastStable(f)}
 			for g := 0; g <= oracle.LastStable(i); g++ {

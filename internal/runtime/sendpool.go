@@ -27,8 +27,7 @@ import (
 // due times are clamped monotone per (from, to) pair at enqueue (under the
 // sender's node lock, so they follow encode order) and ties break on the
 // enqueue sequence number, so a pair's messages can never overtake each
-// other however the delay draws land. The spawn baseline (Config.Spawn)
-// keeps the explicit ticket sequencer instead.
+// other however the delay draws land.
 
 // workerIdle is how long an empty queue keeps its worker parked before the
 // goroutine retires. Long enough that steady traffic reuses one goroutine,
@@ -55,7 +54,7 @@ type pending struct {
 	from int
 	at   time.Time // due time: enqueue time + simulated network delay
 	seq  uint64    // queue-local tiebreak, monotone in enqueue order
-	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link (reliable mesh)
+	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link (TCP mesh)
 }
 
 // before is the heap order: due time, then enqueue order.
@@ -143,7 +142,7 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	q.mu.Lock()
 	// The monotone due-time clamp runs whenever strict per-pair FIFO is
 	// load-bearing: compressed piggybacking (delta decode order) and the
-	// reliable mesh (wire seqs are stamped in dispatch order).
+	// TCP mesh's retransmit layer (wire seqs are stamped in dispatch order).
 	if c.pairDue != nil {
 		if last := c.pairDue[from*c.cfg.N+to]; at.Before(last) {
 			at = last
@@ -244,12 +243,11 @@ func (c *Cluster) dispatch(to int, batch []pending) {
 		}
 		return
 	}
-	// Every pooled TCP cluster runs the reliability layer (spawn mode keeps
-	// its own per-message path), so each (sender, destination) run routes
-	// through the pair's link: wire seqs stamped there, accepted frames
-	// entering the retransmit window — the piggyback snapshots now recycle
-	// when the window prunes them, not here — and refused frames parking
-	// for the reconnect instead of dropping.
+	// Every TCP cluster runs the reliability layer, so each (sender,
+	// destination) run routes through the pair's link: wire seqs stamped
+	// there, accepted frames entering the retransmit window — the piggyback
+	// snapshots recycle when the window prunes them, not here — and refused
+	// frames parking for the reconnect instead of dropping.
 	for i := 0; i < len(batch); {
 		j := i
 		for j < len(batch) && batch[j].from == batch[i].from {

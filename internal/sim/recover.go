@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ccp"
 	"repro/internal/gc"
+	"repro/internal/node"
 	"repro/internal/protocol"
 )
 
@@ -61,49 +62,17 @@ func (r *Runner) ApplyLine(line []int, globalLI bool) (RecoveryReport, error) {
 		return RecoveryReport{}, fmt.Errorf("sim: line %v is not a consistent global checkpoint", line)
 	}
 
-	// LI[j] = last_s(j)+1 in the post-recovery pattern: a process with a
-	// stable component c rolls back to it (new last_s = c); a process with
-	// a volatile component keeps its last_s.
-	li := make([]int, r.cfg.N)
-	for j := 0; j < r.cfg.N; j++ {
-		if line[j] <= r.procs[j].LastStable() {
-			li[j] = line[j] + 1
-		} else {
-			li[j] = r.procs[j].LastStable() + 1
-		}
-	}
-
 	rep := RecoveryReport{Line: line}
-	for j := 0; j < r.cfg.N; j++ {
-		p := r.procs[j]
-		if line[j] > p.LastStable() {
-			// Volatile component: the process resumes where it was.
-			if globalLI {
-				if err := p.ReleaseStale(li); err != nil {
-					return rep, err
-				}
-			}
-			continue
-		}
+	err := node.ApplyLine(r.procs, line, globalLI, func(j, lost int) {
 		rep.RolledBack = append(rep.RolledBack, j)
-		rep.LostCheckpoints += p.LastStable() - line[j]
-		var liArg []int
-		if globalLI {
-			liArg = li
-		}
-		if err := p.Rollback(line[j], liArg); err != nil {
-			return rep, err
-		}
+		rep.LostCheckpoints += lost
+	})
+	if err != nil {
+		return rep, err
 	}
-
 	// Rebuild the ground-truth mirror as the post-recovery pattern: each
 	// process's history is truncated at its line component.
 	r.truncateHistory(line)
-	// Rolled-back receivers may have lost knowledge the incremental
-	// encoders assumed covered; restart every pair from a full vector.
-	for _, p := range r.procs {
-		p.ResetCompression()
-	}
 	r.metrics.Rollbacks += len(rep.RolledBack)
 	r.metrics.RolledCkpts += rep.LostCheckpoints
 	return rep, nil

@@ -117,8 +117,10 @@ func (c *Cluster) Oracle() *CCP { return c.c.Oracle() }
 
 // BreakLink severs the directed mesh stream from "from" to "to" and blocks
 // the pair until HealLink or HealAll. Frames in the cut park for
-// retransmit and are replayed after the heal (TCP clusters; reports false
-// otherwise).
+// retransmit and are replayed after the heal. On a TCP cluster the block is
+// installed whether or not a stream existed; the result only reports
+// whether a live one was severed. Other clusters have no links: it does
+// nothing and reports false.
 func (c *Cluster) BreakLink(from, to int) bool { return c.c.BreakLink(from, to) }
 
 // HealLink lifts one directed break and synchronously flushes the pair's

@@ -1,10 +1,20 @@
 package rdt_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	rdt "repro"
+	"repro/internal/app"
+	"repro/internal/core"
+	"repro/internal/gc"
+	"repro/internal/runtime"
+	"repro/internal/storage"
 )
 
 // TestScaleSparse1024 is the large-n smoke of the CI scale lane (it runs
@@ -89,6 +99,163 @@ func TestScaleSparseMatchesDense(t *testing.T) {
 			t.Fatalf("p%d retained sets diverged: %v vs %v", i, d, s)
 		}
 	}
+}
+
+// TestScaleLiveRing128 is the live runtime's share of the scale lane: a
+// 128-process loopback-TCP ring under closed-loop load (16 credits per
+// node, about 20k messages, a checkpoint every 32 sends) with one recovery
+// session in the middle of the traffic. It asserts what must hold at any
+// speed and nothing about speed: every message is delivered in per-pair
+// order or was in transit when the session advanced the epoch (at most the
+// credits outstanding), every message sent after the session arrives,
+// Quiesce returns, and no process retains more than n checkpoints.
+func TestScaleLiveRing128(t *testing.T) {
+	const (
+		n       = 128
+		window  = 16
+		perNode = 160
+	)
+	tokens := make([]chan struct{}, n)
+	for i := range tokens {
+		tokens[i] = make(chan struct{}, window)
+		for k := 0; k < window; k++ {
+			tokens[i] <- struct{}{}
+		}
+	}
+	// Per receiver, written under its node lock and read after Quiesce:
+	// deliveries by era (0 = sent before the session was known to be over)
+	// and the last sequence number seen from its ring predecessor.
+	type inbox struct {
+		got     [2]int
+		lastSeq uint64
+		reorder int
+	}
+	in := make([]inbox, n)
+	c, err := runtime.NewCluster(runtime.Config{
+		N: n, TCP: true,
+		LocalGC: func(self, nn int, st storage.Store) gc.Local { return core.New(self, nn, st) },
+		OnDeliver: func(self int, _ app.App, payload []byte) {
+			seq, era := binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:])
+			b := &in[self]
+			b.got[era]++
+			if seq <= b.lastSeq {
+				b.reorder++
+			}
+			b.lastSeq = seq
+			// Never blocks under the receiver's lock: the top-up after the
+			// session may already have replaced this credit.
+			select {
+			case tokens[(self+n-1)%n] <- struct{}{}:
+			default:
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	var (
+		wg    sync.WaitGroup
+		era   atomic.Uint64
+		total atomic.Int64
+		sent  [2]atomic.Int64
+		mid   = make(chan struct{})
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			node := c.Node(id)
+			for seq := uint64(1); seq <= perNode; seq++ {
+				<-tokens[id]
+				for {
+					e := era.Load()
+					p := make([]byte, 16)
+					binary.LittleEndian.PutUint64(p, seq)
+					binary.LittleEndian.PutUint64(p[8:], e)
+					err := node.SendPayload((id+1)%n, p)
+					if errors.Is(err, runtime.ErrHalted) {
+						time.Sleep(200 * time.Microsecond) // the session is running
+						continue
+					}
+					if err != nil {
+						t.Errorf("p%d send: %v", id, err)
+						return
+					}
+					sent[e].Add(1)
+					break
+				}
+				if total.Add(1) == n*perNode/2 {
+					close(mid)
+				}
+				if seq%32 == 0 {
+					if err := node.Checkpoint(); err != nil && !errors.Is(err, runtime.ErrHalted) {
+						t.Errorf("p%d checkpoint: %v", id, err)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+
+	<-mid
+	rep, err := c.Recover([]int{5, 77}, true)
+	if err != nil {
+		t.Fatalf("Recover under load: %v", err)
+	}
+	if len(rep.Line) != n || len(rep.RolledBack) < 2 {
+		t.Fatalf("implausible session: line of %d, %d rolled back", len(rep.Line), len(rep.RolledBack))
+	}
+	// Everything sent before this point has been delivered or dropped, so
+	// whatever is sent from here on must arrive; and the credits of the
+	// dropped messages are gone, so top every sender up.
+	era.Store(1)
+	for _, ch := range tokens {
+		for full := false; !full; {
+			select {
+			case ch <- struct{}{}:
+			default:
+				full = true
+			}
+		}
+	}
+	wg.Wait()
+	quiesced := make(chan struct{})
+	go func() { c.Quiesce(); close(quiesced) }()
+	select {
+	case <-quiesced:
+	case <-time.After(time.Minute):
+		t.Fatal("Quiesce did not return")
+	}
+
+	var got [2]int
+	for i := range in {
+		got[0] += in[i].got[0]
+		got[1] += in[i].got[1]
+		if in[i].reorder != 0 {
+			t.Errorf("p%d saw %d deliveries out of pair order", i, in[i].reorder)
+		}
+	}
+	if s := int(sent[1].Load()); got[1] != s {
+		t.Errorf("%d of the %d messages sent after the session arrived", got[1], s)
+	}
+	if s := int(sent[0].Load()); got[0] > s || s-got[0] > n*window {
+		t.Errorf("%d of the %d messages sent around the session arrived; at most %d can have been in transit", got[0], s, n*window)
+	}
+	if s := sent[0].Load() + sent[1].Load(); s != n*perNode {
+		t.Errorf("%d messages sent, want %d", s, n*perNode)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, st := c.Node(i).Stats(); st.Live > n {
+			t.Errorf("p%d retains %d > n = %d checkpoints", i, st.Live, n)
+		}
+		if err := c.Node(i).Collector().(*core.LGC).CheckRefCounts(); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Logf("%d delivered, %d dropped by the epoch advance, %d processes rolled back",
+		got[0]+got[1], int(sent[0].Load())-got[0], len(rep.RolledBack))
 }
 
 // TestScale64 runs a 64-process system end to end — a size well past the
