@@ -8,12 +8,12 @@ import (
 )
 
 // TestChaosFacadeCrashRestart drives the crash/restart lifecycle through
-// the public facade: live cluster on file-backed storage, crash, survivor
+// the public facade: live cluster on log-backed storage, crash, survivor
 // traffic into the hole, restart on a consistent recovery line.
 func TestChaosFacadeCrashRestart(t *testing.T) {
 	c, err := rdt.NewCluster(3, rdt.Network{Seed: 5},
 		rdt.WithProtocol(rdt.FDAS), rdt.WithCollector(rdt.RDTLGC),
-		rdt.WithFileStorage(t.TempDir()))
+		rdt.WithStorage(rdt.BackendLog, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestChaosFacadeRun(t *testing.T) {
 	}
 	a, err := rdt.RunChaos(plan, rdt.Network{Loss: 0.05, Seed: 3},
 		rdt.WithProtocol(rdt.CBR), rdt.WithCollector(rdt.RDTLGC),
-		rdt.WithFileStorage(t.TempDir()))
+		rdt.WithStorage(rdt.BackendLog, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestChaosFacadeRun(t *testing.T) {
 	}
 	b, err := rdt.RunChaos(plan, rdt.Network{Loss: 0.05, Seed: 3},
 		rdt.WithProtocol(rdt.CBR), rdt.WithCollector(rdt.RDTLGC),
-		rdt.WithFileStorage(t.TempDir()))
+		rdt.WithStorage(rdt.BackendLog, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChaosFacadeRun(t *testing.T) {
 	// in-process run exactly (wall-clock aside).
 	tcp, err := rdt.RunChaos(plan, rdt.Network{Loss: 0.05, Seed: 3, TCP: true},
 		rdt.WithProtocol(rdt.CBR), rdt.WithCollector(rdt.RDTLGC),
-		rdt.WithFileStorage(t.TempDir()))
+		rdt.WithStorage(rdt.BackendLog, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func main() {
 		workers   = flag.Int("workers", runtime.NumCPU(), "worker pool size (result order does not depend on it)")
 		format    = flag.String("format", "text", "output format: text|json")
 		bench     = flag.Bool("bench", false, "run the grid serially and with -workers, emit the timing comparison as JSON")
-		store     = flag.String("store", "mem", "stable-storage backend for observed runs and -torture: mem|file|log")
-		torture   = flag.Bool("torture", false, "run the storage crash-torture matrix instead of the survivability grid")
+		store     = flag.String("store", "mem", "stable-storage backend for observed runs: mem|log")
+		torture   = flag.Bool("torture", false, "run the log store's crash-torture matrix instead of the survivability grid")
 	)
 	var obsf observedFlags
 	flag.BoolVar(&obsf.metrics, "metrics", false, "observed single run: print the metrics-registry snapshot")
@@ -97,7 +97,7 @@ func main() {
 	}
 
 	if *torture {
-		if err := runTorture(backend, *seeds, *ops); err != nil {
+		if err := runTorture(*seeds, *ops); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

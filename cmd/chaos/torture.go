@@ -5,33 +5,23 @@ import (
 	"os"
 
 	"repro/internal/chaos"
-	"repro/internal/storage"
 )
 
 // runTorture executes the storage crash-torture matrix from the command
-// line — the same harness the CI torture lane runs via go test. -store
-// selects one backend; the mem default runs both on-disk backends, since
-// memory has no stable bytes to tear.
-func runTorture(b storage.Backend, seeds, ops int) error {
-	backends := []storage.Backend{storage.File, storage.Log}
-	if b != storage.Mem {
-		backends = []storage.Backend{b}
-	}
-	for _, be := range backends {
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			dir, err := os.MkdirTemp("", "rdt-torture-")
-			if err != nil {
-				return err
-			}
-			res, err := chaos.Torture(chaos.TortureConfig{
-				Backend: be, Dir: dir, Ops: ops, Seed: seed,
-			})
-			os.RemoveAll(dir)
-			if err != nil {
-				return fmt.Errorf("torture %s seed %d: %w (after %s)", be, seed, err, res)
-			}
-			fmt.Printf("torture %-4s seed %d: %s\n", be, seed, res)
+// line — the same harness the CI torture lane runs via go test — against
+// the log store, the one backend with stable bytes to tear.
+func runTorture(seeds, ops int) error {
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		dir, err := os.MkdirTemp("", "rdt-torture-")
+		if err != nil {
+			return err
 		}
+		res, err := chaos.Torture(chaos.TortureConfig{Dir: dir, Ops: ops, Seed: seed})
+		os.RemoveAll(dir)
+		if err != nil {
+			return fmt.Errorf("torture log seed %d: %w (after %s)", seed, err, res)
+		}
+		fmt.Printf("torture log  seed %d: %s\n", seed, res)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-process retained checkpoint indices")
 		live    = flag.Bool("live", false, "run on the concurrent goroutine runtime instead of the deterministic simulator")
 		tcp     = flag.Bool("tcp", false, "with -live: route messages over a TCP loopback mesh")
-		store   = flag.String("store", "mem", "stable-storage backend: mem|file|log")
+		store   = flag.String("store", "mem", "stable-storage backend: mem|log")
 		dir     = flag.String("store-dir", "", "root directory for on-disk backends (default: a temp dir)")
 	)
 	flag.Parse()
@@ -55,6 +55,7 @@ func main() {
 
 	sys, err := rdt.New(*n, append(storeOpts, rdt.WithProtocol(p), rdt.WithCollector(col))...)
 	exitOn(err)
+	defer func() { _ = sys.Close() }()
 	script := rdt.Workload(kind, rdt.WorkloadOptions{N: *n, Ops: *ops, Seed: *seed, PCheckpoint: *pc})
 	exitOn(sys.Run(script))
 

@@ -40,8 +40,8 @@ func TestSuiteCoversTheHotPaths(t *testing.T) {
 	want := []string{
 		"vclock/merge", "vclock/merge-delta", "vclock/clone",
 		"protocol/fdas-decision", "core/collect", "storage/encode",
-		"storage/save", "storage/save-delta", "storage/rehydrate",
-		"storage/rehydrate-delta", "transport/roundtrip",
+		"storage/save-group", "storage/delete-log", "storage/replay",
+		"transport/roundtrip",
 		"transport/roundtrip-sparse", "runtime/delivery",
 		"runtime/delivery-compressed", "sim/run",
 	}

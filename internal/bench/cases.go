@@ -68,24 +68,6 @@ func Suite(sizes []int) []Case {
 	add("core/collect", 0, collectCase)
 	// Checkpoint record encoding + decoding (the storage wire format).
 	add("storage/encode", 0, encodeCase)
-	// Durable checkpoint save/delete steady state on a real FileStore,
-	// with incompressible vectors so every record is a full one — the
-	// dense gauge the delta case below is compared against. ns/op is
-	// disk-bound, so only allocations are gated; the small slack absorbs
-	// kernel-dependent allocation jitter in the file ops (a real
-	// regression in the encode path adds tens of allocs per op).
-	add("storage/save", 2, saveCase)
-	// The delta-encoded save path: one vector entry changes per
-	// checkpoint (the sparse-traffic shape), so the record written is
-	// O(changed) + state however large the system is.
-	add("storage/save-delta", 2, saveDeltaCase)
-	// Crash-recovery rehydration: open a store directory holding n
-	// checkpoints and decode every record (full records, the dense gauge).
-	add("storage/rehydrate", 2, rehydrateCase)
-	// Rehydration over delta chains: the same n checkpoints stored as
-	// full-every-K chains of single-entry deltas, so the scan decodes
-	// O(changed) per record.
-	add("storage/rehydrate-delta", 2, rehydrateDeltaCase)
 	// Group-commit durable saves on the segmented log store: concurrent
 	// savers stage records the committer goroutine batches under one fsync,
 	// so ns/op is the acknowledged per-save latency with the sync cost
@@ -308,111 +290,12 @@ func encodeCase(n int) func(*T) {
 	}
 }
 
-func saveCase(n int) func(*T) {
-	return func(t *T) {
-		dir, err := os.MkdirTemp("", "bench-save-")
-		if err != nil {
-			t.Fatalf("tempdir: %v", err)
-		}
-		defer func() { _ = os.RemoveAll(dir) }() // runs after Stop; also on Fatalf
-		fs, err := storage.OpenFileStore(dir)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		cp := storage.Checkpoint{Process: 0, DV: vclock.New(n), State: make([]byte, stateBytes)}
-		t.Start()
-		for i := 0; i < t.N; i++ {
-			// Every entry moves, so the delta is never smaller than the
-			// vector and each record is written full — the dense gauge.
-			for j := range cp.DV {
-				cp.DV[j]++
-			}
-			cp.Index = i
-			if err := fs.Save(cp); err != nil {
-				t.Fatalf("save: %v", err)
-			}
-			if err := fs.Delete(i); err != nil {
-				t.Fatalf("delete: %v", err)
-			}
-		}
-		t.Stop()
-	}
-}
-
-func saveDeltaCase(n int) func(*T) {
-	return func(t *T) {
-		dir, err := os.MkdirTemp("", "bench-save-delta-")
-		if err != nil {
-			t.Fatalf("tempdir: %v", err)
-		}
-		defer func() { _ = os.RemoveAll(dir) }() // runs after Stop; also on Fatalf
-		fs, err := storage.OpenFileStore(dir)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		cp := storage.Checkpoint{Process: 0, DV: vclock.New(n), State: make([]byte, stateBytes)}
-		// A trailing window of live checkpoints, as a collector would keep:
-		// deletes land on chain interiors and exercise the promotion path
-		// alongside the delta saves.
-		const window = 16
-		t.Start()
-		for i := 0; i < t.N; i++ {
-			cp.DV[0] = i + 1 // the sender's own entry moves; the rest stand
-			cp.Index = i
-			if err := fs.Save(cp); err != nil {
-				t.Fatalf("save: %v", err)
-			}
-			if i >= window {
-				if err := fs.Delete(i - window); err != nil {
-					t.Fatalf("delete: %v", err)
-				}
-			}
-		}
-		t.Stop()
-	}
-}
-
-// rehydrateCkpts is the store size of the rehydrate cases: what a process
+// rehydrateCkpts is the store size of the replay case: what a process
 // has retained when it crashes. E1 measures RDT-LGC's steady-state retained
 // count at a handful per process across every workload — holding it fixed
 // makes the size sweep isolate the per-record cost of the size-n vectors,
 // which is the quantity the delta format attacks.
 const rehydrateCkpts = 16
-
-func rehydrateCase(n int) func(*T) {
-	return func(t *T) {
-		dir, err := os.MkdirTemp("", "bench-rehydrate-")
-		if err != nil {
-			t.Fatalf("tempdir: %v", err)
-		}
-		defer func() { _ = os.RemoveAll(dir) }() // runs after Stop; also on Fatalf
-		fs, err := storage.OpenFileStore(dir)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		dv := vclock.New(n)
-		for i := 0; i < rehydrateCkpts; i++ {
-			// Every entry moves between checkpoints, so each record stores
-			// a full vector: the scan decodes n entries per record — the
-			// dense gauge the delta case below is compared against.
-			for j := range dv {
-				dv[j]++
-			}
-			if err := fs.Save(storage.Checkpoint{Process: 0, Index: i, DV: dv, State: make([]byte, stateBytes)}); err != nil {
-				t.Fatalf("save: %v", err)
-			}
-		}
-		t.Start()
-		for i := 0; i < t.N; i++ {
-			re, err := storage.OpenFileStore(dir)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			Sink += re.Stats().Live
-		}
-		t.Stop()
-	}
-}
 
 func saveGroupCase(n int) func(*T) {
 	return func(t *T) {
@@ -534,8 +417,8 @@ func replayCase(n int) func(*T) {
 		dv := vclock.New(n)
 		for i := 0; i < rehydrateCkpts; i++ {
 			// One entry moves per checkpoint: the log holds chains of
-			// single-entry deltas with a full record every K-th, the same
-			// shape the rehydrate-delta case gives FileStore.
+			// single-entry deltas with a full record every K-th, so replay
+			// decodes O(changed) per record.
 			dv[0] = i + 1
 			if err := ls.Save(storage.Checkpoint{Process: 0, Index: i, DV: dv, State: make([]byte, stateBytes)}); err != nil {
 				t.Fatalf("save: %v", err)
@@ -554,39 +437,6 @@ func replayCase(n int) func(*T) {
 			if err := re.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-		}
-		t.Stop()
-	}
-}
-
-func rehydrateDeltaCase(n int) func(*T) {
-	return func(t *T) {
-		dir, err := os.MkdirTemp("", "bench-rehydrate-delta-")
-		if err != nil {
-			t.Fatalf("tempdir: %v", err)
-		}
-		defer func() { _ = os.RemoveAll(dir) }() // runs after Stop; also on Fatalf
-		fs, err := storage.OpenFileStore(dir)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		dv := vclock.New(n)
-		for i := 0; i < rehydrateCkpts; i++ {
-			// One entry moves per checkpoint: the store writes chains of
-			// single-entry deltas with a full record every K-th, so the
-			// crash-recovery scan decodes O(changed) per record.
-			dv[0] = i + 1
-			if err := fs.Save(storage.Checkpoint{Process: 0, Index: i, DV: dv, State: make([]byte, stateBytes)}); err != nil {
-				t.Fatalf("save: %v", err)
-			}
-		}
-		t.Start()
-		for i := 0; i < t.N; i++ {
-			re, err := storage.OpenFileStore(dir)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			Sink += re.Stats().Live
 		}
 		t.Stop()
 	}

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/storage"
+	"repro/internal/storage/logstore"
 )
 
 // lgcConfig is the canonical paper stack: FDAS + RDT-LGC, every oracle
@@ -168,7 +170,7 @@ func TestChaosEngineNoGC(t *testing.T) {
 
 // TestChaosSoak is the survivability acceptance soak: both RDT protocol
 // extremes (FDAS, the paper's Algorithm 4 merge; CBR, the strictest of the
-// hierarchy) under RDT-LGC on file-backed stable storage, concurrent drive
+// hierarchy) under RDT-LGC on log-backed stable storage, concurrent drive
 // phases, and more than fifty crash/restart cycles each. Every recovery is
 // verified against the full oracle suite inside the engine.
 func TestChaosSoak(t *testing.T) {
@@ -199,7 +201,9 @@ func TestChaosSoak(t *testing.T) {
 				cfg.Protocol = func(int) protocol.Protocol { return mk() }
 				cfg.Net.Seed = int64(1000 + pi)
 				cfg.NewStore = func(self int) (storage.Store, error) {
-					return storage.OpenFileStore(filepath.Join(dir, fmt.Sprintf("phase%d-p%d", pi, self)))
+					// The soak is about recovery, not durability: no device flush.
+					return logstore.Open(filepath.Join(dir, fmt.Sprintf("phase%d-p%d", pi, self)),
+						logstore.Options{Sync: func(*os.File) error { return nil }})
 				}
 				res, err := chaos.Run(cfg, plan)
 				if err != nil {

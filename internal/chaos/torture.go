@@ -17,38 +17,33 @@ import (
 // Torture mode is storage-level fault injection: where a chaos Run crashes
 // processes and proves recovery *correctness*, Torture tears the stable
 // store's own writes and proves crash *consistency*. A seeded op stream
-// (saves, collections, rollback-style delete-then-resave) runs against a
-// real backend; then, for every commit boundary the backend acknowledged,
-// crash images are minted — the log truncated at and inside that boundary,
-// files truncated, stray .tmp files planted, bits flipped — and each image
-// is reopened. The oracle admits exactly two outcomes: the open rehydrates
-// the acknowledged prefix (every checkpoint the collector counted present,
-// nothing unacknowledged partially present), or it refuses loudly with
-// storage.ErrCorrupt. A silently wrong view fails the run.
+// (saves, collections, rollback-style delete-then-resave) runs against the
+// log store; then, for every commit boundary the store acknowledged, crash
+// images are minted — the log truncated at and inside that boundary, bits
+// flipped — and each image is reopened. The oracle admits exactly two
+// outcomes: the open rehydrates the acknowledged prefix (every checkpoint
+// the collector counted present, nothing unacknowledged partially present),
+// or it refuses loudly with storage.ErrCorrupt. A silently wrong view fails
+// the run.
 //
-// On the log backend a collection is acknowledged as durable only by the
-// next acknowledged Save or Close — its tombstone rides that batch — so the
-// prefixes a crash may expose end at commit boundaries, not at every op: a
-// cut before a batch of tombstones resurrects exactly the checkpoints those
-// tombstones name, which the restart's Rollback collects again.
+// A collection is acknowledged as durable only by the next acknowledged
+// Save or Close — its tombstone rides that batch — so the prefixes a crash
+// may expose end at commit boundaries, not at every op: a cut before a
+// batch of tombstones resurrects exactly the checkpoints those tombstones
+// name, which the restart's Rollback collects again.
 
 // TortureConfig parameterizes one torture matrix.
 type TortureConfig struct {
-	// Backend selects the store under torture: storage.File or storage.Log
-	// (MemStore has no stable bytes to tear).
-	Backend storage.Backend
 	// Dir is the scratch directory the matrix builds its images under.
 	Dir string
 	// Ops is the length of the seeded op stream (default 48).
 	Ops int
 	// Seed makes the stream and the injection points reproducible.
 	Seed int64
-	// SegmentBytes sizes log segments (log backend only; default 1024, so a
-	// short stream still spans several segments).
+	// SegmentBytes sizes log segments (default 1024, so a short stream still
+	// spans several segments).
 	SegmentBytes int64
-	// BitFlips is the number of single-bit corruption images (log backend
-	// only — the v2 file format carries no checksums, so FileStore detects
-	// structural damage, not bit rot; default 24).
+	// BitFlips is the number of single-bit corruption images (default 24).
 	BitFlips int
 }
 
@@ -58,7 +53,7 @@ type TortureResult struct {
 	Injections   int // crash/corruption images reopened
 	CleanPrefix  int // opens that rehydrated a consistent prefix
 	LoudRefusals int // opens that refused with storage.ErrCorrupt
-	TornTails    int // torn tails the log replay truncated (log backend)
+	TornTails    int // torn tails the log replay truncated
 }
 
 func (r TortureResult) String() string {
@@ -145,8 +140,14 @@ func checkView(st storage.Store, want map[int]storage.Checkpoint) error {
 	return nil
 }
 
-// Torture runs the matrix for cfg.Backend and returns its tally; the first
-// oracle violation aborts with an error naming the image that broke.
+// Torture runs the matrix against the log store (MemStore has no stable
+// bytes to tear) and returns its tally; the first oracle violation aborts
+// with an error naming the image that broke. It drives the op stream
+// serially through a log store, then reopens crash images truncated at and
+// inside every commit boundary plus bit-flipped images. Compaction is off,
+// so the log holds one record per op in op order and the running sum of
+// Commit.Records is the boundary map: commit k made exactly
+// ops[:sum(Records[0..k])] durable.
 func Torture(cfg TortureConfig) (TortureResult, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 48
@@ -162,22 +163,6 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ops := tortureOps(rng, cfg.Ops)
-	switch cfg.Backend {
-	case storage.Log:
-		return tortureLog(cfg, rng, ops)
-	case storage.File:
-		return tortureFile(cfg, rng, ops)
-	default:
-		return TortureResult{}, fmt.Errorf("torture: backend %q has no stable bytes to tear", cfg.Backend)
-	}
-}
-
-// tortureLog drives the op stream serially through a log store, then
-// reopens crash images truncated at and inside every commit boundary plus
-// bit-flipped images. Compaction is off, so the log holds one record per op
-// in op order and the running sum of Commit.Records is the boundary map:
-// commit k made exactly ops[:sum(Records[0..k])] durable.
-func tortureLog(cfg TortureConfig, rng *rand.Rand, ops []tortureOp) (TortureResult, error) {
 	res := TortureResult{Ops: len(ops)}
 	liveDir := filepath.Join(cfg.Dir, "live")
 	var commits []logstore.Commit
@@ -345,151 +330,4 @@ func snapshotDir(dir string) (map[int][]byte, error) {
 		return nil, fmt.Errorf("torture: live store left no segments in %s", dir)
 	}
 	return segs, nil
-}
-
-// tortureFile runs the FileStore matrix. Its write protocol (tmp+rename,
-// one file per checkpoint) makes each op atomic, so the crash images are:
-// the directory as it stood after every op prefix (must rehydrate exactly),
-// stray .tmp leftovers from a save the crash interrupted (must be discarded
-// without touching the view), and truncated checkpoint files — damage to
-// acknowledged bytes — which must refuse loudly.
-func tortureFile(cfg TortureConfig, rng *rand.Rand, ops []tortureOp) (TortureResult, error) {
-	res := TortureResult{Ops: len(ops)}
-	liveDir := filepath.Join(cfg.Dir, "live")
-	fs, err := storage.OpenFileStore(liveDir)
-	if err != nil {
-		return res, fmt.Errorf("torture: open live store: %w", err)
-	}
-	// Snapshot the directory after every op: these are exactly the disk
-	// states a crash between ops exposes.
-	snaps := make([]map[string][]byte, 0, len(ops)+1)
-	snap := func() error {
-		files, err := snapshotFiles(liveDir)
-		if err != nil {
-			return err
-		}
-		snaps = append(snaps, files)
-		return nil
-	}
-	if err := snap(); err != nil {
-		return res, err
-	}
-	for i, op := range ops {
-		if op.del {
-			err = fs.Delete(op.idx)
-		} else {
-			err = fs.Save(op.cp)
-		}
-		if err != nil {
-			return res, fmt.Errorf("torture: op %d: %w", i, err)
-		}
-		if err := snap(); err != nil {
-			return res, err
-		}
-	}
-
-	imgDir := filepath.Join(cfg.Dir, "img")
-	openImage := func(files map[string][]byte) (storage.Store, error) {
-		if err := os.RemoveAll(imgDir); err != nil {
-			return nil, err
-		}
-		if err := os.MkdirAll(imgDir, 0o755); err != nil {
-			return nil, err
-		}
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(imgDir, name), data, 0o644); err != nil {
-				return nil, err
-			}
-		}
-		return storage.OpenFileStore(imgDir)
-	}
-
-	// Per-op prefix images: each must rehydrate its exact prefix view.
-	for k, files := range snaps {
-		res.Injections++
-		st, err := openImage(files)
-		if err != nil {
-			return res, fmt.Errorf("torture: prefix image after op %d: %w", k, err)
-		}
-		if err := checkView(st, viewAfter(ops, k)); err != nil {
-			return res, fmt.Errorf("torture: prefix image after op %d: %w", k, err)
-		}
-		res.CleanPrefix++
-	}
-
-	// Interrupted-save images: the final state plus a partial .tmp the
-	// rename never blessed. The open must discard it and keep the view.
-	final := snaps[len(snaps)-1]
-	for i := 0; i < 4; i++ {
-		files := make(map[string][]byte, len(final)+1)
-		for k, v := range final {
-			files[k] = v
-		}
-		junk := make([]byte, rng.Intn(64))
-		rng.Read(junk)
-		files[fmt.Sprintf("ckpt-%08d.bin.tmp", 9000+i)] = junk
-		res.Injections++
-		st, err := openImage(files)
-		if err != nil {
-			return res, fmt.Errorf("torture: .tmp leftover image: %w", err)
-		}
-		if err := checkView(st, viewAfter(ops, len(ops))); err != nil {
-			return res, fmt.Errorf("torture: .tmp leftover image: %w", err)
-		}
-		res.CleanPrefix++
-	}
-
-	// Truncation images: cutting an acknowledged checkpoint file is damage
-	// the open must refuse with storage.ErrCorrupt, never absorb.
-	names := make([]string, 0, len(final))
-	for name := range final {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data := final[name]
-		if len(data) == 0 {
-			continue
-		}
-		for _, cut := range []int{0, len(data) / 2, len(data) - 1} {
-			files := make(map[string][]byte, len(final))
-			for k, v := range final {
-				files[k] = v
-			}
-			files[name] = data[:cut]
-			res.Injections++
-			if _, err := openImage(files); err == nil {
-				return res, fmt.Errorf("torture: truncated %s at %d opened silently", name, cut)
-			} else if !errors.Is(err, storage.ErrCorrupt) {
-				return res, fmt.Errorf("torture: truncated %s at %d: error is not ErrCorrupt: %w", name, cut, err)
-			}
-			res.LoudRefusals++
-		}
-	}
-	if err := os.RemoveAll(imgDir); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// snapshotFiles reads a FileStore directory (checkpoint and tombstone
-// files) into memory.
-func snapshotFiles(dir string) (map[string][]byte, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := make(map[string][]byte)
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "ckpt-") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		files[name] = data
-	}
-	return files, nil
 }

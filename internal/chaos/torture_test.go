@@ -20,7 +20,6 @@ import (
 // images must refuse loudly. This is the CI torture lane's main dish.
 func TestTortureLogStore(t *testing.T) {
 	res, err := Torture(TortureConfig{
-		Backend:      storage.Log,
 		Dir:          t.TempDir(),
 		Ops:          48,
 		Seed:         1,
@@ -48,7 +47,6 @@ func TestTortureLogStoreSeeds(t *testing.T) {
 	}
 	for seed := int64(2); seed <= 5; seed++ {
 		res, err := Torture(TortureConfig{
-			Backend:      storage.Log,
 			Dir:          t.TempDir(),
 			Ops:          40,
 			Seed:         seed,
@@ -59,25 +57,6 @@ func TestTortureLogStoreSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v (after %s)", seed, err, res)
 		}
 	}
-}
-
-// TestTortureFileStore runs the matrix against the one-file-per-checkpoint
-// backend: every per-op prefix image and every stray-.tmp image must
-// rehydrate cleanly, every truncated checkpoint file must refuse loudly.
-func TestTortureFileStore(t *testing.T) {
-	res, err := Torture(TortureConfig{
-		Backend: storage.File,
-		Dir:     t.TempDir(),
-		Ops:     40,
-		Seed:    2,
-	})
-	if err != nil {
-		t.Fatalf("%v (after %s)", err, res)
-	}
-	if res.CleanPrefix == 0 || res.LoudRefusals == 0 {
-		t.Fatalf("matrix did not exercise both outcomes: %s", res)
-	}
-	t.Logf("file torture: %s", res)
 }
 
 // TestLostTombstoneIsRecollected is the safety argument behind the log

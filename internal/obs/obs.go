@@ -101,7 +101,7 @@ const (
 	StorageRetained   = "storage.retained"
 
 	// Storage, log backend only (internal/storage/logstore): group-commit
-	// shape and the segment lifecycle. Mem/FileStore leave these untouched.
+	// shape and the segment lifecycle. MemStore leaves these untouched.
 	StorageBatchRecords = "storage.commit.batch_records" // records per group commit
 	StorageCommitNs     = "storage.commit_ns"            // write+sync latency per batch
 	StorageCompactions  = "storage.compactions"          // segments rewritten and dropped
@@ -225,10 +225,10 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 	}
 }
 
-// StoreMetrics is the storage layer's handle bundle, shared by MemStore,
-// FileStore and the log store. The group-commit handles (BatchRecords,
-// CommitNs, Compactions, TornTails, LiveRatioPct) are written only by the
-// log backend; for the other stores they stay at zero.
+// StoreMetrics is the storage layer's handle bundle, shared by MemStore
+// and the log store. The group-commit handles (BatchRecords, CommitNs,
+// Compactions, TornTails, LiveRatioPct) are written only by the log
+// backend; for MemStore they stay at zero.
 type StoreMetrics struct {
 	Saves      *Counter
 	Deletes    *Counter

@@ -255,22 +255,20 @@ func TestChaosFailedRestartLeavesProcessesDown(t *testing.T) {
 	}
 }
 
-// TestChaosFileStoreRestart runs the crash/restart lifecycle against
+// TestChaosLogStoreRestart runs the crash/restart lifecycle against
 // on-disk stores: rehydration reads back exactly what Save persisted.
-func TestChaosFileStoreRestart(t *testing.T) {
-	dir := t.TempDir()
+func TestChaosLogStoreRestart(t *testing.T) {
 	c, err := runtime.NewCluster(runtime.Config{
 		N: 3,
 		LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		},
-		NewStore: func(self int) (storage.Store, error) {
-			return storage.OpenFileStore(dir + "/" + string(rune('a'+self)))
-		},
+		NewStore: logStores(t.TempDir()),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	driveRandom(t, c, 30, 41)
 
 	if err := c.Crash(2); err != nil {

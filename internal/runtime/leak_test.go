@@ -1,51 +1,82 @@
 package runtime_test
 
 import (
+	"errors"
 	goruntime "runtime"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/gc"
+	"repro/internal/leakcheck"
 	"repro/internal/runtime"
+	"repro/internal/storage"
 )
 
-// goroutinesSettle fails the test unless the process's goroutine count is
-// back at (or below) base — its value before the cluster under test was
-// built — within 2 s. Call it after Close: sender-pool workers, retry
-// timers, redial loops and mesh readers must all have let go by then.
-func goroutinesSettle(t *testing.T, base int) {
+// ringSends sends rounds messages around the ring 0→1→…→n−1→0.
+func ringSends(t *testing.T, c *runtime.Cluster, rounds int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for goruntime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:goruntime.Stack(buf, true)]
-			t.Fatalf("%d goroutines 2 s after Close, %d before the cluster existed:\n%s",
-				goruntime.NumGoroutine(), base, buf)
+	for k := 0; k < rounds; k++ {
+		if err := c.Node(k % c.N()).Send((k + 1) % c.N()); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestNoGoroutineLeakAfterClose guards the two shutdowns that leave work
-// behind them: an in-process cluster closed with delayed sends still queued
-// in the sender pool (its workers deliver what is due and retire on their
-// own), and a TCP cluster closed during an open partition with frames
-// parked behind long retry timers.
+// TestNoGoroutineLeakAfterClose guards the shutdowns that leave work behind
+// them: an in-process cluster closed with delayed sends still queued in the
+// sender pool (its workers come due after Close and retire on their own), a
+// TCP cluster closed during an open partition with frames parked behind long
+// retry timers, both again on log stores — whose committer and compactor
+// goroutines the cluster owns, having opened the stores — and a NewCluster
+// that fails after it has opened some.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
+	lgc := func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
+	delayed := runtime.NetworkOptions{MinDelay: 100 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: 5}
+
 	t.Run("in-process, delayed sends queued", func(t *testing.T) {
 		base := goruntime.NumGoroutine()
-		c := lgcCluster(t, 4, runtime.NetworkOptions{
-			MinDelay: 100 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: 5,
-		})
-		for k := 0; k < 40; k++ {
-			if err := c.Node(k % 4).Send((k + 1) % 4); err != nil {
-				t.Fatal(err)
+		c := lgcCluster(t, 4, delayed)
+		ringSends(t, c, 40)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		leakcheck.Settle(t, base)
+	})
+	t.Run("in-process on log stores, delayed sends queued", func(t *testing.T) {
+		base := goruntime.NumGoroutine()
+		c, err := runtime.NewCluster(runtime.Config{N: 4, LocalGC: lgc, Net: delayed, NewStore: logStores(t.TempDir())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.N(); i++ { // collections stage tombstones for Close to commit
+			for k := 0; k < 3; k++ {
+				if err := c.Node(i).Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}
+		ringSends(t, c, 40)
+		before := make([]storage.Stats, c.N())
+		for i := range before {
+			before[i] = c.Node(i).Store().Stats()
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		goroutinesSettle(t, base)
+		// The workers have retired once this returns, so every queued message
+		// came due — after Close, and each receiver had sent, so its first
+		// delivery would have forced a checkpoint into a closed store. They
+		// were dropped on the epoch filter instead: no store saw another op.
+		leakcheck.Settle(t, base)
+		for i := range before {
+			if got := c.Node(i).Store().Stats(); got != before[i] {
+				t.Fatalf("p%d: store touched after Close: %+v, was %+v", i, got, before[i])
+			}
+		}
+		if err := c.Node(0).Send(1); !errors.Is(err, runtime.ErrHalted) {
+			t.Fatalf("Send after Close: %v, want ErrHalted", err)
+		}
 	})
 	t.Run("tcp, closed during an open partition", func(t *testing.T) {
 		base := goruntime.NumGoroutine()
@@ -55,20 +86,12 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		})
 		// Streams exist in both directions before the cut, so Close has live
 		// readers and writers to tear down as well as parked frames.
-		for k := 0; k < 40; k++ {
-			if err := c.Node(k % 4).Send((k + 1) % 4); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ringSends(t, c, 40)
 		c.Quiesce()
 		if err := c.Partition([][]int{{0, 1}, {2, 3}}); err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 40; k++ {
-			if err := c.Node(k % 4).Send((k + 1) % 4); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ringSends(t, c, 40)
 		c.Quiesce() // cross-group frames are parked; their timers hold 30 s+ schedules
 		if c.PartitionedPairs() == 0 {
 			t.Fatal("no pair is partitioned")
@@ -76,6 +99,37 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		goroutinesSettle(t, base)
+		leakcheck.Settle(t, base)
+	})
+	t.Run("tcp on log stores", func(t *testing.T) {
+		base := goruntime.NumGoroutine()
+		c, err := runtime.NewCluster(runtime.Config{N: 4, TCP: true, LocalGC: lgc, NewStore: logStores(t.TempDir())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRandom(t, c, 30, 9)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		leakcheck.Settle(t, base)
+	})
+	t.Run("NewStore fails on the third process", func(t *testing.T) {
+		base := goruntime.NumGoroutine()
+		for _, tcp := range []bool{false, true} {
+			open := logStores(t.TempDir())
+			_, err := runtime.NewCluster(runtime.Config{
+				N: 4, TCP: tcp, LocalGC: lgc,
+				NewStore: func(self int) (storage.Store, error) {
+					if self == 2 {
+						return nil, errors.New("disk full")
+					}
+					return open(self)
+				},
+			})
+			if err == nil {
+				t.Fatalf("tcp=%v: NewCluster succeeded without a store for p2", tcp)
+			}
+		}
+		leakcheck.Settle(t, base)
 	})
 }

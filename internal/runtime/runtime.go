@@ -279,6 +279,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
 		if err != nil {
+			_ = c.Close()
 			return nil, fmt.Errorf("runtime: stable store of p%d: %w", i, err)
 		}
 		if ins, ok := store.(obs.Instrumentable); ok && (cfg.Obs.Registry != nil || cfg.Obs.Recorder != nil) {
@@ -295,6 +296,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Metrics:  obs.KernelMetricsFrom(cfg.Obs.Registry),
 		})
 		if err != nil {
+			_ = storage.Close(store) // no node holds it yet for Close to find
+			_ = c.Close()
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
 		nd := &Node{c: c, id: i, k: k}
@@ -314,7 +317,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	if c.mesh != nil {
 		if err := c.mesh.StartBatched(c.onWire); err != nil {
-			_ = c.mesh.Close()
+			_ = c.Close()
 			return nil, err
 		}
 	}
@@ -403,19 +406,35 @@ func (c *Cluster) putPending(b []pending) {
 	c.pendMu.Unlock()
 }
 
-// Close releases the network resources of a TCP-backed cluster. Clusters
-// with direct delivery need no Close: their sender-pool workers retire on
-// their own once the queues drain. Close during an open partition returns
-// promptly: the dead flag is set first, so retry timers, redial loops and
-// parked backlogs observe it and abandon their work instead of waiting
-// out a backoff schedule.
+// Close releases what NewCluster acquired: the TCP mesh, if any, and every
+// stable store Config.NewStore opened — whoever called NewStore closes, so
+// a log store's goroutines and tail segment do not outlive the cluster and
+// its staged tombstones are committed. Close during an open partition
+// returns promptly: the dead flag is set first, so retry timers, redial
+// loops and parked backlogs observe it and abandon their work instead of
+// waiting out a backoff schedule. It must not overlap a recovery session,
+// and the cluster is unusable afterwards.
+//
+// Sender-pool workers go on delivering what is queued after Close, and a
+// late forced checkpoint must not reach a closed store. So Close first does
+// what a recovery session does — halt, then advance the epoch: sends
+// refuse, queued deliveries drop on the epoch filter — and closes each
+// store under its node's lock, behind whatever delivery was already in.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
+	c.st.Or(1)
+	c.st.Add(2)
 	c.purgeParked()
+	var errs []error
 	if c.mesh != nil {
-		return c.mesh.Close()
+		errs = append(errs, c.mesh.Close())
 	}
-	return nil
+	for _, n := range c.nodes {
+		n.mu.Lock()
+		errs = append(errs, storage.Close(n.k.Store()))
+		n.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }
 
 // BreakLink severs the mesh stream from "from" to "to" and blocks the

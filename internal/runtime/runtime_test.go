@@ -1,7 +1,11 @@
 package runtime_test
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +15,22 @@ import (
 	"repro/internal/gc"
 	"repro/internal/runtime"
 	"repro/internal/storage"
+	"repro/internal/storage/logstore"
 )
+
+// logStoreDir is where logStores puts process self's store under dir.
+func logStoreDir(dir string, self int) string {
+	return filepath.Join(dir, fmt.Sprintf("p%d", self))
+}
+
+// logStores is a Config.NewStore opening one log store per process under
+// dir, with the device flush stubbed out: the tests using it are about the
+// store's life under a cluster, not about durability.
+func logStores(dir string) func(self int) (storage.Store, error) {
+	return func(self int) (storage.Store, error) {
+		return logstore.Open(logStoreDir(dir, self), logstore.Options{Sync: func(*os.File) error { return nil }})
+	}
+}
 
 func lgcCluster(t *testing.T, n int, net runtime.NetworkOptions) *runtime.Cluster {
 	t.Helper()
@@ -189,41 +208,36 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
-// TestFileStoreCluster runs the live cluster on real on-disk stores and
-// verifies a crash+reopen of a store recovers exactly the retained set.
-func TestFileStoreCluster(t *testing.T) {
+// TestLogStoreCluster runs the live cluster on real on-disk stores and
+// verifies that Close leaves exactly the retained set behind: the cluster
+// closes the stores it opened, which commits the collector's staged
+// tombstones, so a reopen finds no collected checkpoint resurrected.
+func TestLogStoreCluster(t *testing.T) {
 	dir := t.TempDir()
-	dirs := make([]string, 2)
 	c, err := runtime.NewCluster(runtime.Config{
 		N: 2,
 		LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		},
-		NewStore: func(self int) (storage.Store, error) {
-			d := dir + "/" + string(rune('a'+self))
-			dirs[self] = d
-			return storage.OpenFileStore(d)
-		},
+		NewStore: logStores(dir),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveRandom(t, c, 30, 3)
-
-	for i := 0; i < 2; i++ {
-		want := c.Node(i).Store().Indices()
-		re, err := storage.OpenFileStore(dirs[i])
+	want := [][]int{c.Node(0).Store().Indices(), c.Node(1).Store().Indices()}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		re, err := logstore.Open(logStoreDir(dir, i), logstore.Options{NoCompact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := re.Indices()
-		if len(got) != len(want) {
-			t.Fatalf("p%d: reopened store has %v, want %v", i, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("p%d: reopened store has %v, want %v", i, got, want)
-			}
+		re.Close()
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("p%d: reopened store has %v, want %v", i, got, want[i])
 		}
 	}
 }

@@ -19,6 +19,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ccp"
@@ -120,6 +121,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
 		if err != nil {
+			_ = r.Close()
 			return nil, fmt.Errorf("sim: stable store of p%d: %w", i, err)
 		}
 		if ins, ok := store.(obs.Instrumentable); ok && (cfg.Obs.Registry != nil || cfg.Obs.Recorder != nil) {
@@ -135,11 +137,23 @@ func NewRunner(cfg Config) (*Runner, error) {
 			Metrics:  obs.KernelMetricsFrom(cfg.Obs.Registry),
 		})
 		if err != nil {
+			_ = storage.Close(store) // no kernel holds it yet for Close to find
+			_ = r.Close()
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		r.procs = append(r.procs, k)
 	}
 	return r, nil
+}
+
+// Close closes the stable stores NewRunner opened through Config.NewStore
+// (whoever called NewStore closes). The runner is unusable afterwards.
+func (r *Runner) Close() error {
+	var errs []error
+	for _, k := range r.procs {
+		errs = append(errs, storage.Close(k.Store()))
+	}
+	return errors.Join(errs...)
 }
 
 // CheckpointState implements node.Driver: the opaque payload stored with

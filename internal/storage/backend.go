@@ -3,17 +3,17 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 )
 
 // ErrCorrupt is the shared loud-error vocabulary of every backend: any
 // failure that means "the bytes on stable storage are not what a correct
-// writer left there" — a bad record header, a truncated file, a delta whose
-// base is missing, a checkpoint present both live and as a tombstone, a
-// checksum mismatch in the log — wraps it. Chaos oracles and tests match
-// with errors.Is(err, ErrCorrupt) instead of strings, so the two backends
-// (FileStore's open-time sweep and the log store's replay) cannot drift
+// writer left there" — a bad record header, a truncated record, a delta
+// whose base is missing, a checksum mismatch in the log — wraps it. Chaos
+// oracles and tests match with errors.Is(err, ErrCorrupt) instead of
+// strings, so the record decoder and the log store's replay cannot drift
 // into different dialects of "corrupt".
 var ErrCorrupt = errors.New("corrupt stable storage")
 
@@ -28,18 +28,16 @@ func corruptf(cause error, format string, args ...any) error {
 	return fmt.Errorf("%w: %w", err, ErrCorrupt)
 }
 
-// Backend names a stable-storage implementation. Mem and File are built in;
-// other backends (the segmented log store, internal/storage/logstore)
-// register themselves via RegisterBackend from an init function, so Open
-// resolves them once their package is imported.
+// Backend names a stable-storage implementation. Mem is built in; the
+// segmented log store (internal/storage/logstore) registers itself via
+// RegisterBackend from an init function, so Open resolves it once its
+// package is imported.
 type Backend string
 
 // Built-in and registered backends.
 const (
 	// Mem is the in-memory accounting store (MemStore); dir is ignored.
 	Mem Backend = "mem"
-	// File is the one-file-per-checkpoint store (FileStore).
-	File Backend = "file"
 	// Log is the segmented group-commit log store
 	// (internal/storage/logstore); importing that package registers it.
 	Log Backend = "log"
@@ -48,10 +46,10 @@ const (
 // ParseBackend parses a backend name as the CLIs spell it.
 func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
-	case Mem, File, Log:
+	case Mem, Log:
 		return Backend(s), nil
 	default:
-		return "", fmt.Errorf("storage: unknown backend %q (want mem, file or log)", s)
+		return "", fmt.Errorf("storage: unknown backend %q (want mem or log)", s)
 	}
 }
 
@@ -66,7 +64,7 @@ var (
 func RegisterBackend(b Backend, open func(dir string) (Store, error)) {
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	if _, dup := backends[b]; dup || b == Mem || b == File {
+	if _, dup := backends[b]; dup || b == Mem {
 		panic(fmt.Sprintf("storage: backend %q registered twice", b))
 	}
 	backends[b] = open
@@ -76,11 +74,8 @@ func RegisterBackend(b Backend, open func(dir string) (Store, error)) {
 // Mem). It is the one construction path the engines, the facade and the
 // CLIs share, so every layer can run every backend.
 func Open(b Backend, dir string) (Store, error) {
-	switch b {
-	case Mem:
+	if b == Mem {
 		return NewMemStore(), nil
-	case File:
-		return OpenFileStore(dir)
 	}
 	backendMu.RLock()
 	open := backends[b]
@@ -89,6 +84,17 @@ func Open(b Backend, dir string) (Store, error) {
 		return nil, fmt.Errorf("storage: backend %q not available (is its package imported?)", b)
 	}
 	return open(dir)
+}
+
+// Close releases whatever a store returned by Open holds: the log store's
+// goroutines and tail segment (committing its staged tombstones); MemStore
+// holds nothing. The rule for the engines is that whoever opened a store
+// closes it.
+func Close(s Store) error {
+	if c, ok := s.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Factory adapts Open to the per-process NewStore hook of the engines

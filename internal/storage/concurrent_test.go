@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -48,40 +47,5 @@ func TestMemStoreConcurrentAccess(t *testing.T) {
 	}
 	if st.Live != workers*per/2 {
 		t.Errorf("Live = %d, want %d", st.Live, workers*per/2)
-	}
-}
-
-// TestFileStoreConcurrentAccess does the same against the on-disk store.
-func TestFileStoreConcurrentAccess(t *testing.T) {
-	fs, err := OpenFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	const per = 40
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := w * per
-			for i := 0; i < per; i++ {
-				idx := base + i
-				state := []byte(fmt.Sprintf("state-%d", idx))
-				if err := fs.Save(Checkpoint{Index: idx, DV: vclock.New(2), State: state}); err != nil {
-					t.Errorf("save %d: %v", idx, err)
-					return
-				}
-				cp, err := fs.Load(idx)
-				if err != nil || string(cp.State) != string(state) {
-					t.Errorf("load %d: %v %q", idx, err, cp.State)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := fs.Stats(); st.Live != workers*per {
-		t.Errorf("Live = %d, want %d", st.Live, workers*per)
 	}
 }

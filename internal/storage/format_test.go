@@ -3,323 +3,195 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/vclock"
 )
 
-// encodeV1 reproduces the v1 on-disk record byte-for-byte (full vector
-// only, no kind field) independently of the production encoder, so the
-// compatibility tests cannot rot alongside it.
-func encodeV1(cp Checkpoint) []byte {
-	var buf []byte
-	w := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
-	w(ckptMagic)
-	w(int64(cp.Process))
-	w(int64(cp.Index))
-	w(int64(len(cp.DV)))
-	for _, v := range cp.DV {
-		w(int64(v))
-	}
-	w(int64(len(cp.State)))
-	return append(buf, cp.State...)
-}
+// The delta-chain cases below pin the Store contract on MemStore, the
+// oracle; the log store is held to the same behaviour differentially
+// (logstore.TestStoreDifferential drives the same scenarios through both).
 
-// TestV1StoreOpensUnderDeltaReader writes a directory of v1 records — what
-// an existing deployment's stable store holds — and checks the new reader
-// opens it, loads every checkpoint bit-for-bit, and continues the store
-// with delta-encoded saves that remain loadable alongside the old records.
-func TestV1StoreOpensUnderDeltaReader(t *testing.T) {
-	dir := t.TempDir()
-	want := make(map[int]Checkpoint)
-	dv := vclock.New(6)
-	for i := 0; i < 5; i++ {
-		dv[0] = i
-		dv[i%6]++
-		cp := Checkpoint{Process: 0, Index: i, DV: dv.Clone(), State: []byte{byte(i), 0xAB}}
-		want[i] = cp
-		name := filepath.Join(dir, "ckpt-"+padIndex(i)+".bin")
-		if err := os.WriteFile(name, encodeV1(cp), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatalf("v1 store failed to open: %v", err)
-	}
-	if got := fs.Stats().Live; got != 5 {
-		t.Fatalf("opened %d live checkpoints, want 5", got)
-	}
-	for i, cp := range want {
-		got, err := fs.Load(i)
-		if err != nil {
-			t.Fatalf("load v1 checkpoint %d: %v", i, err)
-		}
-		if !got.DV.Equal(cp.DV) || !bytes.Equal(got.State, cp.State) || got.Process != cp.Process {
-			t.Fatalf("v1 checkpoint %d changed: %+v vs %+v", i, got, cp)
-		}
-	}
-	// The store keeps working in the new format: the first save is full
-	// (no chain tail), later ones delta against it, and all resolve.
-	for i := 5; i < 5+fullEvery; i++ {
-		dv[0] = i
-		if err := fs.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	re, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatalf("mixed v1/v2 store failed to reopen: %v", err)
-	}
-	cp, err := re.Load(5 + fullEvery - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.DV[0] != 5+fullEvery-1 {
-		t.Fatalf("delta chain resolved DV[0]=%d, want %d", cp.DV[0], 5+fullEvery-1)
-	}
-}
-
-func padIndex(i int) string { return fmt.Sprintf("%08d", i) }
-
-// TestDeltaChainRoundTrip drives a FileStore through a long save sequence
-// with small per-save changes and checks (a) delta records actually appear
-// and are much smaller than full ones, (b) every checkpoint loads back
-// bit-for-bit, including after a crash-style reopen.
+// TestDeltaChainRoundTrip drives a store through a long save sequence with
+// small per-save changes and interior collections and checks (a) delta
+// records actually appear, one full record every fullEvery, and encode much
+// smaller than full ones, (b) every live checkpoint loads back bit-for-bit.
 func TestDeltaChainRoundTrip(t *testing.T) {
 	const n = 64
-	dir := t.TempDir()
-	fs, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMemStore()
 	rng := rand.New(rand.NewSource(7))
 	dv := vclock.New(n)
 	want := make([]Checkpoint, 0, 3*fullEvery)
+	var fullBytes, deltaBytes, deltas int
 	for i := 0; i < 3*fullEvery; i++ {
+		prev := dv.Clone()
 		dv[0] = i
 		dv[rng.Intn(n)]++
 		cp := Checkpoint{Process: 0, Index: i, DV: dv.Clone(), State: []byte("st")}
-		if err := fs.Save(cp); err != nil {
+		if err := s.Save(cp); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, cp)
-	}
-	var fullBytes, deltaBytes, deltas int64
-	for i := range want {
-		data, err := os.ReadFile(filepath.Join(dir, "ckpt-"+padIndex(i)+".bin"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := DecodeRecord(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Delta {
+		if s.byIdx[i].delta {
 			deltas++
-			deltaBytes += int64(len(data))
+			deltaBytes += len(encodeDelta(nil, cp, i-1, vclock.DiffAppend(prev, dv, nil)))
 		} else {
-			fullBytes += int64(len(data))
+			fullBytes += len(encodeFull(nil, cp))
 		}
 	}
-	if deltas == 0 {
-		t.Fatal("no delta records written")
-	}
-	wantDeltas := int64(len(want) - (len(want)+fullEvery-1)/fullEvery)
+	wantDeltas := len(want) - (len(want)+fullEvery-1)/fullEvery
 	if deltas != wantDeltas {
-		t.Fatalf("wrote %d delta records, want %d (full every %d)", deltas, wantDeltas, fullEvery)
+		t.Fatalf("kept %d delta records, want %d (full every %d)", deltas, wantDeltas, fullEvery)
 	}
-	if avgD, avgF := deltaBytes/deltas, fullBytes/(int64(len(want))-deltas); avgD*4 > avgF {
+	if avgD, avgF := deltaBytes/deltas, fullBytes/(len(want)-deltas); avgD*4 > avgF {
 		t.Fatalf("delta records not small: avg delta %dB vs avg full %dB at n=%d", avgD, avgF, n)
 	}
-	check := func(fs *FileStore) {
+	check := func() {
 		t.Helper()
-		for _, cp := range want {
-			got, err := fs.Load(cp.Index)
+		for _, idx := range s.Indices() {
+			got, err := s.Load(idx)
 			if err != nil {
-				t.Fatalf("load %d: %v", cp.Index, err)
+				t.Fatalf("load %d: %v", idx, err)
 			}
-			if !got.DV.Equal(cp.DV) || !bytes.Equal(got.State, cp.State) {
-				t.Fatalf("checkpoint %d changed through the chain: got %v want %v", cp.Index, got.DV, cp.DV)
+			if cp := want[idx]; !got.DV.Equal(cp.DV) || !bytes.Equal(got.State, cp.State) {
+				t.Fatalf("checkpoint %d changed through the chain: got %v want %v", idx, got.DV, cp.DV)
 			}
 		}
 	}
-	check(fs)
-	re, err := OpenFileStore(dir) // crash-style reopen
-	if err != nil {
-		t.Fatal(err)
+	check()
+	// Interior collections — chain anchors and mid-chain deltas alike — must
+	// leave every survivor resolvable.
+	for idx := 0; idx < len(want); idx += 3 {
+		if err := s.Delete(idx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	check(re)
+	if got, wantLive := len(s.Indices()), len(want)-(len(want)+2)/3; got != wantLive {
+		t.Fatalf("%d live after interior deletes, want %d", got, wantLive)
+	}
+	check()
 }
 
 // TestDeleteTombstonesChainBases checks the chain invariant under
-// collection: deleting a record that a delta depends on leaves a .dead
-// tombstone serving as the chain's base (no rewrite), dependents stay
-// loadable — including after a reopen — deleted records are gone from the
-// interface, and draining the chain reaps every tombstone.
+// collection: deleting a record that a delta depends on keeps it as the
+// chain's base only — dependents stay loadable, deleted records are gone
+// from the interface — and draining the chain reaps every dead record.
 func TestDeleteTombstonesChainBases(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMemStore()
 	dv := vclock.New(8)
 	for i := 0; i < 4; i++ {
 		dv[0] = i
-		if err := fs.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte{byte(i)}}); err != nil {
+		if err := s.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Records 1..3 are deltas chaining back to full record 0. Deleting 0
-	// and 1 must tombstone them (record 2 still resolves through both).
-	if err := fs.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Delete(1); err != nil {
-		t.Fatal(err)
-	}
+	// and 1 must keep their bytes (record 2 still resolves through both).
 	for _, idx := range []int{0, 1} {
-		if _, err := fs.Load(idx); err == nil {
+		if err := s.Delete(idx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load(idx); err == nil {
 			t.Fatalf("deleted checkpoint %d still loads", idx)
 		}
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.dead", idx))); err != nil {
-			t.Fatalf("tombstone for %d missing: %v", idx, err)
+		if err := s.Delete(idx); err == nil {
+			t.Fatalf("double delete of chain base %d accepted", idx)
 		}
 	}
-	if got := fs.Indices(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := s.Indices(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("Indices = %v, want [2 3]", got)
 	}
-	cp, err := fs.Load(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.DV[0] != 3 {
-		t.Fatalf("after tombstoning DV[0]=%d, want 3", cp.DV[0])
-	}
-	re, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatalf("store with tombstones failed to reopen: %v", err)
-	}
-	if cp, err := re.Load(2); err != nil || cp.DV[0] != 2 {
-		t.Fatalf("record 2 unreadable through tombstoned bases after reopen: %v %v", cp, err)
-	}
-	// Draining the chain reaps every tombstone: the directory must be
-	// empty once all live records are deleted.
-	if err := re.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		names := make([]string, len(left))
-		for i, e := range left {
-			names[i] = e.Name()
+	for _, idx := range []int{2, 3} {
+		if cp, err := s.Load(idx); err != nil || cp.DV[0] != idx {
+			t.Fatalf("record %d unreadable through dead bases: %v %v", idx, cp, err)
 		}
-		t.Fatalf("chain drained but files remain: %v", names)
+	}
+	if err := s.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.byIdx) != 0 || len(s.child) != 0 {
+		t.Fatalf("chain drained but %d records and %d links remain", len(s.byIdx), len(s.child))
 	}
 }
 
 // TestSaveRejectsTombstonedIndex pins the duplicate-save rule across the
-// tombstone state: an index whose record still anchors a live chain is
-// occupied, for Save, until the chain drains and the tombstone is reaped.
+// dead state: an index whose record still anchors a live chain is occupied,
+// for Save, until the chain drains; the rollback pattern — delete the top
+// index, save it again — is accepted.
 func TestSaveRejectsTombstonedIndex(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMemStore()
 	dv := vclock.New(4)
 	for i := 0; i < 3; i++ {
 		dv[0] = i
-		if err := fs.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte("s")}); err != nil {
+		if err := s.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte("s")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.Delete(0); err != nil { // tombstoned: 1 chains through it
+	if err := s.Delete(0); err != nil { // dead, not gone: 1 chains through it
 		t.Fatal(err)
 	}
-	if err := fs.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err == nil {
-		t.Fatal("save onto a tombstoned index must fail, not shadow the chain base")
+	if err := s.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err == nil {
+		t.Fatal("save onto a dead chain base must fail, not shadow it")
 	}
-	// Draining the chain reaps the tombstone; the index is then reusable.
-	if err := fs.Delete(1); err != nil {
+	// Rollback: the top index is deleted and taken again with new content.
+	if err := s.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Delete(2); err != nil {
+	dv[1] = 9
+	if err := s.Save(Checkpoint{Process: 0, Index: 2, DV: dv, State: []byte("again")}); err != nil {
+		t.Fatalf("re-save of the rolled-back top index failed: %v", err)
+	}
+	if cp, err := s.Load(2); err != nil || cp.DV[1] != 9 || string(cp.State) != "again" {
+		t.Fatalf("re-saved checkpoint 2 = %+v, %v", cp, err)
+	}
+	// Draining the chain frees index 0.
+	if err := s.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err != nil {
+	if err := s.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err != nil {
 		t.Fatalf("save onto a reaped index failed: %v", err)
 	}
 }
 
 // TestCorruptDeltaFailsLoudly damages delta records in the ways the format
-// must catch — truncation, a base pointing nowhere, entries out of range —
-// and checks each fails the open or the load with an error instead of
+// must catch — truncation, a record without its chain, entries out of
+// range or out of order — and checks each fails with an error instead of
 // yielding a wrong vector.
 func TestCorruptDeltaFailsLoudly(t *testing.T) {
-	build := func(t *testing.T) (string, *FileStore) {
-		dir := t.TempDir()
-		fs, err := OpenFileStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dv := vclock.New(4)
-		for i := 0; i < 3; i++ {
-			dv[0] = i
-			if err := fs.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte("s")}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dir, fs
-	}
+	good := encodeDelta(nil, Checkpoint{Process: 0, Index: 1, State: []byte("s")},
+		0, vclock.Delta{{K: 0, V: 1}})
 
 	t.Run("truncated", func(t *testing.T) {
-		dir, _ := build(t)
-		name := filepath.Join(dir, "ckpt-"+padIndex(1)+".bin")
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(name, data[:len(data)-9], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFileStore(dir); err == nil {
-			t.Fatal("open accepted a truncated delta record")
+		if _, err := DecodeRecord(good[:len(good)-9]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decode of a truncated delta record: %v, want ErrCorrupt", err)
 		}
 	})
 
 	t.Run("missing-base", func(t *testing.T) {
-		dir, _ := build(t)
-		// Remove the full base record behind the chain's back.
-		if err := os.Remove(filepath.Join(dir, "ckpt-"+padIndex(0)+".bin")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFileStore(dir); err == nil {
-			t.Fatal("open accepted a delta whose base is missing")
+		// Without the chain it patches, a delta record is not a checkpoint.
+		if _, err := DecodeCheckpoint(good); err == nil {
+			t.Fatal("a delta record decoded standalone")
 		}
 	})
 
 	t.Run("entries-out-of-range", func(t *testing.T) {
-		dir, fs := build(t)
-		// Rewrite record 1 with an entry index outside the vector.
 		bad := encodeDelta(nil, Checkpoint{Process: 0, Index: 1, State: []byte("s")},
 			0, vclock.Delta{{K: 99, V: 1}})
-		name := filepath.Join(dir, "ckpt-"+padIndex(1)+".bin")
-		if err := os.WriteFile(name, bad, 0o644); err != nil {
+		rec, err := DecodeRecord(bad)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Load(1); err == nil {
-			t.Fatal("load patched an entry outside the vector")
+		// What every store's Load does with the record's entries.
+		if err := rec.Entries.Patch(vclock.New(4)); err == nil {
+			t.Fatal("patched an entry outside the vector")
 		}
 	})
 
@@ -330,4 +202,42 @@ func TestCorruptDeltaFailsLoudly(t *testing.T) {
 			t.Fatal("decode accepted unsorted delta entries")
 		}
 	})
+}
+
+// TestDecodeRejectsTruncatedRecord models a disk fault on acknowledged
+// bytes: every proper prefix of a record, full or delta, must fail with
+// ErrCorrupt, never decode to a shorter checkpoint.
+func TestDecodeRejectsTruncatedRecord(t *testing.T) {
+	cp := Checkpoint{Process: 1, Index: 3, DV: vclock.DV{2, 4}, State: []byte("state bytes")}
+	for name, rec := range map[string][]byte{
+		"full":  encodeFull(nil, cp),
+		"delta": encodeDelta(nil, cp, 2, vclock.Delta{{K: 1, V: 4}}),
+	} {
+		if _, err := DecodeRecord(rec); err != nil {
+			t.Fatalf("%s record does not decode whole: %v", name, err)
+		}
+		for cut := 0; cut < len(rec); cut++ {
+			if _, err := DecodeRecord(rec[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s record cut at %d of %d: %v, want ErrCorrupt", name, cut, len(rec), err)
+			}
+		}
+	}
+}
+
+// TestV1RecordIsCorrupt pins the retirement of the v1 format (magic ending
+// in 1, full vector only, no kind word): nothing in the tree writes it, and
+// a reader that meets it refuses like any other bad header.
+func TestV1RecordIsCorrupt(t *testing.T) {
+	var v1 []byte
+	for _, v := range []int64{
+		0x5244544C47431, // v1 magic
+		0, 5,            // process, index
+		1, 7, // vector length, its entry
+		0, // state length
+	} {
+		v1 = binary.LittleEndian.AppendUint64(v1, uint64(v))
+	}
+	if _, err := DecodeRecord(v1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode of a v1 record: %v, want ErrCorrupt", err)
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// FuzzDecode checks the checkpoint-file parser never panics and that every
+// FuzzDecode checks the checkpoint-record parser never panics and that every
 // accepted input round-trips through encode.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})

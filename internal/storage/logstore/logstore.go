@@ -1,11 +1,11 @@
 // Package logstore implements storage.Store as a segmented append-only log
-// with group commit: the storage engine v3 of the ROADMAP. Where FileStore
-// pays one file creation and one rename per checkpoint, the log store
-// appends every mutation — checkpoint saves and deletion tombstones alike —
-// to a fixed-size segment file, and a single committer goroutine folds all
-// mutations staged while the previous write+sync was in flight into the
-// next one. Under concurrent writers the sync cost amortizes across the
-// batch; a lone writer still pays exactly one write+sync per save.
+// with group commit: the durable store of the two (MemStore, in package
+// storage, is the oracle it is tested against). Every mutation — checkpoint
+// saves and deletion tombstones alike — is appended to a fixed-size segment
+// file, and a single committer goroutine folds all mutations staged while
+// the previous write+sync was in flight into the next one. Under concurrent
+// writers the sync cost amortizes across the batch; a lone writer still
+// pays exactly one write+sync per save.
 //
 // On-disk layout. A directory holds segment files seg-%08d.log. A segment
 // starts with a 16-byte header (magic, segment id — the id is checked
@@ -17,10 +17,11 @@
 //	u32 payloadCRC32 | u32 headerCRC32(first 16 bytes) | payload
 //
 // The payload is recordCount frames of: u32 bodyLen | 1 kind byte | body.
-// A checkpoint frame's body is exactly the format-v2 record FileStore
-// writes (storage.AppendRecord / storage.AppendDeltaRecord), so delta-chain
-// encoding and decoding are shared with the other backends. A tombstone
-// frame's body is the deleted checkpoint index as a u64.
+// A checkpoint frame's body is one record of package storage's format
+// (storage.AppendRecord / storage.AppendDeltaRecord, read back by
+// storage.DecodeRecord): a full vector or a delta against an earlier record
+// of the same segment. A tombstone frame's body is the deleted checkpoint
+// index as a u64.
 //
 // The two checksums split the failure modes: a batch whose declared extent
 // runs past the end of the final segment is a torn tail — a crash hit
@@ -403,9 +404,10 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		_, chained := s.child[cp.Index]
 		if !old.dead || chained {
 			// A dead record some live delta still chains through counts as
-			// present, exactly like a FileStore tombstone. A dead childless
-			// record does not: a rollback deletes every later checkpoint
-			// before re-saving an index, so this save supersedes it.
+			// present: a fresh record at its index would shadow the chain's
+			// base. A dead childless record does not: a rollback deletes
+			// every later checkpoint before re-saving an index, so this save
+			// supersedes it.
 			s.mu.Unlock()
 			return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 		}
@@ -612,9 +614,10 @@ func (s *LogStore) Delete(index int) error {
 }
 
 // unlinkLocked dissolves the chain links of a dead childless record and
-// cascades down its base chain, mirroring FileStore's tombstone reap: once
-// nothing chains through a dead record it stops counting as present (a
-// rollback may re-save its index), though its bytes stay until compaction.
+// cascades down its base chain. The rule: a dead record counts as present
+// exactly as long as a record chains through it; once nothing does, its
+// index is free (a rollback may re-save it), though its bytes stay until
+// compaction.
 func (s *LogStore) unlinkLocked(index int) {
 	for {
 		if _, chained := s.child[index]; chained {

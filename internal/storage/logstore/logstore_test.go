@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -585,91 +587,189 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 	}
 }
 
-// TestStoreDifferential drives one seeded op stream — saves, random
-// deletes, rollback-style delete-then-resave — through all three backends
-// and requires identical Load/Indices/Stats views after every op. The CI
-// determinism lane runs this as the logstore-vs-filestore check.
+// storePair drives MemStore (the oracle) and a log store in lockstep and
+// requires the same outcome of every op and identical Indices, Load and
+// Stats views after it.
+type storePair struct {
+	t   *testing.T
+	mem *storage.MemStore
+	log *LogStore
+}
+
+func newStorePair(t *testing.T) *storePair {
+	return &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, t.TempDir(), Options{SegmentBytes: 2048})}
+}
+
+// apply runs do against both stores and reports whether it succeeded.
+func (p *storePair) apply(what string, do func(storage.Store) error) bool {
+	p.t.Helper()
+	memErr, logErr := do(p.mem), do(p.log)
+	if (memErr == nil) != (logErr == nil) {
+		p.t.Fatalf("%s: stores disagree on the outcome: mem %v, log %v", what, memErr, logErr)
+	}
+	ref := p.mem.Indices()
+	if got := p.log.Indices(); !reflect.DeepEqual(got, ref) {
+		p.t.Fatalf("%s: log Indices = %v, mem = %v", what, got, ref)
+	}
+	for _, idx := range ref {
+		want, err := p.mem.Load(idx)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		got, err := p.log.Load(idx)
+		if err != nil {
+			p.t.Fatalf("%s: log Load(%d): %v", what, idx, err)
+		}
+		if got.Process != want.Process || !got.DV.Equal(want.DV) || !bytes.Equal(got.State, want.State) {
+			p.t.Fatalf("%s: log Load(%d) = %+v, mem = %+v", what, idx, got, want)
+		}
+	}
+	if got, want := p.log.Stats(), p.mem.Stats(); got != want {
+		p.t.Fatalf("%s: log Stats = %+v, mem = %+v", what, got, want)
+	}
+	return memErr == nil
+}
+
+func (p *storePair) save(cp storage.Checkpoint) bool {
+	p.t.Helper()
+	return p.apply(fmt.Sprintf("Save(%d)", cp.Index), func(st storage.Store) error { return st.Save(cp) })
+}
+
+func (p *storePair) delete(idx int) bool {
+	p.t.Helper()
+	return p.apply(fmt.Sprintf("Delete(%d)", idx), func(st storage.Store) error { return st.Delete(idx) })
+}
+
+// TestStoreDifferential holds the log store to MemStore's behaviour, op by
+// op: the Store contract's delta-chain cases (storage's own tests pin them
+// on MemStore in absolute terms), then a seeded stream of saves, random
+// deletes and rollback-style delete-then-resave. The CI determinism lane
+// runs this as the storage differential.
 func TestStoreDifferential(t *testing.T) {
-	mem := storage.NewMemStore()
-	fs, err := storage.OpenFileStore(t.TempDir())
+	// sparse changes one entry per checkpoint, so records chain as deltas.
+	sparse := func(idx int) storage.Checkpoint {
+		cp := ckpt(idx)
+		cp.DV = vclock.New(16)
+		cp.DV[0] = idx
+		return cp
+	}
+	mustDo := func(t *testing.T, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatal("op refused by both stores, want accepted")
+		}
+	}
+
+	t.Run("long chains with interior deletes", func(t *testing.T) {
+		p := newStorePair(t)
+		const n = 3 * storage.FullEvery
+		for i := 0; i < n; i++ {
+			mustDo(t, p.save(sparse(i)))
+		}
+		for i := 0; i < n; i += 3 { // chain anchors and mid-chain deltas alike
+			mustDo(t, p.delete(i))
+		}
+		if st := p.log.Stats(); st.Peak != n || st.Live != n-(n+2)/3 {
+			t.Fatalf("Stats = %+v, want Peak=%d Live=%d", st, n, n-(n+2)/3)
+		}
+	})
+
+	t.Run("deleted chain base", func(t *testing.T) {
+		p := newStorePair(t)
+		for i := 0; i < 4; i++ {
+			mustDo(t, p.save(sparse(i)))
+		}
+		mustDo(t, p.delete(0)) // 1..3 still resolve through it
+		mustDo(t, p.delete(1))
+		if p.delete(0) {
+			t.Fatal("double delete of a dead chain base accepted")
+		}
+		if p.save(sparse(0)) {
+			t.Fatal("save onto an index a live chain still runs through accepted")
+		}
+		mustDo(t, p.delete(3)) // rollback: drop the top index, take it again
+		resaved := sparse(3)
+		resaved.State = []byte("again")
+		mustDo(t, p.save(resaved))
+		mustDo(t, p.delete(2))
+		mustDo(t, p.delete(3))
+		mustDo(t, p.save(sparse(0))) // the chain drained: index 0 is free
+	})
+
+	t.Run("seeded stream", func(t *testing.T) {
+		p := newStorePair(t)
+		rng := rand.New(rand.NewSource(7))
+		next := 0
+		var live []int
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // save the next index
+				cp := ckpt(next)
+				cp.DV = vclock.DV{rng.Intn(50), rng.Intn(50), rng.Intn(50), rng.Intn(50)}
+				mustDo(t, p.save(cp))
+				live = append(live, next)
+				next++
+			case r < 8 && len(live) > 0: // collect a random live checkpoint
+				at := rng.Intn(len(live))
+				mustDo(t, p.delete(live[at]))
+				live = append(live[:at], live[at+1:]...)
+			case r == 8 && len(live) > 2: // rollback: delete top-down, re-save
+				k := 1 + rng.Intn(2)
+				for i := 0; i < k; i++ {
+					mustDo(t, p.delete(live[len(live)-1]))
+					live = live[:len(live)-1]
+				}
+				next = live[len(live)-1] + 1
+			default: // delete of an absent index must fail everywhere
+				if p.delete(next + 100) {
+					t.Fatalf("step %d: delete of an absent index accepted", step)
+				}
+			}
+		}
+	})
+}
+
+// TestNoGoroutineLeakAfterStoreClose guards Close's two promises: after saves,
+// deletes heavy enough to kick a compaction and a trailing batch of staged
+// tombstones, the committer and compactor are gone when it returns (the
+// goroutine count is back at its pre-Open value), and closing again is a
+// no-op returning nil — the engines that own a store and the callers that
+// opened it may both close.
+func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := Open(t.TempDir(), Options{SegmentBytes: 512, Sync: func(*os.File) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := openTest(t, t.TempDir(), Options{SegmentBytes: 2048})
-	stores := map[string]storage.Store{"mem": mem, "file": fs, "log": ls}
-
-	rng := rand.New(rand.NewSource(7))
-	next := 0
-	var live []int
-	apply := func(do func(storage.Store) error) {
-		t.Helper()
-		errs := map[string]error{}
-		for name, st := range stores {
-			errs[name] = do(st)
+	// Deletes of 0..29 ride the saves that follow them, so sealed segments
+	// fall under CompactRatio and the compactor is kicked and at work when
+	// Close arrives; the tombstones of 30..39 are still staged then.
+	for i := 0; i < 50; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
 		}
-		if (errs["mem"] == nil) != (errs["file"] == nil) || (errs["mem"] == nil) != (errs["log"] == nil) {
-			t.Fatalf("backends disagree on op outcome: %v", errs)
+		if i >= 40 {
+			for d := (i - 40) * 3; d < (i-39)*3; d++ {
+				if err := s.Delete(d); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	for step := 0; step < 400; step++ {
-		switch r := rng.Intn(10); {
-		case r < 6: // save the next index
-			cp := ckpt(next)
-			cp.DV = vclock.DV{rng.Intn(50), rng.Intn(50), rng.Intn(50), rng.Intn(50)}
-			apply(func(st storage.Store) error { return st.Save(cp) })
-			live = append(live, next)
-			next++
-		case r < 8 && len(live) > 0: // collect a random live checkpoint
-			at := rng.Intn(len(live))
-			idx := live[at]
-			apply(func(st storage.Store) error { return st.Delete(idx) })
-			live = append(live[:at], live[at+1:]...)
-		case r == 8 && len(live) > 2: // rollback: delete top-down, re-save
-			k := 1 + rng.Intn(2)
-			for i := 0; i < k && len(live) > 0; i++ {
-				idx := live[len(live)-1]
-				apply(func(st storage.Store) error { return st.Delete(idx) })
-				live = live[:len(live)-1]
-			}
-			next = 0
-			for _, idx := range live {
-				if idx >= next {
-					next = idx + 1
-				}
-			}
-		default: // delete of an absent index must fail everywhere
-			apply(func(st storage.Store) error { return st.Delete(next + 100) })
+	for d := 30; d < 40; d++ {
+		if err := s.Delete(d); err != nil {
+			t.Fatal(err)
 		}
-
-		ref := mem.Indices()
-		for name, st := range stores {
-			if got := st.Indices(); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("step %d: %s Indices = %v, mem = %v", step, name, got, ref)
-			}
-		}
-		if len(ref) > 0 {
-			idx := ref[rng.Intn(len(ref))]
-			want, err := mem.Load(idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, st := range stores {
-				got, err := st.Load(idx)
-				if err != nil {
-					t.Fatalf("step %d: %s Load(%d): %v", step, name, idx, err)
-				}
-				if !got.DV.Equal(want.DV) || !bytes.Equal(got.State, want.State) {
-					t.Fatalf("step %d: %s Load(%d) = %+v, mem = %+v", step, name, idx, got, want)
-				}
-			}
-		}
-		refStats := mem.Stats()
-		for name, st := range stores {
-			if got := st.Stats(); got.Live != refStats.Live || got.Saved != refStats.Saved ||
-				got.Collected != refStats.Collected || got.LiveBytes != refStats.LiveBytes {
-				t.Fatalf("step %d: %s Stats = %+v, mem = %+v", step, name, got, refStats)
-			}
-		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	leakcheck.Settle(t, base)
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := s.Save(ckpt(50)); err == nil {
+		t.Fatal("Save on a closed store accepted")
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 )
 
 // corruptf builds a storage.ErrCorrupt-wrapped error, the loud-error
-// vocabulary shared with FileStore: callers match errors.Is, not strings.
+// vocabulary shared with the record decoder: callers match errors.Is, not
+// strings.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), storage.ErrCorrupt)
 }

@@ -1,10 +1,12 @@
 // Package storage provides the stable-storage abstraction of the model
 // (Section 2): a per-process store of stable checkpoints that persists
-// through crashes. Two implementations are provided: MemStore, an
-// accounting-only in-memory store used by the simulator, and FileStore,
-// which writes each checkpoint to its own file and genuinely survives a
-// simulated crash (the process state is discarded and the store reopened
-// from disk).
+// through crashes. There are two implementations. MemStore, here, is the
+// accounting-only in-memory store: the simulator's store and the oracle the
+// other is tested against ("stable" means surviving a simulated crash: the
+// kernel's volatile state is discarded, the store kept). The segmented
+// group-commit log store (internal/storage/logstore) is the durable one:
+// Save returns only after the record is flushed. This package also holds
+// the one on-disk record format (record.go), which the log's frames carry.
 //
 // Both stores track the live-checkpoint count and its high-water mark, which
 // the experiments use to measure the space bounds of Section 4.5.
@@ -54,8 +56,8 @@ type Store interface {
 	// recent checkpoint, which only a rollback deletes: a restart resumes
 	// from the most recent checkpoint it finds, so that delete — and with it
 	// every delete issued before it — is durable when Delete returns.
-	// MemStore and FileStore apply every delete at once; the log store
-	// defers as far as this contract allows.
+	// MemStore applies every delete at once; the log store defers as far as
+	// this contract allows.
 	Delete(index int) error
 	// Load returns the checkpoint with the given index.
 	Load(index int) (Checkpoint, error)
@@ -78,12 +80,13 @@ type Stats struct {
 // MemStore is an in-memory Store. The zero value is not usable; use
 // NewMemStore. MemStore is safe for concurrent use.
 //
-// Like FileStore, checkpoints are held delta-encoded: every fullEvery-th
-// record keeps its complete dependency vector, the records between keep
-// only the entries that changed against their predecessor. Save therefore
-// retains O(changed) instead of cloning a size-n vector per checkpoint —
-// the per-checkpoint cost the simulator's hot path pays — while Load
-// (recovery paths only) reconstructs through the chain.
+// Checkpoints are held delta-encoded, the shape the log store writes to
+// disk: every fullEvery-th record keeps its complete dependency vector, the
+// records between keep only the entries that changed against their
+// predecessor. Save therefore retains O(changed) instead of cloning a
+// size-n vector per checkpoint — the per-checkpoint cost the simulator's
+// hot path pays — while Load (recovery paths only) reconstructs through the
+// chain.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec
@@ -116,8 +119,8 @@ func (s *MemStore) SetObs(m obs.StoreMetrics, rec *obs.Recorder, process int) {
 // invisible to the Store interface and reaped once its dependent goes.
 // Deferred reaping keeps Delete O(1) — promoting the dependent would
 // reconstruct a size-n vector on every collection — at the price of at
-// most fullEvery−1 dead records per chain, each O(changed) small.
-// FileStore uses the same scheme with .dead tombstone files.
+// most fullEvery−1 dead records per chain, each O(changed) small. The log
+// store keeps a dead record's bytes as a chain base the same way.
 type memRec struct {
 	process int
 	dv      vclock.DV // nil for delta records

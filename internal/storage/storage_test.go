@@ -48,13 +48,6 @@ func testStoreBasics(t *testing.T, s Store) {
 }
 
 func TestMemStoreBasics(t *testing.T) { testStoreBasics(t, NewMemStore()) }
-func TestFileStoreBasics(t *testing.T) {
-	fs, err := OpenFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStoreBasics(t, fs)
-}
 
 // TestMemStoreIsolation checks stored checkpoints do not alias caller data.
 func TestMemStoreIsolation(t *testing.T) {
@@ -80,47 +73,7 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
-// TestFileStoreSurvivesCrash simulates a crash: the store handle is dropped
-// and the directory reopened; everything saved and not collected must be
-// recovered intact.
-func TestFileStoreSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		cp := Checkpoint{Process: 1, Index: i, DV: vclock.DV{i, i * 2}, State: []byte{byte(i)}}
-		if err := fs.Save(cp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenFileStore(dir) // crash + recovery
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := re.Indices(); !reflect.DeepEqual(got, []int{0, 1, 3, 4}) {
-		t.Fatalf("recovered Indices = %v, want [0 1 3 4]", got)
-	}
-	for _, i := range re.Indices() {
-		cp, err := re.Load(i)
-		if err != nil {
-			t.Fatalf("Load(%d) after crash: %v", i, err)
-		}
-		if cp.Index != i || cp.DV[0] != i || cp.DV[1] != i*2 || cp.State[0] != byte(i) {
-			t.Fatalf("recovered checkpoint %d corrupted: %+v", i, cp)
-		}
-	}
-	if st := re.Stats(); st.Live != 4 {
-		t.Fatalf("recovered Live = %d, want 4", st.Live)
-	}
-}
-
-// TestEncodeDecodeRoundTrip property-tests the file format.
+// TestEncodeDecodeRoundTrip property-tests the record format.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -143,7 +96,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsGarbage checks corrupted files are rejected, not parsed.
+// TestDecodeRejectsGarbage checks corrupted records are rejected, not parsed.
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeRecord([]byte("not a checkpoint")); err == nil {
 		t.Fatal("decode of garbage should fail")

@@ -5,11 +5,14 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/vclock"
 )
 
@@ -541,4 +544,42 @@ func TestTCPCloseUnblocks(t *testing.T) {
 	if err := mesh.Send(Message{From: 0, To: 1, Msg: 1, DV: []int{1}}); err == nil {
 		t.Log("send after close unexpectedly succeeded (buffered); acceptable")
 	}
+}
+
+// TestNoGoroutineLeakAfterTCPClose guards Close with live streams in both
+// directions between every pair: accept loops, per-connection readers and
+// any redial in progress are gone when it returns — the goroutine count is
+// back at its value before the mesh existed.
+func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
+	const n = 3
+	base := runtime.NumGoroutine()
+	mesh, err := NewTCP(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	if err := mesh.Start(func(Message) { delivered.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from == to {
+				continue
+			}
+			if err := mesh.Send(Message{From: from, To: to, DV: make([]int, n)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Every stream has carried a frame end to end, so each has a reader.
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() < n*(n-1); {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d frames", delivered.Load(), n*(n-1))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := mesh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Settle(t, base)
 }

@@ -140,7 +140,8 @@ func (c *Cluster) HealAll() int { return c.c.HealAll() }
 // PartitionedPairs reports how many directed pairs are currently severed.
 func (c *Cluster) PartitionedPairs() int { return c.c.PartitionedPairs() }
 
-// Close releases network resources (the TCP mesh, when enabled).
+// Close releases the TCP mesh, when enabled, and closes the stable stores
+// the cluster opened. The cluster is unusable afterwards.
 func (c *Cluster) Close() error { return c.c.Close() }
 
 // History returns the linearized executed history.

@@ -148,17 +148,16 @@ func (c Collector) String() string {
 // see the Backend* constants.
 type Backend = storage.Backend
 
-// Storage backends. BackendMem keeps checkpoints in memory (the default),
-// BackendFile writes one file per checkpoint with atomic tmp+rename,
-// BackendLog appends to a segmented group-commit log with checksummed
-// batches, crash-truncated tails and background compaction.
+// Storage backends. BackendMem keeps checkpoints in memory (the default;
+// nothing survives the process). BackendLog is the durable one: it appends
+// to a segmented group-commit log with checksummed batches, a flush before
+// every Save returns, crash-truncated tails and background compaction.
 const (
-	BackendMem  = storage.Mem
-	BackendFile = storage.File
-	BackendLog  = storage.Log
+	BackendMem = storage.Mem
+	BackendLog = storage.Log
 )
 
-// ParseBackend parses a backend name as the CLIs spell it: mem, file, log.
+// ParseBackend parses a backend name as the CLIs spell it: mem or log.
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // Option configures New and NewCluster.
@@ -188,14 +187,10 @@ func WithCollector(c Collector) Option { return func(o *options) { o.collector =
 
 // WithStorage selects the stable-storage backend and its root directory
 // (one subdirectory per process). Dir is ignored by BackendMem and required
-// by the on-disk backends.
+// by BackendLog.
 func WithStorage(b Backend, dir string) Option {
 	return func(o *options) { o.backend, o.storageDir = b, dir }
 }
-
-// WithFileStorage stores checkpoints under dir (one subdirectory per
-// process) instead of in memory. It is WithStorage(BackendFile, dir).
-func WithFileStorage(dir string) Option { return WithStorage(BackendFile, dir) }
 
 // WithStateSize sets the opaque state payload saved with each checkpoint,
 // for storage-byte accounting.
@@ -280,6 +275,10 @@ func New(n int, opt ...Option) (*System, error) {
 	}
 	return &System{n: n, r: r}, nil
 }
+
+// Close closes the stable stores the system opened (a no-op for
+// BackendMem). The system is unusable afterwards.
+func (s *System) Close() error { return s.r.Close() }
 
 // N returns the number of processes.
 func (s *System) N() int { return s.n }

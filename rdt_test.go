@@ -56,22 +56,27 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
-// TestFileStorageOption runs a system on disk-backed stores.
-func TestFileStorageOption(t *testing.T) {
-	sys, err := rdt.New(3, rdt.WithFileStorage(t.TempDir()), rdt.WithStateSize(128))
+// TestLogStorageOption runs a system on disk-backed stores and closes it.
+func TestLogStorageOption(t *testing.T) {
+	sys, err := rdt.New(3, rdt.WithStorage(rdt.BackendLog, t.TempDir()), rdt.WithStateSize(128))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if err := sys.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
 	if err := sys.Run(rdt.Workload(rdt.Ring, rdt.WorkloadOptions{N: 3, Ops: 120, Seed: 2})); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.StorageStats(0)
 	if st.Live == 0 || st.LiveBytes == 0 {
-		t.Errorf("file storage stats empty: %+v", st)
+		t.Errorf("log storage stats empty: %+v", st)
 	}
 }
 
-// TestStorageBackendOption runs the same workload on every backend through
+// TestStorageBackendOption runs the same workload on both backends through
 // WithStorage and checks the storage views agree: the collector's behavior
 // must not depend on which engine holds the stable bytes.
 func TestStorageBackendOption(t *testing.T) {
@@ -83,11 +88,15 @@ func TestStorageBackendOption(t *testing.T) {
 	}
 	script := rdt.Workload(rdt.Uniform, rdt.WorkloadOptions{N: 3, Ops: 150, Seed: 5})
 	var views [][][]int
-	for _, b := range []rdt.Backend{rdt.BackendMem, rdt.BackendFile, rdt.BackendLog} {
+	if _, err := rdt.ParseBackend("file"); err == nil {
+		t.Error("ParseBackend accepted the retired file backend")
+	}
+	for _, b := range []rdt.Backend{rdt.BackendMem, rdt.BackendLog} {
 		sys, err := rdt.New(3, rdt.WithStorage(b, t.TempDir()), rdt.WithStateSize(64))
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
+		defer sys.Close()
 		if err := sys.Run(script); err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
