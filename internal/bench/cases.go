@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"sync"
 
@@ -102,6 +103,16 @@ func Suite(sizes []int) []Case {
 	// per-destination state, plus the receiving kernel's sparse expand,
 	// FIFO verification and merge — the hot path of WithCompression runs.
 	add("node/send-compressed", 1, nodeSendCompressedCase)
+	// The same path with the shape of uniform traffic: n kernels, one
+	// message in flight per kernel, seeded uniform destinations, every
+	// delivery followed by the receiver's next send. A pair is used once in
+	// ~n sends, so nearly the whole vector moves between two of its
+	// messages (entries/msg ≈ n−3) and the encode's change-log window is
+	// tens of times n — the case above, at one entry per message, never
+	// sees that. The driver recycles entry buffers and RDT-LGC collects
+	// what FDAS forces, so the whole step allocates nothing. Capped at 128:
+	// set-up syncs n² pairs at n entries each.
+	addTo("node/send-compressed-uniform", 0, 128, nodeSendCompressedUniformCase)
 	// TCP mesh framing round trip (encode + decode of one message).
 	add("transport/roundtrip", 0, transportCase)
 	// Sparse frame round trip: a handful of changed entries instead of a
@@ -445,9 +456,10 @@ func replayCase(n int) func(*T) {
 // benchKernel assembles a kernel with the production stack (FDAS +
 // RDT-LGC on an in-memory store), the configuration both engine-level
 // benchmarks ultimately exercise.
-func benchKernel(t *T, id, n int, compress bool) *node.Kernel {
+func benchKernel(t *T, id, n int, compress bool, drv node.Driver) *node.Kernel {
 	k, err := node.New(node.Config{
-		ID: id, N: n,
+		Driver: drv,
+		ID:     id, N: n,
 		Store:    storage.NewMemStore(),
 		Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
@@ -507,7 +519,7 @@ func nodeCheckpointKVCase(n int) func(*T) {
 
 func nodeDeliverCase(n int) func(*T) {
 	return func(t *T) {
-		k := benchKernel(t, 0, n, false)
+		k := benchKernel(t, 0, n, false, nil)
 		peer := vclock.New(n)
 		pb := node.Piggyback{DV: peer}
 		t.Start()
@@ -533,8 +545,8 @@ func nodeDeliverCase(n int) func(*T) {
 
 func nodeSendCompressedCase(n int) func(*T) {
 	return func(t *T) {
-		a := benchKernel(t, 0, n, true)
-		b := benchKernel(t, 1, n, true)
+		a := benchKernel(t, 0, n, true, nil)
+		b := benchKernel(t, 1, n, true, nil)
 		t.Start()
 		for i := 0; i < t.N; i++ {
 			// A checkpoint changes exactly one entry of a's vector, so the
@@ -551,6 +563,83 @@ func nodeSendCompressedCase(n int) func(*T) {
 			}
 		}
 		t.Metric("entries/msg", float64(a.PiggybackEntries())/float64(t.N))
+	}
+}
+
+// entryRecycler is the smallest node.Driver that gives compressed
+// piggybacks the buffer lifecycle the live runtime gives them: the case
+// returns a delivered message's entries, the next send draws them again.
+type entryRecycler struct{ free [][]node.Entry }
+
+func (d *entryRecycler) CloneDV(src vclock.DV) vclock.DV   { return src.Clone() }
+func (d *entryRecycler) CheckpointState() []byte           { return nil }
+func (d *entryRecycler) OnKernelCheckpoint(int, int, bool) {}
+
+func (d *entryRecycler) EntryBuf() []node.Entry {
+	k := len(d.free)
+	if k == 0 {
+		return nil
+	}
+	buf := d.free[k-1]
+	d.free = d.free[:k-1]
+	return buf
+}
+
+func nodeSendCompressedUniformCase(n int) func(*T) {
+	return func(t *T) {
+		drv := &entryRecycler{}
+		ks := make([]*node.Kernel, n)
+		for i := range ks {
+			ks[i] = benchKernel(t, i, n, true, drv)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		type msg struct {
+			to int
+			pb node.Piggyback
+		}
+		send := func(from int) msg {
+			to := rng.Intn(n - 1)
+			if to >= from {
+				to++
+			}
+			pb, err := ks[from].Send(to)
+			if err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			return msg{to: to, pb: pb}
+		}
+		// The messages in flight, oldest at head: delivering in global send
+		// order keeps every pair FIFO.
+		ring := make([]msg, n)
+		for i := range ring {
+			ring[i] = send(i)
+		}
+		head := 0
+		step := func() {
+			m := ring[head]
+			if _, err := ks[m.to].Deliver(m.pb); err != nil {
+				t.Fatalf("deliver: %v", err)
+			}
+			drv.free = append(drv.free, m.pb.Entries[:0])
+			ring[head] = send(m.to)
+			head = (head + 1) % n
+		}
+		for i := 0; i < 16*n*n; i++ {
+			step() // sync the pairs; grow logs, buffers and stores to steady size
+		}
+		sent := 0
+		for _, k := range ks {
+			sent -= k.PiggybackEntries()
+		}
+		t.Start()
+		for i := 0; i < t.N; i++ {
+			step()
+		}
+		t.Stop()
+		for _, k := range ks {
+			sent += k.PiggybackEntries()
+		}
+		t.Metric("entries/msg", float64(sent)/float64(t.N))
 	}
 }
 

@@ -1,6 +1,8 @@
 package node_test
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/node"
@@ -85,6 +87,93 @@ func TestLazyEncodeMatchesEager(t *testing.T) {
 	if eagerA.PiggybackEntries() != lazyA.PiggybackEntries() {
 		t.Fatalf("piggyback accounting diverged: eager %d lazy %d",
 			eagerA.PiggybackEntries(), lazyA.PiggybackEntries())
+	}
+	lazyMatchesEagerDenseUniform(t)
+}
+
+// lazyMatchesEagerDenseUniform is the same comparison on the traffic that
+// takes the send-time encoder's other enumeration: n kernels, seeded
+// uniform destinations, messages delivered late in per-pair FIFO order, so
+// between two messages of a pair the sender's change log grows by more
+// than n and the eager side scans per entry while the lazy side — whose
+// snapshot is older than its vector — must replay the log window.
+func lazyMatchesEagerDenseUniform(t *testing.T) {
+	const n = 8
+	eager, lazy := make([]*node.Kernel, n), make([]*node.Kernel, n)
+	for i := range eager {
+		eager[i], lazy[i] = kernel(t, i, n, true), kernel(t, i, n, true)
+	}
+	type flight struct {
+		from, to int
+		ePb, lPb node.Piggyback
+		ord      int
+	}
+	var inFlight []flight
+	sent := make([]int, n)
+	rng := rand.New(rand.NewSource(8))
+	longWindows := 0
+
+	deliver := func(at int) {
+		m := inFlight[at]
+		inFlight = append(inFlight[:at], inFlight[at+1:]...)
+		entries, ord, err := lazy[m.from].EncodeFor(m.to, m.ord, m.lPb.Pos, m.lPb.DV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortedEntries(t, entries)
+		if !slices.Equal(entries, m.ePb.Entries) || ord != m.ePb.Ord {
+			t.Fatalf("p%d→p%d: lazy %v (ord %d) != eager %v (ord %d)", m.from, m.to, entries, ord, m.ePb.Entries, m.ePb.Ord)
+		}
+		if _, err := eager[m.to].Deliver(m.ePb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lazy[m.to].Deliver(node.Piggyback{
+			Entries: entries, Compressed: true, From: m.from, Ord: ord, Index: m.lPb.Index,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; step < 600; step++ {
+		from := rng.Intn(n)
+		to := rng.Intn(n - 1)
+		if to >= from {
+			to++
+		}
+		if w, synced := eager[from].EncodeWindow(to); synced && w >= n {
+			longWindows++
+		}
+		ePb, err := eager[from].Send(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFlight = append(inFlight, flight{from: from, to: to, ePb: ePb, lPb: lazy[from].SendSnapshot(), ord: sent[from]})
+		sent[from]++
+		// Deliver the oldest message of a random pair: late, out of global
+		// order, in pair order.
+		for len(inFlight) > 0 && (len(inFlight) > 6 || rng.Intn(2) == 0) {
+			pick := inFlight[rng.Intn(len(inFlight))]
+			for at, m := range inFlight {
+				if m.from == pick.from && m.to == pick.to {
+					deliver(at)
+					break
+				}
+			}
+		}
+	}
+	for len(inFlight) > 0 {
+		deliver(0)
+	}
+	if longWindows < 100 {
+		t.Fatalf("only %d of 600 sends had a window of at least n; the traffic is not dense", longWindows)
+	}
+	for i := range eager {
+		if !eager[i].DV().Equal(lazy[i].DV()) {
+			t.Fatalf("p%d diverged: eager %v lazy %v", i, eager[i].DV(), lazy[i].DV())
+		}
+		if eager[i].PiggybackEntries() != lazy[i].PiggybackEntries() {
+			t.Fatalf("p%d piggyback accounting diverged: eager %d lazy %d",
+				i, eager[i].PiggybackEntries(), lazy[i].PiggybackEntries())
+		}
 	}
 }
 

@@ -38,9 +38,10 @@ import (
 //     (and the same deletions, since refcounts pass through the same
 //     minima in both forms).
 //   - The compressor's change log is only read at encode time (under the
-//     same engine lock that serializes deliveries), and encode deduplicates
-//     through its seen/stamp pass — noting the union of increased indices
-//     once per flush covers the same log window with the same set.
+//     same engine lock that serializes deliveries), and an encode sends an
+//     index once however often the window holds it — noting the union of
+//     increased indices once per flush covers the same log window with the
+//     same set.
 //
 // The cross-engine differential test (bit-identical histories against the
 // sequential simulator) and TestDeliverBatchMatchesSequential are the

@@ -70,6 +70,12 @@ type Driver interface {
 	// carries; engines with a snapshot freelist serve it from there so the
 	// kernel's send path stays allocation-lean.
 	CloneDV(src vclock.DV) vclock.DV
+	// EntryBuf returns an empty buffer for the entries of a compressed
+	// piggyback built at send time (Kernel.Send) — of any capacity, nil
+	// included; the kernel grows it at most once, to the message's entry
+	// count. An engine that learns when a message's piggyback is dead
+	// serves the buffers from a freelist, as with CloneDV.
+	EntryBuf() []Entry
 	// CheckpointState returns the opaque state payload stored with
 	// checkpoints of kernels without an attached application (byte
 	// accounting); nil for none.
@@ -197,8 +203,10 @@ func (k *Kernel) ID() int { return k.cfg.ID }
 
 // Send produces the piggyback for a message to dest and notifies the
 // protocol of the send. With compression the changed entries are encoded
-// here, against the pair's previous message; without it the piggyback is a
-// full snapshot (via the CloneDV hook) and dest is not consulted.
+// here, against the pair's previous message, into a buffer from the
+// driver's EntryBuf hook, which the engine owns until the message is
+// consumed; without it the piggyback is a full snapshot (via the CloneDV
+// hook) and dest is not consulted.
 func (k *Kernel) Send(dest int) (Piggyback, error) {
 	if !k.cfg.Compress {
 		return k.SendSnapshot(), nil
@@ -207,12 +215,19 @@ func (k *Kernel) Send(dest int) (Piggyback, error) {
 		return Piggyback{}, fmt.Errorf("node: p%d sending to invalid destination %d", k.cfg.ID, dest)
 	}
 	idx := k.proto.OnSend()
-	// Encoding at send time covers the log up to this instant; the result
-	// escapes onto the engine's network, so no buffer is reused.
-	entries, ord, err := k.comp.encode(dest, k.comp.nextOrd(dest), k.comp.pos(), k.dv, nil)
+	// Encoding at send time covers the log up to this instant.
+	entries, ord, err := k.comp.encode(dest, k.comp.nextOrd(dest), k.comp.pos(), k.dv)
 	if err != nil {
 		return Piggyback{}, err
 	}
+	// The result escapes onto the engine's network, so it leaves the
+	// encoder's buffer for one the driver owns — sized by what this message
+	// carries, never by n.
+	var buf []Entry
+	if k.cfg.Driver != nil {
+		buf = k.cfg.Driver.EntryBuf()
+	}
+	entries = append(buf[:0], entries...)
 	k.pbEntries += len(entries)
 	k.cfg.Metrics.PiggybackEntries.Add(uint64(len(entries)))
 	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
@@ -263,11 +278,10 @@ func (k *Kernel) EncodeFor(dest, sendOrd, pos int, snapshot vclock.DV) ([]Entry,
 		return nil, 0, fmt.Errorf("node: p%d is not compressing piggybacks", k.cfg.ID)
 	}
 	k.comp.release(pos)
-	entries, ord, err := k.comp.encode(dest, sendOrd, pos, snapshot, k.comp.entBuf[:0])
+	entries, ord, err := k.comp.encode(dest, sendOrd, pos, snapshot)
 	if err != nil {
 		return nil, 0, err
 	}
-	k.comp.entBuf = entries
 	k.pbEntries += len(entries)
 	k.cfg.Metrics.PiggybackEntries.Add(uint64(len(entries)))
 	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))

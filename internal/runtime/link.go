@@ -230,7 +230,7 @@ func (c *Cluster) park(pl *pairLink, from, to int, run []pending, releaseFlight 
 	for k := range run {
 		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
 			c.obs.LinkLost.Inc()
-			c.recycleDV(run[k].pb.DV)
+			c.recycle(run[k].pb)
 		} else {
 			pl.parked = append(pl.parked, run[k])
 			c.obs.LinkParked.Add(1)
@@ -254,10 +254,11 @@ func (c *Cluster) pruneWindow(pl *pairLink, from, to int) {
 	}
 }
 
-// dropOldest retires the window's oldest frame, returning its piggyback
-// snapshot to the freelist. Called with pl.mu held.
+// dropOldest retires the window's oldest frame, returning its piggyback's
+// buffer — snapshot or entries — to the freelist: the frame can no longer be
+// retransmitted, so nothing reads it again. Called with pl.mu held.
 func (c *Cluster) dropOldest(pl *pairLink) {
-	c.recycleDV(pl.window.at(0).pb.DV)
+	c.recycle(pl.window.at(0).pb)
 	pl.window.pop()
 	pl.winBase++
 }
@@ -402,7 +403,7 @@ func (c *Cluster) dropParkedLocked(pl *pairLink) {
 		pl.timer = nil
 	}
 	for i := range pl.parked {
-		c.recycleDV(pl.parked[i].pb.DV)
+		c.recycle(pl.parked[i].pb)
 	}
 	if len(pl.parked) > 0 {
 		c.obs.LinkParked.Add(-int64(len(pl.parked)))

@@ -295,3 +295,84 @@ func TestPartitionDifferentialDelivery(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionRetransmitKeepsEntryBuffers is the ownership rule of
+// compressed piggybacks under the one condition that stretches it: a frame's
+// entries live in a recycled buffer, and the frame sits parked behind a
+// broken link — then in the retransmit window — while the sender goes on
+// encoding other messages out of the same freelist. Were a buffer recycled
+// while the backlog still held it, a later message would overwrite the
+// parked frame's entries: under -race that is a reported race, and in any
+// build the receiver's vector would stop matching the replayed pattern.
+// Message ids, per-pair order and the kernels' FIFO verification (a delivery
+// panic) cover loss, duplication and reordering.
+func TestPartitionRetransmitKeepsEntryBuffers(t *testing.T) {
+	const (
+		n      = 4
+		rounds = 60
+	)
+	c := compressedTCPCluster(t, n, runtime.LinkOptions{})
+	defer c.Close()
+
+	// Warm every pair and the freelist, so what parks below are incremental
+	// frames in buffers that have already been around once.
+	for k := 0; k < 3; k++ {
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if to != from {
+					if err := c.Node(from).Send(to); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		c.Quiesce()
+	}
+
+	c.BreakLink(0, 1)
+	for k := 0; k < rounds; k++ {
+		// p0's vector moves (its own checkpoint, news from p2 and p3), each
+		// version goes to the dead link, and live pairs keep the freelist
+		// turning over in between.
+		if err := c.Node(0).Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, hop := range [][2]int{{0, 1}, {2, 0}, {0, 2}, {3, 0}, {0, 3}, {2, 3}} {
+			if err := c.Node(hop[0]).Send(hop[1]); err != nil {
+				t.Fatalf("round %d: p%d→p%d: %v", k, hop[0], hop[1], err)
+			}
+		}
+		c.Quiesce() // parked frames hold no in-flight accounting
+	}
+	_, before := counts(c.History())
+	if !c.HealLink(0, 1) {
+		t.Fatal("HealLink(0,1) found no break to lift")
+	}
+	c.Quiesce()
+
+	h := c.History()
+	if err := h.Validate(); err != nil {
+		t.Fatalf("history invalid after the heal: %v", err)
+	}
+	sends, recvs := counts(h)
+	if recvs != sends {
+		t.Fatalf("%d of %d messages delivered after the heal", recvs, sends)
+	}
+	if recvs-before < rounds {
+		t.Fatalf("the heal delivered %d messages; %d were sent into the break", recvs-before, rounds)
+	}
+	for pair, stream := range pairStreams(h) {
+		for i := 1; i < len(stream); i++ {
+			if stream[i] <= stream[i-1] {
+				t.Fatalf("pair %v delivered out of order: %v", pair, stream)
+			}
+		}
+	}
+	oracle := c.Oracle()
+	for i := 0; i < n; i++ {
+		vol := ccp.CheckpointID{Process: i, Index: oracle.VolatileIndex(i)}
+		if got, want := c.Node(i).CurrentDV(), oracle.DV(vol); !got.Equal(want) {
+			t.Errorf("p%d live DV %v != replayed %v: a parked frame's entries were overwritten", i, got, want)
+		}
+	}
+}

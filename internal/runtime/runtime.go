@@ -129,13 +129,16 @@ type Cluster struct {
 	tick       atomic.Uint64
 	cutVisited int
 
-	// dvMu guards dvFree, the freelist full-vector piggyback snapshots are
-	// drawn from (CloneDV) and returned to once a delivery has consumed
-	// them — the live-runtime counterpart of the simulator's snapshot
-	// recycling, so the per-message send path stops allocating a fresh
-	// vector clone.
-	dvMu   sync.Mutex
-	dvFree []vclock.DV
+	// dvMu guards the piggyback freelists: dvFree, which full-vector
+	// snapshots are drawn from (CloneDV), and entFree, which the entry
+	// buffers of compressed piggybacks are drawn from (EntryBuf). Both are
+	// returned by recycle once nothing on the sender's side can read the
+	// piggyback again — a delivery consumed it, or the pair's retransmit
+	// window pruned its frame — so the per-message send path allocates
+	// neither.
+	dvMu    sync.Mutex
+	dvFree  []vclock.DV
+	entFree [][]node.Entry
 
 	// pendMu guards pendFree, the freelist of inbound-batch slices onWire
 	// draws from: mesh streams to one receiver run concurrent readLoops, so
@@ -530,16 +533,41 @@ func (c *Cluster) CloneDV(src vclock.DV) vclock.DV {
 	return src.Clone()
 }
 
-// recycleDV returns a consumed piggyback snapshot to the freelist. Only
-// full-size vectors are kept; nil (compressed piggybacks) and foreign
-// lengths are dropped.
-func (c *Cluster) recycleDV(dv vclock.DV) {
-	if len(dv) != c.cfg.N {
-		return
-	}
+// EntryBuf implements node.Driver: the buffer a compressed piggyback's
+// entries are built in, from the freelist when a pruned frame has returned
+// one. Buffers keep whatever capacity their messages grew them to; nothing
+// here sizes one by n, so sparse traffic at large n stays small.
+func (c *Cluster) EntryBuf() []node.Entry {
 	c.dvMu.Lock()
-	c.dvFree = append(c.dvFree, dv)
-	c.dvMu.Unlock()
+	defer c.dvMu.Unlock()
+	k := len(c.entFree)
+	if k == 0 {
+		return nil
+	}
+	buf := c.entFree[k-1]
+	c.entFree = c.entFree[:k-1]
+	return buf
+}
+
+// recycle returns a dead piggyback's buffer to its freelist: the entry
+// buffer of a compressed one, the snapshot of a full-vector one (full-size
+// vectors only; foreign lengths are dropped). The caller guarantees nothing
+// will read the piggyback again, and that its memory came from CloneDV or
+// EntryBuf — never a transport frame view.
+func (c *Cluster) recycle(pb node.Piggyback) {
+	switch {
+	case pb.Compressed:
+		if cap(pb.Entries) == 0 {
+			return
+		}
+		c.dvMu.Lock()
+		c.entFree = append(c.entFree, pb.Entries[:0])
+		c.dvMu.Unlock()
+	case len(pb.DV) == c.cfg.N:
+		c.dvMu.Lock()
+		c.dvFree = append(c.dvFree, pb.DV)
+		c.dvMu.Unlock()
+	}
 }
 
 // CheckpointState implements node.Driver: live checkpoints carry the
@@ -666,7 +694,7 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		// The unused snapshot still feeds the freelist. A compressed
 		// cluster never draws drops (loss is rejected at configuration
 		// time), so a dropped message cannot leave a FIFO gap.
-		n.c.recycleDV(pb.DV)
+		n.c.recycle(pb)
 		n.mu.Unlock()
 		return nil
 	}

@@ -238,7 +238,7 @@ func (c *Cluster) dispatch(to int, batch []pending) {
 		// batch slice for its next drain.
 		c.nodes[to].ingest(batch)
 		for i := range batch {
-			c.recycleDV(batch[i].pb.DV)
+			c.recycle(batch[i].pb)
 			c.inflight.Done()
 		}
 		return
@@ -246,7 +246,7 @@ func (c *Cluster) dispatch(to int, batch []pending) {
 	// Every TCP cluster runs the reliability layer, so each (sender,
 	// destination) run routes through the pair's link: wire seqs stamped
 	// there, accepted frames entering the retransmit window — the piggyback
-	// snapshots recycle when the window prunes them, not here — and refused
+	// buffers recycle when the window prunes them, not here — and refused
 	// frames parking for the reconnect instead of dropping.
 	for i := 0; i < len(batch); {
 		j := i

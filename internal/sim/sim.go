@@ -229,6 +229,11 @@ func (r *Runner) CloneDV(src vclock.DV) vclock.DV {
 	return src.Clone()
 }
 
+// EntryBuf implements node.Driver. The runner encodes lazily (EncodeFor,
+// which reuses the kernel's own buffer) and never calls Kernel.Send on a
+// compressing kernel, so there is nothing to recycle.
+func (r *Runner) EntryBuf() []node.Entry { return nil }
+
 func (r *Runner) send(p *node.Kernel) int {
 	// Scripts bind the destination at the receive operation, so the kernel
 	// produces a full snapshot here; compressed runs encode lazily at

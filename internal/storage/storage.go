@@ -99,6 +99,16 @@ type MemStore struct {
 	chain   int          // delta records since the last full one
 	diffBuf vclock.Delta // reused DiffAppend buffer
 
+	// spareEnt/spareDV hold the vector copies of the records reaped last,
+	// for the next Save to copy into: a collector that deletes as fast as
+	// it saves (RDT-LGC, Section 4.5) then saves without allocating. Fixed
+	// arrays, so keeping a spare costs nothing and the lists cannot grow;
+	// Load clones, so no caller can hold a recycled buffer.
+	spareEnt  [maxSpare]vclock.Delta
+	spareDV   [maxSpare]vclock.DV
+	nSpareEnt int
+	nSpareDV  int
+
 	obs    obs.StoreMetrics // zero (free) unless SetObs attached handles
 	flight *obs.Recorder
 	proc   int
@@ -129,6 +139,24 @@ type memRec struct {
 	delta   bool
 	dead    bool
 	state   []byte
+}
+
+// maxSpare bounds each of MemStore's spare lists: a burst of collections
+// larger than this drops the rest to the garbage collector.
+const maxSpare = 16
+
+// reap removes a record nothing references any more and keeps its vector
+// copy for the next Save.
+func (s *MemStore) reap(index int, rec memRec) {
+	delete(s.byIdx, index)
+	if cap(rec.entries) > 0 && s.nSpareEnt < maxSpare {
+		s.spareEnt[s.nSpareEnt] = rec.entries[:0]
+		s.nSpareEnt++
+	}
+	if len(rec.dv) > 0 && s.nSpareDV < maxSpare {
+		s.spareDV[s.nSpareDV] = rec.dv
+		s.nSpareDV++
+	}
 }
 
 // insertSorted adds idx to an ascending index slice. Checkpoint indices
@@ -196,11 +224,22 @@ func (s *MemStore) Save(cp Checkpoint) error {
 		} else {
 			rec.delta = true
 			rec.base = s.lastIdx
-			rec.entries = append(vclock.Delta(nil), s.diffBuf...)
+			var buf vclock.Delta
+			if s.nSpareEnt > 0 {
+				s.nSpareEnt--
+				buf = s.spareEnt[s.nSpareEnt]
+			}
+			rec.entries = append(buf, s.diffBuf...)
 		}
 	}
 	if !asDelta {
-		rec.dv = cp.DV.Clone()
+		if k := s.nSpareDV - 1; k >= 0 && len(s.spareDV[k]) == len(cp.DV) {
+			s.nSpareDV = k
+			rec.dv = s.spareDV[k]
+			rec.dv.CopyFrom(cp.DV)
+		} else {
+			rec.dv = cp.DV.Clone()
+		}
 		s.chain = 0
 	} else {
 		s.child[s.lastIdx] = cp.Index
@@ -260,7 +299,7 @@ func (s *MemStore) Delete(index int) error {
 	// Nothing depends on this record: reap it, and walk the base chain
 	// reaping dead records this was the last dependent of.
 	for {
-		delete(s.byIdx, index)
+		s.reap(index, rec)
 		if !rec.delta {
 			return nil
 		}

@@ -125,3 +125,60 @@ func TestStatsPeakTracking(t *testing.T) {
 		t.Fatalf("Stats = %+v, want Peak=4 Live=1 PeakBytes=40 LiveBytes=10", st)
 	}
 }
+
+// TestMemStoreReusesReapedVectors runs the collector's steady state — every
+// save followed by the delete of the checkpoint it made obsolete — and
+// checks that Save copies into the vectors Delete reaped instead of
+// allocating, that a checkpoint loaded before its record was reaped does not
+// change when the buffer is reused, that what stays live still loads
+// exactly, and that the spare lists stay capped when many records go at
+// once.
+func TestMemStoreReusesReapedVectors(t *testing.T) {
+	const n = 32
+	s := NewMemStore()
+	dv := vclock.New(n)
+	idx := 0
+	save := func() {
+		dv[idx%n] += 2
+		dv[(7*idx+3)%n]++
+		if err := s.Save(Checkpoint{Index: idx, DV: dv}); err != nil {
+			t.Fatal(err)
+		}
+		idx++
+	}
+	cycle := func() {
+		save()
+		if err := s.Delete(idx - 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	for i := 0; i < 4*fullEvery; i++ {
+		cycle() // through several full records and delta chains
+	}
+	held, err := s.Load(idx - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := held.DV.Clone()
+	if allocs := testing.AllocsPerRun(20*fullEvery, cycle); allocs != 0 {
+		t.Errorf("save+delete cycle: %v allocs/op, want 0", allocs)
+	}
+	if !held.DV.Equal(want) {
+		t.Fatalf("a loaded checkpoint changed after its record was reaped and reused: %v, want %v", held.DV, want)
+	}
+	if got, err := s.Load(idx - 1); err != nil || !got.DV.Equal(dv) {
+		t.Fatalf("live checkpoint loads as %v (err %v), want %v", got.DV, err, dv)
+	}
+	for i := 0; i < 4*maxSpare; i++ {
+		save()
+	}
+	for _, i := range s.Indices() {
+		if err := s.Delete(i); err != nil { // must not run off the spare arrays
+			t.Fatal(err)
+		}
+	}
+	if s.nSpareEnt > maxSpare || s.nSpareDV > maxSpare || s.nSpareEnt+s.nSpareDV == 0 {
+		t.Fatalf("spare lists hold %d delta and %d full vectors, cap is %d each", s.nSpareEnt, s.nSpareDV, maxSpare)
+	}
+}

@@ -549,8 +549,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// ownership handoff).
 	frameBufs := make([][]byte, maxInboundBatch)
 	batch := make([]Message, 0, maxInboundBatch)
+	// hdr is the stream's one length-prefix buffer. It escapes through
+	// io.ReadFull, so it lives out here: one allocation per stream, not one
+	// per frame.
+	var hdr [8]byte
 	readFrame := func(slot int) (Message, error) {
-		var hdr [8]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return Message{}, err
 		}
