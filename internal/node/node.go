@@ -80,11 +80,13 @@ type Driver interface {
 	// checkpoints of kernels without an attached application (byte
 	// accounting); nil for none.
 	CheckpointState() []byte
-	// OnKernelCheckpoint runs after kernel self made checkpoint index
-	// durable and visible to its collector (basic and forced alike,
-	// including the forced checkpoints Deliver takes). Engines hook their
-	// history recording here so forced checkpoints land at the right point
-	// of the linearized order.
+	// OnKernelCheckpoint runs after kernel self stored checkpoint index —
+	// Store.Save returned: durable, or only staged if the engine took the
+	// wait for durability on itself with Store.NotifyDurable — and made it
+	// visible to its collector (basic and forced alike, including the forced
+	// checkpoints Deliver takes). Engines hook their history recording here
+	// so forced checkpoints land at the right point of the linearized order;
+	// an engine that stages reads the checkpoint's stage number here.
 	OnKernelCheckpoint(self, index int, basic bool)
 }
 
@@ -328,8 +330,9 @@ func (k *Kernel) Deliver(pb Piggyback) (forced bool, err error) {
 }
 
 // Checkpoint takes a checkpoint (basic or forced): the current interval is
-// closed by a durable store write, the collector is notified, the local
-// vector entry advances. It returns the index of the new stable checkpoint.
+// closed by a store write (durable on return, or staged — see
+// storage.Store.Save), the collector is notified, the local vector entry
+// advances. It returns the index of the new stable checkpoint.
 func (k *Kernel) Checkpoint(basic bool) (int, error) {
 	index := k.dv[k.cfg.ID]
 	if err := k.store.Save(storage.Checkpoint{

@@ -75,6 +75,11 @@ const (
 	RuntimeLinkLost        = "runtime.link.lost"
 	RuntimeLinkDups        = "runtime.link.duplicates"
 	RuntimeLinkBackoffNs   = "runtime.link.backoff_ns"
+	// Egress fence (output commit): depth is the outgoing frames held back
+	// because they name a checkpoint that is staged and not yet durable,
+	// summed over the nodes; wait_ns is how long each released frame was held.
+	RuntimeFenceDepth  = "runtime.fence_depth"
+	RuntimeFenceWaitNs = "runtime.fence_wait_ns"
 
 	// Transport (internal/transport).
 	TransportBatches        = "transport.batches"
@@ -107,6 +112,7 @@ const (
 	StorageCompactions  = "storage.compactions"          // segments rewritten and dropped
 	StorageTornTails    = "storage.torn_tails"           // torn tails truncated at replay
 	StorageLiveRatioPct = "storage.live_ratio_pct"       // live bytes / log bytes, percent
+	StorageDurableLag   = "storage.durable_lag"          // saves staged and not yet durable (staged − durable sequence)
 
 	// Chaos / recovery (internal/chaos, internal/runtime recovery).
 	ChaosCrashes          = "chaos.crashes"
@@ -168,6 +174,9 @@ type RuntimeMetrics struct {
 	LinkLost        *Counter
 	LinkDups        *Counter
 	LinkBackoffNs   *Histogram
+
+	FenceDepth  *Gauge
+	FenceWaitNs *Histogram
 }
 
 // RuntimeMetricsFrom resolves the runtime bundle against a registry.
@@ -190,6 +199,9 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 		LinkLost:        r.Counter(RuntimeLinkLost),
 		LinkDups:        r.Counter(RuntimeLinkDups),
 		LinkBackoffNs:   r.Histogram(RuntimeLinkBackoffNs),
+
+		FenceDepth:  r.Gauge(RuntimeFenceDepth),
+		FenceWaitNs: r.Histogram(RuntimeFenceWaitNs),
 	}
 }
 
@@ -227,8 +239,8 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 
 // StoreMetrics is the storage layer's handle bundle, shared by MemStore
 // and the log store. The group-commit handles (BatchRecords, CommitNs,
-// Compactions, TornTails, LiveRatioPct) are written only by the log
-// backend; for MemStore they stay at zero.
+// Compactions, TornTails, LiveRatioPct, DurableLag) are written only by the
+// log backend; for MemStore they stay at zero.
 type StoreMetrics struct {
 	Saves      *Counter
 	Deletes    *Counter
@@ -243,6 +255,7 @@ type StoreMetrics struct {
 	Compactions  *Counter
 	TornTails    *Counter
 	LiveRatioPct *Gauge
+	DurableLag   *Gauge
 }
 
 // StoreMetricsFrom resolves the storage bundle against a registry.
@@ -261,6 +274,7 @@ func StoreMetricsFrom(r *Registry) StoreMetrics {
 		Compactions:  r.Counter(StorageCompactions),
 		TornTails:    r.Counter(StorageTornTails),
 		LiveRatioPct: r.Gauge(StorageLiveRatioPct),
+		DurableLag:   r.Gauge(StorageDurableLag),
 	}
 }
 

@@ -21,6 +21,7 @@ const (
 	EvRestart
 	EvLinkDown
 	EvLinkUp
+	EvFenceDrop
 	evKinds
 )
 
@@ -35,6 +36,7 @@ var kindNames = [evKinds]string{
 	EvRestart:    "restart",
 	EvLinkDown:   "link_down",
 	EvLinkUp:     "link_up",
+	EvFenceDrop:  "fence_drop",
 }
 
 // String names the kind ("send", "deliver", ...).
@@ -58,6 +60,7 @@ func (k EventKind) String() string {
 //	Restart     P=process,   Msg=checkpoint index rehydrated from
 //	LinkDown    P=sender,    Aux=receiver, Msg=frames parked for retransmit
 //	LinkUp      P=sender,    Aux=receiver, Msg=frames resent on reconnect
+//	FenceDrop   P=sender,    Msg=fenced frames dropped undelivered (its crash, a recovery session, a failed flush)
 type Event struct {
 	Kind  EventKind
 	T     int64 // wall clock, UnixNano

@@ -46,7 +46,18 @@ func (c *Cluster) Crash(i int) error {
 	c.flight.Record(obs.Event{Kind: obs.EvCrash, P: i, Clock: n.k.DVRef()[i]})
 	n.k.CrashVolatile()
 	n.down = true
+	// The frames it had fenced are volatile state too: nobody has seen them,
+	// and nobody will. What it had staged may still reach the disk — the
+	// legal schedule "crashed just after the flush".
+	n.dropFenced()
 	return nil
+}
+
+// dropFences empties every node's egress fence.
+func (c *Cluster) dropFences() {
+	for _, n := range c.nodes {
+		n.dropFenced()
+	}
 }
 
 // Down returns the crashed processes, in ascending order.
@@ -112,6 +123,9 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	c.st.Or(1)
 	c.st.Add(2)
 	defer c.st.And(^uint64(1))
+	// Fenced frames carry the pre-session epoch, like the parked ones purged
+	// below: dropped now, the drain does not wait for anybody's flush.
+	c.dropFences()
 	c.Quiesce()
 	// Frames parked behind a broken link carry the pre-session epoch: the
 	// advance above already declared them lost, so drop them now rather

@@ -150,8 +150,9 @@ type Cluster struct {
 
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
-	// backs the compressed-mode FIFO clamp — the latest due time handed
-	// out per (from, to) pair, guarded by the destination queue's lock.
+	// backs the per-pair FIFO clamp — the latest due time handed out per
+	// (from, to) pair, guarded by the destination queue's lock; nil on a
+	// cluster that needs no clamp (see NewCluster).
 	queues  []destQueue
 	pairDue []time.Time
 
@@ -199,6 +200,13 @@ type Node struct {
 	// ErrCrashed until Restart rehydrates it from stable storage.
 	down bool
 
+	// staged is the stage sequence number of the node's newest checkpoint
+	// (storage.Store.Staged), written under mu each time the kernel takes
+	// one: the ticket of every frame built until the next. fence holds the
+	// frames whose ticket the store has not yet reported durable (fence.go).
+	staged uint64
+	fence  fence
+
 	// log is this process's history, appended to under mu.
 	log history.Log
 
@@ -213,7 +221,9 @@ type Node struct {
 }
 
 // NewCluster starts a cluster. As in the model, every node stores its
-// initial checkpoint s^0 before any activity.
+// initial checkpoint s^0 before any activity: the n checkpoints are staged
+// as the nodes are built and NewCluster returns once all are durable — the
+// stores flush side by side, not one after the other.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("runtime: need at least one process")
@@ -288,6 +298,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if ins, ok := store.(obs.Instrumentable); ok && (cfg.Obs.Registry != nil || cfg.Obs.Recorder != nil) {
 			ins.SetObs(obs.StoreMetricsFrom(cfg.Obs.Registry), cfg.Obs.Recorder, i)
 		}
+		nd := &Node{c: c, id: i}
+		nd.fence.settled.L = &nd.fence.mu
+		store.NotifyDurable(nd.onDurable)
 		k, err := node.New(node.Config{
 			ID: i, N: cfg.N,
 			Store:    store,
@@ -303,7 +316,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			_ = c.Close()
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
-		nd := &Node{c: c, id: i, k: k}
+		nd.k = k
+		nd.staged = store.Staged() // s^0's ticket; the kernel hook sees only later checkpoints
 		nd.ing.space.L = &nd.ing.mu
 		nd.ing.done.L = &nd.ing.mu
 		nd.postFn = nd.postDeliver
@@ -317,6 +331,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		k.PrewarmBatch()
 		c.nodes = append(c.nodes, nd)
 		c.kernels = append(c.kernels, k)
+	}
+	for _, nd := range c.nodes {
+		if err := nd.fence.awaitDurable(nd.staged); err != nil {
+			_ = c.Close()
+			return nil, fmt.Errorf("runtime: initial checkpoint of p%d: %w", nd.id, err)
+		}
+		if nd.staged != 0 && c.pairDue == nil {
+			// Frames leaving a fence together draw their delays together, so
+			// without the clamp two of one pair could swap — on a cluster whose
+			// due times otherwise follow call times closely enough that callers
+			// count on per-pair order. MemStore clusters never fence and do not
+			// pay the n² table.
+			c.pairDue = make([]time.Time, cfg.N*cfg.N)
+		}
 	}
 	if c.mesh != nil {
 		if err := c.mesh.StartBatched(c.onWire); err != nil {
@@ -428,6 +456,7 @@ func (c *Cluster) Close() error {
 	c.st.Or(1)
 	c.st.Add(2)
 	c.purgeParked()
+	c.dropFences()
 	var errs []error
 	if c.mesh != nil {
 		errs = append(errs, c.mesh.Close())
@@ -577,9 +606,12 @@ func (c *Cluster) CheckpointState() []byte { return nil }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
 // forced ones the delivery path takes) land in the node's history the
-// instant they become durable, while the node's lock is held.
+// instant they are staged, while the node's lock is held, and the stage
+// number becomes the ticket of every frame the node builds from here on.
 func (c *Cluster) OnKernelCheckpoint(self, index int, basic bool) {
-	c.nodes[self].log.Checkpoint(c.tick.Add(1))
+	n := c.nodes[self]
+	n.staged = n.k.Store().Staged()
+	n.log.Checkpoint(c.tick.Add(1))
 	forced := 0
 	if !basic {
 		forced = 1
@@ -699,26 +731,33 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		return nil
 	}
 	n.c.inflight.Add(1)
-	// Enqueued under the sender's lock, so a pair's messages enter the
-	// destination queue in encode order — the order the compressed-mode
-	// due-time clamp then preserves through the heap.
-	n.c.enqueue(n.id, to, delivery{msg: msg, pb: pb, epoch: epoch, payload: payload}, delay)
+	// Handed over under the sender's lock, so a pair's messages enter the
+	// fence, and behind it the destination queue, in encode order — the
+	// order the due-time clamp then preserves through the heap.
+	err = n.egress(to, delivery{msg: msg, pb: pb, epoch: epoch, payload: payload}, delay)
 	n.mu.Unlock()
-	return nil
+	return err
 }
 
-// Checkpoint takes a basic checkpoint.
+// Checkpoint takes a basic checkpoint and returns once it is durable. The
+// node's lock is held only while the checkpoint is staged: deliveries and
+// other calls go on during the flush.
 func (n *Node) Checkpoint() error {
 	if n.c.isHalted() {
 		return ErrHalted
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.down {
+		n.mu.Unlock()
 		return ErrCrashed
 	}
 	_, err := n.k.Checkpoint(true)
-	return err
+	ticket := n.staged
+	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return n.fence.awaitDurable(ticket)
 }
 
 // App returns the node's attached application state machine, or nil.

@@ -23,11 +23,12 @@ import (
 // one receiver-lock acquisition (direct mode) or encoded into one buffered
 // TCP write per (sender, destination) run (mesh mode).
 //
-// Per-pair FIFO for compressed piggybacks falls out of the queue order:
-// due times are clamped monotone per (from, to) pair at enqueue (under the
-// sender's node lock, so they follow encode order) and ties break on the
-// enqueue sequence number, so a pair's messages can never overtake each
-// other however the delay draws land.
+// Per-pair FIFO — for compressed piggybacks, the mesh's wire sequence
+// numbers, and frames that leave an egress fence together — falls out of the
+// queue order: due times are clamped monotone per (from, to) pair at enqueue
+// (under the sender's fence lock, so they follow encode order) and ties
+// break on the enqueue sequence number, so a pair's messages can never
+// overtake each other however the delay draws land.
 
 // workerIdle is how long an empty queue keeps its worker parked before the
 // goroutine retires. Long enough that steady traffic reuses one goroutine,
@@ -52,7 +53,7 @@ type delivery struct {
 type pending struct {
 	delivery
 	from int
-	at   time.Time // due time: enqueue time + simulated network delay
+	at   time.Time // due time: enqueue (fence release) time + simulated network delay
 	seq  uint64    // queue-local tiebreak, monotone in enqueue order
 	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link (TCP mesh)
 }
@@ -126,9 +127,9 @@ func (q *destQueue) pop() pending {
 }
 
 // enqueue hands a message to the destination's queue, starting or waking
-// the worker as needed. Called with the sending node's lock held, so a
-// pair's messages enqueue in encode order; the compressed-mode due-time
-// clamp then keeps that order through the heap.
+// the worker as needed. Called with the sending node's fence lock held
+// (Node.egress, Node.onDurable), so a pair's messages enqueue in encode
+// order; the due-time clamp then keeps that order through the heap.
 func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	q := &c.queues[to]
 	// A zero-delay network (the benchmark and default test shape) skips the
@@ -141,8 +142,9 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	}
 	q.mu.Lock()
 	// The monotone due-time clamp runs whenever strict per-pair FIFO is
-	// load-bearing: compressed piggybacking (delta decode order) and the
-	// TCP mesh's retransmit layer (wire seqs are stamped in dispatch order).
+	// load-bearing: compressed piggybacking (delta decode order), the TCP
+	// mesh's retransmit layer (wire seqs are stamped in dispatch order), and
+	// stores that fence (a pair's frames released in one instant).
 	if c.pairDue != nil {
 		if last := c.pairDue[from*c.cfg.N+to]; at.Before(last) {
 			at = last

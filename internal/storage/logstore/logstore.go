@@ -34,7 +34,12 @@
 // masquerade as a torn tail.
 //
 // Durability contract: Save returns only after the batch holding its record
-// has been written and synced (or after the store has failed, loudly).
+// has been written and synced (or after the store has failed, loudly). A
+// caller that registered a NotifyDurable callback has taken that wait on
+// itself: its Save stages the record under the next stage sequence number and
+// returns, and the committer reports the number to the callback once the
+// batch is durable. The record, the log and every view of it are the same
+// either way; only who waits differs.
 // Delete stages its tombstone and returns: the paper's collector is
 // asynchronous, so eliminating an obsolete checkpoint is never worth a flush
 // of its own. The tombstone rides the next batch somebody waits for — the
@@ -190,9 +195,10 @@ type segInfo struct {
 // batch is one group commit being assembled or awaiting the committer. buf
 // holds the 20-byte header placeholder followed by the payload. waiters
 // counts the callers that hold the batch (holdLocked) until it is done —
-// durable, or failed with err; an open batch nobody holds carries only
-// tombstones and stays open. Batches and their buffers are recycled through
-// LogStore.free once done and released.
+// durable, or failed with err; stage is the highest stage sequence number of
+// the saves a NotifyDurable caller staged here (0: none). An open batch with
+// neither carries only tombstones and stays open. Batches and their buffers
+// are recycled through LogStore.free once done and released.
 type batch struct {
 	seg     int
 	off     int64
@@ -202,9 +208,13 @@ type batch struct {
 	saved   []int // checkpoint indices staged here, for pending cleanup
 	born    time.Time
 	waiters int
+	stage   uint64
 	done    bool
 	err     error
 }
+
+// wanted reports whether somebody needs b durable: a batch worth a flush.
+func (b *batch) wanted() bool { return b.waiters > 0 || b.stage > 0 }
 
 // LogStore is a segmented group-commit log implementing storage.Store. Use
 // Open; the zero value is not usable. Safe for concurrent use.
@@ -239,6 +249,13 @@ type LogStore struct {
 	tornTails int
 	failed    error // sticky: a commit failed; every later op returns this
 	closed    bool
+
+	// notify is the NotifyDurable callback (nil: Save waits for its batch
+	// itself); staged numbers the saves staged for it and durable is the
+	// highest number reported back. Only the committer calls notify.
+	notify  func(seq uint64, err error)
+	staged  uint64
+	durable uint64
 
 	// f is the open tail segment file, owned by the committer goroutine.
 	f    *os.File
@@ -343,15 +360,21 @@ func (s *LogStore) failLocked(err error) {
 	s.commit.Broadcast()
 }
 
+// wakeLocked wakes the committer for b, which the caller is about to make
+// wanted (a waiter or a stage number).
+func (s *LogStore) wakeLocked(b *batch) {
+	if !b.wanted() && s.opt.CommitDelay > 0 {
+		b.born = time.Now() // the accumulation window opens with the first want
+	}
+	s.commit.Signal()
+}
+
 // holdLocked registers the caller as a waiter of b and wakes the committer:
 // a held batch is one worth a flush. Every hold is paired with one
 // awaitLocked.
 func (s *LogStore) holdLocked(b *batch) {
-	if b.waiters == 0 && s.opt.CommitDelay > 0 {
-		b.born = time.Now() // the accumulation window opens with the first waiter
-	}
+	s.wakeLocked(b)
 	b.waiters++
-	s.commit.Signal()
 }
 
 // awaitLocked blocks until held batch b is durable (nil) or the store has
@@ -378,10 +401,25 @@ func (s *LogStore) recycleLocked(b *batch) {
 	s.free = append(s.free, b)
 }
 
+// NotifyDurable implements Store.
+func (s *LogStore) NotifyDurable(fn func(seq uint64, err error)) {
+	s.mu.Lock()
+	s.notify = fn
+	s.mu.Unlock()
+}
+
+// Staged implements Store.
+func (s *LogStore) Staged() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.staged
+}
+
 // Save implements Store: the record is staged into the open batch and the
-// call returns once that batch is durable. Index state is applied at
-// staging time, so concurrent callers observe the save immediately while
-// its durability is still being bought.
+// call returns once that batch is durable — or, with a NotifyDurable callback
+// registered, at once, the batch's durability being reported there. Index
+// state is applied at staging time, so concurrent callers observe the save
+// immediately while its durability is still being bought.
 func (s *LogStore) Save(cp storage.Checkpoint) error {
 	s.mu.Lock()
 	if err := s.usableLocked(); err != nil {
@@ -413,6 +451,14 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		}
 	}
 	b := s.stageSaveLocked(cp)
+	if s.notify != nil {
+		s.wakeLocked(b)
+		s.staged++
+		b.stage = s.staged
+		s.obs.DurableLag.Add(1)
+		s.mu.Unlock()
+		return nil
+	}
 	s.holdLocked(b)
 	err := s.awaitLocked(b)
 	s.mu.Unlock()
@@ -424,7 +470,8 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 
 // stageSaveLocked encodes cp (delta against the previous save when the
 // chain rules allow, full otherwise), stages the frame, and applies index
-// state. The caller holds and awaits the returned batch for durability.
+// state. The caller makes the returned batch wanted: it holds and awaits it,
+// or gives it a stage number.
 func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
 	prevLast := s.lastIdx
 	asDelta := prevLast >= 0 && s.chain < storage.FullEvery-1 && len(s.lastDV) == len(cp.DV)
@@ -720,8 +767,9 @@ func (s *LogStore) Stats() storage.Stats {
 }
 
 // Close seals the store: staged batches — the tombstones no Save has carried
-// yet among them — are committed, the goroutines exit, the tail file handle
-// closes. Later operations fail; Close is idempotent.
+// yet among them — are committed (and every staged save reported to the
+// NotifyDurable callback), the goroutines exit, the tail file handle closes.
+// Later operations fail; Close is idempotent.
 func (s *LogStore) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -742,9 +790,12 @@ func (s *LogStore) Close() error {
 
 // committer is the single goroutine that buys durability: it dequeues
 // batches FIFO, finalizes their header (counts and checksums), performs one
-// write and one sync each, then releases the callers blocked on the batch.
-// Group commit emerges from this seriality — every record staged while a
-// sync is in flight shares the next one.
+// write and one sync each, then releases the callers blocked on the batch and
+// reports its stage number, if it has one, to the NotifyDurable callback —
+// with the store lock released, so the callback may take its own locks while
+// writers stage, and block in back-pressure, under theirs. Group commit
+// emerges from this seriality — every record staged while a sync is in flight
+// shares the next one.
 func (s *LogStore) committer() {
 	defer close(s.committerDone)
 	s.mu.Lock()
@@ -756,7 +807,7 @@ func (s *LogStore) committer() {
 			break
 		}
 		b := s.queue[0]
-		if b == s.cur && b.waiters == 0 && !s.closed && s.stagedBytes <= s.opt.MaxStaged {
+		if b == s.cur && !b.wanted() && !s.closed && s.stagedBytes <= s.opt.MaxStaged {
 			// The open batch holds only tombstones: leave it open for the
 			// next Save to share its flush. Close commits it as it is, and
 			// so does a pile of tombstones past the staging bound.
@@ -814,13 +865,26 @@ func (s *LogStore) committer() {
 		}
 		s.obs.BatchRecords.Observe(int64(b.records))
 		s.updateLiveRatioLocked()
+		stage := b.stage
 		b.done = true
 		s.synced.Broadcast()
 		s.recycleLocked(b)
 		s.flow.Broadcast()
 		s.kickCompactLocked()
+		if stage > 0 {
+			s.obs.DurableLag.Add(-int64(stage - s.durable))
+			s.durable = stage
+			s.mu.Unlock()
+			s.notify(stage, nil)
+			s.mu.Lock()
+		}
 	}
+	lost, failed := s.staged, s.failed
+	pending := lost > s.durable
 	s.mu.Unlock()
+	if failed != nil && pending {
+		s.notify(lost, failed) // the saves staged past durable never will be
+	}
 	if s.f != nil {
 		s.f.Close()
 		s.f = nil

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -696,8 +697,9 @@ func TestStoreDifferential(t *testing.T) {
 		mustDo(t, p.save(sparse(0))) // the chain drained: index 0 is free
 	})
 
-	t.Run("seeded stream", func(t *testing.T) {
-		p := newStorePair(t)
+	// seeded drives a stream of saves, random deletes, rollback-style
+	// delete-then-resave and refused deletes through save and del.
+	seeded := func(t *testing.T, save func(storage.Checkpoint) bool, del func(int) bool) {
 		rng := rand.New(rand.NewSource(7))
 		next := 0
 		var live []int
@@ -706,27 +708,202 @@ func TestStoreDifferential(t *testing.T) {
 			case r < 6: // save the next index
 				cp := ckpt(next)
 				cp.DV = vclock.DV{rng.Intn(50), rng.Intn(50), rng.Intn(50), rng.Intn(50)}
-				mustDo(t, p.save(cp))
+				mustDo(t, save(cp))
 				live = append(live, next)
 				next++
 			case r < 8 && len(live) > 0: // collect a random live checkpoint
 				at := rng.Intn(len(live))
-				mustDo(t, p.delete(live[at]))
+				mustDo(t, del(live[at]))
 				live = append(live[:at], live[at+1:]...)
 			case r == 8 && len(live) > 2: // rollback: delete top-down, re-save
 				k := 1 + rng.Intn(2)
 				for i := 0; i < k; i++ {
-					mustDo(t, p.delete(live[len(live)-1]))
+					mustDo(t, del(live[len(live)-1]))
 					live = live[:len(live)-1]
 				}
 				next = live[len(live)-1] + 1
 			default: // delete of an absent index must fail everywhere
-				if p.delete(next + 100) {
+				if del(next + 100) {
 					t.Fatalf("step %d: delete of an absent index accepted", step)
 				}
 			}
 		}
+	}
+
+	t.Run("seeded stream", func(t *testing.T) {
+		p := newStorePair(t)
+		seeded(t, p.save, p.delete)
 	})
+
+	// The same stream with the log store's saves staged: held to MemStore op
+	// by op the instant Save returns, while the record is not yet durable —
+	// and, each save awaited through the callback before the next op (which
+	// is all a waiting Save does), to a twin log store that waits in Save:
+	// the two leave the same bytes on disk.
+	t.Run("staged saves", func(t *testing.T) {
+		dir, twinDir := t.TempDir(), t.TempDir()
+		opt := Options{SegmentBytes: 2048, NoCompact: true}
+		p := &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, dir, opt)}
+		twin := openTest(t, twinDir, opt)
+		w := newDurableWaiter()
+		p.log.NotifyDurable(w.notify)
+		seeded(t, func(cp storage.Checkpoint) bool {
+			ok := p.save(cp)
+			if ok {
+				if err := w.await(p.log.Staged()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := twin.Save(cp); (err == nil) != ok {
+				t.Fatalf("Save(%d): staged %v, twin %v", cp.Index, ok, err)
+			}
+			return ok
+		}, func(idx int) bool {
+			ok := p.delete(idx)
+			if err := twin.Delete(idx); (err == nil) != ok {
+				t.Fatalf("Delete(%d): staged %v, twin %v", idx, ok, err)
+			}
+			return ok
+		})
+		if got, want := p.log.Staged(), uint64(p.log.Stats().Saved); got != want {
+			t.Fatalf("Staged() = %d after %d saves", got, want)
+		}
+		if err := p.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs := segFiles(t, dir)
+		if !reflect.DeepEqual(segs, segFiles(t, twinDir)) || len(segs) < 2 {
+			t.Fatalf("segments %v, twin %v", segs, segFiles(t, twinDir))
+		}
+		for _, name := range segs {
+			a, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(twinDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s differs between the staged store and the waiting twin", name)
+			}
+		}
+	})
+}
+
+// durableWaiter is a NotifyDurable callback a test can wait on.
+type durableWaiter struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	seq   uint64
+	err   error
+	calls []uint64
+}
+
+func newDurableWaiter() *durableWaiter {
+	w := &durableWaiter{}
+	w.cond.L = &w.mu
+	return w
+}
+
+func (w *durableWaiter) notify(seq uint64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.seq, w.err = seq, err
+	w.calls = append(w.calls, seq)
+	w.cond.Broadcast()
+}
+
+// await returns once seq is reported durable (nil) or the store has
+// reported its failure.
+func (w *durableWaiter) await(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil && w.seq < seq {
+		w.cond.Wait()
+	}
+	return w.err
+}
+
+// TestStagedSaveOrdersBeforeItsTombstones: with the flush of a staged save
+// still in flight, the disk holds no tombstone issued after it — the log is
+// FIFO, so a collection decided on the strength of a staged checkpoint is
+// durable no earlier than the checkpoint — and Close settles both, reporting
+// the stage to the callback before it returns.
+func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
+	dir := t.TempDir()
+	var gate sync.Mutex // held: flushes sit in Sync
+	flushing := make(chan struct{}, 8)
+	s := openTest(t, dir, Options{NoCompact: true, Sync: func(*os.File) error {
+		flushing <- struct{}{}
+		gate.Lock()
+		gate.Unlock()
+		return nil
+	}})
+	w := newDurableWaiter()
+	s.NotifyDurable(w.notify)
+	for i := 0; i < 2; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+		<-flushing
+	}
+	if err := w.await(2); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.Lock()
+	if err := s.Save(ckpt(2)); err != nil { // staged; returns with the flush stuck
+		t.Fatal(err)
+	}
+	<-flushing
+	if err := s.Delete(1); err != nil { // collected on the strength of checkpoint 2
+		t.Fatal(err)
+	}
+	if got, want := s.Indices(), []int{0, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices = %v with the flush in flight, want %v", got, want)
+	}
+	wantCkpt(t, s, 2)
+	img := t.TempDir()
+	for _, name := range segFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(img, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := openTest(t, img, Options{NoCompact: true})
+	if !slices.Contains(r.Indices(), 1) {
+		t.Fatalf("crash image with checkpoint 2's flush in flight reopens with %v: the tombstone of 1 overtook it", r.Indices())
+	}
+	w.mu.Lock()
+	early := append([]uint64(nil), w.calls...)
+	w.mu.Unlock()
+	if want := []uint64{1, 2}; !reflect.DeepEqual(early, want) {
+		t.Fatalf("callback calls %v with stage 3 not durable, want %v", early, want)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	gate.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	calls := append([]uint64(nil), w.calls...)
+	w.mu.Unlock()
+	if want := []uint64{1, 2, 3}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("callback calls %v when Close returned, want %v", calls, want)
+	}
+	r2 := openTest(t, dir, Options{NoCompact: true})
+	if got, want := r2.Indices(), []int{0, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened Indices = %v, want %v", got, want)
+	}
 }
 
 // TestNoGoroutineLeakAfterStoreClose guards Close's two promises: after saves,
@@ -940,9 +1117,15 @@ func TestDeleteRidesTheNextCommit(t *testing.T) {
 }
 
 // TestFailedCommitSurfacesOnNextOp: the commit carrying a staged tombstone
-// fails; the Save that waited on it reports the failure and every later
-// Save, Delete and Close repeats it.
+// fails; the Save that waited on it reports the failure — to its caller, or,
+// staged, to the NotifyDurable callback, which is never told the save is
+// durable — and every later Save, Delete and Close repeats it.
 func TestFailedCommitSurfacesOnNextOp(t *testing.T) {
+	t.Run("Save waits", func(t *testing.T) { failedCommit(t, false) })
+	t.Run("Save stages", func(t *testing.T) { failedCommit(t, true) })
+}
+
+func failedCommit(t *testing.T, staged bool) {
 	boom := errors.New("injected flush failure")
 	var fail sync.Mutex // guards failing
 	failing := false
@@ -954,8 +1137,17 @@ func TestFailedCommitSurfacesOnNextOp(t *testing.T) {
 		}
 		return nil
 	}})
+	w := newDurableWaiter()
+	if staged {
+		s.NotifyDurable(w.notify)
+	}
 	for i := 0; i < 2; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if staged {
+		if err := w.await(2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -965,7 +1157,17 @@ func TestFailedCommitSurfacesOnNextOp(t *testing.T) {
 	if err := s.Delete(0); err != nil {
 		t.Fatalf("Delete(0) stages only; got %v", err)
 	}
-	if err := s.Save(ckpt(2)); !errors.Is(err, boom) {
+	if err := s.Save(ckpt(2)); staged {
+		if err != nil {
+			t.Fatalf("staged Save = %v, want nil: the failure belongs to the callback", err)
+		}
+		if err := w.await(3); !errors.Is(err, boom) {
+			t.Fatalf("callback reported %v for stage 3, want the injected failure", err)
+		}
+		if w.seq != 3 {
+			t.Fatalf("the failure came with stage %d, want 3: the newest save it loses", w.seq)
+		}
+	} else if !errors.Is(err, boom) {
 		t.Fatalf("Save on a failing flush = %v, want the injected failure", err)
 	}
 	if err := s.Delete(1); !errors.Is(err, boom) {

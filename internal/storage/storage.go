@@ -5,8 +5,10 @@
 // other is tested against ("stable" means surviving a simulated crash: the
 // kernel's volatile state is discarded, the store kept). The segmented
 // group-commit log store (internal/storage/logstore) is the durable one:
-// Save returns only after the record is flushed. This package also holds
-// the one on-disk record format (record.go), which the log's frames carry.
+// a saved record is flushed before Save returns — or, for a caller that has
+// taken the wait on itself with NotifyDurable, before the store reports its
+// stage sequence number durable. This package also holds the one on-disk
+// record format (record.go), which the log's frames carry.
 //
 // Both stores track the live-checkpoint count and its high-water mark, which
 // the experiments use to measure the space bounds of Section 4.5.
@@ -35,12 +37,34 @@ type Checkpoint struct {
 // Store is the stable-storage interface used by the checkpointing
 // middleware and the garbage collectors.
 type Store interface {
-	// Save durably writes a checkpoint. Saving the same index twice is an
-	// error: checkpoint indices are unique per process. Implementations
-	// must not retain cp.DV or cp.State (copy or encode them before
-	// returning), so callers can pass live vectors and reused buffers —
-	// the per-message paths depend on this to stay allocation-lean.
+	// Save writes a checkpoint: every later call on this Store sees it, and
+	// Save returns once it is durable — unless the caller registered a
+	// NotifyDurable callback, in which case Save returns once the checkpoint
+	// is staged and durability is reported to the callback. Saving the same
+	// index twice is an error: checkpoint indices are unique per process.
+	// Implementations must not retain cp.DV or cp.State (copy or encode them
+	// before returning), so callers can pass live vectors and reused buffers
+	// — the per-message paths depend on this to stay allocation-lean.
 	Save(cp Checkpoint) error
+	// NotifyDurable takes the wait for durability off Save and hands it to
+	// the caller (the output-commit rule: be asynchronous inside a process,
+	// synchronous at its boundary). Every Save after it is numbered with the
+	// next stage sequence number — per store, from 1, never reused, so a
+	// rollback that saves an index again gets a new one — and returns as soon
+	// as the checkpoint is staged. The store calls fn(seq, nil) once every
+	// save staged up to seq is durable, with seq non-decreasing from call to
+	// call, and fn(seq, err) once, with its sticky error, if it fails with
+	// saves staged and not durable: those never will be. fn is called from
+	// the store's own goroutine with no store lock held; it must not call
+	// into the store. Close settles every staged save before it returns.
+	// Register at most once, before the first Save. A store whose Save is
+	// durable when it returns anyway (MemStore) never calls fn.
+	NotifyDurable(fn func(seq uint64, err error))
+	// Staged returns the stage sequence number of the most recent Save, the
+	// value the NotifyDurable callback is (or was) called with once that
+	// save is durable; 0 while no save has been staged — always, for a store
+	// with no callback registered or with nothing ever pending.
+	Staged() uint64
 	// Delete removes the checkpoint with the given index: every later call
 	// on this Store sees it gone. Deleting an absent index is an error: the
 	// collectors must never double-free.
@@ -363,6 +387,13 @@ func (s *MemStore) load(index int) (Checkpoint, error) {
 	}
 	return cp, nil
 }
+
+// NotifyDurable implements Store: a MemStore save is as stable as it will
+// ever be when Save returns, so there is nothing to report.
+func (s *MemStore) NotifyDurable(func(seq uint64, err error)) {}
+
+// Staged implements Store: nothing is ever pending.
+func (s *MemStore) Staged() uint64 { return 0 }
 
 // Indices implements Store. The sorted slice is maintained incrementally
 // by Save and Delete — the collectors and rehydration call Indices on hot

@@ -39,6 +39,19 @@ if printf '%s\n' "$obs_deps" | grep -v '^repro/internal/obs$' | grep -q '^repro/
 	fail=1
 fi
 
+# The stores report durability upward through a callback the engine
+# registers (storage.Store.NotifyDurable); they must never reach for the
+# engine themselves — the committer calling into a node's lock is the
+# deadlock the egress fence's lock order exists to rule out.
+for store in repro/internal/storage repro/internal/storage/logstore; do
+	for bad in repro/internal/sim repro/internal/runtime repro/internal/node; do
+		if go list -deps "$store" | grep -qx "$bad"; then
+			echo "layering violation: $store imports $bad" >&2
+			fail=1
+		fi
+	done
+done
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -51,4 +64,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; obs is a stdlib-only leaf"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores import neither; obs is a stdlib-only leaf"
