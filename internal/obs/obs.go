@@ -80,6 +80,10 @@ const (
 	// summed over the nodes; wait_ns is how long each released frame was held.
 	RuntimeFenceDepth  = "runtime.fence_depth"
 	RuntimeFenceWaitNs = "runtime.fence_wait_ns"
+	// session_purged counts the queued frames recovery sessions and Close
+	// cancelled in the sender pool: traffic the epoch advance had declared
+	// lost, dropped where it waited instead of one delivery at a time.
+	RuntimeSessionPurged = "runtime.session_purged"
 
 	// Transport (internal/transport).
 	TransportBatches        = "transport.batches"
@@ -177,6 +181,8 @@ type RuntimeMetrics struct {
 
 	FenceDepth  *Gauge
 	FenceWaitNs *Histogram
+
+	SessionPurged *Counter
 }
 
 // RuntimeMetricsFrom resolves the runtime bundle against a registry.
@@ -202,6 +208,8 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 
 		FenceDepth:  r.Gauge(RuntimeFenceDepth),
 		FenceWaitNs: r.Histogram(RuntimeFenceWaitNs),
+
+		SessionPurged: r.Counter(RuntimeSessionPurged),
 	}
 }
 

@@ -22,21 +22,23 @@ const (
 	EvLinkDown
 	EvLinkUp
 	EvFenceDrop
+	EvSessionPurge
 	evKinds
 )
 
 // kindNames doubles as the OTLP span name for each kind.
 var kindNames = [evKinds]string{
-	EvSend:       "send",
-	EvDeliver:    "deliver",
-	EvCheckpoint: "checkpoint",
-	EvRollback:   "rollback",
-	EvCollect:    "collect",
-	EvCrash:      "crash",
-	EvRestart:    "restart",
-	EvLinkDown:   "link_down",
-	EvLinkUp:     "link_up",
-	EvFenceDrop:  "fence_drop",
+	EvSend:         "send",
+	EvDeliver:      "deliver",
+	EvCheckpoint:   "checkpoint",
+	EvRollback:     "rollback",
+	EvCollect:      "collect",
+	EvCrash:        "crash",
+	EvRestart:      "restart",
+	EvLinkDown:     "link_down",
+	EvLinkUp:       "link_up",
+	EvFenceDrop:    "fence_drop",
+	EvSessionPurge: "session_purge",
 }
 
 // String names the kind ("send", "deliver", ...).
@@ -61,6 +63,7 @@ func (k EventKind) String() string {
 //	LinkDown    P=sender,    Aux=receiver, Msg=frames parked for retransmit
 //	LinkUp      P=sender,    Aux=receiver, Msg=frames resent on reconnect
 //	FenceDrop   P=sender,    Msg=fenced frames dropped undelivered (its crash, a recovery session, a failed flush)
+//	SessionPurge P=-1 (the cluster), Msg=queued frames a recovery session or Close cancelled in the sender pool, Aux=the epoch it opened
 type Event struct {
 	Kind  EventKind
 	T     int64 // wall clock, UnixNano

@@ -133,8 +133,13 @@ func (n *Node) dropFencedLocked() {
 	f.q = f.q[:0]
 }
 
-// dropFenced is dropFencedLocked for a caller not holding the fence lock.
+// dropFenced is dropFencedLocked for a caller holding n.mu and not the fence
+// lock. A node whose store has never staged a save has never held a frame, and
+// is spared the lock.
 func (n *Node) dropFenced() {
+	if n.staged == 0 {
+		return
+	}
 	n.fence.mu.Lock()
 	n.dropFencedLocked()
 	n.fence.mu.Unlock()

@@ -23,9 +23,19 @@ func ringSends(t *testing.T, c *runtime.Cluster, rounds int) {
 	}
 }
 
+// closedEmpty asserts what Close owes the sender pool: it cancelled everything
+// queued, so no frame is left for a worker to deliver and none is accounted as
+// in transit.
+func closedEmpty(t *testing.T, c *runtime.Cluster) {
+	t.Helper()
+	if c.Queued() != 0 || c.InTransit() != 0 {
+		t.Fatalf("Close returned with %d frames queued and %d in transit", c.Queued(), c.InTransit())
+	}
+}
+
 // TestNoGoroutineLeakAfterClose guards the shutdowns that leave work behind
 // them: an in-process cluster closed with delayed sends still queued in the
-// sender pool (its workers come due after Close and retire on their own), a
+// sender pool (Close cancels them; the idle workers retire on their own), a
 // TCP cluster closed during an open partition with frames parked behind long
 // retry timers, both again on log stores — whose committer and compactor
 // goroutines the cluster owns, having opened the stores — and a NewCluster
@@ -41,6 +51,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+		closedEmpty(t, c)
 		leakcheck.Settle(t, base)
 	})
 	t.Run("in-process on log stores, delayed sends queued", func(t *testing.T) {
@@ -64,10 +75,11 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// The workers have retired once this returns, so every queued message
-		// came due — after Close, and each receiver had sent, so its first
-		// delivery would have forced a checkpoint into a closed store. They
-		// were dropped on the epoch filter instead: no store saw another op.
+		// Each receiver had sent, so the first delivery to it would have forced
+		// a checkpoint into a closed store. Close cancelled the queued messages
+		// instead of leaving them to come due: no store saw another op, even
+		// once the workers have retired.
+		closedEmpty(t, c)
 		leakcheck.Settle(t, base)
 		for i := range before {
 			if got := c.Node(i).Store().Stats(); got != before[i] {

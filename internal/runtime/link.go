@@ -38,6 +38,8 @@ import (
 //     (frames dropped past the window are permanent losses); together with
 //     reap-gated redial this keeps delivery exactly-once and per-pair FIFO.
 type pairLink struct {
+	from, to int
+
 	mu      sync.Mutex
 	sendSeq uint64    // next wire seq to stamp
 	window  frameRing // wire-accepted, not yet known-delivered, oldest first
@@ -149,19 +151,33 @@ func (f *inflight) Wait() {
 	f.mu.Unlock()
 }
 
-// link returns the (from,to) pairLink, creating it on first use (CAS into
-// a pointer table: n² eager pairLinks would cost tens of MB at n=512 for
-// pairs that mostly never talk).
+// link returns the (from,to) pairLink, creating it on first use (a pointer
+// table: n² eager pairLinks would cost tens of MB at n=512 for pairs that
+// mostly never talk). A new link is listed in c.created before its slot
+// publishes it, so a sweep that starts after anybody could have parked a
+// frame in it finds it.
 func (c *Cluster) link(from, to int) *pairLink {
 	slot := &c.links[from*c.cfg.N+to]
 	if pl := slot.Load(); pl != nil {
 		return pl
 	}
-	pl := &pairLink{}
-	if slot.CompareAndSwap(nil, pl) {
-		return pl
+	c.linkMu.Lock()
+	defer c.linkMu.Unlock()
+	pl := slot.Load()
+	if pl == nil {
+		pl = &pairLink{from: from, to: to}
+		c.created = append(c.created, pl)
+		slot.Store(pl)
 	}
-	return slot.Load()
+	return pl
+}
+
+// createdLinks returns the pairLinks that exist. The list is append-only, so
+// the prefix handed out is never written again and is read without the lock.
+func (c *Cluster) createdLinks() []*pairLink {
+	c.linkMu.Lock()
+	defer c.linkMu.Unlock()
+	return c.created
 }
 
 // sendRun pushes one dispatch run (same (from,to), dispatch order) through
@@ -420,12 +436,10 @@ func (c *Cluster) dropParkedLocked(pl *pairLink) {
 // the "in transit at the failure" loss the model already permits. Close
 // calls it to abandon what a partition stranded.
 func (c *Cluster) purgeParked() {
-	for i := range c.links {
-		if pl := c.links[i].Load(); pl != nil {
-			pl.mu.Lock()
-			c.dropParkedLocked(pl)
-			pl.mu.Unlock()
-		}
+	for _, pl := range c.createdLinks() {
+		pl.mu.Lock()
+		c.dropParkedLocked(pl)
+		pl.mu.Unlock()
 	}
 }
 
@@ -476,10 +490,8 @@ func (c *Cluster) HealAll() int {
 		return 0
 	}
 	healed := c.mesh.HealAll()
-	for i := range c.links {
-		if c.links[i].Load() != nil {
-			c.flushPair(i/c.cfg.N, i%c.cfg.N)
-		}
+	for _, pl := range c.createdLinks() {
+		c.flushPair(pl.from, pl.to)
 	}
 	return healed
 }

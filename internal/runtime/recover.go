@@ -53,11 +53,38 @@ func (c *Cluster) Crash(i int) error {
 	return nil
 }
 
-// dropFences empties every node's egress fence.
-func (c *Cluster) dropFences() {
+// cancelTransit opens a recovery session, and Close: it halts the
+// application, advances the network epoch — which declares every message in
+// transit lost — and cancels that traffic where it waits to be sent, so that
+// nobody waits out a dead frame's flush or network delay only to throw it away
+// on the epoch filter.
+//
+// The pass over the nodes is a barrier. A send reads (halted, epoch) and hands
+// its frame over under its node's lock, so once a node's lock has been taken
+// and released no old-epoch frame of that node can enter its fence or a queue
+// any more; the fence is emptied in the same visit — behind the barrier, not
+// before it — and the queues after the last node. What is left is on a socket,
+// in a worker's hands or in an ingress ring: Quiesce waits for that.
+func (c *Cluster) cancelTransit() {
+	// Halt first, then advance the epoch: a reader in between sees "halted"
+	// (sends refuse), never the new epoch with the flag still clear.
+	c.st.Or(1)
+	epoch := c.st.Add(2) >> 1
 	for _, n := range c.nodes {
+		n.mu.Lock()
 		n.dropFenced()
+		n.mu.Unlock()
 	}
+	purged := 0
+	for i := range c.queues {
+		purged += c.purgeQueue(&c.queues[i])
+	}
+	if purged > 0 {
+		c.inflight.Add(-purged)
+		c.obs.QueueDepth.Add(-int64(purged))
+		c.obs.SessionPurged.Add(uint64(purged))
+	}
+	c.flight.Record(obs.Event{Kind: obs.EvSessionPurge, P: -1, Msg: purged, Aux: int(epoch)})
 }
 
 // Down returns the crashed processes, in ascending order.
@@ -74,9 +101,10 @@ func (c *Cluster) Down() []int {
 // Recover runs a centralized recovery session on the live cluster for the
 // given faulty set:
 //
-//  1. halt the application (Send/Checkpoint refuse with ErrHalted) and
-//     advance the network epoch so in-transit messages are dropped as lost;
-//  2. wait for the network to drain;
+//  1. halt the application (Send/Checkpoint refuse with ErrHalted), advance
+//     the network epoch so in-transit messages are lost, and cancel the ones
+//     still waiting to be sent — fenced, or queued behind a network delay;
+//  2. wait for what is already on the wire to drain;
 //  3. crash the faulty nodes — their volatile state is discarded;
 //  4. compute the recovery line per Lemma 1 from the stored vectors;
 //  5. roll back every process whose component is stable (Algorithm 3 on
@@ -118,19 +146,13 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 		isFaulty[f] = true
 	}
 
-	// Halt first, then advance the epoch: a reader in between sees "halted"
-	// (sends refuse), never the new epoch with the flag still clear.
-	c.st.Or(1)
-	c.st.Add(2)
+	c.cancelTransit()
 	defer c.st.And(^uint64(1))
-	// Fenced frames carry the pre-session epoch, like the parked ones purged
-	// below: dropped now, the drain does not wait for anybody's flush.
-	c.dropFences()
 	c.Quiesce()
-	// Frames parked behind a broken link carry the pre-session epoch: the
-	// advance above already declared them lost, so drop them now rather
-	// than letting a later heal retransmit traffic the epoch filter would
-	// discard anyway.
+	// Frames parked behind a broken link carry the pre-session epoch too:
+	// drop them rather than letting a later heal retransmit traffic the epoch
+	// filter would discard anyway. Behind the drain, because a frame that was
+	// in a worker's hands or on a dying stream may have parked during it.
 	c.purgeParked()
 
 	// All activity has ceased; it is now safe to read node state directly.

@@ -172,9 +172,13 @@ type Cluster struct {
 	// cumulative frames handed to onWire per (from,to) pair (duplicates
 	// included — it prunes the retransmit window, whose entries are wire
 	// acceptances), and recvSeq the next expected wire seq per pair (the
-	// receiver-side dedup cursor).
+	// receiver-side dedup cursor). created lists the pairLinks that exist, in
+	// creation order and append-only under linkMu: what a sweep over the
+	// pairs visits, instead of the n² slots most of which stay nil.
 	linkOpts  LinkOptions
 	links     []atomic.Pointer[pairLink]
+	linkMu    sync.Mutex
+	created   []*pairLink
 	wireDeliv []atomic.Int64
 	recvSeq   []atomic.Uint64
 
@@ -446,17 +450,15 @@ func (c *Cluster) putPending(b []pending) {
 // waiting out a backoff schedule. It must not overlap a recovery session,
 // and the cluster is unusable afterwards.
 //
-// Sender-pool workers go on delivering what is queued after Close, and a
-// late forced checkpoint must not reach a closed store. So Close first does
-// what a recovery session does — halt, then advance the epoch: sends
-// refuse, queued deliveries drop on the epoch filter — and closes each
-// store under its node's lock, behind whatever delivery was already in.
+// A late forced checkpoint must not reach a closed store, so Close opens the
+// way a recovery session does (cancelTransit): sends refuse, what was fenced
+// or queued is gone, and a frame already on a socket or in a worker's hands
+// drops on the epoch filter. Each store is then closed under its node's
+// lock, behind whatever delivery was already in.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
-	c.st.Or(1)
-	c.st.Add(2)
+	c.cancelTransit()
 	c.purgeParked()
-	c.dropFences()
 	var errs []error
 	if c.mesh != nil {
 		errs = append(errs, c.mesh.Close())

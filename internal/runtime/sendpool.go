@@ -168,6 +168,30 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	q.mu.Unlock()
 }
 
+// purgeQueue empties one destination's heap for cancelTransit and reports how
+// many frames it held; the caller ends their in-flight accounting. Only two
+// parties ever take a frame out of a heap: the queue's worker, one batch of due
+// frames at a time, and this — with the cluster halted and every node past the
+// barrier, so the heap holds old-epoch frames only and gains none meanwhile.
+// Each purged pair's due-time clamp is reset with it: the clamp exists to keep
+// a pair's frames in order, and a dead frame's due time orders nothing — left
+// standing, it would hold the pair's first post-session frame back to it. A
+// pair with nothing purged has no due time ahead of the clock to reset.
+func (c *Cluster) purgeQueue(q *destQueue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range q.h {
+		c.recycle(q.h[i].pb)
+		if c.pairDue != nil {
+			c.pairDue[q.h[i].from*c.cfg.N+q.to] = time.Time{}
+		}
+	}
+	purged := len(q.h)
+	clear(q.h) // release payload/piggyback references
+	q.h = q.h[:0]
+	return purged
+}
+
 // sendWorker drains one destination's queue: it sleeps until the earliest
 // due time, pops everything due, and dispatches the batch. An empty queue
 // parks the worker for workerIdle and then retires it; enqueue spawns a
