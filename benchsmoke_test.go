@@ -1,8 +1,9 @@
 package rdt_test
 
-// The bench trajectory is part of the repo's contract (EXPERIMENTS.md,
-// BENCH_core.json), so benchmark code must not rot silently: this smoke
-// test runs every Benchmark* in every package for exactly one iteration.
+// The bench trajectory is part of the repo's contract (EXPERIMENTS.md's
+// E5/E7 tables reproduce from the Benchmark* functions beside each hot
+// path), so benchmark code must not rot silently: this smoke test runs
+// every Benchmark* in every package for exactly one iteration.
 // A benchmark that panics, Fatals, or no longer compiles fails the normal
 // test suite here instead of the next time someone tries to measure.
 

@@ -9,14 +9,10 @@
 // (protocol+collector); cells are independent and run on the internal/sweep
 // worker pool. Cells execute the engine in deterministic mode, so any
 // -workers value renders a byte-identical text table. -format json adds
-// per-cell timings and mean recovery latency; -bench runs the grid twice
-// (serial, then parallel) and emits the comparison recorded in
-// BENCH_chaos.json — the recovery-latency baseline later PRs must beat.
+// per-cell timings and mean recovery latency.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +31,7 @@ import (
 func main() {
 	var (
 		patterns  = flag.String("patterns", "single,correlated,rolling,repeated", "comma-separated fault patterns")
-		partition = flag.String("partition", "", "comma-separated partition patterns to add to the grid: split|flap|isolate|partition-recovery (run over the real TCP mesh; heal latency lands in the JSON and bench outputs)")
+		partition = flag.String("partition", "", "comma-separated partition patterns to add to the grid: split|flap|isolate|partition-recovery (run over the real TCP mesh; heal latency lands in the JSON output)")
 		sizes     = flag.String("sizes", "4,8", "comma-separated process counts")
 		seeds     = flag.Int("seeds", 2, "seeded fault plans averaged per cell")
 		cycles    = flag.Int("cycles", 4, "crash/restart cycles per run")
@@ -43,7 +39,6 @@ func main() {
 		pcheck    = flag.Float64("pcheckpoint", 0.2, "basic checkpoint probability")
 		workers   = flag.Int("workers", runtime.NumCPU(), "worker pool size (result order does not depend on it)")
 		format    = flag.String("format", "text", "output format: text|json")
-		bench     = flag.Bool("bench", false, "run the grid serially and with -workers, emit the timing comparison as JSON")
 		store     = flag.String("store", "mem", "stable-storage backend for observed runs: mem|log")
 		torture   = flag.Bool("torture", false, "run the log store's crash-torture matrix instead of the survivability grid")
 	)
@@ -105,10 +100,6 @@ func main() {
 	}
 
 	if obsf.active() {
-		if *bench {
-			fmt.Fprintln(os.Stderr, "chaos: -bench and the observed-run flags are mutually exclusive")
-			os.Exit(2)
-		}
 		if err := runObserved(obsf, backend, pats[0], ns[0], *cycles, *ops, *pcheck); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -128,20 +119,6 @@ func main() {
 		g.Workers = runtime.NumCPU()
 	}
 
-	if *bench {
-		formatSet := false
-		flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
-		if formatSet && *format != "json" {
-			fmt.Fprintln(os.Stderr, "chaos: -bench always emits JSON; drop -format or use -format json")
-			os.Exit(2)
-		}
-		if err := runBench(g); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	start := time.Now()
 	results, err := g.Run()
 	if err != nil {
@@ -159,53 +136,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// runBench times the same survivability grid serially and with the
-// requested pool, checks the two text renderings are byte-identical — the
-// determinism contract of the deterministic engine — and prints a
-// sweep.BenchDoc whose rows carry the mean recovery latency per cell.
-func runBench(g sweep.Grid) error {
-	serial := g
-	serial.Workers = 1
-	t0 := time.Now()
-	serialRes, err := serial.Run()
-	if err != nil {
-		return err
-	}
-	serialSecs := time.Since(t0).Seconds()
-
-	t1 := time.Now()
-	parallelRes, err := g.Run()
-	if err != nil {
-		return err
-	}
-	parallelWall := time.Since(t1)
-
-	var a, b bytes.Buffer
-	if err := sweep.WriteText(&a, g.Table, serialRes); err != nil {
-		return err
-	}
-	if err := sweep.WriteText(&b, g.Table, parallelRes); err != nil {
-		return err
-	}
-
-	doc := sweep.BenchDoc{
-		Table:           g.Table.String(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Cells:           len(serialRes),
-		SerialSecs:      serialSecs,
-		ParallelWorkers: g.Workers,
-		ParallelSecs:    parallelWall.Seconds(),
-		Identical:       bytes.Equal(a.Bytes(), b.Bytes()),
-		Run:             sweep.Doc(g, parallelRes, parallelWall),
-	}
-	if doc.ParallelSecs > 0 {
-		doc.Speedup = doc.SerialSecs / doc.ParallelSecs
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 func parsePatterns(s string) ([]chaos.Pattern, error) {

@@ -15,13 +15,10 @@
 // Grid cells are independent, so the engine (internal/sweep) runs them on a
 // bounded worker pool; -workers controls its size and any value renders a
 // byte-identical table. -format json emits the machine-readable form with
-// per-cell timings, and -bench runs the grid twice (serial, then parallel)
-// and emits the comparison recorded in BENCH_sweep.json.
+// per-cell timings.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +38,6 @@ func main() {
 		table   = flag.String("table", "collectors", "table to produce: collectors|protocols|rollback|compress")
 		workers = flag.Int("workers", runtime.NumCPU(), "worker pool size (result order does not depend on it)")
 		format  = flag.String("format", "text", "output format: text|json")
-		bench   = flag.Bool("bench", false, "run the grid serially and with -workers, emit the timing comparison as JSON")
 	)
 	flag.Parse()
 
@@ -72,25 +68,9 @@ func main() {
 	g.GlobalEvery = *every
 	g.Workers = *workers
 	if g.Workers <= 0 {
-		// Normalize here so JSON and bench output record the worker count
+		// Normalize here so JSON output records the worker count
 		// that actually ran, not the raw flag value.
 		g.Workers = runtime.NumCPU()
-	}
-
-	if *bench {
-		// Bench output is always the JSON comparison doc; reject an explicit
-		// conflicting -format rather than silently ignoring it.
-		formatSet := false
-		flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
-		if formatSet && *format != "json" {
-			fmt.Fprintln(os.Stderr, "sweep: -bench always emits JSON; drop -format or use -format json")
-			os.Exit(2)
-		}
-		if err := runBench(g); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	start := time.Now()
@@ -110,49 +90,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// runBench times the same grid serially and with the requested pool, checks
-// the two renderings are byte-identical, and prints a sweep.BenchDoc.
-func runBench(g sweep.Grid) error {
-	serial := g
-	serial.Workers = 1
-	t0 := time.Now()
-	serialRes, err := serial.Run()
-	if err != nil {
-		return err
-	}
-	serialSecs := time.Since(t0).Seconds()
-
-	t1 := time.Now()
-	parallelRes, err := g.Run()
-	if err != nil {
-		return err
-	}
-	parallelWall := time.Since(t1)
-
-	var a, b bytes.Buffer
-	if err := sweep.WriteText(&a, g.Table, serialRes); err != nil {
-		return err
-	}
-	if err := sweep.WriteText(&b, g.Table, parallelRes); err != nil {
-		return err
-	}
-
-	doc := sweep.BenchDoc{
-		Table:           g.Table.String(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Cells:           len(serialRes),
-		SerialSecs:      serialSecs,
-		ParallelWorkers: g.Workers,
-		ParallelSecs:    parallelWall.Seconds(),
-		Identical:       bytes.Equal(a.Bytes(), b.Bytes()),
-		Run:             sweep.Doc(g, parallelRes, parallelWall),
-	}
-	if doc.ParallelSecs > 0 {
-		doc.Speedup = doc.SerialSecs / doc.ParallelSecs
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -18,7 +18,7 @@ import (
 	"repro/internal/vclock"
 )
 
-func kernel(t *testing.T, id, n int, compress bool) *node.Kernel {
+func kernel(t testing.TB, id, n int, compress bool) *node.Kernel {
 	t.Helper()
 	k, err := node.New(node.Config{
 		ID: id, N: n,
@@ -418,10 +418,8 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		checkpoint() // warm the scratch buffer, the batch freelist, the index
 	}
-	allocs := testing.AllocsPerRun(200, checkpoint)
-	t.Logf("Kernel.Checkpoint, 170-key KV on a log store: %v allocs/op", allocs)
-	if allocs > 2 {
-		t.Fatalf("Kernel.Checkpoint: %v allocs/op, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(200, checkpoint); allocs != 1 {
+		t.Fatalf("Kernel.Checkpoint, 170-key KV on a log store: %v allocs/op, want 1", allocs)
 	}
 	if live := ls.Stats().Live; live != 1 {
 		t.Fatalf("a process that never communicates retains %d checkpoints, want 1", live)

@@ -12,9 +12,10 @@
 // Instrumentation off must cost nothing. Every metric type is a nil-safe
 // pointer receiver: a nil *Counter, *Gauge, *Histogram, or *Recorder
 // no-ops on its write path without allocating, so instrumented code holds
-// plain fields and calls them unconditionally. The PR-3/PR-5 alloc gates
-// (cmd/bench -check BENCH_core.json) run with all of these nil and prove
-// the hot paths still allocate exactly what they did before obs existed.
+// plain fields and calls them unconditionally. The kernel, collector and
+// store allocation pins (testing.AllocsPerRun tests beside each hot path)
+// run with all of these nil and prove the hot paths still allocate exactly
+// what they did before obs existed.
 //
 // Naming: internal/metrics is the *simulation sweep* statistics package
 // (retained-checkpoint counts vs the Theorem-1 optimum, aggregated over

@@ -12,7 +12,7 @@ import (
 	"repro/internal/storage"
 )
 
-func compressCluster(t *testing.T, n int, net runtime.NetworkOptions, tcp bool) *runtime.Cluster {
+func compressCluster(t testing.TB, n int, net runtime.NetworkOptions, tcp bool) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
 		N:        n,

@@ -32,7 +32,7 @@ func logStores(dir string) func(self int) (storage.Store, error) {
 	}
 }
 
-func lgcCluster(t *testing.T, n int, net runtime.NetworkOptions) *runtime.Cluster {
+func lgcCluster(t testing.TB, n int, net runtime.NetworkOptions) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
 		N: n,

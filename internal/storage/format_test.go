@@ -176,9 +176,14 @@ func TestCorruptDeltaFailsLoudly(t *testing.T) {
 	})
 
 	t.Run("missing-base", func(t *testing.T) {
-		// Without the chain it patches, a delta record is not a checkpoint.
-		if _, err := DecodeCheckpoint(good); err == nil {
-			t.Fatal("a delta record decoded standalone")
+		// Without the chain it patches, a delta record is not a checkpoint:
+		// it decodes marked as a delta, with no vector to mistake for one.
+		rec, err := DecodeRecord(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Delta || rec.DV != nil {
+			t.Fatalf("a delta record decoded standalone: delta=%v DV=%v", rec.Delta, rec.DV)
 		}
 	})
 

@@ -12,7 +12,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	f.Add(EncodeCheckpoint(Checkpoint{Process: 1, Index: 2, DV: vclock.DV{3, 4}, State: []byte("s")}))
+	f.Add(AppendRecord(nil, Checkpoint{Process: 1, Index: 2, DV: vclock.DV{3, 4}, State: []byte("s")}))
 	f.Add(encodeDelta(nil, Checkpoint{Process: 1, Index: 3, State: []byte("s")}, 2, vclock.Delta{{K: 0, V: 7}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)

@@ -1205,10 +1205,8 @@ func TestSaveAllocationBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		cycle() // warm the freelist, the index map and the sorted slice
 	}
-	allocs := testing.AllocsPerRun(200, cycle)
-	t.Logf("Save+Delete steady state: %v allocs/op", allocs)
-	if allocs > 2 {
-		t.Fatalf("Save+Delete steady state: %v allocs/op, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 1 {
+		t.Fatalf("Save+Delete steady state: %v allocs/op, want 1", allocs)
 	}
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"slices"
 
@@ -30,11 +29,6 @@ type Record struct {
 	Entries vclock.Delta
 }
 
-// EncodeCheckpoint serializes a checkpoint as a self-contained full record.
-// Exported for the performance harness (internal/bench), which gates the
-// per-checkpoint encoding cost.
-func EncodeCheckpoint(cp Checkpoint) []byte { return encodeFull(nil, cp) }
-
 // AppendRecord appends the full-record encoding of cp to buf and returns
 // the extended slice. It is the writer-side counterpart of DecodeRecord,
 // exported for the segmented log store, whose checkpoint frames carry
@@ -47,20 +41,6 @@ func AppendRecord(buf []byte, cp Checkpoint) []byte { return encodeFull(buf, cp)
 // wherever the record will be decoded).
 func AppendDeltaRecord(buf []byte, cp Checkpoint, base int, entries vclock.Delta) []byte {
 	return encodeDelta(buf, cp, base, entries)
-}
-
-// DecodeCheckpoint parses one self-contained (full) checkpoint record.
-// Delta records need their chain; use DecodeRecord and the store that
-// holds the base for those.
-func DecodeCheckpoint(b []byte) (Checkpoint, error) {
-	rec, err := DecodeRecord(b)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	if rec.Delta {
-		return Checkpoint{}, fmt.Errorf("storage: checkpoint %d is delta-encoded against %d and cannot be decoded standalone", rec.Index, rec.Base)
-	}
-	return rec.Checkpoint, nil
 }
 
 const (

@@ -38,7 +38,7 @@ func WriteText(w io.Writer, table Table, results []Result) error {
 	case Chaos:
 		// No wall-clock column here: the text table must be byte-identical
 		// for every worker count and run; recovery latency lives in the
-		// JSON and bench outputs.
+		// JSON output.
 		fmt.Fprintln(tw, "pattern\tn\tstack\tcrashes\trecoveries\tpartitions\theals\tmean rolled\tmax rolled\torphans\treplayed\tretained max")
 		for _, r := range results {
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%.3f\t%d\t%d\t%d\t%d\n",
@@ -223,20 +223,6 @@ func WriteJSON(w io.Writer, g Grid, results []Result, wall time.Duration) error 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Doc(g, results, wall))
-}
-
-// BenchDoc is the serial-versus-parallel comparison recorded in
-// BENCH_sweep.json: the perf trajectory later PRs must beat.
-type BenchDoc struct {
-	Table           string  `json:"table"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Cells           int     `json:"cells"`
-	SerialSecs      float64 `json:"serial_seconds"`
-	ParallelWorkers int     `json:"parallel_workers"`
-	ParallelSecs    float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"tables_byte_identical"`
-	Run             RunDoc  `json:"run"`
 }
 
 func ptr[T any](v T) *T { return &v }

@@ -516,7 +516,7 @@ func (c Cell) runRollback(res *Result) error {
 // plans executed by the deterministic chaos engine on the live runtime,
 // with every recovery session verified against the ground-truth oracles.
 // Wall-clock recovery latency is the one non-deterministic column; it is
-// reported only through the JSON and bench outputs, so the text table stays
+// reported only through the JSON output, so the text table stays
 // byte-identical across runs and worker counts.
 func (c Cell) runChaos(res *Result) error {
 	v := c.ChaosVariant

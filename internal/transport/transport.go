@@ -68,8 +68,8 @@ func (m Message) Validate(n int) error {
 	return nil
 }
 
-// Encode frames a message into its wire form. Exported for the performance
-// harness (internal/bench), which gates the per-message framing cost.
+// Encode frames a message into its wire form. Exported for the end-to-end
+// benchmark (benchmark/layers.go), which times the framing layer.
 func Encode(m Message) []byte { return appendEncode(nil, m) }
 
 // Decode parses one wire frame. The returned message owns its memory (the

@@ -326,31 +326,3 @@ func TestQuickMergeMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkMerge(b *testing.B) {
-	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			dst := randomDV(rng, n)
-			src := randomDV(rng, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst.Merge(src)
-			}
-		})
-	}
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 4:
-		return "n=4"
-	case 16:
-		return "n=16"
-	case 64:
-		return "n=64"
-	default:
-		return "n=256"
-	}
-}
