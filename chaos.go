@@ -16,9 +16,9 @@ type ChaosPattern = chaos.Pattern
 // Fault patterns. Single crashes one process per cycle; Correlated crashes
 // a random set at once; Rolling sweeps the cluster one process per cycle;
 // Repeated crashes the same process again immediately after each recovery.
-// The partition patterns run over the real TCP mesh (RunChaos enables it
-// automatically): SplitBrain severs two seeded halves mid-traffic and
-// heals; Flapping breaks and heals one seeded link repeatedly under load;
+// The partition patterns cut links on whichever wire the run uses (the
+// in-process one unless Network.TCP is set): SplitBrain severs two seeded
+// halves mid-traffic and heals; Flapping breaks and heals one seeded link repeatedly under load;
 // Isolation cuts one process off per cycle, rolling through the cluster;
 // PartitionRecovery runs the recovery session while the split is open.
 const (
@@ -51,11 +51,10 @@ func NewChaosPlan(o ChaosPlanOptions) (ChaosPlan, error) { return chaos.NewPlan(
 // restored cut equals the Lemma 1 recovery line, the post-recovery pattern
 // stays RD-trackable, only obsolete checkpoints were collected, and
 // retention respects the RDT-LGC bound. The engine runs deterministically:
-// the same plan and options yield the same measurements. Plans with
-// partition steps route the cluster over the loopback TCP mesh (Network.TCP
-// turns it on explicitly for the other patterns), where every heal is
-// followed by a full drain — reconnect, retransmit, delivery — and the
-// oracle battery.
+// the same plan and options yield the same measurements. Partition steps
+// cut and heal links on whichever wire Network.TCP selects — the link layer
+// that holds the cut is the same under both — and every heal is followed by
+// a full drain — reconnect, retransmit, delivery — and the oracle battery.
 func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 	o := defaults()
 	for _, f := range opt {
@@ -77,7 +76,7 @@ func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 		Deterministic: true,
 		Compress:      o.compress,
 		RDT:           o.protocol.RDT(),
-		TCP:           net.TCP || plan.Partitioned(),
+		TCP:           net.TCP,
 	}
 	switch o.collector {
 	case RDTLGC:

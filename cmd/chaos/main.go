@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		patterns  = flag.String("patterns", "single,correlated,rolling,repeated", "comma-separated fault patterns")
-		partition = flag.String("partition", "", "comma-separated partition patterns to add to the grid: split|flap|isolate|partition-recovery (run over the real TCP mesh; heal latency lands in the JSON output)")
+		partition = flag.String("partition", "", "comma-separated partition patterns to add to the grid: split|flap|isolate|partition-recovery (heal latency lands in the JSON output)")
 		sizes     = flag.String("sizes", "4,8", "comma-separated process counts")
 		seeds     = flag.Int("seeds", 2, "seeded fault plans averaged per cell")
 		cycles    = flag.Int("cycles", 4, "crash/restart cycles per run")

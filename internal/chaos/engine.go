@@ -58,8 +58,9 @@ type Config struct {
 	CheckNBound bool
 
 	// TCP runs the cluster under test over the real batched TCP mesh
-	// instead of direct in-process delivery, so a chaos run exercises the
-	// wire path (framing, reconnects, link reconciliation) too.
+	// instead of the in-process wire, so a chaos run exercises the socket
+	// path (framing, reconnects, link reconciliation) too. Partition plans
+	// run on either: the link layer that cuts and heals is above the wire.
 	TCP bool
 	// Obs attaches live telemetry to the cluster under test and to the
 	// chaos engine itself: crash and recovery counters, crash→recovered
@@ -138,9 +139,6 @@ func Run(cfg Config, plan Plan) (Result, error) {
 	}
 	if cfg.Compress && base.Loss > 0 {
 		return Result{}, fmt.Errorf("chaos: compressed piggybacking requires a lossless baseline network (loss %g)", base.Loss)
-	}
-	if plan.Partitioned() && !cfg.TCP {
-		return Result{}, fmt.Errorf("chaos: partition plans need the TCP mesh (set Config.TCP)")
 	}
 	c, err := runtime.NewCluster(runtime.Config{
 		N:        plan.N,

@@ -12,7 +12,8 @@ import (
 	"repro/internal/storage"
 )
 
-// partitionConfig is the paper stack over the real TCP mesh with
+// partitionConfig is the paper stack over the real TCP mesh (the wire the
+// partition tests keep exercising; the CLIs run the in-process one) with
 // compressed piggybacking on — the configuration where a lost, duplicated,
 // or reordered retransmission cannot hide, because the kernel's delta
 // decoding depends on exact per-pair FIFO delivery.
@@ -28,6 +29,19 @@ func partitionConfig() chaos.Config {
 		RDT:           true,
 		CheckNBound:   true,
 	}
+}
+
+// count returns how many steps of the given kinds the plan schedules.
+func count(p chaos.Plan, kinds ...chaos.StepKind) int {
+	n := 0
+	for _, s := range p.Steps {
+		for _, k := range kinds {
+			if s.Kind == k {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestPartitionPlanDeterministic(t *testing.T) {
@@ -46,8 +60,8 @@ func TestPartitionPlanDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("same options produced different plans")
 			}
-			if !a.Partitioned() {
-				t.Fatalf("%s plan does not report Partitioned()", pat)
+			if count(a, chaos.StepPartition, chaos.StepBreakLink) == 0 {
+				t.Fatalf("%s plan schedules no cut", pat)
 			}
 			rt, err := chaos.ParsePattern(pat.String())
 			if err != nil || rt != pat {
@@ -67,14 +81,14 @@ func TestPartitionPlanDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a.Steps, b.Steps) {
 		t.Fatal("different seeds produced identical split-brain plans")
 	}
-	// Crash patterns stay partition-free: no TCP requirement sneaks in.
+	// Crash patterns stay partition-free.
 	for _, pat := range chaos.Patterns() {
 		p, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 20, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Partitioned() {
-			t.Fatalf("crash pattern %s claims partition steps", pat)
+		if count(p, chaos.StepPartition, chaos.StepHeal, chaos.StepBreakLink, chaos.StepHealLink) != 0 {
+			t.Fatalf("crash pattern %s schedules partition steps", pat)
 		}
 	}
 }
@@ -83,15 +97,6 @@ func TestPartitionPlanDeterministic(t *testing.T) {
 // how many cuts and heals a plan schedules per cycle.
 func TestPartitionPlanShapes(t *testing.T) {
 	const cycles = 3
-	count := func(p chaos.Plan, k chaos.StepKind) int {
-		n := 0
-		for _, s := range p.Steps {
-			if s.Kind == k {
-				n++
-			}
-		}
-		return n
-	}
 	cases := []struct {
 		pat                     chaos.Pattern
 		partitions, heals, flap int
@@ -189,17 +194,36 @@ func TestPartitionEngineAllPatterns(t *testing.T) {
 	}
 }
 
-// TestPartitionEngineNeedsTCP pins the guard: a partition plan cannot run
-// on the in-process network, where there is no real link to sever.
-func TestPartitionEngineNeedsTCP(t *testing.T) {
-	plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: chaos.SplitBrain, Cycles: 1, Ops: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := partitionConfig()
-	cfg.TCP = false
-	if _, err := chaos.Run(cfg, plan); err == nil {
-		t.Fatal("partition plan accepted without the TCP mesh")
+// TestPartitionEngineWiresAgree is the differential that shows the seam
+// under the link layer is transparent: one deterministic plan per partition
+// pattern, run once on the in-process wire and once over the TCP mesh,
+// yields the same measurements — every count, every rollback depth — once
+// the wall-clock fields are set aside. The cut, the parked backlog and the
+// replay are the link layer's; the wire only carries.
+func TestPartitionEngineWiresAgree(t *testing.T) {
+	for _, pat := range chaos.PartitionPatterns() {
+		pat := pat
+		t.Run(pat.String(), func(t *testing.T) {
+			plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 40, Seed: 57, Flaps: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res [2]chaos.Result
+			for i, tcp := range []bool{false, true} {
+				cfg := partitionConfig()
+				cfg.TCP = tcp
+				if res[i], err = chaos.Run(cfg, plan); err != nil {
+					t.Fatalf("tcp=%v: %v", tcp, err)
+				}
+				res[i].Latency, res[i].HealLatency = 0, 0
+			}
+			if res[0].Partitions == 0 || res[0].Heals == 0 {
+				t.Fatalf("%s run injected %d partitions, %d heals", pat, res[0].Partitions, res[0].Heals)
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("the two wires diverged:\nin-process %+v\ntcp        %+v", res[0], res[1])
+			}
+		})
 	}
 }
 

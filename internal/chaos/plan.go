@@ -225,18 +225,6 @@ func (p Plan) Crashes() int {
 	return k
 }
 
-// Partitioned reports whether the plan schedules partition or link-flap
-// steps, which require running the cluster over the TCP mesh.
-func (p Plan) Partitioned() bool {
-	for _, s := range p.Steps {
-		switch s.Kind {
-		case StepPartition, StepHeal, StepBreakLink, StepHealLink:
-			return true
-		}
-	}
-	return false
-}
-
 // NewPlan expands the options into a seeded fault schedule.
 func NewPlan(o PlanOptions) (Plan, error) {
 	if o.N < 2 {

@@ -63,19 +63,21 @@ const (
 	RuntimeIngressDepth  = "runtime.ingress.depth"
 	RuntimeIngressDrains = "runtime.ingress.drains"
 	RuntimeIngressNs     = "runtime.ingress.drain_ns"
-	// Reliability layer (per-pair retransmit windows over the mesh):
+	// Link layer (per-pair cuts and retransmit windows over either wire):
 	// retransmits counts frames resent through the retry path after a link
 	// died, reconnects counts pairs whose parked backlog flushed clean,
 	// parked is the frames currently awaiting a reconnect, lost is frames
 	// dropped past the retransmit window (permanently, like the old
-	// severed-link semantics), duplicates is receiver-side dedup drops, and
-	// backoff_ns samples every retry delay the backoff schedule draws.
+	// severed-link semantics), duplicates is receiver-side dedup drops,
+	// backoff_ns samples every retry delay the backoff schedule draws, and
+	// partitioned_pairs gauges the directed pairs BreakLink/Partition hold cut.
 	RuntimeLinkRetransmits = "runtime.link.retransmits"
 	RuntimeLinkReconnects  = "runtime.link.reconnects"
 	RuntimeLinkParked      = "runtime.link.parked"
 	RuntimeLinkLost        = "runtime.link.lost"
 	RuntimeLinkDups        = "runtime.link.duplicates"
 	RuntimeLinkBackoffNs   = "runtime.link.backoff_ns"
+	RuntimeLinkPartitioned = "runtime.link.partitioned_pairs"
 	// Egress fence (output commit): depth is the outgoing frames held back
 	// because they name a checkpoint that is staged and not yet durable,
 	// summed over the nodes; wait_ns is how long each released frame was held.
@@ -97,9 +99,6 @@ const (
 	TransportDials          = "transport.dials"
 	TransportDialFailures   = "transport.dial_failures"
 	TransportBadFrames      = "transport.bad_frames"
-	// PartitionedPairs gauges the directed pairs currently administratively
-	// blocked (BreakLink/Partition); it returns to zero on heal.
-	TransportPartitionedPairs = "transport.partitioned_pairs"
 
 	// Storage (internal/storage).
 	StorageSaves      = "storage.saves"
@@ -179,6 +178,7 @@ type RuntimeMetrics struct {
 	LinkLost        *Counter
 	LinkDups        *Counter
 	LinkBackoffNs   *Histogram
+	LinkPartitioned *Gauge
 
 	FenceDepth  *Gauge
 	FenceWaitNs *Histogram
@@ -206,6 +206,7 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 		LinkLost:        r.Counter(RuntimeLinkLost),
 		LinkDups:        r.Counter(RuntimeLinkDups),
 		LinkBackoffNs:   r.Histogram(RuntimeLinkBackoffNs),
+		LinkPartitioned: r.Gauge(RuntimeLinkPartitioned),
 
 		FenceDepth:  r.Gauge(RuntimeFenceDepth),
 		FenceWaitNs: r.Histogram(RuntimeFenceWaitNs),
@@ -216,16 +217,15 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 
 // TransportMetrics is the TCP mesh's handle bundle.
 type TransportMetrics struct {
-	Batches          *Counter
-	FramesPerBatch   *Histogram
-	FramesSent       *Counter
-	FramesDeliv      *Counter
-	FramesLost       *Counter
-	BytesOut         *Counter
-	BytesIn          *Counter
-	Dials            *Counter
-	DialFailures     *Counter
-	PartitionedPairs *Gauge
+	Batches        *Counter
+	FramesPerBatch *Histogram
+	FramesSent     *Counter
+	FramesDeliv    *Counter
+	FramesLost     *Counter
+	BytesOut       *Counter
+	BytesIn        *Counter
+	Dials          *Counter
+	DialFailures   *Counter
 }
 
 // TransportMetricsFrom resolves the transport bundle against a registry.
@@ -233,16 +233,15 @@ type TransportMetrics struct {
 // (the PR-6 accessor) and adopts it into the registry via RegisterCounter.
 func TransportMetricsFrom(r *Registry) TransportMetrics {
 	return TransportMetrics{
-		Batches:          r.Counter(TransportBatches),
-		FramesPerBatch:   r.Histogram(TransportFramesPerBatch),
-		FramesSent:       r.Counter(TransportFramesSent),
-		FramesDeliv:      r.Counter(TransportFramesDeliv),
-		FramesLost:       r.Counter(TransportFramesLost),
-		BytesOut:         r.Counter(TransportBytesOut),
-		BytesIn:          r.Counter(TransportBytesIn),
-		Dials:            r.Counter(TransportDials),
-		DialFailures:     r.Counter(TransportDialFailures),
-		PartitionedPairs: r.Gauge(TransportPartitionedPairs),
+		Batches:        r.Counter(TransportBatches),
+		FramesPerBatch: r.Histogram(TransportFramesPerBatch),
+		FramesSent:     r.Counter(TransportFramesSent),
+		FramesDeliv:    r.Counter(TransportFramesDeliv),
+		FramesLost:     r.Counter(TransportFramesLost),
+		BytesOut:       r.Counter(TransportBytesOut),
+		BytesIn:        r.Counter(TransportBytesIn),
+		Dials:          r.Counter(TransportDials),
+		DialFailures:   r.Counter(TransportDialFailures),
 	}
 }
 

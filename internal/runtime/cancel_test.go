@@ -51,7 +51,7 @@ func TestSessionCancelsDelayedTraffic(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		for _, compress := range []bool{false, true} {
 			for _, restart := range []bool{false, true} {
-				name := map[bool]string{false: "in-process", true: "tcp"}[tcp] +
+				name := wireName(tcp) +
 					map[bool]string{false: "/full", true: "/compressed"}[compress] +
 					map[bool]string{false: "/recover", true: "/restart"}[restart]
 				t.Run(name, func(t *testing.T) {
@@ -258,7 +258,7 @@ func TestSessionBarrierCatchesStraddlingSend(t *testing.T) {
 func TestSessionsRaceSenders(t *testing.T) {
 	const n, senders, sessions, burst = 4, 8, 200, 160
 	for _, tcp := range []bool{false, true} {
-		t.Run(map[bool]string{false: "in-process", true: "tcp"}[tcp], func(t *testing.T) {
+		t.Run(wireName(tcp), func(t *testing.T) {
 			reg := obs.NewRegistry()
 			c, err := runtime.NewCluster(runtime.Config{
 				N: n, TCP: tcp, Compress: true,

@@ -26,3 +26,16 @@ func (c *Cluster) FreeBuffers() int {
 	defer c.dvMu.Unlock()
 	return len(c.dvFree) + len(c.entFree)
 }
+
+// RetryTimers counts the pairs holding an armed retry timer.
+func (c *Cluster) RetryTimers() int {
+	armed := 0
+	for _, pl := range c.createdLinks() {
+		pl.mu.Lock()
+		if pl.timer != nil {
+			armed++
+		}
+		pl.mu.Unlock()
+	}
+	return armed
+}

@@ -64,7 +64,7 @@ func (n *Node) egress(to int, d delivery, delay time.Duration) error {
 	case f.err != nil:
 		// Fail-stop: a frame behind a fence that cannot open is a lost message.
 		c.recycle(d.pb)
-		c.inflight.Done()
+		c.inflight.Add(-1)
 		return f.err
 	case n.staged > f.durable:
 		h := fenced{delivery: d, to: to, delay: delay, ticket: n.staged}

@@ -10,8 +10,8 @@ import (
 
 // This file is the receive-side counterpart of the sender pool: a bounded
 // per-node ingress ring between the concurrent producers of inbound batches
-// (mesh readLoops — one per live TCP stream — and sender-pool dispatch in
-// direct mode) and the node's kernel. Producers enqueue whole batches and
+// (the wire: mesh readLoops — one per live TCP stream — or the in-process
+// hand-off, on whoever holds the pair's link) and the node's kernel. Producers enqueue whole batches and
 // block until theirs is applied; whichever producer finds no drain in
 // progress becomes the drainer and applies everything queued — its own
 // batch plus anything other streams enqueued behind it — under ONE
@@ -28,14 +28,14 @@ import (
 //     with no copy on the hot path.
 //   - Backpressure: the ring holds at most ingRingSize batches. A slow
 //     receiver makes producers wait (the TCP streams stop reading, so the
-//     kernel's send side feels it as a full socket), instead of queueing
-//     unboundedly.
+//     kernel's send side feels it as a full socket; the in-process hand-off
+//     stalls the destination's pool worker), instead of queueing unboundedly.
 //
 // Ordering: the ring is FIFO in enqueue order and each producer is
 // sequential, so per-pair FIFO — each (sender, receiver) pair's messages
-// arrive through one stream, one readLoop — survives verbatim; that is the
-// channel property compressed piggybacking stands on. Cross-pair order is
-// whatever the enqueue race yields, exactly as with per-batch locking.
+// arrive through one stream, one readLoop, or under one link lock — survives
+// verbatim; that is the channel property compressed piggybacking stands on.
+// Cross-pair order is whatever the enqueue race yields.
 
 // ingRingSize bounds the batches queued per node. Batches, not messages:
 // a slot's batch can carry up to the transport's inbound-batch cap, so the

@@ -36,8 +36,8 @@ func closedEmpty(t *testing.T, c *runtime.Cluster) {
 // TestNoGoroutineLeakAfterClose guards the shutdowns that leave work behind
 // them: an in-process cluster closed with delayed sends still queued in the
 // sender pool (Close cancels them; the idle workers retire on their own), a
-// TCP cluster closed during an open partition with frames parked behind long
-// retry timers, both again on log stores — whose committer and compactor
+// cluster on either wire closed during an open partition with frames parked
+// behind the cut, both again on log stores — whose committer and compactor
 // goroutines the cluster owns, having opened the stores — and a NewCluster
 // that fails after it has opened some.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
@@ -90,29 +90,37 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 			t.Fatalf("Send after Close: %v, want ErrHalted", err)
 		}
 	})
-	t.Run("tcp, closed during an open partition", func(t *testing.T) {
-		base := goruntime.NumGoroutine()
-		c := compressedTCPCluster(t, 4, runtime.LinkOptions{
-			RetryBase: 30 * time.Second,
-			RetryCap:  time.Minute,
+	for _, tcp := range []bool{false, true} {
+		t.Run(wireName(tcp)+", closed during an open partition", func(t *testing.T) {
+			base := goruntime.NumGoroutine()
+			c := compressedCluster(t, 4, tcp, runtime.LinkOptions{
+				RetryBase: 30 * time.Second,
+				RetryCap:  time.Minute,
+			})
+			// Streams exist in both directions before the cut, so on the TCP wire
+			// Close has live readers and writers to tear down as well as parked
+			// frames.
+			ringSends(t, c, 40)
+			c.Quiesce()
+			if err := c.Partition([][]int{{0, 1}, {2, 3}}); err != nil {
+				t.Fatal(err)
+			}
+			ringSends(t, c, 40)
+			c.Quiesce() // cross-group frames are parked behind the cut
+			if c.PartitionedPairs() == 0 {
+				t.Fatal("no pair is partitioned")
+			}
+			// A cut pair waits for its heal, not for a timer: a partition holds
+			// none open, however long it lasts.
+			if timers := c.RetryTimers(); timers != 0 {
+				t.Fatalf("%d retry timers armed on a cut cluster, want none", timers)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			leakcheck.Settle(t, base)
 		})
-		// Streams exist in both directions before the cut, so Close has live
-		// readers and writers to tear down as well as parked frames.
-		ringSends(t, c, 40)
-		c.Quiesce()
-		if err := c.Partition([][]int{{0, 1}, {2, 3}}); err != nil {
-			t.Fatal(err)
-		}
-		ringSends(t, c, 40)
-		c.Quiesce() // cross-group frames are parked; their timers hold 30 s+ schedules
-		if c.PartitionedPairs() == 0 {
-			t.Fatal("no pair is partitioned")
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		leakcheck.Settle(t, base)
-	})
+	}
 	t.Run("tcp on log stores", func(t *testing.T) {
 		base := goruntime.NumGoroutine()
 		c, err := runtime.NewCluster(runtime.Config{N: 4, TCP: true, LocalGC: lgc, NewStore: logStores(t.TempDir())})

@@ -7,21 +7,28 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
-// This file is the reliability layer between the sender pool and the TCP
-// mesh: per-(from,to) wire sequence numbers, a bounded retransmit window,
-// and parked-frame retry with exponential backoff, so a severed or
-// partitioned link heals instead of silently losing every frame forever.
+// This file is the link layer: the network of every cluster, between the
+// sender pool and the wire (wire.go). It owns the administrative cut
+// (BreakLink, Partition and their heals), per-(from,to) wire sequence
+// numbers, a bounded retransmit window, and parked-frame retry with
+// exponential backoff, so a severed or partitioned link heals instead of
+// silently losing every frame forever — on the TCP mesh and on the
+// in-process hand-off alike; nothing here knows which wire it has.
 //
 // Invariants (the DESIGN.md "Partitions and healing" section states them
 // with the argument; the code enforces them):
 //
-//   - Every mesh send of a pair passes through the pair's pairLink with its
+//   - Every send of a pair passes through the pair's pairLink with its
 //     lock held, in dispatch order, and is stamped with the next wire seq
-//     there — so wire seq order equals dispatch order equals (via the
-//     pooled queue's per-pair due-time clamp) application send order.
+//     there — so wire seq order equals dispatch order equals (where the
+//     pooled queue's per-pair due-time clamp runs) application send order.
+//   - blocked is the cut, and the only record of it: written without the
+//     pair's lock (a writer stuck on a full socket holds it, and must not
+//     wedge BreakLink), read under it by whatever could put a frame on the
+//     wire; cut() makes it true. A blocked pair parks what it is given and
+//     arms no timer: it waits for the heal.
 //   - window holds exactly the frames accepted onto the wire and not yet
 //     known delivered, oldest first; winBase is the cumulative
 //     wire-acceptance index of its oldest frame and wireDeliv the cumulative
@@ -33,12 +40,15 @@ import (
 //     pair's frames in their original order.
 //   - Parked frames hold no in-flight accounting: Quiesce does not wait on
 //     a partition, only on frames actually on the wire or in delivery.
-//   - The receiver drops any frame whose seq is below the pair's expected
-//     seq (a retransmit raced its own delivery) and advances over gaps
-//     (frames dropped past the window are permanent losses); together with
-//     reap-gated redial this keeps delivery exactly-once and per-pair FIFO.
+//   - The TCP wire's receiver drops any frame whose seq is below the pair's
+//     expected seq (a retransmit raced its own delivery) and advances over
+//     gaps (frames dropped past the window are permanent losses); together
+//     with reap-gated redial this keeps delivery exactly-once and per-pair
+//     FIFO. The in-process wire delivers as it accepts and has neither case.
 type pairLink struct {
 	from, to int
+
+	blocked atomic.Bool // cut by BreakLink/Partition until the matching heal
 
 	mu      sync.Mutex
 	sendSeq uint64    // next wire seq to stamp
@@ -49,7 +59,7 @@ type pairLink struct {
 	timer   *time.Timer
 	down    bool // a link-down flight event was recorded and not yet matched
 
-	wire []transport.Message // reused frame batch for this pair's sends
+	wire frames // the TCP wire's reused frame batch for this pair's sends
 }
 
 // frameRing is a pair's retransmit window: a FIFO of frames in a ring that
@@ -84,12 +94,13 @@ func (r *frameRing) pop() {
 	r.n--
 }
 
-// LinkOptions tunes the reliability layer and the mesh's failure behavior
+// LinkOptions tunes the link layer and the TCP wire's failure behavior
 // (Config.Link). The zero value selects the defaults below.
 type LinkOptions struct {
 	// RetryBase and RetryCap shape the exponential retransmit backoff
 	// (defaults 10ms and 1s): after the k-th consecutive failed flush the
-	// pair waits about base<<k, jittered ±50%, capped, before retrying.
+	// pair waits about base<<k, jittered ±50%, capped, before retrying. It
+	// is the only pacing there is: the wire refuses or fails at once.
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// Window bounds the frames a pair retains for retransmit — parked and
@@ -98,7 +109,8 @@ type LinkOptions struct {
 	// clusters should size it above the largest burst a partition can
 	// strand, since the piggyback verifier fails loudly on a genuine loss.
 	Window int
-	// DialTimeout and WriteTimeout forward to transport.Options.
+	// DialTimeout and WriteTimeout forward to transport.Options; the
+	// in-process wire has neither a dial nor a write to bound.
 	DialTimeout  time.Duration
 	WriteTimeout time.Duration
 }
@@ -137,8 +149,6 @@ func (f *inflight) Add(d int) {
 		f.mu.Unlock()
 	}
 }
-
-func (f *inflight) Done() { f.Add(-1) }
 
 func (f *inflight) Wait() {
 	if f.n.Load() == 0 {
@@ -181,10 +191,10 @@ func (c *Cluster) createdLinks() []*pairLink {
 }
 
 // sendRun pushes one dispatch run (same (from,to), dispatch order) through
-// the pair's reliability state: stamp wire seqs, then either hand the run
-// to the wire or park it behind the pair's existing backlog. Called from
-// the dest queue's worker; the pairLink lock serializes it against the
-// pair's retry timer and OnLinkDown.
+// the pair's link: stamp wire seqs, then either hand the run to the wire or
+// park it behind the cut or the pair's existing backlog. Called from the dest
+// queue's worker; the pairLink lock serializes it against the pair's retry
+// timer, heals and onLinkDown.
 func (c *Cluster) sendRun(from, to int, run []pending) {
 	pl := c.link(from, to)
 	pl.mu.Lock()
@@ -192,56 +202,48 @@ func (c *Cluster) sendRun(from, to int, run []pending) {
 		run[i].wseq = pl.sendSeq
 		pl.sendSeq++
 	}
-	if len(pl.parked) > 0 || pl.timer != nil {
-		// The link is down (or a retry is pending): joining the parked tail
-		// instead of racing the flush keeps the pair's wire order intact.
-		c.park(pl, from, to, run, true)
-		pl.mu.Unlock()
-		return
+	if pl.blocked.Load() || len(pl.parked) > 0 || pl.timer != nil {
+		// The pair is cut, or the link is down (or a retry is pending):
+		// joining the parked tail instead of racing the flush keeps the
+		// pair's wire order intact.
+		c.park(pl, run)
+	} else {
+		c.wireSend(pl, run)
 	}
-	c.wireSend(pl, from, to, run, true)
 	pl.mu.Unlock()
 }
 
-// wireSend encodes and writes one run, appends the accepted frames to the
-// retransmit window and parks the rest. Called with pl.mu held. haveFlight
-// says the frames currently hold in-flight accounting (dispatch runs do; a
-// flush re-adds it before calling). Returns how many frames the wire
-// accepted.
-func (c *Cluster) wireSend(pl *pairLink, from, to int, run []pending, haveFlight bool) int {
-	c.pruneWindow(pl, from, to)
-	msgs := pl.wire[:0]
-	for k := range run {
-		msgs = append(msgs, wireMessage(from, to, &run[k]))
-	}
-	accepted, _ := c.mesh.SendBatch(from, to, msgs)
-	clear(msgs)
-	pl.wire = msgs[:0]
+// wireSend gives one run to the wire, appends the accepted frames to the
+// retransmit window and parks the rest. Called with pl.mu held, on frames
+// that hold in-flight accounting (dispatch runs do; a flush re-adds it
+// first). Returns how many frames the wire accepted.
+func (c *Cluster) wireSend(pl *pairLink, run []pending) int {
+	c.pruneWindow(pl)
+	accepted := c.wire.send(pl, run)
 	for k := 0; k < accepted; k++ {
 		if pl.window.n >= c.linkOpts.Window {
 			// Window overflow: the oldest wire-accepted frame loses its
 			// retransmit coverage. It is not lost yet — only unprotected; if
-			// its stream dies before delivering it, OnLinkDown counts it
+			// its stream dies before delivering it, onLinkDown counts it
 			// under the gap (linkLost) path.
 			c.dropOldest(pl)
 		}
 		pl.window.push(&run[k])
 	}
 	if accepted < len(run) {
-		c.park(pl, from, to, run[accepted:], haveFlight)
+		c.park(pl, run[accepted:])
 	}
 	return accepted
 }
 
 // park appends frames to the pair's parked backlog (dropping overflow past
-// the window bound as permanent losses) and arms the retry timer. Called
-// with pl.mu held. releaseFlight drops the frames' in-flight accounting:
+// the window bound as permanent losses), ends their in-flight accounting —
 // parked frames must not hold it, or Quiesce would hang for as long as a
-// partition stays open.
-func (c *Cluster) park(pl *pairLink, from, to int, run []pending, releaseFlight bool) {
+// partition stays open — and arms the retry timer. Called with pl.mu held.
+func (c *Cluster) park(pl *pairLink, run []pending) {
 	if !pl.down {
 		pl.down = true
-		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: len(run)})
+		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	for k := range run {
 		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
@@ -251,20 +253,18 @@ func (c *Cluster) park(pl *pairLink, from, to int, run []pending, releaseFlight 
 			pl.parked = append(pl.parked, run[k])
 			c.obs.LinkParked.Add(1)
 		}
-		if releaseFlight {
-			c.inflight.Done()
-		}
 	}
-	c.armRetry(pl, from, to)
+	c.inflight.Add(-len(run))
+	c.armRetry(pl)
 }
 
 // pruneWindow discards the window prefix the receiver has consumed
-// (wireDeliv counts every frame handed to onWire for the pair, duplicates
-// included — and a retransmitted frame re-entered the window at its
-// re-acceptance, so acceptances and deliveries stay 1:1). Called with
+// (wireDeliv counts every frame the wire handed over for the pair,
+// duplicates included — and a retransmitted frame re-entered the window at
+// its re-acceptance, so acceptances and deliveries stay 1:1). Called with
 // pl.mu held.
-func (c *Cluster) pruneWindow(pl *pairLink, from, to int) {
-	deliv := c.wireDeliv[from*c.cfg.N+to].Load()
+func (c *Cluster) pruneWindow(pl *pairLink) {
+	deliv := c.wireDeliv[pl.from*c.cfg.N+pl.to].Load()
 	for pl.window.n > 0 && pl.winBase < deliv {
 		c.dropOldest(pl)
 	}
@@ -279,7 +279,7 @@ func (c *Cluster) dropOldest(pl *pairLink) {
 	pl.winBase++
 }
 
-// onLinkDown is the mesh's lost-frame reconciliation: the lost count is
+// onLinkDown is the TCP wire's lost-frame reconciliation: the lost count is
 // exact (sent minus delivered for the dead stream), and after a final prune
 // the window holds exactly those frames — minus any that overflowed their
 // retransmit coverage. The survivors move to the front of the parked
@@ -289,7 +289,7 @@ func (c *Cluster) onLinkDown(from, to, lost int) {
 	pl := c.link(from, to)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	c.pruneWindow(pl, from, to)
+	c.pruneWindow(pl)
 	if lost <= 0 {
 		return
 	}
@@ -329,15 +329,16 @@ func (c *Cluster) onLinkDown(from, to, lost int) {
 	// prune cursor permanently behind. The count is final — the transport
 	// reconciles a dead stream only after its deliveries have completed.
 	pl.winBase = c.wireDeliv[from*c.cfg.N+to].Load()
-	c.armRetry(pl, from, to)
+	c.armRetry(pl)
 }
 
 // armRetry schedules the pair's next flush attempt with exponential
 // backoff and ±50% jitter from the cluster's seeded RNG. Called with pl.mu
-// held; no-op if a retry is already pending, the backlog is empty, or the
-// cluster is closed.
-func (c *Cluster) armRetry(pl *pairLink, from, to int) {
-	if pl.timer != nil || len(pl.parked) == 0 || c.closed.Load() {
+// held; no-op if a retry is already pending, the backlog is empty, the pair
+// is cut (the heal flushes it; until then every attempt would be refused) or
+// the cluster is closed.
+func (c *Cluster) armRetry(pl *pairLink) {
+	if pl.timer != nil || len(pl.parked) == 0 || pl.blocked.Load() || c.closed.Load() {
 		return
 	}
 	d := c.linkOpts.RetryBase
@@ -351,31 +352,41 @@ func (c *Cluster) armRetry(pl *pairLink, from, to int) {
 	d = d/2 + time.Duration(c.jit.Int63n(int64(d)))
 	c.jitMu.Unlock()
 	c.obs.LinkBackoffNs.Observe(d.Nanoseconds())
-	pl.timer = time.AfterFunc(d, func() { c.retryPair(pl, from, to) })
+	pl.timer = time.AfterFunc(d, func() {
+		pl.mu.Lock()
+		pl.timer = nil
+		c.flushLocked(pl) // one attempt, re-arming on failure
+		pl.mu.Unlock()
+	})
 }
 
-// retryPair is the timer body: one flush attempt, re-arming itself on
-// failure. It observes the cluster's closed flag first, so Close during an
-// open partition never waits out a backoff schedule.
-func (c *Cluster) retryPair(pl *pairLink, from, to int) {
-	pl.mu.Lock()
-	pl.timer = nil
-	if c.closed.Load() {
-		c.dropParkedLocked(pl)
-		pl.mu.Unlock()
-		return
+// stopRetry disarms the pair's retry timer. Called with pl.mu held. A body
+// already fired and waiting for the lock still runs, and finds what
+// flushLocked checks for: nothing to send, or a cut.
+func stopRetry(pl *pairLink) {
+	if pl.timer != nil {
+		pl.timer.Stop()
+		pl.timer = nil
 	}
-	c.flushLocked(pl, from, to)
-	pl.mu.Unlock()
 }
 
 // flushLocked attempts to push the pair's parked backlog back onto the
 // wire: the frames re-enter in-flight accounting, ride the normal wireSend
 // path (window, overflow parking), and on a wire refusal the remainder
-// re-parks and the backoff deepens. Called with pl.mu held.
-func (c *Cluster) flushLocked(pl *pairLink, from, to int) {
+// re-parks and the backoff deepens. A cut pair keeps its backlog for the
+// heal, and a closed cluster abandons it — observed here, first, so Close
+// during an open partition never waits out a backoff schedule. Called with
+// pl.mu held.
+func (c *Cluster) flushLocked(pl *pairLink) {
+	if c.closed.Load() {
+		c.dropParkedLocked(pl)
+		return
+	}
 	if len(pl.parked) == 0 {
 		pl.tries = 0
+		return
+	}
+	if pl.blocked.Load() {
 		return
 	}
 	run := pl.parked
@@ -388,14 +399,14 @@ func (c *Cluster) flushLocked(pl *pairLink, from, to int) {
 		if len(chunk) > maxDispatchBatch {
 			chunk = chunk[:maxDispatchBatch]
 		}
-		accepted := c.wireSend(pl, from, to, chunk, true)
+		accepted := c.wireSend(pl, chunk)
 		total += accepted
 		if accepted < len(chunk) {
 			// wireSend parked the chunk's remainder (releasing its
 			// accounting); the untouched tail follows it.
-			c.park(pl, from, to, run[len(chunk):], true)
+			c.park(pl, run[len(chunk):])
 			pl.tries++
-			c.armRetry(pl, from, to)
+			c.armRetry(pl)
 			return
 		}
 		run = run[len(chunk):]
@@ -403,7 +414,7 @@ func (c *Cluster) flushLocked(pl *pairLink, from, to int) {
 	pl.tries = 0
 	if pl.down {
 		pl.down = false
-		c.flight.Record(obs.Event{Kind: obs.EvLinkUp, P: from, Aux: to, Msg: total})
+		c.flight.Record(obs.Event{Kind: obs.EvLinkUp, P: pl.from, Aux: pl.to, Msg: total})
 	}
 	if total > 0 {
 		c.obs.LinkRetransmits.Add(uint64(total))
@@ -414,10 +425,7 @@ func (c *Cluster) flushLocked(pl *pairLink, from, to int) {
 // dropParkedLocked abandons the pair's backlog (cluster closing, or a
 // recovery session purging epoch-stale frames). Called with pl.mu held.
 func (c *Cluster) dropParkedLocked(pl *pairLink) {
-	if pl.timer != nil {
-		pl.timer.Stop()
-		pl.timer = nil
-	}
+	stopRetry(pl)
 	for i := range pl.parked {
 		c.recycle(pl.parked[i].pb)
 	}
@@ -443,75 +451,132 @@ func (c *Cluster) purgeParked() {
 	}
 }
 
-// flushPair synchronously pushes one pair's backlog after a heal, retrying
-// briefly so that a heal followed by Quiesce drains the backlog instead of
-// leaving it to the background schedule. Gives up to the background timer
-// on persistent refusal.
-func (c *Cluster) flushPair(from, to int) {
-	pl := c.link(from, to)
-	for attempt := 0; attempt < 50; attempt++ {
-		pl.mu.Lock()
-		if pl.timer != nil {
-			pl.timer.Stop()
-			pl.timer = nil
-		}
-		if c.closed.Load() {
-			c.dropParkedLocked(pl)
-			pl.mu.Unlock()
-			return
-		}
-		c.flushLocked(pl, from, to)
-		empty := len(pl.parked) == 0
-		pl.mu.Unlock()
-		if empty {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// pair returns the (from,to) link for the cut API, or nil when no such pair
+// can exist: an index outside the cluster, or a process paired with itself.
+func (c *Cluster) pair(from, to int) *pairLink {
+	if n := c.cfg.N; from < 0 || from >= n || to < 0 || to >= n || from == to {
+		return nil
 	}
+	return c.link(from, to)
 }
 
-// Partition severs every directed pair that crosses the given groups on
-// the mesh, atomically: cross-group sends park until HealAll. Nodes absent
-// from every group form one implicit extra group, so
-// Partition([][]int{{3}}) isolates node 3. Only TCP clusters have links to
-// partition.
-func (c *Cluster) Partition(groups [][]int) error {
-	if c.mesh == nil {
-		return fmt.Errorf("runtime: partitions require a TCP cluster")
+// setBlocked flips a pair's cut, keeping the partitioned-pairs count and
+// gauge in step. Returns 1 if the state changed, 0 if not.
+func (c *Cluster) setBlocked(pl *pairLink, v bool) int {
+	if pl.blocked.Swap(v) == v {
+		return 0
 	}
-	return c.mesh.Partition(groups)
+	d := int64(1)
+	if !v {
+		d = -1
+	}
+	c.cutPairs.Add(d)
+	c.obs.LinkPartitioned.Add(d)
+	return 1
+}
+
+// cut blocks the given pairs, and when it returns no frame of theirs reaches
+// a receiver until the heal (DESIGN.md "Why nothing crosses after the cut
+// returns"). All blocks first, so the cut is atomic to senders; then the
+// streams die. A sendRun or flush that read "not blocked" just before may
+// still be on its way to the wire — and, its stream gone and reaped, may
+// dial a fresh one — so cut passes through each pair's lock once: whoever
+// held it has finished, whoever takes it next sees the block. What such a
+// straggler dialed is severed again, and the reap awaited: the receiving
+// side has delivered what it will, onLinkDown has parked the rest. Returns
+// how many pairs were open. Takes no node lock and must not be called under
+// one (OnDeliver, Update): the barrier may wait for a receiver's drain.
+func (c *Cluster) cut(pairs []*pairLink) (opened int) {
+	for _, pl := range pairs {
+		opened += c.setBlocked(pl, true)
+	}
+	for _, pl := range pairs {
+		c.wire.sever(pl.from, pl.to)
+	}
+	for _, pl := range pairs {
+		pl.mu.Lock()
+		stopRetry(pl) // whatever it would retry waits for the heal now
+		pl.mu.Unlock()
+	}
+	for _, pl := range pairs {
+		c.wire.sever(pl.from, pl.to)
+		c.wire.waitReap(pl.from, pl.to)
+	}
+	return opened
+}
+
+// heal lifts the given pairs' cuts, all of them first, and then pushes each
+// pair's backlog synchronously, so that a heal followed by Quiesce drains it.
+// One attempt a pair: nothing refuses a healed pair but a dial that really
+// fails, which the background timer is for. Returns how many were cut.
+func (c *Cluster) heal(pairs []*pairLink) (healed int) {
+	for _, pl := range pairs {
+		healed += c.setBlocked(pl, false)
+	}
+	for _, pl := range pairs {
+		pl.mu.Lock()
+		stopRetry(pl)
+		c.flushLocked(pl)
+		pl.mu.Unlock()
+	}
+	return healed
+}
+
+// BreakLink cuts the directed pair from "from" to "to" until HealLink (or
+// HealAll), modeling a link failure: when it returns nothing more crosses.
+// What the pair had in transit and every later send park for retransmit and
+// are replayed after the heal, holding no in-flight accounting meanwhile, so
+// Quiesce still returns. Reports whether the pair was open; one that cannot
+// exist (an index out of range, from == to) is not, and nothing changes.
+func (c *Cluster) BreakLink(from, to int) bool {
+	pl := c.pair(from, to)
+	return pl != nil && c.cut([]*pairLink{pl}) == 1
+}
+
+// HealLink lifts one directed break and flushes that pair's backlog.
+// Reports whether the pair was cut.
+func (c *Cluster) HealLink(from, to int) bool {
+	pl := c.pair(from, to)
+	return pl != nil && c.heal([]*pairLink{pl}) == 1
+}
+
+// Partition cuts every directed pair that crosses the given groups,
+// atomically: cross-group sends park until HealAll. Nodes absent from every
+// group form one implicit extra group, so Partition([][]int{{3}}) isolates
+// node 3, and two halves split-brain the cluster. Group members must be
+// valid and distinct; on error nothing is cut.
+func (c *Cluster) Partition(groups [][]int) error {
+	n := c.cfg.N
+	side := make([]int, n) // 1+group index; 0 is the implicit group
+	for g, group := range groups {
+		for _, p := range group {
+			if p < 0 || p >= n {
+				return fmt.Errorf("runtime: partition member %d outside %d-process cluster", p, n)
+			}
+			if side[p] != 0 {
+				return fmt.Errorf("runtime: partition lists node %d twice", p)
+			}
+			side[p] = g + 1
+		}
+	}
+	var cross []*pairLink
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if side[from] != side[to] {
+				cross = append(cross, c.link(from, to))
+			}
+		}
+	}
+	c.cut(cross)
+	return nil
 }
 
 // HealAll lifts every break and partition and synchronously flushes every
 // pair's parked backlog, so HealAll followed by Quiesce observes the
-// stranded frames delivered. Returns how many directed pairs healed.
-func (c *Cluster) HealAll() int {
-	if c.mesh == nil {
-		return 0
-	}
-	healed := c.mesh.HealAll()
-	for _, pl := range c.createdLinks() {
-		c.flushPair(pl.from, pl.to)
-	}
-	return healed
-}
+// stranded frames delivered. Returns how many directed pairs healed. (A cut
+// pair's link exists — cutting it made it — so the created list has it.)
+func (c *Cluster) HealAll() int { return c.heal(c.createdLinks()) }
 
-// HealLink lifts one directed break and flushes that pair's backlog.
-// Reports whether the pair was blocked.
-func (c *Cluster) HealLink(from, to int) bool {
-	if c.mesh == nil {
-		return false
-	}
-	healed := c.mesh.HealLink(from, to)
-	c.flushPair(from, to)
-	return healed
-}
-
-// PartitionedPairs reports how many directed pairs are currently severed
-// by BreakLink or Partition (0 on non-TCP clusters).
-func (c *Cluster) PartitionedPairs() int {
-	if c.mesh == nil {
-		return 0
-	}
-	return c.mesh.PartitionedPairs()
-}
+// PartitionedPairs reports how many directed pairs are currently cut by
+// BreakLink or Partition.
+func (c *Cluster) PartitionedPairs() int { return int(c.cutPairs.Load()) }

@@ -24,7 +24,7 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 		pl.mu.Lock()
 		pl.window.push(&p) // what wireSend does with a frame the wire accepted
 		deliv.Add(deliver) // what onWire does when the receiver got one
-		c.pruneWindow(pl, 0, 1)
+		c.pruneWindow(pl)
 		pl.mu.Unlock()
 	}
 	for i := 0; i < 16; i++ {

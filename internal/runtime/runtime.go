@@ -1,12 +1,13 @@
 // Package runtime is the live concurrent driver of the shared middleware
 // kernel (internal/node): one goroutine-safe node per process, each
-// wrapping a kernel, connected by an asynchronous in-process network with
-// configurable delivery delay and message loss. All per-process middleware
+// wrapping a kernel, connected by an asynchronous network with configurable
+// delivery delay and message loss. All per-process middleware
 // logic — dependency-vector merge, piggyback build and compression, the
 // forced-checkpoint decision, stable-store writes, rollback and
 // rehydration — lives in the kernel, exactly the code the deterministic
 // simulator drives; this package contributes what a practical deployment
-// needs: locks, the asynchronous network (optionally a loopback TCP mesh),
+// needs: locks, the asynchronous network (sender pool, link layer, and under
+// it one of two wires: an in-process hand-off or a loopback TCP mesh),
 // network epochs, and the crash/restart lifecycle. It realizes the
 // "evaluation in a practical environment" the paper lists as future work
 // (Section 6), with deliveries racing application activity.
@@ -25,7 +26,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"log"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -39,7 +39,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/runtime/history"
 	"repro/internal/storage"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -74,28 +73,27 @@ type Config struct {
 	// it to the checkpointed state — application-level rollback, not just
 	// middleware bookkeeping.
 	NewApp func(self int) app.App
-	// TCP routes every message through a loopback TCP mesh
-	// (internal/transport) instead of direct in-process delivery, so the
-	// piggybacked vectors cross a real network path.
+	// TCP selects the wire under the link layer: a loopback TCP mesh
+	// (internal/transport), so the piggybacked vectors cross a real network
+	// path, instead of the in-process hand-off to the receiver's ingress
+	// ring. Sender pool, cuts, retransmit, backpressure: the same on both.
 	TCP bool
 	// Compress piggybacks only the dependency-vector entries changed since
 	// the previous send to the same destination (Singhal–Kshemkalyani).
 	// The technique requires reliable per-pair FIFO channels: NewCluster
-	// rejects a lossy network, SetNetwork rejects loss bursts, and the
-	// in-process network sequences each (sender, receiver) pair in send
-	// order (the TCP mesh is FIFO per pair by construction, and its
-	// hand-off is sequenced the same way).
+	// rejects a lossy network, SetNetwork rejects loss bursts, the sender
+	// pool sequences each (sender, receiver) pair in send order, and the
+	// link layer keeps that order across cuts and reconnects on either wire.
 	Compress bool
 	// OnDeliver, if set, is the application-level message handler: it runs
 	// under the receiving node's middleware lock, after the forced
 	// checkpoint (if any) and the vector merge, so state it mutates is
 	// atomic with respect to checkpoints — exactly like Node.Update.
 	OnDeliver func(self int, a app.App, payload []byte)
-	// Link tunes the self-healing machinery of a TCP cluster: redial
-	// backoff, socket deadlines, and the per-pair retransmit window that
-	// replays frames stranded by a severed or partitioned link after it
-	// heals. Ignored unless TCP is set; every TCP cluster runs the
-	// retransmit layer.
+	// Link tunes the link layer every cluster runs: the retry backoff, the
+	// per-pair retransmit window that replays frames stranded by a severed
+	// or partitioned link after it heals, and the TCP wire's socket
+	// deadlines.
 	Link LinkOptions
 	// Obs attaches live telemetry: a metrics registry instrumenting the
 	// kernel, sender pool, mesh and stores, and a flight recorder capturing
@@ -140,14 +138,6 @@ type Cluster struct {
 	dvFree  []vclock.DV
 	entFree [][]node.Entry
 
-	// pendMu guards pendFree, the freelist of inbound-batch slices onWire
-	// draws from: mesh streams to one receiver run concurrent readLoops, so
-	// the batch cannot live on a per-destination scratch, but it can be
-	// recycled — ingest returns only after the batch is applied, so the
-	// slice is dead by the time onWire parks it.
-	pendMu   sync.Mutex
-	pendFree [][]pending
-
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
 	// backs the per-pair FIFO clamp — the latest due time handed out per
@@ -156,7 +146,7 @@ type Cluster struct {
 	queues  []destQueue
 	pairDue []time.Time
 
-	// wireErrs counts connections the mesh severed on undecodable frames —
+	// wireErrs counts connections the TCP wire severed on undecodable frames —
 	// a poisoned link is a diagnosable counter, not a silent hang. Cluster-
 	// owned (the accessor predates the registry); with Config.Obs set the
 	// same cell is adopted into the registry as runtime.wire_errors.
@@ -165,22 +155,24 @@ type Cluster struct {
 	obs    obs.RuntimeMetrics // zero (free) unless Config.Obs named a registry
 	flight *obs.Recorder      // nil unless Config.Obs named a recorder
 
-	mesh *transport.TCP // nil for direct in-process delivery
+	// wire carries the link layer's frames to the receivers: the in-process
+	// hand-off or the TCP mesh (wire.go). Chosen once, in NewCluster.
+	wire wire
 
-	// The link.go retransmit layer of a TCP cluster (all nil without a
-	// mesh): links/linkOpts hold its per-pair state, wireDeliv the
-	// cumulative frames handed to onWire per (from,to) pair (duplicates
-	// included — it prunes the retransmit window, whose entries are wire
-	// acceptances), and recvSeq the next expected wire seq per pair (the
-	// receiver-side dedup cursor). created lists the pairLinks that exist, in
-	// creation order and append-only under linkMu: what a sweep over the
-	// pairs visits, instead of the n² slots most of which stay nil.
+	// The link layer (link.go): links/linkOpts hold its per-pair state,
+	// wireDeliv the cumulative frames the wire handed to a receiver per
+	// (from,to) pair (duplicates included — it prunes the retransmit window,
+	// whose entries are wire acceptances), and cutPairs the directed pairs
+	// BreakLink/Partition currently hold cut. created lists the pairLinks
+	// that exist, in creation order and append-only under linkMu: what a
+	// sweep over the pairs visits, instead of the n² slots most of which
+	// stay nil.
 	linkOpts  LinkOptions
 	links     []atomic.Pointer[pairLink]
 	linkMu    sync.Mutex
 	created   []*pairLink
 	wireDeliv []atomic.Int64
-	recvSeq   []atomic.Uint64
+	cutPairs  atomic.Int64
 
 	// jit feeds the retry-backoff jitter. It is deliberately NOT c.rng:
 	// retry attempts are wall-clock paced, so their draw count is
@@ -264,34 +256,23 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.queues[i].timer = time.NewTimer(workerIdle)
 	}
 	if cfg.Compress || cfg.TCP {
-		// Compressed piggybacking needs strict per-pair send-order FIFO; so
-		// does the retransmit layer (wire seqs are stamped in dispatch
-		// order, so dispatch order must equal send order).
+		// Compressed piggybacking needs strict per-pair send-order FIFO, and
+		// a TCP cluster has always promised it (a pair is one stream).
 		c.pairDue = make([]time.Time, cfg.N*cfg.N)
 	}
+	c.linkOpts = cfg.Link.withDefaults()
+	c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
+	c.wireDeliv = make([]atomic.Int64, cfg.N*cfg.N)
+	c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
+	// The one place that asks which wire; nothing arrives on either before
+	// the first send, so it may open before the nodes exist.
+	c.wire = handoff{c}
 	if cfg.TCP {
-		c.linkOpts = cfg.Link.withDefaults()
-		mesh, err := transport.NewTCPWith(cfg.N, transport.Options{
-			DialTimeout:  c.linkOpts.DialTimeout,
-			WriteTimeout: c.linkOpts.WriteTimeout,
-		})
+		mesh, err := newMeshWire(c)
 		if err != nil {
 			return nil, err
 		}
-		// Frames written to a stream that dies before delivering them are
-		// reconciled by onLinkDown, which parks them for retransmit — so
-		// Quiesce cannot hang on a torn-down link.
-		c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
-		c.wireDeliv = make([]atomic.Int64, cfg.N*cfg.N)
-		c.recvSeq = make([]atomic.Uint64, cfg.N*cfg.N)
-		c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
-		mesh.OnLinkDown = c.onLinkDown
-		mesh.OnFrameError = func(from, to int, err error) {
-			c.wireErrs.Inc()
-			log.Printf("runtime: mesh link %d->%d severed on bad frame: %v", from, to, err)
-		}
-		mesh.SetObs(cfg.Obs.Registry)
-		c.mesh = mesh
+		c.wire = mesh
 	}
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
@@ -350,104 +331,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			c.pairDue = make([]time.Time, cfg.N*cfg.N)
 		}
 	}
-	if c.mesh != nil {
-		if err := c.mesh.StartBatched(c.onWire); err != nil {
-			_ = c.Close()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
-// onWire feeds a non-empty batch of messages arriving from one TCP stream —
-// all from the same (sender, receiver) pair, in stream order — into the
-// receiver's ingress ring. The matching inflight increments happened at
-// send. Everything here is a view: sparse entries, full vectors and
-// payloads alias the readLoop's frame buffers (zero-copy decode), which
-// the transport reuses once this callback returns — safe because ingest
-// blocks until the batch is applied. For the same reason the decoded
-// vectors must NOT feed the DV freelist: they are transport-owned memory,
-// not CloneDV snapshots.
-func (c *Cluster) onWire(ms []transport.Message) {
-	defer c.inflight.Add(-len(ms))
-	batch := c.getPending(len(ms))
-	pair := ms[0].From*c.cfg.N + ms[0].To
-	// Count every frame the wire handed over, duplicates included: the
-	// sender's retransmit window tracks wire acceptances, so its prune
-	// cursor must advance one-for-one with them.
-	c.wireDeliv[pair].Add(int64(len(ms)))
-	seqCur := &c.recvSeq[pair]
-	for _, m := range ms {
-		// Receiver-side dedup: a frame below the pair's expected wire seq is
-		// a retransmit that raced its own original delivery — drop it. A gap
-		// above it is a permanent loss (the frame fell past the sender's
-		// retransmit coverage); advance over it, and let the
-		// compressed-piggyback Ord verification fail loudly if the
-		// configuration promised lossless FIFO. Same-pair deliveries are
-		// serialized by the transport, so load-then-store is race-free.
-		if exp := seqCur.Load(); m.Seq < exp {
-			c.obs.LinkDups.Inc()
-			continue
-		}
-		seqCur.Store(m.Seq + 1)
-		if err := m.Validate(c.cfg.N); err != nil {
-			// Structurally sound but semantically damaged — an entry index
-			// outside the cluster, a wrong-size vector: the frame is
-			// dropped (a lost message, which the model permits) before it
-			// can reach a kernel's dependency vector.
-			continue
-		}
-		pb := node.Piggyback{Index: m.Index}
-		if m.Sparse {
-			pb.Compressed = true
-			pb.From = m.From
-			pb.Ord = m.Ord
-			pb.Entries = m.Entries
-		} else {
-			pb.DV = vclock.DV(m.DV)
-		}
-		batch = append(batch, pending{
-			delivery: delivery{msg: m.Msg, pb: pb, epoch: m.Epoch, payload: m.Payload},
-			from:     m.From,
-		})
-	}
-	if len(batch) > 0 {
-		c.nodes[ms[0].To].ingest(batch)
-	}
-	c.putPending(batch)
-}
-
-// getPending draws an inbound-batch slice from the freelist (concurrent
-// readLoops share it, so it is mutex-guarded leaf state — far cheaper than
-// the per-batch allocation it replaces).
-func (c *Cluster) getPending(n int) []pending {
-	c.pendMu.Lock()
-	if k := len(c.pendFree); k > 0 {
-		b := c.pendFree[k-1]
-		c.pendFree = c.pendFree[:k-1]
-		c.pendMu.Unlock()
-		return b
-	}
-	c.pendMu.Unlock()
-	return make([]pending, 0, n)
-}
-
-// putPending parks a consumed batch slice for reuse, dropping the view
-// references it carried first.
-func (c *Cluster) putPending(b []pending) {
-	clear(b)
-	c.pendMu.Lock()
-	c.pendFree = append(c.pendFree, b[:0])
-	c.pendMu.Unlock()
-}
-
-// Close releases what NewCluster acquired: the TCP mesh, if any, and every
+// Close releases what NewCluster acquired: the wire, and every
 // stable store Config.NewStore opened — whoever called NewStore closes, so
 // a log store's goroutines and tail segment do not outlive the cluster and
 // its staged tombstones are committed. Close during an open partition
-// returns promptly: the dead flag is set first, so retry timers, redial
-// loops and parked backlogs observe it and abandon their work instead of
-// waiting out a backoff schedule. It must not overlap a recovery session,
+// returns promptly: the dead flag is set first, so retry timers and parked
+// backlogs observe it and abandon their work instead of waiting out a
+// backoff schedule. It must not overlap a recovery session,
 // and the cluster is unusable afterwards.
 //
 // A late forced checkpoint must not reach a closed store, so Close opens the
@@ -459,10 +352,7 @@ func (c *Cluster) Close() error {
 	c.closed.Store(true)
 	c.cancelTransit()
 	c.purgeParked()
-	var errs []error
-	if c.mesh != nil {
-		errs = append(errs, c.mesh.Close())
-	}
+	errs := []error{c.wire.close()}
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		errs = append(errs, storage.Close(n.k.Store()))
@@ -471,22 +361,7 @@ func (c *Cluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// BreakLink severs the mesh stream from "from" to "to" and blocks the
-// pair until HealLink (or HealAll), modeling a link failure on a TCP
-// cluster: messages already on the stream may still arrive; the
-// undelivered remainder parks for retransmit and is replayed after the
-// heal, holding no in-flight accounting meanwhile, so Quiesce still
-// returns. The block is installed whether or not a stream existed; the
-// result only reports whether a live one was severed (always false on
-// non-TCP clusters, which have no links to block).
-func (c *Cluster) BreakLink(from, to int) bool {
-	if c.mesh == nil {
-		return false
-	}
-	return c.mesh.BreakLink(from, to)
-}
-
-// WireErrors counts mesh connections severed by undecodable frames — the
+// WireErrors counts TCP connections severed by undecodable frames — the
 // loud trace a poisoned link leaves instead of a silent hang.
 func (c *Cluster) WireErrors() uint64 { return c.wireErrs.Value() }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/node"
-	"repro/internal/transport"
 )
 
 // This file is the cluster's sender pool: the bounded, reusable machinery
@@ -19,12 +18,12 @@ import (
 // The heap is also the delay/drop simulation's timer: a message's network
 // delay becomes its due time, and the worker sleeps on a single timer
 // until the earliest one, instead of every message sleeping separately.
-// Messages that come due together are popped together and delivered under
-// one receiver-lock acquisition (direct mode) or encoded into one buffered
-// TCP write per (sender, destination) run (mesh mode).
+// Messages that come due together are popped together and handed to the link
+// layer (link.go) one (sender, destination) run at a time: a run is one
+// ingest on the in-process wire, one buffered write on the TCP wire.
 //
-// Per-pair FIFO — for compressed piggybacks, the mesh's wire sequence
-// numbers, and frames that leave an egress fence together — falls out of the
+// Per-pair FIFO — for compressed piggybacks, a TCP cluster's streams, and
+// frames that leave an egress fence together — falls out of the
 // queue order: due times are clamped monotone per (from, to) pair at enqueue
 // (under the sender's fence lock, so they follow encode order) and ties
 // break on the enqueue sequence number, so a pair's messages can never
@@ -37,8 +36,8 @@ import (
 const workerIdle = 50 * time.Millisecond
 
 // maxDispatchBatch bounds how many due messages one dispatch consumes, so
-// a saturated queue cannot hold the receiver's lock (or the wire buffer)
-// for an unbounded stretch.
+// a saturated queue cannot hold a pair's link (and through it the receiver's
+// ring, or the wire buffer) for an unbounded stretch.
 const maxDispatchBatch = 128
 
 // delivery is one message as the receiver consumes it.
@@ -55,7 +54,7 @@ type pending struct {
 	from int
 	at   time.Time // due time: enqueue (fence release) time + simulated network delay
 	seq  uint64    // queue-local tiebreak, monotone in enqueue order
-	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link (TCP mesh)
+	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link
 }
 
 // before is the heap order: due time, then enqueue order.
@@ -142,9 +141,9 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	}
 	q.mu.Lock()
 	// The monotone due-time clamp runs whenever strict per-pair FIFO is
-	// load-bearing: compressed piggybacking (delta decode order), the TCP
-	// mesh's retransmit layer (wire seqs are stamped in dispatch order), and
-	// stores that fence (a pair's frames released in one instant).
+	// load-bearing: compressed piggybacking (delta decode order), a TCP
+	// cluster (a pair is one stream), and stores that fence (a pair's
+	// frames released in one instant).
 	if c.pairDue != nil {
 		if last := c.pairDue[from*c.cfg.N+to]; at.Before(last) {
 			at = last
@@ -251,29 +250,15 @@ func (c *Cluster) sendWorker(q *destQueue) {
 	}
 }
 
-// dispatch delivers a batch of due messages to one destination: directly,
-// under a single receiver-lock acquisition, or — on a TCP cluster — as
-// buffered batch writes, one per (sender, destination) run. Every message
-// ends its in-flight accounting here or, for frames accepted onto the
-// wire, at delivery / link reconciliation.
+// dispatch hands a batch of due messages for one destination to the link
+// layer, one (sender, destination) run at a time: wire seqs are stamped
+// there, frames the wire takes enter the pair's retransmit window — the
+// piggyback buffers recycle when the window prunes them, not here — and
+// frames it refuses, or that a cut holds back, park instead of dropping.
+// Every message ends its in-flight accounting at delivery, at link
+// reconciliation or when it parks.
 func (c *Cluster) dispatch(to int, batch []pending) {
 	c.obs.QueueDepth.Add(-int64(len(batch)))
-	if c.mesh == nil {
-		// ingest returns once the batch is applied, so the snapshots are
-		// consumed and can feed the freelist, and the worker may reuse the
-		// batch slice for its next drain.
-		c.nodes[to].ingest(batch)
-		for i := range batch {
-			c.recycle(batch[i].pb)
-			c.inflight.Done()
-		}
-		return
-	}
-	// Every TCP cluster runs the reliability layer, so each (sender,
-	// destination) run routes through the pair's link: wire seqs stamped
-	// there, accepted frames entering the retransmit window — the piggyback
-	// buffers recycle when the window prunes them, not here — and refused
-	// frames parking for the reconnect instead of dropping.
 	for i := 0; i < len(batch); {
 		j := i
 		for j < len(batch) && batch[j].from == batch[i].from {
@@ -282,20 +267,4 @@ func (c *Cluster) dispatch(to int, batch []pending) {
 		c.sendRun(batch[i].from, to, batch[i:j])
 		i = j
 	}
-}
-
-// wireMessage frames one pending message for the mesh.
-func wireMessage(from, to int, p *pending) transport.Message {
-	w := transport.Message{
-		From: from, To: to, Msg: p.msg, Epoch: p.epoch,
-		Index: p.pb.Index, Payload: p.payload, Seq: p.wseq,
-	}
-	if p.pb.Compressed {
-		w.Sparse = true
-		w.Ord = p.pb.Ord
-		w.Entries = p.pb.Entries
-	} else {
-		w.DV = p.pb.DV
-	}
-	return w
 }

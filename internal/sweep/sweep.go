@@ -539,9 +539,6 @@ func (c Cell) runChaos(res *Result) error {
 			Deterministic: true,
 			PCheckpoint:   c.PCheckpoint,
 			RDT:           v.Protocol.RDT,
-			// Partition patterns sever and heal real links; they run over
-			// the loopback TCP mesh, retransmit path and all.
-			TCP: c.Pattern.UsesPartitions(),
 		}
 		switch v.Collector {
 		case metrics.RDTLGC:

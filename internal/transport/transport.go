@@ -1,11 +1,12 @@
-// Package transport carries checkpointing-middleware messages between the
-// nodes of a live cluster. Two implementations exist: the runtime's default
-// in-process delivery, and the TCP mesh in this package, which sends every
-// application message — dependency vector piggyback included — through real
-// loopback sockets with length-prefixed binary framing. The TCP mesh makes
-// the live-cluster experiments exercise a genuine network path: encoding,
-// kernel buffering, per-connection ordering and cross-connection
-// reordering.
+// Package transport is the socket wire of a live cluster: a TCP mesh that
+// sends every application message — dependency vector piggyback included —
+// through real loopback sockets with length-prefixed binary framing, so the
+// live-cluster experiments exercise a genuine network path: encoding, kernel
+// buffering, per-connection ordering and cross-connection reordering. It
+// carries frames, kills a stream when told to (Sever) and accounts for what
+// a dead stream lost (OnLinkDown); which pairs may talk, when to try again
+// and what to resend are decided once, for every wire, by the link layer of
+// internal/runtime — whose other wire is an in-process hand-off.
 package transport
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"slices"
 	"sync"
@@ -236,13 +236,12 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 }
 
 // ErrLinkDown is returned by Send and SendBatch while a pair's connection
-// is unavailable: the pair is administratively blocked (BreakLink or
-// Partition, until the matching heal), a previous stream died and its
-// accounting has not been reaped yet, the redial backoff window is still
-// open, a fresh dial failed, or the mesh is closed. The refusal is
-// immediate — callers that want reliability retry after the backoff (the
-// runtime's reliability layer does); callers that treat it as loss lose
-// the frame, which the model permits.
+// is unavailable: a previous stream died (a write error, or Sever) and its
+// accounting has not been reaped yet, or the mesh is closed. The refusal is
+// immediate, and so is a failed dial's error — the mesh paces nothing:
+// callers that want reliability retry on their own schedule (the runtime's
+// link layer does); callers that treat it as loss lose the frame, which the
+// model permits.
 var ErrLinkDown = errors.New("transport: link is down")
 
 // Options tunes the mesh's failure behavior. The zero value selects the
@@ -257,11 +256,6 @@ type Options struct {
 	// layer above redials and retransmits, so a hung peer costs a
 	// reconnect, not a wedged sender.
 	WriteTimeout time.Duration
-	// RedialBase and RedialCap shape the exponential redial backoff
-	// (defaults 20ms and 1s): after the k-th consecutive dial failure the
-	// pair refuses sends for about base<<k, jittered ±50%, capped.
-	RedialBase time.Duration
-	RedialCap  time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -271,20 +265,7 @@ func (o Options) withDefaults() Options {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 5 * time.Second
 	}
-	if o.RedialBase <= 0 {
-		o.RedialBase = 20 * time.Millisecond
-	}
-	if o.RedialCap <= 0 {
-		o.RedialCap = time.Second
-	}
 	return o
-}
-
-// redial is one pair's dial-backoff state: consecutive failures and the
-// earliest instant the next attempt may go out.
-type redial struct {
-	attempts int
-	next     time.Time
 }
 
 // helloMagic opens every connection: the dialer announces which (from, to)
@@ -314,18 +295,6 @@ type TCP struct {
 
 	mu    sync.Mutex
 	conns map[[2]int]*sendConn // (from, to) -> connection
-
-	// blocked marks administratively severed directed pairs
-	// (BreakLink/Partition): sends refuse with ErrLinkDown until the
-	// matching HealLink/HealAll. Atomic so the send path checks it without
-	// the mesh lock. partPairs mirrors the count for PartitionedPairs and
-	// the gauge.
-	blocked   []atomic.Bool
-	partPairs atomic.Int64
-
-	// dialMu guards dialBack, the per-pair redial backoff state.
-	dialMu   sync.Mutex
-	dialBack map[[2]int]redial
 
 	accMu    sync.Mutex
 	accepted map[net.Conn]struct{} // live accepted conns, closed by Close
@@ -385,7 +354,7 @@ type sendConn struct {
 
 	// dead and live are deliberately outside mu: a writer blocked on a
 	// full socket holds mu for the whole Write, and the only thing that
-	// unblocks it is closing the socket — so BreakLink, reap and Close
+	// unblocks it is closing the socket — so Sever, reap and Close
 	// must be able to mark the pair dead and close the conn without
 	// queueing on mu behind that writer.
 	dead atomic.Bool
@@ -414,8 +383,6 @@ func NewTCPWith(n int, opts Options) (*TCP, error) {
 		accepted:  make(map[net.Conn]struct{}),
 		closed:    make(chan struct{}),
 		delivered: make([]atomic.Int64, n*n),
-		blocked:   make([]atomic.Bool, n*n),
-		dialBack:  make(map[[2]int]redial),
 		dial: func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, opts.DialTimeout)
 		},
@@ -539,7 +506,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.frameError(-1, -1, errors.New("transport: bad connection hello"))
 		return
 	}
-	defer t.reapPair(from, to)
+	defer func() {
+		if sc := t.current(from, to); sc != nil {
+			t.reap(sc, from, to)
+		}
+	}()
 
 	// One reusable frame buffer per batch slot: messages are decoded
 	// zero-copy (decodeView aliases the buffer), so every frame of a batch
@@ -622,19 +593,15 @@ func (t *TCP) deliverBatch(from, to int, batch []Message) {
 // one — so a slow or hung dial to one peer stalls only senders to that
 // peer, not every sender on the mesh.
 //
-// Unlike the pre-partition mesh, a dead pair is not permanent: once the
-// dead incarnation's accounting has been reaped (and the pair is neither
-// blocked nor inside its redial backoff window), the placeholder is
-// replaced and the pair redials. Every refusal is immediate — conn never
-// blocks on a reap or a backoff — so a caller holding higher-level locks
-// (the runtime's per-pair reliability lock, whose OnLinkDown callback the
-// reap itself runs) cannot deadlock against the teardown.
+// A dead pair is not permanent: once the dead incarnation's accounting has
+// been reaped, the placeholder is replaced and the pair redials — at the
+// caller's next attempt, whenever that is. Every refusal is immediate — conn
+// never blocks on a reap — so a caller holding higher-level locks (the
+// runtime's per-pair link lock, whose OnLinkDown callback the reap itself
+// runs) cannot deadlock against the teardown.
 func (t *TCP) conn(from, to int) (*sendConn, error) {
 	key := [2]int{from, to}
 	for {
-		if t.blocked[from*t.n+to].Load() {
-			return nil, ErrLinkDown
-		}
 		t.mu.Lock()
 		sc, ok := t.conns[key]
 		if !ok {
@@ -643,10 +610,6 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 				t.mu.Unlock()
 				return nil, ErrLinkDown
 			default:
-			}
-			if t.inBackoff(key) {
-				t.mu.Unlock()
-				return nil, ErrLinkDown
 			}
 			sc = &sendConn{reapDone: make(chan struct{})}
 			t.conns[key] = sc
@@ -658,23 +621,13 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 			// reap has run (reader exited, lost frames reported): dialing
 			// earlier could land new frames at the receiver before the old
 			// stream's tail is accounted, reordering the pair.
-			sc.mu.Lock()
-			undialed := sc.c == nil
-			sc.mu.Unlock()
-			if undialed {
-				// No socket ever existed, so no reader will reap it.
-				t.reap(sc, from, to)
-			}
+			t.reapUndialed(sc, from, to)
 			select {
 			case <-sc.reapDone:
 			default:
 				return nil, ErrLinkDown
 			}
-			t.mu.Lock()
-			if t.conns[key] == sc {
-				delete(t.conns, key)
-			}
-			t.mu.Unlock()
+			t.forget(key, sc)
 			continue
 		}
 
@@ -699,25 +652,19 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 			if err != nil {
 				// This attempt is dead for any sender already queued on
 				// sc.mu, but the pair is not: dropping the placeholder lets
-				// the next Send dial afresh, after the backoff.
+				// the next Send dial afresh.
 				t.obs.DialFailures.Inc()
-				t.dialFailed(key)
 				sc.dead.Store(true)
 				sc.mu.Unlock()
 				t.reap(sc, from, to) // nothing was sent; closes reapDone
-				t.mu.Lock()
-				if t.conns[key] == sc {
-					delete(t.conns, key)
-				}
-				t.mu.Unlock()
+				t.forget(key, sc)
 				return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
 			}
 			sc.c = conn
 			sc.delivBase = t.delivered[from*t.n+to].Load()
 			sc.live.Store(&conn)
-			t.dialOK(key)
 			if sc.dead.Load() {
-				// A BreakLink raced the dial: it marked the pair dead while
+				// A Sever raced the dial: it marked the pair dead while
 				// the socket did not exist yet, so closing it falls to us.
 				// The reader may or may not have registered; reaping here is
 				// safe (nothing was sent) and idempotent against its reap.
@@ -731,38 +678,21 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 	}
 }
 
-// inBackoff reports whether the pair's redial backoff window is still open.
-func (t *TCP) inBackoff(key [2]int) bool {
-	t.dialMu.Lock()
-	defer t.dialMu.Unlock()
-	st, ok := t.dialBack[key]
-	return ok && time.Now().Before(st.next)
+// forget drops a dead, reaped incarnation so that the pair's next send makes
+// a new one.
+func (t *TCP) forget(key [2]int, sc *sendConn) {
+	t.mu.Lock()
+	if t.conns[key] == sc {
+		delete(t.conns, key)
+	}
+	t.mu.Unlock()
 }
 
-// dialFailed records a failed attempt and arms the next backoff window:
-// exponential in the failure count, jittered ±50%, capped.
-func (t *TCP) dialFailed(key [2]int) {
-	t.dialMu.Lock()
-	defer t.dialMu.Unlock()
-	st := t.dialBack[key]
-	st.attempts++
-	d := t.opts.RedialBase
-	for i := 1; i < st.attempts && d < t.opts.RedialCap; i++ {
-		d *= 2
-	}
-	if d > t.opts.RedialCap {
-		d = t.opts.RedialCap
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
-	st.next = time.Now().Add(d)
-	t.dialBack[key] = st
-}
-
-// dialOK clears the pair's backoff state after a successful dial.
-func (t *TCP) dialOK(key [2]int) {
-	t.dialMu.Lock()
-	delete(t.dialBack, key)
-	t.dialMu.Unlock()
+// current returns the pair's incarnation, live or dead, or nil.
+func (t *TCP) current(from, to int) *sendConn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.conns[[2]int{from, to}]
 }
 
 // Send transmits a message to m.To over the mesh, dialing the peer's
@@ -825,166 +755,43 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	return len(msgs), nil
 }
 
-// BreakLink blocks and severs the (from, to) stream, modeling a link
-// failure: the sender side refuses further frames with ErrLinkDown, the
-// reader drains what the stream already carried and then reconciles the
-// rest through OnLinkDown. The block persists — the pair will not redial —
-// until HealLink (or HealAll) lifts it. It reports whether there was a
-// link (live, or mid-dial) to break; the block is installed either way.
-func (t *TCP) BreakLink(from, to int) bool {
-	t.setBlocked(from, to, true)
-	return t.sever(from, to)
-}
-
-// sever kills the pair's current stream incarnation, if any.
-func (t *TCP) sever(from, to int) bool {
-	t.mu.Lock()
-	sc := t.conns[[2]int{from, to}]
-	t.mu.Unlock()
-	if sc == nil {
-		return false
-	}
-	// Lock-free on purpose: the writer this break is meant to interrupt
-	// may be holding the pair lock, blocked on the very socket being
-	// closed. Swap makes the kill exactly-once; if the dial is still in
-	// flight (live unset), conn re-checks dead after publishing the
-	// socket and closes it on our behalf.
-	if sc.dead.Swap(true) {
+// Sever kills the (from, to) stream, if the pair has one, modeling a link
+// failure: the reader drains what the stream already carried and then
+// reconciles the rest through OnLinkDown. It reports whether there was a
+// link (live, or mid-dial) to kill. Nothing keeps the pair from redialing
+// once the dead stream is reaped: a cut that lasts is the caller's to hold.
+func (t *TCP) Sever(from, to int) bool {
+	sc := t.current(from, to)
+	// Lock-free on purpose: the writer this is meant to interrupt may be
+	// holding the pair lock, blocked on the very socket being closed. Swap
+	// makes the kill exactly-once; if the dial is still in flight (live
+	// unset), conn re-checks dead after publishing the socket and closes it
+	// on our behalf.
+	if sc == nil || sc.dead.Swap(true) {
 		return false
 	}
 	sc.closeConn()
 	return true
 }
 
-// setBlocked flips the pair's administrative block, keeping the
-// partitioned-pairs gauge in step. Reports whether the state changed.
-func (t *TCP) setBlocked(from, to int, v bool) bool {
-	if t.blocked[from*t.n+to].Swap(v) == v {
-		return false
+// WaitReap blocks until the pair's dead incarnation (if any) has been
+// reaped: its reader has exited and every frame the stream lost has been
+// reported through OnLinkDown. A mesh Close reaps everything, so the wait
+// always ends.
+func (t *TCP) WaitReap(from, to int) {
+	if sc := t.current(from, to); sc != nil && sc.dead.Load() {
+		t.reapUndialed(sc, from, to)
+		<-sc.reapDone
 	}
-	if v {
-		t.partPairs.Add(1)
-		t.obs.PartitionedPairs.Add(1)
-	} else {
-		t.partPairs.Add(-1)
-		t.obs.PartitionedPairs.Add(-1)
-	}
-	return true
 }
 
-// HealLink lifts the (from, to) block installed by BreakLink or Partition
-// and clears the pair's redial backoff, so the next send dials afresh. It
-// waits for the dead stream's reap (if one is pending) before returning:
-// when HealLink returns, every frame the old stream lost has been reported
-// through OnLinkDown, so a reliability layer can flush its retransmit
-// backlog immediately. Reports whether the pair was blocked.
-func (t *TCP) HealLink(from, to int) bool {
-	healed := t.setBlocked(from, to, false)
-	t.dialOK([2]int{from, to})
-	t.waitReap(from, to)
-	return healed
-}
-
-// Partition blocks and severs every directed pair that crosses the given
-// groups, atomically installing all blocks before killing any stream.
-// Nodes absent from every group form one implicit extra group: Partition
-// ([][]int{{3}}) isolates node 3 from everyone else, and two halves
-// split-brain the mesh. Group members must be valid and distinct.
-func (t *TCP) Partition(groups [][]int) error {
-	member := make([]int, t.n)
-	for i := range member {
-		member[i] = -1
-	}
-	for g, group := range groups {
-		for _, p := range group {
-			if p < 0 || p >= t.n {
-				return fmt.Errorf("transport: partition member %d outside %d-process mesh", p, t.n)
-			}
-			if member[p] != -1 {
-				return fmt.Errorf("transport: partition lists node %d twice", p)
-			}
-			member[p] = g
-		}
-	}
-	var cross [][2]int
-	for from := 0; from < t.n; from++ {
-		for to := 0; to < t.n; to++ {
-			if from == to || member[from] == member[to] {
-				continue
-			}
-			t.setBlocked(from, to, true)
-			cross = append(cross, [2]int{from, to})
-		}
-	}
-	// Blocks are all installed; no new stream can form across the cut.
-	// Killing the existing streams afterwards severs every cross-group
-	// pair without a window where a severed pair could redial.
-	for _, pair := range cross {
-		t.sever(pair[0], pair[1])
-	}
-	return nil
-}
-
-// HealAll lifts every administrative block and redial backoff, then waits
-// for the reaps of all dead streams, so that when it returns every lost
-// frame has been reported through OnLinkDown and the whole mesh is free to
-// redial. Returns how many directed pairs were unblocked.
-func (t *TCP) HealAll() int {
-	healed := 0
-	for from := 0; from < t.n; from++ {
-		for to := 0; to < t.n; to++ {
-			if from != to && t.setBlocked(from, to, false) {
-				healed++
-			}
-		}
-	}
-	t.dialMu.Lock()
-	clear(t.dialBack)
-	t.dialMu.Unlock()
-	t.mu.Lock()
-	pairs := make([][2]int, 0, len(t.conns))
-	for k, sc := range t.conns {
-		if sc.dead.Load() {
-			pairs = append(pairs, k)
-		}
-	}
-	t.mu.Unlock()
-	for _, p := range pairs {
-		t.waitReap(p[0], p[1])
-	}
-	return healed
-}
-
-// PartitionedPairs reports how many directed pairs are currently blocked.
-func (t *TCP) PartitionedPairs() int { return int(t.partPairs.Load()) }
-
-// waitReap blocks until the pair's dead incarnation (if any) has been
-// reaped. An undialed dead placeholder has no reader to reap it, so it is
-// reaped here; a mesh Close reaps everything, so the wait always ends.
-func (t *TCP) waitReap(from, to int) {
-	t.mu.Lock()
-	sc := t.conns[[2]int{from, to}]
-	t.mu.Unlock()
-	if sc == nil || !sc.dead.Load() {
-		return
-	}
+// reapUndialed reaps a dead placeholder no socket ever existed for: it has
+// no reader to do it.
+func (t *TCP) reapUndialed(sc *sendConn, from, to int) {
 	sc.mu.Lock()
 	undialed := sc.c == nil
 	sc.mu.Unlock()
 	if undialed {
-		t.reap(sc, from, to)
-	}
-	<-sc.reapDone
-}
-
-// reapPair runs the lost-frame reconciliation for a pair whose reader has
-// exited (it is called from the reader goroutine itself, and from Close
-// after every reader has been waited out).
-func (t *TCP) reapPair(from, to int) {
-	t.mu.Lock()
-	sc := t.conns[[2]int{from, to}]
-	t.mu.Unlock()
-	if sc != nil {
 		t.reap(sc, from, to)
 	}
 }

@@ -304,8 +304,9 @@ func TestTCPDialDoesNotHoldMeshLock(t *testing.T) {
 	}
 }
 
-// TestTCPDialFailureAllowsRetry checks a failed dial poisons nothing: once
-// the pair's redial backoff elapses, a Send to the same peer dials afresh.
+// TestTCPDialFailureAllowsRetry checks a failed dial poisons nothing and
+// paces nothing: the very next Send to the same peer dials afresh (when to
+// try again is the caller's business — the runtime's link layer backs off).
 func TestTCPDialFailureAllowsRetry(t *testing.T) {
 	mesh, err := NewTCP(2)
 	if err != nil {
@@ -329,18 +330,8 @@ func TestTCPDialFailureAllowsRetry(t *testing.T) {
 		t.Fatal("send over a failing dial should error")
 	}
 	fail = false
-	// The failed dial armed the pair's redial backoff; retries inside the
-	// window refuse with ErrLinkDown, then the next attempt dials afresh.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err := mesh.Send(Message{From: 0, To: 1, Msg: 7, DV: []int{1, 0}})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrLinkDown) || time.Now().After(deadline) {
-			t.Fatalf("retry after dial failure: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := mesh.Send(Message{From: 0, To: 1, Msg: 7, DV: []int{1, 0}}); err != nil {
+		t.Fatalf("retry right after the dial failure: %v", err)
 	}
 	select {
 	case m := <-got:
@@ -505,25 +496,51 @@ func TestTCPLinkDownAccounting(t *testing.T) {
 	}
 }
 
-// TestTCPBreakLinkRefusesSends checks a severed link fails fast with
-// ErrLinkDown instead of queuing frames into the void.
-func TestTCPBreakLinkRefusesSends(t *testing.T) {
+// TestTCPSeverThenRedial checks what is left of a link failure at this
+// level: Sever kills the pair's stream exactly once, WaitReap returns when
+// the dead stream's accounting is closed — every frame it carried delivered
+// or reported through OnLinkDown — and nothing then keeps the pair from
+// dialing afresh. Holding a pair cut is the caller's job (the runtime's link
+// layer stops sending), not the mesh's.
+func TestTCPSeverThenRedial(t *testing.T) {
 	mesh, err := NewTCP(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = mesh.Close() }()
-	if err := mesh.Start(func(Message) {}); err != nil {
+	var delivered, lost atomic.Int64
+	mesh.OnLinkDown = func(_, _, n int) { lost.Add(int64(n)) }
+	if err := mesh.Start(func(Message) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.Send(Message{From: 0, To: 1, DV: []int{1, 0}}); err != nil {
-		t.Fatal(err)
+	if mesh.Sever(0, 1) {
+		t.Fatal("severed a pair that never dialed")
 	}
-	if !mesh.BreakLink(0, 1) {
-		t.Fatal("no live link to break")
+	const frames = 20
+	for i := 0; i < frames; i++ {
+		if err := mesh.Send(Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mesh.Send(Message{From: 0, To: 1, DV: []int{2, 0}}); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send on a broken link: err = %v, want ErrLinkDown", err)
+	if !mesh.Sever(0, 1) {
+		t.Fatal("no live link to sever")
+	}
+	if mesh.Sever(0, 1) {
+		t.Fatal("the same stream died twice")
+	}
+	mesh.WaitReap(0, 1)
+	if got := delivered.Load() + lost.Load(); got != frames {
+		t.Fatalf("after the reap %d delivered + %d lost, want %d in all", delivered.Load(), lost.Load(), frames)
+	}
+	before := delivered.Load()
+	if err := mesh.Send(Message{From: 0, To: 1, Msg: frames, DV: []int{frames, 0}}); err != nil {
+		t.Fatalf("send after the reap did not redial: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == before; {
+		if time.Now().After(deadline) {
+			t.Fatal("the redialed stream delivered nothing")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

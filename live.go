@@ -11,7 +11,7 @@ import (
 	icore "repro/internal/core"
 )
 
-// Network shapes the asynchronous in-process network of a live cluster.
+// Network shapes the asynchronous network of a live cluster.
 type Network struct {
 	// MinDelay and MaxDelay bound the uniformly random delivery delay.
 	MinDelay, MaxDelay time.Duration
@@ -19,8 +19,9 @@ type Network struct {
 	Loss float64
 	// Seed makes the loss/delay draws reproducible.
 	Seed int64
-	// TCP routes every message through a loopback TCP mesh instead of
-	// direct in-process delivery.
+	// TCP puts a loopback TCP mesh under the cluster's link layer instead of
+	// the in-process hand-off; cuts, heals, retransmit and backpressure are
+	// the same on both.
 	TCP bool
 }
 
@@ -115,21 +116,19 @@ func (c *Cluster) Restart(globalLI bool) (LiveReport, error) {
 // the concurrent execution.
 func (c *Cluster) Oracle() *CCP { return c.c.Oracle() }
 
-// BreakLink severs the directed mesh stream from "from" to "to" and blocks
-// the pair until HealLink or HealAll. Frames in the cut park for
-// retransmit and are replayed after the heal. On a TCP cluster the block is
-// installed whether or not a stream existed; the result only reports
-// whether a live one was severed. Other clusters have no links: it does
-// nothing and reports false.
+// BreakLink cuts the directed pair from "from" to "to" until HealLink or
+// HealAll: once it returns nothing more crosses. Frames in the cut park for
+// retransmit and are replayed after the heal. The same on every cluster, TCP
+// or not. Reports whether the pair was open (one that cannot exist is not).
 func (c *Cluster) BreakLink(from, to int) bool { return c.c.BreakLink(from, to) }
 
 // HealLink lifts one directed break and synchronously flushes the pair's
-// parked frames back onto the wire. Reports whether the pair was blocked.
+// parked frames back onto the wire. Reports whether the pair was cut.
 func (c *Cluster) HealLink(from, to int) bool { return c.c.HealLink(from, to) }
 
-// Partition severs every directed pair crossing the given groups
+// Partition cuts every directed pair crossing the given groups
 // atomically; processes in no group form one implicit extra side, so
-// Partition([][]int{{3}}) isolates process 3. TCP clusters only.
+// Partition([][]int{{3}}) isolates process 3. Works on any cluster.
 func (c *Cluster) Partition(groups [][]int) error { return c.c.Partition(groups) }
 
 // HealAll lifts every break and partition and flushes every pair's parked
@@ -137,11 +136,11 @@ func (c *Cluster) Partition(groups [][]int) error { return c.c.Partition(groups)
 // delivered. Returns how many directed pairs healed.
 func (c *Cluster) HealAll() int { return c.c.HealAll() }
 
-// PartitionedPairs reports how many directed pairs are currently severed.
+// PartitionedPairs reports how many directed pairs are currently cut.
 func (c *Cluster) PartitionedPairs() int { return c.c.PartitionedPairs() }
 
-// Close releases the TCP mesh, when enabled, and closes the stable stores
-// the cluster opened. The cluster is unusable afterwards.
+// Close releases the cluster's wire (the TCP mesh, when enabled) and closes
+// the stable stores the cluster opened. The cluster is unusable afterwards.
 func (c *Cluster) Close() error { return c.c.Close() }
 
 // History returns the linearized executed history.

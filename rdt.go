@@ -205,8 +205,9 @@ func WithGlobalPeriod(k int) Option { return func(o *options) { o.globalEvery = 
 // incremental technique). It means the same thing in every engine — a
 // capability of the shared middleware kernel (internal/node) — and requires
 // reliable per-pair FIFO channels: simulated systems fail on reordered
-// scripts, live clusters reject lossy networks at construction (the
-// in-process network sequences each pair; the TCP mesh is FIFO per pair),
+// scripts, live clusters reject lossy networks at construction (the sender
+// pool sequences each pair, and the link layer keeps that order across cuts
+// and reconnects on either wire),
 // and chaos runs refuse lossy baselines while keeping delay bursts.
 func WithCompression() Option { return func(o *options) { o.compress = true } }
 

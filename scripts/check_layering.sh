@@ -52,6 +52,34 @@ for store in repro/internal/storage repro/internal/storage/logstore; do
 	done
 done
 
+# One network, two wires. The link layer (internal/runtime/link.go) is the
+# network of every live cluster; which wire carries its frames is decided
+# once, in NewCluster, and the socket wire is named in one file. A second
+# import of the transport, or a test for "have I a mesh?", is the private
+# in-process branch growing back. And the transport stays a wire: it carries
+# frames for an engine, it does not reach into one.
+rt_files=$(ls internal/runtime/*.go | grep -v '_test\.go$')
+wire_users=$(grep -l '"repro/internal/transport"' $rt_files | grep -v '/wire\.go$' || true)
+if [ -n "$wire_users" ]; then
+	echo "layering violation: internal/transport imported outside internal/runtime/wire.go:" >&2
+	echo "$wire_users" >&2
+	fail=1
+fi
+if grep -n 'mesh [!=]= nil' $rt_files >&2; then
+	echo "layering violation: internal/runtime asks which wire it has (mesh == nil / mesh != nil)" >&2
+	fail=1
+fi
+if grep -n 'cfg\.TCP' $(echo "$rt_files" | grep -v '/runtime\.go$') >&2; then
+	echo "layering violation: Config.TCP read outside NewCluster (internal/runtime/runtime.go)" >&2
+	fail=1
+fi
+for bad in repro/internal/sim repro/internal/runtime; do
+	if go list -deps repro/internal/transport | grep -qx "$bad"; then
+		echo "layering violation: internal/transport imports $bad" >&2
+		fail=1
+	fi
+done
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -64,4 +92,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores import neither; obs is a stdlib-only leaf"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf"
