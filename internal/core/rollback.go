@@ -42,25 +42,20 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 		return nil, fmt.Errorf("core: p%d rollback: checkpoint %d not in store", g.self, ri)
 	}
 
-	// Lines 5-6: recreate DV from the checkpoint rolled back to.
-	target, err := g.store.Load(ri)
-	if err != nil {
-		return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-	}
-	dv := target.DV.Clone()
-	dv[g.self]++
-
 	// Line 7: a fresh CCB for every surviving stored checkpoint.
-	dvs := make([]vclock.DV, len(kept))
+	dvs, err := g.loadDVs(kept)
+	if err != nil {
+		return nil, err
+	}
 	blocks := make([]*ccb, len(kept))
 	for k, idx := range kept {
-		cp, err := g.store.Load(idx)
-		if err != nil {
-			return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-		}
-		dvs[k] = cp.DV
 		blocks[k] = &ccb{ind: idx, rc: 0}
 	}
+
+	// Lines 5-6: recreate DV from the checkpoint rolled back to, which is
+	// kept's last: its vector was just loaded with the others.
+	dv := dvs[len(kept)-1].Clone()
+	dv[g.self]++
 
 	// Lines 8-14: rebuild UC per Theorem 1 (LI) or Theorem 2 (DV). For each
 	// f, the entry references the most recent surviving checkpoint whose
@@ -139,22 +134,14 @@ func (g *LGC) RollbackInPlace(ri int, li []int) (vclock.DV, error) {
 		return nil, fmt.Errorf("core: p%d rollback: checkpoint %d not in store", g.self, ri)
 	}
 
-	// Recreate the dependency vector from the rollback target.
-	target, err := g.store.Load(ri)
+	// Recreate the dependency vector from the rollback target, kept's last.
+	dvs, err := g.loadDVs(kept)
 	if err != nil {
-		return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
+		return nil, err
 	}
-	dv := target.DV.Clone()
+	dv := dvs[len(kept)-1].Clone()
 	dv[g.self]++
 
-	dvs := make([]vclock.DV, len(kept))
-	for k, idx := range kept {
-		cp, err := g.store.Load(idx)
-		if err != nil {
-			return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-		}
-		dvs[k] = cp.DV
-	}
 	// Live CCBs by checkpoint index, so relinked entries alias correctly.
 	byIdx := make(map[int]*ccb, g.n)
 	for f := 0; f < g.n; f++ {
@@ -217,6 +204,20 @@ func (g *LGC) RollbackInPlace(ri int, li []int) (vclock.DV, error) {
 		}
 	}
 	return dv, nil
+}
+
+// loadDVs reads the dependency vector of every surviving checkpoint, one Load
+// each: a rollback's only reads of stable storage.
+func (g *LGC) loadDVs(kept []int) ([]vclock.DV, error) {
+	dvs := make([]vclock.DV, len(kept))
+	for k, idx := range kept {
+		cp, err := g.store.Load(idx)
+		if err != nil {
+			return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
+		}
+		dvs[k] = cp.DV
+	}
+	return dvs, nil
 }
 
 // ReleaseStale is the recovery-session step for a process whose

@@ -191,6 +191,51 @@ func TestRollbackRecreatesDV(t *testing.T) {
 	}
 }
 
+// loadCounter is a stable store that counts its Loads.
+type loadCounter struct {
+	storage.Store
+	loads int
+}
+
+func (c *loadCounter) Load(index int) (storage.Checkpoint, error) {
+	c.loads++
+	return c.Store.Load(index)
+}
+
+// TestRollbackLoadsEachSurvivorOnce pins what a rollback reads from stable
+// storage: each surviving checkpoint once, the target included — its vector
+// comes from the same pass as the others', not from a second walk of its
+// delta chain. Both variants, Rollback and RollbackInPlace.
+func TestRollbackLoadsEachSurvivorOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(4)
+		stores := make([]*loadCounter, n)
+		cfg := lgcConfig(n)
+		cfg.NewStore = func(self int) (storage.Store, error) {
+			stores[self] = &loadCounter{Store: storage.NewMemStore()}
+			return stores[self], nil
+		}
+		r := runRandom(t, cfg, rng, 50)
+		victim := rng.Intn(n)
+		idxs := stores[victim].Indices()
+		at := rng.Intn(len(idxs))
+		lgc := r.LocalGC(victim).(*core.LGC)
+		rollback, name := lgc.Rollback, "Rollback"
+		if trial%2 == 1 {
+			rollback, name = lgc.RollbackInPlace, "RollbackInPlace"
+		}
+		before := stores[victim].loads
+		if _, err := rollback(idxs[at], nil); err != nil {
+			t.Fatalf("trial %d: %s(%d): %v", trial, name, idxs[at], err)
+		}
+		if got, kept := stores[victim].loads-before, at+1; got != kept {
+			t.Fatalf("trial %d: %s to checkpoint %d of %v made %d loads, want %d: one per survivor",
+				trial, name, idxs[at], idxs, got, kept)
+		}
+	}
+}
+
 // TestRollbackErrorOnMissingTarget checks Rollback refuses a target index
 // that is not in the store.
 func TestRollbackErrorOnMissingTarget(t *testing.T) {

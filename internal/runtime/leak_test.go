@@ -38,8 +38,10 @@ func closedEmpty(t *testing.T, c *runtime.Cluster) {
 // sender pool (Close cancels them; the idle workers retire on their own), a
 // cluster on either wire closed during an open partition with frames parked
 // behind the cut, both again on log stores — whose committer and compactor
-// goroutines the cluster owns, having opened the stores — and a NewCluster
-// that fails after it has opened some.
+// goroutines the cluster owns, having opened the stores, and whose read
+// descriptors a restart opened: the descriptor count returns to its value
+// before NewCluster too — and a NewCluster that fails after it has opened
+// some.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	lgc := func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
 	delayed := runtime.NetworkOptions{MinDelay: 100 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: 5}
@@ -55,9 +57,17 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		leakcheck.Settle(t, base)
 	})
 	t.Run("in-process on log stores, delayed sends queued", func(t *testing.T) {
-		base := goruntime.NumGoroutine()
+		base, baseFDs := goruntime.NumGoroutine(), leakcheck.FDs(t)
 		c, err := runtime.NewCluster(runtime.Config{N: 4, LocalGC: lgc, Net: delayed, NewStore: logStores(t.TempDir())})
 		if err != nil {
+			t.Fatal(err)
+		}
+		// A restart reads every store (rehydrate, recovery line, rollback), so
+		// each holds read descriptors for Close to release.
+		if err := c.Crash(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Restart(true); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < c.N(); i++ { // collections stage tombstones for Close to commit
@@ -81,6 +91,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		// once the workers have retired.
 		closedEmpty(t, c)
 		leakcheck.Settle(t, base)
+		leakcheck.SettleFDs(t, baseFDs)
 		for i := range before {
 			if got := c.Node(i).Store().Stats(); got != before[i] {
 				t.Fatalf("p%d: store touched after Close: %+v, was %+v", i, got, before[i])
@@ -122,16 +133,23 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		})
 	}
 	t.Run("tcp on log stores", func(t *testing.T) {
-		base := goruntime.NumGoroutine()
+		base, baseFDs := goruntime.NumGoroutine(), leakcheck.FDs(t)
 		c, err := runtime.NewCluster(runtime.Config{N: 4, TCP: true, LocalGC: lgc, NewStore: logStores(t.TempDir())})
 		if err != nil {
 			t.Fatal(err)
 		}
 		driveRandom(t, c, 30, 9)
+		if err := c.Crash(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Restart(false); err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 		leakcheck.Settle(t, base)
+		leakcheck.SettleFDs(t, baseFDs) // sockets and store descriptors alike
 	})
 	t.Run("NewStore fails on the third process", func(t *testing.T) {
 		base := goruntime.NumGoroutine()

@@ -123,6 +123,10 @@ func (s *LogStore) compactOnce() bool {
 			delete(s.recs, idx)
 		}
 	}
+	// No record points into the victim any more, so nothing reads it again:
+	// its descriptor goes with its accounting, before the unlink, or the
+	// file's blocks would stay allocated for as long as the store is open.
+	s.segs[victim].closeReader()
 	delete(s.segs, victim)
 	s.obs.Compactions.Inc()
 	s.updateLiveRatioLocked()

@@ -66,6 +66,18 @@
 // forward, and the victim file is deleted. Delta chains never cross a
 // segment boundary (the chain resets on every roll), which is what makes a
 // segment individually rewritable.
+//
+// Reading a record. A durable record is read with one pread through a
+// read-only descriptor its segment keeps: opened, under the store lock, by
+// the first read that needs it, and closed when compaction drops the segment
+// and at Close — so Load, and every hop of a delta chain, costs no open(2)
+// or close(2). Compaction closes the descriptor before it unlinks the file:
+// an open descriptor keeps an unlinked file's blocks allocated, and nothing
+// reads the victim once its live records are durable elsewhere. The
+// committer's write handle is a separate file, because the committer opens
+// and closes it without the store lock. No decoded record is cached: every
+// read still decodes the bytes on disk, so DecodeRecord checks what is on
+// the device at each Load, as it did when each read opened the file.
 package logstore
 
 import (
@@ -185,11 +197,24 @@ type recInfo struct {
 
 // segInfo is per-segment accounting: projected size, live body bytes (the
 // compaction trigger), and the number of staged batches still targeting it
-// (a segment with in-flight writes is never a compaction victim).
+// (a segment with in-flight writes is never a compaction victim). rf is the
+// segment's read descriptor, opened by the first read that needs it and kept
+// until compaction drops the segment or the store closes; it is separate
+// from the committer's write handle, which lives outside the store lock.
 type segInfo struct {
 	size    int64
 	live    int64
 	batches int
+	rf      *os.File
+}
+
+// closeReader closes the segment's read descriptor, if one was opened.
+// Nothing was written through it, so there is no error worth reporting.
+func (seg *segInfo) closeReader() {
+	if seg.rf != nil {
+		seg.rf.Close()
+		seg.rf = nil
+	}
 }
 
 // batch is one group commit being assembled or awaiting the committer. buf
@@ -236,6 +261,7 @@ type LogStore struct {
 	chain   int          // delta records since the last full one
 	diffBuf vclock.Delta // reused DiffAppend buffer
 	enc     []byte       // reused record-encode buffer
+	rbuf    []byte       // reused record-read buffer; DecodeRecord copies out of it
 
 	segs    map[int]*segInfo
 	projSeg int   // tail segment id; −1 before the first record
@@ -334,12 +360,14 @@ func (s *LogStore) TornTails() int {
 	return s.tornTails
 }
 
+var errClosed = errors.New("logstore: store is closed")
+
 func (s *LogStore) usableLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
 	if s.closed {
-		return errors.New("logstore: store is closed")
+		return errClosed
 	}
 	return nil
 }
@@ -689,10 +717,14 @@ func (s *LogStore) unlinkLocked(index int) {
 
 // Load implements Store, resolving delta records through their chain (at
 // most FullEvery−1 hops). Staged-but-unsynced records are served from the
-// staging buffer; durable ones are read back from their segment.
+// staging buffer; durable ones are read back from their segment. A failed
+// store still serves what it holds; a closed one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return storage.Checkpoint{}, errClosed
+	}
 	if ri := s.recs[index]; ri == nil || ri.dead {
 		return storage.Checkpoint{}, fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
@@ -735,18 +767,27 @@ func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
 }
 
 // bodyLocked returns a record's body bytes: the staging copy while its
-// batch is in flight, a segment read once durable.
+// batch is in flight, a read through the segment's kept descriptor once
+// durable. The read lands in s.rbuf, so the bytes are valid only until the
+// next call — each chain hop decodes (and DecodeRecord copies out) before
+// it reads the next.
 func (s *LogStore) bodyLocked(ri *recInfo) ([]byte, error) {
 	if ri.pending != nil {
 		return ri.pending, nil
 	}
-	f, err := os.Open(segPath(s.dir, ri.seg))
-	if err != nil {
-		return nil, err
+	seg := s.segs[ri.seg]
+	if seg.rf == nil {
+		f, err := os.Open(segPath(s.dir, ri.seg))
+		if err != nil {
+			return nil, err
+		}
+		seg.rf = f
 	}
-	defer f.Close()
-	body := make([]byte, ri.size)
-	if _, err := f.ReadAt(body, ri.off); err != nil {
+	if cap(s.rbuf) < ri.size {
+		s.rbuf = make([]byte, ri.size)
+	}
+	body := s.rbuf[:ri.size]
+	if _, err := seg.rf.ReadAt(body, ri.off); err != nil {
 		return nil, err
 	}
 	return body, nil
@@ -768,8 +809,9 @@ func (s *LogStore) Stats() storage.Stats {
 
 // Close seals the store: staged batches — the tombstones no Save has carried
 // yet among them — are committed (and every staged save reported to the
-// NotifyDurable callback), the goroutines exit, the tail file handle closes.
-// Later operations fail; Close is idempotent.
+// NotifyDurable callback), the goroutines exit, the tail file handle and
+// every segment's read descriptor close. Later operations fail; Close is
+// idempotent.
 func (s *LogStore) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -782,6 +824,10 @@ func (s *LogStore) Close() error {
 	<-s.compactorDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// No reader is left: Load refuses a closed store, the compactor exited.
+	for _, seg := range s.segs {
+		seg.closeReader()
+	}
 	if already {
 		return nil
 	}

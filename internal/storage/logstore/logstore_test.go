@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,13 +242,7 @@ func TestLogStoreCompaction(t *testing.T) {
 			t.Fatalf("Delete(%d): %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(obs.StorageCompactions).Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitCompaction(t, reg)
 	if got := s.Indices(); !reflect.DeepEqual(got, live) {
 		t.Fatalf("Indices after compaction = %v, want %v", got, live)
 	}
@@ -792,6 +788,22 @@ func TestStoreDifferential(t *testing.T) {
 			}
 		}
 	})
+
+	// The same stream on segments of a few records each, saves staged and
+	// compaction on: the after-every-op Loads meet staged records, the tail
+	// the committer is appending to, sealed segments, and records compaction
+	// rewrote after closing and unlinking their old segment. A last view
+	// comparison once compaction has run covers the rewritten records for
+	// certain.
+	t.Run("churn", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		p := &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, t.TempDir(), Options{SegmentBytes: 512})}
+		p.log.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
+		p.log.NotifyDurable(newDurableWaiter().notify)
+		seeded(t, p.save, p.delete)
+		awaitCompaction(t, reg)
+		p.apply("view after compaction", func(storage.Store) error { return nil })
+	})
 }
 
 // durableWaiter is a NotifyDurable callback a test can wait on.
@@ -906,25 +918,36 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeakAfterStoreClose guards Close's two promises: after saves,
-// deletes heavy enough to kick a compaction and a trailing batch of staged
-// tombstones, the committer and compactor are gone when it returns (the
-// goroutine count is back at its pre-Open value), and closing again is a
-// no-op returning nil — the engines that own a store and the callers that
-// opened it may both close.
+// TestNoGoroutineLeakAfterStoreClose guards Close's promises: after saves,
+// reads of every record, deletes heavy enough to kick a compaction and a
+// trailing batch of staged tombstones, the committer and compactor are gone
+// when it returns (the goroutine count is back at its pre-Open value), so is
+// every descriptor the store opened — the read descriptors of the segments
+// compaction dropped and of those it did not (the descriptor count is back
+// at its pre-Open value) — closing again is a no-op returning nil (the
+// engines that own a store and the callers that opened it may both close),
+// and later operations fail.
 func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
-	base := runtime.NumGoroutine()
+	// With the collector off, no *os.File finalizer can close a descriptor
+	// the store forgot (compaction dropping a segment without closing it).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base, baseFDs := runtime.NumGoroutine(), leakcheck.FDs(t)
+	reg := obs.NewRegistry()
 	s, err := Open(t.TempDir(), Options{SegmentBytes: 512, Sync: func(*os.File) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deletes of 0..29 ride the saves that follow them, so sealed segments
-	// fall under CompactRatio and the compactor is kicked and at work when
-	// Close arrives; the tombstones of 30..39 are still staged then.
+	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
+	// Each record is read back once durable, so every segment holds a read
+	// descriptor. Deletes of 0..29 ride the saves that follow them, so sealed
+	// segments fall under CompactRatio and compaction drops some of them; the
+	// compactor is kicked again and at work when Close arrives, and the
+	// tombstones of 30..39 are still staged then.
 	for i := 0; i < 50; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
 		}
+		wantCkpt(t, s, i)
 		if i >= 40 {
 			for d := (i - 40) * 3; d < (i-39)*3; d++ {
 				if err := s.Delete(d); err != nil {
@@ -933,6 +956,7 @@ func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
 			}
 		}
 	}
+	awaitCompaction(t, reg)
 	for d := 30; d < 40; d++ {
 		if err := s.Delete(d); err != nil {
 			t.Fatal(err)
@@ -942,12 +966,126 @@ func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	leakcheck.Settle(t, base)
+	leakcheck.SettleFDs(t, baseFDs)
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 	if err := s.Save(ckpt(50)); err == nil {
 		t.Fatal("Save on a closed store accepted")
 	}
+	if _, err := s.Load(45); err == nil {
+		t.Fatal("Load on a closed store accepted")
+	}
+	leakcheck.SettleFDs(t, baseFDs)
+}
+
+// awaitCompaction waits until the store reporting to reg has dropped a
+// segment.
+func awaitCompaction(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter(obs.StorageCompactions).Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("compaction never ran")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReadDescriptorsBoundedBySegments: a thousand Loads spread over every
+// live segment leave at most one read descriptor open per segment — a read
+// reuses the descriptor its segment keeps instead of opening the file — and
+// Close releases them all.
+func TestReadDescriptorsBoundedBySegments(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in TestNoGoroutineLeakAfterStoreClose
+	baseFDs := leakcheck.FDs(t)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SegmentBytes: 1024, NoCompact: true, Sync: func(*os.File) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 120
+	for i := 0; i < n; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := len(segFiles(t, dir))
+	if segs < 5 {
+		t.Fatalf("%d segments, want several", segs)
+	}
+	before := leakcheck.FDs(t)
+	for k := 0; k < 1000; k++ {
+		wantCkpt(t, s, k%n)
+	}
+	if held := leakcheck.FDs(t) - before; held < 1 || held > segs {
+		t.Fatalf("1000 loads over %d segments hold %d descriptors, want 1..%d", segs, held, segs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.SettleFDs(t, baseFDs)
+}
+
+// TestLoadsRaceCommitterAndCompactor runs readers against a writer on tiny
+// segments, so a Load meets a staged record, the tail segment while the
+// committer appends to it, a sealed segment, or a record compaction has
+// rewritten and whose old segment it closed and unlinked. The writer keeps
+// every fourth checkpoint and deletes the rest, so compaction keeps running;
+// every Load of a kept checkpoint must succeed with its bytes. Its subject is
+// the read path's locking: the race lane runs it under the detector, the
+// flake lane at GOMAXPROCS 1, 2 and 4.
+func TestLoadsRaceCommitterAndCompactor(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := openTest(t, t.TempDir(), Options{SegmentBytes: 512, Sync: func(*os.File) error { return nil }})
+	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
+	const n, readers = 400, 4
+	var saved atomic.Int64 // highest index saved; kept ones at or below it are loadable
+	saved.Store(-1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done) // before the wait, and before the store closes
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				top := saved.Load()
+				if top < 0 {
+					runtime.Gosched()
+					continue
+				}
+				idx := 4 * rng.Intn(int(top/4)+1)
+				got, err := s.Load(idx)
+				if want := ckpt(idx); err != nil || !got.DV.Equal(want.DV) || !bytes.Equal(got.State, want.State) {
+					t.Errorf("Load(%d) = %+v, %v; want %+v", idx, got, err, want)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			saved.Store(int64(i))
+		} else if i%4 == 3 {
+			for d := i - 2; d <= i; d++ {
+				if err := s.Delete(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	awaitCompaction(t, reg)
 }
 
 // TestLogStoreObsMetrics checks the log backend reports through the obs
@@ -978,13 +1116,7 @@ func TestLogStoreObsMetrics(t *testing.T) {
 	if reg.Histogram(obs.StorageCommitNs).Count() == 0 {
 		t.Fatal("no commit-latency observations")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(obs.StorageCompactions).Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no compaction events after heavy deletes")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitCompaction(t, reg)
 	if got := reg.Gauge(obs.StorageLiveRatioPct).Value(); got < 0 || got > 100 {
 		t.Fatalf("live ratio gauge = %d, want a percentage", got)
 	}
