@@ -14,14 +14,13 @@ import (
 	"repro/internal/ccp"
 	"repro/internal/core"
 	"repro/internal/gc"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/sweep"
 	"repro/internal/vclock"
 	"repro/internal/workload"
-	"repro/internal/zcfgc"
 )
 
 // BenchmarkFig1Zigzag (FIG1) measures zigzag-path and C-path classification
@@ -232,27 +231,15 @@ func benchFDAS(b *testing.B, withLGC bool) {
 }
 
 // BenchmarkSweepCollectors (E1) is the practical-environment evaluation the
-// paper defers to future work: steady-state retained checkpoints per
-// process for each collector on a uniform workload, reported as metrics.
+// paper defers to future work: one collectors-table cell per collector, on
+// a uniform workload at n = 8, reporting steady-state retention as metrics.
 func BenchmarkSweepCollectors(b *testing.B) {
-	const n = 8
-	script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 3000, Seed: 11})
-	for _, k := range metrics.CollectorKinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			var rep metrics.Report
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = metrics.Measure(metrics.MeasureOptions{N: n, Collector: k, Script: script})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rep.PerProcRetained.Mean(), "retained-mean")
-			b.ReportMetric(float64(rep.PerProcRetained.Max()), "retained-max")
-			b.ReportMetric(rep.CollectionRatio(), "collect-ratio")
+	for _, cell := range uniformCells(8, 3000, nil) {
+		b.Run(cell.Collector, func(b *testing.B) {
+			res := benchCell(b, cell)
+			b.ReportMetric(res.RetainedMean, "retained-mean")
+			b.ReportMetric(float64(res.RetainedMax), "retained-max")
+			b.ReportMetric(res.CollectRatio, "collect-ratio")
 		})
 	}
 }
@@ -261,23 +248,37 @@ func BenchmarkSweepCollectors(b *testing.B) {
 // mean retained checkpoints per process against the n bound.
 func BenchmarkSweepN(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
-		n := n
+		cell := uniformCells(n, 500*n, []string{core.RDTLGC})[0]
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 500 * n, Seed: 13})
-			var rep metrics.Report
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = metrics.Measure(metrics.MeasureOptions{N: n, Collector: metrics.RDTLGC, Script: script})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rep.PerProcRetained.Mean(), "retained-mean")
-			b.ReportMetric(float64(rep.PerProcRetained.Max()), "retained-max")
+			res := benchCell(b, cell)
+			b.ReportMetric(res.RetainedMean, "retained-mean")
+			b.ReportMetric(float64(res.RetainedMax), "retained-max")
 		})
 	}
+}
+
+// uniformCells is one seed of the collectors table on the uniform workload
+// at size n, over the given collectors (nil: all of them).
+func uniformCells(n, ops int, collectors []string) []sweep.Cell {
+	g := sweep.Default(sweep.Collectors)
+	g.Workloads, g.Sizes, g.Seeds, g.Ops = []workload.Kind{workload.Uniform}, []int{n}, 1, ops
+	if collectors != nil {
+		g.Collectors = collectors
+	}
+	return g.Cells()
+}
+
+func benchCell(b *testing.B, cell sweep.Cell) sweep.Result {
+	var res sweep.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = cell.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res
 }
 
 // BenchmarkAblationRefcount vs BenchmarkAblationNaive: what Algorithm 1's
@@ -379,65 +380,6 @@ func BenchmarkPiggybackCompression(b *testing.B) {
 			b.ReportMetric(float64(entries), "pb-entries")
 		})
 	}
-}
-
-// BenchmarkZCFGC (E11) measures the Z-cycle-free collector: event cost and
-// retained checkpoints under BCS, next to RDT-LGC under FDAS on the same
-// application behaviour. ZCF-GC has no n-bound; the retained metric shows
-// how far it drifts on a workload with healthy dissemination.
-func BenchmarkZCFGC(b *testing.B) {
-	const n = 8
-	script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 2000, Seed: 3})
-	b.Run("zcf-lgc", func(b *testing.B) {
-		var retained int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nodes := make([]*zcfgc.Node, n)
-			stores := make([]*storage.MemStore, n)
-			for p := 0; p < n; p++ {
-				stores[p] = storage.NewMemStore()
-				nd, err := zcfgc.New(p, n, stores[p])
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes[p] = nd
-			}
-			pbs := make(map[int]zcfgc.Piggyback, 1024)
-			for _, op := range script.Ops {
-				switch op.Kind {
-				case ccp.OpCheckpoint:
-					if err := nodes[op.P].Checkpoint(); err != nil {
-						b.Fatal(err)
-					}
-				case ccp.OpSend:
-					pbs[op.Msg] = nodes[op.P].Send()
-				case ccp.OpRecv:
-					if err := nodes[op.P].Deliver(pbs[op.Msg]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			retained = 0
-			for p := 0; p < n; p++ {
-				retained += stores[p].Stats().Live
-			}
-		}
-		b.ReportMetric(float64(retained), "retained-total")
-	})
-	b.Run("rdt-lgc", func(b *testing.B) {
-		var retained int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := metrics.Measure(metrics.MeasureOptions{N: n, Collector: metrics.RDTLGC, Script: script})
-			if err != nil {
-				b.Fatal(err)
-			}
-			retained = rep.FinalRetained
-		}
-		b.ReportMetric(float64(retained), "retained-total")
-	})
 }
 
 // BenchmarkRecoveryExtrema measures Wang's min/max consistent global

@@ -1,13 +1,8 @@
 package rdt
 
 import (
-	"fmt"
-
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/gc"
 	"repro/internal/runtime"
-	"repro/internal/storage"
 )
 
 // ChaosPattern selects the fault shape a chaos plan injects.
@@ -60,32 +55,18 @@ func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 	for _, f := range opt {
 		f(&o)
 	}
-	pf, err := o.protocol.factory()
+	cfg, err := chaos.Stack(o.protocol.String(), o.collector.String())
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	cfg := chaos.Config{
-		Protocol: pf,
-		Net: runtime.NetworkOptions{
-			MinDelay: net.MinDelay,
-			MaxDelay: net.MaxDelay,
-			Loss:     net.Loss,
-			Seed:     net.Seed,
-		},
-		GlobalLI:      true,
-		Deterministic: true,
-		Compress:      o.compress,
-		RDT:           o.protocol.RDT(),
-		TCP:           net.TCP,
+	cfg.Net = runtime.NetworkOptions{
+		MinDelay: net.MinDelay,
+		MaxDelay: net.MaxDelay,
+		Loss:     net.Loss,
+		Seed:     net.Seed,
 	}
-	switch o.collector {
-	case RDTLGC:
-		cfg.LocalGC = func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
-		cfg.CheckNBound = o.protocol.RDT()
-	case NoGC:
-	default:
-		return ChaosResult{}, fmt.Errorf("rdt: chaos runs support RDTLGC and NoGC collectors, not %v", o.collector)
-	}
+	cfg.GlobalLI, cfg.Deterministic = true, true
+	cfg.Compress, cfg.TCP = o.compress, net.TCP
 	if cfg.NewStore, err = o.stores(); err != nil {
 		return ChaosResult{}, err
 	}

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/gc"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -49,17 +47,13 @@ func runObserved(f observedFlags, backend storage.Backend, pat chaos.Pattern, n,
 	if err != nil {
 		return err
 	}
-	cfg := chaos.Config{
-		Protocol:      func(int) protocol.Protocol { return protocol.NewFDAS() },
-		LocalGC:       func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
-		GlobalLI:      true,
-		Deterministic: true,
-		PCheckpoint:   pcheck,
-		RDT:           true,
-		CheckNBound:   true,
-		TCP:           true,
-		Obs:           obs.Options{Registry: reg, Recorder: rec},
+	const proto, collector = "FDAS", core.RDTLGC
+	cfg, err := chaos.Stack(proto, collector)
+	if err != nil {
+		return err
 	}
+	cfg.GlobalLI, cfg.Deterministic, cfg.PCheckpoint, cfg.TCP = true, true, pcheck, true
+	cfg.Obs = obs.Options{Registry: reg, Recorder: rec}
 	if backend != storage.Mem {
 		dir, err := os.MkdirTemp("", "rdt-chaos-")
 		if err != nil {
@@ -72,8 +66,8 @@ func runObserved(f observedFlags, backend storage.Backend, pat chaos.Pattern, n,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("observed run: %s n=%d FDAS+RDT-LGC over TCP, %s storage — %d crashes, %d recoveries verified, mean recovery %s\n",
-		pat, n, backend, res.Crashes, res.Recoveries, res.MeanLatency())
+	fmt.Printf("observed run: %s n=%d %s+%s over TCP, %s storage — %d crashes, %d recoveries verified, mean recovery %s\n",
+		pat, n, proto, collector, backend, res.Crashes, res.Recoveries, res.MeanLatency())
 
 	if f.metrics {
 		fmt.Println()

@@ -15,6 +15,8 @@ import (
 	"sync"
 
 	rdt "repro"
+	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -24,8 +26,8 @@ func main() {
 		ops     = flag.Int("ops", 2000, "application operations to simulate")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		wl      = flag.String("workload", "uniform", "workload: uniform|ring|client-server|bursty|all-to-all")
-		proto   = flag.String("protocol", "FDAS", "protocol: FDAS|FDI|CBR|BCS|none")
-		gcName  = flag.String("gc", "rdt-lgc", "collector: rdt-lgc|no-gc|sync-opt|rl-gc")
+		proto   = flag.String("protocol", "FDAS", "protocol: "+strings.Join(protocol.Names(), "|"))
+		gcName  = flag.String("gc", core.RDTLGC, "collector: "+strings.Join(core.CollectorNames(), "|"))
 		pc      = flag.Float64("pcheckpoint", 0.2, "basic checkpoint probability")
 		crash   = flag.Int("crash", -1, "crash this process after the run and recover (-1 = none)")
 		useLI   = flag.Bool("li", true, "use global last-interval information during recovery")
@@ -216,8 +218,10 @@ func parseWorkload(s string) (rdt.WorkloadKind, error) {
 	return 0, fmt.Errorf("rdtsim: unknown workload %q", s)
 }
 
+// parseProtocol and parseCollector match a flag value, in any case, to the
+// facade constant whose String it is.
 func parseProtocol(s string) (rdt.Protocol, error) {
-	for _, p := range []rdt.Protocol{rdt.FDAS, rdt.FDI, rdt.CBR, rdt.Russell, rdt.BCS, rdt.NoProtocol} {
+	for p := rdt.FDAS; p <= rdt.NoProtocol; p++ {
 		if strings.EqualFold(p.String(), s) {
 			return p, nil
 		}
@@ -226,7 +230,7 @@ func parseProtocol(s string) (rdt.Protocol, error) {
 }
 
 func parseCollector(s string) (rdt.Collector, error) {
-	for _, c := range []rdt.Collector{rdt.RDTLGC, rdt.NoGC, rdt.SyncOptimal, rdt.RecoveryLineGC} {
+	for c := rdt.RDTLGC; c <= rdt.RecoveryLineGC; c++ {
 		if strings.EqualFold(c.String(), s) {
 			return c, nil
 		}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	rdt "repro"
+	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -43,6 +45,36 @@ func TestParseCollector(t *testing.T) {
 	}
 	if _, err := parseCollector("mark-sweep"); err == nil {
 		t.Error("unknown collector should fail")
+	}
+}
+
+// TestHelpListsExactlyWhatParses holds the -protocol and -gc help, which
+// list the protocol and collector tables, to the parsers: every listed name
+// parses to a constant of that String, and every facade constant the
+// parsers accept is listed.
+func TestHelpListsExactlyWhatParses(t *testing.T) {
+	listed := map[string]bool{}
+	for _, name := range protocol.Names() {
+		listed[name] = true
+		if p, err := parseProtocol(name); err != nil || p.String() != name {
+			t.Errorf("listed protocol %q parses to %v, %v", name, p, err)
+		}
+	}
+	for p := rdt.Protocol(0); p <= rdt.NoProtocol+1; p++ {
+		if _, err := parseProtocol(p.String()); err == nil && !listed[p.String()] {
+			t.Errorf("protocol %q parses but -protocol does not list it", p)
+		}
+	}
+	for _, name := range core.CollectorNames() {
+		listed[name] = true
+		if c, err := parseCollector(name); err != nil || c.String() != name {
+			t.Errorf("listed collector %q parses to %v, %v", name, c, err)
+		}
+	}
+	for c := rdt.Collector(0); c <= rdt.RecoveryLineGC+1; c++ {
+		if _, err := parseCollector(c.String()); err == nil && !listed[c.String()] {
+			t.Errorf("collector %q parses but -gc does not list it", c)
+		}
 	}
 }
 

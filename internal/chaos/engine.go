@@ -9,7 +9,6 @@ import (
 	"repro/internal/ccp"
 	"repro/internal/core"
 	"repro/internal/gc"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/runtime"
@@ -69,15 +68,33 @@ type Config struct {
 	Obs obs.Options
 }
 
+// Stack returns a Config that runs the named protocol under the named local
+// collector, with the oracle checks that stack promises: RD-trackability
+// under an RDT protocol, and the n-bound when RDT-LGC runs under one.
+func Stack(protocolName, collectorName string) (Config, error) {
+	pf := protocol.Factory(protocolName)
+	if pf == nil {
+		return Config{}, fmt.Errorf("chaos: unknown protocol %q", protocolName)
+	}
+	col, err := core.LookupCollector(collectorName, true)
+	if err != nil {
+		return Config{}, fmt.Errorf("chaos: %w", err)
+	}
+	rdt := protocol.RDT(pf(0))
+	return Config{Protocol: pf, LocalGC: col.Local, RDT: rdt, CheckNBound: rdt && col.Name == core.RDTLGC}, nil
+}
+
 // Result aggregates a run's survivability measurements. All counters are
 // exact for Deterministic runs and sampled-from-races otherwise.
 type Result struct {
 	Crashes    int // processes crashed
 	Recoveries int // recovery sessions run (and verified)
 
-	// RollbackDepth samples, per rolled-back process per recovery, the
-	// number of stable checkpoints the process was dragged back.
-	RollbackDepth metrics.Series
+	// RollbackDepth sums, over every rolled-back process of every recovery
+	// (Replayed of them), the stable checkpoints the process was dragged
+	// back; MaxRollbackDepth is the deepest single rollback.
+	RollbackDepth    int
+	MaxRollbackDepth int
 	// Orphans counts non-faulty processes that lost volatile state in a
 	// recovery (rolled back at all).
 	Orphans int
@@ -104,9 +121,6 @@ type Result struct {
 	HealLatency time.Duration
 }
 
-// MeanRollbackDepth is the mean of RollbackDepth (0 with no rollbacks).
-func (r Result) MeanRollbackDepth() float64 { return r.RollbackDepth.Mean() }
-
 // MeanLatency is the mean wall clock per recovery session.
 func (r Result) MeanLatency() time.Duration {
 	if r.Recoveries == 0 {
@@ -127,9 +141,6 @@ func (r Result) MeanHealLatency() time.Duration {
 // recovery session against the ground-truth oracles. The first oracle
 // violation aborts the run with an error describing it.
 func Run(cfg Config, plan Plan) (Result, error) {
-	if cfg.Protocol == nil {
-		cfg.Protocol = func(int) protocol.Protocol { return protocol.NewFDAS() }
-	}
 	if cfg.PCheckpoint == 0 {
 		cfg.PCheckpoint = 0.2
 	}
@@ -409,7 +420,8 @@ func verifyRecovery(c *runtime.Cluster, cfg Config, pre *ccp.CCP, victims []int,
 		if depth < 0 {
 			return fmt.Errorf("chaos: p%d rolled forward? lastS %d, line %d", p, pre.LastStable(p), rep.Line[p])
 		}
-		res.RollbackDepth.Add(depth)
+		res.RollbackDepth += depth
+		res.MaxRollbackDepth = max(res.MaxRollbackDepth, depth)
 		if !isVictim[p] {
 			res.Orphans++
 		}

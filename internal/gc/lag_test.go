@@ -3,9 +3,24 @@ package gc_test
 import (
 	"testing"
 
-	"repro/internal/metrics"
+	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
+
+// collectorsRow measures one seed of the collectors table's cell for the
+// named collector, with global collectors run every `every` events.
+func collectorsRow(t *testing.T, kind workload.Kind, n, ops, every int, collector string) sweep.Result {
+	t.Helper()
+	g := sweep.Default(sweep.Collectors)
+	g.Workloads, g.Sizes, g.Seeds, g.Ops, g.GlobalEvery = []workload.Kind{kind}, []int{n}, 1, ops, every
+	g.Collectors = []string{collector}
+	res, err := g.Cells()[0].Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestRecoveryLineGCUnbounded demonstrates the paper's critique of the
 // simple recovery-line scheme ([5, 8]): between coordination rounds it
@@ -14,29 +29,15 @@ import (
 // RDT-LGC (with zero control messages) never exceeds n.
 func TestRecoveryLineGCUnbounded(t *testing.T) {
 	const n = 4
-	script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 3000, Seed: 77})
-
-	lgc, err := metrics.Measure(metrics.MeasureOptions{
-		N: n, Collector: metrics.RDTLGC, Script: script,
-	})
-	if err != nil {
-		t.Fatal(err)
+	lgc := collectorsRow(t, workload.Uniform, n, 3000, 500, core.RDTLGC)
+	lagged := collectorsRow(t, workload.Uniform, n, 3000, 500, core.RecoveryLineGC)
+	if lgc.RetainedMax > n {
+		t.Fatalf("RDT-LGC exceeded its bound: %d > %d", lgc.RetainedMax, n)
 	}
-	lagged, err := metrics.Measure(metrics.MeasureOptions{
-		N: n, Collector: metrics.RecoveryLineGC, Script: script, GlobalEvery: 500,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if lagged.RetainedMax <= n {
+		t.Fatalf("lagged recovery-line GC stayed within %d <= n=%d; expected unbounded growth between rounds", lagged.RetainedMax, n)
 	}
-
-	if got := lgc.PerProcRetained.Max(); got > n {
-		t.Fatalf("RDT-LGC exceeded its bound: %d > %d", got, n)
-	}
-	if got := lagged.PerProcRetained.Max(); got <= n {
-		t.Fatalf("lagged recovery-line GC stayed within %d <= n=%d; expected unbounded growth between rounds", got, n)
-	}
-	t.Logf("per-process retained max: RDT-LGC=%d (bound %d), rl-gc@500=%d",
-		lgc.PerProcRetained.Max(), n, lagged.PerProcRetained.Max())
+	t.Logf("per-process retained max: RDT-LGC=%d (bound %d), rl-gc@500=%d", lgc.RetainedMax, n, lagged.RetainedMax)
 }
 
 // TestSyncOptimalLaggedStillSafe checks that running the Theorem 1
@@ -44,22 +45,16 @@ func TestRecoveryLineGCUnbounded(t *testing.T) {
 // non-obsolete checkpoint (safety is period-independent).
 func TestSyncOptimalLaggedStillSafe(t *testing.T) {
 	const n = 4
-	script := workload.Generate(workload.Ring, workload.Options{N: n, Ops: 1500, Seed: 78})
 	for _, every := range []int{1, 50, 499} {
-		rep, err := metrics.Measure(metrics.MeasureOptions{
-			N: n, Collector: metrics.SyncTheorem1, Script: script, GlobalEvery: every,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := collectorsRow(t, workload.Ring, n, 1500, every, core.SyncOpt)
 		// At the end a final implicit round has not necessarily run;
 		// everything still stored but obsolete must be explainable by lag
 		// alone — i.e. with period 1 nothing obsolete remains.
-		if every == 1 && rep.FinalObsoleteKept != 0 {
-			t.Fatalf("period-1 sync collector left %d obsolete checkpoints", rep.FinalObsoleteKept)
+		if every == 1 && res.CollectRatio != 1 {
+			t.Fatalf("period-1 sync collector left obsolete checkpoints: collection ratio %v", res.CollectRatio)
 		}
-		if rep.CollectionRatio() < 0.5 {
-			t.Fatalf("period %d: collection ratio %.2f implausibly low", every, rep.CollectionRatio())
+		if res.CollectRatio < 0.5 {
+			t.Fatalf("period %d: collection ratio %.2f implausibly low", every, res.CollectRatio)
 		}
 	}
 }

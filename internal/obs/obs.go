@@ -17,9 +17,9 @@
 // run with all of these nil and prove the hot paths still allocate exactly
 // what they did before obs existed.
 //
-// Naming: internal/metrics is the *simulation sweep* statistics package
-// (retained-checkpoint counts vs the Theorem-1 optimum, aggregated over
-// seeded runs). This package is *live telemetry*. They do not overlap.
+// This package is the repository's only metrics package: the offline
+// experiment statistics (retained checkpoints against the Theorem-1
+// optimum, aggregated over seeded runs) are computed by internal/sweep.
 package obs
 
 // Options bundles the two halves of observability as a run-level knob.

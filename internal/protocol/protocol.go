@@ -94,6 +94,38 @@ func RDT(p Protocol) bool {
 	}
 }
 
+// all is the one table of protocols every facade, CLI and experiment table
+// builds from, in the facade's order: the RDT protocols first.
+var all = [...]func() Protocol{
+	func() Protocol { return NewFDAS() },
+	func() Protocol { return NewFDI() },
+	func() Protocol { return NewCBR() },
+	func() Protocol { return NewRussell() },
+	func() Protocol { return NewBCS() },
+	func() Protocol { return NewNone() },
+}
+
+// Names returns every protocol's Name in table order: FDAS, FDI, CBR,
+// Russell, BCS, none.
+func Names() []string {
+	out := make([]string, len(all))
+	for i, mk := range all {
+		out[i] = mk().Name()
+	}
+	return out
+}
+
+// Factory returns the per-process constructor of the protocol whose Name is
+// name, or nil if there is none.
+func Factory(name string) func(self int) Protocol {
+	for _, mk := range all {
+		if mk().Name() == name {
+			return func(int) Protocol { return mk() }
+		}
+	}
+	return nil
+}
+
 // None takes no forced checkpoints.
 type None struct{}
 

@@ -227,9 +227,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Compress && cfg.Net.Loss > 0 {
 		return nil, fmt.Errorf("runtime: compressed piggybacking requires reliable channels; configure Loss=0, not %g", cfg.Net.Loss)
 	}
-	if cfg.Protocol == nil {
-		cfg.Protocol = func(int) protocol.Protocol { return protocol.NewFDAS() }
-	}
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) (storage.Store, error) { return storage.NewMemStore(), nil }
 	}

@@ -102,7 +102,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("sim: need at least one process")
 	}
 	if cfg.Protocol == nil {
-		cfg.Protocol = func(int) protocol.Protocol { return protocol.NewNone() }
+		cfg.Protocol = protocol.Factory("none")
 	}
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) (storage.Store, error) { return storage.NewMemStore(), nil }

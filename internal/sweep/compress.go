@@ -80,7 +80,7 @@ func compressTraffic(n, ops int, seed int64, pCheckpoint float64) []trafficOp {
 }
 
 func compressStack() (func(int) protocol.Protocol, func(int, int, storage.Store) gc.Local) {
-	return func(int) protocol.Protocol { return protocol.NewFDAS() },
+	return protocol.Factory("FDAS"),
 		func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
 }
 

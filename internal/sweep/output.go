@@ -25,7 +25,7 @@ func WriteText(w io.Writer, table Table, results []Result) error {
 		fmt.Fprintln(tw, "workload\tn\tprotocol\tRDT\tbasic\tforced\tforced/basic\tretained/proc mean")
 		for _, r := range results {
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%v\t%d\t%d\t%.2f\t%.2f\n",
-				r.Cell.Workload, r.Cell.N, r.Cell.Variant(), r.Cell.Protocol.RDT,
+				r.Cell.Workload, r.Cell.N, r.Cell.Variant(), r.RDT,
 				r.Basic, r.Forced, r.ForcedPerBasic, r.RetainedMean)
 		}
 	case Rollback:
@@ -143,9 +143,7 @@ func Doc(g Grid, results []Result, wall time.Duration) RunDoc {
 	}
 	switch g.Table {
 	case Collectors:
-		for _, c := range g.Collectors {
-			doc.Variants = append(doc.Variants, c.String())
-		}
+		doc.Variants = g.Collectors
 	case Chaos:
 		for _, v := range g.Chaos {
 			doc.Variants = append(doc.Variants, v.Name())
@@ -155,9 +153,7 @@ func Doc(g Grid, results []Result, wall time.Duration) RunDoc {
 			doc.Variants = append(doc.Variants, v.Name())
 		}
 	default:
-		for _, p := range g.Protocols {
-			doc.Variants = append(doc.Variants, p.Name)
-		}
+		doc.Variants = g.Protocols
 	}
 	for _, r := range results {
 		row := RowDoc{
@@ -182,7 +178,7 @@ func Doc(g Grid, results []Result, wall time.Duration) RunDoc {
 			row.CollectRatio = ptr(r.CollectRatio)
 			row.Forced = ptr(r.Forced)
 		case Protocols:
-			row.RDT = ptr(r.Cell.Protocol.RDT)
+			row.RDT = ptr(r.RDT)
 			row.Basic = ptr(r.Basic)
 			row.Forced = ptr(r.Forced)
 			row.ForcedPerBasic = ptr(r.ForcedPerBasic)

@@ -14,11 +14,9 @@ import (
 	"repro/internal/ccp"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/gc"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	rt "repro/internal/runtime"
-	"repro/internal/storage"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -105,63 +103,34 @@ func ParseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// ProtocolSpec names one checkpointing protocol under measurement and how
-// to build a fresh instance of it.
-type ProtocolSpec struct {
-	Name string
-	RDT  bool
-	New  func() protocol.Protocol
-}
-
 // OverheadProtocols is the protocol axis of the Protocols table, ordered
 // from strongest causal tracking to none.
-func OverheadProtocols() []ProtocolSpec {
-	return []ProtocolSpec{
-		{"CBR", true, func() protocol.Protocol { return protocol.NewCBR() }},
-		{"Russell", true, func() protocol.Protocol { return protocol.NewRussell() }},
-		{"FDI", true, func() protocol.Protocol { return protocol.NewFDI() }},
-		{"FDAS", true, func() protocol.Protocol { return protocol.NewFDAS() }},
-		{"BCS", false, func() protocol.Protocol { return protocol.NewBCS() }},
-		{"none", false, func() protocol.Protocol { return protocol.NewNone() }},
-	}
+func OverheadProtocols() []string {
+	return []string{"CBR", "Russell", "FDI", "FDAS", "BCS", "none"}
 }
 
 // RollbackProtocols is the protocol axis of the Rollback table, RDT
 // protocols first.
-func RollbackProtocols() []ProtocolSpec {
-	return []ProtocolSpec{
-		{"FDAS", true, func() protocol.Protocol { return protocol.NewFDAS() }},
-		{"FDI", true, func() protocol.Protocol { return protocol.NewFDI() }},
-		{"CBR", true, func() protocol.Protocol { return protocol.NewCBR() }},
-		{"Russell", true, func() protocol.Protocol { return protocol.NewRussell() }},
-		{"BCS", false, func() protocol.Protocol { return protocol.NewBCS() }},
-		{"none", false, func() protocol.Protocol { return protocol.NewNone() }},
-	}
-}
+func RollbackProtocols() []string { return protocol.Names() }
 
 // ChaosVariant is one middleware stack of the Chaos table: a checkpointing
 // protocol paired with the collector running under it on the live runtime.
 type ChaosVariant struct {
-	Protocol  ProtocolSpec
-	Collector metrics.CollectorKind
+	Protocol, Collector string
 }
 
 // Name returns the stack name, the third key column of the chaos table.
-func (v ChaosVariant) Name() string {
-	return v.Protocol.Name + "+" + v.Collector.String()
-}
+func (v ChaosVariant) Name() string { return v.Protocol + "+" + v.Collector }
 
 // ChaosVariants is the default stack axis of the Chaos table: the paper's
 // Algorithm 4 merge (FDAS) and the strictest RDT protocol (CBR), each with
 // and without the RDT-LGC collector.
 func ChaosVariants() []ChaosVariant {
-	fdas := ProtocolSpec{"FDAS", true, func() protocol.Protocol { return protocol.NewFDAS() }}
-	cbr := ProtocolSpec{"CBR", true, func() protocol.Protocol { return protocol.NewCBR() }}
 	return []ChaosVariant{
-		{fdas, metrics.RDTLGC},
-		{fdas, metrics.NoGC},
-		{cbr, metrics.RDTLGC},
-		{cbr, metrics.NoGC},
+		{"FDAS", core.RDTLGC},
+		{"FDAS", core.NoGC},
+		{"CBR", core.RDTLGC},
+		{"CBR", core.NoGC},
 	}
 }
 
@@ -172,9 +141,9 @@ type Grid struct {
 	Workloads []workload.Kind
 	Sizes     []int // process counts
 	// Collectors is the variant axis of the Collectors table.
-	Collectors []metrics.CollectorKind
+	Collectors []string
 	// Protocols is the variant axis of the Protocols and Rollback tables.
-	Protocols []ProtocolSpec
+	Protocols []string
 	// Patterns and Chaos are the fault and stack axes of the Chaos table.
 	Patterns []chaos.Pattern
 	Chaos    []ChaosVariant
@@ -210,7 +179,7 @@ func Default(table Table) Grid {
 	}
 	switch table {
 	case Collectors:
-		g.Collectors = metrics.CollectorKinds()
+		g.Collectors = core.CollectorNames()
 	case Protocols:
 		g.Protocols = OverheadProtocols()
 	case Rollback:
@@ -247,8 +216,8 @@ type Cell struct {
 	N        int
 	// Exactly one of Collector / Protocol / ChaosVariant / CompressVariant
 	// is meaningful, per Table.
-	Collector       metrics.CollectorKind
-	Protocol        ProtocolSpec
+	Collector       string
+	Protocol        string
 	Pattern         chaos.Pattern
 	ChaosVariant    ChaosVariant
 	CompressVariant CompressVariant
@@ -265,13 +234,13 @@ type Cell struct {
 func (c Cell) Variant() string {
 	switch c.Table {
 	case Collectors:
-		return c.Collector.String()
+		return c.Collector
 	case Chaos:
 		return c.ChaosVariant.Name()
 	case Compression:
 		return c.CompressVariant.Name()
 	default:
-		return c.Protocol.Name
+		return c.Protocol
 	}
 }
 
@@ -346,6 +315,7 @@ type Result struct {
 	Forced       int     // forced checkpoints per run (mean over seeds)
 
 	// Protocols table (Forced and RetainedMean are shared with the above).
+	RDT            bool    // the protocol guarantees rollback-dependency trackability
 	Basic          int     // basic checkpoints per run (mean over seeds)
 	ForcedPerBasic float64 // forced/basic overhead ratio
 
@@ -415,35 +385,106 @@ func (c Cell) script(s int) (sc ccp.Script, err error) {
 	return sc, nil
 }
 
+// simulate runs the cell's s-th script on the simulator under the named
+// protocol and collector. With occ set it samples the stable-checkpoint
+// occupancy after every event.
+func (c Cell) simulate(s int, proto, collector string, occ *occupancy) (*sim.Runner, error) {
+	script, err := c.script(s)
+	if err != nil {
+		return nil, err
+	}
+	pf := protocol.Factory(proto)
+	if pf == nil {
+		return nil, fmt.Errorf("sweep: unknown protocol %q", proto)
+	}
+	col, err := core.LookupCollector(collector, false)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	var r *sim.Runner
+	cfg := sim.Config{N: c.N, Protocol: pf, LocalGC: col.Local, GlobalGC: col.Global, GlobalEvery: c.GlobalEvery}
+	if occ != nil {
+		cfg.AfterEvent = func() error { occ.sample(r); return nil }
+	}
+	if r, err = sim.NewRunner(cfg); err != nil {
+		return nil, err
+	}
+	return r, r.Run(script)
+}
+
+// occupancy samples, after every event, each process's live stable
+// checkpoints and the system-wide total.
+type occupancy struct {
+	sum, samples       int // over every per-process sample
+	procMax, globalMax int
+}
+
+func (o *occupancy) sample(r *sim.Runner) {
+	total := 0
+	for i := 0; i < r.N(); i++ {
+		live := r.Store(i).Stats().Live
+		o.sum += live
+		o.samples++
+		o.procMax = max(o.procMax, live)
+		total += live
+	}
+	o.globalMax = max(o.globalMax, total)
+}
+
+// mean is the per-process occupancy averaged over the run (0 unsampled).
+func (o *occupancy) mean() float64 { return ratio(o.sum, o.samples) }
+
+// ratio is num/den, 0 when den is 0.
+func ratio(num, den int) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// collectRatio is the fraction of the oracle's obsolete checkpoints the
+// run's collector had eliminated by its end (1 with none obsolete).
+func collectRatio(r *sim.Runner) float64 {
+	oracle := r.Oracle()
+	obsolete, kept := 0, 0
+	for i := 0; i < r.N(); i++ {
+		stored := map[int]bool{}
+		for _, idx := range r.Store(i).Indices() {
+			stored[idx] = true
+		}
+		for g := 0; g <= oracle.LastStable(i); g++ {
+			if oracle.Obsolete(i, g) {
+				obsolete++
+				if stored[g] {
+					kept++
+				}
+			}
+		}
+	}
+	if obsolete == 0 {
+		return 1
+	}
+	return ratio(obsolete-kept, obsolete)
+}
+
 func (c Cell) runCollectors(res *Result) error {
-	var mean, ratio float64
-	var max, peak, forced int
+	var mean, collected float64
+	var forced int
 	for s := 0; s < c.Seeds; s++ {
-		script, err := c.script(s)
+		var occ occupancy
+		r, err := c.simulate(s, "FDAS", c.Collector, &occ)
 		if err != nil {
 			return err
 		}
-		rep, err := metrics.Measure(metrics.MeasureOptions{
-			N: c.N, Collector: c.Collector, Script: script, GlobalEvery: c.GlobalEvery,
-		})
-		if err != nil {
-			return err
-		}
-		mean += rep.PerProcRetained.Mean()
-		ratio += rep.CollectionRatio()
-		if rep.PerProcRetained.Max() > max {
-			max = rep.PerProcRetained.Max()
-		}
-		if rep.GlobalRetained.Max() > peak {
-			peak = rep.GlobalRetained.Max()
-		}
-		forced += rep.Forced
+		mean += occ.mean()
+		collected += collectRatio(r)
+		res.RetainedMax = max(res.RetainedMax, occ.procMax)
+		res.GlobalPeak = max(res.GlobalPeak, occ.globalMax)
+		forced += r.Metrics().Forced
 	}
 	k := float64(c.Seeds)
 	res.RetainedMean = mean / k
-	res.RetainedMax = max
-	res.GlobalPeak = peak
-	res.CollectRatio = ratio / k
+	res.CollectRatio = collected / k
 	res.Forced = forced / c.Seeds
 	return nil
 }
@@ -452,63 +493,84 @@ func (c Cell) runProtocols(res *Result) error {
 	var basic, forced int
 	var mean float64
 	for s := 0; s < c.Seeds; s++ {
-		script, err := c.script(s)
+		var occ occupancy
+		r, err := c.simulate(s, c.Protocol, core.RDTLGC, &occ)
 		if err != nil {
 			return err
 		}
-		mk := c.Protocol.New
-		rep, err := metrics.Measure(metrics.MeasureOptions{
-			N: c.N, Collector: metrics.RDTLGC, Script: script,
-			Protocol: func(int) protocol.Protocol { return mk() },
-		})
-		if err != nil {
-			return err
-		}
-		basic += rep.Basic
-		forced += rep.Forced
-		mean += rep.PerProcRetained.Mean()
+		m := r.Metrics()
+		basic += m.Basic
+		forced += m.Forced
+		mean += occ.mean()
 	}
+	res.RDT = protocol.RDT(protocol.Factory(c.Protocol)(0))
 	res.Basic = basic / c.Seeds
 	res.Forced = forced / c.Seeds
-	if basic > 0 {
-		res.ForcedPerBasic = float64(forced) / float64(basic)
-	}
+	res.ForcedPerBasic = ratio(forced, basic)
 	res.RetainedMean = mean / float64(c.Seeds)
 	return nil
 }
 
+// runRollback executes each seed's script without collection, then, at
+// every tenth of the history, computes for every process f the best
+// consistent restart after a crash of f (by rollback propagation on the
+// ground-truth pattern, which is correct for RDT and non-RDT protocols
+// alike) and records how far every other process is dragged back. This is
+// the quantity Agbaria, Attiya, Friedman and Vitenberg (SRDS 2001, the
+// paper's reference [1]) study analytically.
 func (c Cell) runRollback(res *Result) error {
 	var mean float64
-	var max, lost, domino, crashes int
+	var lost, crashes int
 	for s := 0; s < c.Seeds; s++ {
-		script, err := c.script(s)
+		r, err := c.simulate(s, c.Protocol, core.NoGC, nil)
 		if err != nil {
 			return err
 		}
-		mk := c.Protocol.New
-		rep, err := metrics.MeasureRollback(metrics.RollbackOptions{
-			N: c.N, Script: script,
-			Protocol: func(int) protocol.Protocol { return mk() },
-		})
-		if err != nil {
-			return err
+		hist := r.History()
+		stride := max(len(hist.Ops)/10, 1)
+		rolledSum, samples := 0, 0
+		for cut := stride; cut <= len(hist.Ops); cut += stride {
+			// A prefix can split a send/receive pair; the receive simply
+			// does not exist yet.
+			prefix := ccp.Script{N: c.N, Ops: hist.Ops[:cut]}
+			if err := prefix.Validate(); err != nil {
+				return fmt.Errorf("sweep: invalid history prefix: %w", err)
+			}
+			pc := prefix.BuildCCP()
+			for f := 0; f < c.N; f++ {
+				avail := make([]int, c.N)
+				for i := range avail {
+					avail[i] = pc.VolatileIndex(i)
+				}
+				avail[f] = pc.LastStable(f) // the crash loses f's volatile state
+				line := pc.MaxConsistentBelow(avail)
+				crashes++
+				for i := 0; i < c.N; i++ {
+					if i == f {
+						continue
+					}
+					rolled := 0
+					if line[i] <= pc.LastStable(i) {
+						rolled = pc.LastStable(i) - line[i]
+						lost++
+					}
+					rolledSum += rolled
+					samples++
+					res.MaxRolled = max(res.MaxRolled, rolled)
+					if line[i] == 0 && pc.LastStable(i) > 0 {
+						res.DominoToStart++
+					}
+				}
+			}
 		}
-		mean += rep.StableRolled.Mean()
-		if rep.StableRolled.Max() > max {
-			max = rep.StableRolled.Max()
-		}
-		lost += rep.VolatileLost
-		domino += rep.DominoToStart
-		crashes += rep.Crashes
+		mean += ratio(rolledSum, samples)
 	}
 	res.MeanRolled = mean / float64(c.Seeds)
-	res.MaxRolled = max
 	// A short run can record no crash points at all; leave the rate at 0
 	// rather than emitting NaN, which json.Encoder rejects outright.
 	if denom := crashes * (c.N - 1); denom > 0 {
 		res.VolatileLostPct = 100 * float64(lost) / float64(denom)
 	}
-	res.DominoToStart = domino
 	return nil
 }
 
@@ -531,23 +593,12 @@ func (c Cell) runChaos(res *Result) error {
 		if err != nil {
 			return err
 		}
-		mk := v.Protocol.New
-		cfg := chaos.Config{
-			Protocol:      func(int) protocol.Protocol { return mk() },
-			Net:           rt.NetworkOptions{Loss: 0.02, Seed: int64(7000*s + c.N)},
-			GlobalLI:      true,
-			Deterministic: true,
-			PCheckpoint:   c.PCheckpoint,
-			RDT:           v.Protocol.RDT,
+		cfg, err := chaos.Stack(v.Protocol, v.Collector)
+		if err != nil {
+			return err
 		}
-		switch v.Collector {
-		case metrics.RDTLGC:
-			cfg.LocalGC = func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
-			cfg.CheckNBound = v.Protocol.RDT
-		case metrics.NoGC:
-		default:
-			return fmt.Errorf("sweep: chaos table supports RDT-LGC and no-gc stacks, not %v", v.Collector)
-		}
+		cfg.Net = rt.NetworkOptions{Loss: 0.02, Seed: int64(7000*s + c.N)}
+		cfg.GlobalLI, cfg.Deterministic, cfg.PCheckpoint = true, true, c.PCheckpoint
 		r, err := chaos.Run(cfg, plan)
 		if err != nil {
 			return fmt.Errorf("sweep: cell %d (%s n=%d %s): %w", c.Index, c.Pattern, c.N, v.Name(), err)
@@ -556,13 +607,9 @@ func (c Cell) runChaos(res *Result) error {
 		recoveries += r.Recoveries
 		orphans += r.Orphans
 		replayed += r.Replayed
-		depth += r.RollbackDepth.Mean()
-		if r.RollbackDepth.Max() > res.MaxRolled {
-			res.MaxRolled = r.RollbackDepth.Max()
-		}
-		if r.RetainedAfterMax > res.RetainedAfterMax {
-			res.RetainedAfterMax = r.RetainedAfterMax
-		}
+		depth += ratio(r.RollbackDepth, r.Replayed)
+		res.MaxRolled = max(res.MaxRolled, r.MaxRollbackDepth)
+		res.RetainedAfterMax = max(res.RetainedAfterMax, r.RetainedAfterMax)
 		latency += r.Latency
 		partitions += r.Partitions
 		heals += r.Heals

@@ -7,7 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func TestCellsExpansion(t *testing.T) {
 	}
 	// Row order is workload-major, then size, then variant — the seed
 	// CLI's nesting.
-	if cells[0].Workload != workload.Uniform || cells[0].N != 3 || cells[0].Collector != metrics.NoGC {
+	if cells[0].Workload != workload.Uniform || cells[0].N != 3 || cells[0].Collector != core.NoGC {
 		t.Fatalf("first cell = %+v", cells[0])
 	}
 	last := cells[len(cells)-1]
@@ -63,8 +64,8 @@ func TestCellsExpansion(t *testing.T) {
 		if len(cells) != want {
 			t.Fatalf("%v: got %d cells, want %d", tab, len(cells), want)
 		}
-		if cells[0].Protocol.Name != g.Protocols[0].Name {
-			t.Fatalf("%v: first variant %q", tab, cells[0].Protocol.Name)
+		if cells[0].Protocol != g.Protocols[0] {
+			t.Fatalf("%v: first variant %q", tab, cells[0].Protocol)
 		}
 	}
 }
@@ -156,14 +157,14 @@ func TestProtocolAxes(t *testing.T) {
 	if len(over) != 6 || len(roll) != 6 {
 		t.Fatalf("protocol axes: %d, %d; want 6, 6", len(over), len(roll))
 	}
-	for _, specs := range [][]ProtocolSpec{over, roll} {
+	for _, names := range [][]string{over, roll} {
 		rdtCount := 0
-		for _, s := range specs {
-			p := s.New()
-			if p == nil || p.Name() == "" {
-				t.Fatalf("spec %q builds bad protocol", s.Name)
+		for _, name := range names {
+			pf := protocol.Factory(name)
+			if pf == nil || pf(0).Name() != name {
+				t.Fatalf("axis name %q builds no protocol of that name", name)
 			}
-			if s.RDT {
+			if protocol.RDT(pf(0)) {
 				rdtCount++
 			}
 		}

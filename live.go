@@ -1,14 +1,10 @@
 package rdt
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/gc"
+	"repro/internal/core"
 	"repro/internal/runtime"
-	"repro/internal/storage"
-
-	icore "repro/internal/core"
 )
 
 // Network shapes the asynchronous network of a live cluster.
@@ -48,9 +44,14 @@ func NewCluster(n int, net Network, opt ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	col, err := core.LookupCollector(o.collector.String(), true)
+	if err != nil {
+		return nil, err
+	}
 	cfg := runtime.Config{
 		N:        n,
 		Protocol: pf,
+		LocalGC:  col.Local,
 		TCP:      net.TCP,
 		Compress: o.compress,
 		Obs:      o.obs,
@@ -60,13 +61,6 @@ func NewCluster(n int, net Network, opt ...Option) (*Cluster, error) {
 			Loss:     net.Loss,
 			Seed:     net.Seed,
 		},
-	}
-	switch o.collector {
-	case RDTLGC:
-		cfg.LocalGC = func(self, n int, st storage.Store) gc.Local { return icore.New(self, n, st) }
-	case NoGC:
-	default:
-		return nil, fmt.Errorf("rdt: live clusters support RDTLGC and NoGC collectors, not %v", o.collector)
 	}
 	if cfg.NewStore, err = o.stores(); err != nil {
 		return nil, err

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/ccp"
 	"repro/internal/core"
-	"repro/internal/gc"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -70,47 +69,27 @@ const (
 	NoProtocol
 )
 
-// String returns the protocol name.
+// String returns the protocol name: the constants number the names of
+// internal/protocol's table, in its order.
 func (p Protocol) String() string {
-	switch p {
-	case FDAS:
-		return "FDAS"
-	case FDI:
-		return "FDI"
-	case CBR:
-		return "CBR"
-	case Russell:
-		return "Russell"
-	case BCS:
-		return "BCS"
-	case NoProtocol:
-		return "none"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(p))
+	if names := protocol.Names(); p >= FDAS && int(p) <= len(names) {
+		return names[p-1]
 	}
+	return fmt.Sprintf("protocol(%d)", int(p))
 }
 
 // RDT reports whether the protocol guarantees rollback-dependency
 // trackability, the property RDT-LGC's guarantees are stated under.
-func (p Protocol) RDT() bool { return p == FDAS || p == FDI || p == CBR || p == Russell }
+func (p Protocol) RDT() bool {
+	pf, err := p.factory()
+	return err == nil && protocol.RDT(pf(0))
+}
 
 func (p Protocol) factory() (func(int) protocol.Protocol, error) {
-	switch p {
-	case FDAS:
-		return func(int) protocol.Protocol { return protocol.NewFDAS() }, nil
-	case FDI:
-		return func(int) protocol.Protocol { return protocol.NewFDI() }, nil
-	case CBR:
-		return func(int) protocol.Protocol { return protocol.NewCBR() }, nil
-	case Russell:
-		return func(int) protocol.Protocol { return protocol.NewRussell() }, nil
-	case BCS:
-		return func(int) protocol.Protocol { return protocol.NewBCS() }, nil
-	case NoProtocol:
-		return func(int) protocol.Protocol { return protocol.NewNone() }, nil
-	default:
-		return nil, fmt.Errorf("rdt: unknown protocol %d", int(p))
+	if pf := protocol.Factory(p.String()); pf != nil {
+		return pf, nil
 	}
+	return nil, fmt.Errorf("rdt: unknown protocol %d", int(p))
 }
 
 // Collector selects the garbage-collection strategy.
@@ -128,20 +107,14 @@ const (
 	RecoveryLineGC
 )
 
-// String returns the collector name.
+var collectorNames = [...]string{RDTLGC: core.RDTLGC, NoGC: core.NoGC, SyncOptimal: core.SyncOpt, RecoveryLineGC: core.RecoveryLineGC}
+
+// String returns the collector name, as internal/core's table spells it.
 func (c Collector) String() string {
-	switch c {
-	case RDTLGC:
-		return "RDT-LGC"
-	case NoGC:
-		return "no-gc"
-	case SyncOptimal:
-		return "sync-opt"
-	case RecoveryLineGC:
-		return "rl-gc"
-	default:
-		return fmt.Sprintf("collector(%d)", int(c))
+	if c >= RDTLGC && int(c) < len(collectorNames) {
+		return collectorNames[c]
 	}
+	return fmt.Sprintf("collector(%d)", int(c))
 }
 
 // Backend selects the stable-storage implementation behind every process;
@@ -164,18 +137,17 @@ func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 type Option func(*options)
 
 type options struct {
-	protocol    Protocol
-	collector   Collector
-	backend     Backend
-	storageDir  string
-	stateBytes  int
-	globalEvery int
-	compress    bool
-	obs         obs.Options
+	protocol   Protocol
+	collector  Collector
+	backend    Backend
+	storageDir string
+	stateBytes int
+	compress   bool
+	obs        obs.Options
 }
 
 func defaults() options {
-	return options{protocol: FDAS, collector: RDTLGC, backend: BackendMem, globalEvery: 1}
+	return options{protocol: FDAS, collector: RDTLGC, backend: BackendMem}
 }
 
 // WithProtocol selects the checkpointing protocol (default FDAS, the
@@ -195,10 +167,6 @@ func WithStorage(b Backend, dir string) Option {
 // WithStateSize sets the opaque state payload saved with each checkpoint,
 // for storage-byte accounting.
 func WithStateSize(bytes int) Option { return func(o *options) { o.stateBytes = bytes } }
-
-// WithGlobalPeriod sets how many events pass between runs of a global
-// collector (SyncOptimal, RecoveryLineGC); default 1.
-func WithGlobalPeriod(k int) Option { return func(o *options) { o.globalEvery = k } }
 
 // WithCompression piggybacks only the dependency-vector entries changed
 // since the previous send to the same destination (the Singhal–Kshemkalyani
@@ -228,27 +196,21 @@ func (o options) simConfig(n int) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
+	col, err := core.LookupCollector(o.collector.String(), false)
+	if err != nil {
+		return sim.Config{}, err
+	}
 	cfg := sim.Config{
-		N:           n,
-		Protocol:    pf,
-		GlobalEvery: o.globalEvery,
-		StateBytes:  o.stateBytes,
-		Compress:    o.compress,
-		Obs:         o.obs,
+		N:          n,
+		Protocol:   pf,
+		LocalGC:    col.Local,
+		GlobalGC:   col.Global,
+		StateBytes: o.stateBytes,
+		Compress:   o.compress,
+		Obs:        o.obs,
 	}
 	if cfg.NewStore, err = o.stores(); err != nil {
 		return sim.Config{}, err
-	}
-	switch o.collector {
-	case RDTLGC:
-		cfg.LocalGC = func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
-	case NoGC:
-	case SyncOptimal:
-		cfg.GlobalGC = gc.NewSynchronous()
-	case RecoveryLineGC:
-		cfg.GlobalGC = gc.NewRecoveryLine()
-	default:
-		return sim.Config{}, fmt.Errorf("rdt: unknown collector %d", int(o.collector))
 	}
 	return cfg, nil
 }

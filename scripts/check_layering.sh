@@ -80,6 +80,27 @@ for bad in repro/internal/sim repro/internal/runtime; do
 	fi
 done
 
+# One vocabulary of stacks. A protocol is named and built from the table in
+# internal/protocol/protocol.go, a collector from the one in
+# internal/core/collectors.go; every facade, CLI and experiment table looks
+# its stack up there. A second constructor switch or collector-name literal
+# is a copy of that vocabulary growing back. The kernel's nil-protocol
+# default (internal/node) and the frozen benchmark/ are the exceptions. The
+# two packages the vocabulary replaced stay gone.
+go_files=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' | sed 's|^\./||' |
+	grep -v -e '^internal/node/' -e '^benchmark/' \
+		-e '^internal/protocol/protocol\.go$' -e '^internal/core/collectors\.go$')
+if grep -nE 'protocol\.New(FDAS|FDI|CBR|Russell|BCS|None)\(\)|"(RDT-LGC|no-gc|sync-opt|rl-gc)"' $go_files >&2; then
+	echo "layering violation: a protocol constructor or collector name outside the vocabulary (internal/protocol/protocol.go, internal/core/collectors.go)" >&2
+	fail=1
+fi
+for gone in internal/metrics internal/zcfgc; do
+	if [ -e "$gone" ]; then
+		echo "layering violation: $gone exists; its statistics live in internal/sweep and its argument in DESIGN.md" >&2
+		fail=1
+	fi
+done
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -92,4 +113,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each"
