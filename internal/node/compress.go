@@ -25,28 +25,24 @@ import (
 // exactly the changed entries, because vector entries only ever increase
 // between compression resets. When that suffix is at least n long (dense
 // traffic: every pair is used rarely, and most of the vector moves between
-// two of its messages) a send-time encode instead scans, per entry, the
-// log position of the entry's latest change — the same set, already in key
+// two of its messages) an encode instead scans, per entry, the log
+// position of the entry's latest change — the same set, already in key
 // order — so an encode costs O(min(window, n)). The encoder state is O(n)
 // ints per kernel, the order of the dependency vector and the collector's
 // UC it sits beside, and none of it is allocated after construction.
 //
-// Ownership. The entries of a send-time piggyback (Kernel.Send) live in a
-// buffer drawn from the driver (Driver.EntryBuf) and belong to the sender's
-// side of the engine — in the live runtime, to the pair's link until its
-// retransmit window prunes the frame — which then recycles the buffer.
-// Receivers only read them for the duration of a delivery call and copy
-// what must outlive it (the batch path's pendRun does).
+// Ownership. The entries of a piggyback live in a buffer drawn from the
+// driver (Driver.EntryBuf) and belong to the sender's side of the engine —
+// in the live runtime, to the pair's link until its retransmit window
+// prunes the frame — which then recycles the buffer. Receivers only read
+// them for the duration of a delivery call and copy what must outlive it
+// (the batch path's pendRun does).
 //
-// Both engines use it through the same state: the live runtime encodes at
-// send time (Kernel.Send, the destination is known) and sequences the
-// network per pair; the deterministic simulator encodes lazily at delivery
-// time (Kernel.EncodeFor, scripts bind the destination at the receive
-// operation) against the send-time snapshot and the send-time log position
-// (Piggyback.Pos), which under per-pair FIFO replays the exact window a
-// send-time encode would have. Every compressed delivery is verified
-// against the per-pair encode order, so a lost or reordered message fails
-// loudly instead of silently corrupting causal knowledge.
+// Both engines encode at send (Kernel.Send): the live runtime is told the
+// destination by the application, the simulator reads it from its script
+// before running it. Every compressed delivery is verified against the
+// per-pair encode order, so a lost or reordered message fails loudly
+// instead of silently corrupting causal knowledge.
 
 // Entry is one transmitted vector entry: process K's interval index V.
 // It is the sparse-vector entry of internal/vclock, shared with the
@@ -71,20 +67,13 @@ type compressor struct {
 	chgPos []int
 	// sentPos[d] is one past the log position destination d's most recent
 	// encode covered; 0 marks a destination that has not been synced since
-	// the last reset and gets a full scan of the snapshot.
+	// the last reset and gets a full scan of the vector.
 	sentPos []int
-	// pending counts outstanding snapshot positions: a lazy engine holds a
-	// position at send time (Kernel.SendSnapshot) and releases it when the
-	// message is encoded at delivery (Kernel.EncodeFor); trimming never
-	// crosses a held position, so the window a pending encode will replay
-	// stays in the log.
-	pending map[int]int
 	// trimAt is the log length at which trim next looks for a droppable
 	// prefix, so its O(n) minimum is paid once per minTrim noted changes,
 	// not once per encode.
 	trimAt int
 
-	lastOrd  []int // per destination: send order of the last encoded message
 	encCnt   []int // per destination: encodes so far (the wire Ord)
 	recvNext []int // per source: next expected wire Ord
 
@@ -101,8 +90,6 @@ func newCompressor(n int) *compressor {
 	return &compressor{
 		chgPos:   make([]int, n),
 		sentPos:  make([]int, n),
-		pending:  make(map[int]int),
-		lastOrd:  make([]int, n),
 		encCnt:   make([]int, n),
 		recvNext: make([]int, n),
 		seen:     make([]int, n),
@@ -118,8 +105,6 @@ func (c *compressor) reset() {
 	c.trimAt = 0
 	clear(c.chgPos)
 	clear(c.sentPos)
-	clear(c.pending)
-	clear(c.lastOrd)
 	clear(c.encCnt)
 	clear(c.recvNext)
 }
@@ -135,73 +120,44 @@ func (c *compressor) note(indices ...int) {
 	}
 }
 
-// pos returns the current log position — the value a send captures as
-// Piggyback.Pos, delimiting the changes the message's encode must cover.
+// pos returns the current log position: an encode covers the log up to it.
 func (c *compressor) pos() int { return c.logBase + len(c.log) }
 
-// hold captures the current log position and pins it against trimming
-// until the matching release — the send side of a lazy encode.
-func (c *compressor) hold() int {
-	p := c.pos()
-	c.pending[p]++
-	return p
-}
-
-// release unpins a position captured by hold.
-func (c *compressor) release(p int) {
-	if c.pending[p] > 1 {
-		c.pending[p]--
-	} else {
-		delete(c.pending, p)
-	}
-}
-
-// nextOrd returns the send order the kernel's own send path uses for the
-// next encode to dest (encode order and send order coincide when encoding
-// happens at send time).
-func (c *compressor) nextOrd(dest int) int { return c.encCnt[dest] }
-
-// encode returns the entries of snapshot that changed since the previous
-// encode for dest — the log window between the destination's last covered
-// position and pos, the sender's log position when the message was sent —
-// in key order, plus the message's per-pair wire order. sendOrd is the
-// message's position among the sender's sends to dest, for FIFO
-// enforcement when encoding lazily at delivery time. The entries live in
-// the compressor's buffer and are valid until the next encode.
-func (c *compressor) encode(dest, sendOrd, pos int, snapshot vclock.DV) ([]Entry, int, error) {
+// encode returns the entries of dv that changed since the previous encode
+// for dest — the log window between the destination's last covered position
+// and the end of the log — in key order, plus the message's per-pair wire
+// order. The entries live in the compressor's buffer and are valid until
+// the next encode.
+func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
 	if dest < 0 || dest >= len(c.sentPos) {
 		return nil, 0, fmt.Errorf("node: compressed piggyback for destination %d outside [0,%d)", dest, len(c.sentPos))
 	}
-	if last := c.lastOrd[dest]; sendOrd < last {
-		return nil, 0, fmt.Errorf("node: compressed piggybacking requires FIFO channels: →p%d delivered send %d after %d",
-			dest, sendOrd, last)
-	}
-	c.lastOrd[dest] = sendOrd
 	ord := c.encCnt[dest]
 	c.encCnt[dest] = ord + 1
 
 	entries := c.entBuf[:0]
+	pos := c.pos()
 	covered := c.sentPos[dest] - 1
 	switch {
 	case covered < 0:
 		// First message of the pair (or first after a reset): everything
-		// the snapshot knows, which is exactly its nonzero entries.
-		for k, v := range snapshot {
+		// the vector knows, which is exactly its nonzero entries.
+		for k, v := range dv {
 			if v != 0 {
 				entries = append(entries, Entry{K: k, V: v})
 			}
 		}
 	case covered < c.logBase:
 		// Positions below logBase are trimmed only once every synced
-		// destination and every held snapshot has passed them.
+		// destination has passed them.
 		return nil, 0, fmt.Errorf("node: internal: change log trimmed to %d past →p%d's covered position %d",
 			c.logBase, dest, covered)
-	case pos == c.pos() && pos-covered >= len(c.chgPos):
-		// Encoding at send time with a window no shorter than the vector:
-		// asking each entry whether it changed is the cheaper enumeration.
-		entries = c.scanChanged(covered, snapshot, entries)
+	case pos-covered >= len(c.chgPos):
+		// A window no shorter than the vector: asking each entry whether it
+		// changed is the cheaper enumeration.
+		entries = c.scanChanged(covered, dv, entries)
 	default:
-		entries = c.walkLog(covered, pos, snapshot, entries)
+		entries = c.walkLog(covered, dv, entries)
 	}
 	c.entBuf = entries
 	c.sentPos[dest] = pos + 1
@@ -209,49 +165,45 @@ func (c *compressor) encode(dest, sendOrd, pos int, snapshot vclock.DV) ([]Entry
 	return entries, ord, nil
 }
 
-// walkLog appends the entries whose indices appear in the log window
-// [covered, pos), in key order. Every index in it strictly increased since
-// the pair's previous message, so its snapshot value is new to the
-// receiver; indices changed more than once are sent once. It is the only
-// enumeration a lazy encode may use: the snapshot is older than the
-// vector, and changes past pos belong to the pair's next message.
-func (c *compressor) walkLog(covered, pos int, snapshot vclock.DV, entries []Entry) []Entry {
+// walkLog appends the entries whose indices appear in the log from position
+// covered on, in key order. Every index there strictly increased since the
+// pair's previous message, so its value is new to the receiver; indices
+// changed more than once are sent once.
+func (c *compressor) walkLog(covered int, dv vclock.DV, entries []Entry) []Entry {
 	c.stamp++
-	for p := covered; p < pos; p++ {
-		k := c.log[p-c.logBase]
+	for _, k := range c.log[covered-c.logBase:] {
 		if c.seen[k] == c.stamp {
 			continue
 		}
 		c.seen[k] = c.stamp
-		entries = append(entries, Entry{K: k, V: snapshot[k]})
+		entries = append(entries, Entry{K: k, V: dv[k]})
 	}
 	slices.SortFunc(entries, func(a, b Entry) int { return a.K - b.K })
 	return entries
 }
 
 // scanChanged appends the entries that changed at or after log position
-// covered, in key order. Valid only at send time (the window runs to the
-// end of the log), where it enumerates exactly what walkLog does.
-func (c *compressor) scanChanged(covered int, snapshot vclock.DV, entries []Entry) []Entry {
+// covered, in key order: the set walkLog enumerates, found per entry
+// instead of per log position.
+func (c *compressor) scanChanged(covered int, dv vclock.DV, entries []Entry) []Entry {
 	for k, p := range c.chgPos {
 		if p > covered {
-			entries = append(entries, Entry{K: k, V: snapshot[k]})
+			entries = append(entries, Entry{K: k, V: dv[k]})
 		}
 	}
 	return entries
 }
 
-// trim drops the log prefix every synced destination and every held
-// snapshot has covered. It never evicts a destination's position: eviction
-// would change what a later encode transmits, and the two engines — which
-// encode the same traffic at different event times, so their sentPos
-// disagree at any given kernel event — must produce identical entries.
-// The cost of that guarantee is that a once-synced destination that goes
-// permanently quiet pins the log, which then grows with the kernel's
-// total entry changes until the next compression reset (recovery
-// sessions reset it); the old per-destination vector copies cost O(n)
-// per active pair instead, so the trade is bounded history for bounded
-// width.
+// trim drops the log prefix every synced destination has covered. It never
+// evicts a destination's position: eviction would make what a message
+// carries depend on when the log was last trimmed, not only on what changed
+// since the pair's previous message — the definition the equivalence tests
+// and the compression tables hold every encode to. The cost of that
+// guarantee is that a once-synced destination that goes permanently quiet
+// pins the log, which then grows with the kernel's total entry changes
+// until the next compression reset (recovery sessions reset it); the old
+// per-destination vector copies cost O(n) per active pair instead, so the
+// trade is bounded history for bounded width.
 func (c *compressor) trim() {
 	const minTrim = 256
 	if len(c.log) < c.trimAt {
@@ -261,11 +213,6 @@ func (c *compressor) trim() {
 	for _, sp := range c.sentPos {
 		if sp > 0 && sp-1 < m {
 			m = sp - 1
-		}
-	}
-	for p := range c.pending {
-		if p < m {
-			m = p
 		}
 	}
 	if cut := m - c.logBase; cut >= minTrim {

@@ -94,7 +94,7 @@ func TestScanMatchesLogWalk(t *testing.T) {
 					}
 				}
 				if covered := c.sentPos[dest] - 1; covered >= 0 {
-					walk := c.walkLog(covered, c.pos(), dv, nil)
+					walk := c.walkLog(covered, dv, nil)
 					scan := c.scanChanged(covered, dv, nil)
 					if !slices.Equal(walk, want) || !slices.Equal(scan, want) {
 						t.Fatalf("seed %d step %d →p%d: walk %v, scan %v, definition %v", seed, step, dest, walk, scan, want)
@@ -106,7 +106,7 @@ func TestScanMatchesLogWalk(t *testing.T) {
 					}
 				}
 				base := c.logBase
-				got, ord, err := c.encode(dest, c.nextOrd(dest), c.pos(), dv)
+				got, ord, err := c.encode(dest, dv)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
@@ -145,11 +145,8 @@ func TestDenseStateFailsLoudly(t *testing.T) {
 		if err := k.DeliverBatch([]Piggyback{{Compressed: true, From: p}}, nil); err == nil {
 			t.Errorf("DeliverBatch(From=%d) accepted an out-of-range sender", p)
 		}
-		if _, _, err := k.comp.encode(p, 0, k.comp.pos(), k.dv); err == nil {
+		if _, _, err := k.comp.encode(p, k.dv); err == nil {
 			t.Errorf("encode(dest=%d) accepted an out-of-range destination", p)
-		}
-		if _, _, err := k.EncodeFor(p, 0, k.comp.pos(), k.dv); err == nil {
-			t.Errorf("EncodeFor(dest=%d) accepted an out-of-range destination", p)
 		}
 	}
 	// None of the refusals consumed state: the first real message is still
@@ -180,7 +177,7 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 	}
 	k.ResetCompression()
 	for name, s := range map[string][]int{
-		"chgPos": k.comp.chgPos, "sentPos": k.comp.sentPos, "lastOrd": k.comp.lastOrd,
+		"chgPos": k.comp.chgPos, "sentPos": k.comp.sentPos,
 		"encCnt": k.comp.encCnt, "recvNext": k.comp.recvNext,
 	} {
 		for i, v := range s {
@@ -189,8 +186,8 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 			}
 		}
 	}
-	if k.comp.pos() != 0 || len(k.comp.pending) != 0 {
-		t.Errorf("log position %d, %d held positions after reset", k.comp.pos(), len(k.comp.pending))
+	if k.comp.pos() != 0 {
+		t.Errorf("log position %d after reset", k.comp.pos())
 	}
 	// One entry changes after the reset; every pair must still get all n.
 	if _, err := k.Checkpoint(true); err != nil {
@@ -211,6 +208,31 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 	}
 	if pb, err := k.Send(1); err != nil || len(pb.Entries) != 1 {
 		t.Fatalf("second post-reset message: %d entries, err %v; want 1", len(pb.Entries), err)
+	}
+}
+
+// TestUnsentSnapshotDoesNotPinTheLog: a snapshot a compressing kernel takes
+// for a message nobody receives is never encoded, so it must not hold the
+// change log back — 3,000 changes later the log is still trimmed to within
+// a few trim steps of the pair's covered position.
+func TestUnsentSnapshotDoesNotPinTheLog(t *testing.T) {
+	const n = 2
+	a, b := compressingKernel(t, 0, n, nil), compressingKernel(t, 1, n, nil)
+	a.SendSnapshot()
+	for i := 0; i < 3000; i++ {
+		if _, err := a.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+		pb, err := a.Send(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Deliver(pb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(a.comp.log); got >= 2*256 {
+		t.Fatalf("change log holds %d entries after 3000 sends; a snapshot nobody encodes pins it", got)
 	}
 }
 

@@ -71,10 +71,10 @@ type Driver interface {
 	// kernel's send path stays allocation-lean.
 	CloneDV(src vclock.DV) vclock.DV
 	// EntryBuf returns an empty buffer for the entries of a compressed
-	// piggyback built at send time (Kernel.Send) — of any capacity, nil
-	// included; the kernel grows it at most once, to the message's entry
-	// count. An engine that learns when a message's piggyback is dead
-	// serves the buffers from a freelist, as with CloneDV.
+	// piggyback (Kernel.Send) — of any capacity, nil included; the kernel
+	// grows it at most once, to the message's entry count. An engine that
+	// learns when a message's piggyback is dead serves the buffers from a
+	// freelist, as with CloneDV.
 	EntryBuf() []Entry
 	// CheckpointState returns the opaque state payload stored with
 	// checkpoints of kernels without an attached application (byte
@@ -147,11 +147,6 @@ type Piggyback struct {
 	Ord int
 	// Index is the protocol-specific piggyback index (BCS).
 	Index int
-	// Pos is the sender's change-log position when the message was sent
-	// (compressing kernels only): the engine hands it back to EncodeFor so
-	// a lazy encode replays exactly the changes a send-time encode would
-	// have covered.
-	Pos int
 }
 
 // New builds the kernel and stores the initial checkpoint s^0 with the zero
@@ -217,8 +212,7 @@ func (k *Kernel) Send(dest int) (Piggyback, error) {
 		return Piggyback{}, fmt.Errorf("node: p%d sending to invalid destination %d", k.cfg.ID, dest)
 	}
 	idx := k.proto.OnSend()
-	// Encoding at send time covers the log up to this instant.
-	entries, ord, err := k.comp.encode(dest, k.comp.nextOrd(dest), k.comp.pos(), k.dv)
+	entries, ord, err := k.comp.encode(dest, k.dv)
 	if err != nil {
 		return Piggyback{}, err
 	}
@@ -237,10 +231,11 @@ func (k *Kernel) Send(dest int) (Piggyback, error) {
 	return Piggyback{Entries: entries, Compressed: true, From: k.cfg.ID, Ord: ord, Index: idx}, nil
 }
 
-// SendSnapshot produces a full-vector piggyback without binding the
-// destination — the deterministic engine's send path, where scripts name
-// the receiver only at the delivery operation. Compressed kernels encode
-// lazily from this snapshot via EncodeFor.
+// SendSnapshot produces a full-vector piggyback without binding a
+// destination and notifies the protocol of the send. Without compression it
+// is what Send returns. A compressing kernel's engine calls it for a message
+// no process will receive — a simulator script may leave one in transit —
+// so the protocol sees the send and no pair's encoder moves.
 func (k *Kernel) SendSnapshot() Piggyback {
 	idx := k.proto.OnSend()
 	if !k.cfg.Compress {
@@ -249,13 +244,7 @@ func (k *Kernel) SendSnapshot() Piggyback {
 		k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
 		k.cfg.Metrics.PiggybackBytes.Add(uint64(8 * k.cfg.N))
 	}
-	pb := Piggyback{DV: k.cloneDV(), Index: idx}
-	if k.comp != nil {
-		// Capture (and pin, until EncodeFor releases it) the send-time log
-		// position the lazy encode will replay up to.
-		pb.Pos = k.comp.hold()
-	}
-	return pb
+	return Piggyback{DV: k.cloneDV(), Index: idx}
 }
 
 // cloneDV snapshots the live vector through the driver's allocator.
@@ -264,31 +253,6 @@ func (k *Kernel) cloneDV() vclock.DV {
 		return k.cfg.Driver.CloneDV(k.dv)
 	}
 	return k.dv.Clone()
-}
-
-// EncodeFor turns a full snapshot taken at send time into the compressed
-// piggyback for dest — the lazy encoding of the deterministic engine, which
-// learns the destination at delivery. sendOrd is the message's position
-// among this kernel's sends to any destination and pos the snapshot's
-// change-log position (Piggyback.Pos); under per-pair FIFO, replaying the
-// log window up to pos is identical to encoding at send time, and a pair's
-// messages arriving out of send order fail here. The returned entries are
-// valid only until the next EncodeFor call: the deterministic engine
-// delivers them before encoding again, so the buffer is reused.
-func (k *Kernel) EncodeFor(dest, sendOrd, pos int, snapshot vclock.DV) ([]Entry, int, error) {
-	if k.comp == nil {
-		return nil, 0, fmt.Errorf("node: p%d is not compressing piggybacks", k.cfg.ID)
-	}
-	k.comp.release(pos)
-	entries, ord, err := k.comp.encode(dest, sendOrd, pos, snapshot)
-	if err != nil {
-		return nil, 0, err
-	}
-	k.pbEntries += len(entries)
-	k.cfg.Metrics.PiggybackEntries.Add(uint64(len(entries)))
-	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
-	k.cfg.Metrics.PiggybackBytes.Add(uint64(16 * len(entries)))
-	return entries, ord, nil
 }
 
 // Deliver processes an incoming message: forced checkpoint first if the

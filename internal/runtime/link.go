@@ -109,10 +109,9 @@ type LinkOptions struct {
 	// clusters should size it above the largest burst a partition can
 	// strand, since the piggyback verifier fails loudly on a genuine loss.
 	Window int
-	// DialTimeout and WriteTimeout forward to transport.Options; the
-	// in-process wire has neither a dial nor a write to bound.
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
+	// DialTimeout forwards to transport.Options; the in-process wire has
+	// no dial to bound.
+	DialTimeout time.Duration
 }
 
 func (o LinkOptions) withDefaults() LinkOptions {

@@ -72,10 +72,7 @@ type meshWire struct {
 // delivering are reconciled by onLinkDown, which parks them for retransmit —
 // so Quiesce cannot hang on a torn-down link.
 func newMeshWire(c *Cluster) (*meshWire, error) {
-	mesh, err := transport.NewTCPWith(c.cfg.N, transport.Options{
-		DialTimeout:  c.linkOpts.DialTimeout,
-		WriteTimeout: c.linkOpts.WriteTimeout,
-	})
+	mesh, err := transport.NewTCPWith(c.cfg.N, transport.Options{DialTimeout: c.linkOpts.DialTimeout})
 	if err != nil {
 		return nil, err
 	}

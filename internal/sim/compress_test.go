@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,15 +21,38 @@ func fifoScript(kind workload.Kind, n, ops int, seed int64) ccp.Script {
 // TestCompressionEquivalence runs identical FIFO workloads with and without
 // incremental piggybacking and checks the middleware is bit-for-bit
 // equivalent: same vectors, same stores, same forced checkpoints — while
-// strictly fewer vector entries cross the network.
+// strictly fewer vector entries cross the network. Each input is a sequence
+// of scripts run back to back on one runner.
 func TestCompressionEquivalence(t *testing.T) {
+	// A message a script leaves in transit is lost with its Run, so it must
+	// not move its pair's encoder: the next script's first p0→p1 message is
+	// still the pair's next delivered one.
+	var strand, resend ccp.Script
+	strand.N, resend.N = 2, 2
+	strand.Send(0)
+	strand.Checkpoint(0)
+	strand.Recv(1, strand.Send(0))
+	strand.Send(0)
+	resend.Recv(1, resend.Send(0))
+	resend.Checkpoint(1)
+	resend.Recv(0, resend.Send(1))
+	type input struct {
+		name    string
+		scripts []ccp.Script
+	}
+	inputs := []input{{"in transit across Runs", []ccp.Script{strand, resend}}}
+
 	rng := rand.New(rand.NewSource(901))
 	kinds := []workload.Kind{workload.Ring, workload.ClientServer, workload.Bursty, workload.AllToAll}
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
 		kind := kinds[rng.Intn(len(kinds))]
 		script := fifoScript(kind, n, 60+rng.Intn(80), rng.Int63())
+		inputs = append(inputs, input{fmt.Sprintf("trial %d (%s)", trial, kind), []ccp.Script{script}})
+	}
 
+	for _, in := range inputs {
+		n := in.scripts[0].N
 		run := func(compress bool) *sim.Runner {
 			cfg := fdasLGC(n)
 			cfg.Compress = compress
@@ -36,8 +60,10 @@ func TestCompressionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Run(script); err != nil {
-				t.Fatal(err)
+			for _, script := range in.scripts {
+				if err := r.Run(script); err != nil {
+					t.Fatalf("%s: %v", in.name, err)
+				}
 			}
 			return r
 		}
@@ -45,21 +71,21 @@ func TestCompressionEquivalence(t *testing.T) {
 
 		for i := 0; i < n; i++ {
 			if !full.CurrentDV(i).Equal(comp.CurrentDV(i)) {
-				t.Fatalf("trial %d (%s): p%d DV full %v != compressed %v",
-					trial, kind, i, full.CurrentDV(i), comp.CurrentDV(i))
+				t.Fatalf("%s: p%d DV full %v != compressed %v",
+					in.name, i, full.CurrentDV(i), comp.CurrentDV(i))
 			}
 			if !reflect.DeepEqual(full.Store(i).Indices(), comp.Store(i).Indices()) {
-				t.Fatalf("trial %d (%s): p%d stores diverge: %v vs %v",
-					trial, kind, i, full.Store(i).Indices(), comp.Store(i).Indices())
+				t.Fatalf("%s: p%d stores diverge: %v vs %v",
+					in.name, i, full.Store(i).Indices(), comp.Store(i).Indices())
 			}
 		}
 		mf, mc := full.Metrics(), comp.Metrics()
 		if mf.Forced != mc.Forced || mf.Basic != mc.Basic {
-			t.Fatalf("trial %d: checkpoint counts diverge: %+v vs %+v", trial, mf, mc)
+			t.Fatalf("%s: checkpoint counts diverge: %+v vs %+v", in.name, mf, mc)
 		}
 		if mc.Delivered > 0 && mc.PiggybackEntries > mf.PiggybackEntries {
-			t.Fatalf("trial %d: compression grew the piggyback: %d > %d",
-				trial, mc.PiggybackEntries, mf.PiggybackEntries)
+			t.Fatalf("%s: compression grew the piggyback: %d > %d",
+				in.name, mc.PiggybackEntries, mf.PiggybackEntries)
 		}
 	}
 }

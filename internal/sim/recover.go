@@ -6,7 +6,6 @@ import (
 	"repro/internal/ccp"
 	"repro/internal/gc"
 	"repro/internal/node"
-	"repro/internal/protocol"
 )
 
 // RecoveryReport describes the outcome of a recovery session.
@@ -95,25 +94,9 @@ func (r *Runner) truncateHistory(line []int) {
 			cut[p] = line[p]
 		}
 	}
-	out, remap := ccp.Truncate(r.hist, cut)
-	// Remap the per-message bookkeeping to the new numbering, dropping cut
-	// sends. Delivered messages have no entries any more (deliver recycles
-	// the snapshot and deletes the id), so only in-transit ones carry
-	// over; the two maps are maintained together, here as in deliver.
-	pbs := make(map[int]protocol.Piggyback, len(remap))
-	mds := make(map[int]sendMeta, len(remap))
-	for old, nw := range remap {
-		if pb, ok := r.sendPB[old]; ok {
-			pbs[nw] = pb
-		}
-		if md, ok := r.sendMd[old]; ok {
-			mds[nw] = md
-		}
-	}
-	r.sendPB, r.sendMd = pbs, mds
-	r.hist = out
+	r.hist, _ = ccp.Truncate(r.hist, cut)
 	r.mirror = ccp.NewBuilder(r.cfg.N)
-	replayInto(r.mirror, out)
+	replayInto(r.mirror, r.hist)
 }
 
 func replayInto(b *ccp.Builder, s ccp.Script) {

@@ -9,7 +9,10 @@
 // deterministic experiment needs: script execution, global message
 // numbering, a ground-truth mirror of the pattern through internal/ccp, and
 // execution metrics, so every experiment can compare what the collectors
-// did against what the oracles say.
+// did against what the oracles say. A script names a message's receiver
+// only at the receive operation; Run reads it from the whole script before
+// executing it, so a compressing kernel encodes each piggyback at send,
+// exactly as in the live runtime.
 //
 // The runner also orchestrates recovery sessions (Section 2.4): Recover
 // crashes a faulty set, computes the recovery line per Lemma 1 from the
@@ -69,8 +72,8 @@ type Metrics struct {
 	Rollbacks   int // processes rolled back across recovery sessions
 	RolledCkpts int // stable checkpoints discarded because they were rolled back
 	// PiggybackEntries counts the dependency-vector entries piggybacked on
-	// messages: n per send with full vectors, only the changed entries
-	// per delivery with Compress.
+	// messages: n per send with full vectors, only the changed entries of
+	// each delivered message with Compress.
 	PiggybackEntries int
 }
 
@@ -81,18 +84,28 @@ type Runner struct {
 
 	hist    ccp.Script // executed history, global message numbering
 	mirror  *ccp.Builder
-	sendPB  map[int]protocol.Piggyback // piggyback per in-transit global message id
-	sendMd  map[int]sendMeta           // per in-transit global message id: sender bookkeeping
-	sent    []int                      // sends so far per process
 	metrics Metrics
 	events  int
 
-	// dvFree recycles piggyback snapshot vectors: a send takes one, the
-	// delivery that consumes it puts it back. Scripts are self-contained
-	// (a message cannot be delivered in a later Run call), so a delivered
-	// snapshot can never be read again.
-	dvFree []vclock.DV
-	state  []byte // shared zero state buffer (stores copy defensively)
+	// transit is Run's table of the script's messages, indexed by script
+	// message number. Scripts are self-contained (a message cannot be
+	// delivered in a later Run call), so it is scratch: kept for its
+	// capacity, emptied before Run returns.
+	transit []message
+
+	// dvFree and entFree recycle piggyback buffers — snapshot vectors and
+	// compressed entries: a send takes one, the delivery that consumes it
+	// (or the end of the Run, for a message left in transit) puts it back.
+	dvFree  []vclock.DV
+	entFree [][]node.Entry
+	state   []byte // shared zero state buffer (stores copy defensively)
+}
+
+// message is one script message: the process bound to receive it (−1 for
+// none), its global id, and its piggyback while it is in transit.
+type message struct {
+	to, g int
+	pb    node.Piggyback
 }
 
 // NewRunner builds the system: every kernel stores its initial checkpoint
@@ -114,9 +127,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg:    cfg,
 		hist:   ccp.Script{N: cfg.N},
 		mirror: ccp.NewBuilder(cfg.N),
-		sendPB: make(map[int]protocol.Piggyback),
-		sendMd: make(map[int]sendMeta),
-		sent:   make([]int, cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
@@ -187,7 +197,11 @@ func (r *Runner) OnKernelCheckpoint(self, index int, basic bool) {
 func (r *Runner) N() int { return r.cfg.N }
 
 // Run executes the application script. Message numbers are local to the
-// script; each Run call must use a self-contained script.
+// script; each Run call must use a self-contained script, and a message the
+// script sends but never receives stays in transit for good — it is lost,
+// which the model permits. With Compress a script must deliver each pair's
+// messages in send order (per-pair FIFO), or Run fails at the first one out
+// of order.
 func (r *Runner) Run(script ccp.Script) error {
 	if script.N != r.cfg.N {
 		return fmt.Errorf("sim: script for %d processes, runner has %d", script.N, r.cfg.N)
@@ -195,7 +209,18 @@ func (r *Runner) Run(script ccp.Script) error {
 	if err := script.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	msgMap := make(map[int]int) // script msg -> global msg
+	defer r.endRun()
+	// Validate numbers messages 0,1,2,… in send order and puts every receive
+	// after its send, so one pass binds each message to its receiver and the
+	// sender's kernel encodes at send, as in the live runtime.
+	for _, op := range script.Ops {
+		switch op.Kind {
+		case ccp.OpSend:
+			r.transit = append(r.transit, message{to: -1})
+		case ccp.OpRecv:
+			r.transit[op.Msg].to = op.P
+		}
+	}
 	for _, op := range script.Ops {
 		switch op.Kind {
 		case ccp.OpCheckpoint:
@@ -203,9 +228,11 @@ func (r *Runner) Run(script ccp.Script) error {
 				return fmt.Errorf("sim: %w", err)
 			}
 		case ccp.OpSend:
-			msgMap[op.Msg] = r.send(r.procs[op.P])
+			if err := r.send(r.procs[op.P], &r.transit[op.Msg]); err != nil {
+				return err
+			}
 		case ccp.OpRecv:
-			if err := r.deliver(r.procs[op.P], msgMap[op.Msg]); err != nil {
+			if err := r.deliver(r.procs[op.P], &r.transit[op.Msg]); err != nil {
 				return err
 			}
 		}
@@ -214,6 +241,16 @@ func (r *Runner) Run(script ccp.Script) error {
 		}
 	}
 	return nil
+}
+
+// endRun recycles the piggybacks of the messages the script left in transit
+// and empties the table.
+func (r *Runner) endRun() {
+	for i := range r.transit {
+		r.recycle(r.transit[i].pb)
+	}
+	clear(r.transit)
+	r.transit = r.transit[:0]
 }
 
 // CloneDV implements node.Driver: it pops a recycled snapshot vector or
@@ -229,58 +266,51 @@ func (r *Runner) CloneDV(src vclock.DV) vclock.DV {
 	return src.Clone()
 }
 
-// EntryBuf implements node.Driver. The runner encodes lazily (EncodeFor,
-// which reuses the kernel's own buffer) and never calls Kernel.Send on a
-// compressing kernel, so there is nothing to recycle.
-func (r *Runner) EntryBuf() []node.Entry { return nil }
-
-func (r *Runner) send(p *node.Kernel) int {
-	// Scripts bind the destination at the receive operation, so the kernel
-	// produces a full snapshot here; compressed runs encode lazily at
-	// delivery (EncodeFor), which under per-pair FIFO is identical to
-	// sender-side encoding.
-	pb := p.SendSnapshot()
-	g := r.hist.Send(p.ID())
-	r.mirror.Send(p.ID())
-	r.sendPB[g] = protocol.Piggyback{DV: pb.DV, Index: pb.Index}
-	r.sendMd[g] = sendMeta{by: p.ID(), ord: r.sent[p.ID()], pos: pb.Pos}
-	r.sent[p.ID()]++
-	r.metrics.Sends++
-	return g
+// EntryBuf implements node.Driver: it pops a recycled entry buffer, or
+// returns nil for the kernel to grow.
+func (r *Runner) EntryBuf() []node.Entry {
+	if k := len(r.entFree); k > 0 {
+		buf := r.entFree[k-1]
+		r.entFree = r.entFree[:k-1]
+		return buf
+	}
+	return nil
 }
 
-// sendMeta is the per-in-transit-message bookkeeping the lazy compressed
-// encode needs: the sender, its per-process send order, and the sender's
-// change-log position at send time.
-type sendMeta struct {
-	by, ord, pos int
+// recycle returns a consumed piggyback's buffers to the freelists.
+func (r *Runner) recycle(pb node.Piggyback) {
+	if pb.DV != nil {
+		r.dvFree = append(r.dvFree, pb.DV)
+	}
+	if pb.Entries != nil {
+		r.entFree = append(r.entFree, pb.Entries[:0])
+	}
 }
 
-func (r *Runner) deliver(p *node.Kernel, gmsg int) error {
-	snap, ok := r.sendPB[gmsg]
-	if !ok {
-		return fmt.Errorf("sim: delivery of unknown message %d", gmsg)
-	}
-	pb := node.Piggyback{DV: snap.DV, Index: snap.Index}
-	if r.cfg.Compress {
-		md := r.sendMd[gmsg]
-		entries, ord, err := r.procs[md.by].EncodeFor(p.ID(), md.ord, md.pos, snap.DV)
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		pb = node.Piggyback{Entries: entries, Compressed: true, From: md.by, Ord: ord, Index: snap.Index}
-	}
-	if _, err := p.Deliver(pb); err != nil {
+// send runs m's send event. A message nobody receives gets a snapshot that
+// binds no destination, so no pair's encoder moves for it.
+func (r *Runner) send(p *node.Kernel, m *message) error {
+	var err error
+	if m.to < 0 {
+		m.pb = p.SendSnapshot()
+	} else if m.pb, err = p.Send(m.to); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	r.hist.Recv(p.ID(), gmsg)
-	r.mirror.Receive(p.ID(), gmsg)
+	m.g = r.hist.Send(p.ID())
+	r.mirror.Send(p.ID())
+	r.metrics.Sends++
+	return nil
+}
+
+func (r *Runner) deliver(p *node.Kernel, m *message) error {
+	if _, err := p.Deliver(m.pb); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	r.hist.Recv(p.ID(), m.g)
+	r.mirror.Receive(p.ID(), m.g)
 	r.metrics.Delivered++
-	// The message is consumed: recycle the snapshot and drop the
-	// bookkeeping for its id (scripts cannot deliver it again).
-	r.dvFree = append(r.dvFree, snap.DV)
-	delete(r.sendPB, gmsg)
-	delete(r.sendMd, gmsg)
+	r.recycle(m.pb)
+	m.pb = node.Piggyback{}
 	return nil
 }
 

@@ -37,7 +37,7 @@ func (s *LogStore) compactor() {
 // pickVictimLocked selects the sealed segment (not the tail, no staged
 // batches) with the worst live ratio below the threshold; −1 if none.
 func (s *LogStore) pickVictimLocked() int {
-	best, bestRatio := -1, s.opt.CompactRatio
+	best, bestRatio := -1, compactRatio
 	for id, seg := range s.segs {
 		if id == s.projSeg || seg.batches > 0 {
 			continue

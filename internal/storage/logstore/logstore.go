@@ -60,7 +60,7 @@
 //
 // Deletion keeps the dead record's bookkeeping: the dead
 // bytes stay in their segment until background compaction rewrites a
-// segment whose live ratio has dropped below Options.CompactRatio —
+// segment whose live ratio has dropped below compactRatio —
 // surviving records are re-appended at the tail as self-contained full
 // records, tombstones whose target bytes live elsewhere are carried
 // forward, and the victim file is deleted. Delta chains never cross a
@@ -110,6 +110,13 @@ const (
 	// maxPayload caps a declared batch payload so a corrupt header cannot
 	// demand an absurd allocation during replay.
 	maxPayload = 1 << 30
+
+	// maxStaged bounds the bytes staged but not yet durable; writers block
+	// (backpressure) rather than grow the buffer without bound.
+	maxStaged = 1 << 20
+	// compactRatio is the live-bytes/segment-bytes threshold below which a
+	// sealed segment becomes a compaction victim.
+	compactRatio = 0.45
 )
 
 // Options tunes a log store. The zero value gives production defaults; the
@@ -119,17 +126,6 @@ type Options struct {
 	// offset goes to a fresh segment instead (a single oversized record is
 	// allowed to overflow a segment that holds nothing else). Default 4 MiB.
 	SegmentBytes int64
-	// CommitDelay is the group-commit latency cap: how long the committer
-	// lets an open batch accumulate before sealing it. The default 0 commits
-	// as fast as the disk allows — batching still emerges from mutations
-	// staged while the previous sync is in flight.
-	CommitDelay time.Duration
-	// MaxStaged bounds the bytes staged but not yet durable; writers block
-	// (backpressure) rather than grow the buffer without bound. Default 1 MiB.
-	MaxStaged int
-	// CompactRatio is the live-bytes/segment-bytes threshold below which a
-	// sealed segment becomes a compaction victim. Default 0.45.
-	CompactRatio float64
 	// NoCompact disables background compaction (the torture harness uses
 	// this so injected damage maps 1:1 to staged operations).
 	NoCompact bool
@@ -154,12 +150,6 @@ type Commit struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.MaxStaged <= 0 {
-		o.MaxStaged = 1 << 20
-	}
-	if o.CompactRatio <= 0 {
-		o.CompactRatio = 0.45
 	}
 	if o.Sync == nil {
 		o.Sync = (*os.File).Sync
@@ -231,7 +221,6 @@ type batch struct {
 	buf     []byte
 	records int
 	saved   []int // checkpoint indices staged here, for pending cleanup
-	born    time.Time
 	waiters int
 	stage   uint64
 	done    bool
@@ -246,7 +235,7 @@ func (b *batch) wanted() bool { return b.waiters > 0 || b.stage > 0 }
 type LogStore struct {
 	mu     sync.Mutex
 	commit sync.Cond // committer waits here for staged batches
-	flow   sync.Cond // writers wait here under MaxStaged backpressure
+	flow   sync.Cond // writers wait here under maxStaged backpressure
 	synced sync.Cond // batch holders wait here for their batch to be done
 	dir    string
 	opt    Options
@@ -388,20 +377,11 @@ func (s *LogStore) failLocked(err error) {
 	s.commit.Broadcast()
 }
 
-// wakeLocked wakes the committer for b, which the caller is about to make
-// wanted (a waiter or a stage number).
-func (s *LogStore) wakeLocked(b *batch) {
-	if !b.wanted() && s.opt.CommitDelay > 0 {
-		b.born = time.Now() // the accumulation window opens with the first want
-	}
-	s.commit.Signal()
-}
-
 // holdLocked registers the caller as a waiter of b and wakes the committer:
 // a held batch is one worth a flush. Every hold is paired with one
 // awaitLocked.
 func (s *LogStore) holdLocked(b *batch) {
-	s.wakeLocked(b)
+	s.commit.Signal()
 	b.waiters++
 }
 
@@ -422,7 +402,7 @@ func (s *LogStore) awaitLocked(b *batch) error {
 // to the collector: its buffer still backs the pending bodies Load serves.
 func (s *LogStore) recycleLocked(b *batch) {
 	const keep = 4 // staged batches in flight rarely exceed the open one and the one being flushed
-	if b.waiters > 0 || b.err != nil || len(s.free) == keep || cap(b.buf) > s.opt.MaxStaged {
+	if b.waiters > 0 || b.err != nil || len(s.free) == keep || cap(b.buf) > maxStaged {
 		return
 	}
 	*b = batch{buf: b.buf[:0], saved: b.saved[:0]}
@@ -459,7 +439,7 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 	if saveNs != nil {
 		t0 = time.Now()
 	}
-	for s.stagedBytes > s.opt.MaxStaged && s.failed == nil && !s.closed {
+	for s.stagedBytes > maxStaged && s.failed == nil && !s.closed {
 		s.flow.Wait()
 	}
 	if err := s.usableLocked(); err != nil {
@@ -480,7 +460,7 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 	}
 	b := s.stageSaveLocked(cp)
 	if s.notify != nil {
-		s.wakeLocked(b)
+		s.commit.Signal()
 		s.staged++
 		b.stage = s.staged
 		s.obs.DurableLag.Add(1)
@@ -682,7 +662,7 @@ func (s *LogStore) Delete(index int) error {
 		s.holdLocked(b)
 		return s.awaitLocked(b)
 	}
-	if s.stagedBytes > s.opt.MaxStaged {
+	if s.stagedBytes > maxStaged {
 		s.commit.Signal()
 	}
 	return nil
@@ -853,20 +833,12 @@ func (s *LogStore) committer() {
 			break
 		}
 		b := s.queue[0]
-		if b == s.cur && !b.wanted() && !s.closed && s.stagedBytes <= s.opt.MaxStaged {
+		if b == s.cur && !b.wanted() && !s.closed && s.stagedBytes <= maxStaged {
 			// The open batch holds only tombstones: leave it open for the
 			// next Save to share its flush. Close commits it as it is, and
 			// so does a pile of tombstones past the staging bound.
 			s.commit.Wait()
 			continue
-		}
-		if s.opt.CommitDelay > 0 && b == s.cur && !s.closed {
-			if wait := s.opt.CommitDelay - time.Since(b.born); wait > 0 {
-				s.mu.Unlock()
-				time.Sleep(wait)
-				s.mu.Lock()
-				continue
-			}
 		}
 		// Shift down rather than reslice: the queue is a handful of entries,
 		// and a resliced head would make every append reallocate.

@@ -940,7 +940,7 @@ func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
 	// Each record is read back once durable, so every segment holds a read
 	// descriptor. Deletes of 0..29 ride the saves that follow them, so sealed
-	// segments fall under CompactRatio and compaction drops some of them; the
+	// segments fall under compactRatio and compaction drops some of them; the
 	// compactor is kicked again and at work when Close arrives, and the
 	// tombstones of 30..39 are still staged then.
 	for i := 0; i < 50; i++ {

@@ -250,23 +250,20 @@ type Options struct {
 	// DialTimeout bounds each connection attempt (default 3s): a hung
 	// listener costs one sender a bounded stall, never an unbounded one.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each batch write (default 5s). A peer that
-	// accepts the connection but stops reading eventually fills the socket;
-	// the deadline errors the write out and the link dies — the reliability
-	// layer above redials and retransmits, so a hung peer costs a
-	// reconnect, not a wedged sender.
-	WriteTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 3 * time.Second
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 5 * time.Second
-	}
 	return o
 }
+
+// writeTimeout bounds each batch write. A peer that accepts the connection
+// but stops reading eventually fills the socket; the deadline errors the
+// write out and the link dies — the reliability layer above redials and
+// retransmits, so a hung peer costs a reconnect, not a wedged sender.
+const writeTimeout = 5 * time.Second
 
 // helloMagic opens every connection: the dialer announces which (from, to)
 // pair the stream carries, so the reader side can account delivered frames
@@ -728,7 +725,7 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	// A peer that stops reading eventually fills the socket; the deadline
 	// turns the resulting indefinite block into a dead link the layers
 	// above can heal, instead of a wedged sender holding the pair lock.
-	_ = sc.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	_ = sc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	nw, werr := sc.c.Write(buf)
 	if werr != nil {
 		// Frames entirely inside the written prefix may still be

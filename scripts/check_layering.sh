@@ -101,6 +101,24 @@ for gone in internal/metrics internal/zcfgc; do
 	fi
 done
 
+# One encode time. Both engines compress a piggyback when it is sent, in
+# Kernel.Send; the encoder has no other caller. A second call site, or the
+# delivery-time encoder and the log position it replayed to, is the lazy
+# path growing back — with its held positions that pin the change log.
+node_files=$(ls internal/node/*.go | grep -v '_test\.go$')
+encode_sites=$(awk '/^func /{fn=$0} /\.encode\(/{print FILENAME ": " fn}' $node_files)
+if [ "$(printf '%s\n' "$encode_sites" | grep -c 'func (k \*Kernel) Send(')" -ne 1 ] ||
+	[ "$(printf '%s\n' "$encode_sites" | grep -c .)" -ne 1 ]; then
+	echo "layering violation: compressor.encode must have exactly one call site, in Kernel.Send; found:" >&2
+	printf '%s\n' "$encode_sites" >&2
+	fail=1
+fi
+all_go=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*')
+if grep -nw 'EncodeFor' $all_go >&2 || go doc repro/internal/node Piggyback.Pos >/dev/null 2>&1; then
+	echo "layering violation: the delivery-time encoder (EncodeFor, Piggyback.Pos) is back" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -113,4 +131,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone"
