@@ -238,3 +238,61 @@ func TestAllFaultyLineAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// lastStableCounter counts the last_s reads a recovery-line computation
+// makes of the global view.
+type lastStableCounter struct {
+	gc.View
+	reads int
+}
+
+func (v *lastStableCounter) LastStable(i int) int {
+	v.reads++
+	return v.View.LastStable(i)
+}
+
+// TestComputeLineReadsEachFaultyOnce pins what the recovery line reads of
+// last_s: each faulty process's once — Equation 2 compares every candidate
+// vector on the |F| faulty entries, with values read up front, not by a fresh
+// read per candidate — plus one read per volatile component, which is named
+// last_s(i)+1. Random faulty sets, repeats included, on seeded FDAS runs;
+// every line is also held to the oracle's.
+func TestComputeLineReadsEachFaultyOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(6)
+		r, err := sim.NewRunner(sim.Config{N: n, Protocol: fdas})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run(ccp.RandomScript(rng, ccp.RandomOptions{N: n, Ops: 60})); err != nil {
+			t.Fatal(err)
+		}
+		var faulty []int
+		distinct := make(map[int]bool)
+		for k := 1 + rng.Intn(n); k > 0; k-- {
+			f := rng.Intn(n)
+			faulty = append(faulty, f)
+			distinct[f] = true
+		}
+		v := &lastStableCounter{View: r.View()}
+		line, err := gc.ComputeLine(v, faulty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.Oracle().RecoveryLine(faulty)
+		volatile := 0
+		for i := range line {
+			if line[i] != want[i] {
+				t.Fatalf("trial %d: F=%v line %v, oracle %v", trial, faulty, line, want)
+			}
+			if line[i] == r.LastStable(i)+1 {
+				volatile++
+			}
+		}
+		if wantReads := len(distinct) + volatile; v.reads != wantReads {
+			t.Fatalf("trial %d: n=%d F=%v: %d last_s reads, want %d (one per faulty process, one per volatile component)",
+				trial, n, faulty, v.reads, wantReads)
+		}
+	}
+}

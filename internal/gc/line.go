@@ -11,18 +11,27 @@ import "fmt"
 //
 // The returned slice maps process → checkpoint index, with last_s(i)+1
 // denoting a volatile component.
+//
+// Equation 2 reads only the faulty entries, so the line costs n·|F| vector
+// compares, not n²: each faulty process's last_s is read once, and a
+// candidate vector is compared on those |F| entries alone.
 func ComputeLine(v View, faulty []int) ([]int, error) {
 	n := v.N()
 	isFaulty := make([]bool, n)
+	type lastStable struct{ f, last int }
+	fs := make([]lastStable, 0, len(faulty))
 	for _, f := range faulty {
 		if f < 0 || f >= n {
 			return nil, fmt.Errorf("gc: faulty process %d out of range [0,%d)", f, n)
 		}
-		isFaulty[f] = true
+		if !isFaulty[f] {
+			isFaulty[f] = true
+			fs = append(fs, lastStable{f, v.LastStable(f)})
+		}
 	}
 	notPreceded := func(i int, dv []int) bool {
-		for f := 0; f < n; f++ {
-			if isFaulty[f] && f != i && dv[f] > v.LastStable(f) {
+		for _, s := range fs {
+			if s.f != i && dv[s.f] > s.last {
 				return false
 			}
 		}

@@ -29,7 +29,12 @@ import (
 // position of the entry's latest change — the same set, already in key
 // order — so an encode costs O(min(window, n)). The encoder state is O(n)
 // ints per kernel, the order of the dependency vector and the collector's
-// UC it sits beside, and none of it is allocated after construction.
+// UC it sits beside, carved from one array at construction and never
+// allocated again.
+//
+// A reset (every recovery session, on every kernel) is O(1), not a clear:
+// log positions never restart, and every per-peer and per-entry value
+// written before the latest reset reads as unwritten (see resetPos).
 //
 // Ownership. The entries of a piggyback live in a buffer drawn from the
 // driver (Driver.EntryBuf) and belong to the sender's side of the engine —
@@ -52,30 +57,35 @@ type Entry = vclock.Entry
 
 // compressor holds one kernel's incremental-piggyback state. Per-peer and
 // per-entry state is dense — slices of length n indexed by process — so the
-// send and receive paths touch no map and reset is a clear.
+// send and receive paths touch no map and reset touches none of it.
 type compressor struct {
 	// log records the index of every dependency-vector entry that changed,
 	// in change order; the absolute position of log[i] is logBase+i.
 	// Trimming drops the prefix every destination has already covered.
 	log     []int
 	logBase int
+	// resetPos is the log position of the latest reset (0 before any): every
+	// per-peer and per-entry value written before the reset is at most
+	// resetPos, and every one written after it is above.
+	resetPos int
 	// chgPos[k] is the log position just past the note batch that last
-	// recorded entry k; 0 means k has not changed since the last reset. An
-	// encode's covered position is always a batch boundary (positions are
-	// captured between kernel events), so k changed at or after it exactly
-	// when chgPos[k] > covered.
+	// recorded entry k; a value not above resetPos means k has not changed
+	// since the last reset. An encode's covered position is always a batch
+	// boundary (positions are captured between kernel events) and at least
+	// resetPos, so k changed at or after it exactly when chgPos[k] > covered.
 	chgPos []int
 	// sentPos[d] is one past the log position destination d's most recent
-	// encode covered; 0 marks a destination that has not been synced since
-	// the last reset and gets a full scan of the vector.
+	// encode covered; a value not above resetPos marks a destination that has
+	// not been synced since the last reset and gets a full scan of the vector.
 	sentPos []int
 	// trimAt is the log length at which trim next looks for a droppable
 	// prefix, so its O(n) minimum is paid once per minTrim noted changes,
 	// not once per encode.
 	trimAt int
 
-	encCnt   []int // per destination: encodes so far (the wire Ord)
-	recvNext []int // per source: next expected wire Ord
+	encCnt   []int // per destination: encodes so far since it was synced (the wire Ord)
+	recvNext []int // per source: next expected wire Ord, valid while recvGen matches
+	recvGen  []int // per source: the resetPos recvNext was last written under
 
 	// seen/stamp dedup log indices during one log walk without clearing.
 	seen  []int
@@ -87,26 +97,24 @@ type compressor struct {
 }
 
 func newCompressor(n int) *compressor {
-	return &compressor{
-		chgPos:   make([]int, n),
-		sentPos:  make([]int, n),
-		encCnt:   make([]int, n),
-		recvNext: make([]int, n),
-		seen:     make([]int, n),
+	c := &compressor{}
+	all := make([]int, 6*n)
+	for _, s := range []*[]int{&c.chgPos, &c.sentPos, &c.encCnt, &c.recvNext, &c.recvGen, &c.seen} {
+		*s, all = all[:n:n], all[n:]
 	}
+	return c
 }
 
 // reset discards all incremental state — log, per-pair positions and
-// orders — restarting every pair from a full set of entries. The stamp
-// survives so stale seen marks can never collide.
+// orders — restarting every pair from a full set of entries, in O(1): the
+// log restarts one position past its end, so every value written so far
+// reads as "before the reset" (see resetPos). The stamp survives so stale
+// seen marks can never collide.
 func (c *compressor) reset() {
+	c.logBase = c.pos() + 1
+	c.resetPos = c.logBase
 	c.log = c.log[:0]
-	c.logBase = 0
 	c.trimAt = 0
-	clear(c.chgPos)
-	clear(c.sentPos)
-	clear(c.encCnt)
-	clear(c.recvNext)
 }
 
 // note records that the vector entries with the given indices increased.
@@ -132,14 +140,18 @@ func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
 	if dest < 0 || dest >= len(c.sentPos) {
 		return nil, 0, fmt.Errorf("node: compressed piggyback for destination %d outside [0,%d)", dest, len(c.sentPos))
 	}
-	ord := c.encCnt[dest]
+	synced := c.sentPos[dest] > c.resetPos
+	ord := 0
+	if synced {
+		ord = c.encCnt[dest]
+	}
 	c.encCnt[dest] = ord + 1
 
 	entries := c.entBuf[:0]
 	pos := c.pos()
 	covered := c.sentPos[dest] - 1
 	switch {
-	case covered < 0:
+	case !synced:
 		// First message of the pair (or first after a reset): everything
 		// the vector knows, which is exactly its nonzero entries.
 		for k, v := range dv {
@@ -211,7 +223,7 @@ func (c *compressor) trim() {
 	}
 	m := c.pos()
 	for _, sp := range c.sentPos {
-		if sp > 0 && sp-1 < m {
+		if sp > c.resetPos && sp-1 < m {
 			m = sp - 1
 		}
 	}
@@ -231,6 +243,10 @@ func (c *compressor) verifyArrival(from, ord int) error {
 	}
 	if from < 0 || from >= len(c.recvNext) {
 		return fmt.Errorf("node: compressed piggyback from process %d outside [0,%d)", from, len(c.recvNext))
+	}
+	if c.recvGen[from] != c.resetPos {
+		// The source's first message since the reset: its order restarts.
+		c.recvGen[from], c.recvNext[from] = c.resetPos, 0
 	}
 	if want := c.recvNext[from]; ord != want {
 		return fmt.Errorf("node: compressed piggybacking requires reliable per-pair FIFO delivery: p%d's message %d arrived, want %d",

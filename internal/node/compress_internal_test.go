@@ -93,7 +93,7 @@ func TestScanMatchesLogWalk(t *testing.T) {
 						want = append(want, Entry{K: k, V: v})
 					}
 				}
-				if covered := c.sentPos[dest] - 1; covered >= 0 {
+				if covered := c.sentPos[dest] - 1; covered >= c.resetPos {
 					walk := c.walkLog(covered, dv, nil)
 					scan := c.scanChanged(covered, dv, nil)
 					if !slices.Equal(walk, want) || !slices.Equal(scan, want) {
@@ -157,57 +157,89 @@ func TestDenseStateFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestResetLeavesNoStaleState checks the invariant ApplyLine relies on:
-// after a recovery session's reset no per-pair or per-entry state survives,
-// so the first message of every pair is a full set again — even though log
-// positions restart from zero below the stale values.
+// TestResetLeavesNoStaleState checks the invariant ApplyLine relies on, by
+// what the kernels do rather than what their slots hold (a reset leaves the
+// stale values in place): after a recovery session's reset, the first
+// message of every pair is the full nonzero set with Ord 0, and every
+// receiver accepts Ord 0 from every source and refuses Ord 1 — over two
+// reset cycles, so the second meets values the first cycle's traffic wrote
+// after the first reset.
 func TestResetLeavesNoStaleState(t *testing.T) {
-	const n = 8
-	k := compressingKernel(t, 0, n, nil)
-	for round := 0; round < 3; round++ {
-		for k2 := 1; k2 < n; k2++ { // news about every peer, then a message to each
-			k.dv[k2] += 2
+	const n = 6
+	ks := make([]*Kernel, n)
+	for i := range ks {
+		ks[i] = compressingKernel(t, i, n, nil)
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		for round := 0; round < 3; round++ { // every pair in use, vectors moving
+			for from, k := range ks {
+				if _, err := k.Checkpoint(true); err != nil {
+					t.Fatal(err)
+				}
+				for to := range ks {
+					if to == from {
+						continue
+					}
+					pb, err := k.Send(to)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ks[to].Deliver(pb); err != nil {
+						t.Fatalf("cycle %d: p%d→p%d: %v", cycle, from, to, err)
+					}
+				}
+			}
 		}
-		k.comp.note(1, 2, 3, 4, 5, 6, 7)
-		for dest := 1; dest < n; dest++ {
-			if _, err := k.Send(dest); err != nil {
+		for _, k := range ks {
+			k.ResetCompression()
+		}
+		for from, k := range ks {
+			// One entry changes after the reset; every pair must still get all.
+			if _, err := k.Checkpoint(true); err != nil {
+				t.Fatal(err)
+			}
+			for to := range ks {
+				if to == from {
+					continue
+				}
+				var want []Entry
+				for e, v := range k.DVRef() {
+					if v != 0 {
+						want = append(want, Entry{K: e, V: v})
+					}
+				}
+				pb, err := k.Send(to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(pb.Entries, want) || pb.Ord != 0 {
+					t.Fatalf("cycle %d: first post-reset message p%d→p%d: %v, Ord %d; want %v, Ord 0",
+						cycle, from, to, pb.Entries, pb.Ord, want)
+				}
+				late := pb
+				late.Ord = 1
+				if _, err := ks[to].Deliver(late); err == nil {
+					t.Fatalf("cycle %d: p%d accepted Ord 1 as p%d's first post-reset message", cycle, to, from)
+				}
+				if _, err := ks[to].Deliver(pb); err != nil {
+					t.Fatalf("cycle %d: p%d refused p%d's first post-reset message: %v", cycle, to, from, err)
+				}
+			}
+		}
+		// And the pair is incremental again: Ord 1, then Ord 2 carrying only
+		// the one entry that moved since Ord 1.
+		for ord := 1; ord <= 2; ord++ {
+			if _, err := ks[0].Checkpoint(true); err != nil {
+				t.Fatal(err)
+			}
+			pb, err := ks[0].Send(1)
+			if err != nil || pb.Ord != ord || (ord == 2 && len(pb.Entries) != 1) {
+				t.Fatalf("cycle %d: post-reset message %d: %v, Ord %d, err %v", cycle, ord, pb.Entries, pb.Ord, err)
+			}
+			if _, err := ks[1].Deliver(pb); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	k.ResetCompression()
-	for name, s := range map[string][]int{
-		"chgPos": k.comp.chgPos, "sentPos": k.comp.sentPos,
-		"encCnt": k.comp.encCnt, "recvNext": k.comp.recvNext,
-	} {
-		for i, v := range s {
-			if v != 0 {
-				t.Errorf("%s[%d] = %d after reset", name, i, v)
-			}
-		}
-	}
-	if k.comp.pos() != 0 {
-		t.Errorf("log position %d after reset", k.comp.pos())
-	}
-	// One entry changes after the reset; every pair must still get all n.
-	if _, err := k.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	for dest := 1; dest < n; dest++ {
-		pb, err := k.Send(dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pb.Entries) != n || pb.Ord != 0 {
-			t.Fatalf("first post-reset message to p%d: %d entries, Ord %d; want all %d, Ord 0", dest, len(pb.Entries), pb.Ord, n)
-		}
-	}
-	// And the pair after that is incremental again.
-	if _, err := k.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	if pb, err := k.Send(1); err != nil || len(pb.Entries) != 1 {
-		t.Fatalf("second post-reset message: %d entries, err %v; want 1", len(pb.Entries), err)
 	}
 }
 

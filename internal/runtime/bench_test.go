@@ -61,3 +61,60 @@ func benchDelivery(b *testing.B, compress bool) {
 
 func BenchmarkDelivery(b *testing.B)           { benchDelivery(b, false) }
 func BenchmarkDeliveryCompressed(b *testing.B) { benchDelivery(b, true) }
+
+// BenchmarkRestartAtRest times a crash and restart of p0 on an idle
+// in-process compressed cluster: the recovery session alone, with nothing in
+// transit, nothing parked and nobody to roll back but p0, after every pair
+// has carried one message — so every pair link exists and every encoder is
+// synced, the state a session used to sweep and clear at O(n²). The session
+// runs without the last-interval vector (globalLI false): with it, every
+// survivor's ReleaseStale scans its n-entry UC, an O(n²) of the collector's
+// that this leaves out (EXPERIMENTS.md E19 times both). The n² first messages
+// are sent into a full partition and released by one heal, so each carries
+// only its sender's own entry and the frames the retransmit windows keep stay
+// small; n = 512 still holds a few hundred MB of link state, so -short stops
+// at 128.
+func BenchmarkRestartAtRest(b *testing.B) {
+	for _, n := range []int{8, 32, 128, 512} {
+		if testing.Short() && n > 128 {
+			continue
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			c := compressCluster(b, n, runtime.NetworkOptions{Seed: 1}, false)
+			defer func() { _ = c.Close() }()
+			alone := make([][]int, n)
+			for i := range alone {
+				alone[i] = []int{i}
+			}
+			if err := c.Partition(alone); err != nil {
+				b.Fatal(err)
+			}
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					if to != from {
+						if err := c.Node(from).Send(to); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			c.Quiesce()
+			c.HealAll()
+			c.Quiesce()
+			restart := func() {
+				if err := c.Crash(0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Restart(false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			restart() // the first session rolls p0 back; every later one finds the same line
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restart()
+			}
+		})
+	}
+}

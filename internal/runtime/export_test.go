@@ -1,8 +1,10 @@
 package runtime
 
+import "repro/internal/node"
+
 // Views of a cluster's transit state for the tests in package runtime_test:
 // what Quiesce waits on, what the sender pool holds, what the piggyback
-// freelists hold.
+// freelists hold, what the link layer holds parked or armed.
 
 // InTransit is the in-flight count Quiesce waits to see at zero.
 func (c *Cluster) InTransit() int64 { return c.inflight.n.Load() }
@@ -38,4 +40,37 @@ func (c *Cluster) RetryTimers() int {
 		pl.mu.Unlock()
 	}
 	return armed
+}
+
+// DownLinks recounts the pairs whose down flag is set, under each pair's
+// lock, and returns the recount beside the cluster's own count (downLinks),
+// which a session reads instead of sweeping. On a quiet cluster the two must
+// agree.
+func (c *Cluster) DownLinks() (recounted, counted int) {
+	for _, pl := range c.createdLinks() {
+		pl.mu.Lock()
+		if pl.down {
+			recounted++
+		}
+		pl.mu.Unlock()
+	}
+	return recounted, int(c.downLinks.Load())
+}
+
+// PoisonStream hands the (from,to) pair's link k frames that the TCP wire's
+// reader refuses to decode (a sparse entry with a negative value). They are
+// written in one batch, so the wire accepts all k; the reader drops the
+// stream at the first, and the transport reports the k lost through
+// onLinkDown, which parks them behind a retry. A severed loopback stream
+// never takes that path — it drains what it carried — so this is how a test
+// reaches it. TCP clusters only: the in-process wire would hand the frames
+// to a kernel.
+func (c *Cluster) PoisonStream(from, to, k int) {
+	run := make([]pending, k)
+	for i := range run {
+		run[i].epoch = c.curEpoch()
+		run[i].pb = node.Piggyback{Compressed: true, From: from, Entries: []node.Entry{{K: 0, V: -1}}}
+	}
+	c.inflight.Add(k) // what a dispatch run holds
+	c.sendRun(from, to, run)
 }

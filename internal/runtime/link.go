@@ -40,6 +40,10 @@ import (
 //     pair's frames in their original order.
 //   - Parked frames hold no in-flight accounting: Quiesce does not wait on
 //     a partition, only on frames actually on the wire or in delivery.
+//   - A backlog, an armed timer and a nonzero tries each imply down, and
+//     whatever parks sets down before it ends the frames' in-flight
+//     accounting; setDown, down's one writer, keeps the cluster's count of
+//     down links, so a session behind Quiesce that reads zero sweeps nothing.
 //   - The TCP wire's receiver drops any frame whose seq is below the pair's
 //     expected seq (a retransmit raced its own delivery) and advances over
 //     gaps (frames dropped past the window are permanent losses); together
@@ -240,8 +244,7 @@ func (c *Cluster) wireSend(pl *pairLink, run []pending) int {
 // parked frames must not hold it, or Quiesce would hang for as long as a
 // partition stays open — and arms the retry timer. Called with pl.mu held.
 func (c *Cluster) park(pl *pairLink, run []pending) {
-	if !pl.down {
-		pl.down = true
+	if c.setDown(pl, true) {
 		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	for k := range run {
@@ -298,8 +301,7 @@ func (c *Cluster) onLinkDown(from, to, lost int) {
 	// coverage.
 	keep := min(lost, pl.window.n)
 	dropped := lost - keep
-	if !pl.down {
-		pl.down = true
+	if c.setDown(pl, true) {
 		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: keep})
 	}
 	if c.closed.Load() {
@@ -411,8 +413,7 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 		run = run[len(chunk):]
 	}
 	pl.tries = 0
-	if pl.down {
-		pl.down = false
+	if c.setDown(pl, false) {
 		c.flight.Record(obs.Event{Kind: obs.EvLinkUp, P: pl.from, Aux: pl.to, Msg: total})
 	}
 	if total > 0 {
@@ -434,7 +435,23 @@ func (c *Cluster) dropParkedLocked(pl *pairLink) {
 		pl.parked = nil
 	}
 	pl.tries = 0
-	pl.down = false
+	c.setDown(pl, false)
+}
+
+// setDown is the one writer of pl.down: it keeps the cluster's count of down
+// links (downLinks) in step and reports whether the state changed. Called
+// with pl.mu held.
+func (c *Cluster) setDown(pl *pairLink, v bool) bool {
+	if pl.down == v {
+		return false
+	}
+	pl.down = v
+	d := int64(1)
+	if !v {
+		d = -1
+	}
+	c.downLinks.Add(d)
+	return true
 }
 
 // purgeParked drops every pair's backlog and stops its retry timer. A
@@ -442,7 +459,15 @@ func (c *Cluster) dropParkedLocked(pl *pairLink) {
 // carry the pre-session epoch, so delivery would drop them anyway — exactly
 // the "in transit at the failure" loss the model already permits. Close
 // calls it to abandon what a partition stranded.
+//
+// With no link down it returns at once, without a sweep: everything the
+// sweep resets implies down, and behind Quiesce the count has seen every
+// park that ended accounting Quiesce waited for (the invariants above;
+// DESIGN.md, "What an idle session costs", gives the argument).
 func (c *Cluster) purgeParked() {
+	if c.downLinks.Load() == 0 {
+		return
+	}
 	for _, pl := range c.createdLinks() {
 		pl.mu.Lock()
 		c.dropParkedLocked(pl)

@@ -217,6 +217,9 @@ func TestPartitionFlappingUnderLoad(t *testing.T) {
 		if v, bad := c.Oracle().FirstRDTViolation(); bad {
 			t.Fatalf("post-flap pattern not RDT: %v", v)
 		}
+		if recounted, counted := c.DownLinks(); recounted != counted {
+			t.Fatalf("after flapping %d links are down, but the cluster counts %d", recounted, counted)
+		}
 	})
 }
 
@@ -305,6 +308,9 @@ func TestPartitionDifferentialDelivery(t *testing.T) {
 			}
 			c.HealAll()
 			c.Quiesce()
+			if recounted, counted := c.DownLinks(); recounted != counted {
+				t.Fatalf("partitioned=%v: %d links are down, but the cluster counts %d", partitioned, recounted, counted)
+			}
 			return c.History()
 		}
 

@@ -152,7 +152,9 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	// Frames parked behind a broken link carry the pre-session epoch too:
 	// drop them rather than letting a later heal retransmit traffic the epoch
 	// filter would discard anyway. Behind the drain, because a frame that was
-	// in a worker's hands or on a dying stream may have parked during it.
+	// in a worker's hands or on a dying stream may have parked during it —
+	// and the drain is also what lets purgeParked trust its down-link count
+	// and skip the sweep when it reads zero.
 	c.purgeParked()
 
 	// All activity has ceased; it is now safe to read node state directly.

@@ -163,7 +163,9 @@ type Cluster struct {
 	// wireDeliv the cumulative frames the wire handed to a receiver per
 	// (from,to) pair (duplicates included — it prunes the retransmit window,
 	// whose entries are wire acceptances), and cutPairs the directed pairs
-	// BreakLink/Partition currently hold cut. created lists the pairLinks
+	// BreakLink/Partition currently hold cut, and downLinks the pairLinks
+	// whose down flag is set (setDown keeps it): with none, a session has
+	// nothing to purge and sweeps no pair. created lists the pairLinks
 	// that exist, in creation order and append-only under linkMu: what a
 	// sweep over the pairs visits, instead of the n² slots most of which
 	// stay nil.
@@ -173,6 +175,7 @@ type Cluster struct {
 	created   []*pairLink
 	wireDeliv []atomic.Int64
 	cutPairs  atomic.Int64
+	downLinks atomic.Int64
 
 	// jit feeds the retry-backoff jitter. It is deliberately NOT c.rng:
 	// retry attempts are wall-clock paced, so their draw count is

@@ -1,12 +1,14 @@
 package runtime_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/gc"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/storage"
 )
@@ -141,4 +143,119 @@ func TestRefusedSessionLeavesCompressedClusterUsable(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSessionDropsParkedFrames pins what a recovery session leaves of the
+// link layer's backlogs: nothing. Frames reach a backlog two ways — a cut
+// pair parks what it is sent (park), and on TCP a stream that dies with
+// frames accepted and undelivered hands them back (onLinkDown), behind a
+// retry timer. After Recover, and again after Restart, no retry timer is
+// armed, runtime.link.parked reads 0, and the cluster's down-link count —
+// what the session reads instead of sweeping every pair — equals a recount
+// under each pair's lock, both 0. Healing the cut afterwards delivers none
+// of the pre-session frames, and both pairs carry new traffic.
+func TestSessionDropsParkedFrames(t *testing.T) {
+	bothWires(t, func(t *testing.T, tcp bool) {
+		const n, parked = 3, 10
+		const pre, post = 1, 2 // payload tags
+		var preDelivered, postDelivered atomic.Int64
+		reg := obs.NewRegistry()
+		c, err := runtime.NewCluster(runtime.Config{
+			N: n, TCP: tcp, Compress: true,
+			// A dead stream's backlog waits on a retry the test never sees
+			// fire: the session has to stop it.
+			Link:    runtime.LinkOptions{RetryBase: time.Hour, RetryCap: time.Hour},
+			LocalGC: func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
+			OnDeliver: func(_ int, _ app.App, p []byte) {
+				switch p[0] {
+				case pre:
+					preDelivered.Add(1)
+				case post:
+					postDelivered.Add(1)
+				}
+			},
+			Obs: obs.Options{Registry: reg},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		parkedGauge := reg.Gauge(obs.RuntimeLinkParked)
+		downLinks := func(when string, want int) {
+			t.Helper()
+			if recounted, counted := c.DownLinks(); recounted != counted || counted != want {
+				t.Fatalf("%s: %d links down by recount, %d by the cluster's count; want %d", when, recounted, counted, want)
+			}
+		}
+
+		for _, s := range []struct {
+			name string
+			run  func() error
+		}{
+			{"recover", func() error { _, err := c.Recover([]int{2}, true); return err }},
+			{"restart", func() error {
+				if err := c.Crash(2); err != nil {
+					return err
+				}
+				_, err := c.Restart(true)
+				return err
+			}},
+		} {
+			if !c.BreakLink(0, 1) {
+				t.Fatalf("%s: BreakLink(0,1) found the pair cut", s.name)
+			}
+			for k := 0; k < parked; k++ {
+				if err := c.Node(0).SendPayload(1, []byte{pre}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Quiesce()
+			want, down := int64(parked), 1
+			if tcp {
+				c.PoisonStream(1, 0, parked)
+				until(t, "the dead stream's frames to park", func() bool { return parkedGauge.Value() == 2*parked })
+				want, down = 2*parked, 2
+			}
+			if got := parkedGauge.Value(); got != want {
+				t.Fatalf("%s: %d frames parked before the session, want %d", s.name, got, want)
+			}
+			downLinks(s.name+": before the session", down)
+
+			if err := s.run(); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			after := func(when string) {
+				t.Helper()
+				if got := c.RetryTimers(); got != 0 {
+					t.Fatalf("%s: %d retry timers armed", when, got)
+				}
+				if got := parkedGauge.Value(); got != 0 {
+					t.Fatalf("%s: runtime.link.parked = %d", when, got)
+				}
+				downLinks(when, 0)
+			}
+			after(s.name)
+			if !c.HealLink(0, 1) {
+				t.Fatalf("%s: the session lifted the cut", s.name)
+			}
+			c.Quiesce()
+			after(s.name + " and the heal")
+			if got := preDelivered.Load(); got != 0 {
+				t.Fatalf("%s: %d pre-session frames delivered after the heal", s.name, got)
+			}
+
+			postDelivered.Store(0)
+			for _, p := range [][2]int{{0, 1}, {1, 0}} {
+				if err := c.Node(p[0]).SendPayload(p[1], []byte{post}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Quiesce()
+			if got := postDelivered.Load(); got != 2 {
+				t.Fatalf("%s: %d of 2 post-session messages delivered", s.name, got)
+			}
+			after(s.name + " and new traffic")
+		}
+		checkOracles(t, c)
+	})
 }

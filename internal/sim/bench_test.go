@@ -46,7 +46,7 @@ func TestRunAllocationBudget(t *testing.T) {
 	for _, c := range []struct {
 		compress bool
 		want     float64
-	}{{false, 535}, {true, 731}} {
+	}{{false, 535}, {true, 699}} {
 		if allocs := testing.AllocsPerRun(100, runStep(t, 8, c.compress)); allocs != c.want {
 			t.Errorf("compress=%v: a 160-operation run at n=8 allocated %.0f times, want %.0f", c.compress, allocs, c.want)
 		}

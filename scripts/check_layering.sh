@@ -119,6 +119,31 @@ if grep -nw 'EncodeFor' $all_go >&2 || go doc repro/internal/node Piggyback.Pos 
 	fail=1
 fi
 
+# A recovery session costs what failed, not n². Three things kept it
+# quadratic at rest, and each must stay gone. (1) The link sweep: a session
+# skips purgeParked's pass over every pair link when the cluster counts no
+# link down, so every write of a pairLink's down flag goes through setDown,
+# which keeps that count — a write elsewhere lets it drift and a session
+# leave a backlog behind. (Node.down, the crashed flag, is written as n.down
+# or c.nodes[j].down and is not the link's.) (2) The session body walks no
+# pair list itself. (3) A compression reset is O(1): no clear of the per-peer
+# slices.
+down_writes=$(awk '/^func /{fn=$0}
+	/\.down = / && fn !~ /\) setDown\(/ && $0 !~ /[[:space:]](n|c\.nodes\[[a-z]+\])\.down = / {print FILENAME ":" FNR ":" $0}' $rt_files)
+if [ -n "$down_writes" ]; then
+	echo "layering violation: a pairLink's down flag written outside setDown, which keeps the down-link count:" >&2
+	printf '%s\n' "$down_writes" >&2
+	fail=1
+fi
+if grep -n 'createdLinks' internal/runtime/recover.go >&2; then
+	echo "layering violation: internal/runtime/recover.go walks the pair links; a session purges through purgeParked, which skips the walk when no link is down" >&2
+	fail=1
+fi
+if awk '/^func \([a-z]+ \*compressor\) reset\(/{r=1} r && /clear\(/{found=1} r && /^}/{r=0} END{exit !found}' internal/node/compress.go; then
+	echo "layering violation: compressor.reset clears per-peer state; a reset moves resetPos and touches no slice" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -131,4 +156,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder"
