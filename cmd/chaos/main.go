@@ -23,9 +23,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/storage"
 	"repro/internal/sweep"
-
-	// Registers the log backend with storage.Open for -store log.
-	_ "repro/internal/storage/logstore"
 )
 
 func main() {

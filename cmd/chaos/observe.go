@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/storage/logstore"
 	"repro/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func runObserved(f observedFlags, backend storage.Backend, pat chaos.Pattern, n,
 			return err
 		}
 		defer os.RemoveAll(dir)
-		cfg.NewStore = storage.Factory(backend, dir)
+		cfg.NewStore = logstore.Factory(dir)
 	}
 	res, err := chaos.Run(cfg, plan)
 	if err != nil {

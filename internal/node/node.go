@@ -8,12 +8,12 @@
 // stable-store writes, rollback, crash and rehydration.
 //
 // The engines that drive it stay policy layers: internal/sim supplies
-// deterministic script order, the ground-truth ccp mirror and experiment
-// metrics; internal/runtime supplies locks, the asynchronous network,
-// epochs and the crash lifecycle. Neither re-implements middleware logic,
-// so a fix or an optimization lands in exactly one place — and incremental
-// piggyback compression (compress.go) is a kernel capability available to
-// both, not a simulator feature.
+// deterministic script order, the executed history the ground-truth ccp
+// oracle is built from, and experiment metrics; internal/runtime supplies
+// locks, the asynchronous network, epochs and the crash lifecycle. Neither
+// re-implements middleware logic, so a fix or an optimization lands in
+// exactly one place — and incremental piggyback compression (compress.go)
+// is a kernel capability available to both, not a simulator feature.
 //
 // Kernels are not safe for concurrent use; the concurrent engine serializes
 // access per node.
@@ -63,7 +63,7 @@ type Config struct {
 
 // Driver is the engine-side integration surface of a kernel. Both engines
 // implement it: the simulator routes snapshot clones through its freelist
-// and records checkpoints in its script mirror; the live runtime records
+// and records checkpoints in its script history; the live runtime records
 // them in its linearized history.
 type Driver interface {
 	// CloneDV produces the dependency-vector snapshot a full piggyback

@@ -105,8 +105,8 @@ const (
 	StorageDeletes    = "storage.deletes"
 	StorageSaveNs     = "storage.save_ns"
 	StorageLoadNs     = "storage.load_ns"
-	StorageDeltaChain = "storage.delta_chain"
-	StorageReaps      = "storage.tombstone_reaps"
+	StorageDeltaChain = "storage.delta_chain"     // log store only: deltas since the last full record
+	StorageReaps      = "storage.tombstone_reaps" // log store only: dead chain bases a drained chain freed
 	StorageRetained   = "storage.retained"
 
 	// Storage, log backend only (internal/storage/logstore): group-commit
@@ -246,9 +246,10 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 }
 
 // StoreMetrics is the storage layer's handle bundle, shared by MemStore
-// and the log store. The group-commit handles (BatchRecords, CommitNs,
-// Compactions, TornTails, LiveRatioPct, DurableLag) are written only by the
-// log backend; for MemStore they stay at zero.
+// and the log store. The delta-chain handles (DeltaChain, Reaps) and the
+// group-commit ones (BatchRecords, CommitNs, Compactions, TornTails,
+// LiveRatioPct, DurableLag) are written only by the log backend, the one
+// store that delta-encodes; for MemStore they stay at zero.
 type StoreMetrics struct {
 	Saves      *Counter
 	Deletes    *Counter

@@ -46,7 +46,7 @@ func (r *Runner) Recover(faulty []int, globalLI bool) (RecoveryReport, error) {
 // cites): callers compute a line with the recovery-line machinery (Lemma 1,
 // or the min/max-consistent calculations of internal/recovery) and apply
 // it. Components equal to last_s(i)+1 denote volatile states (no rollback
-// for that process). The line must be consistent; the ground-truth mirror
+// for that process). The line must be consistent; the ground-truth oracle
 // verifies it and the call fails otherwise.
 func (r *Runner) ApplyLine(line []int, globalLI bool) (RecoveryReport, error) {
 	if len(line) != r.cfg.N {
@@ -69,17 +69,15 @@ func (r *Runner) ApplyLine(line []int, globalLI bool) (RecoveryReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	// Rebuild the ground-truth mirror as the post-recovery pattern: each
-	// process's history is truncated at its line component.
-	r.truncateHistory(line)
+	r.truncateHistory(line) // the oracle now sees the post-recovery pattern
 	r.metrics.Rollbacks += len(rep.RolledBack)
 	r.metrics.RolledCkpts += rep.LostCheckpoints
 	return rep, nil
 }
 
-// truncateHistory rebuilds hist and the mirror with every process cut at
-// its recovery-line component: the checkpoint op creating index line[p] is
-// the last kept event of p (everything is kept for volatile components).
+// truncateHistory rebuilds hist with every process cut at its recovery-line
+// component: the checkpoint op creating index line[p] is the last kept
+// event of p (everything is kept for volatile components).
 // Sends whose send event is cut disappear; deliveries survive only if both
 // the send survives and the receive event is before the receiver's cut —
 // consistency of the line guarantees no surviving receive references a cut
@@ -95,19 +93,4 @@ func (r *Runner) truncateHistory(line []int) {
 		}
 	}
 	r.hist, _ = ccp.Truncate(r.hist, cut)
-	r.mirror = ccp.NewBuilder(r.cfg.N)
-	replayInto(r.mirror, r.hist)
-}
-
-func replayInto(b *ccp.Builder, s ccp.Script) {
-	for _, op := range s.Ops {
-		switch op.Kind {
-		case ccp.OpCheckpoint:
-			b.Checkpoint(op.P)
-		case ccp.OpSend:
-			b.Send(op.P)
-		case ccp.OpRecv:
-			b.Receive(op.P, op.Msg)
-		}
-	}
 }

@@ -7,17 +7,17 @@
 // and compression, the forced-checkpoint decision, stable-store writes and
 // rollback — lives in the kernel; the runner contributes what a
 // deterministic experiment needs: script execution, global message
-// numbering, a ground-truth mirror of the pattern through internal/ccp, and
-// execution metrics, so every experiment can compare what the collectors
-// did against what the oracles say. A script names a message's receiver
-// only at the receive operation; Run reads it from the whole script before
-// executing it, so a compressing kernel encodes each piggyback at send,
-// exactly as in the live runtime.
+// numbering, one history of the executed pattern (from which Oracle builds
+// the internal/ccp ground truth on demand), and execution metrics, so every
+// experiment can compare what the collectors did against what the oracles
+// say. A script names a message's receiver only at the receive operation;
+// Run reads it from the whole script before executing it, so a compressing
+// kernel encodes each piggyback at send, exactly as in the live runtime.
 //
 // The runner also orchestrates recovery sessions (Section 2.4): Recover
 // crashes a faulty set, computes the recovery line per Lemma 1 from the
 // stored vectors (as a centralized recovery manager would), rolls kernels
-// back, runs Algorithm 3 on the collectors, and truncates the mirror to the
+// back, runs Algorithm 3 on the collectors, and truncates the history to the
 // post-recovery pattern. Execution can then continue with further scripts.
 package sim
 
@@ -82,8 +82,7 @@ type Runner struct {
 	cfg   Config
 	procs []*node.Kernel
 
-	hist    ccp.Script // executed history, global message numbering
-	mirror  *ccp.Builder
+	hist    ccp.Script // executed history, global message numbering; Oracle builds from it
 	metrics Metrics
 	events  int
 
@@ -123,11 +122,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.GlobalEvery <= 0 {
 		cfg.GlobalEvery = 1
 	}
-	r := &Runner{
-		cfg:    cfg,
-		hist:   ccp.Script{N: cfg.N},
-		mirror: ccp.NewBuilder(cfg.N),
-	}
+	r := &Runner{cfg: cfg, hist: ccp.Script{N: cfg.N}}
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
 		if err != nil {
@@ -181,11 +176,10 @@ func (r *Runner) CheckpointState() []byte {
 }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
-// forced ones Deliver takes) are recorded in the history and mirror at the
-// instant they become durable, keeping the linearized order exact.
+// forced ones Deliver takes) are recorded in the history at the instant they
+// become durable, keeping the linearized order exact.
 func (r *Runner) OnKernelCheckpoint(self, index int, basic bool) {
 	r.hist.Checkpoint(self)
-	r.mirror.Checkpoint(self)
 	if basic {
 		r.metrics.Basic++
 	} else {
@@ -297,7 +291,6 @@ func (r *Runner) send(p *node.Kernel, m *message) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	m.g = r.hist.Send(p.ID())
-	r.mirror.Send(p.ID())
 	r.metrics.Sends++
 	return nil
 }
@@ -307,7 +300,6 @@ func (r *Runner) deliver(p *node.Kernel, m *message) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	r.hist.Recv(p.ID(), m.g)
-	r.mirror.Receive(p.ID(), m.g)
 	r.metrics.Delivered++
 	r.recycle(m.pb)
 	m.pb = node.Piggyback{}
@@ -329,8 +321,9 @@ func (r *Runner) afterEvent() error {
 	return nil
 }
 
-// Oracle returns the ground-truth CCP of the execution so far.
-func (r *Runner) Oracle() *ccp.CCP { return r.mirror.Build() }
+// Oracle returns the ground-truth CCP of the execution so far, built from
+// the history on demand, as runtime.Cluster.Oracle builds it from its own.
+func (r *Runner) Oracle() *ccp.CCP { return r.hist.BuildCCP() }
 
 // History returns a copy of the executed script (including forced
 // checkpoints) with global message numbering.

@@ -55,31 +55,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestHistoryRebuildsOracle checks History() replayed through a fresh
-// builder yields the same pattern as the runner's live mirror.
-func TestHistoryRebuildsOracle(t *testing.T) {
-	r, err := sim.NewRunner(fdasLGC(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ccp.RandomScript(rand.New(rand.NewSource(9)), ccp.RandomOptions{N: 3, Ops: 60})
-	if err := r.Run(s); err != nil {
-		t.Fatal(err)
-	}
-	h := r.History()
-	rebuilt := h.BuildCCP()
-	live := r.Oracle()
-	for i := 0; i < 3; i++ {
-		if rebuilt.LastStable(i) != live.LastStable(i) {
-			t.Errorf("p%d lastS: rebuilt %d vs live %d", i, rebuilt.LastStable(i), live.LastStable(i))
-		}
-		vol := ccp.CheckpointID{Process: i, Index: live.VolatileIndex(i)}
-		if !rebuilt.DV(vol).Equal(live.DV(vol)) {
-			t.Errorf("p%d volatile DV: rebuilt %v vs live %v", i, rebuilt.DV(vol), live.DV(vol))
-		}
-	}
-}
-
 // TestStoredDVsMatchOracle checks every stored checkpoint carries exactly
 // the dependency vector the ground-truth pattern assigns it.
 func TestStoredDVsMatchOracle(t *testing.T) {
@@ -109,7 +84,7 @@ func TestStoredDVsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestRecoveryTruncation checks the post-recovery mirror: each surviving
+// TestRecoveryTruncation checks the post-recovery oracle: each surviving
 // process history ends at its line component and the pattern stays
 // well-formed across continued execution.
 func TestRecoveryTruncation(t *testing.T) {
@@ -138,7 +113,7 @@ func TestRecoveryTruncation(t *testing.T) {
 					trial, i, oracle.LastStable(i), wantLast)
 			}
 			if !r.CurrentDV(i).Equal(oracle.DV(ccp.CheckpointID{Process: i, Index: oracle.VolatileIndex(i)})) {
-				t.Errorf("trial %d: p%d live DV diverges from truncated mirror", trial, i)
+				t.Errorf("trial %d: p%d live DV diverges from the truncated history", trial, i)
 			}
 		}
 		// Execution continues seamlessly on the truncated pattern.

@@ -1,165 +1,17 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/vclock"
 )
 
-// The delta-chain cases below pin the Store contract on MemStore, the
-// oracle; the log store is held to the same behaviour differentially
-// (logstore.TestStoreDifferential drives the same scenarios through both).
-
-// TestDeltaChainRoundTrip drives a store through a long save sequence with
-// small per-save changes and interior collections and checks (a) delta
-// records actually appear, one full record every fullEvery, and encode much
-// smaller than full ones, (b) every live checkpoint loads back bit-for-bit.
-func TestDeltaChainRoundTrip(t *testing.T) {
-	const n = 64
-	s := NewMemStore()
-	rng := rand.New(rand.NewSource(7))
-	dv := vclock.New(n)
-	want := make([]Checkpoint, 0, 3*fullEvery)
-	var fullBytes, deltaBytes, deltas int
-	for i := 0; i < 3*fullEvery; i++ {
-		prev := dv.Clone()
-		dv[0] = i
-		dv[rng.Intn(n)]++
-		cp := Checkpoint{Process: 0, Index: i, DV: dv.Clone(), State: []byte("st")}
-		if err := s.Save(cp); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, cp)
-		if s.byIdx[i].delta {
-			deltas++
-			deltaBytes += len(encodeDelta(nil, cp, i-1, vclock.DiffAppend(prev, dv, nil)))
-		} else {
-			fullBytes += len(encodeFull(nil, cp))
-		}
-	}
-	wantDeltas := len(want) - (len(want)+fullEvery-1)/fullEvery
-	if deltas != wantDeltas {
-		t.Fatalf("kept %d delta records, want %d (full every %d)", deltas, wantDeltas, fullEvery)
-	}
-	if avgD, avgF := deltaBytes/deltas, fullBytes/(len(want)-deltas); avgD*4 > avgF {
-		t.Fatalf("delta records not small: avg delta %dB vs avg full %dB at n=%d", avgD, avgF, n)
-	}
-	check := func() {
-		t.Helper()
-		for _, idx := range s.Indices() {
-			got, err := s.Load(idx)
-			if err != nil {
-				t.Fatalf("load %d: %v", idx, err)
-			}
-			if cp := want[idx]; !got.DV.Equal(cp.DV) || !bytes.Equal(got.State, cp.State) {
-				t.Fatalf("checkpoint %d changed through the chain: got %v want %v", idx, got.DV, cp.DV)
-			}
-		}
-	}
-	check()
-	// Interior collections — chain anchors and mid-chain deltas alike — must
-	// leave every survivor resolvable.
-	for idx := 0; idx < len(want); idx += 3 {
-		if err := s.Delete(idx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, wantLive := len(s.Indices()), len(want)-(len(want)+2)/3; got != wantLive {
-		t.Fatalf("%d live after interior deletes, want %d", got, wantLive)
-	}
-	check()
-}
-
-// TestDeleteTombstonesChainBases checks the chain invariant under
-// collection: deleting a record that a delta depends on keeps it as the
-// chain's base only — dependents stay loadable, deleted records are gone
-// from the interface — and draining the chain reaps every dead record.
-func TestDeleteTombstonesChainBases(t *testing.T) {
-	s := NewMemStore()
-	dv := vclock.New(8)
-	for i := 0; i < 4; i++ {
-		dv[0] = i
-		if err := s.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Records 1..3 are deltas chaining back to full record 0. Deleting 0
-	// and 1 must keep their bytes (record 2 still resolves through both).
-	for _, idx := range []int{0, 1} {
-		if err := s.Delete(idx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Load(idx); err == nil {
-			t.Fatalf("deleted checkpoint %d still loads", idx)
-		}
-		if err := s.Delete(idx); err == nil {
-			t.Fatalf("double delete of chain base %d accepted", idx)
-		}
-	}
-	if got := s.Indices(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Indices = %v, want [2 3]", got)
-	}
-	for _, idx := range []int{2, 3} {
-		if cp, err := s.Load(idx); err != nil || cp.DV[0] != idx {
-			t.Fatalf("record %d unreadable through dead bases: %v %v", idx, cp, err)
-		}
-	}
-	if err := s.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.byIdx) != 0 || len(s.child) != 0 {
-		t.Fatalf("chain drained but %d records and %d links remain", len(s.byIdx), len(s.child))
-	}
-}
-
-// TestSaveRejectsTombstonedIndex pins the duplicate-save rule across the
-// dead state: an index whose record still anchors a live chain is occupied,
-// for Save, until the chain drains; the rollback pattern — delete the top
-// index, save it again — is accepted.
-func TestSaveRejectsTombstonedIndex(t *testing.T) {
-	s := NewMemStore()
-	dv := vclock.New(4)
-	for i := 0; i < 3; i++ {
-		dv[0] = i
-		if err := s.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte("s")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Delete(0); err != nil { // dead, not gone: 1 chains through it
-		t.Fatal(err)
-	}
-	if err := s.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err == nil {
-		t.Fatal("save onto a dead chain base must fail, not shadow it")
-	}
-	// Rollback: the top index is deleted and taken again with new content.
-	if err := s.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	dv[1] = 9
-	if err := s.Save(Checkpoint{Process: 0, Index: 2, DV: dv, State: []byte("again")}); err != nil {
-		t.Fatalf("re-save of the rolled-back top index failed: %v", err)
-	}
-	if cp, err := s.Load(2); err != nil || cp.DV[1] != 9 || string(cp.State) != "again" {
-		t.Fatalf("re-saved checkpoint 2 = %+v, %v", cp, err)
-	}
-	// Draining the chain frees index 0.
-	if err := s.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(Checkpoint{Process: 0, Index: 0, DV: dv, State: []byte("x")}); err != nil {
-		t.Fatalf("save onto a reaped index failed: %v", err)
-	}
-}
+// The record format, full and delta. The delta-chain cases — which records
+// the log store writes as deltas, what a delete keeps as a chain base, which
+// index a chain still reserves — are the log store's alone and are pinned in
+// internal/storage/logstore.
 
 // TestCorruptDeltaFailsLoudly damages delta records in the ways the format
 // must catch — truncation, a record without its chain, entries out of
@@ -194,7 +46,7 @@ func TestCorruptDeltaFailsLoudly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// What every store's Load does with the record's entries.
+		// What the log store's Load does with the record's entries.
 		if err := rec.Entries.Patch(vclock.New(4)); err == nil {
 			t.Fatal("patched an entry outside the vector")
 		}

@@ -1,11 +1,11 @@
 // Package logstore implements storage.Store as a segmented append-only log
 // with group commit: the durable store of the two (MemStore, in package
-// storage, is the oracle it is tested against). Every mutation — checkpoint
-// saves and deletion tombstones alike — is appended to a fixed-size segment
-// file, and a single committer goroutine folds all mutations staged while
-// the previous write+sync was in flight into the next one. Under concurrent
-// writers the sync cost amortizes across the batch; a lone writer still
-// pays exactly one write+sync per save.
+// storage, a plain map, is the oracle it is tested against). Every
+// mutation — checkpoint saves and deletion tombstones alike — is appended to
+// a fixed-size segment file, and a single committer goroutine folds all
+// mutations staged while the previous write+sync was in flight into the
+// next one. Under concurrent writers the sync cost amortizes across the
+// batch; a lone writer still pays exactly one write+sync per save.
 //
 // On-disk layout. A directory holds segment files seg-%08d.log. A segment
 // starts with a 16-byte header (magic, segment id — the id is checked
@@ -22,6 +22,14 @@
 // storage.DecodeRecord): a full vector or a delta against an earlier record
 // of the same segment. A tombstone frame's body is the deleted checkpoint
 // index as a u64.
+//
+// Delta chains. This is the only store that delta-encodes, and the chain
+// policy is decided here alone: a save is written as the entries that
+// changed against the previous save when that record is live, in the tail
+// segment and nobody's base yet, the chain holds fewer than fullEvery−1
+// deltas, and the delta is smaller than the vector; otherwise it is written
+// full. A deleted record a live delta still chains through keeps its index
+// reserved — Save refuses it — until the chain drains (unlinkLocked).
 //
 // The two checksums split the failure modes: a batch whose declared extent
 // runs past the end of the final segment is a torn tail — a crash hit
@@ -117,6 +125,11 @@ const (
 	// compactRatio is the live-bytes/segment-bytes threshold below which a
 	// sealed segment becomes a compaction victim.
 	compactRatio = 0.45
+
+	// fullEvery bounds a delta chain: every fullEvery-th record is a full
+	// vector, so Load resolves at most fullEvery−1 deltas and a single
+	// damaged chain can cost at most fullEvery records.
+	fullEvery = 8
 )
 
 // Options tunes a log store. The zero value gives production defaults; the
@@ -157,10 +170,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func init() {
-	storage.RegisterBackend(storage.Log, func(dir string) (storage.Store, error) {
-		return Open(dir, Options{})
-	})
+// Factory is the per-process NewStore hook of the engines (internal/sim,
+// internal/runtime, internal/chaos) for log stores under dir, with default
+// options: process i opens <dir>/p<i>.
+func Factory(dir string) func(self int) (storage.Store, error) {
+	return func(self int) (storage.Store, error) {
+		s, err := Open(filepath.Join(dir, fmt.Sprintf("p%d", self)), Options{})
+		if err != nil {
+			return nil, err // not a typed nil inside the interface
+		}
+		return s, nil
+	}
 }
 
 // recInfo is the in-memory index entry for one checkpoint record: where its
@@ -482,7 +502,7 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 // or gives it a stage number.
 func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
 	prevLast := s.lastIdx
-	asDelta := prevLast >= 0 && s.chain < storage.FullEvery-1 && len(s.lastDV) == len(cp.DV)
+	asDelta := prevLast >= 0 && s.chain < fullEvery-1 && len(s.lastDV) == len(cp.DV)
 	if asDelta {
 		// The base must be present and undeleted, unchained (one dependent
 		// per record), and in the tail segment — chains never cross a
@@ -696,7 +716,7 @@ func (s *LogStore) unlinkLocked(index int) {
 }
 
 // Load implements Store, resolving delta records through their chain (at
-// most FullEvery−1 hops). Staged-but-unsynced records are served from the
+// most fullEvery−1 hops). Staged-but-unsynced records are served from the
 // staging buffer; durable ones are read back from their segment. A failed
 // store still serves what it holds; a closed one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
@@ -964,7 +984,7 @@ func (s *LogStore) updateLiveRatioLocked() {
 	}
 }
 
-// insertSorted and removeSorted mirror the helpers the sibling stores use.
+// insertSorted and removeSorted mirror MemStore's helpers.
 func insertSorted(s []int, idx int) []int {
 	if n := len(s); n == 0 || idx > s[n-1] {
 		return append(s, idx)

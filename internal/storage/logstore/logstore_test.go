@@ -638,9 +638,11 @@ func (p *storePair) delete(idx int) bool {
 }
 
 // TestStoreDifferential holds the log store to MemStore's behaviour, op by
-// op: the Store contract's delta-chain cases (storage's own tests pin them
-// on MemStore in absolute terms), then a seeded stream of saves, random
-// deletes and rollback-style delete-then-resave. The CI determinism lane
+// op: the delta-chain cases (chain_test.go pins them on the log store in
+// absolute terms), then a seeded stream of saves, random deletes and
+// rollback-style delete-then-resave. One op is log-only: a re-save onto an
+// index a live chain still runs through, which MemStore, keeping no chains,
+// accepts. The CI determinism lane
 // runs this as the storage differential.
 func TestStoreDifferential(t *testing.T) {
 	// sparse changes one entry per checkpoint, so records chain as deltas.
@@ -659,7 +661,7 @@ func TestStoreDifferential(t *testing.T) {
 
 	t.Run("long chains with interior deletes", func(t *testing.T) {
 		p := newStorePair(t)
-		const n = 3 * storage.FullEvery
+		const n = 3 * fullEvery
 		for i := 0; i < n; i++ {
 			mustDo(t, p.save(sparse(i)))
 		}
@@ -681,7 +683,8 @@ func TestStoreDifferential(t *testing.T) {
 		if p.delete(0) {
 			t.Fatal("double delete of a dead chain base accepted")
 		}
-		if p.save(sparse(0)) {
+		// Log only: MemStore keeps no chains, so index 0 is free there.
+		if err := p.log.Save(sparse(0)); err == nil {
 			t.Fatal("save onto an index a live chain still runs through accepted")
 		}
 		mustDo(t, p.delete(3)) // rollback: drop the top index, take it again
@@ -1120,22 +1123,6 @@ func TestLogStoreObsMetrics(t *testing.T) {
 	if got := reg.Gauge(obs.StorageLiveRatioPct).Value(); got < 0 || got > 100 {
 		t.Fatalf("live ratio gauge = %d, want a percentage", got)
 	}
-}
-
-// TestLogStoreBackendRegistered checks the storage.Open selector reaches
-// this package via its init registration.
-func TestLogStoreBackendRegistered(t *testing.T) {
-	st, err := storage.Open(storage.Log, t.TempDir())
-	if err != nil {
-		t.Fatalf("storage.Open(log): %v", err)
-	}
-	if err := st.Save(ckpt(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.(*LogStore); !ok {
-		t.Fatalf("storage.Open(log) = %T, want *LogStore", st)
-	}
-	st.(*LogStore).Close()
 }
 
 // TestDeleteRidesTheNextCommit pins Delete's contract: it returns without a

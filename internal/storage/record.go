@@ -8,20 +8,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// fullEvery bounds a delta chain: every fullEvery-th record is a full
-// vector, so Load resolves at most fullEvery−1 deltas and a single damaged
-// chain can cost at most fullEvery records.
-const fullEvery = 8
-
-// FullEvery exports the delta-chain bound to the log store
-// (internal/storage/logstore), which writes these records, so every store
-// agrees on the maximum chain a reader may have to resolve.
-const FullEvery = fullEvery
-
 // Record is one decoded on-disk checkpoint record. A full record carries
 // the complete checkpoint; a delta record carries the entries that changed
 // against the record at index Base, and its DV is nil until resolved
-// through the chain (the store holding the record does this).
+// through the chain (the log store, which writes the chains, does this).
 type Record struct {
 	Checkpoint
 	Delta   bool

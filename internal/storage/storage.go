@@ -1,14 +1,16 @@
 // Package storage provides the stable-storage abstraction of the model
 // (Section 2): a per-process store of stable checkpoints that persists
-// through crashes. There are two implementations. MemStore, here, is the
-// accounting-only in-memory store: the simulator's store and the oracle the
-// other is tested against ("stable" means surviving a simulated crash: the
-// kernel's volatile state is discarded, the store kept). The segmented
-// group-commit log store (internal/storage/logstore) is the durable one:
-// a saved record is flushed before Save returns — or, for a caller that has
-// taken the wait on itself with NotifyDurable, before the store reports its
-// stage sequence number durable. This package also holds the one on-disk
-// record format (record.go), which the log's frames carry.
+// through crashes. There are two implementations. MemStore, here, is a plain
+// in-memory map from index to checkpoint: the simulator's store and the
+// oracle the other is tested against ("stable" means surviving a simulated
+// crash: the kernel's volatile state is discarded, the store kept). The
+// segmented group-commit log store (internal/storage/logstore) is the
+// durable one: a saved record is flushed before Save returns — or, for a
+// caller that has taken the wait on itself with NotifyDurable, before the
+// store reports its stage sequence number durable. It is also the only store
+// that delta-encodes, and it alone decides the chain policy. This package
+// holds the one on-disk record format (record.go), full and delta, which the
+// log's frames carry.
 //
 // Both stores track the live-checkpoint count and its high-water mark, which
 // the experiments use to measure the space bounds of Section 4.5.
@@ -42,6 +44,10 @@ type Store interface {
 	// NotifyDurable callback, in which case Save returns once the checkpoint
 	// is staged and durability is reported to the callback. Saving the same
 	// index twice is an error: checkpoint indices are unique per process.
+	// Only the log store also refuses an index whose deleted record a live
+	// delta still chains through; the middleware never meets this, because
+	// a rollback deletes every later checkpoint, draining the chain, before
+	// it saves an index again.
 	// Implementations must not retain cp.DV or cp.State (copy or encode them
 	// before returning), so callers can pass live vectors and reused buffers
 	// — the per-message paths depend on this to stay allocation-lean.
@@ -101,37 +107,28 @@ type Stats struct {
 	PeakBytes int // high-water mark of LiveBytes
 }
 
-// MemStore is an in-memory Store. The zero value is not usable; use
-// NewMemStore. MemStore is safe for concurrent use.
+// MemStore is an in-memory Store: a map from index to the store's own copy
+// of each checkpoint. The zero value is not usable; use NewMemStore.
+// MemStore is safe for concurrent use.
 //
-// Checkpoints are held delta-encoded, the shape the log store writes to
-// disk: every fullEvery-th record keeps its complete dependency vector, the
-// records between keep only the entries that changed against their
-// predecessor. Save therefore retains O(changed) instead of cloning a
-// size-n vector per checkpoint — the per-checkpoint cost the simulator's
-// hot path pays — while Load (recovery paths only) reconstructs through the
-// chain.
+// It encodes nothing. The delta chains of the log store (full vector every
+// eighth record, the changed entries between) are an on-disk economy that
+// lives in internal/storage/logstore alone, so the oracle that store is
+// held to does not share its most intricate idea. Save costs one O(n) copy
+// of the vector, Load one more.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec
-	child  map[int]int // base index -> its delta-encoded dependent
-	sorted []int       // live indices, ascending — maintained incrementally
+	sorted []int // live indices, ascending — maintained incrementally
 	stats  Stats
 
-	lastIdx int // most recent save, base candidate for the next; −1: none
-	lastDV  vclock.DV
-	chain   int          // delta records since the last full one
-	diffBuf vclock.Delta // reused DiffAppend buffer
-
-	// spareEnt/spareDV hold the vector copies of the records reaped last,
-	// for the next Save to copy into: a collector that deletes as fast as
-	// it saves (RDT-LGC, Section 4.5) then saves without allocating. Fixed
-	// arrays, so keeping a spare costs nothing and the lists cannot grow;
-	// Load clones, so no caller can hold a recycled buffer.
-	spareEnt  [maxSpare]vclock.Delta
-	spareDV   [maxSpare]vclock.DV
-	nSpareEnt int
-	nSpareDV  int
+	// spare holds the vectors of the records deleted last, for the next Save
+	// to copy into: a collector that deletes as fast as it saves (RDT-LGC,
+	// Section 4.5) then saves without allocating. A fixed array, so keeping a
+	// spare costs nothing and the list cannot grow; Load clones, so no caller
+	// can hold a recycled vector.
+	spare  [maxSpare]vclock.DV
+	nSpare int
 
 	obs    obs.StoreMetrics // zero (free) unless SetObs attached handles
 	flight *obs.Recorder
@@ -147,41 +144,16 @@ func (s *MemStore) SetObs(m obs.StoreMetrics, rec *obs.Recorder, process int) {
 	s.mu.Unlock()
 }
 
-// memRec is one stored checkpoint: full (dv set) or delta-encoded against
-// the record at base (entries set). A dead record has been Deleted by the
-// collector but is still referenced by a live delta's chain; it is
-// invisible to the Store interface and reaped once its dependent goes.
-// Deferred reaping keeps Delete O(1) — promoting the dependent would
-// reconstruct a size-n vector on every collection — at the price of at
-// most fullEvery−1 dead records per chain, each O(changed) small. The log
-// store keeps a dead record's bytes as a chain base the same way.
+// memRec is one stored checkpoint.
 type memRec struct {
 	process int
-	dv      vclock.DV // nil for delta records
-	base    int
-	entries vclock.Delta
-	delta   bool
-	dead    bool
+	dv      vclock.DV
 	state   []byte
 }
 
-// maxSpare bounds each of MemStore's spare lists: a burst of collections
-// larger than this drops the rest to the garbage collector.
+// maxSpare bounds MemStore's spare list: a burst of collections larger than
+// this drops the rest to the garbage collector.
 const maxSpare = 16
-
-// reap removes a record nothing references any more and keeps its vector
-// copy for the next Save.
-func (s *MemStore) reap(index int, rec memRec) {
-	delete(s.byIdx, index)
-	if cap(rec.entries) > 0 && s.nSpareEnt < maxSpare {
-		s.spareEnt[s.nSpareEnt] = rec.entries[:0]
-		s.nSpareEnt++
-	}
-	if len(rec.dv) > 0 && s.nSpareDV < maxSpare {
-		s.spareDV[s.nSpareDV] = rec.dv
-		s.nSpareDV++
-	}
-}
 
 // insertSorted adds idx to an ascending index slice. Checkpoint indices
 // almost always arrive in increasing order, so the common case is a plain
@@ -206,15 +178,11 @@ func removeSorted(s []int, idx int) []int {
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		byIdx:   make(map[int]memRec),
-		child:   make(map[int]int),
-		lastIdx: -1,
-	}
+	return &MemStore{byIdx: make(map[int]memRec)}
 }
 
-// Save implements Store. Between full records only the changed entries are
-// retained, so the per-checkpoint copy is O(changed), not O(n).
+// Save implements Store, copying the vector into a spare when one of the
+// right size is at hand.
 func (s *MemStore) Save(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,57 +193,15 @@ func (s *MemStore) Save(cp Checkpoint) error {
 	if _, dup := s.byIdx[cp.Index]; dup {
 		return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 	}
-	asDelta := s.lastIdx >= 0 && s.chain < fullEvery-1 && len(s.lastDV) == len(cp.DV)
-	if asDelta {
-		// The base must be present (dead is fine — its bytes survive until
-		// the chain drains) and chainable (one dependent per record).
-		if _, ok := s.byIdx[s.lastIdx]; !ok {
-			asDelta = false
-		} else if _, ok := s.child[s.lastIdx]; ok {
-			asDelta = false
-		}
-	}
 	rec := memRec{process: cp.Process, state: append([]byte(nil), cp.State...)}
-	if asDelta {
-		if cap(s.diffBuf) < len(cp.DV) {
-			// One warm-up allocation instead of a doubling ladder; a diff
-			// can hold at most the whole vector.
-			s.diffBuf = make(vclock.Delta, 0, len(cp.DV))
-		}
-		s.diffBuf = vclock.DiffAppend(s.lastDV, cp.DV, s.diffBuf[:0])
-		if 2*len(s.diffBuf)+1 >= len(cp.DV) {
-			asDelta = false // the delta would not be smaller than the vector
-		} else {
-			rec.delta = true
-			rec.base = s.lastIdx
-			var buf vclock.Delta
-			if s.nSpareEnt > 0 {
-				s.nSpareEnt--
-				buf = s.spareEnt[s.nSpareEnt]
-			}
-			rec.entries = append(buf, s.diffBuf...)
-		}
-	}
-	if !asDelta {
-		if k := s.nSpareDV - 1; k >= 0 && len(s.spareDV[k]) == len(cp.DV) {
-			s.nSpareDV = k
-			rec.dv = s.spareDV[k]
-			rec.dv.CopyFrom(cp.DV)
-		} else {
-			rec.dv = cp.DV.Clone()
-		}
-		s.chain = 0
+	if k := s.nSpare - 1; k >= 0 && len(s.spare[k]) == len(cp.DV) {
+		s.nSpare = k
+		rec.dv = s.spare[k]
+		rec.dv.CopyFrom(cp.DV)
 	} else {
-		s.child[s.lastIdx] = cp.Index
-		s.chain++
+		rec.dv = cp.DV.Clone()
 	}
 	s.byIdx[cp.Index] = rec
-	s.lastIdx = cp.Index
-	if len(s.lastDV) == len(cp.DV) {
-		s.lastDV.CopyFrom(cp.DV)
-	} else {
-		s.lastDV = cp.DV.Clone()
-	}
 	s.sorted = insertSorted(s.sorted, cp.Index)
 	s.stats.Saved++
 	s.stats.Live++
@@ -288,25 +214,25 @@ func (s *MemStore) Save(cp Checkpoint) error {
 	}
 	s.obs.Saves.Inc()
 	s.obs.Retained.Add(1)
-	s.obs.DeltaChain.Observe(int64(s.chain))
 	if s.obs.SaveNs != nil {
 		s.obs.SaveNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return nil
 }
 
-// Delete implements Store in O(1) amortized: a record some live delta
-// still chains through is only marked dead; records nothing depends on are
-// removed at once, together with any dead chain prefix this unpins.
+// Delete implements Store: the record goes at once, its index is free for a
+// later Save, and its vector is kept as a spare.
 func (s *MemStore) Delete(index int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.byIdx[index]
-	if !ok || rec.dead {
+	if !ok {
 		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
 	}
-	if s.lastIdx == index {
-		s.lastIdx = -1 // the next save opens a fresh chain
+	delete(s.byIdx, index)
+	if len(rec.dv) > 0 && s.nSpare < maxSpare {
+		s.spare[s.nSpare] = rec.dv
+		s.nSpare++
 	}
 	s.sorted = removeSorted(s.sorted, index)
 	s.stats.Collected++
@@ -315,75 +241,29 @@ func (s *MemStore) Delete(index int) error {
 	s.obs.Deletes.Inc()
 	s.obs.Retained.Add(-1)
 	s.flight.Record(obs.Event{Kind: obs.EvCollect, P: s.proc, Msg: index})
-	if _, ok := s.child[index]; ok {
-		rec.dead = true // the dependent still resolves through this record
-		s.byIdx[index] = rec
-		return nil
-	}
-	// Nothing depends on this record: reap it, and walk the base chain
-	// reaping dead records this was the last dependent of.
-	for {
-		s.reap(index, rec)
-		if !rec.delta {
-			return nil
-		}
-		base := rec.base
-		if s.child[base] == index {
-			delete(s.child, base)
-		}
-		rec, ok = s.byIdx[base]
-		if !ok || !rec.dead {
-			return nil
-		}
-		if _, hasChild := s.child[base]; hasChild {
-			return nil
-		}
-		s.obs.Reaps.Inc() // a dead chain base drains on the next iteration
-		index = base
-	}
+	return nil
 }
 
-// Load implements Store, resolving delta records through their chain (at
-// most fullEvery−1 hops). Dead records are absent for the interface but
-// still serve as chain bases.
+// Load implements Store, returning copies the caller owns.
 func (s *MemStore) Load(index int) (Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec, ok := s.byIdx[index]; !ok || rec.dead {
+	rec, ok := s.byIdx[index]
+	if !ok {
 		return Checkpoint{}, fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
 	var t0 time.Time
 	if s.obs.LoadNs != nil {
 		t0 = time.Now()
 	}
-	cp, err := s.load(index)
-	if err == nil && s.obs.LoadNs != nil {
-		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
-	}
-	return cp, err
-}
-
-func (s *MemStore) load(index int) (Checkpoint, error) {
-	rec, ok := s.byIdx[index]
-	if !ok {
-		return Checkpoint{}, fmt.Errorf("storage: load of absent checkpoint %d", index)
-	}
 	cp := Checkpoint{
 		Process: rec.process,
 		Index:   index,
+		DV:      rec.dv.Clone(),
 		State:   append([]byte(nil), rec.state...),
 	}
-	if !rec.delta {
-		cp.DV = rec.dv.Clone()
-		return cp, nil
-	}
-	base, err := s.load(rec.base)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("storage: checkpoint %d: resolve delta base: %w", index, err)
-	}
-	cp.DV = base.DV
-	if err := rec.entries.Patch(cp.DV); err != nil {
-		return Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
+	if s.obs.LoadNs != nil {
+		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return cp, nil
 }

@@ -128,10 +128,10 @@ func TestStatsPeakTracking(t *testing.T) {
 
 // TestMemStoreReusesReapedVectors runs the collector's steady state — every
 // save followed by the delete of the checkpoint it made obsolete — and
-// checks that Save copies into the vectors Delete reaped instead of
-// allocating, that a checkpoint loaded before its record was reaped does not
-// change when the buffer is reused, that what stays live still loads
-// exactly, and that the spare lists stay capped when many records go at
+// checks that Save copies into the vectors Delete freed instead of
+// allocating, that a checkpoint loaded before its record was deleted does
+// not change when the vector is reused, that what stays live still loads
+// exactly, and that the spare list stays capped when many records go at
 // once.
 func TestMemStoreReusesReapedVectors(t *testing.T) {
 	const n = 32
@@ -153,19 +153,19 @@ func TestMemStoreReusesReapedVectors(t *testing.T) {
 		}
 	}
 	save()
-	for i := 0; i < 4*fullEvery; i++ {
-		cycle() // through several full records and delta chains
+	for i := 0; i < 32; i++ {
+		cycle()
 	}
 	held, err := s.Load(idx - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := held.DV.Clone()
-	if allocs := testing.AllocsPerRun(20*fullEvery, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(160, cycle); allocs != 0 {
 		t.Errorf("save+delete cycle: %v allocs/op, want 0", allocs)
 	}
 	if !held.DV.Equal(want) {
-		t.Fatalf("a loaded checkpoint changed after its record was reaped and reused: %v, want %v", held.DV, want)
+		t.Fatalf("a loaded checkpoint changed after its record was deleted and its vector reused: %v, want %v", held.DV, want)
 	}
 	if got, err := s.Load(idx - 1); err != nil || !got.DV.Equal(dv) {
 		t.Fatalf("live checkpoint loads as %v (err %v), want %v", got.DV, err, dv)
@@ -174,11 +174,47 @@ func TestMemStoreReusesReapedVectors(t *testing.T) {
 		save()
 	}
 	for _, i := range s.Indices() {
-		if err := s.Delete(i); err != nil { // must not run off the spare arrays
+		if err := s.Delete(i); err != nil { // must not run off the spare array
 			t.Fatal(err)
 		}
 	}
-	if s.nSpareEnt > maxSpare || s.nSpareDV > maxSpare || s.nSpareEnt+s.nSpareDV == 0 {
-		t.Fatalf("spare lists hold %d delta and %d full vectors, cap is %d each", s.nSpareEnt, s.nSpareDV, maxSpare)
+	if s.nSpare > maxSpare || s.nSpare == 0 {
+		t.Fatalf("spare list holds %d vectors, cap is %d", s.nSpare, maxSpare)
+	}
+}
+
+// TestMemStoreFreesIndexOnDelete: a deleted index is free at once, even an
+// interior one the next checkpoint was saved right after. MemStore keeps no
+// chain through it, so nothing reserves it; only the log store refuses such
+// a re-save while a live delta still resolves through the deleted record.
+func TestMemStoreFreesIndexOnDelete(t *testing.T) {
+	s := NewMemStore()
+	dv := vclock.New(8)
+	for i := 0; i < 4; i++ {
+		dv[0] = i
+		if err := s.Save(Checkpoint{Process: 0, Index: i, DV: dv, State: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	dv[0], dv[5] = 1, 9
+	if err := s.Save(Checkpoint{Process: 0, Index: 1, DV: dv, State: []byte("again")}); err != nil {
+		t.Fatalf("re-save of deleted interior index 1: %v", err)
+	}
+	if got := s.Indices(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("Indices = %v, want [0 1 2 3]", got)
+	}
+	if cp, err := s.Load(1); err != nil || cp.DV[5] != 9 || string(cp.State) != "again" {
+		t.Fatalf("re-saved checkpoint 1 = %+v, %v", cp, err)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if cp, err := s.Load(i); err != nil || cp.DV[0] != i || cp.DV[5] != 0 {
+			t.Fatalf("checkpoint %d = %+v, %v after index 1 was re-saved", i, cp, err)
+		}
+	}
+	if st := s.Stats(); st.Live != 4 || st.Saved != 5 || st.Collected != 1 {
+		t.Fatalf("Stats = %+v, want Live=4 Saved=5 Collected=1", st)
 	}
 }

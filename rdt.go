@@ -34,10 +34,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/storage"
-
-	// Importing the log backend registers it with storage.Open, so
-	// WithStorage(BackendLog, dir) works for every facade user.
-	_ "repro/internal/storage/logstore"
+	"repro/internal/storage/logstore"
 )
 
 // Script is an application-level execution script: a total order of sends,
@@ -182,13 +179,15 @@ func WithCompression() Option { return func(o *options) { o.compress = true } }
 // stores resolves the configured backend to the per-process NewStore hook
 // the engines share; nil means the engine's in-memory default.
 func (o options) stores() (func(self int) (storage.Store, error), error) {
-	if o.backend == BackendMem || o.backend == "" {
+	switch {
+	case o.backend == BackendMem || o.backend == "":
 		return nil, nil
-	}
-	if o.storageDir == "" {
+	case o.backend != BackendLog:
+		return nil, fmt.Errorf("rdt: unknown storage backend %q", o.backend)
+	case o.storageDir == "":
 		return nil, fmt.Errorf("rdt: backend %q requires a storage directory", o.backend)
 	}
-	return storage.Factory(o.backend, o.storageDir), nil
+	return logstore.Factory(o.storageDir), nil
 }
 
 func (o options) simConfig(n int) (sim.Config, error) {
