@@ -209,8 +209,9 @@ func TestNoGCRollback(t *testing.T) {
 	}
 }
 
-// TestAllFaultyLineAgainstOracle cross-checks the control-message-style
-// all-faulty-line computation with the ground-truth Lemma 1 line.
+// TestAllFaultyLineAgainstOracle cross-checks the line the recovery-line
+// collector computes — ComputeLine with every process faulty — with the
+// ground-truth Lemma 1 line.
 func TestAllFaultyLineAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 30; trial++ {
@@ -222,13 +223,13 @@ func TestAllFaultyLineAgainstOracle(t *testing.T) {
 		if err := r.Run(ccp.RandomScript(rng, ccp.RandomOptions{N: n, Ops: 50})); err != nil {
 			t.Fatal(err)
 		}
-		got, err := gc.AllFaultyLine(r.View())
-		if err != nil {
-			t.Fatal(err)
-		}
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
+		}
+		got, err := gc.ComputeLine(r.View(), all)
+		if err != nil {
+			t.Fatal(err)
 		}
 		want := r.Oracle().RecoveryLine(all)
 		for i := 0; i < n; i++ {

@@ -22,7 +22,14 @@ func (*RecoveryLine) Name() string { return "recovery-line" }
 
 // Collect implements Global.
 func (*RecoveryLine) Collect(v View) error {
-	line, err := AllFaultyLine(v)
+	all := make([]int, v.N())
+	for i := range all {
+		all[i] = i
+	}
+	// With every process faulty no component is volatile: the line is the
+	// largest stored checkpoint of each process that no last stable
+	// checkpoint of another causally precedes.
+	line, err := ComputeLine(v, all)
 	if err != nil {
 		return err
 	}
@@ -37,43 +44,4 @@ func (*RecoveryLine) Collect(v View) error {
 		}
 	}
 	return nil
-}
-
-// AllFaultyLine computes the recovery line for F = Π per Lemma 1 from the
-// stored dependency vectors: for each process i the component is the
-// largest stored index k with DV(s_i^k)[f] ≤ last_s(f) for every f ≠ i.
-func AllFaultyLine(v View) ([]int, error) {
-	n := v.N()
-	line := make([]int, n)
-	for i := 0; i < n; i++ {
-		store := v.Store(i)
-		indices := store.Indices()
-		found := false
-		for k := len(indices) - 1; k >= 0; k-- {
-			cp, err := store.Load(indices[k])
-			if err != nil {
-				return nil, fmt.Errorf("gc: all-faulty line: %w", err)
-			}
-			ok := true
-			for f := 0; f < n; f++ {
-				if f == i {
-					continue
-				}
-				// s_f^last → s_i^k  ⟺  last_s(f) < DV(s_i^k)[f].
-				if cp.DV[f] > v.LastStable(f) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				line[i] = indices[k]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("gc: all-faulty line: no component for p%d", i)
-		}
-	}
-	return line, nil
 }

@@ -55,7 +55,6 @@ const (
 	RuntimeWorkerRetire = "runtime.sendpool.worker_retires"
 	RuntimeTimerResets  = "runtime.sendpool.timer_resets"
 	RuntimeQuiesceNs    = "runtime.quiesce_ns"
-	RuntimeWireErrors   = "runtime.wire_errors"
 	// Ingress ring (the receive path): depth is producer batches queued and
 	// not yet drained, summed over the nodes; drains counts applier passes
 	// (each one node-lock acquisition for every batch it grabbed); drain_ns
@@ -101,13 +100,11 @@ const (
 	TransportBadFrames      = "transport.bad_frames"
 
 	// Storage (internal/storage).
-	StorageSaves      = "storage.saves"
-	StorageDeletes    = "storage.deletes"
-	StorageSaveNs     = "storage.save_ns"
-	StorageLoadNs     = "storage.load_ns"
-	StorageDeltaChain = "storage.delta_chain"     // log store only: deltas since the last full record
-	StorageReaps      = "storage.tombstone_reaps" // log store only: dead chain bases a drained chain freed
-	StorageRetained   = "storage.retained"
+	StorageSaves    = "storage.saves"
+	StorageDeletes  = "storage.deletes"
+	StorageSaveNs   = "storage.save_ns"
+	StorageLoadNs   = "storage.load_ns"
+	StorageRetained = "storage.retained"
 
 	// Storage, log backend only (internal/storage/logstore): group-commit
 	// shape and the segment lifecycle. MemStore leaves these untouched.
@@ -166,7 +163,6 @@ type RuntimeMetrics struct {
 	WorkerRetire *Counter
 	TimerResets  *Counter
 	QuiesceNs    *Histogram
-	WireErrors   *Counter
 
 	IngressDepth  *Gauge
 	IngressDrains *Counter
@@ -194,7 +190,6 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 		WorkerRetire: r.Counter(RuntimeWorkerRetire),
 		TimerResets:  r.Counter(RuntimeTimerResets),
 		QuiesceNs:    r.Histogram(RuntimeQuiesceNs),
-		WireErrors:   r.Counter(RuntimeWireErrors),
 
 		IngressDepth:  r.Gauge(RuntimeIngressDepth),
 		IngressDrains: r.Counter(RuntimeIngressDrains),
@@ -246,18 +241,15 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 }
 
 // StoreMetrics is the storage layer's handle bundle, shared by MemStore
-// and the log store. The delta-chain handles (DeltaChain, Reaps) and the
-// group-commit ones (BatchRecords, CommitNs, Compactions, TornTails,
-// LiveRatioPct, DurableLag) are written only by the log backend, the one
-// store that delta-encodes; for MemStore they stay at zero.
+// and the log store. The group-commit handles (BatchRecords, CommitNs,
+// Compactions, TornTails, LiveRatioPct, DurableLag) are written only by the
+// log backend; for MemStore they stay at zero.
 type StoreMetrics struct {
-	Saves      *Counter
-	Deletes    *Counter
-	SaveNs     *Histogram
-	LoadNs     *Histogram
-	DeltaChain *Histogram
-	Reaps      *Counter
-	Retained   *Gauge
+	Saves    *Counter
+	Deletes  *Counter
+	SaveNs   *Histogram
+	LoadNs   *Histogram
+	Retained *Gauge
 
 	BatchRecords *Histogram
 	CommitNs     *Histogram
@@ -270,13 +262,11 @@ type StoreMetrics struct {
 // StoreMetricsFrom resolves the storage bundle against a registry.
 func StoreMetricsFrom(r *Registry) StoreMetrics {
 	return StoreMetrics{
-		Saves:      r.Counter(StorageSaves),
-		Deletes:    r.Counter(StorageDeletes),
-		SaveNs:     r.Histogram(StorageSaveNs),
-		LoadNs:     r.Histogram(StorageLoadNs),
-		DeltaChain: r.Histogram(StorageDeltaChain),
-		Reaps:      r.Counter(StorageReaps),
-		Retained:   r.Gauge(StorageRetained),
+		Saves:    r.Counter(StorageSaves),
+		Deletes:  r.Counter(StorageDeletes),
+		SaveNs:   r.Histogram(StorageSaveNs),
+		LoadNs:   r.Histogram(StorageLoadNs),
+		Retained: r.Gauge(StorageRetained),
 
 		BatchRecords: r.Histogram(StorageBatchRecords),
 		CommitNs:     r.Histogram(StorageCommitNs),

@@ -146,12 +146,6 @@ type Cluster struct {
 	queues  []destQueue
 	pairDue []time.Time
 
-	// wireErrs counts connections the TCP wire severed on undecodable frames —
-	// a poisoned link is a diagnosable counter, not a silent hang. Cluster-
-	// owned (the accessor predates the registry); with Config.Obs set the
-	// same cell is adopted into the registry as runtime.wire_errors.
-	wireErrs obs.Counter
-
 	obs    obs.RuntimeMetrics // zero (free) unless Config.Obs named a registry
 	flight *obs.Recorder      // nil unless Config.Obs named a recorder
 
@@ -239,7 +233,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
 		flight: cfg.Obs.Recorder,
 	}
-	cfg.Obs.Registry.RegisterCounter(obs.RuntimeWireErrors, &c.wireErrs)
 	c.inflight.init()
 	c.queues = make([]destQueue, cfg.N)
 	for i := range c.queues {
@@ -360,10 +353,6 @@ func (c *Cluster) Close() error {
 	}
 	return errors.Join(errs...)
 }
-
-// WireErrors counts TCP connections severed by undecodable frames — the
-// loud trace a poisoned link leaves instead of a silent hang.
-func (c *Cluster) WireErrors() uint64 { return c.wireErrs.Value() }
 
 // N returns the number of processes.
 func (c *Cluster) N() int { return c.cfg.N }

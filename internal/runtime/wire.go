@@ -78,7 +78,7 @@ func newMeshWire(c *Cluster) (*meshWire, error) {
 	}
 	mesh.OnLinkDown = c.onLinkDown
 	mesh.OnFrameError = func(from, to int, err error) {
-		c.wireErrs.Inc()
+		// The mesh counts the severed link itself (transport.bad_frames).
 		log.Printf("runtime: mesh link %d->%d severed on bad frame: %v", from, to, err)
 	}
 	mesh.SetObs(c.cfg.Obs.Registry)

@@ -8,8 +8,8 @@ import (
 
 // ErrCorrupt is the shared loud-error vocabulary of every backend: any
 // failure that means "the bytes on stable storage are not what a correct
-// writer left there" — a bad record header, a truncated record, a delta
-// whose base is missing, a checksum mismatch in the log — wraps it. Chaos
+// writer left there" — a bad record header, a truncated record, a checksum
+// mismatch in the log — wraps it. Chaos
 // oracles and tests match with errors.Is(err, ErrCorrupt) instead of
 // strings, so the record decoder and the log store's replay cannot drift
 // into different dialects of "corrupt".

@@ -8,81 +8,51 @@ import (
 	"repro/internal/vclock"
 )
 
-// The record format, full and delta. The delta-chain cases — which records
-// the log store writes as deltas, what a delete keeps as a chain base, which
-// index a chain still reserves — are the log store's alone and are pinned in
-// internal/storage/logstore.
+// deltaRecord is a record of the retired kind 1 as earlier writers laid it
+// out: magic, process, index, kind, base index, entry count, (k, v) pairs,
+// state length, state.
+func deltaRecord() []byte {
+	var rec []byte
+	for _, v := range []int64{
+		ckptMagicV2,
+		0, 1, // process, index
+		1,    // kind: delta
+		0, 1, // base index, entry count
+		0, 1, // the entry
+		0, // state length
+	} {
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(v))
+	}
+	return rec
+}
 
-// TestCorruptDeltaFailsLoudly damages delta records in the ways the format
-// must catch — truncation, a record without its chain, entries out of
-// range or out of order — and checks each fails with an error instead of
-// yielding a wrong vector.
-func TestCorruptDeltaFailsLoudly(t *testing.T) {
-	good := encodeDelta(nil, Checkpoint{Process: 0, Index: 1, State: []byte("s")},
-		0, vclock.Delta{{K: 0, V: 1}})
-
-	t.Run("truncated", func(t *testing.T) {
-		if _, err := DecodeRecord(good[:len(good)-9]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("decode of a truncated delta record: %v, want ErrCorrupt", err)
-		}
-	})
-
-	t.Run("missing-base", func(t *testing.T) {
-		// Without the chain it patches, a delta record is not a checkpoint:
-		// it decodes marked as a delta, with no vector to mistake for one.
-		rec, err := DecodeRecord(good)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.Delta || rec.DV != nil {
-			t.Fatalf("a delta record decoded standalone: delta=%v DV=%v", rec.Delta, rec.DV)
-		}
-	})
-
-	t.Run("entries-out-of-range", func(t *testing.T) {
-		bad := encodeDelta(nil, Checkpoint{Process: 0, Index: 1, State: []byte("s")},
-			0, vclock.Delta{{K: 99, V: 1}})
-		rec, err := DecodeRecord(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// What the log store's Load does with the record's entries.
-		if err := rec.Entries.Patch(vclock.New(4)); err == nil {
-			t.Fatal("patched an entry outside the vector")
-		}
-	})
-
-	t.Run("unsorted-entries", func(t *testing.T) {
-		bad := encodeDelta(nil, Checkpoint{Process: 0, Index: 1},
-			0, vclock.Delta{{K: 2, V: 1}, {K: 1, V: 1}})
-		if _, err := DecodeRecord(bad); err == nil {
-			t.Fatal("decode accepted unsorted delta entries")
-		}
-	})
+// TestDeltaRecordIsCorrupt pins the retirement of the delta record: a
+// record whose kind word is 1 fails with ErrCorrupt, so a log holding one
+// refuses to open (logstore.TestDeltaRecordFailsOpen) instead of loading a
+// vector it cannot rebuild.
+func TestDeltaRecordIsCorrupt(t *testing.T) {
+	if _, err := DecodeRecord(deltaRecord()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode of a delta record: %v, want ErrCorrupt", err)
+	}
 }
 
 // TestDecodeRejectsTruncatedRecord models a disk fault on acknowledged
-// bytes: every proper prefix of a record, full or delta, must fail with
-// ErrCorrupt, never decode to a shorter checkpoint.
+// bytes: every proper prefix of a record must fail with ErrCorrupt, never
+// decode to a shorter checkpoint.
 func TestDecodeRejectsTruncatedRecord(t *testing.T) {
-	cp := Checkpoint{Process: 1, Index: 3, DV: vclock.DV{2, 4}, State: []byte("state bytes")}
-	for name, rec := range map[string][]byte{
-		"full":  encodeFull(nil, cp),
-		"delta": encodeDelta(nil, cp, 2, vclock.Delta{{K: 1, V: 4}}),
-	} {
-		if _, err := DecodeRecord(rec); err != nil {
-			t.Fatalf("%s record does not decode whole: %v", name, err)
-		}
-		for cut := 0; cut < len(rec); cut++ {
-			if _, err := DecodeRecord(rec[:cut]); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s record cut at %d of %d: %v, want ErrCorrupt", name, cut, len(rec), err)
-			}
+	rec := AppendRecord(nil, Checkpoint{Process: 1, Index: 3, DV: vclock.DV{2, 4}, State: []byte("state bytes")})
+	if _, err := DecodeRecord(rec); err != nil {
+		t.Fatalf("record does not decode whole: %v", err)
+	}
+	for cut := 0; cut < len(rec); cut++ {
+		if _, err := DecodeRecord(rec[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("record cut at %d of %d: %v, want ErrCorrupt", cut, len(rec), err)
 		}
 	}
 }
 
 // TestV1RecordIsCorrupt pins the retirement of the v1 format (magic ending
-// in 1, full vector only, no kind word): nothing in the tree writes it, and
+// in 1, no kind word): nothing in the tree writes it, and
 // a reader that meets it refuses like any other bad header.
 func TestV1RecordIsCorrupt(t *testing.T) {
 	var v1 []byte

@@ -17,9 +17,9 @@ import (
 
 var benchSizes = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// BenchmarkReplay is crash recovery: open a log holding 16 delta-chained
-// checkpoints — what E1 measures a process to retain — verify every batch
-// checksum and rebuild the index.
+// BenchmarkReplay is crash recovery: open a log holding 16 checkpoints —
+// what E1 measures a process to retain — verify every batch checksum and
+// rebuild the index.
 func BenchmarkReplay(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -30,7 +30,7 @@ func BenchmarkReplay(b *testing.B) {
 			}
 			dv := vclock.New(n)
 			for i := 0; i < 16; i++ {
-				dv[0] = i + 1 // one entry moves per checkpoint: single-entry deltas
+				dv[0] = i + 1
 				if err := ls.Save(storage.Checkpoint{Index: i, DV: dv, State: make([]byte, 256)}); err != nil {
 					b.Fatal(err)
 				}

@@ -50,7 +50,7 @@ func (s *LogStore) pickVictimLocked() int {
 }
 
 // compactOnce rewrites one victim segment: every live record is re-staged
-// at the tail as a self-contained full record (a supersede — replay's
+// at the tail (a supersede — replay's
 // last-writer-wins makes a crash anywhere in between safe, because the
 // victim's copy survives until the rewrites are durable), tombstones whose
 // dead bytes live in other segments are carried forward so those bytes
@@ -78,8 +78,8 @@ func (s *LogStore) compactOnce() bool {
 			carry = append(carry, idx)
 		}
 	}
-	// Ascending order keeps delta bases rewritten before their dependents,
-	// so chain links dissolve pairwise as each side goes full.
+	// Ascending order makes the rewrite, like the bytes it leaves, independent
+	// of map iteration.
 	sort.Ints(lives)
 	sort.Ints(carry)
 	// Staging fills one batch until it seals, so the distinct batches to
@@ -92,6 +92,8 @@ func (s *LogStore) compactOnce() bool {
 		}
 	}
 	for _, idx := range lives {
+		// Decode rather than copy the body: a record that rotted on the
+		// device fails here instead of moving under a fresh checksum.
 		cp, err := s.loadLocked(idx)
 		if err != nil {
 			s.failLocked(fmt.Errorf("compaction of segment %d: %w", victim, err))
@@ -116,10 +118,6 @@ func (s *LogStore) compactOnce() bool {
 	}
 	for idx, ri := range s.recs {
 		if ri.seg == victim && ri.dead {
-			if ri.delta && s.child[ri.base] == idx {
-				delete(s.child, ri.base)
-			}
-			delete(s.child, idx)
 			delete(s.recs, idx)
 		}
 	}
@@ -137,18 +135,15 @@ func (s *LogStore) compactOnce() bool {
 	return true
 }
 
-// stageRewriteLocked re-stages a live record as a self-contained full
-// record at the tail, superseding its old copy. The caller owns durability
-// (waits on the returned batch) and victim disposal.
+// stageRewriteLocked re-stages a live record at the tail, superseding its
+// old copy. The caller owns durability (waits on the returned batch) and
+// victim disposal.
 func (s *LogStore) stageRewriteLocked(cp storage.Checkpoint) *batch {
 	s.enc = storage.AppendRecord(s.enc[:0], cp)
 	s.roomLocked(frameHdrLen + len(s.enc))
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
 	old := s.recs[cp.Index]
-	if old.delta && s.child[old.base] == cp.Index {
-		delete(s.child, old.base)
-	}
 	s.segs[old.seg].live -= int64(old.size)
 	ri := &recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: old.stateLen,

@@ -17,8 +17,8 @@ import (
 // of the same directory must agree with the first (replay is deterministic
 // and any torn-tail truncation is physical).
 func FuzzLogReplay(f *testing.F) {
-	// Seed with a genuine log (saves, deltas, a tombstone, a supersede) and
-	// a few broken variants of it.
+	// Seed with a genuine log (saves, a tombstone, a supersede) and a few
+	// broken variants of it.
 	seedDir := f.TempDir()
 	s, err := Open(seedDir, Options{NoCompact: true})
 	if err != nil {

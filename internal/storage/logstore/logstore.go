@@ -17,19 +17,10 @@
 //	u32 payloadCRC32 | u32 headerCRC32(first 16 bytes) | payload
 //
 // The payload is recordCount frames of: u32 bodyLen | 1 kind byte | body.
-// A checkpoint frame's body is one record of package storage's format
-// (storage.AppendRecord / storage.AppendDeltaRecord, read back by
-// storage.DecodeRecord): a full vector or a delta against an earlier record
-// of the same segment. A tombstone frame's body is the deleted checkpoint
-// index as a u64.
-//
-// Delta chains. This is the only store that delta-encodes, and the chain
-// policy is decided here alone: a save is written as the entries that
-// changed against the previous save when that record is live, in the tail
-// segment and nobody's base yet, the chain holds fewer than fullEvery−1
-// deltas, and the delta is smaller than the vector; otherwise it is written
-// full. A deleted record a live delta still chains through keeps its index
-// reserved — Save refuses it — until the chain drains (unlinkLocked).
+// A checkpoint frame's body is one whole checkpoint in package storage's
+// record format (storage.AppendRecord, read back by storage.DecodeRecord),
+// so every record decodes on its own. A tombstone frame's body is the
+// deleted checkpoint index as a u64.
 //
 // The two checksums split the failure modes: a batch whose declared extent
 // runs past the end of the final segment is a torn tail — a crash hit
@@ -66,20 +57,19 @@
 // batches are in flight; Load serves not-yet-durable records from the
 // staging buffer.
 //
-// Deletion keeps the dead record's bookkeeping: the dead
-// bytes stay in their segment until background compaction rewrites a
-// segment whose live ratio has dropped below compactRatio —
-// surviving records are re-appended at the tail as self-contained full
-// records, tombstones whose target bytes live elsewhere are carried
-// forward, and the victim file is deleted. Delta chains never cross a
-// segment boundary (the chain resets on every roll), which is what makes a
-// segment individually rewritable.
+// Deletion frees the index at once — a later Save may take it again, as in
+// MemStore — but keeps the dead record's bookkeeping: the dead bytes stay in
+// their segment until background compaction rewrites a segment whose live
+// ratio has dropped below compactRatio — surviving records are re-appended
+// at the tail, tombstones whose target bytes live elsewhere are carried
+// forward, and the victim file is deleted. No record refers to another, so
+// any sealed segment is individually rewritable.
 //
 // Reading a record. A durable record is read with one pread through a
 // read-only descriptor its segment keeps: opened, under the store lock, by
 // the first read that needs it, and closed when compaction drops the segment
-// and at Close — so Load, and every hop of a delta chain, costs no open(2)
-// or close(2). Compaction closes the descriptor before it unlinks the file:
+// and at Close — so a Load is one read and one decode, with no open(2) or
+// close(2). Compaction closes the descriptor before it unlinks the file:
 // an open descriptor keeps an unlinked file's blocks allocated, and nothing
 // reads the victim once its live records are durable elsewhere. The
 // committer's write handle is a separate file, because the committer opens
@@ -101,7 +91,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 const (
@@ -125,11 +114,6 @@ const (
 	// compactRatio is the live-bytes/segment-bytes threshold below which a
 	// sealed segment becomes a compaction victim.
 	compactRatio = 0.45
-
-	// fullEvery bounds a delta chain: every fullEvery-th record is a full
-	// vector, so Load resolves at most fullEvery−1 deltas and a single
-	// damaged chain can cost at most fullEvery records.
-	fullEvery = 8
 )
 
 // Options tunes a log store. The zero value gives production defaults; the
@@ -184,16 +168,14 @@ func Factory(dir string) func(self int) (storage.Store, error) {
 }
 
 // recInfo is the in-memory index entry for one checkpoint record: where its
-// body bytes live, its delta-chain role, and its deletion state. Dead
-// entries persist until the segment holding their bytes is compacted away —
-// they are what tells compaction which tombstones still matter.
+// body bytes live and its deletion state. Dead entries persist until the
+// segment holding their bytes is compacted away or a save takes their index
+// again — they are what tells compaction which tombstones still matter.
 type recInfo struct {
 	seg      int
 	off      int64 // offset of the record body (v2 bytes) in the segment
 	size     int   // body length
 	stateLen int
-	delta    bool
-	base     int
 	dead     bool
 	tombSeg  int // segment holding the tombstone; -1 while live
 
@@ -261,16 +243,11 @@ type LogStore struct {
 	opt    Options
 
 	recs   map[int]*recInfo
-	child  map[int]int // delta base index -> its one dependent
-	sorted []int       // live indices, ascending
+	sorted []int // live indices, ascending
 	stats  storage.Stats
 
-	lastIdx int // most recent save, base candidate for the next; −1: none
-	lastDV  vclock.DV
-	chain   int          // delta records since the last full one
-	diffBuf vclock.Delta // reused DiffAppend buffer
-	enc     []byte       // reused record-encode buffer
-	rbuf    []byte       // reused record-read buffer; DecodeRecord copies out of it
+	enc  []byte // reused record-encode buffer
+	rbuf []byte // reused record-read buffer; DecodeRecord copies out of it
 
 	segs    map[int]*segInfo
 	projSeg int   // tail segment id; −1 before the first record
@@ -325,9 +302,7 @@ func Open(dir string, opt Options) (*LogStore, error) {
 		dir:           dir,
 		opt:           opt.withDefaults(),
 		recs:          make(map[int]*recInfo),
-		child:         make(map[int]int),
 		segs:          make(map[int]*segInfo),
-		lastIdx:       -1,
 		projSeg:       -1,
 		fSeg:          -1,
 		committerDone: make(chan struct{}),
@@ -466,17 +441,10 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		s.mu.Unlock()
 		return err
 	}
-	if old := s.recs[cp.Index]; old != nil {
-		_, chained := s.child[cp.Index]
-		if !old.dead || chained {
-			// A dead record some live delta still chains through counts as
-			// present: a fresh record at its index would shadow the chain's
-			// base. A dead childless record does not: a rollback deletes
-			// every later checkpoint before re-saving an index, so this save
-			// supersedes it.
-			s.mu.Unlock()
-			return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
-		}
+	if old := s.recs[cp.Index]; old != nil && !old.dead {
+		// A dead record's index is free: this save supersedes it.
+		s.mu.Unlock()
+		return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 	}
 	b := s.stageSaveLocked(cp)
 	if s.notify != nil {
@@ -496,67 +464,17 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 	return err
 }
 
-// stageSaveLocked encodes cp (delta against the previous save when the
-// chain rules allow, full otherwise), stages the frame, and applies index
-// state. The caller makes the returned batch wanted: it holds and awaits it,
-// or gives it a stage number.
+// stageSaveLocked encodes cp, stages the frame, and applies index state. The
+// caller makes the returned batch wanted: it holds and awaits it, or gives
+// it a stage number.
 func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
-	prevLast := s.lastIdx
-	asDelta := prevLast >= 0 && s.chain < fullEvery-1 && len(s.lastDV) == len(cp.DV)
-	if asDelta {
-		// The base must be present and undeleted, unchained (one dependent
-		// per record), and in the tail segment — chains never cross a
-		// segment boundary, so compaction can rewrite any sealed segment
-		// without chasing references into it.
-		ri := s.recs[prevLast]
-		if ri == nil || ri.dead || ri.seg != s.projSeg {
-			asDelta = false
-		} else if _, ok := s.child[prevLast]; ok {
-			asDelta = false
-		}
-	}
-	if asDelta {
-		s.diffBuf = vclock.DiffAppend(s.lastDV, cp.DV, s.diffBuf[:0])
-		if 2*len(s.diffBuf)+1 >= len(cp.DV) {
-			asDelta = false // the delta would not be smaller than the vector
-		}
-	}
-	if asDelta {
-		s.enc = storage.AppendDeltaRecord(s.enc[:0], cp, prevLast, s.diffBuf)
-	} else {
-		s.enc = storage.AppendRecord(s.enc[:0], cp)
-	}
-	if rolled := s.roomLocked(frameHdrLen + len(s.enc)); rolled && asDelta {
-		// The record moved to a fresh segment; the chain may not follow it.
-		asDelta = false
-		s.enc = storage.AppendRecord(s.enc[:0], cp)
-	}
+	s.enc = storage.AppendRecord(s.enc[:0], cp)
+	s.roomLocked(frameHdrLen + len(s.enc))
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
-
-	ri := &recInfo{
+	s.recs[cp.Index] = &recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: len(cp.State),
 		tombSeg: -1, pending: body, pendingIn: b,
-	}
-	if old := s.recs[cp.Index]; old != nil {
-		// Supersede of a dead childless record: dissolve its chain link.
-		if old.delta && s.child[old.base] == cp.Index {
-			delete(s.child, old.base)
-		}
-	}
-	if asDelta {
-		ri.delta, ri.base = true, prevLast
-		s.child[prevLast] = cp.Index
-		s.chain++
-	} else {
-		s.chain = 0
-	}
-	s.recs[cp.Index] = ri
-	s.lastIdx = cp.Index
-	if len(s.lastDV) == len(cp.DV) {
-		s.lastDV.CopyFrom(cp.DV)
-	} else {
-		s.lastDV = cp.DV.Clone()
 	}
 	s.sorted = insertSorted(s.sorted, cp.Index)
 	s.segs[b.seg].live += int64(len(body))
@@ -571,20 +489,17 @@ func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
 	}
 	s.obs.Saves.Inc()
 	s.obs.Retained.Add(1)
-	s.obs.DeltaChain.Observe(int64(s.chain))
 	return b
 }
 
 // roomLocked makes sure the open batch can take a frame of the given size,
 // sealing it and rolling to a fresh segment when the segment would
-// overflow. Reports whether a roll happened (which resets the delta chain,
-// so the caller must re-encode a staged delta as a full record). A frame
-// too large for any segment is allowed to overflow a segment holding
-// nothing else.
-func (s *LogStore) roomLocked(need int) (rolled bool) {
+// overflow. A frame too large for any segment is allowed to overflow a
+// segment holding nothing else.
+func (s *LogStore) roomLocked(need int) {
 	if s.cur != nil {
 		if s.cur.off+int64(len(s.cur.buf)+need) <= s.opt.SegmentBytes {
-			return false
+			return
 		}
 		s.cur = nil // seal; it stays queued for the committer
 	}
@@ -596,9 +511,6 @@ func (s *LogStore) roomLocked(need int) (rolled bool) {
 		s.projSeg++
 		s.projOff = segHdrLen
 		s.segs[s.projSeg] = &segInfo{size: segHdrLen}
-		s.lastIdx = -1
-		s.chain = 0
-		rolled = true
 	}
 	var b *batch
 	if k := len(s.free); k > 0 {
@@ -606,7 +518,7 @@ func (s *LogStore) roomLocked(need int) (rolled bool) {
 	} else {
 		b = &batch{buf: make([]byte, 0, batchHdrLen+need)}
 	}
-	b.seg, b.off, b.newSeg = s.projSeg, s.projOff, rolled
+	b.seg, b.off, b.newSeg = s.projSeg, s.projOff, fresh
 	b.buf = append(b.buf, make([]byte, batchHdrLen)...) // header placeholder
 	s.cur = b
 	s.queue = append(s.queue, b)
@@ -614,7 +526,6 @@ func (s *LogStore) roomLocked(need int) (rolled bool) {
 	s.projOff += batchHdrLen
 	s.segs[b.seg].size += batchHdrLen
 	s.stagedBytes += batchHdrLen
-	return rolled
 }
 
 // appendFrameLocked appends one frame to the open batch and returns the
@@ -662,10 +573,6 @@ func (s *LogStore) Delete(index int) error {
 	}
 	newest := index == s.sorted[len(s.sorted)-1]
 	b := s.stageTombstoneLocked(index)
-
-	if s.lastIdx == index {
-		s.lastIdx = -1 // the next save opens a fresh chain
-	}
 	ri.dead = true
 	ri.tombSeg = b.seg
 	s.sorted = removeSorted(s.sorted, index)
@@ -676,7 +583,6 @@ func (s *LogStore) Delete(index int) error {
 	s.obs.Deletes.Inc()
 	s.obs.Retained.Add(-1)
 	s.flight.Record(obs.Event{Kind: obs.EvCollect, P: s.proc, Msg: index})
-	s.unlinkLocked(index)
 	s.kickCompactLocked()
 	if newest {
 		s.holdLocked(b)
@@ -688,37 +594,10 @@ func (s *LogStore) Delete(index int) error {
 	return nil
 }
 
-// unlinkLocked dissolves the chain links of a dead childless record and
-// cascades down its base chain. The rule: a dead record counts as present
-// exactly as long as a record chains through it; once nothing does, its
-// index is free (a rollback may re-save it), though its bytes stay until
-// compaction.
-func (s *LogStore) unlinkLocked(index int) {
-	for {
-		if _, chained := s.child[index]; chained {
-			return
-		}
-		ri := s.recs[index]
-		if ri == nil || !ri.dead || !ri.delta {
-			return
-		}
-		base := ri.base
-		if s.child[base] == index {
-			delete(s.child, base)
-		}
-		bi := s.recs[base]
-		if bi == nil || !bi.dead {
-			return
-		}
-		s.obs.Reaps.Inc()
-		index = base
-	}
-}
-
-// Load implements Store, resolving delta records through their chain (at
-// most fullEvery−1 hops). Staged-but-unsynced records are served from the
-// staging buffer; durable ones are read back from their segment. A failed
-// store still serves what it holds; a closed one serves nothing.
+// Load implements Store: one read and one decode. Staged-but-unsynced
+// records are served from the staging buffer; durable ones are read back
+// from their segment. A failed store still serves what it holds; a closed
+// one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -739,28 +618,15 @@ func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	return cp, err
 }
 
+// loadLocked reads and decodes the record of index, which the caller has
+// checked is present.
 func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
-	ri := s.recs[index]
-	if ri == nil {
-		return storage.Checkpoint{}, fmt.Errorf("storage: load of absent checkpoint %d", index)
-	}
-	body, err := s.bodyLocked(ri)
+	body, err := s.bodyLocked(s.recs[index])
 	if err != nil {
 		return storage.Checkpoint{}, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
 	}
-	rec, err := storage.DecodeRecord(body)
+	cp, err := storage.DecodeRecord(body)
 	if err != nil {
-		return storage.Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
-	}
-	if !rec.Delta {
-		return rec.Checkpoint, nil
-	}
-	base, err := s.loadLocked(rec.Base)
-	if err != nil {
-		return storage.Checkpoint{}, fmt.Errorf("storage: checkpoint %d: resolve delta base: %w", index, err)
-	}
-	cp := storage.Checkpoint{Process: rec.Process, Index: rec.Index, DV: base.DV, State: rec.State}
-	if err := rec.Entries.Patch(cp.DV); err != nil {
 		return storage.Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
 	}
 	return cp, nil
@@ -769,8 +635,7 @@ func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
 // bodyLocked returns a record's body bytes: the staging copy while its
 // batch is in flight, a read through the segment's kept descriptor once
 // durable. The read lands in s.rbuf, so the bytes are valid only until the
-// next call — each chain hop decodes (and DecodeRecord copies out) before
-// it reads the next.
+// next call; DecodeRecord copies out of them.
 func (s *LogStore) bodyLocked(ri *recInfo) ([]byte, error) {
 	if ri.pending != nil {
 		return ri.pending, nil

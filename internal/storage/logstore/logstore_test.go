@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -111,51 +112,124 @@ func TestLogStoreIsolation(t *testing.T) {
 	}
 }
 
-// TestLogStoreReopen saves enough records for delta chains and several
-// segments, deletes some, reopens, and checks the rebuilt index matches.
+// TestLogStoreReopen saves records across several segments, deletes some,
+// and checks the index and every survivor before and after a reopen, on two
+// inputs: a few scattered deletes, and every third record of a run whose
+// 64-entry vectors move one or two entries per save.
 func TestLogStoreReopen(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{SegmentBytes: 512, NoCompact: true})
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := s.Save(ckpt(i)); err != nil {
-			t.Fatalf("Save(%d): %v", i, err)
-		}
+	var scattered []storage.Checkpoint
+	for i := 0; i < 40; i++ {
+		scattered = append(scattered, ckpt(i))
 	}
-	deleted := map[int]bool{3: true, 4: true, 17: true, 30: true}
-	for idx := range deleted {
-		if err := s.Delete(idx); err != nil {
-			t.Fatalf("Delete(%d): %v", idx, err)
-		}
+	var small []storage.Checkpoint
+	rng := rand.New(rand.NewSource(7))
+	dv := vclock.New(64)
+	for i := 0; i < 24; i++ {
+		dv[0] = i
+		dv[rng.Intn(len(dv))]++
+		small = append(small, storage.Checkpoint{Process: 0, Index: i, DV: dv.Clone(), State: []byte("st")})
 	}
-	before := s.Stats()
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	for _, tc := range []struct {
+		name    string
+		cps     []storage.Checkpoint // cps[i].Index == i
+		deleted func(idx int) bool
+	}{
+		{"scattered deletes", scattered, func(i int) bool { return i == 3 || i == 4 || i == 17 || i == 30 }},
+		{"every third of small changes", small, func(i int) bool { return i%3 == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{SegmentBytes: 512, NoCompact: true}
+			s := openTest(t, dir, opt)
+			for _, cp := range tc.cps {
+				if err := s.Save(cp); err != nil {
+					t.Fatalf("Save(%d): %v", cp.Index, err)
+				}
+			}
+			var want []int
+			for _, cp := range tc.cps {
+				if !tc.deleted(cp.Index) {
+					want = append(want, cp.Index)
+				} else if err := s.Delete(cp.Index); err != nil {
+					t.Fatalf("Delete(%d): %v", cp.Index, err)
+				}
+			}
+			check := func(st *LogStore) {
+				t.Helper()
+				if got := st.Indices(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Indices = %v, want %v", got, want)
+				}
+				for _, idx := range want {
+					got, err := st.Load(idx)
+					if err != nil {
+						t.Fatalf("Load(%d): %v", idx, err)
+					}
+					if cp := tc.cps[idx]; got.Process != cp.Process || !got.DV.Equal(cp.DV) || !bytes.Equal(got.State, cp.State) {
+						t.Fatalf("Load(%d) = %+v, want %+v", idx, got, cp)
+					}
+				}
+			}
+			check(s)
+			before := s.Stats()
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	r := openTest(t, dir, Options{SegmentBytes: 512, NoCompact: true})
-	var want []int
-	for i := 0; i < n; i++ {
-		if !deleted[i] {
-			want = append(want, i)
-			wantCkpt(t, r, i)
+			r := openTest(t, dir, opt)
+			check(r)
+			st := r.Stats()
+			if st.Live != before.Live || st.LiveBytes != before.LiveBytes {
+				t.Fatalf("Stats after reopen = %+v, want Live=%d LiveBytes=%d", st, before.Live, before.LiveBytes)
+			}
+			if r.TornTails() != 0 {
+				t.Fatalf("clean reopen reported %d torn tails", r.TornTails())
+			}
+			// The reopened store keeps working.
+			next := tc.cps[len(tc.cps)-1]
+			next.Index++
+			if err := r.Save(next); err != nil {
+				t.Fatalf("Save after reopen: %v", err)
+			}
+			if got, err := r.Load(next.Index); err != nil || !got.DV.Equal(next.DV) {
+				t.Fatalf("Load(%d) after reopen = %+v, %v", next.Index, got, err)
+			}
+		})
+	}
+}
+
+// TestDeltaRecordFailsOpen: a log whose checksummed batch holds a record of
+// the retired delta kind (kind word 1) refuses to open with ErrCorrupt
+// rather than load a vector it cannot rebuild. The same segment with the
+// kind word 0 opens, so the kind word is what it refuses.
+func TestDeltaRecordFailsOpen(t *testing.T) {
+	open := func(kind uint64) (*LogStore, error) {
+		body := storage.AppendRecord(nil, ckpt(1))
+		binary.LittleEndian.PutUint64(body[24:], kind) // magic, process, index, then the kind word
+		batch := make([]byte, batchHdrLen)
+		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(body)))
+		batch = append(batch, kindCheckpoint)
+		batch = append(batch, body...)
+		finalizeBatch(batch, 1)
+		seg := binary.LittleEndian.AppendUint64(nil, segMagic)
+		seg = binary.LittleEndian.AppendUint64(seg, 0) // segment id
+		dir := t.TempDir()
+		if err := os.WriteFile(segPath(dir, 0), append(seg, batch...), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return Open(dir, Options{NoCompact: true})
 	}
-	if got := r.Indices(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Indices after reopen = %v, want %v", got, want)
+	s, err := open(0)
+	if err != nil {
+		t.Fatalf("open of a full record: %v", err)
 	}
-	st := r.Stats()
-	if st.Live != before.Live || st.LiveBytes != before.LiveBytes {
-		t.Fatalf("Stats after reopen = %+v, want Live=%d LiveBytes=%d", st, before.Live, before.LiveBytes)
+	wantCkpt(t, s, 1)
+	s.Close()
+	if s, err := open(1); !errors.Is(err, storage.ErrCorrupt) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("open of a delta record: %v, want ErrCorrupt", err)
 	}
-	if r.TornTails() != 0 {
-		t.Fatalf("clean reopen reported %d torn tails", r.TornTails())
-	}
-	// The reopened store keeps working: chains restart, saves land.
-	if err := r.Save(ckpt(n)); err != nil {
-		t.Fatalf("Save after reopen: %v", err)
-	}
-	wantCkpt(t, r, n)
 }
 
 // TestLogStoreSupersede exercises the rollback pattern: delete the latest
@@ -638,14 +712,12 @@ func (p *storePair) delete(idx int) bool {
 }
 
 // TestStoreDifferential holds the log store to MemStore's behaviour, op by
-// op: the delta-chain cases (chain_test.go pins them on the log store in
-// absolute terms), then a seeded stream of saves, random deletes and
-// rollback-style delete-then-resave. One op is log-only: a re-save onto an
-// index a live chain still runs through, which MemStore, keeping no chains,
-// accepts. The CI determinism lane
-// runs this as the storage differential.
+// op, with no case of its own: interior deletes, the re-save of a deleted
+// interior index, then a seeded stream of saves, random deletes and
+// rollback-style delete-then-resave. The CI determinism lane runs this as
+// the storage differential.
 func TestStoreDifferential(t *testing.T) {
-	// sparse changes one entry per checkpoint, so records chain as deltas.
+	// sparse changes one entry per checkpoint.
 	sparse := func(idx int) storage.Checkpoint {
 		cp := ckpt(idx)
 		cp.DV = vclock.New(16)
@@ -659,13 +731,13 @@ func TestStoreDifferential(t *testing.T) {
 		}
 	}
 
-	t.Run("long chains with interior deletes", func(t *testing.T) {
+	t.Run("interior deletes", func(t *testing.T) {
 		p := newStorePair(t)
-		const n = 3 * fullEvery
+		const n = 24
 		for i := 0; i < n; i++ {
 			mustDo(t, p.save(sparse(i)))
 		}
-		for i := 0; i < n; i += 3 { // chain anchors and mid-chain deltas alike
+		for i := 0; i < n; i += 3 {
 			mustDo(t, p.delete(i))
 		}
 		if st := p.log.Stats(); st.Peak != n || st.Live != n-(n+2)/3 {
@@ -673,27 +745,21 @@ func TestStoreDifferential(t *testing.T) {
 		}
 	})
 
-	t.Run("deleted chain base", func(t *testing.T) {
+	t.Run("resave of a deleted interior index", func(t *testing.T) {
 		p := newStorePair(t)
 		for i := 0; i < 4; i++ {
 			mustDo(t, p.save(sparse(i)))
 		}
-		mustDo(t, p.delete(0)) // 1..3 still resolve through it
-		mustDo(t, p.delete(1))
+		mustDo(t, p.delete(0)) // 1..3 stay live
 		if p.delete(0) {
-			t.Fatal("double delete of a dead chain base accepted")
+			t.Fatal("double delete accepted")
 		}
-		// Log only: MemStore keeps no chains, so index 0 is free there.
-		if err := p.log.Save(sparse(0)); err == nil {
-			t.Fatal("save onto an index a live chain still runs through accepted")
-		}
+		mustDo(t, p.save(sparse(0))) // a deleted index is free at once
+		mustDo(t, p.delete(1))
 		mustDo(t, p.delete(3)) // rollback: drop the top index, take it again
 		resaved := sparse(3)
 		resaved.State = []byte("again")
 		mustDo(t, p.save(resaved))
-		mustDo(t, p.delete(2))
-		mustDo(t, p.delete(3))
-		mustDo(t, p.save(sparse(0))) // the chain drained: index 0 is free
 	})
 
 	// seeded drives a stream of saves, random deletes, rollback-style

@@ -74,9 +74,6 @@ func (s *LogStore) replay() error {
 	if s.projSeg >= 0 {
 		s.projOff = s.segs[s.projSeg].size
 	}
-	// The next save opens a fresh delta chain: replay does not reconstruct
-	// the predecessor vector, and correctness never depends on chaining.
-	s.lastIdx = -1
 	s.stats.Peak = s.stats.Live
 	s.stats.PeakBytes = s.stats.LiveBytes
 	return nil
@@ -197,48 +194,27 @@ func (s *LogStore) replayBatch(seg int, base int64, payload []byte, records int)
 // later segment is a legitimate supersede — a compaction rewrite whose
 // victim the crash preserved, or a rollback re-save after a tombstone — and
 // the later copy wins; a live duplicate inside one segment can only be
-// corruption. Delta chains are validated as they were written: the base
-// must precede the record in the same segment and carry one dependent.
+// corruption.
 func (s *LogStore) replayApplySave(seg int, bodyOff int64, body []byte) error {
-	rec, err := storage.DecodeRecord(body)
+	cp, err := storage.DecodeRecord(body)
 	if err != nil {
 		return fmt.Errorf("logstore: segment %d: %w", seg, err)
 	}
-	idx := rec.Index
-	old := s.recs[idx]
-	if old != nil && !old.dead && old.seg == seg {
-		return corruptf("logstore: segment %d: duplicate live checkpoint %d", seg, idx)
-	}
-	if rec.Delta {
-		bi := s.recs[rec.Base]
-		if rec.Base >= idx || bi == nil || bi.seg != seg {
-			return corruptf("logstore: segment %d: checkpoint %d patches missing or cross-segment base %d", seg, idx, rec.Base)
+	idx := cp.Index
+	if old := s.recs[idx]; old != nil && !old.dead {
+		if old.seg == seg {
+			return corruptf("logstore: segment %d: duplicate live checkpoint %d", seg, idx)
 		}
-		if dep, dup := s.child[rec.Base]; dup && dep != idx {
-			return corruptf("logstore: checkpoints %d and %d both patch base %d", dep, idx, rec.Base)
-		}
+		s.segs[old.seg].live -= int64(old.size)
+		s.stats.Live--
+		s.stats.LiveBytes -= old.stateLen
+		s.sorted = removeSorted(s.sorted, idx)
 	}
-	if old != nil {
-		if !old.dead {
-			s.segs[old.seg].live -= int64(old.size)
-			s.stats.Live--
-			s.stats.LiveBytes -= old.stateLen
-			s.sorted = removeSorted(s.sorted, idx)
-		}
-		if old.delta && s.child[old.base] == idx {
-			delete(s.child, old.base)
-		}
-	}
-	ri := &recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(rec.State), tombSeg: -1}
-	if rec.Delta {
-		ri.delta, ri.base = true, rec.Base
-		s.child[rec.Base] = idx
-	}
-	s.recs[idx] = ri
+	s.recs[idx] = &recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(cp.State), tombSeg: -1}
 	s.sorted = insertSorted(s.sorted, idx)
 	s.segs[seg].live += int64(len(body))
 	s.stats.Live++
-	s.stats.LiveBytes += len(rec.State)
+	s.stats.LiveBytes += len(cp.State)
 	return nil
 }
 
@@ -268,6 +244,5 @@ func (s *LogStore) replayApplyTomb(seg int, body []byte) error {
 	s.segs[ri.seg].live -= int64(ri.size)
 	s.stats.Live--
 	s.stats.LiveBytes -= ri.stateLen
-	s.unlinkLocked(idx)
 	return nil
 }

@@ -7,10 +7,9 @@
 // segmented group-commit log store (internal/storage/logstore) is the
 // durable one: a saved record is flushed before Save returns — or, for a
 // caller that has taken the wait on itself with NotifyDurable, before the
-// store reports its stage sequence number durable. It is also the only store
-// that delta-encodes, and it alone decides the chain policy. This package
-// holds the one on-disk record format (record.go), full and delta, which the
-// log's frames carry.
+// store reports its stage sequence number durable. This package holds the
+// on-disk record format (record.go) the log's frames carry: one kind, the
+// whole checkpoint, so a record decodes on its own.
 //
 // Both stores track the live-checkpoint count and its high-water mark, which
 // the experiments use to measure the space bounds of Section 4.5.
@@ -44,10 +43,7 @@ type Store interface {
 	// NotifyDurable callback, in which case Save returns once the checkpoint
 	// is staged and durability is reported to the callback. Saving the same
 	// index twice is an error: checkpoint indices are unique per process.
-	// Only the log store also refuses an index whose deleted record a live
-	// delta still chains through; the middleware never meets this, because
-	// a rollback deletes every later checkpoint, draining the chain, before
-	// it saves an index again.
+	// A deleted index is free again at once (a rollback re-saves it).
 	// Implementations must not retain cp.DV or cp.State (copy or encode them
 	// before returning), so callers can pass live vectors and reused buffers
 	// — the per-message paths depend on this to stay allocation-lean.
@@ -111,11 +107,7 @@ type Stats struct {
 // of each checkpoint. The zero value is not usable; use NewMemStore.
 // MemStore is safe for concurrent use.
 //
-// It encodes nothing. The delta chains of the log store (full vector every
-// eighth record, the changed entries between) are an on-disk economy that
-// lives in internal/storage/logstore alone, so the oracle that store is
-// held to does not share its most intricate idea. Save costs one O(n) copy
-// of the vector, Load one more.
+// It encodes nothing: Save costs one O(n) copy of the vector, Load one more.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec

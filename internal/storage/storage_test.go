@@ -88,7 +88,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		rng.Read(cp.State)
 		got, err := DecodeRecord(AppendRecord(nil, cp))
-		return err == nil && !got.Delta && got.Process == cp.Process && got.Index == cp.Index &&
+		return err == nil && got.Process == cp.Process && got.Index == cp.Index &&
 			got.DV.Equal(cp.DV) && bytes.Equal(got.State, cp.State)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -184,9 +184,8 @@ func TestMemStoreReusesReapedVectors(t *testing.T) {
 }
 
 // TestMemStoreFreesIndexOnDelete: a deleted index is free at once, even an
-// interior one the next checkpoint was saved right after. MemStore keeps no
-// chain through it, so nothing reserves it; only the log store refuses such
-// a re-save while a live delta still resolves through the deleted record.
+// interior one the next checkpoint was saved right after (the log store is
+// held to the same by TestStoreDifferential).
 func TestMemStoreFreesIndexOnDelete(t *testing.T) {
 	s := NewMemStore()
 	dv := vclock.New(8)

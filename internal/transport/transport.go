@@ -277,10 +277,10 @@ const maxInboundBatch = 64
 
 // TCP is a full mesh of loopback TCP connections between n nodes. Sends
 // are safe for concurrent use; received messages are handed to the deliver
-// callback registered with Start or StartBatched, one goroutine per peer
+// callback registered with StartBatched, one goroutine per peer
 // connection.
 //
-// The mesh accounts every frame: a frame accepted by Send/SendBatch is
+// The mesh accounts every frame: a frame accepted by SendBatch is
 // either handed to the deliver callback exactly once, or counted as lost —
 // at stream death or at Close — through the OnLinkDown callback. Engines
 // that track in-flight messages (runtime.Cluster.Quiesce) reconcile
@@ -315,14 +315,14 @@ type TCP struct {
 
 	dial func(addr string) (net.Conn, error) // test hook; net.Dial by default
 
-	// OnFrameError, if set before Start, is called when a connection is
+	// OnFrameError, if set before StartBatched, is called when a connection is
 	// severed by an undecodable or oversized frame — a poisoned link. When
 	// nil the event is logged; either way BadFrames counts it, so a
 	// poisoned link is loudly diagnosable instead of a mystery hang.
 	OnFrameError func(from, to int, err error)
 
-	// OnLinkDown, if set before Start, reports frames that were accepted
-	// by Send/SendBatch but will never reach the deliver callback because
+	// OnLinkDown, if set before StartBatched, reports frames that were
+	// accepted by SendBatch but will never reach the deliver callback because
 	// their stream died (reader torn down, or frames still undelivered at
 	// Close). It fires at most once per pair, after the pair's reader has
 	// exited, and never concurrently with a delivery of that pair.
@@ -367,7 +367,7 @@ func (sc *sendConn) closeConn() {
 }
 
 // NewTCP opens one loopback listener per node with default Options. Call
-// Start to begin delivering, then Send at will, then Close.
+// StartBatched to begin delivering, then SendBatch at will, then Close.
 func NewTCP(n int) (*TCP, error) { return NewTCPWith(n, Options{}) }
 
 // NewTCPWith is NewTCP with explicit failure-behavior options.
@@ -397,20 +397,6 @@ func NewTCPWith(n int, opts Options) (*TCP, error) {
 
 // Addr returns node i's listening address.
 func (t *TCP) Addr(i int) string { return t.listeners[i].Addr().String() }
-
-// Start registers a per-message delivery callback and begins accepting
-// connections. Engines that want the receiver-side batching should use
-// StartBatched instead.
-func (t *TCP) Start(deliver func(Message)) error {
-	if deliver == nil {
-		return errors.New("transport: nil deliver callback")
-	}
-	return t.StartBatched(func(ms []Message) {
-		for _, m := range ms {
-			deliver(m)
-		}
-	})
-}
 
 // StartBatched registers the delivery callback and begins accepting
 // connections. The callback receives every frame of one (from, to) stream
@@ -475,7 +461,7 @@ func (t *TCP) BadFrames() uint64 { return t.badFrames.Value() }
 // SetObs attaches telemetry to the mesh: per-mesh counters resolve against
 // the registry, and the mesh-owned bad-frame counter is adopted under
 // obs.TransportBadFrames so snapshots read the same cell BadFrames()
-// does. Call before Start; a nil registry leaves the mesh on the free
+// does. Call before StartBatched; a nil registry leaves the mesh on the free
 // (nil-handle) path.
 func (t *TCP) SetObs(reg *obs.Registry) {
 	t.obs = obs.TransportMetricsFrom(reg)
@@ -692,17 +678,10 @@ func (t *TCP) current(from, to int) *sendConn {
 	return t.conns[[2]int{from, to}]
 }
 
-// Send transmits a message to m.To over the mesh, dialing the peer's
-// listener on first use and framing the payload with a length prefix.
-func (t *TCP) Send(m Message) error {
-	_, err := t.SendBatch(m.From, m.To, []Message{m})
-	return err
-}
-
 // SendBatch transmits a run of messages from one sender to one receiver as
-// a single buffered write: every frame is encoded, length prefix included,
-// into the connection's reused buffer, and the whole batch costs one
-// syscall. It returns how many leading messages were accepted onto the
+// a single buffered write, dialing the peer's listener on first use: every
+// frame is encoded, length prefix included, into the connection's reused
+// buffer, and the whole batch costs one syscall. It returns how many leading messages were accepted onto the
 // stream; on error the remainder are lost and the link is dead. Accepted
 // messages are delivered in order by the receiving readLoop (or reconciled
 // through OnLinkDown if the stream dies first).

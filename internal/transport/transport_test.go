@@ -16,9 +16,25 @@ import (
 	"repro/internal/vclock"
 )
 
+// start registers a per-message callback through StartBatched, and send
+// transmits one message through SendBatch: the mesh's only API, taken one
+// message at a time.
+func start(mesh *TCP, deliver func(Message)) error {
+	return mesh.StartBatched(func(ms []Message) {
+		for _, m := range ms {
+			deliver(m)
+		}
+	})
+}
+
+func send(mesh *TCP, m Message) error {
+	_, err := mesh.SendBatch(m.From, m.To, []Message{m})
+	return err
+}
+
 // cloneMessage deep-copies the variable-length sections of a Message. The
-// Start/StartBatched ownership contract says DV, Entries, and Payload are
-// views into transport-owned buffers valid only for the callback's duration;
+// StartBatched ownership contract says DV, Entries, and Payload are views
+// into transport-owned buffers valid only for the callback's duration;
 // tests that retain messages past the callback must copy, like any consumer.
 func cloneMessage(m Message) Message {
 	if m.DV != nil {
@@ -136,7 +152,7 @@ func TestTCPMeshDelivery(t *testing.T) {
 	got := map[int]Message{}
 	done := make(chan struct{}, 1)
 	const total = n * (n - 1) * 5
-	if err := mesh.Start(func(m Message) {
+	if err := start(mesh, func(m Message) {
 		mu.Lock()
 		got[m.Msg] = cloneMessage(m)
 		if len(got) == total {
@@ -158,7 +174,7 @@ func TestTCPMeshDelivery(t *testing.T) {
 					continue
 				}
 				m := Message{From: from, To: to, Msg: id, Epoch: 1, Index: round, DV: []int{id, round, from}}
-				if err := mesh.Send(m); err != nil {
+				if err := send(mesh, m); err != nil {
 					t.Fatal(err)
 				}
 				id++
@@ -199,7 +215,7 @@ func TestTCPPerConnectionOrdering(t *testing.T) {
 	var order []int
 	done := make(chan struct{}, 1)
 	const total = 200
-	if err := mesh.Start(func(m Message) {
+	if err := start(mesh, func(m Message) {
 		mu.Lock()
 		order = append(order, m.Msg)
 		if len(order) == total {
@@ -213,7 +229,7 @@ func TestTCPPerConnectionOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
-		if err := mesh.Send(Message{From: 0, To: 1, Msg: i, DV: []int{i}}); err != nil {
+		if err := send(mesh, Message{From: 0, To: 1, Msg: i, DV: []int{i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,10 +256,10 @@ func TestTCPConcurrentClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mesh.Start(func(Message) {}); err != nil {
+		if err := start(mesh, func(Message) {}); err != nil {
 			t.Fatal(err)
 		}
-		if err := mesh.Send(Message{From: 0, To: 1, DV: []int{1, 0, 0}}); err != nil {
+		if err := send(mesh, Message{From: 0, To: 1, DV: []int{1, 0, 0}}); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -269,7 +285,7 @@ func TestTCPDialDoesNotHoldMeshLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = mesh.Close() }()
-	if err := mesh.Start(func(Message) {}); err != nil {
+	if err := start(mesh, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,13 +302,13 @@ func TestTCPDialDoesNotHoldMeshLock(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		_ = mesh.Send(Message{From: 0, To: 1, DV: []int{1, 0, 0}})
+		_ = send(mesh, Message{From: 0, To: 1, DV: []int{1, 0, 0}})
 	}()
 	<-started
 
 	done := make(chan error, 1)
 	go func() {
-		done <- mesh.Send(Message{From: 0, To: 2, DV: []int{1, 0, 0}})
+		done <- send(mesh, Message{From: 0, To: 2, DV: []int{1, 0, 0}})
 	}()
 	select {
 	case err := <-done:
@@ -314,7 +330,7 @@ func TestTCPDialFailureAllowsRetry(t *testing.T) {
 	}
 	defer func() { _ = mesh.Close() }()
 	got := make(chan Message, 1)
-	if err := mesh.Start(func(m Message) { got <- cloneMessage(m) }); err != nil {
+	if err := start(mesh, func(m Message) { got <- cloneMessage(m) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -326,11 +342,11 @@ func TestTCPDialFailureAllowsRetry(t *testing.T) {
 		}
 		return realDial(addr)
 	}
-	if err := mesh.Send(Message{From: 0, To: 1, DV: []int{1, 0}}); err == nil {
+	if err := send(mesh, Message{From: 0, To: 1, DV: []int{1, 0}}); err == nil {
 		t.Fatal("send over a failing dial should error")
 	}
 	fail = false
-	if err := mesh.Send(Message{From: 0, To: 1, Msg: 7, DV: []int{1, 0}}); err != nil {
+	if err := send(mesh, Message{From: 0, To: 1, Msg: 7, DV: []int{1, 0}}); err != nil {
 		t.Fatalf("retry right after the dial failure: %v", err)
 	}
 	select {
@@ -362,7 +378,7 @@ func TestTCPBadFrameIsLoud(t *testing.T) {
 		default:
 		}
 	}
-	if err := mesh.Start(func(Message) {}); err != nil {
+	if err := start(mesh, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -474,12 +490,12 @@ func TestTCPLinkDownAccounting(t *testing.T) {
 			lost <- n
 		}
 	}
-	// No Start: the mesh never accepts, so written frames sit in the
+	// No StartBatched: the mesh never accepts, so written frames sit in the
 	// kernel's socket buffers forever — exactly the shape of a receiver
 	// torn down mid-flight. Close must reconcile them.
 	const frames = 5
 	for i := 0; i < frames; i++ {
-		if err := mesh.Send(Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
+		if err := send(mesh, Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -510,7 +526,7 @@ func TestTCPSeverThenRedial(t *testing.T) {
 	defer func() { _ = mesh.Close() }()
 	var delivered, lost atomic.Int64
 	mesh.OnLinkDown = func(_, _, n int) { lost.Add(int64(n)) }
-	if err := mesh.Start(func(Message) { delivered.Add(1) }); err != nil {
+	if err := start(mesh, func(Message) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if mesh.Sever(0, 1) {
@@ -518,7 +534,7 @@ func TestTCPSeverThenRedial(t *testing.T) {
 	}
 	const frames = 20
 	for i := 0; i < frames; i++ {
-		if err := mesh.Send(Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
+		if err := send(mesh, Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -533,7 +549,7 @@ func TestTCPSeverThenRedial(t *testing.T) {
 		t.Fatalf("after the reap %d delivered + %d lost, want %d in all", delivered.Load(), lost.Load(), frames)
 	}
 	before := delivered.Load()
-	if err := mesh.Send(Message{From: 0, To: 1, Msg: frames, DV: []int{frames, 0}}); err != nil {
+	if err := send(mesh, Message{From: 0, To: 1, Msg: frames, DV: []int{frames, 0}}); err != nil {
 		t.Fatalf("send after the reap did not redial: %v", err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == before; {
@@ -549,16 +565,16 @@ func TestTCPCloseUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.Start(func(Message) {}); err != nil {
+	if err := start(mesh, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.Send(Message{From: 0, To: 1, Msg: 0, DV: []int{1}}); err != nil {
+	if err := send(mesh, Message{From: 0, To: 1, Msg: 0, DV: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mesh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.Send(Message{From: 0, To: 1, Msg: 1, DV: []int{1}}); err == nil {
+	if err := send(mesh, Message{From: 0, To: 1, Msg: 1, DV: []int{1}}); err == nil {
 		t.Log("send after close unexpectedly succeeded (buffered); acceptable")
 	}
 }
@@ -575,7 +591,7 @@ func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered atomic.Int64
-	if err := mesh.Start(func(Message) { delivered.Add(1) }); err != nil {
+	if err := start(mesh, func(Message) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	for from := 0; from < n; from++ {
@@ -583,7 +599,7 @@ func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
 			if from == to {
 				continue
 			}
-			if err := mesh.Send(Message{From: from, To: to, DV: make([]int, n)}); err != nil {
+			if err := send(mesh, Message{From: from, To: to, DV: make([]int, n)}); err != nil {
 				t.Fatal(err)
 			}
 		}

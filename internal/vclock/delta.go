@@ -7,10 +7,10 @@ import "fmt"
 // size-n vector. The paper's space analysis (Section 4.5) observes that the
 // causal information a single event adds is tiny compared to the system
 // size; deltas are how the implementation pays for what changed — per
-// message, per checkpoint record, per wire frame — instead of paying O(n)
-// everywhere. The dense DV stays the reference semantics: every delta
-// operation is defined by the dense operation it must agree with, and the
-// property/fuzz tests hold the two bit-for-bit equal.
+// message and per wire frame — instead of paying O(n) everywhere. The dense
+// DV stays the reference semantics: every delta operation is defined by the
+// dense operation it must agree with, and the property/fuzz tests hold the
+// two bit-for-bit equal.
 
 // Entry is one sparse vector entry: process K's checkpoint-interval index V.
 type Entry struct {
@@ -20,37 +20,6 @@ type Entry struct {
 // Delta is a sparse set of vector entries, sorted by ascending K with no
 // duplicate keys. The zero value is the empty delta.
 type Delta []Entry
-
-// DiffAppend appends to buf the entries of cur that differ from prev — the
-// dense→sparse bridge, e.g. the delta a checkpoint record stores against
-// its predecessor. The result is sorted by construction. With
-// cap(buf) >= len(cur) no allocation occurs.
-func DiffAppend(prev, cur DV, buf Delta) Delta {
-	if len(prev) != len(cur) {
-		panic(fmt.Sprintf("vclock: Diff length mismatch: %d != %d", len(prev), len(cur)))
-	}
-	for k, v := range cur {
-		if v != prev[k] {
-			buf = append(buf, Entry{K: k, V: v})
-		}
-	}
-	return buf
-}
-
-// Patch overwrites dv's entries with the delta's values — the inverse of
-// DiffAppend: prev.Patch(DiffAppend(prev, cur, nil)) makes prev equal cur.
-// Unlike the merge operations below it assigns, it does not take maxima;
-// it is the reconstruction step of delta-encoded storage records. An entry
-// out of range is an error (a corrupt record must not panic the caller).
-func (d Delta) Patch(dv DV) error {
-	for _, e := range d {
-		if e.K < 0 || e.K >= len(dv) {
-			return fmt.Errorf("vclock: delta entry for process %d outside a %d-entry vector", e.K, len(dv))
-		}
-		dv[e.K] = e.V
-	}
-	return nil
-}
 
 // MergeAppend folds the delta into dv by entry-wise maximum and appends the
 // indices that strictly increased to buf — the sparse form of
@@ -90,49 +59,12 @@ func (dv DV) NewInfoDelta(d Delta) bool {
 	return false
 }
 
-// DominatesDelta reports whether dv[e.K] >= e.V for every entry — the
-// sparse form of Dominates: if dv dominates a base vector, dv dominates
-// (base merged d) iff DominatesDelta(d).
-func (dv DV) DominatesDelta(d Delta) bool {
-	for _, e := range d {
-		if dv[e.K] < e.V {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeDeltas merges two sorted deltas into buf by entry-wise maximum —
-// delta composition: applying the result equals applying a then b. Cost is
-// O(len(a)+len(b)); the output stays sorted and duplicate-free.
-func MergeDeltas(a, b Delta, buf Delta) Delta {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].K < b[j].K:
-			buf = append(buf, a[i])
-			i++
-		case a[i].K > b[j].K:
-			buf = append(buf, b[j])
-			j++
-		default:
-			e := a[i]
-			if b[j].V > e.V {
-				e.V = b[j].V
-			}
-			buf = append(buf, e)
-			i, j = i+1, j+1
-		}
-	}
-	buf = append(buf, a[i:]...)
-	return append(buf, b[j:]...)
-}
-
-// ComposePatch composes two patches into buf: applying the result via
-// Patch equals applying a then b (b's value wins on a shared key). This
-// is assignment composition, the building block for collapsing a
-// delta-record chain segment into one patch; unlike MergeDeltas it is
-// correct without any monotonicity assumption. Cost O(len(a)+len(b));
+// ComposePatch composes two sorted deltas into buf by assignment: writing
+// the result's entries into a vector equals writing a's and then b's (b's
+// value wins on a shared key). Its one caller, Kernel.DeliverBatch, composes
+// a run of one sender's compressed piggybacks, whose values never decrease
+// per key, so the composition is also their entry-wise maximum and the run
+// merges into the receiver's vector in one pass. Cost O(len(a)+len(b));
 // output sorted and duplicate-free.
 func ComposePatch(a, b, buf Delta) Delta {
 	i, j := 0, 0

@@ -45,9 +45,6 @@ func applyBoth(t *testing.T, dense, sparse vclock.DV, d vclock.Delta) {
 	if dense.NewInfo(full) != sparse.NewInfoDelta(d) {
 		t.Fatalf("NewInfo mismatch: dv=%v delta=%v", dense, d)
 	}
-	if dense.Dominates(full) != sparse.DominatesDelta(d) {
-		t.Fatalf("Dominates mismatch: dv=%v delta=%v", dense, d)
-	}
 	gd := dense.MergeAppend(full, nil)
 	gs := d.MergeAppend(sparse, nil)
 	if !dense.Equal(sparse) {

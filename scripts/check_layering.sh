@@ -144,22 +144,25 @@ if awk '/^func \([a-z]+ \*compressor\) reset\(/{r=1} r && /clear\(/{found=1} r &
 	fail=1
 fi
 
-# One delta-chain implementation, one way to open a log store, one history.
-# The log store alone delta-encodes and decides the chain policy; MemStore is
-# the plain map it is held to, so it must not grow a chain back. Log stores
-# are built by logstore.Open and logstore.Factory, not through a registry a
-# package fills from its init. The simulator records the pattern once, in
-# its history, and builds the oracle from it on demand.
-if grep -nE 'DiffAppend|Patch\(|fullEvery' internal/storage/storage.go >&2; then
-	echo "layering violation: internal/storage/storage.go delta-encodes; the chain policy lives in internal/storage/logstore alone" >&2
-	fail=1
-fi
-for gone in FullEvery RegisterBackend Open; do
-	if go doc repro/internal/storage "$gone" >/dev/null 2>&1; then
-		echo "layering violation: storage.$gone exists; the chain bound and log-store construction live in internal/storage/logstore" >&2
+# Every log record is a full record, one way to open a log store, one
+# history. The log store writes each checkpoint whole, so the delta chains'
+# names stay gone, and with them the helpers only they or nobody called, the
+# second counter of a severed link, the second recovery-line computation and
+# the per-message TCP send. Log stores are built by logstore.Open and
+# logstore.Factory, not through a registry a package fills from its init. The
+# simulator records the pattern once, in its history, and builds the oracle
+# from it on demand.
+for gone in storage.AppendDeltaRecord storage.Record storage.FullEvery storage.RegisterBackend storage.Open \
+	vclock.DiffAppend vclock.MergeDeltas gc.AllFaultyLine runtime.Cluster.WireErrors transport.TCP.Send; do
+	if go doc "repro/internal/${gone%%.*}" "${gone#*.}" >/dev/null 2>&1; then
+		echo "layering violation: $gone exists again; it was deleted with the delta chains or with its last caller" >&2
 		fail=1
 	fi
 done
+if grep -nwE 'fullEvery|unlinkLocked' internal/storage/logstore/*.go >&2; then
+	echo "layering violation: internal/storage/logstore chains its records; every log record is a full record" >&2
+	fail=1
+fi
 sim_files=$(ls internal/sim/*.go | grep -v '_test\.go$')
 if grep -n 'ccp\.NewBuilder' $sim_files >&2; then
 	echo "layering violation: internal/sim keeps a second record of the pattern (ccp.NewBuilder); Oracle builds from the history" >&2
@@ -178,4 +181,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; only the log store delta-encodes; the simulator keeps one history"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; every log record is a full record; the simulator keeps one history"
