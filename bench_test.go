@@ -204,11 +204,11 @@ func BenchmarkRollback(b *testing.B) {
 	}
 }
 
-// BenchmarkFDASMerged vs BenchmarkFDASPlain (E2): the merged FDAS + RDT-LGC
-// middleware should cost asymptotically the same as FDAS alone — the
-// paper's Algorithm 4 claim.
-func BenchmarkFDASPlain(b *testing.B)  { benchFDAS(b, false) }
-func BenchmarkFDASMerged(b *testing.B) { benchFDAS(b, true) }
+// BenchmarkFDASWithLGC vs BenchmarkFDASPlain (E2): FDAS composed with
+// RDT-LGC — the paper's Algorithm 4 — should cost asymptotically the same as
+// FDAS alone: garbage collection adds no asymptotic cost.
+func BenchmarkFDASPlain(b *testing.B)   { benchFDAS(b, false) }
+func BenchmarkFDASWithLGC(b *testing.B) { benchFDAS(b, true) }
 
 func benchFDAS(b *testing.B, withLGC bool) {
 	const n = 8
@@ -279,73 +279,6 @@ func benchCell(b *testing.B, cell sweep.Cell) sweep.Result {
 		}
 	}
 	return res
-}
-
-// BenchmarkAblationRefcount vs BenchmarkAblationNaive: what Algorithm 1's
-// reference-counted CCB/UC structure buys over a semantically identical
-// scan-based collector (gc.Naive) that recomputes the retained set from the
-// stored vectors on every event. Both collect the same checkpoints (see
-// TestNaiveEquivalentToRDTLGC); only the bookkeeping cost differs.
-func BenchmarkAblationRefcount(b *testing.B) { benchAblation(b, lgcLocal) }
-func BenchmarkAblationNaive(b *testing.B)    { benchAblation(b, naiveLocal) }
-
-func lgcLocal(self, n int, st storage.Store) gc.Local   { return core.New(self, n, st) }
-func naiveLocal(self, n int, st storage.Store) gc.Local { return gc.NewNaive(self, n, st) }
-
-func benchAblation(b *testing.B, local func(int, int, storage.Store) gc.Local) {
-	const n = 16
-	script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 3000, Seed: 23})
-	cfg := sim.Config{
-		N:        n,
-		Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
-		LocalGC:  local,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Run(script); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergedAlgorithm4 measures the single-pass merged FDAS + RDT-LGC
-// middleware of Algorithm 4 on the same workload as BenchmarkFDASMerged's
-// composed stack.
-func BenchmarkMergedAlgorithm4(b *testing.B) {
-	const n = 8
-	script := workload.Generate(workload.Uniform, workload.Options{N: n, Ops: 2000, Seed: 7})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes := make([]*core.Merged, n)
-		for p := 0; p < n; p++ {
-			m, err := core.NewMerged(p, n, storage.NewMemStore())
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes[p] = m
-		}
-		pb := make(map[int]vclock.DV, 1024)
-		for _, op := range script.Ops {
-			switch op.Kind {
-			case ccp.OpCheckpoint:
-				if err := nodes[op.P].Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-			case ccp.OpSend:
-				pb[op.Msg] = nodes[op.P].Send()
-			case ccp.OpRecv:
-				if err := nodes[op.P].Deliver(pb[op.Msg]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
 }
 
 // BenchmarkPiggybackCompression compares full-vector piggybacking against

@@ -99,113 +99,6 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 	return dv, nil
 }
 
-// RollbackInPlace is the optimization of Section 4.5 for a process that
-// rolls back without having failed (an orphan rollback): its DV and UC
-// survive the session, so entries already referencing surviving checkpoints
-// are kept without recomputation whenever their checkpoint is still the
-// most recent one below the retention bound; only the entries invalidated
-// by the rollback are recomputed. The observable result is identical to
-// Rollback(ri, li); the equivalence tests assert it.
-func (g *LGC) RollbackInPlace(ri int, li []int) (vclock.DV, error) {
-	if li != nil && len(li) != g.n {
-		return nil, fmt.Errorf("core: p%d rollback: LI has %d entries, want %d", g.self, len(li), g.n)
-	}
-
-	// Detach UC entries that reference rolled-back checkpoints, then
-	// eliminate those checkpoints.
-	for f := 0; f < g.n; f++ {
-		if g.uc[f] != nil && g.uc[f].ind > ri {
-			g.uc[f].rc--
-			g.uc[f] = nil
-		}
-	}
-	indices := g.store.Indices()
-	kept := indices[:0]
-	for _, idx := range indices {
-		if idx > ri {
-			if err := g.store.Delete(idx); err != nil {
-				return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-			}
-			continue
-		}
-		kept = append(kept, idx)
-	}
-	if len(kept) == 0 || kept[len(kept)-1] != ri {
-		return nil, fmt.Errorf("core: p%d rollback: checkpoint %d not in store", g.self, ri)
-	}
-
-	// Recreate the dependency vector from the rollback target, kept's last.
-	dvs, err := g.loadDVs(kept)
-	if err != nil {
-		return nil, err
-	}
-	dv := dvs[len(kept)-1].Clone()
-	dv[g.self]++
-
-	// Live CCBs by checkpoint index, so relinked entries alias correctly.
-	byIdx := make(map[int]*ccb, g.n)
-	for f := 0; f < g.n; f++ {
-		if g.uc[f] != nil {
-			byIdx[g.uc[f].ind] = g.uc[f]
-		}
-	}
-	detach := func(f int) {
-		if g.uc[f] != nil {
-			g.uc[f].rc--
-			g.uc[f] = nil
-		}
-	}
-	for f := 0; f < g.n; f++ {
-		bound := dv[f]
-		if li != nil {
-			if dv[f] < li[f] {
-				detach(f)
-				continue
-			}
-			bound = li[f]
-		}
-		if bound < 1 {
-			detach(f)
-			continue
-		}
-		// The retention target for f is the newest surviving checkpoint
-		// whose vector entry for f is below the bound.
-		k := sort.Search(len(kept), func(k int) bool { return dvs[k][f] >= bound }) - 1
-		if k < 0 {
-			detach(f)
-			continue
-		}
-		want := kept[k]
-		if g.uc[f] != nil && g.uc[f].ind == want {
-			continue // survived the rollback unchanged — the common case
-		}
-		detach(f)
-		b, ok := byIdx[want]
-		if !ok {
-			b = &ccb{ind: want}
-			byIdx[want] = b
-		}
-		g.uc[f] = b
-		b.rc++
-	}
-
-	// Sweep: any surviving checkpoint no UC entry references is obsolete.
-	referenced := make(map[int]bool, g.n)
-	for f := 0; f < g.n; f++ {
-		if g.uc[f] != nil {
-			referenced[g.uc[f].ind] = true
-		}
-	}
-	for _, idx := range kept {
-		if !referenced[idx] {
-			if err := g.store.Delete(idx); err != nil {
-				return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-			}
-		}
-	}
-	return dv, nil
-}
-
 // loadDVs reads the dependency vector of every surviving checkpoint, one Load
 // each: a rollback's only reads of stable storage.
 func (g *LGC) loadDVs(kept []int) ([]vclock.DV, error) {

@@ -204,8 +204,7 @@ func (c *loadCounter) Load(index int) (storage.Checkpoint, error) {
 
 // TestRollbackLoadsEachSurvivorOnce pins what a rollback reads from stable
 // storage: each surviving checkpoint once, the target included — its vector
-// comes from the same pass as the others', not from a second walk of its
-// delta chain. Both variants, Rollback and RollbackInPlace.
+// comes from the same pass as the others', not from a second Load.
 func TestRollbackLoadsEachSurvivorOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	for trial := 0; trial < 30; trial++ {
@@ -221,17 +220,13 @@ func TestRollbackLoadsEachSurvivorOnce(t *testing.T) {
 		idxs := stores[victim].Indices()
 		at := rng.Intn(len(idxs))
 		lgc := r.LocalGC(victim).(*core.LGC)
-		rollback, name := lgc.Rollback, "Rollback"
-		if trial%2 == 1 {
-			rollback, name = lgc.RollbackInPlace, "RollbackInPlace"
-		}
 		before := stores[victim].loads
-		if _, err := rollback(idxs[at], nil); err != nil {
-			t.Fatalf("trial %d: %s(%d): %v", trial, name, idxs[at], err)
+		if _, err := lgc.Rollback(idxs[at], nil); err != nil {
+			t.Fatalf("trial %d: Rollback(%d): %v", trial, idxs[at], err)
 		}
 		if got, kept := stores[victim].loads-before, at+1; got != kept {
-			t.Fatalf("trial %d: %s to checkpoint %d of %v made %d loads, want %d: one per survivor",
-				trial, name, idxs[at], idxs, got, kept)
+			t.Fatalf("trial %d: Rollback to checkpoint %d of %v made %d loads, want %d: one per survivor",
+				trial, idxs[at], idxs, got, kept)
 		}
 	}
 }

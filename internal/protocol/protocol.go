@@ -178,7 +178,13 @@ func (p *FDI) OnRollback()         { p.active = false }
 
 // FDAS forces a checkpoint before a delivery that carries new causal
 // information when the process has sent a message in the current interval.
-// This is the protocol merged with RDT-LGC in the paper's Algorithm 4.
+// This is the protocol merged with RDT-LGC in the paper's Algorithm 4; here
+// the kernel composes the two (internal/node), and the composition is that
+// algorithm. The paper's Algorithm 4 keeps the sent flag but its line 4
+// reads only "if forced", which would force a checkpoint on every new
+// dependency (FDI-like) rather than implement FDAS as the surrounding text
+// states. We read that as a typo: the rule is "forced ∧ sent", and
+// TestFDASStateMachine pins it.
 type FDAS struct {
 	sent bool
 }

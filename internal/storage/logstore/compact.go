@@ -3,6 +3,7 @@ package logstore
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -53,7 +54,7 @@ func (s *LogStore) pickVictimLocked() int {
 // at the tail (a supersede — replay's
 // last-writer-wins makes a crash anywhere in between safe, because the
 // victim's copy survives until the rewrites are durable), tombstones whose
-// dead bytes live in other segments are carried forward so those bytes
+// index still has a copy in another segment are carried forward so that copy
 // cannot resurrect, and only after every staged batch reports durable is
 // the victim file deleted. Reports whether it compacted anything.
 func (s *LogStore) compactOnce() bool {
@@ -72,9 +73,9 @@ func (s *LogStore) compactOnce() bool {
 		switch {
 		case ri.seg == victim && !ri.dead:
 			lives = append(lives, idx)
-		case ri.dead && ri.tombSeg == victim && ri.seg != victim:
-			// The record's bytes survive elsewhere; dropping this tombstone
-			// with the victim would resurrect them at the next replay.
+		case ri.dead && ri.tombSeg == victim && ri.copyOutside(victim):
+			// A copy of the index survives elsewhere; dropping this
+			// tombstone with the victim would resurrect it at the next replay.
 			carry = append(carry, idx)
 		}
 	}
@@ -117,8 +118,15 @@ func (s *LogStore) compactOnce() bool {
 		return false
 	}
 	for idx, ri := range s.recs {
+		ri.older = slices.DeleteFunc(ri.older, func(seg int) bool { return seg == victim })
 		if ri.seg == victim && ri.dead {
-			delete(s.recs, idx)
+			if len(ri.older) == 0 {
+				delete(s.recs, idx)
+				continue
+			}
+			// An earlier copy outlives this one: seg names its segment, so
+			// the tombstone is carried until that segment goes too.
+			ri.seg, ri.older = ri.older[0], ri.older[1:]
 		}
 	}
 	// No record points into the victim any more, so nothing reads it again:
@@ -145,9 +153,11 @@ func (s *LogStore) stageRewriteLocked(cp storage.Checkpoint) *batch {
 	b.saved = append(b.saved, cp.Index)
 	old := s.recs[cp.Index]
 	s.segs[old.seg].live -= int64(old.size)
+	// The superseded copy is not listed in older: the victim holding it is
+	// dropped once this rewrite is durable, or the store stops.
 	ri := &recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: old.stateLen,
-		tombSeg: -1, pending: body, pendingIn: b,
+		tombSeg: -1, older: old.older, pending: body, pendingIn: b,
 	}
 	s.recs[cp.Index] = ri
 	s.segs[b.seg].live += int64(len(body))

@@ -61,9 +61,10 @@
 // MemStore — but keeps the dead record's bookkeeping: the dead bytes stay in
 // their segment until background compaction rewrites a segment whose live
 // ratio has dropped below compactRatio — surviving records are re-appended
-// at the tail, tombstones whose target bytes live elsewhere are carried
-// forward, and the victim file is deleted. No record refers to another, so
-// any sealed segment is individually rewritable.
+// at the tail, a tombstone is carried forward while any copy of its index —
+// the one it killed, or an earlier one a re-save superseded — survives in
+// another segment, and the victim file is deleted. No record refers to
+// another, so any sealed segment is individually rewritable.
 //
 // Reading a record. A durable record is read with one pread through a
 // read-only descriptor its segment keeps: opened, under the store lock, by
@@ -85,6 +86,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -168,9 +170,10 @@ func Factory(dir string) func(self int) (storage.Store, error) {
 }
 
 // recInfo is the in-memory index entry for one checkpoint record: where its
-// body bytes live and its deletion state. Dead entries persist until the
-// segment holding their bytes is compacted away or a save takes their index
-// again — they are what tells compaction which tombstones still matter.
+// body bytes live and its deletion state. Dead entries persist until every
+// segment holding a copy of their index is compacted away or a save takes
+// their index again — they are what tells compaction which tombstones still
+// matter.
 type recInfo struct {
 	seg      int
 	off      int64 // offset of the record body (v2 bytes) in the segment
@@ -178,6 +181,15 @@ type recInfo struct {
 	stateLen int
 	dead     bool
 	tombSeg  int // segment holding the tombstone; -1 while live
+
+	// older lists the segments still holding earlier copies of the index,
+	// which a later save superseded: a rolled-back checkpoint the index was
+	// taken again over, or (after a replay) a copy compaction rewrote. Once
+	// the index is dead, its newest tombstone is all that keeps them from
+	// coming back, so compaction carries it while any of them survives. When
+	// compaction drops a dead record's own segment first, seg takes one of
+	// these over.
+	older []int
 
 	// pending holds the body bytes until the batch carrying them is
 	// durable, so Load works on staged-but-unsynced records; pendingIn
@@ -472,10 +484,15 @@ func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
 	s.roomLocked(frameHdrLen + len(s.enc))
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
-	s.recs[cp.Index] = &recInfo{
+	ri := &recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: len(cp.State),
 		tombSeg: -1, pending: body, pendingIn: b,
 	}
+	if old := s.recs[cp.Index]; old != nil {
+		// A dead record (Save refuses a live one): its bytes stay on disk.
+		ri.older = withSeg(old.older, old.seg)
+	}
+	s.recs[cp.Index] = ri
 	s.sorted = insertSorted(s.sorted, cp.Index)
 	s.segs[b.seg].live += int64(len(body))
 	s.stats.Saved++
@@ -847,6 +864,20 @@ func (s *LogStore) updateLiveRatioLocked() {
 	if size > 0 {
 		s.obs.LiveRatioPct.Set(100 * live / size)
 	}
+}
+
+// withSeg adds seg to a record's older segments, once.
+func withSeg(older []int, seg int) []int {
+	if slices.Contains(older, seg) {
+		return older
+	}
+	return append(older, seg)
+}
+
+// copyOutside reports whether a copy of ri's index, its own or an earlier
+// one, survives in a segment other than victim.
+func (ri *recInfo) copyOutside(victim int) bool {
+	return ri.seg != victim || slices.ContainsFunc(ri.older, func(seg int) bool { return seg != victim })
 }
 
 // insertSorted and removeSorted mirror MemStore's helpers.

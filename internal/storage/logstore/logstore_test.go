@@ -272,6 +272,45 @@ func TestLogStoreSupersede(t *testing.T) {
 	check(openTest(t, dir, Options{NoCompact: true}))
 }
 
+// TestResavedIndexStaysDeadAfterCompaction is a rollback's trace on segments
+// of three records: checkpoint 2 is saved, deleted, saved again and deleted
+// again, so two dead copies of index 2 sit in two segments. Compaction to a
+// fixpoint must keep a tombstone for as long as either copy survives, or a
+// reopen brings the rolled-back checkpoint back.
+func TestResavedIndexStaysDeadAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{SegmentBytes: 16 + 3*115, NoCompact: true}
+	s := openTest(t, dir, opt)
+	do := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		do("Save", s.Save(ckpt(i)))
+	}
+	do("Delete(2)", s.Delete(2))
+	do("re-Save(2)", s.Save(ckpt(2)))
+	do("Delete(2)", s.Delete(2))
+	for i := 3; i < 12; i++ {
+		do("Save", s.Save(ckpt(i)))
+		if i > 3 {
+			do("Delete", s.Delete(i-1))
+		}
+	}
+	for s.compactOnce() {
+	}
+	want := []int{0, 1, 11}
+	if got := s.Indices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices after compaction = %v, want %v", got, want)
+	}
+	do("Close", s.Close())
+	if got := openTest(t, dir, opt).Indices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices after compaction and reopen = %v, want %v", got, want)
+	}
+}
+
 func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -665,10 +704,18 @@ type storePair struct {
 	t   *testing.T
 	mem *storage.MemStore
 	log *LogStore
+
+	// dir and opt reopen the log store. A reopened log counts Saved from
+	// zero; resaved is what the oracle, rebuilt at the same moment, counts
+	// for re-saving the live checkpoints.
+	dir     string
+	opt     Options
+	resaved int
 }
 
-func newStorePair(t *testing.T) *storePair {
-	return &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, t.TempDir(), Options{SegmentBytes: 2048})}
+func newStorePair(t *testing.T, opt Options) *storePair {
+	dir := t.TempDir()
+	return &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, dir, opt), dir: dir, opt: opt}
 }
 
 // apply runs do against both stores and reports whether it succeeded.
@@ -695,10 +742,44 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 			p.t.Fatalf("%s: log Load(%d) = %+v, mem = %+v", what, idx, got, want)
 		}
 	}
-	if got, want := p.log.Stats(), p.mem.Stats(); got != want {
+	want := p.mem.Stats()
+	want.Saved -= p.resaved
+	if got := p.log.Stats(); got != want {
 		p.t.Fatalf("%s: log Stats = %+v, mem = %+v", what, got, want)
 	}
 	return memErr == nil
+}
+
+// compact runs the log store's compaction to a fixpoint. The store must be
+// opened NoCompact, so that nothing else compacts.
+func (p *storePair) compact() {
+	p.t.Helper()
+	for p.log.compactOnce() {
+	}
+	p.apply("compact", func(storage.Store) error { return nil })
+}
+
+// reopen closes the log store and replays its directory. The oracle starts
+// over too, from its live checkpoints, because a replay knows nothing of
+// the counts and peaks of the closed store.
+func (p *storePair) reopen() {
+	p.t.Helper()
+	if err := p.log.Close(); err != nil {
+		p.t.Fatal(err)
+	}
+	p.log = openTest(p.t, p.dir, p.opt)
+	mem := storage.NewMemStore()
+	for _, idx := range p.mem.Indices() {
+		cp, err := p.mem.Load(idx)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		if err := mem.Save(cp); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+	p.mem, p.resaved = mem, mem.Stats().Saved
+	p.apply("reopen", func(storage.Store) error { return nil })
 }
 
 func (p *storePair) save(cp storage.Checkpoint) bool {
@@ -713,9 +794,10 @@ func (p *storePair) delete(idx int) bool {
 
 // TestStoreDifferential holds the log store to MemStore's behaviour, op by
 // op, with no case of its own: interior deletes, the re-save of a deleted
-// interior index, then a seeded stream of saves, random deletes and
-// rollback-style delete-then-resave. The CI determinism lane runs this as
-// the storage differential.
+// interior index, then a seeded stream of saves, random deletes,
+// rollback-style delete-then-resave and, on segments of three records,
+// compaction to a fixpoint and a close and reopen. The CI determinism lane
+// runs this as the storage differential.
 func TestStoreDifferential(t *testing.T) {
 	// sparse changes one entry per checkpoint.
 	sparse := func(idx int) storage.Checkpoint {
@@ -732,7 +814,7 @@ func TestStoreDifferential(t *testing.T) {
 	}
 
 	t.Run("interior deletes", func(t *testing.T) {
-		p := newStorePair(t)
+		p := newStorePair(t, Options{SegmentBytes: 2048})
 		const n = 24
 		for i := 0; i < n; i++ {
 			mustDo(t, p.save(sparse(i)))
@@ -746,7 +828,7 @@ func TestStoreDifferential(t *testing.T) {
 	})
 
 	t.Run("resave of a deleted interior index", func(t *testing.T) {
-		p := newStorePair(t)
+		p := newStorePair(t, Options{SegmentBytes: 2048})
 		for i := 0; i < 4; i++ {
 			mustDo(t, p.save(sparse(i)))
 		}
@@ -763,9 +845,11 @@ func TestStoreDifferential(t *testing.T) {
 	})
 
 	// seeded drives a stream of saves, random deletes, rollback-style
-	// delete-then-resave and refused deletes through save and del.
-	seeded := func(t *testing.T, save func(storage.Checkpoint) bool, del func(int) bool) {
-		rng := rand.New(rand.NewSource(7))
+	// delete-then-resave and refused deletes through save and del. Given a
+	// pair to maintain, it also compacts that pair's log to a fixpoint and
+	// reopens it, each about once in 40 steps.
+	seeded := func(t *testing.T, seed int64, save func(storage.Checkpoint) bool, del func(int) bool, maint *storePair) {
+		rng := rand.New(rand.NewSource(seed))
 		next := 0
 		var live []int
 		for step := 0; step < 400; step++ {
@@ -792,12 +876,28 @@ func TestStoreDifferential(t *testing.T) {
 					t.Fatalf("step %d: delete of an absent index accepted", step)
 				}
 			}
+			if maint != nil {
+				switch rng.Intn(40) {
+				case 0:
+					maint.compact()
+				case 1:
+					maint.reopen()
+				}
+			}
 		}
 	}
 
+	// Three records to a segment, so that a rollback's re-save lands in
+	// another segment than the copy it takes the index over from. Twenty
+	// streams, because a resurrection needs a compaction that drops the
+	// re-saved copy's segment and its tombstone's, but not the older copy's.
 	t.Run("seeded stream", func(t *testing.T) {
-		p := newStorePair(t)
-		seeded(t, p.save, p.delete)
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				p := newStorePair(t, Options{SegmentBytes: 16 + 3*115, NoCompact: true})
+				seeded(t, seed, p.save, p.delete, p)
+			})
+		}
 	})
 
 	// The same stream with the log store's saves staged: held to MemStore op
@@ -812,7 +912,7 @@ func TestStoreDifferential(t *testing.T) {
 		twin := openTest(t, twinDir, opt)
 		w := newDurableWaiter()
 		p.log.NotifyDurable(w.notify)
-		seeded(t, func(cp storage.Checkpoint) bool {
+		seeded(t, 7, func(cp storage.Checkpoint) bool {
 			ok := p.save(cp)
 			if ok {
 				if err := w.await(p.log.Staged()); err != nil {
@@ -829,7 +929,7 @@ func TestStoreDifferential(t *testing.T) {
 				t.Fatalf("Delete(%d): staged %v, twin %v", idx, ok, err)
 			}
 			return ok
-		})
+		}, nil)
 		if got, want := p.log.Staged(), uint64(p.log.Stats().Saved); got != want {
 			t.Fatalf("Staged() = %d after %d saves", got, want)
 		}
@@ -869,7 +969,7 @@ func TestStoreDifferential(t *testing.T) {
 		p := &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, t.TempDir(), Options{SegmentBytes: 512})}
 		p.log.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
 		p.log.NotifyDurable(newDurableWaiter().notify)
-		seeded(t, p.save, p.delete)
+		seeded(t, 7, p.save, p.delete, nil)
 		awaitCompaction(t, reg)
 		p.apply("view after compaction", func(storage.Store) error { return nil })
 	})

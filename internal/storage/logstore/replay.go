@@ -201,16 +201,20 @@ func (s *LogStore) replayApplySave(seg int, bodyOff int64, body []byte) error {
 		return fmt.Errorf("logstore: segment %d: %w", seg, err)
 	}
 	idx := cp.Index
-	if old := s.recs[idx]; old != nil && !old.dead {
-		if old.seg == seg {
-			return corruptf("logstore: segment %d: duplicate live checkpoint %d", seg, idx)
+	ri := &recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(cp.State), tombSeg: -1}
+	if old := s.recs[idx]; old != nil {
+		if !old.dead {
+			if old.seg == seg {
+				return corruptf("logstore: segment %d: duplicate live checkpoint %d", seg, idx)
+			}
+			s.segs[old.seg].live -= int64(old.size)
+			s.stats.Live--
+			s.stats.LiveBytes -= old.stateLen
+			s.sorted = removeSorted(s.sorted, idx)
 		}
-		s.segs[old.seg].live -= int64(old.size)
-		s.stats.Live--
-		s.stats.LiveBytes -= old.stateLen
-		s.sorted = removeSorted(s.sorted, idx)
+		ri.older = withSeg(old.older, old.seg)
 	}
-	s.recs[idx] = &recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(cp.State), tombSeg: -1}
+	s.recs[idx] = ri
 	s.sorted = insertSorted(s.sorted, idx)
 	s.segs[seg].live += int64(len(body))
 	s.stats.Live++
