@@ -49,7 +49,12 @@ const (
 	KernelDeliveryMerges    = "kernel.delivery.merges"
 	KernelDeliveryCoalesced = "kernel.delivery.coalesced"
 
-	// Runtime (internal/runtime).
+	// Runtime (internal/runtime). timer_resets counts the sender-pool
+	// workers' timer arms: one per due-time wait on a delayed network, and
+	// otherwise one per idle period (a worker's first idle wait, and each
+	// idle fire that comes before workerIdle has passed since its last
+	// dispatch) — not one per emptied queue. So it stays at or below
+	// worker_spawns plus the due-time waits plus the idle periods.
 	RuntimeQueueDepth   = "runtime.sendpool.queue_depth"
 	RuntimeWorkerSpawns = "runtime.sendpool.worker_spawns"
 	RuntimeWorkerRetire = "runtime.sendpool.worker_retires"

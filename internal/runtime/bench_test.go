@@ -1,15 +1,22 @@
 package runtime_test
 
-// The live runtime's end-to-end delivery on an in-process cluster. There is
-// no allocation pin here: the path is concurrent (sender-pool workers) and
-// its per-message count moves with the schedule. allocs_per_msg on the
-// benchmark's ring-saturated and uniform-w1 workloads judges it.
+// The live runtime's end-to-end delivery: one serial sender on an in-process
+// cluster, and one sender per node on a TCP ring. There is no allocation pin
+// here: the path is concurrent (sender-pool workers) and its per-message
+// count moves with the schedule. allocs_per_msg on the benchmark's
+// ring-saturated and uniform-w1 workloads judges it.
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/app"
+	"repro/internal/core"
+	"repro/internal/gc"
 	"repro/internal/runtime"
+	"repro/internal/storage"
 )
 
 // benchDelivery drives a ring: a send from each node in turn through the
@@ -61,6 +68,77 @@ func benchDelivery(b *testing.B, compress bool) {
 
 func BenchmarkDelivery(b *testing.B)           { benchDelivery(b, false) }
 func BenchmarkDeliveryCompressed(b *testing.B) { benchDelivery(b, true) }
+
+// BenchmarkDeliveryParallel is the multicore stopwatch: a TCP ring with 16
+// messages in flight per node and one sender goroutine per node, under FDAS
+// and RDT-LGC on in-memory stores — the shape of the end-to-end benchmark's
+// ring-saturated workload. A send takes a credit from its node's window and
+// the receiver's delivery handler gives it back. Run it at -cpu 1,2,...: a
+// lock every message takes shows as msgs/s that does not grow with the
+// processors, which BenchmarkDelivery's one serial sender cannot show.
+// -short runs n = 32 only.
+func BenchmarkDeliveryParallel(b *testing.B) {
+	const window = 16
+	sizes := []int{32, 128}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			credits := make([]chan struct{}, n)
+			for i := range credits {
+				credits[i] = make(chan struct{}, window)
+				for k := 0; k < window; k++ {
+					credits[i] <- struct{}{}
+				}
+			}
+			c, err := runtime.NewCluster(runtime.Config{
+				N: n, TCP: true,
+				LocalGC: func(self, n int, st storage.Store) gc.Local {
+					return core.New(self, n, st)
+				},
+				// Every message on the ring comes from the receiver's
+				// predecessor: its credit goes back there, and never blocks
+				// the receiver, since a node has window credits in all.
+				OnDeliver: func(self int, _ app.App, _ []byte) { credits[(self+n-1)%n] <- struct{}{} },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			// One full window per node first: every stream dials, the
+			// workers spawn and the snapshot freelists fill.
+			ring := func(msgs int) {
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					share := msgs / n
+					if i < msgs%n {
+						share++
+					}
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						for k := share; k > 0; k-- {
+							<-credits[i]
+							if err := c.Node(i).Send((i + 1) % n); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(i)
+				}
+				wg.Wait()
+				c.Quiesce()
+			}
+			ring(n * window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			t0 := time.Now()
+			ring(b.N)
+			b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
+		})
+	}
+}
 
 // BenchmarkRestartAtRest times a crash and restart of p0 on an idle
 // in-process compressed cluster: the recovery session alone, with nothing in

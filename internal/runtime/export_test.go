@@ -1,10 +1,15 @@
 package runtime
 
-import "repro/internal/node"
+import (
+	"time"
+
+	"repro/internal/node"
+)
 
 // Views of a cluster's transit state for the tests in package runtime_test:
 // what Quiesce waits on, what the sender pool holds, what the piggyback
-// freelists hold, what the link layer holds parked or armed.
+// freelists hold, what the link layer holds parked or armed; and the send
+// path's network draw.
 
 // InTransit is the in-flight count Quiesce waits to see at zero.
 func (c *Cluster) InTransit() int64 { return c.inflight.n.Load() }
@@ -22,12 +27,27 @@ func (c *Cluster) Queued() int {
 }
 
 // FreeBuffers counts the piggyback buffers — vector snapshots and entry
-// buffers — resting on the freelists.
+// buffers — resting on the nodes' freelists.
 func (c *Cluster) FreeBuffers() int {
-	c.dvMu.Lock()
-	defer c.dvMu.Unlock()
-	return len(c.dvFree) + len(c.entFree)
+	total := 0
+	for _, n := range c.nodes {
+		n.bufMu.Lock()
+		total += len(n.dvBufs) + len(n.entBufs)
+		n.bufMu.Unlock()
+	}
+	return total
 }
+
+// NetworkDraw is the draw a send of this node makes — delay and drop — taken
+// the way the send path takes it, under the node's lock.
+func (n *Node) NetworkDraw() (time.Duration, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.netDraw()
+}
+
+// WorkerIdle is how long a sender-pool worker stays idle before it retires.
+const WorkerIdle = workerIdle
 
 // RetryTimers counts the pairs holding an armed retry timer.
 func (c *Cluster) RetryTimers() int {

@@ -63,7 +63,7 @@ func (n *Node) egress(to int, d delivery, delay time.Duration) error {
 	switch {
 	case f.err != nil:
 		// Fail-stop: a frame behind a fence that cannot open is a lost message.
-		c.recycle(d.pb)
+		c.recycle(n.id, d.pb)
 		c.inflight.Add(-1)
 		return f.err
 	case n.staged > f.durable:
@@ -124,7 +124,7 @@ func (n *Node) dropFencedLocked() {
 		return
 	}
 	for i := range f.q {
-		c.recycle(f.q[i].pb)
+		c.recycle(n.id, f.q[i].pb)
 	}
 	c.inflight.Add(-len(f.q))
 	c.obs.FenceDepth.Add(-int64(len(f.q)))

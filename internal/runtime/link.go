@@ -64,6 +64,13 @@ type pairLink struct {
 	down    bool // a link-down flight event was recorded and not yet matched
 
 	wire frames // the TCP wire's reused frame batch for this pair's sends
+
+	// inbound is the TCP wire's reused batch for this pair's arrivals
+	// (meshWire.onWire). No lock guards it: the transport hands a pair's
+	// batches over one at a time — its stream's reader delivers in order,
+	// and a redial waits for the dead stream's reader to finish — which is
+	// the same serialization the receiver's dedup cursor (recvSeq) relies on.
+	inbound []pending
 }
 
 // frameRing is a pair's retransmit window: a FIFO of frames in a ring that
@@ -250,7 +257,7 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 	for k := range run {
 		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
 			c.obs.LinkLost.Inc()
-			c.recycle(run[k].pb)
+			c.recycle(pl.from, run[k].pb)
 		} else {
 			pl.parked = append(pl.parked, run[k])
 			c.obs.LinkParked.Add(1)
@@ -276,7 +283,7 @@ func (c *Cluster) pruneWindow(pl *pairLink) {
 // buffer — snapshot or entries — to the freelist: the frame can no longer be
 // retransmitted, so nothing reads it again. Called with pl.mu held.
 func (c *Cluster) dropOldest(pl *pairLink) {
-	c.recycle(pl.window.at(0).pb)
+	c.recycle(pl.from, pl.window.at(0).pb)
 	pl.window.pop()
 	pl.winBase++
 }
@@ -427,7 +434,7 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 func (c *Cluster) dropParkedLocked(pl *pairLink) {
 	stopRetry(pl)
 	for i := range pl.parked {
-		c.recycle(pl.parked[i].pb)
+		c.recycle(pl.from, pl.parked[i].pb)
 	}
 	if len(pl.parked) > 0 {
 		c.obs.LinkParked.Add(-int64(len(pl.parked)))

@@ -20,7 +20,7 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	pl, deliv := c.link(0, 1), &c.wireDeliv[0*2+1]
 	dv := vclock.New(2)
 	round := func(deliver int64) {
-		p := pending{delivery: delivery{pb: node.Piggyback{DV: c.CloneDV(dv)}}}
+		p := pending{delivery: delivery{pb: node.Piggyback{DV: c.nodes[0].CloneDV(dv)}}}
 		pl.mu.Lock()
 		pl.window.push(&p) // what wireSend does with a frame the wire accepted
 		deliv.Add(deliver) // what onWire does when the receiver got one

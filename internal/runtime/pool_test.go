@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/ccp"
 	"repro/internal/core"
 	"repro/internal/gc"
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/storage"
 )
@@ -230,4 +233,56 @@ func TestSaturationSmoke(t *testing.T) {
 	if v, bad := c.Oracle().FirstRDTViolation(); bad {
 		t.Fatalf("post-recovery saturated pattern not RDT: %v", v)
 	}
+}
+
+// TestIdleWorkerArmsOneTimerPerIdlePeriod pins the sender pool's timer
+// budget and its retirement rule. Every round below empties the queue; the
+// worker must not re-arm its idle timer for each, only once per idle period
+// (plus the first arm of every incarnation). And it retires after workerIdle
+// of idleness counted from its last dispatch: not before, and not long after.
+func TestIdleWorkerArmsOneTimerPerIdlePeriod(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	reg := obs.NewRegistry()
+	c, err := runtime.NewCluster(runtime.Config{N: 2, Obs: obs.Options{Registry: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	resets := reg.Counter(obs.RuntimeTimerResets)
+	spawns := reg.Counter(obs.RuntimeWorkerSpawns)
+	retires := reg.Counter(obs.RuntimeWorkerRetire)
+
+	t0 := time.Now()
+	var last time.Time
+	for i := 0; i < 2000; i++ {
+		last = time.Now()
+		if err := c.Node(0).Send(1); err != nil {
+			t.Fatal(err)
+		}
+		c.Quiesce()
+	}
+	periods := uint64((time.Since(t0) + runtime.WorkerIdle - 1) / runtime.WorkerIdle)
+	if got, bound := resets.Value(), spawns.Value()+periods+2; got > bound {
+		t.Fatalf("%d timer resets over 2000 emptied queues: want at most %d (%d spawns, %d idle periods)",
+			got, bound, spawns.Value(), periods)
+	}
+
+	// The last dispatch came after the last send started, so a retirement
+	// seen less than workerIdle after that start came too early.
+	before := retires.Value()
+	for {
+		got := retires.Value()
+		idle := time.Since(last)
+		if got > before {
+			if idle < runtime.WorkerIdle {
+				t.Fatalf("the worker retired %v after the last send, before %v of idleness", idle, runtime.WorkerIdle)
+			}
+			break
+		}
+		if idle > runtime.WorkerIdle+2*time.Second {
+			t.Fatalf("the worker has not retired %v after the last send", idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	leakcheck.Settle(t, base)
 }

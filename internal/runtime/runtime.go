@@ -113,8 +113,16 @@ type Cluster struct {
 	inflight inflight
 	closed   atomic.Bool // set by Close; retry timers and parks observe it
 
+	// rngMu guards rng and the network shape (cfg.Net). quiet publishes the
+	// shape to the send path: the fixed delay, in nanoseconds, of a network
+	// that injects nothing — no loss, no delay spread — or -1. A send on a
+	// quiet network takes no lock and draws nothing; it counts the draw it
+	// skipped on its own Node, and SetNetwork replays the count into rng
+	// before the shape changes (DESIGN.md, "A message takes no
+	// cluster-wide lock").
 	rngMu sync.Mutex
 	rng   *rand.Rand
+	quiet atomic.Int64
 
 	// st packs the network epoch and the halt flag (epoch<<1 | halted) into
 	// one word, so the send path and the drains read both as one snapshot
@@ -126,17 +134,6 @@ type Cluster struct {
 	// cutVisited sums what sessions looked at while cutting logs.
 	tick       atomic.Uint64
 	cutVisited int
-
-	// dvMu guards the piggyback freelists: dvFree, which full-vector
-	// snapshots are drawn from (CloneDV), and entFree, which the entry
-	// buffers of compressed piggybacks are drawn from (EntryBuf). Both are
-	// returned by recycle once nothing on the sender's side can read the
-	// piggyback again — a delivery consumed it, or the pair's retransmit
-	// window pruned its frame — so the per-message send path allocates
-	// neither.
-	dvMu    sync.Mutex
-	dvFree  []vclock.DV
-	entFree [][]node.Entry
 
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
@@ -181,12 +178,30 @@ type Cluster struct {
 }
 
 // Node is one process's middleware endpoint: a kernel behind a lock. All
-// exported methods are safe for concurrent use.
+// exported methods are safe for concurrent use. It is its kernel's
+// node.Driver.
 type Node struct {
 	c  *Cluster
 	id int
 	mu sync.Mutex
 	k  *node.Kernel
+
+	// skipped counts the network draws this node's sends skipped on a quiet
+	// network; SetNetwork replays and zeroes it (Cluster.quiet).
+	skipped atomic.Uint64
+
+	// bufMu guards the node's piggyback freelists: dvBufs, which its
+	// full-vector snapshots are drawn from (CloneDV), and entBufs, which the
+	// entry buffers of its compressed piggybacks are drawn from (EntryBuf).
+	// Both are returned by Cluster.recycle, to the sender, once nothing on
+	// the sending side can read the piggyback again — a delivery consumed it,
+	// or the pair's retransmit window pruned its frame — so the per-message
+	// send path allocates neither. bufMu is a leaf: it is taken under n.mu,
+	// fence.mu, a destination queue's lock or a pair's lock, and nothing is
+	// taken under it.
+	bufMu   sync.Mutex
+	dvBufs  []vclock.DV
+	entBufs [][]node.Entry
 
 	// down marks a crashed process: its volatile state is gone, deliveries
 	// to it are dropped, and every application-facing method refuses with
@@ -233,6 +248,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
 		flight: cfg.Obs.Recorder,
 	}
+	c.quiet.Store(quietDelay(cfg.Net))
 	c.inflight.init()
 	c.queues = make([]destQueue, cfg.N)
 	for i := range c.queues {
@@ -242,8 +258,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// paying them lazily would bill the first message to every
 		// destination for the queue's whole infrastructure — visible as
 		// allocation noise at large n — for a few hundred KB at n=1024.
-		// The timer arrives armed; the first worker's drain absorbs the
-		// stale fire.
+		// The timer arrives armed; the first worker resets it before its
+		// first wait, and a Reset discards a fire nobody received.
 		c.queues[i].h = make([]pending, 0, 4)
 		c.queues[i].batch = make([]pending, 0, 4)
 		c.queues[i].timer = time.NewTimer(workerIdle)
@@ -286,7 +302,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			LocalGC:  cfg.LocalGC,
 			NewApp:   cfg.NewApp,
 			Compress: cfg.Compress,
-			Driver:   c,
+			Driver:   nd,
 			Metrics:  obs.KernelMetricsFrom(cfg.Obs.Registry),
 		})
 		if err != nil {
@@ -411,78 +427,79 @@ func (c *Cluster) PiggybackEntries() int {
 }
 
 // CloneDV implements node.Driver: it serves the piggyback snapshot from
-// the cluster's freelist when a delivered message has returned one, and
+// the node's freelist when a consumed message has returned one, and
 // allocates otherwise. Piggybacks escape onto network goroutines, so the
-// freelist is shared and mutex-guarded — the lock is uncontended leaf
-// state and far cheaper than the per-message allocation it replaces.
-func (c *Cluster) CloneDV(src vclock.DV) vclock.DV {
-	c.dvMu.Lock()
-	if k := len(c.dvFree); k > 0 {
-		dv := c.dvFree[k-1]
-		c.dvFree = c.dvFree[:k-1]
-		c.dvMu.Unlock()
+// freelist is mutex-guarded — the lock is per sender and uncontended, and far
+// cheaper than the per-message allocation it replaces.
+func (n *Node) CloneDV(src vclock.DV) vclock.DV {
+	n.bufMu.Lock()
+	if k := len(n.dvBufs); k > 0 {
+		dv := n.dvBufs[k-1]
+		n.dvBufs = n.dvBufs[:k-1]
+		n.bufMu.Unlock()
 		dv.CopyFrom(src)
 		return dv
 	}
-	c.dvMu.Unlock()
+	n.bufMu.Unlock()
 	return src.Clone()
 }
 
 // EntryBuf implements node.Driver: the buffer a compressed piggyback's
-// entries are built in, from the freelist when a pruned frame has returned
-// one. Buffers keep whatever capacity their messages grew them to; nothing
-// here sizes one by n, so sparse traffic at large n stays small.
-func (c *Cluster) EntryBuf() []node.Entry {
-	c.dvMu.Lock()
-	defer c.dvMu.Unlock()
-	k := len(c.entFree)
+// entries are built in, from the node's freelist when a pruned frame has
+// returned one. Buffers keep whatever capacity their messages grew them to;
+// nothing here sizes one by n, so sparse traffic at large n stays small.
+func (n *Node) EntryBuf() []node.Entry {
+	n.bufMu.Lock()
+	defer n.bufMu.Unlock()
+	k := len(n.entBufs)
 	if k == 0 {
 		return nil
 	}
-	buf := c.entFree[k-1]
-	c.entFree = c.entFree[:k-1]
+	buf := n.entBufs[k-1]
+	n.entBufs = n.entBufs[:k-1]
 	return buf
 }
 
-// recycle returns a dead piggyback's buffer to its freelist: the entry
-// buffer of a compressed one, the snapshot of a full-vector one (full-size
-// vectors only; foreign lengths are dropped). The caller guarantees nothing
-// will read the piggyback again, and that its memory came from CloneDV or
-// EntryBuf — never a transport frame view.
-func (c *Cluster) recycle(pb node.Piggyback) {
+// recycle returns a dead piggyback's buffer to the freelist of the node that
+// sent it: the entry buffer of a compressed one, the snapshot of a
+// full-vector one (full-size vectors only; foreign lengths are dropped). The
+// caller guarantees nothing will read the piggyback again, and that its
+// memory came from that node's CloneDV or EntryBuf — never a transport frame
+// view.
+func (c *Cluster) recycle(from int, pb node.Piggyback) {
+	n := c.nodes[from]
 	switch {
 	case pb.Compressed:
 		if cap(pb.Entries) == 0 {
 			return
 		}
-		c.dvMu.Lock()
-		c.entFree = append(c.entFree, pb.Entries[:0])
-		c.dvMu.Unlock()
+		n.bufMu.Lock()
+		n.entBufs = append(n.entBufs, pb.Entries[:0])
+		n.bufMu.Unlock()
 	case len(pb.DV) == c.cfg.N:
-		c.dvMu.Lock()
-		c.dvFree = append(c.dvFree, pb.DV)
-		c.dvMu.Unlock()
+		n.bufMu.Lock()
+		n.dvBufs = append(n.dvBufs, pb.DV)
+		n.bufMu.Unlock()
 	}
 }
 
 // CheckpointState implements node.Driver: live checkpoints carry the
 // application snapshot (handled by the kernel), never an accounting
 // payload.
-func (c *Cluster) CheckpointState() []byte { return nil }
+func (n *Node) CheckpointState() []byte { return nil }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
 // forced ones the delivery path takes) land in the node's history the
 // instant they are staged, while the node's lock is held, and the stage
 // number becomes the ticket of every frame the node builds from here on.
-func (c *Cluster) OnKernelCheckpoint(self, index int, basic bool) {
-	n := c.nodes[self]
+func (n *Node) OnKernelCheckpoint(self, index int, basic bool) {
 	n.staged = n.k.Store().Staged()
-	n.log.Checkpoint(c.tick.Add(1))
+	n.log.Checkpoint(n.c.tick.Add(1))
 	forced := 0
 	if !basic {
 		forced = 1
 	}
-	c.flight.Record(obs.Event{
+	n.c.flight.Record(obs.Event{
 		Kind: obs.EvCheckpoint, P: self, Msg: index, Aux: forced, Clock: index,
 	})
 }
@@ -512,10 +529,41 @@ func (c *Cluster) SetNetwork(minDelay, maxDelay time.Duration, loss float64) err
 	}
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
+	// Replay first: every quiet send skipped exactly the one Float64 a send
+	// on a network without loss or delay spread draws, so the stream enters
+	// the new shape where it would have stood had they drawn. A send racing
+	// this call is replayed at the next one.
+	for _, n := range c.nodes {
+		for k := n.skipped.Swap(0); k > 0; k-- {
+			c.rng.Float64()
+		}
+	}
 	c.cfg.Net.MinDelay, c.cfg.Net.MaxDelay, c.cfg.Net.Loss = minDelay, maxDelay, loss
+	c.quiet.Store(quietDelay(c.cfg.Net))
 	return nil
 }
 
+// quietDelay is Cluster.quiet's value for a network shape: its fixed delay
+// when it injects no loss and no delay spread, else -1.
+func quietDelay(net NetworkOptions) int64 {
+	if net.Loss > 0 || net.MaxDelay > net.MinDelay {
+		return -1
+	}
+	return int64(max(net.MinDelay, 0))
+}
+
+// netDraw decides a send's network delay and whether the network drops it.
+// A quiet network decides without a draw; the skipped draw is counted on the
+// sender, whose lock the caller holds.
+func (n *Node) netDraw() (time.Duration, bool) {
+	if d := n.c.quiet.Load(); d >= 0 {
+		n.skipped.Add(1)
+		return time.Duration(d), false
+	}
+	return n.c.randDelayDrop()
+}
+
+// randDelayDrop is the draw of a network that injects loss or delay.
 func (c *Cluster) randDelayDrop() (time.Duration, bool) {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
@@ -587,12 +635,12 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvSend, P: n.id, Msg: msg, Aux: to, Clock: n.k.DVRef()[n.id],
 	})
-	delay, drop := n.c.randDelayDrop()
+	delay, drop := n.netDraw()
 	if drop {
 		// The unused snapshot still feeds the freelist. A compressed
 		// cluster never draws drops (loss is rejected at configuration
 		// time), so a dropped message cannot leave a FIFO gap.
-		n.c.recycle(pb)
+		n.c.recycle(n.id, pb)
 		n.mu.Unlock()
 		return nil
 	}

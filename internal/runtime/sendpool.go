@@ -180,7 +180,7 @@ func (c *Cluster) purgeQueue(q *destQueue) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := range q.h {
-		c.recycle(q.h[i].pb)
+		c.recycle(q.h[i].from, q.h[i].pb)
 		if c.pairDue != nil {
 			c.pairDue[q.h[i].from*c.cfg.N+q.to] = time.Time{}
 		}
@@ -192,56 +192,71 @@ func (c *Cluster) purgeQueue(q *destQueue) int {
 }
 
 // sendWorker drains one destination's queue: it sleeps until the earliest
-// due time, pops everything due, and dispatches the batch. An empty queue
-// parks the worker for workerIdle and then retires it; enqueue spawns a
-// fresh one on the next message.
+// due time, pops everything due, and dispatches the batch. A worker retires
+// once its queue has been empty for workerIdle since its last dispatch;
+// enqueue spawns a fresh one on the next message.
+//
+// The idle timer is armed once per idle period, not each time the queue
+// empties: a saturated queue empties after nearly every batch, and a re-arm
+// there cost a timer reset per batch. An idle wait that finds a fire already
+// pending keeps it; when the fire comes, the worker retires if workerIdle has
+// passed since its last dispatch and re-arms for the rest otherwise. Only a
+// wait for a due time re-arms every time, since its deadline moves.
 func (c *Cluster) sendWorker(q *destQueue) {
 	// The timer and batch buffer live on the queue (built at cluster
 	// construction) and survive this incarnation's retirement, handed
 	// over under q.mu; only one worker runs at a time, so between lock
-	// acquisitions they are exclusively this goroutine's. The timer is
-	// never stopped on exit — a stale fire is absorbed by the drain in
-	// the sleep path.
+	// acquisitions they are exclusively this goroutine's. Every wait in an
+	// incarnation follows a Reset of its own (armed starts false), and a
+	// worker retires only on a fire it received, so no incarnation inherits
+	// a pending fire.
 	q.mu.Lock()
 	timer, batch := q.timer, q.batch[:0]
 	q.mu.Unlock()
+	armed := false
+	last := time.Now() // the last dispatch, or the spawn
 	for {
 		q.mu.Lock()
 		now := time.Now()
 		for len(q.h) > 0 && !q.h[0].at.After(now) && len(batch) < maxDispatchBatch {
 			batch = append(batch, q.pop())
 		}
-		wait, idle := workerIdle, true
-		if len(q.h) > 0 {
-			wait, idle = q.h[0].at.Sub(now), false
+		var wait time.Duration
+		idle := len(q.h) == 0
+		if !idle {
+			wait = q.h[0].at.Sub(now)
 		}
 		q.mu.Unlock()
 
 		if len(batch) > 0 {
+			last = now
 			c.dispatch(q.to, batch)
 			clear(batch)
 			batch = batch[:0]
 			continue
 		}
 
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		if !idle || !armed {
+			if idle {
+				wait = workerIdle - now.Sub(last)
 			}
+			timer.Reset(wait)
+			c.obs.TimerResets.Inc()
+			armed = true
 		}
-		timer.Reset(wait)
-		c.obs.TimerResets.Inc()
 		select {
 		case <-q.wake:
 		case <-timer.C:
-			if idle {
+			armed = false
+			if idle && time.Since(last) >= workerIdle {
 				q.mu.Lock()
 				if len(q.h) == 0 {
 					q.batch = batch[:0] // hand the scratch to the next incarnation
 					q.running = false
-					q.mu.Unlock()
+					// Counted under the lock, like a spawn: whoever sees the
+					// next spawn's traffic sees this retirement counted.
 					c.obs.WorkerRetire.Inc()
+					q.mu.Unlock()
 					return
 				}
 				q.mu.Unlock()

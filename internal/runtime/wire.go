@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"log"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/node"
@@ -59,13 +58,6 @@ type meshWire struct {
 	// dedup cursor (a stream can deliver a frame and die before the sender
 	// learns of it; the retransmit then arrives twice).
 	recvSeq []atomic.Uint64
-
-	// pendMu guards pendFree, the freelist of inbound-batch slices onWire
-	// draws from (concurrent readLoops share it — far cheaper than the
-	// per-batch allocation it replaces): ingest returns only after the
-	// batch is applied, so a slice is dead by the time onWire parks it.
-	pendMu   sync.Mutex
-	pendFree [][]pending
 }
 
 // newMeshWire opens the cluster's TCP mesh. Frames a stream dies without
@@ -123,12 +115,18 @@ func (w *meshWire) close() error            { return w.mesh.Close() }
 // the transport reuses once this callback returns — safe because ingest
 // blocks until the batch is applied. For the same reason the decoded
 // vectors must NOT feed the DV freelist: they are transport-owned memory,
-// not CloneDV snapshots.
+// not CloneDV snapshots. The batch is built in the pair's inbound scratch:
+// the pair's link exists, since every frame on the wire went through
+// sendRun, and ingest has applied the batch before the next one arrives.
 func (w *meshWire) onWire(ms []transport.Message) {
 	c := w.c
 	defer c.inflight.Add(-len(ms))
-	batch := w.getPending(len(ms))
 	pair := ms[0].From*c.cfg.N + ms[0].To
+	pl := c.links[pair].Load()
+	if cap(pl.inbound) < len(ms) {
+		pl.inbound = make([]pending, 0, len(ms))
+	}
+	batch := pl.inbound[:0]
 	// Count every frame the wire handed over, duplicates included: the
 	// sender's retransmit window tracks wire acceptances, so its prune
 	// cursor must advance one-for-one with them.
@@ -171,27 +169,5 @@ func (w *meshWire) onWire(ms []transport.Message) {
 	if len(batch) > 0 {
 		c.nodes[ms[0].To].ingest(batch)
 	}
-	w.putPending(batch)
-}
-
-// getPending draws an inbound-batch slice from the freelist.
-func (w *meshWire) getPending(n int) []pending {
-	w.pendMu.Lock()
-	if k := len(w.pendFree); k > 0 {
-		b := w.pendFree[k-1]
-		w.pendFree = w.pendFree[:k-1]
-		w.pendMu.Unlock()
-		return b
-	}
-	w.pendMu.Unlock()
-	return make([]pending, 0, n)
-}
-
-// putPending parks a consumed batch slice for reuse, dropping the view
-// references it carried first.
-func (w *meshWire) putPending(b []pending) {
-	clear(b)
-	w.pendMu.Lock()
-	w.pendFree = append(w.pendFree, b[:0])
-	w.pendMu.Unlock()
+	clear(batch) // drop the view references before the scratch rests
 }

@@ -262,7 +262,11 @@ func (o Options) withDefaults() Options {
 // writeTimeout bounds each batch write. A peer that accepts the connection
 // but stops reading eventually fills the socket; the deadline errors the
 // write out and the link dies — the reliability layer above redials and
-// retransmits, so a hung peer costs a reconnect, not a wedged sender.
+// retransmits, so a hung peer costs a reconnect, not a wedged sender. The
+// deadline is moved only when less than writeTimeout/2 of it remains, not
+// on every write (a deadline change costs a runtime timer update), so a
+// write that blocks dies within writeTimeout and never sooner than
+// writeTimeout/2.
 const writeTimeout = 5 * time.Second
 
 // helloMagic opens every connection: the dialer announces which (from, to)
@@ -290,8 +294,14 @@ type TCP struct {
 	opts      Options
 	listeners []net.Listener
 
+	// conns[from*n+to] is the pair's current incarnation, live or dead, or
+	// nil: a send on a live pair loads its slot and takes only the pair's
+	// lock. mu serializes what fills an empty slot against Close, which
+	// snapshots the table under it once closed is closed; a dead, reaped
+	// incarnation leaves its slot by a compare-and-swap to nil, so the pair's
+	// next send makes a new one.
 	mu    sync.Mutex
-	conns map[[2]int]*sendConn // (from, to) -> connection
+	conns []atomic.Pointer[sendConn]
 
 	accMu    sync.Mutex
 	accepted map[net.Conn]struct{} // live accepted conns, closed by Close
@@ -337,6 +347,10 @@ type sendConn struct {
 	sent   int64    // frames fully written to the stream
 	reaped bool     // lost-frame reconciliation has run (at most once)
 
+	// deadline is the write deadline set on c (guarded by mu); SendBatch
+	// moves it only when less than writeTimeout/2 of it remains.
+	deadline time.Time
+
 	// delivBase is the pair's cumulative delivered count when this
 	// incarnation dialed: t.delivered is cumulative across reconnects while
 	// sent is per-stream, so the reap subtracts the baseline. Written once
@@ -366,6 +380,14 @@ func (sc *sendConn) closeConn() {
 	}
 }
 
+// carries reports whether conn is the accepted end of this incarnation's
+// stream: the dialer's local address is the acceptor's remote one. An
+// incarnation whose dial has not published its socket carries no stream yet.
+func (sc *sendConn) carries(conn net.Conn) bool {
+	p := sc.live.Load()
+	return p != nil && (*p).LocalAddr().String() == conn.RemoteAddr().String()
+}
+
 // NewTCP opens one loopback listener per node with default Options. Call
 // StartBatched to begin delivering, then SendBatch at will, then Close.
 func NewTCP(n int) (*TCP, error) { return NewTCPWith(n, Options{}) }
@@ -376,7 +398,7 @@ func NewTCPWith(n int, opts Options) (*TCP, error) {
 	t := &TCP{
 		n:         n,
 		opts:      opts,
-		conns:     make(map[[2]int]*sendConn),
+		conns:     make([]atomic.Pointer[sendConn], n*n),
 		accepted:  make(map[net.Conn]struct{}),
 		closed:    make(chan struct{}),
 		delivered: make([]atomic.Int64, n*n),
@@ -490,7 +512,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	defer func() {
-		if sc := t.current(from, to); sc != nil {
+		// Reap this stream's incarnation and no other. The pair's slot may
+		// hold a newer one by now — this one was reaped by the dial that lost
+		// a race with Sever, and forgotten — whose own reader is still
+		// delivering; reaping it here would report its frames lost while
+		// they arrive.
+		if sc := t.current(from, to); sc != nil && sc.carries(conn) {
 			t.reap(sc, from, to)
 		}
 	}()
@@ -583,21 +610,23 @@ func (t *TCP) deliverBatch(from, to int, batch []Message) {
 // runtime's per-pair link lock, whose OnLinkDown callback the reap itself
 // runs) cannot deadlock against the teardown.
 func (t *TCP) conn(from, to int) (*sendConn, error) {
-	key := [2]int{from, to}
+	slot := &t.conns[from*t.n+to]
 	for {
-		t.mu.Lock()
-		sc, ok := t.conns[key]
-		if !ok {
+		sc := slot.Load()
+		if sc == nil {
+			t.mu.Lock()
 			select {
 			case <-t.closed:
 				t.mu.Unlock()
 				return nil, ErrLinkDown
 			default:
 			}
-			sc = &sendConn{reapDone: make(chan struct{})}
-			t.conns[key] = sc
+			if sc = slot.Load(); sc == nil {
+				sc = &sendConn{reapDone: make(chan struct{})}
+				slot.Store(sc)
+			}
+			t.mu.Unlock()
 		}
-		t.mu.Unlock()
 
 		if sc.dead.Load() {
 			// A previous incarnation died. It may be redialed only after its
@@ -610,7 +639,7 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 			default:
 				return nil, ErrLinkDown
 			}
-			t.forget(key, sc)
+			slot.CompareAndSwap(sc, nil) // forget it; the next pass makes a new one
 			continue
 		}
 
@@ -639,8 +668,8 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 				t.obs.DialFailures.Inc()
 				sc.dead.Store(true)
 				sc.mu.Unlock()
-				t.reap(sc, from, to) // nothing was sent; closes reapDone
-				t.forget(key, sc)
+				t.reap(sc, from, to)         // nothing was sent; closes reapDone
+				slot.CompareAndSwap(sc, nil) // forget it; the next send makes a new one
 				return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
 			}
 			sc.c = conn
@@ -661,22 +690,8 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 	}
 }
 
-// forget drops a dead, reaped incarnation so that the pair's next send makes
-// a new one.
-func (t *TCP) forget(key [2]int, sc *sendConn) {
-	t.mu.Lock()
-	if t.conns[key] == sc {
-		delete(t.conns, key)
-	}
-	t.mu.Unlock()
-}
-
 // current returns the pair's incarnation, live or dead, or nil.
-func (t *TCP) current(from, to int) *sendConn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.conns[[2]int{from, to}]
-}
+func (t *TCP) current(from, to int) *sendConn { return t.conns[from*t.n+to].Load() }
 
 // SendBatch transmits a run of messages from one sender to one receiver as
 // a single buffered write, dialing the peer's listener on first use: every
@@ -704,7 +719,10 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	// A peer that stops reading eventually fills the socket; the deadline
 	// turns the resulting indefinite block into a dead link the layers
 	// above can heal, instead of a wedged sender holding the pair lock.
-	_ = sc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if now := time.Now(); sc.deadline.Sub(now) < writeTimeout/2 {
+		sc.deadline = now.Add(writeTimeout)
+		_ = sc.c.SetWriteDeadline(sc.deadline)
+	}
 	nw, werr := sc.c.Write(buf)
 	if werr != nil {
 		// Frames entirely inside the written prefix may still be
@@ -819,10 +837,12 @@ func (t *TCP) Close() error {
 			}
 		}
 		t.mu.Lock()
-		keys := make([][2]int, 0, len(t.conns))
-		scs := make([]*sendConn, 0, len(t.conns))
-		for k, sc := range t.conns {
-			keys, scs = append(keys, k), append(scs, sc)
+		var pairs []int
+		var scs []*sendConn
+		for i := range t.conns {
+			if sc := t.conns[i].Load(); sc != nil {
+				pairs, scs = append(pairs, i), append(scs, sc)
+			}
 		}
 		t.mu.Unlock()
 		for _, sc := range scs {
@@ -841,7 +861,7 @@ func (t *TCP) Close() error {
 		// still unaccounted — including ones written into a stream whose
 		// reader never started — is lost now.
 		for i, sc := range scs {
-			t.reap(sc, keys[i][0], keys[i][1])
+			t.reap(sc, pairs[i]/t.n, pairs[i]%t.n)
 		}
 	})
 	return nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -615,4 +616,124 @@ func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	leakcheck.Settle(t, base)
+}
+
+// TestTCPSendersRaceSeverRedialAndClose races four senders on one pair
+// against a goroutine that keeps severing the pair's stream — each sender's
+// next SendBatch redials once the dead stream is reaped — and then against
+// Close. Every accepted frame must be delivered exactly once or reported lost
+// through OnLinkDown; OnLinkDown fires at most once per incarnation (each
+// incarnation is one dial) and, like the pair's deliveries, never
+// concurrently with another delivery or report of the pair.
+func TestTCPSendersRaceSeverRedialAndClose(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		mesh, err := NewTCP(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		mesh.SetObs(reg)
+		var (
+			mu               sync.Mutex
+			seen             = map[int]bool{}
+			dups             int
+			busy, overlapped atomic.Bool
+			reports, lost    atomic.Int64
+		)
+		enter := func() {
+			if busy.Swap(true) {
+				overlapped.Store(true)
+			}
+		}
+		mesh.OnLinkDown = func(_, _, n int) {
+			enter()
+			reports.Add(1)
+			lost.Add(int64(n))
+			busy.Store(false)
+		}
+		if err := mesh.StartBatched(func(ms []Message) {
+			enter()
+			mu.Lock()
+			for _, m := range ms {
+				if seen[m.Msg] {
+					dups++
+				}
+				seen[m.Msg] = true
+			}
+			mu.Unlock()
+			busy.Store(false)
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		var accepted atomic.Int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				batch := make([]Message, 3)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for k := range batch {
+						batch[k] = Message{From: 0, To: 1, Msg: g<<24 | (3*i + k), DV: []int{i, k}}
+					}
+					n, _ := mesh.SendBatch(0, 1, batch)
+					accepted.Add(int64(n))
+					runtime.Gosched() // let the severer in at one processor too
+				}
+			}(g)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := int64(0); ; time.Sleep(200 * time.Microsecond) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Sever only once something was accepted since the last
+				// kill, so a loaded machine still sends between severs.
+				if a := accepted.Load(); a > last {
+					last = a
+					mesh.Sever(0, 1)
+				}
+			}
+		}()
+		// Close once the pair has gone through a few incarnations.
+		for deadline := time.Now().Add(5 * time.Second); reg.Counter(obs.TransportDials).Value() < 10; {
+			if time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := mesh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+
+		dials := int64(reg.Counter(obs.TransportDials).Value())
+		if dups != 0 {
+			t.Fatalf("round %d: %d frames delivered twice", round, dups)
+		}
+		if got := int64(len(seen)) + lost.Load(); got != accepted.Load() {
+			t.Fatalf("round %d: %d delivered + %d lost, but %d accepted", round, len(seen), lost.Load(), accepted.Load())
+		}
+		if reports.Load() > dials {
+			t.Fatalf("round %d: %d OnLinkDown reports for %d incarnations", round, reports.Load(), dials)
+		}
+		if overlapped.Load() {
+			t.Fatalf("round %d: a delivery or OnLinkDown of the pair overlapped another", round)
+		}
+		if accepted.Load() == 0 || dials < 2 {
+			t.Fatalf("round %d: %d frames accepted over %d dials: the race never ran", round, accepted.Load(), dials)
+		}
+	}
 }

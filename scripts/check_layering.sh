@@ -174,6 +174,34 @@ if grep -n 'ccp\.NewBuilder' $sim_files >&2; then
 	fail=1
 fi
 
+# A message takes no cluster-wide lock. Each per-message step touches state
+# owned by the sending node, the pair or the receiving node: piggyback
+# freelists live on the sending Node, inbound batch scratch on the pair's
+# link, mesh connections in a per-pair slot table. The cluster-wide freelists
+# and their lock, the mesh's inbound-slice pool and its connection map stay
+# gone. The seeded network stream is locked only where it is drawn for a lossy
+# or delayed network (randDelayDrop) and where SetNetwork replays what quiet
+# sends skipped. And the socket's write deadline is moved in one place, which
+# moves it only when half of it is spent.
+tp_files=$(ls internal/transport/*.go | grep -v '_test\.go$')
+if grep -nwE 'dvMu|dvFree|entFree|pendMu|pendFree|getPending|putPending' $rt_files >&2 ||
+	grep -nE 'conns[[:space:]]+map' $tp_files >&2; then
+	echo "layering violation: a cluster-wide freelist, the mesh's shared inbound pool or its connection map is back" >&2
+	fail=1
+fi
+rng_sites=$(awk '/^func /{fn=$0} /rngMu\.(Try)?Lock\(\)/{print FILENAME ": " fn}' $rt_files |
+	grep -v -e ') SetNetwork(' -e ') randDelayDrop(' || true)
+if [ -n "$rng_sites" ]; then
+	echo "layering violation: rngMu taken outside SetNetwork and the lossy-or-delayed draw (randDelayDrop):" >&2
+	printf '%s\n' "$rng_sites" >&2
+	fail=1
+fi
+if [ "$(grep -c 'SetWriteDeadline(' $tp_files | awk -F: '{s+=$NF} END{print s}')" -ne 1 ]; then
+	grep -n 'SetWriteDeadline(' $tp_files >&2
+	echo "layering violation: SetWriteDeadline must have exactly one call site, in TCP.SendBatch" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -186,4 +214,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
