@@ -80,7 +80,7 @@ func (k *Kernel) DeliverBatch(pbs []Piggyback, post func(i int)) error {
 			if err := k.flushRun(); err != nil {
 				return err
 			}
-			if _, err := k.Deliver(*pb); err != nil {
+			if _, err := k.deliver(pb); err != nil {
 				return err
 			}
 			if post != nil {

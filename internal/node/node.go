@@ -204,17 +204,26 @@ func (k *Kernel) ID() int { return k.cfg.ID }
 // driver's EntryBuf hook, which the engine owns until the message is
 // consumed; without it the piggyback is a full snapshot (via the CloneDV
 // hook) and dest is not consulted.
-func (k *Kernel) Send(dest int) (Piggyback, error) {
+func (k *Kernel) Send(dest int) (pb Piggyback, err error) {
+	err = k.send(dest, &pb)
+	return pb, err
+}
+
+// send is Send writing into pb. It keeps Send small enough to inline, so a
+// caller's piggyback is built in the caller's frame and copied out once, not
+// returned through a temporary.
+func (k *Kernel) send(dest int, pb *Piggyback) error {
 	if !k.cfg.Compress {
-		return k.SendSnapshot(), nil
+		k.snapshotTo(pb)
+		return nil
 	}
 	if dest < 0 || dest >= k.cfg.N || dest == k.cfg.ID {
-		return Piggyback{}, fmt.Errorf("node: p%d sending to invalid destination %d", k.cfg.ID, dest)
+		return fmt.Errorf("node: p%d sending to invalid destination %d", k.cfg.ID, dest)
 	}
 	idx := k.proto.OnSend()
 	entries, ord, err := k.comp.encode(dest, k.dv)
 	if err != nil {
-		return Piggyback{}, err
+		return err
 	}
 	// The result escapes onto the engine's network, so it leaves the
 	// encoder's buffer for one the driver owns — sized by what this message
@@ -228,7 +237,8 @@ func (k *Kernel) Send(dest int) (Piggyback, error) {
 	k.cfg.Metrics.PiggybackEntries.Add(uint64(len(entries)))
 	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
 	k.cfg.Metrics.PiggybackBytes.Add(uint64(16 * len(entries)))
-	return Piggyback{Entries: entries, Compressed: true, From: k.cfg.ID, Ord: ord, Index: idx}, nil
+	pb.Entries, pb.Compressed, pb.From, pb.Ord, pb.Index = entries, true, k.cfg.ID, ord, idx
+	return nil
 }
 
 // SendSnapshot produces a full-vector piggyback without binding a
@@ -236,15 +246,23 @@ func (k *Kernel) Send(dest int) (Piggyback, error) {
 // is what Send returns. A compressing kernel's engine calls it for a message
 // no process will receive — a simulator script may leave one in transit —
 // so the protocol sees the send and no pair's encoder moves.
-func (k *Kernel) SendSnapshot() Piggyback {
-	idx := k.proto.OnSend()
+func (k *Kernel) SendSnapshot() (pb Piggyback) {
+	k.snapshotTo(&pb)
+	return pb
+}
+
+// snapshotTo is SendSnapshot writing into the caller's piggyback, which
+// Send and SendSnapshot fill as their named result: the 80-byte value is
+// built where it is returned, not in a temporary copied out through each.
+func (k *Kernel) snapshotTo(pb *Piggyback) {
+	pb.Index = k.proto.OnSend()
 	if !k.cfg.Compress {
 		k.pbEntries += k.cfg.N
 		k.cfg.Metrics.PiggybackEntries.Add(uint64(k.cfg.N))
 		k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
 		k.cfg.Metrics.PiggybackBytes.Add(uint64(8 * k.cfg.N))
 	}
-	return Piggyback{DV: k.cloneDV(), Index: idx}
+	pb.DV = k.cloneDV()
 }
 
 // cloneDV snapshots the live vector through the driver's allocator.
@@ -261,7 +279,12 @@ func (k *Kernel) cloneDV() vclock.DV {
 // and protocol notification. It reports whether a forced checkpoint was
 // taken. pb's vector (or expanded equivalent) is only read for the duration
 // of the call; protocols and collectors must not retain it.
-func (k *Kernel) Deliver(pb Piggyback) (forced bool, err error) {
+func (k *Kernel) Deliver(pb Piggyback) (forced bool, err error) { return k.deliver(&pb) }
+
+// deliver is Deliver reading the piggyback in place: DeliverBatch hands it
+// the batch's own entry, so a full-vector message is not copied to be
+// delivered.
+func (k *Kernel) deliver(pb *Piggyback) (forced bool, err error) {
 	decision := protocol.Piggyback{DV: pb.DV, Index: pb.Index}
 	if pb.Compressed {
 		if err := k.comp.verifyArrival(pb.From, pb.Ord); err != nil {

@@ -56,25 +56,26 @@ const fenceCap = 16
 // while the node's newest checkpoint is not durable. Direct sends and
 // releases both enqueue holding the fence lock, so a frame leaving the fence
 // is never overtaken by a later send of its node.
-func (n *Node) egress(to int, d delivery, delay time.Duration) error {
+func (n *Node) egress(to int, d *delivery, delay time.Duration) error {
 	c, f := n.c, &n.fence
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch {
 	case f.err != nil:
 		// Fail-stop: a frame behind a fence that cannot open is a lost message.
-		c.recycle(n.id, d.pb)
+		c.recycle(n.id, &d.pb)
 		c.inflight.Add(-1)
 		return f.err
 	case n.staged > f.durable:
-		h := fenced{delivery: d, to: to, delay: delay, ticket: n.staged}
-		if c.obs.FenceWaitNs != nil {
-			h.since = time.Now()
-		}
 		if f.q == nil {
 			f.q = make([]fenced, 0, fenceCap)
 		}
-		f.q = append(f.q, h)
+		// The held frame is the copy the fence needs: the sender's delivery
+		// is gone when egress returns.
+		f.q = append(f.q, fenced{delivery: *d, to: to, delay: delay, ticket: n.staged})
+		if c.obs.FenceWaitNs != nil {
+			f.q[len(f.q)-1].since = time.Now()
+		}
 		c.obs.FenceDepth.Add(1)
 	default:
 		c.enqueue(n.id, to, d, delay)
@@ -107,7 +108,7 @@ func (n *Node) onDurable(seq uint64, err error) {
 			c.obs.FenceWaitNs.Observe(now.Sub(h.since).Nanoseconds())
 		}
 		// The network delay starts now: enqueue adds it to the release time.
-		c.enqueue(n.id, h.to, h.delivery, h.delay)
+		c.enqueue(n.id, h.to, &h.delivery, h.delay)
 	}
 	c.obs.FenceDepth.Add(-int64(k))
 	rest := copy(f.q, f.q[k:])
@@ -124,7 +125,7 @@ func (n *Node) dropFencedLocked() {
 		return
 	}
 	for i := range f.q {
-		c.recycle(n.id, f.q[i].pb)
+		c.recycle(n.id, &f.q[i].pb)
 	}
 	c.inflight.Add(-len(f.q))
 	c.obs.FenceDepth.Add(-int64(len(f.q)))

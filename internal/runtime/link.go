@@ -257,14 +257,16 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 	for k := range run {
 		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
 			c.obs.LinkLost.Inc()
-			c.recycle(pl.from, run[k].pb)
+			c.recycle(pl.from, &run[k].pb)
 		} else {
 			pl.parked = append(pl.parked, run[k])
 			c.obs.LinkParked.Add(1)
 		}
 	}
-	c.inflight.Add(-len(run))
+	// Armed before the accounting ends, so a Quiesce that returns sees the
+	// backlog's retry scheduled.
 	c.armRetry(pl)
+	c.inflight.Add(-len(run))
 }
 
 // pruneWindow discards the window prefix the receiver has consumed
@@ -283,7 +285,7 @@ func (c *Cluster) pruneWindow(pl *pairLink) {
 // buffer — snapshot or entries — to the freelist: the frame can no longer be
 // retransmitted, so nothing reads it again. Called with pl.mu held.
 func (c *Cluster) dropOldest(pl *pairLink) {
-	c.recycle(pl.from, pl.window.at(0).pb)
+	c.recycle(pl.from, &pl.window.at(0).pb)
 	pl.window.pop()
 	pl.winBase++
 }
@@ -329,15 +331,16 @@ func (c *Cluster) onLinkDown(from, to, lost int) {
 		pl.parked = append(parked, pl.parked...)
 		c.obs.LinkParked.Add(int64(keep))
 	}
-	// Lost frames held in-flight accounting since their send; parked or
-	// dropped, they are no longer in transit.
-	c.inflight.Add(-lost)
 	// Re-base to the delivered count: the lost frames' wire slots will never
 	// deliver, so carrying their acceptance indices forward would leave the
 	// prune cursor permanently behind. The count is final — the transport
 	// reconciles a dead stream only after its deliveries have completed.
 	pl.winBase = c.wireDeliv[from*c.cfg.N+to].Load()
 	c.armRetry(pl)
+	// Lost frames held in-flight accounting since their send; parked or
+	// dropped, they are no longer in transit. Ended after the retry is
+	// armed, as in park.
+	c.inflight.Add(-lost)
 }
 
 // armRetry schedules the pair's next flush attempt with exponential
@@ -434,7 +437,7 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 func (c *Cluster) dropParkedLocked(pl *pairLink) {
 	stopRetry(pl)
 	for i := range pl.parked {
-		c.recycle(pl.from, pl.parked[i].pb)
+		c.recycle(pl.from, &pl.parked[i].pb)
 	}
 	if len(pl.parked) > 0 {
 		c.obs.LinkParked.Add(-int64(len(pl.parked)))

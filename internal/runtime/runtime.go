@@ -138,10 +138,12 @@ type Cluster struct {
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
 	// backs the per-pair FIFO clamp — the latest due time handed out per
-	// (from, to) pair, guarded by the destination queue's lock; nil on a
-	// cluster that needs no clamp (see NewCluster).
+	// (from, to) pair, in mono's nanoseconds, guarded by the destination
+	// queue's lock; nil on a cluster that needs no clamp (see NewCluster).
+	// t0 is the origin of mono, the pool's clock.
 	queues  []destQueue
-	pairDue []time.Time
+	pairDue []int64
+	t0      time.Time
 
 	obs    obs.RuntimeMetrics // zero (free) unless Config.Obs named a registry
 	flight *obs.Recorder      // nil unless Config.Obs named a recorder
@@ -247,6 +249,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		rng:    rand.New(rand.NewSource(cfg.Net.Seed)),
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
 		flight: cfg.Obs.Recorder,
+		t0:     time.Now(),
 	}
 	c.quiet.Store(quietDelay(cfg.Net))
 	c.inflight.init()
@@ -260,14 +263,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// allocation noise at large n — for a few hundred KB at n=1024.
 		// The timer arrives armed; the first worker resets it before its
 		// first wait, and a Reset discards a fire nobody received.
-		c.queues[i].h = make([]pending, 0, 4)
+		c.queues[i].h = make([]dueKey, 0, 4)
+		c.queues[i].slab = make([]pending, 0, 4)
+		c.queues[i].free = make([]int32, 0, 4)
 		c.queues[i].batch = make([]pending, 0, 4)
 		c.queues[i].timer = time.NewTimer(workerIdle)
 	}
 	if cfg.Compress || cfg.TCP {
 		// Compressed piggybacking needs strict per-pair send-order FIFO, and
 		// a TCP cluster has always promised it (a pair is one stream).
-		c.pairDue = make([]time.Time, cfg.N*cfg.N)
+		c.pairDue = make([]int64, cfg.N*cfg.N)
 	}
 	c.linkOpts = cfg.Link.withDefaults()
 	c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
@@ -337,7 +342,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			// due times otherwise follow call times closely enough that callers
 			// count on per-pair order. MemStore clusters never fence and do not
 			// pay the n² table.
-			c.pairDue = make([]time.Time, cfg.N*cfg.N)
+			c.pairDue = make([]int64, cfg.N*cfg.N)
 		}
 	}
 	return c, nil
@@ -369,6 +374,10 @@ func (c *Cluster) Close() error {
 	}
 	return errors.Join(errs...)
 }
+
+// mono reads the sender pool's clock: nanoseconds since the cluster was
+// built, on the monotonic clock.
+func (c *Cluster) mono() int64 { return int64(time.Since(c.t0)) }
 
 // N returns the number of processes.
 func (c *Cluster) N() int { return c.cfg.N }
@@ -466,7 +475,7 @@ func (n *Node) EntryBuf() []node.Entry {
 // caller guarantees nothing will read the piggyback again, and that its
 // memory came from that node's CloneDV or EntryBuf — never a transport frame
 // view.
-func (c *Cluster) recycle(from int, pb node.Piggyback) {
+func (c *Cluster) recycle(from int, pb *node.Piggyback) {
 	n := c.nodes[from]
 	switch {
 	case pb.Compressed:
@@ -622,8 +631,11 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		}
 		update(n.k.App())
 	}
-	pb, err := n.k.Send(to)
-	if err != nil {
+	// The one delivery this message is built as: egress and enqueue read it
+	// through a pointer, and the sender pool's slab slot is its one copy.
+	d := delivery{epoch: epoch, payload: payload}
+	var err error
+	if d.pb, err = n.k.Send(to); err != nil {
 		n.mu.Unlock()
 		return err
 	}
@@ -631,16 +643,16 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	// recorder: unique, increasing per sender, never rewound by a session.
 	tick := n.c.tick.Add(1)
 	n.log.Send(tick)
-	msg := int(tick)
+	d.msg = int(tick)
 	n.c.flight.Record(obs.Event{
-		Kind: obs.EvSend, P: n.id, Msg: msg, Aux: to, Clock: n.k.DVRef()[n.id],
+		Kind: obs.EvSend, P: n.id, Msg: d.msg, Aux: to, Clock: n.k.DVRef()[n.id],
 	})
 	delay, drop := n.netDraw()
 	if drop {
 		// The unused snapshot still feeds the freelist. A compressed
 		// cluster never draws drops (loss is rejected at configuration
 		// time), so a dropped message cannot leave a FIFO gap.
-		n.c.recycle(n.id, pb)
+		n.c.recycle(n.id, &d.pb)
 		n.mu.Unlock()
 		return nil
 	}
@@ -648,7 +660,7 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	// Handed over under the sender's lock, so a pair's messages enter the
 	// fence, and behind it the destination queue, in encode order — the
 	// order the due-time clamp then preserves through the heap.
-	err = n.egress(to, delivery{msg: msg, pb: pb, epoch: epoch, payload: payload}, delay)
+	err = n.egress(to, &d, delay)
 	n.mu.Unlock()
 	return err
 }

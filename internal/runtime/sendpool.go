@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -48,30 +49,42 @@ type delivery struct {
 	payload []byte
 }
 
-// pending is one queued message: the delivery plus routing and ordering.
+// pending is one message between the sender pool and the receiver: the
+// delivery plus its routing. Its due time and queue order live in the
+// destination heap's key, not here.
 type pending struct {
 	delivery
 	from int
-	at   time.Time // due time: enqueue (fence release) time + simulated network delay
-	seq  uint64    // queue-local tiebreak, monotone in enqueue order
-	wseq uint64    // per-(from,to) wire seq, stamped by the pair's link
+	wseq uint64 // per-(from,to) wire seq, stamped by the pair's link
+}
+
+// dueKey is one heap entry: what orders a queued frame, and the slab slot
+// that holds it. The heap moves these 24 bytes; the frame stays put.
+type dueKey struct {
+	at   int64  // due time in ns on the cluster's monotonic clock (Cluster.mono); 0 is due on arrival
+	seq  uint64 // queue-local tiebreak, monotone in enqueue order
+	slot int32  // index into destQueue.slab
 }
 
 // before is the heap order: due time, then enqueue order.
-func (p *pending) before(q *pending) bool {
-	if !p.at.Equal(q.at) {
-		return p.at.Before(q.at)
+func (k dueKey) before(o dueKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return p.seq < q.seq
+	return k.seq < o.seq
 }
 
 // destQueue is one destination's pending-message heap plus its worker's
-// lifecycle state.
+// lifecycle state. A queued frame is written once, into a slot of slab, and
+// leaves it once, into the worker's dispatch batch; h orders the slots by
+// due time and free lists the slots nobody holds.
 type destQueue struct {
 	to int
 
 	mu      sync.Mutex
-	h       []pending
+	h       []dueKey
+	slab    []pending
+	free    []int32
 	seq     uint64
 	running bool
 	wake    chan struct{} // 1-buffered: signals a new earliest due time
@@ -85,40 +98,62 @@ type destQueue struct {
 	batch []pending
 }
 
-// push inserts a message, maintaining the (at, seq) heap order.
-func (q *destQueue) push(p pending) {
-	q.h = append(q.h, p)
+// put queues one frame due at at: the frame is written into a free slab slot
+// (the slab grows only when every slot is taken, so it never outgrows the
+// queue's high-water depth) and its key sifts up the heap. It reports whether
+// the frame became the earliest. Called with q.mu held.
+func (q *destQueue) put(from int, d *delivery, at int64) (newTop bool) {
+	var slot int32
+	if k := len(q.free); k > 0 {
+		slot = q.free[k-1]
+		q.free = q.free[:k-1]
+	} else {
+		q.slab = append(q.slab, pending{})
+		slot = int32(len(q.slab) - 1)
+	}
+	p := &q.slab[slot]
+	p.delivery = *d
+	p.from = from
+	q.seq++
+	q.h = append(q.h, dueKey{at: at, seq: q.seq, slot: slot})
 	i := len(q.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.h[i].before(&q.h[parent]) {
+		if !q.h[i].before(q.h[parent]) {
 			break
 		}
 		q.h[i], q.h[parent] = q.h[parent], q.h[i]
 		i = parent
 	}
+	return i == 0
 }
 
-// pop removes the earliest message. Caller guarantees the heap is
-// non-empty.
-func (q *destQueue) pop() pending {
-	top := q.h[0]
+// popTo removes the earliest frame, moving it from its slot onto batch and
+// freeing the slot. Called with q.mu held on a non-empty heap.
+func (q *destQueue) popTo(batch []pending) []pending {
+	slot := q.h[0].slot
+	p := &q.slab[slot]
+	// Grown first, then assigned: append(batch, *p) would stage the frame in
+	// a stack temporary and copy it twice.
+	batch = slices.Grow(batch, 1)[:len(batch)+1]
+	batch[len(batch)-1] = *p
+	*p = pending{} // release payload/piggyback references
+	q.free = append(q.free, slot)
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
-	q.h[last] = pending{} // release payload/piggyback references
 	q.h = q.h[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
-		if l < len(q.h) && q.h[l].before(&q.h[s]) {
+		if l < len(q.h) && q.h[l].before(q.h[s]) {
 			s = l
 		}
-		if r < len(q.h) && q.h[r].before(&q.h[s]) {
+		if r < len(q.h) && q.h[r].before(q.h[s]) {
 			s = r
 		}
 		if s == i {
-			return top
+			return batch
 		}
 		q.h[i], q.h[s] = q.h[s], q.h[i]
 		i = s
@@ -129,15 +164,15 @@ func (q *destQueue) pop() pending {
 // the worker as needed. Called with the sending node's fence lock held
 // (Node.egress, Node.onDurable), so a pair's messages enqueue in encode
 // order; the due-time clamp then keeps that order through the heap.
-func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
+func (c *Cluster) enqueue(from, to int, d *delivery, delay time.Duration) {
 	q := &c.queues[to]
 	// A zero-delay network (the benchmark and default test shape) skips the
 	// clock read: the zero due time sorts before any real one, is already
 	// due on arrival, and the seq tiebreak keeps FIFO — and the compressed
 	// clamp below stays monotone, since zero never exceeds a recorded due.
-	var at time.Time
+	var at int64
 	if delay > 0 {
-		at = time.Now().Add(delay)
+		at = c.mono() + int64(delay)
 	}
 	q.mu.Lock()
 	// The monotone due-time clamp runs whenever strict per-pair FIFO is
@@ -145,15 +180,13 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 	// cluster (a pair is one stream), and stores that fence (a pair's
 	// frames released in one instant).
 	if c.pairDue != nil {
-		if last := c.pairDue[from*c.cfg.N+to]; at.Before(last) {
+		if last := c.pairDue[from*c.cfg.N+to]; at < last {
 			at = last
 		}
 		c.pairDue[from*c.cfg.N+to] = at
 	}
-	q.seq++
-	q.push(pending{delivery: d, from: from, at: at, seq: q.seq})
+	newTop := q.put(from, d, at)
 	c.obs.QueueDepth.Add(1)
-	newTop := q.h[0].seq == q.seq
 	if !q.running {
 		q.running = true
 		c.obs.WorkerSpawns.Inc()
@@ -179,14 +212,16 @@ func (c *Cluster) enqueue(from, to int, d delivery, delay time.Duration) {
 func (c *Cluster) purgeQueue(q *destQueue) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i := range q.h {
-		c.recycle(q.h[i].from, q.h[i].pb)
+	for _, k := range q.h {
+		p := &q.slab[k.slot]
+		c.recycle(p.from, &p.pb)
 		if c.pairDue != nil {
-			c.pairDue[q.h[i].from*c.cfg.N+q.to] = time.Time{}
+			c.pairDue[p.from*c.cfg.N+q.to] = 0
 		}
+		*p = pending{} // release payload/piggyback references
+		q.free = append(q.free, k.slot)
 	}
 	purged := len(q.h)
-	clear(q.h) // release payload/piggyback references
 	q.h = q.h[:0]
 	return purged
 }
@@ -214,17 +249,17 @@ func (c *Cluster) sendWorker(q *destQueue) {
 	timer, batch := q.timer, q.batch[:0]
 	q.mu.Unlock()
 	armed := false
-	last := time.Now() // the last dispatch, or the spawn
+	last := c.mono() // the last dispatch, or the spawn
 	for {
 		q.mu.Lock()
-		now := time.Now()
-		for len(q.h) > 0 && !q.h[0].at.After(now) && len(batch) < maxDispatchBatch {
-			batch = append(batch, q.pop())
+		now := c.mono()
+		for len(q.h) > 0 && q.h[0].at <= now && len(batch) < maxDispatchBatch {
+			batch = q.popTo(batch)
 		}
 		var wait time.Duration
 		idle := len(q.h) == 0
 		if !idle {
-			wait = q.h[0].at.Sub(now)
+			wait = time.Duration(q.h[0].at - now)
 		}
 		q.mu.Unlock()
 
@@ -238,7 +273,7 @@ func (c *Cluster) sendWorker(q *destQueue) {
 
 		if !idle || !armed {
 			if idle {
-				wait = workerIdle - now.Sub(last)
+				wait = workerIdle - time.Duration(now-last)
 			}
 			timer.Reset(wait)
 			c.obs.TimerResets.Inc()
@@ -248,7 +283,7 @@ func (c *Cluster) sendWorker(q *destQueue) {
 		case <-q.wake:
 		case <-timer.C:
 			armed = false
-			if idle && time.Since(last) >= workerIdle {
+			if idle && time.Duration(c.mono()-last) >= workerIdle {
 				q.mu.Lock()
 				if len(q.h) == 0 {
 					q.batch = batch[:0] // hand the scratch to the next incarnation

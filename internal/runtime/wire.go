@@ -2,9 +2,9 @@ package runtime
 
 import (
 	"log"
+	"slices"
 	"sync/atomic"
 
-	"repro/internal/node"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -82,20 +82,20 @@ func newMeshWire(c *Cluster) (*meshWire, error) {
 	return w, nil
 }
 
+// send fills the pair's reused frame batch in place, one frame per pending.
+// The batch is cleared after every send, so each slot starts zero and only
+// the fields a frame carries are written.
 func (w *meshWire) send(pl *pairLink, run []pending) int {
-	msgs := pl.wire[:0]
+	msgs := slices.Grow(pl.wire[:0], len(run))[:len(run)]
 	for k := range run {
-		p := &run[k]
-		m := transport.Message{
-			From: pl.from, To: pl.to, Msg: p.msg, Epoch: p.epoch,
-			Index: p.pb.Index, Payload: p.payload, Seq: p.wseq,
-		}
+		p, m := &run[k], &msgs[k]
+		m.From, m.To, m.Msg, m.Epoch = pl.from, pl.to, p.msg, p.epoch
+		m.Index, m.Payload, m.Seq = p.pb.Index, p.payload, p.wseq
 		if p.pb.Compressed {
 			m.Sparse, m.Ord, m.Entries = true, p.pb.Ord, p.pb.Entries
 		} else {
 			m.DV = p.pb.DV
 		}
-		msgs = append(msgs, m)
 	}
 	accepted, _ := w.mesh.SendBatch(pl.from, pl.to, msgs)
 	clear(msgs)
@@ -118,6 +118,8 @@ func (w *meshWire) close() error            { return w.mesh.Close() }
 // not CloneDV snapshots. The batch is built in the pair's inbound scratch:
 // the pair's link exists, since every frame on the wire went through
 // sendRun, and ingest has applied the batch before the next one arrives.
+// Each pending is written in place in its scratch slot, which the clear at
+// the end of the previous batch left zero.
 func (w *meshWire) onWire(ms []transport.Message) {
 	c := w.c
 	defer c.inflight.Add(-len(ms))
@@ -132,7 +134,8 @@ func (w *meshWire) onWire(ms []transport.Message) {
 	// cursor must advance one-for-one with them.
 	c.wireDeliv[pair].Add(int64(len(ms)))
 	seqCur := &w.recvSeq[pair]
-	for _, m := range ms {
+	for i := range ms {
+		m := &ms[i]
 		// Receiver-side dedup: a frame below the pair's expected wire seq is
 		// a retransmit that raced its own original delivery — drop it. A gap
 		// above it is a permanent loss (the frame fell past the sender's
@@ -152,19 +155,15 @@ func (w *meshWire) onWire(ms []transport.Message) {
 			// can reach a kernel's dependency vector.
 			continue
 		}
-		pb := node.Piggyback{Index: m.Index}
+		batch = batch[:len(batch)+1]
+		p := &batch[len(batch)-1]
+		p.msg, p.epoch, p.payload, p.from = m.Msg, m.Epoch, m.Payload, m.From
+		p.pb.Index = m.Index
 		if m.Sparse {
-			pb.Compressed = true
-			pb.From = m.From
-			pb.Ord = m.Ord
-			pb.Entries = m.Entries
+			p.pb.Compressed, p.pb.From, p.pb.Ord, p.pb.Entries = true, m.From, m.Ord, m.Entries
 		} else {
-			pb.DV = vclock.DV(m.DV)
+			p.pb.DV = vclock.DV(m.DV)
 		}
-		batch = append(batch, pending{
-			delivery: delivery{msg: m.Msg, pb: pb, epoch: m.Epoch, payload: m.Payload},
-			from:     m.From,
-		})
 	}
 	if len(batch) > 0 {
 		c.nodes[ms[0].To].ingest(batch)

@@ -48,7 +48,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := decode(appendEncode(nil, m))
+		re, err := decode(appendEncode(nil, &m))
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}

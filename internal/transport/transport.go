@@ -52,7 +52,7 @@ const magic = int64(0x52445457495245) // "RDTWIRE"
 // runs this semantic check before the message touches a kernel, so a
 // damaged frame is dropped as corrupt instead of indexing a dependency
 // vector out of range.
-func (m Message) Validate(n int) error {
+func (m *Message) Validate(n int) error {
 	if m.From < 0 || m.From >= n || m.To < 0 || m.To >= n {
 		return fmt.Errorf("transport: endpoints %d→%d outside %d-process cluster", m.From, m.To, n)
 	}
@@ -70,7 +70,7 @@ func (m Message) Validate(n int) error {
 
 // Encode frames a message into its wire form. Exported for the end-to-end
 // benchmark (benchmark/layers.go), which times the framing layer.
-func Encode(m Message) []byte { return appendEncode(nil, m) }
+func Encode(m Message) []byte { return appendEncode(nil, &m) }
 
 // Decode parses one wire frame. The returned message owns its memory (the
 // variable-length sections are copied out of b).
@@ -79,7 +79,7 @@ func Decode(b []byte) (Message, error) { return decode(b) }
 // encodedSize is the exact wire size of a message (excluding the frame
 // length prefix). A sparse frame spends two words per changed entry
 // instead of one per process — the wire cost is O(changed), not O(n).
-func encodedSize(m Message) int {
+func encodedSize(m *Message) int {
 	if m.Sparse {
 		return 8*(11+2*len(m.Entries)) + len(m.Payload)
 	}
@@ -93,7 +93,7 @@ func encodedSize(m Message) int {
 // field on every message. Sparse frames carry (k, v) pairs natively, so
 // the engines hand the kernel's entries straight to the wire and back
 // without flattening.
-func appendEncode(buf []byte, m Message) []byte {
+func appendEncode(buf []byte, m *Message) []byte {
 	buf = slices.Grow(buf, encodedSize(m))
 	w := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	w(magic)
@@ -124,19 +124,30 @@ func appendEncode(buf []byte, m Message) []byte {
 
 // decode parses one frame payload, copying the entries, vector and payload
 // out of b — the portable path, and the public Decode.
-func decode(b []byte) (Message, error) { return decodeFrame(b, false) }
+func decode(b []byte) (Message, error) {
+	var m Message
+	if err := decodeFrame(b, false, &m); err != nil {
+		return Message{}, err
+	}
+	return m, nil
+}
 
-// decodeView parses one frame payload zero-copy where the platform allows:
-// Entries, DV and Payload alias b, so the message is valid only as long as
-// b's bytes are. The mesh read path uses it — frame buffers there outlive
-// the delivery callback, which is the ownership handoff StartBatched
-// documents. On targets without aliasing support it copies like decode.
-func decodeView(b []byte) (Message, error) { return decodeFrame(b, aliasable(b)) }
+// decodeView parses one frame payload into m, zero-copy where the platform
+// allows: Entries, DV and Payload alias b, so the message is valid only as
+// long as b's bytes are. The mesh read path uses it, decoding straight into
+// its batch slot — frame buffers there outlive the delivery callback, which
+// is the ownership handoff StartBatched documents. On targets without
+// aliasing support it copies like decode.
+func decodeView(b []byte, m *Message) error { return decodeFrame(b, aliasable(b), m) }
 
-// decodeFrame parses one frame payload; view selects aliasing (the caller
-// has verified the platform and alignment) or copying for the
-// variable-length sections.
-func decodeFrame(b []byte, view bool) (Message, error) {
+// decodeFrame parses one frame payload into m; view selects aliasing (the
+// caller has verified the platform and alignment) or copying for the
+// variable-length sections. m is reset first: a reused target — the read
+// path's batch slot — must not carry a previous frame's vector, entries,
+// order or payload into a frame that does not set them. On error m holds a
+// partial frame and must not be used.
+func decodeFrame(b []byte, view bool, m *Message) error {
+	*m = Message{}
 	off := 0
 	rd := func() (int64, bool) {
 		if off+8 > len(b) {
@@ -148,39 +159,38 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 	}
 	mg, ok := rd()
 	if !ok || mg != magic {
-		return Message{}, errors.New("transport: bad frame magic")
+		return errors.New("transport: bad frame magic")
 	}
-	var m Message
 	for _, f := range [...]*int{&m.From, &m.To, &m.Msg} {
 		v, ok := rd()
 		if !ok {
-			return Message{}, fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
+			return fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
 		}
 		*f = int(v)
 	}
 	ep, ok := rd()
 	if !ok {
-		return Message{}, fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
 	}
 	m.Epoch = uint64(ep)
 	idx, ok := rd()
 	if !ok {
-		return Message{}, fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
 	}
 	m.Index = int(idx)
 	ord, ok := rd()
 	if !ok {
-		return Message{}, fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
 	}
 	m.Ord = int(ord)
 	seq, ok := rd()
 	if !ok {
-		return Message{}, fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("transport: short frame: %w", io.ErrUnexpectedEOF)
 	}
 	m.Seq = uint64(seq)
 	kind, ok := rd()
 	if !ok || (kind != 0 && kind != 1) {
-		return Message{}, errors.New("transport: bad piggyback kind")
+		return errors.New("transport: bad piggyback kind")
 	}
 	m.Sparse = kind == 1
 	if m.Sparse {
@@ -188,7 +198,7 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 		if !ok || n < 0 || n > int64(len(b)-off)/16 {
 			// Sparse entries are 16 bytes each; a count beyond the bytes
 			// present is a corrupted frame and must not drive the allocation.
-			return Message{}, errors.New("transport: bad entry count")
+			return errors.New("transport: bad entry count")
 		}
 		if view {
 			m.Entries = entriesView(b, off, int(n))
@@ -202,14 +212,14 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 			}
 		}
 		if err := m.Entries.Validate(1 << 20); err != nil {
-			return Message{}, fmt.Errorf("transport: bad sparse entries: %w", err)
+			return fmt.Errorf("transport: bad sparse entries: %w", err)
 		}
 	} else {
 		n, ok := rd()
 		if !ok || n < 0 || n > int64(len(b)-off)/8 {
 			// Entries are 8 bytes each; a length beyond the bytes present is
 			// a corrupted frame and must not drive the allocation.
-			return Message{}, errors.New("transport: bad vector length")
+			return errors.New("transport: bad vector length")
 		}
 		if view {
 			m.DV = intsView(b, off, int(n))
@@ -224,7 +234,7 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 	}
 	pl, ok := rd()
 	if !ok || pl < 0 || pl > int64(len(b)-off) {
-		return Message{}, errors.New("transport: bad payload length")
+		return errors.New("transport: bad payload length")
 	}
 	if view {
 		m.Payload = b[off : off+int(pl) : off+int(pl)]
@@ -232,7 +242,7 @@ func decodeFrame(b []byte, view bool) (Message, error) {
 		m.Payload = make([]byte, pl)
 		copy(m.Payload, b[off:off+int(pl)])
 	}
-	return m, nil
+	return nil
 }
 
 // ErrLinkDown is returned by Send and SendBatch while a pair's connection
@@ -529,18 +539,20 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// frame — after the callback for this batch returned (the StartBatched
 	// ownership handoff).
 	frameBufs := make([][]byte, maxInboundBatch)
-	batch := make([]Message, 0, maxInboundBatch)
+	// Frames decode straight into their batch slot (decodeFrame resets it
+	// first); the callback gets the first k slots.
+	batch := make([]Message, maxInboundBatch)
 	// hdr is the stream's one length-prefix buffer. It escapes through
 	// io.ReadFull, so it lives out here: one allocation per stream, not one
 	// per frame.
 	var hdr [8]byte
-	readFrame := func(slot int) (Message, error) {
+	readFrame := func(slot int) error {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return Message{}, err
+			return err
 		}
 		size := int64(binary.LittleEndian.Uint64(hdr[:]))
 		if size <= 0 || size > 1<<20 {
-			return Message{}, fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size)
+			return fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size)
 		}
 		buf := frameBufs[slot]
 		if int64(cap(buf)) < size {
@@ -549,43 +561,41 @@ func (t *TCP) readLoop(conn net.Conn) {
 		buf = buf[:size]
 		frameBufs[slot] = buf
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return Message{}, err
+			return err
 		}
 		t.obs.BytesIn.Add(uint64(8 + size))
-		return decodeView(buf)
+		return decodeView(buf, &batch[slot])
 	}
 	for {
-		m, err := readFrame(0)
-		if err != nil {
+		if err := readFrame(0); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				t.frameError(from, to, err)
 			}
 			return
 		}
-		batch = append(batch[:0], m)
+		k := 1
 		// Coalesce: frames fully buffered behind this one join the batch,
 		// so a burst costs the receiver one callback (one lock
 		// acquisition in the engine) instead of one per frame.
-		for len(batch) < maxInboundBatch && br.Buffered() >= 8 {
+		for k < maxInboundBatch && br.Buffered() >= 8 {
 			hdr, _ := br.Peek(8)
 			size := int64(binary.LittleEndian.Uint64(hdr))
 			if size <= 0 || size > 1<<20 || int64(br.Buffered()) < 8+size {
 				break
 			}
-			m, err = readFrame(len(batch))
-			if err != nil {
-				t.deliverBatch(from, to, batch)
+			if err := readFrame(k); err != nil {
+				t.deliverBatch(from, to, batch[:k])
 				t.frameError(from, to, err)
 				return
 			}
-			batch = append(batch, m)
+			k++
 		}
 		select {
 		case <-t.closed:
 			return
 		default:
 		}
-		t.deliverBatch(from, to, batch)
+		t.deliverBatch(from, to, batch[:k])
 	}
 }
 
@@ -710,7 +720,8 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	}
 	defer sc.mu.Unlock()
 	buf, ends := sc.buf[:0], sc.ends[:0]
-	for _, m := range msgs {
+	for i := range msgs {
+		m := &msgs[i]
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(encodedSize(m)))
 		buf = appendEncode(buf, m)
 		ends = append(ends, len(buf))

@@ -66,7 +66,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			m.DV[i] = rng.Intn(1000)
 		}
 		rng.Read(m.Payload)
-		got, err := decode(appendEncode(nil, m))
+		got, err := decode(appendEncode(nil, &m))
 		if err != nil {
 			return false
 		}
@@ -117,9 +117,10 @@ func TestDecodeViewMatchesDecode(t *testing.T) {
 		// Encode at a random byte offset inside a larger buffer so the view
 		// path sees both aliasable (8-aligned) and fallback-copy frames.
 		pad := rng.Intn(16)
-		frame := appendEncode(make([]byte, pad, pad+256), m)[pad:]
+		frame := appendEncode(make([]byte, pad, pad+256), &m)[pad:]
 		want, werr := decode(frame)
-		got, gerr := decodeView(frame)
+		var got Message
+		gerr := decodeView(frame, &got)
 		if werr != nil || gerr != nil {
 			return false
 		}
@@ -127,6 +128,61 @@ func TestDecodeViewMatchesDecode(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeIntoReusedMessage pins the reset the read path relies on: it
+// decodes every frame of a stream into the same batch slot, so a frame must
+// come out of a reused Message exactly as it comes out of a fresh one. A
+// seeded stream mixes full and sparse frames, empty entry lists, n = 0
+// vectors, and frames with and without payload; each is decoded into one
+// reused target, copying and zero-copy alike, and compared with a fresh
+// Decode of the same bytes — so a sparse frame after a full one keeps no
+// stale DV, a full one after a sparse one no stale Entries or Ord.
+func TestDecodeIntoReusedMessage(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var copied, viewed Message
+	for i := 0; i < 2000; i++ {
+		m := Message{
+			From: rng.Intn(8), To: rng.Intn(8), Msg: rng.Intn(1 << 20),
+			Epoch: uint64(rng.Intn(4)), Index: rng.Intn(100), Seq: uint64(i),
+		}
+		if rng.Intn(2) == 0 {
+			m.Payload = make([]byte, 1+rng.Intn(32))
+			rng.Read(m.Payload)
+		}
+		switch rng.Intn(4) {
+		case 0: // sparse, possibly with no entry at all
+			m.Sparse, m.Ord = true, rng.Intn(1000)
+			m.Entries = make(vclock.Delta, rng.Intn(3))
+			for k := range m.Entries {
+				m.Entries[k] = vclock.Entry{K: 2*k + rng.Intn(2), V: rng.Intn(1000)}
+			}
+		case 1: // an n = 0 vector
+			m.DV = []int{}
+		default:
+			m.DV = make([]int, 1+rng.Intn(8))
+			for k := range m.DV {
+				m.DV[k] = rng.Intn(1000)
+			}
+		}
+		frame := Encode(m)
+		want, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if err := decodeFrame(frame, false, &copied); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(copied, want) {
+			t.Fatalf("frame %d decoded into a reused message:\n got %+v\nwant %+v", i, copied, want)
+		}
+		if err := decodeView(frame, &viewed); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got := cloneMessage(viewed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d viewed into a reused message:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 

@@ -102,14 +102,15 @@ for gone in internal/metrics internal/zcfgc; do
 done
 
 # One encode time. Both engines compress a piggyback when it is sent, in
-# Kernel.Send; the encoder has no other caller. A second call site, or the
+# Kernel.Send (its body is Kernel.send, the pointer form it wraps); the
+# encoder has no other caller. A second call site, or the
 # delivery-time encoder and the log position it replayed to, is the lazy
 # path growing back — with its held positions that pin the change log.
 node_files=$(ls internal/node/*.go | grep -v '_test\.go$')
 encode_sites=$(awk '/^func /{fn=$0} /\.encode\(/{print FILENAME ": " fn}' $node_files)
-if [ "$(printf '%s\n' "$encode_sites" | grep -c 'func (k \*Kernel) Send(')" -ne 1 ] ||
+if [ "$(printf '%s\n' "$encode_sites" | grep -c 'func (k \*Kernel) send(')" -ne 1 ] ||
 	[ "$(printf '%s\n' "$encode_sites" | grep -c .)" -ne 1 ]; then
-	echo "layering violation: compressor.encode must have exactly one call site, in Kernel.Send; found:" >&2
+	echo "layering violation: compressor.encode must have exactly one call site, in Kernel.send (Kernel.Send's body); found:" >&2
 	printf '%s\n' "$encode_sites" >&2
 	fail=1
 fi
@@ -202,6 +203,20 @@ if [ "$(grep -c 'SetWriteDeadline(' $tp_files | awk -F: '{s+=$NF} END{print s}')
 	fail=1
 fi
 
+# A message is written once per hand-off. The destination heap orders 24-byte
+# keys over a slab of frames, and from Kernel.Send to the kernel's delivery a
+# frame moves by pointer: recycle, egress and enqueue take pointers, the
+# codec reads a *Message, and the wire and transport fill and read their
+# frame batches in place. A heap of whole frames, or a by-value form of any
+# of these, is a copy per hand-off growing back.
+if grep -nE '^[[:space:]]+h[[:space:]]+\[\]pending|pop\(\) pending' $rt_files >&2 ||
+	grep -nE 'func \([a-z]+ \*[A-Za-z]+\) (recycle|egress|enqueue)\([^)]*[a-z] (node\.Piggyback|delivery)[,)]' $rt_files >&2 ||
+	grep -nE 'func (appendEncode|encodedSize)\([^)]*[a-z] Message[,)]|func \([a-z]+ Message\) Validate\(' $tp_files >&2 ||
+	grep -n 'for _, m := range' internal/runtime/wire.go internal/transport/transport.go >&2; then
+	echo "layering violation: a frame copied by value on the message path (a heap of frames, a by-value recycle/egress/enqueue, codec or Validate, or a range copying each message)" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -214,4 +229,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
