@@ -43,8 +43,9 @@ type Config struct {
 
 	// Compress enables incremental dependency-vector piggybacking on the
 	// cluster under test. The technique requires reliable channels, so the
-	// baseline network must be lossless (Run refuses otherwise) and the
-	// loss component of burst steps is ignored; delay bursts still apply.
+	// baseline network must be lossless (runtime.NewCluster refuses
+	// otherwise, and Run returns its error) and the loss component of
+	// burst steps is ignored; delay bursts still apply.
 	Compress bool
 
 	// RDT asserts the protocol guarantees rollback-dependency
@@ -147,9 +148,6 @@ func Run(cfg Config, plan Plan) (Result, error) {
 	base := cfg.Net
 	if cfg.Deterministic {
 		base.MinDelay, base.MaxDelay = 0, 0
-	}
-	if cfg.Compress && base.Loss > 0 {
-		return Result{}, fmt.Errorf("chaos: compressed piggybacking requires a lossless baseline network (loss %g)", base.Loss)
 	}
 	c, err := runtime.NewCluster(runtime.Config{
 		N:        plan.N,

@@ -149,9 +149,10 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 // survivor's ReleaseStale scans its n-entry UC, an O(n²) of the collector's
 // that this leaves out (EXPERIMENTS.md E19 times both). The n² first messages
 // are sent into a full partition and released by one heal, so each carries
-// only its sender's own entry and the frames the retransmit windows keep stay
-// small; n = 512 still holds a few hundred MB of link state, so -short stops
-// at 128.
+// only its sender's own entry. The in-process wire keeps no retransmit
+// window, but n = 512 still allocates about 295 MB while its cluster is set
+// up (alloc_space at -benchtime 20x; the pair links are 68 MB of it, their
+// parked backlogs 70 MB), so -short stops at 128.
 func BenchmarkRestartAtRest(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 512} {
 		if testing.Short() && n > 128 {

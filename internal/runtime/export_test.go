@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/vclock"
 )
 
 // Views of a cluster's transit state for the tests in package runtime_test:
@@ -31,11 +32,28 @@ func (c *Cluster) Queued() int {
 func (c *Cluster) FreeBuffers() int {
 	total := 0
 	for _, n := range c.nodes {
-		n.bufMu.Lock()
-		total += len(n.dvBufs) + len(n.entBufs)
-		n.bufMu.Unlock()
+		total += n.FreeBuffers()
 	}
 	return total
+}
+
+// FreeBuffers counts the piggyback buffers resting on this node's freelists.
+func (n *Node) FreeBuffers() int {
+	n.bufMu.Lock()
+	defer n.bufMu.Unlock()
+	return len(n.dvBufs) + len(n.entBufs)
+}
+
+// StockBuffers puts k vector snapshots and k entry buffers, each sized for
+// the whole cluster, on this node's freelists. While the stock lasts, the
+// node's sends draw every piggyback buffer from it and allocate none.
+func (n *Node) StockBuffers(k int) {
+	n.bufMu.Lock()
+	defer n.bufMu.Unlock()
+	for i := 0; i < k; i++ {
+		n.dvBufs = append(n.dvBufs, make(vclock.DV, n.c.cfg.N))
+		n.entBufs = append(n.entBufs, make([]node.Entry, 0, n.c.cfg.N))
+	}
 }
 
 // NetworkDraw is the draw a send of this node makes — delay and drop — taken

@@ -12,10 +12,11 @@ import (
 // This file is the link layer: the network of every cluster, between the
 // sender pool and the wire (wire.go). It owns the administrative cut
 // (BreakLink, Partition and their heals), per-(from,to) wire sequence
-// numbers, a bounded retransmit window, and parked-frame retry with
-// exponential backoff, so a severed or partitioned link heals instead of
-// silently losing every frame forever — on the TCP mesh and on the
-// in-process hand-off alike; nothing here knows which wire it has.
+// numbers, and the parked backlog with its retry under exponential backoff,
+// so a cut or a dead link heals instead of silently losing every frame
+// forever. Nothing here knows which wire it has: what a wire keeps to
+// replay frames it accepted and then lost is the wire's own, and it hands
+// such frames back through requeue.
 //
 // Invariants (the DESIGN.md "Partitions and healing" section states them
 // with the argument; the code enforces them):
@@ -29,26 +30,16 @@ import (
 //     wedge BreakLink), read under it by whatever could put a frame on the
 //     wire; cut() makes it true. A blocked pair parks what it is given and
 //     arms no timer: it waits for the heal.
-//   - window holds exactly the frames accepted onto the wire and not yet
-//     known delivered, oldest first; winBase is the cumulative
-//     wire-acceptance index of its oldest frame and wireDeliv the cumulative
-//     delivered count, so popping the oldest while winBase < wireDeliv
-//     discards only frames the receiver has consumed.
-//   - OnLinkDown moves the window's undelivered tail to the FRONT of
-//     parked (frames that failed a later send are already there and are
-//     newer), so parked stays in wire-seq order and a flush resends the
-//     pair's frames in their original order.
+//   - Frames a wire hands back go to the FRONT of parked (frames that
+//     failed a later send are already there and are newer), so parked stays
+//     in wire-seq order and a flush resends the pair's frames in their
+//     original order.
 //   - Parked frames hold no in-flight accounting: Quiesce does not wait on
 //     a partition, only on frames actually on the wire or in delivery.
 //   - A backlog, an armed timer and a nonzero tries each imply down, and
 //     whatever parks sets down before it ends the frames' in-flight
 //     accounting; setDown, down's one writer, keeps the cluster's count of
 //     down links, so a session behind Quiesce that reads zero sweeps nothing.
-//   - The TCP wire's receiver drops any frame whose seq is below the pair's
-//     expected seq (a retransmit raced its own delivery) and advances over
-//     gaps (frames dropped past the window are permanent losses); together
-//     with reap-gated redial this keeps delivery exactly-once and per-pair
-//     FIFO. The in-process wire delivers as it accepts and has neither case.
 type pairLink struct {
 	from, to int
 
@@ -56,53 +47,10 @@ type pairLink struct {
 
 	mu      sync.Mutex
 	sendSeq uint64    // next wire seq to stamp
-	window  frameRing // wire-accepted, not yet known-delivered, oldest first
-	winBase int64     // cumulative wire-acceptance index of the window's oldest frame
 	parked  []pending // awaiting reconnect, wire-seq order; no inflight held
 	tries   int       // consecutive failed flushes (drives the backoff)
 	timer   *time.Timer
 	down    bool // a link-down flight event was recorded and not yet matched
-
-	wire frames // the TCP wire's reused frame batch for this pair's sends
-
-	// inbound is the TCP wire's reused batch for this pair's arrivals
-	// (meshWire.onWire). No lock guards it: the transport hands a pair's
-	// batches over one at a time — its stream's reader delivers in order,
-	// and a redial waits for the dead stream's reader to finish — which is
-	// the same serialization the receiver's dedup cursor (recvSeq) relies on.
-	inbound []pending
-}
-
-// frameRing is a pair's retransmit window: a FIFO of frames in a ring that
-// doubles while it is too small — never past LinkOptions.Window, which
-// wireSend enforces before it pushes — and is then reused in place, so a
-// pair in steady state accepts and prunes frames without allocating. It
-// keeps its high-water size; a pair that never talks never builds one.
-type frameRing struct {
-	buf  []pending // len is zero or a power of two
-	head int       // slot of the oldest frame
-	n    int       // frames held
-}
-
-func (r *frameRing) at(i int) *pending { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-func (r *frameRing) push(p *pending) {
-	if r.n == len(r.buf) {
-		grown := make([]pending, max(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = *r.at(i)
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.n++
-	*r.at(r.n - 1) = *p
-}
-
-// pop drops the oldest frame, releasing the references its slot held.
-func (r *frameRing) pop() {
-	*r.at(0) = pending{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
 }
 
 // LinkOptions tunes the link layer and the TCP wire's failure behavior
@@ -114,11 +62,13 @@ type LinkOptions struct {
 	// is the only pacing there is: the wire refuses or fails at once.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// Window bounds the frames a pair retains for retransmit — parked and
-	// wire-accepted alike (default 4096). Overflow drops frames
-	// permanently, exactly like the pre-heal mesh lost them; compressed
-	// clusters should size it above the largest burst a partition can
-	// strand, since the piggyback verifier fails loudly on a genuine loss.
+	// Window bounds the frames a pair retains for retransmit (default
+	// 4096): at most Window parked and, on a wire that keeps the frames it
+	// accepted until they are known delivered, at most Window there — two
+	// bounds, each on its own, not one on their sum. Overflow drops frames
+	// permanently; compressed clusters should size it above the largest
+	// burst a partition can strand, since the piggyback verifier fails
+	// loudly on a genuine loss.
 	Window int
 	// DialTimeout forwards to transport.Options; the in-process wire has
 	// no dial to bound.
@@ -204,7 +154,7 @@ func (c *Cluster) createdLinks() []*pairLink {
 // the pair's link: stamp wire seqs, then either hand the run to the wire or
 // park it behind the cut or the pair's existing backlog. Called from the dest
 // queue's worker; the pairLink lock serializes it against the pair's retry
-// timer, heals and onLinkDown.
+// timer, heals and whatever the wire hands back.
 func (c *Cluster) sendRun(from, to int, run []pending) {
 	pl := c.link(from, to)
 	pl.mu.Lock()
@@ -217,33 +167,10 @@ func (c *Cluster) sendRun(from, to int, run []pending) {
 		// joining the parked tail instead of racing the flush keeps the
 		// pair's wire order intact.
 		c.park(pl, run)
-	} else {
-		c.wireSend(pl, run)
-	}
-	pl.mu.Unlock()
-}
-
-// wireSend gives one run to the wire, appends the accepted frames to the
-// retransmit window and parks the rest. Called with pl.mu held, on frames
-// that hold in-flight accounting (dispatch runs do; a flush re-adds it
-// first). Returns how many frames the wire accepted.
-func (c *Cluster) wireSend(pl *pairLink, run []pending) int {
-	c.pruneWindow(pl)
-	accepted := c.wire.send(pl, run)
-	for k := 0; k < accepted; k++ {
-		if pl.window.n >= c.linkOpts.Window {
-			// Window overflow: the oldest wire-accepted frame loses its
-			// retransmit coverage. It is not lost yet — only unprotected; if
-			// its stream dies before delivering it, onLinkDown counts it
-			// under the gap (linkLost) path.
-			c.dropOldest(pl)
-		}
-		pl.window.push(&run[k])
-	}
-	if accepted < len(run) {
+	} else if accepted := c.wire.send(pl, run); accepted < len(run) {
 		c.park(pl, run[accepted:])
 	}
-	return accepted
+	pl.mu.Unlock()
 }
 
 // park appends frames to the pair's parked backlog (dropping overflow past
@@ -255,7 +182,7 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	for k := range run {
-		if c.closed.Load() || len(pl.parked)+pl.window.n >= c.linkOpts.Window {
+		if c.closed.Load() || len(pl.parked) >= c.linkOpts.Window {
 			c.obs.LinkLost.Inc()
 			c.recycle(pl.from, &run[k].pb)
 		} else {
@@ -269,77 +196,30 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 	c.inflight.Add(-len(run))
 }
 
-// pruneWindow discards the window prefix the receiver has consumed
-// (wireDeliv counts every frame the wire handed over for the pair,
-// duplicates included — and a retransmitted frame re-entered the window at
-// its re-acceptance, so acceptances and deliveries stay 1:1). Called with
-// pl.mu held.
-func (c *Cluster) pruneWindow(pl *pairLink) {
-	deliv := c.wireDeliv[pl.from*c.cfg.N+pl.to].Load()
-	for pl.window.n > 0 && pl.winBase < deliv {
-		c.dropOldest(pl)
-	}
-}
-
-// dropOldest retires the window's oldest frame, returning its piggyback's
-// buffer — snapshot or entries — to the freelist: the frame can no longer be
-// retransmitted, so nothing reads it again. Called with pl.mu held.
-func (c *Cluster) dropOldest(pl *pairLink) {
-	c.recycle(pl.from, &pl.window.at(0).pb)
-	pl.window.pop()
-	pl.winBase++
-}
-
-// onLinkDown is the TCP wire's lost-frame reconciliation: the lost count is
-// exact (sent minus delivered for the dead stream), and after a final prune
-// the window holds exactly those frames — minus any that overflowed their
-// retransmit coverage. The survivors move to the front of the parked
-// backlog to await the reconnect; the overflow is a permanent loss and its
-// accounting ends here.
-func (c *Cluster) onLinkDown(from, to, lost int) {
-	pl := c.link(from, to)
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	c.pruneWindow(pl)
-	if lost <= 0 {
-		return
-	}
-	// keep counts the lost frames the window still covers: all it holds —
-	// or its newest "lost", should it ever hold more, which cannot happen
-	// while the transport's lost count is exact. The rest overflowed their
-	// coverage.
-	keep := min(lost, pl.window.n)
-	dropped := lost - keep
+// requeue takes back lost frames the wire had accepted: lost counts them,
+// back holds the ones the wire kept copies of, oldest first, in a slice the
+// backlog may keep, and the rest are permanent losses. back goes to the
+// front of the backlog (dropped too on a closed cluster), and the frames'
+// in-flight accounting ends after the retry is armed, as in park. Called
+// with pl.mu held.
+func (c *Cluster) requeue(pl *pairLink, back []pending, lost int) {
 	if c.setDown(pl, true) {
-		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: from, Aux: to, Msg: keep})
+		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(back)})
 	}
 	if c.closed.Load() {
-		keep = 0
+		for i := range back {
+			c.recycle(pl.from, &back[i].pb)
+		}
+		back = nil
 	}
-	for pl.window.n > keep {
-		c.dropOldest(pl)
-		dropped++
-	}
-	if dropped > 0 {
+	if dropped := lost - len(back); dropped > 0 {
 		c.obs.LinkLost.Add(uint64(dropped))
 	}
-	if keep > 0 {
-		parked := make([]pending, 0, keep+len(pl.parked))
-		for ; pl.window.n > 0; pl.window.pop() {
-			parked = append(parked, *pl.window.at(0))
-		}
-		pl.parked = append(parked, pl.parked...)
-		c.obs.LinkParked.Add(int64(keep))
+	if len(back) > 0 {
+		pl.parked = append(back, pl.parked...)
+		c.obs.LinkParked.Add(int64(len(back)))
 	}
-	// Re-base to the delivered count: the lost frames' wire slots will never
-	// deliver, so carrying their acceptance indices forward would leave the
-	// prune cursor permanently behind. The count is final — the transport
-	// reconciles a dead stream only after its deliveries have completed.
-	pl.winBase = c.wireDeliv[from*c.cfg.N+to].Load()
 	c.armRetry(pl)
-	// Lost frames held in-flight accounting since their send; parked or
-	// dropped, they are no longer in transit. Ended after the retry is
-	// armed, as in park.
 	c.inflight.Add(-lost)
 }
 
@@ -382,12 +262,11 @@ func stopRetry(pl *pairLink) {
 }
 
 // flushLocked attempts to push the pair's parked backlog back onto the
-// wire: the frames re-enter in-flight accounting, ride the normal wireSend
-// path (window, overflow parking), and on a wire refusal the remainder
-// re-parks and the backoff deepens. A cut pair keeps its backlog for the
-// heal, and a closed cluster abandons it — observed here, first, so Close
-// during an open partition never waits out a backoff schedule. Called with
-// pl.mu held.
+// wire: the frames re-enter in-flight accounting and go to the wire as
+// sendRun's do, and on a wire refusal the remainder re-parks and the backoff
+// deepens. A cut pair keeps its backlog for the heal, and a closed cluster
+// abandons it — observed here, first, so Close during an open partition
+// never waits out a backoff schedule. Called with pl.mu held.
 func (c *Cluster) flushLocked(pl *pairLink) {
 	if c.closed.Load() {
 		c.dropParkedLocked(pl)
@@ -410,12 +289,10 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 		if len(chunk) > maxDispatchBatch {
 			chunk = chunk[:maxDispatchBatch]
 		}
-		accepted := c.wireSend(pl, chunk)
+		accepted := c.wire.send(pl, chunk)
 		total += accepted
 		if accepted < len(chunk) {
-			// wireSend parked the chunk's remainder (releasing its
-			// accounting); the untouched tail follows it.
-			c.park(pl, run[len(chunk):])
+			c.park(pl, run[accepted:]) // the refused remainder and the untouched tail
 			pl.tries++
 			c.armRetry(pl)
 			return
@@ -517,9 +394,10 @@ func (c *Cluster) setBlocked(pl *pairLink, v bool) int {
 // dial a fresh one — so cut passes through each pair's lock once: whoever
 // held it has finished, whoever takes it next sees the block. What such a
 // straggler dialed is severed again, and the reap awaited: the receiving
-// side has delivered what it will, onLinkDown has parked the rest. Returns
-// how many pairs were open. Takes no node lock and must not be called under
-// one (OnDeliver, Update): the barrier may wait for a receiver's drain.
+// side has delivered what it will, and the wire has handed back the rest.
+// Returns how many pairs were open. Takes no node lock and must not be
+// called under one (OnDeliver, Update): the barrier may wait for a
+// receiver's drain.
 func (c *Cluster) cut(pairs []*pairLink) (opened int) {
 	for _, pl := range pairs {
 		opened += c.setBlocked(pl, true)

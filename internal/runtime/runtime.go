@@ -153,20 +153,16 @@ type Cluster struct {
 	wire wire
 
 	// The link layer (link.go): links/linkOpts hold its per-pair state,
-	// wireDeliv the cumulative frames the wire handed to a receiver per
-	// (from,to) pair (duplicates included — it prunes the retransmit window,
-	// whose entries are wire acceptances), and cutPairs the directed pairs
-	// BreakLink/Partition currently hold cut, and downLinks the pairLinks
-	// whose down flag is set (setDown keeps it): with none, a session has
-	// nothing to purge and sweeps no pair. created lists the pairLinks
-	// that exist, in creation order and append-only under linkMu: what a
-	// sweep over the pairs visits, instead of the n² slots most of which
-	// stay nil.
+	// cutPairs the directed pairs BreakLink/Partition currently hold cut,
+	// and downLinks the pairLinks whose down flag is set (setDown keeps
+	// it): with none, a session has nothing to purge and sweeps no pair.
+	// created lists the pairLinks that exist, in creation order and
+	// append-only under linkMu: what a sweep over the pairs visits, instead
+	// of the n² slots most of which stay nil.
 	linkOpts  LinkOptions
 	links     []atomic.Pointer[pairLink]
 	linkMu    sync.Mutex
 	created   []*pairLink
-	wireDeliv []atomic.Int64
 	cutPairs  atomic.Int64
 	downLinks atomic.Int64
 
@@ -196,11 +192,11 @@ type Node struct {
 	// full-vector snapshots are drawn from (CloneDV), and entBufs, which the
 	// entry buffers of its compressed piggybacks are drawn from (EntryBuf).
 	// Both are returned by Cluster.recycle, to the sender, once nothing on
-	// the sending side can read the piggyback again — a delivery consumed it,
-	// or the pair's retransmit window pruned its frame — so the per-message
-	// send path allocates neither. bufMu is a leaf: it is taken under n.mu,
-	// fence.mu, a destination queue's lock or a pair's lock, and nothing is
-	// taken under it.
+	// the sending side can read the piggyback again — the in-process wire
+	// delivered it, or the TCP wire pruned its frame from the pair's
+	// retransmit window — so the per-message send path allocates neither.
+	// bufMu is a leaf: it is taken under n.mu, fence.mu, a destination
+	// queue's lock or a pair's lock, and nothing is taken under it.
 	bufMu   sync.Mutex
 	dvBufs  []vclock.DV
 	entBufs [][]node.Entry
@@ -276,7 +272,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c.linkOpts = cfg.Link.withDefaults()
 	c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
-	c.wireDeliv = make([]atomic.Int64, cfg.N*cfg.N)
 	c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
 	// The one place that asks which wire; nothing arrives on either before
 	// the first send, so it may open before the nodes exist.

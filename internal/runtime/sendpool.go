@@ -302,11 +302,12 @@ func (c *Cluster) sendWorker(q *destQueue) {
 
 // dispatch hands a batch of due messages for one destination to the link
 // layer, one (sender, destination) run at a time: wire seqs are stamped
-// there, frames the wire takes enter the pair's retransmit window — the
-// piggyback buffers recycle when the window prunes them, not here — and
-// frames it refuses, or that a cut holds back, park instead of dropping.
-// Every message ends its in-flight accounting at delivery, at link
-// reconciliation or when it parks.
+// there, the wire takes what it can — its piggyback buffers recycle once the
+// wire is done with them, not here: at delivery in process, when the
+// retransmit window prunes them on TCP — and frames it refuses, or that a
+// cut holds back, park instead of dropping. Every message ends its
+// in-flight accounting at delivery, when it parks, or when the wire hands
+// it back lost.
 func (c *Cluster) dispatch(to int, batch []pending) {
 	c.obs.QueueDepth.Add(-int64(len(batch)))
 	for i := 0; i < len(batch); {

@@ -217,6 +217,23 @@ if grep -nE '^[[:space:]]+h[[:space:]]+\[\]pending|pop\(\) pending' $rt_files >&
 	fail=1
 fi
 
+# The retransmit window belongs to the wire that can lose a frame. Only the
+# TCP wire can lose a frame after accepting it, so the window, the count of
+# frames delivered that prunes it and the lost-frame reconciliation live
+# behind meshWire in internal/runtime/wire.go. The link layer keeps what
+# every wire needs, and a pair link carries none of the TCP wire's scratch:
+# no inbound batch, no batch of wire frames.
+if grep -nwE 'frameRing|winBase|pruneWindow|dropOldest|wireDeliv|onLinkDown' $(echo "$rt_files" | grep -v '/wire\.go$') >&2; then
+	echo "layering violation: the retransmit window or the lost-frame reconciliation named outside internal/runtime/wire.go" >&2
+	fail=1
+fi
+if awk '/^type pairLink struct/{s=1} s && /^}/{s=0}
+	s && (/^[[:space:]]+(inbound|frames)[[:space:]]/ || /^[[:space:]]+[A-Za-z_, ]+[[:space:]]frames([[:space:]]|$)/) {print FILENAME ":" FNR ":" $0; f=1}
+	END{exit !f}' $rt_files >&2; then
+	echo "layering violation: pairLink declares an inbound or frames field; the TCP wire's scratch lives in its meshPair" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -229,4 +246,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; only the TCP wire keeps a retransmit window; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
