@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -42,17 +43,26 @@ func main() {
 	storeOpts, cleanup, err := storageOptions(*store, *dir)
 	exitOn(err)
 	defer cleanup()
+	p, err := parseProtocol(*proto)
+	exitOn(err)
+	col, err := parseCollector(*gcName)
+	exitOn(err)
 
 	if *live {
-		runLive(*n, *ops, *seed, *tcp, *crash, *useLI, storeOpts)
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "workload" {
+				fmt.Fprintln(os.Stderr, "rdtsim: -workload does not apply to -live: the live drive runs no script")
+				os.Exit(2)
+			}
+		})
+		exitOn(runLive(os.Stdout, liveRun{
+			n: *n, ops: *ops, crash: *crash, seed: *seed, pc: *pc,
+			tcp: *tcp, useLI: *useLI, proto: p, col: col,
+		}, storeOpts))
 		return
 	}
 
 	kind, err := parseWorkload(*wl)
-	exitOn(err)
-	p, err := parseProtocol(*proto)
-	exitOn(err)
-	col, err := parseCollector(*gcName)
 	exitOn(err)
 
 	sys, err := rdt.New(*n, append(storeOpts, rdt.WithProtocol(p), rdt.WithCollector(col))...)
@@ -133,10 +143,25 @@ func storageOptions(store, dir string) ([]rdt.Option, func(), error) {
 	return []rdt.Option{rdt.WithStorage(b, dir)}, cleanup, nil
 }
 
-// runLive drives the goroutine runtime with one worker per process.
-func runLive(n, ops int, seed int64, tcp bool, crash int, useLI bool, storeOpts []rdt.Option) {
-	cluster, err := rdt.NewCluster(n, rdt.Network{TCP: tcp, Seed: seed}, storeOpts...)
-	exitOn(err)
+// liveRun is what the flags ask of a -live run.
+type liveRun struct {
+	n, ops, crash int
+	seed          int64
+	pc            float64
+	tcp, useLI    bool
+	proto         rdt.Protocol
+	col           rdt.Collector
+}
+
+// runLive drives the goroutine runtime with one worker per process and
+// prints its report to w.
+func runLive(w io.Writer, r liveRun, storeOpts []rdt.Option) error {
+	n, ops, seed := r.n, r.ops, r.seed
+	opts := append(storeOpts, rdt.WithProtocol(r.proto), rdt.WithCollector(r.col))
+	cluster, err := rdt.NewCluster(n, rdt.Network{TCP: r.tcp, Seed: seed}, opts...)
+	if err != nil {
+		return err
+	}
 	defer func() { _ = cluster.Close() }()
 
 	var wg sync.WaitGroup
@@ -147,7 +172,7 @@ func runLive(n, ops int, seed int64, tcp bool, crash int, useLI bool, storeOpts 
 			rng := rand.New(rand.NewSource(seed + int64(id)))
 			node := cluster.Node(id)
 			for k := 0; k < ops/n; k++ {
-				if rng.Float64() < 0.25 {
+				if rng.Float64() < r.pc {
 					if err := node.Checkpoint(); err != nil {
 						fmt.Fprintf(os.Stderr, "p%d: %v\n", id+1, err)
 						return
@@ -169,26 +194,30 @@ func runLive(n, ops int, seed int64, tcp bool, crash int, useLI bool, storeOpts 
 	cluster.Quiesce()
 
 	transportName := "direct"
-	if tcp {
+	if r.tcp {
 		transportName = "tcp"
 	}
-	fmt.Printf("live cluster: n=%d ops≈%d transport=%s\n", n, ops, transportName)
+	fmt.Fprintf(w, "live cluster: protocol=%s gc=%s n=%d ops≈%d pcheckpoint=%g transport=%s\n",
+		r.proto, r.col, n, ops, r.pc, transportName)
 	total := 0
 	for i := 0; i < n; i++ {
 		basic, forced, st := cluster.Node(i).Stats()
-		fmt.Printf("  p%d: %d basic + %d forced checkpoints, %d stored (bound %d)\n",
+		fmt.Fprintf(w, "  p%d: %d basic + %d forced checkpoints, %d stored (bound %d)\n",
 			i+1, basic, forced, st.Live, n)
 		total += st.Live
 	}
 	oracle := cluster.Oracle()
-	fmt.Printf("stored total: %d; linearized events: %d; RD-trackable: %v\n",
+	fmt.Fprintf(w, "stored total: %d; linearized events: %d; RD-trackable: %v\n",
 		total, len(cluster.History().Ops), oracle.IsRDT())
 
-	if crash >= 0 && crash < n {
-		rep, err := cluster.Recover([]int{crash}, useLI)
-		exitOn(err)
-		fmt.Printf("recovery: crashed p%d, line=%v, rolled back %v\n", crash+1, rep.Line, rep.RolledBack)
+	if r.crash >= 0 && r.crash < n {
+		rep, err := cluster.Recover([]int{r.crash}, r.useLI)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "recovery: crashed p%d, line=%v, rolled back %v\n", r.crash+1, rep.Line, rep.RolledBack)
 	}
+	return nil
 }
 
 func ratio(a, b int) float64 {

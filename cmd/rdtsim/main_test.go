@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	rdt "repro"
@@ -81,5 +85,45 @@ func TestHelpListsExactlyWhatParses(t *testing.T) {
 func TestRatio(t *testing.T) {
 	if ratio(1, 2) != 0.5 || ratio(0, 0) != 0 || ratio(3, 0) != 1 {
 		t.Error("ratio edge cases wrong")
+	}
+}
+
+// TestLiveRunsTheChosenStack holds -live to -protocol, -gc and -pcheckpoint:
+// a live run without a protocol forces no checkpoint, keeps every one it
+// takes under no-gc, and says so in its header.
+func TestLiveRunsTheChosenStack(t *testing.T) {
+	var out bytes.Buffer
+	run := liveRun{n: 4, ops: 400, crash: -1, seed: 1, pc: 0.2, useLI: true, proto: rdt.NoProtocol, col: rdt.NoGC}
+	if err := runLive(&out, run, nil); err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	if !strings.HasPrefix(report, "live cluster: protocol=none gc=no-gc n=4 ops≈400 pcheckpoint=0.2 ") {
+		t.Errorf("header does not name the chosen stack:\n%s", report)
+	}
+	lines := regexp.MustCompile(`p\d: (\d+) basic \+ (\d+) forced checkpoints, (\d+) stored`).FindAllStringSubmatch(report, -1)
+	if len(lines) != run.n {
+		t.Fatalf("%d process lines, want %d:\n%s", len(lines), run.n, report)
+	}
+	for _, m := range lines {
+		basic, _ := strconv.Atoi(m[1])
+		forced, _ := strconv.Atoi(m[2])
+		stored, _ := strconv.Atoi(m[3])
+		if forced != 0 {
+			t.Errorf("protocol none forced checkpoints: %q", m[0])
+		}
+		if stored != basic+forced+1 { // every checkpoint taken, and the initial one
+			t.Errorf("no-gc collected checkpoints: %q", m[0])
+		}
+	}
+}
+
+// TestLiveRefusesGlobalCollector: a live cluster runs local collectors only,
+// and -live with a global one fails with the facade's reason.
+func TestLiveRefusesGlobalCollector(t *testing.T) {
+	run := liveRun{n: 3, ops: 30, crash: -1, seed: 1, pc: 0.2, proto: rdt.FDAS, col: rdt.SyncOptimal}
+	err := runLive(new(bytes.Buffer), run, nil)
+	if err == nil || !strings.Contains(err.Error(), "live engines run only local collectors") {
+		t.Fatalf("runLive with %s: %v", rdt.SyncOptimal, err)
 	}
 }

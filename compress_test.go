@@ -57,8 +57,8 @@ func TestCompressionConfigErrors(t *testing.T) {
 }
 
 // TestCompressionChaos is the compression × live-concurrency × chaos
-// scenario family: a seeded crash/restart plan (including delay bursts)
-// executed on a compressed live cluster, every recovery session verified
+// scenario family: a seeded crash/restart plan executed on a compressed
+// live cluster, every recovery session verified
 // against the ground-truth oracles, and the whole run deterministic.
 func TestCompressionChaos(t *testing.T) {
 	plan, err := rdt.NewChaosPlan(rdt.ChaosPlanOptions{

@@ -8,7 +8,6 @@ type RandomOptions struct {
 	Ops         int     // number of operations to generate (required)
 	PCheckpoint float64 // probability an op is a basic checkpoint (default 0.2)
 	PLoss       float64 // probability a sent message is never delivered
-	MaxDelay    int     // max ops a message may stay in transit before forced delivery consideration (0 = immediate delivery)
 }
 
 // RandomScript generates a random but well-formed execution script. Sends

@@ -62,7 +62,7 @@ func TestChaosPlanShapes(t *testing.T) {
 		t.Errorf("single: %d crashes, %d recoveries; want 5, 5", single.Crashes(), single.Recoveries())
 	}
 
-	repeated, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: chaos.Repeated, Cycles: 2, Ops: 20, Seed: 1, RepeatedCrashes: 3})
+	repeated, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: chaos.Repeated, Cycles: 2, Ops: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ type Config struct {
 	// Compress enables incremental dependency-vector piggybacking on the
 	// cluster under test. The technique requires reliable channels, so the
 	// baseline network must be lossless (runtime.NewCluster refuses
-	// otherwise, and Run returns its error) and the loss component of
-	// burst steps is ignored; delay bursts still apply.
+	// otherwise, and Run returns its error) and burst steps lose nothing:
+	// a burst carries loss alone, so on a compressed cluster it only lifts
+	// the baseline delay for its drive step.
 	Compress bool
 
 	// RDT asserts the protocol guarantees rollback-dependency
@@ -175,17 +176,13 @@ func Run(cfg Config, plan Plan) (Result, error) {
 	for stepIdx, step := range plan.Steps {
 		switch step.Kind {
 		case StepBurst:
-			maxDelay := step.MaxDelay
-			if cfg.Deterministic {
-				maxDelay = 0
-			}
 			loss := step.Loss
 			if cfg.Compress {
 				// Incremental piggybacks cannot survive silent loss; the
-				// burst keeps its delay component only.
+				// burst only lifts the baseline delay.
 				loss = 0
 			}
-			if err := c.SetNetwork(0, maxDelay, loss); err != nil {
+			if err := c.SetNetwork(0, 0, loss); err != nil {
 				return res, fmt.Errorf("chaos: step %d: %w", stepIdx, err)
 			}
 			burst = true

@@ -102,12 +102,12 @@ func TestPartitionPlanShapes(t *testing.T) {
 		partitions, heals, flap int
 	}{
 		{chaos.SplitBrain, cycles, cycles, 0},
-		{chaos.Flapping, 0, cycles, 2 * cycles},
+		{chaos.Flapping, 0, cycles, 4 * cycles},
 		{chaos.Isolation, cycles, cycles, 0},
 		{chaos.PartitionRecovery, cycles, cycles, 0},
 	}
 	for _, tc := range cases {
-		plan, err := chaos.NewPlan(chaos.PlanOptions{N: 5, Pattern: tc.pat, Cycles: cycles, Ops: 30, Seed: 9, Flaps: 2})
+		plan, err := chaos.NewPlan(chaos.PlanOptions{N: 5, Pattern: tc.pat, Cycles: cycles, Ops: 30, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestPartitionEngineAllPatterns(t *testing.T) {
 	for _, pat := range chaos.PartitionPatterns() {
 		pat := pat
 		t.Run(pat.String(), func(t *testing.T) {
-			plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 40, Seed: 31, Flaps: 3})
+			plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 40, Seed: 31})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func TestPartitionEngineWiresAgree(t *testing.T) {
 	for _, pat := range chaos.PartitionPatterns() {
 		pat := pat
 		t.Run(pat.String(), func(t *testing.T) {
-			plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 40, Seed: 57, Flaps: 3})
+			plan, err := chaos.NewPlan(chaos.PlanOptions{N: 4, Pattern: pat, Cycles: 2, Ops: 40, Seed: 57})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 )
 
 // Pattern selects the fault shape a plan injects.
@@ -123,8 +122,9 @@ const (
 	// StepDrive runs application traffic: seeded sends and basic
 	// checkpoints across the processes that are up.
 	StepDrive StepKind = iota + 1
-	// StepBurst degrades the network (message loss and delay) for the next
-	// drive step only; the engine restores the configured baseline after it.
+	// StepBurst degrades the network for the next drive step only: message
+	// loss at the step's rate, and no delivery delay. The engine restores the
+	// configured baseline after it.
 	StepBurst
 	// StepCrash fails the listed processes in place.
 	StepCrash
@@ -152,9 +152,8 @@ type Step struct {
 	Procs []int
 	// Ops is the number of application operations (StepDrive).
 	Ops int
-	// Loss and MaxDelay shape the burst (StepBurst).
-	Loss     float64
-	MaxDelay time.Duration
+	// Loss is the burst's message-loss probability (StepBurst).
+	Loss float64
 	// Groups lists the partition's sides (StepPartition); processes in no
 	// group form one implicit extra side.
 	Groups [][]int
@@ -168,30 +167,26 @@ type PlanOptions struct {
 	Ops     int     // application operations per drive phase
 	Seed    int64   // makes the plan reproducible
 
-	// DowntimeOps is the traffic survivors generate while the victims are
-	// down — messages into the hole are lost, messages the victims sent
-	// before failing keep arriving and orphan their receivers. Default
-	// Ops/4.
-	DowntimeOps int
 	// PBurst is the probability a cycle opens with a network burst
 	// (default 0: no bursts).
 	PBurst float64
-	// BurstLoss is the message-loss probability during a burst
-	// (default 0.3).
-	BurstLoss float64
-	// BurstDelay is the maximum delivery delay during a burst (default 0;
-	// the engine zeroes delays in Deterministic mode regardless).
-	BurstDelay time.Duration
-	// RepeatedCrashes is how many back-to-back crash/restart rounds the
-	// Repeated pattern runs per cycle (default 3; ignored otherwise).
-	RepeatedCrashes int
-	// Flaps is how many break/heal rounds the Flapping pattern runs per
-	// cycle (default 4; ignored otherwise). Partition plans always end each
-	// cycle with a crash/restart tail so the full oracle battery covers the
-	// healed pattern; build Steps directly for a crash-free plan, as the
-	// differential delivery-equivalence test does.
-	Flaps int
 }
+
+// The plan's fixed shape. While the victims are down, survivors generate
+// Ops/downtimeDiv operations of traffic — messages into the hole are lost,
+// messages the victims sent before failing keep arriving and orphan their
+// receivers. A burst loses burstLoss of the messages. Per cycle, the
+// Repeated pattern runs repeatedCrashes back-to-back crash/restart rounds
+// and the Flapping pattern runs flaps break/heal rounds. Partition plans always end each
+// cycle with a crash/restart tail so the full oracle battery covers the
+// healed pattern; build Steps directly for a crash-free plan, as the
+// differential delivery-equivalence test does.
+const (
+	downtimeDiv     = 4
+	burstLoss       = 0.3
+	repeatedCrashes = 3
+	flaps           = 4
+)
 
 // Plan is a seeded fault schedule. Plans are pure data: the same options
 // always produce the same steps, and a plan can be executed against any
@@ -241,18 +236,7 @@ func NewPlan(o PlanOptions) (Plan, error) {
 	default:
 		return Plan{}, fmt.Errorf("chaos: unknown fault pattern %d", int(o.Pattern))
 	}
-	if o.DowntimeOps == 0 {
-		o.DowntimeOps = o.Ops / 4
-	}
-	if o.BurstLoss == 0 {
-		o.BurstLoss = 0.3
-	}
-	if o.RepeatedCrashes <= 0 {
-		o.RepeatedCrashes = 3
-	}
-	if o.Flaps <= 0 {
-		o.Flaps = 4
-	}
+	downtime := o.Ops / downtimeDiv
 
 	rng := rand.New(rand.NewSource(o.Seed))
 	plan := Plan{N: o.N, Pattern: o.Pattern, Seed: o.Seed}
@@ -262,19 +246,19 @@ func NewPlan(o PlanOptions) (Plan, error) {
 			continue
 		}
 		if o.PBurst > 0 && rng.Float64() < o.PBurst {
-			plan.Steps = append(plan.Steps, Step{Kind: StepBurst, Loss: o.BurstLoss, MaxDelay: o.BurstDelay})
+			plan.Steps = append(plan.Steps, Step{Kind: StepBurst, Loss: burstLoss})
 		}
 		plan.Steps = append(plan.Steps, Step{Kind: StepDrive, Ops: o.Ops})
 
 		victims := victims(rng, o, cycle)
 		plan.Steps = append(plan.Steps, Step{Kind: StepCrash, Procs: victims})
-		if o.DowntimeOps > 0 {
-			plan.Steps = append(plan.Steps, Step{Kind: StepDrive, Ops: o.DowntimeOps})
+		if downtime > 0 {
+			plan.Steps = append(plan.Steps, Step{Kind: StepDrive, Ops: downtime})
 		}
 		plan.Steps = append(plan.Steps, Step{Kind: StepRestart})
 
 		if o.Pattern == Repeated {
-			for r := 1; r < o.RepeatedCrashes; r++ {
+			for r := 1; r < repeatedCrashes; r++ {
 				plan.Steps = append(plan.Steps,
 					Step{Kind: StepCrash, Procs: victims},
 					Step{Kind: StepRestart})
@@ -289,10 +273,7 @@ func NewPlan(o PlanOptions) (Plan, error) {
 // advances on partition steps, so a plan with its partition steps deleted
 // drives the byte-identical op stream (the differential oracle's lever).
 func partitionCycle(plan *Plan, rng *rand.Rand, o PlanOptions, cycle int) {
-	ops := o.DowntimeOps
-	if ops < 1 {
-		ops = 1
-	}
+	ops := max(1, o.Ops/downtimeDiv)
 	add := func(steps ...Step) { plan.Steps = append(plan.Steps, steps...) }
 	add(Step{Kind: StepDrive, Ops: o.Ops})
 	switch o.Pattern {
@@ -307,7 +288,7 @@ func partitionCycle(plan *Plan, rng *rand.Rand, o PlanOptions, cycle int) {
 		if to >= from {
 			to++
 		}
-		for f := 0; f < o.Flaps; f++ {
+		for f := 0; f < flaps; f++ {
 			add(Step{Kind: StepBreakLink, Procs: []int{from, to}})
 			add(Step{Kind: StepDrive, Ops: ops})
 			add(Step{Kind: StepHealLink, Procs: []int{from, to}})

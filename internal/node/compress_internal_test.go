@@ -14,7 +14,6 @@ import (
 type recyclingDriver struct{ free [][]Entry }
 
 func (d *recyclingDriver) CloneDV(src vclock.DV) vclock.DV   { return src.Clone() }
-func (d *recyclingDriver) CheckpointState() []byte           { return nil }
 func (d *recyclingDriver) OnKernelCheckpoint(int, int, bool) {}
 
 func (d *recyclingDriver) EntryBuf() []Entry {

@@ -76,10 +76,6 @@ type Driver interface {
 	// learns when a message's piggyback is dead serves the buffers from a
 	// freelist, as with CloneDV.
 	EntryBuf() []Entry
-	// CheckpointState returns the opaque state payload stored with
-	// checkpoints of kernels without an attached application (byte
-	// accounting); nil for none.
-	CheckpointState() []byte
 	// OnKernelCheckpoint runs after kernel self stored checkpoint index —
 	// Store.Save returned: durable, or only staged if the engine took the
 	// wait for durability on itself with Store.NotifyDurable — and made it
@@ -492,16 +488,13 @@ func ApplyLine(ks []*Kernel, line []int, globalLI bool, rolledBack func(j, lostC
 
 // snapshot captures the state saved with a checkpoint: the application's
 // snapshot when one is attached (valid until the next call — it lives in the
-// kernel's scratch buffer), else the driver's opaque payload.
+// kernel's scratch buffer), else nil.
 func (k *Kernel) snapshot() []byte {
-	if k.app != nil {
-		k.snap = k.app.AppendSnapshot(k.snap[:0])
-		return k.snap
+	if k.app == nil {
+		return nil
 	}
-	if k.cfg.Driver != nil {
-		return k.cfg.Driver.CheckpointState()
-	}
-	return nil
+	k.snap = k.app.AppendSnapshot(k.snap[:0])
+	return k.snap
 }
 
 // DV returns a copy of the dependency vector.

@@ -67,6 +67,11 @@ func (n *Node) NetworkDraw() (time.Duration, bool) {
 // WorkerIdle is how long a sender-pool worker stays idle before it retires.
 const WorkerIdle = workerIdle
 
+// HoldRetries makes every retry timer the cluster arms from now on wait an
+// hour, so a backlog behind one stays parked while the test looks at it.
+// Call it before the cluster carries traffic.
+func (c *Cluster) HoldRetries() { c.holdRetries = true }
+
 // RetryTimers counts the pairs holding an armed retry timer.
 func (c *Cluster) RetryTimers() int {
 	armed := 0

@@ -104,10 +104,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(wireName(tcp)+", closed during an open partition", func(t *testing.T) {
 			base := goruntime.NumGoroutine()
-			c := compressedCluster(t, 4, tcp, runtime.LinkOptions{
-				RetryBase: 30 * time.Second,
-				RetryCap:  time.Minute,
-			})
+			c := compressedCluster(t, 4, tcp)
 			// Streams exist in both directions before the cut, so on the TCP wire
 			// Close has live readers and writers to tear down as well as parked
 			// frames.

@@ -53,40 +53,25 @@ type pairLink struct {
 	down    bool // a link-down flight event was recorded and not yet matched
 }
 
-// LinkOptions tunes the link layer and the TCP wire's failure behavior
-// (Config.Link). The zero value selects the defaults below.
-type LinkOptions struct {
-	// RetryBase and RetryCap shape the exponential retransmit backoff
-	// (defaults 10ms and 1s): after the k-th consecutive failed flush the
-	// pair waits about base<<k, jittered ±50%, capped, before retrying. It
-	// is the only pacing there is: the wire refuses or fails at once.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Window bounds the frames a pair retains for retransmit (default
-	// 4096): at most Window parked and, on a wire that keeps the frames it
-	// accepted until they are known delivered, at most Window there — two
-	// bounds, each on its own, not one on their sum. Overflow drops frames
-	// permanently; compressed clusters should size it above the largest
-	// burst a partition can strand, since the piggyback verifier fails
-	// loudly on a genuine loss.
-	Window int
-	// DialTimeout forwards to transport.Options; the in-process wire has
-	// no dial to bound.
-	DialTimeout time.Duration
-}
-
-func (o LinkOptions) withDefaults() LinkOptions {
-	if o.RetryBase <= 0 {
-		o.RetryBase = 10 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = time.Second
-	}
-	if o.Window <= 0 {
-		o.Window = 4096
-	}
-	return o
-}
+// The link layer's schedule and bound.
+//
+// retryBase and retryCap shape the exponential retransmit backoff: after
+// the k-th consecutive failed flush the pair waits about retryBase<<k,
+// jittered ±50%, capped at retryCap, before retrying. It is the only pacing
+// there is: the wire refuses or fails at once.
+//
+// linkWindow bounds the frames a pair retains for retransmit: at most
+// linkWindow parked and, on a wire that keeps the frames it accepted until
+// they are known delivered, at most linkWindow there — two bounds, each on
+// its own, not one on their sum. Overflow drops frames permanently, and on
+// a compressed cluster the piggyback verifier then fails loudly, so it sits
+// well above the largest burst a partition strands in the tests and the
+// chaos plans.
+const (
+	retryBase  = 10 * time.Millisecond
+	retryCap   = time.Second
+	linkWindow = 4096
+)
 
 // inflight counts messages in transit. It replaces the sync.WaitGroup the
 // cluster used before links could heal: retry timers legitimately re-add
@@ -182,7 +167,7 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	for k := range run {
-		if c.closed.Load() || len(pl.parked) >= c.linkOpts.Window {
+		if c.closed.Load() || len(pl.parked) >= linkWindow {
 			c.obs.LinkLost.Inc()
 			c.recycle(pl.from, &run[k].pb)
 		} else {
@@ -232,12 +217,13 @@ func (c *Cluster) armRetry(pl *pairLink) {
 	if pl.timer != nil || len(pl.parked) == 0 || pl.blocked.Load() || c.closed.Load() {
 		return
 	}
-	d := c.linkOpts.RetryBase
-	for i := 0; i < pl.tries && d < c.linkOpts.RetryCap; i++ {
+	d := retryBase
+	for i := 0; i < pl.tries && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > c.linkOpts.RetryCap {
-		d = c.linkOpts.RetryCap
+	d = min(d, retryCap)
+	if c.holdRetries {
+		d = time.Hour
 	}
 	c.jitMu.Lock()
 	d = d/2 + time.Duration(c.jit.Int63n(int64(d)))

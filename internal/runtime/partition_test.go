@@ -35,13 +35,12 @@ func wireName(tcp bool) string {
 // compressed piggybacking, whose delivery-order verification inside every
 // kernel is the loud witness that retransmission introduced no duplicate,
 // reorder, or silent loss.
-func compressedCluster(t *testing.T, n int, tcp bool, link runtime.LinkOptions) *runtime.Cluster {
+func compressedCluster(t *testing.T, n int, tcp bool) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
 		N:        n,
 		TCP:      tcp,
 		Compress: true,
-		Link:     link,
 		Net:      runtime.NetworkOptions{Seed: 11},
 	})
 	if err != nil {
@@ -89,7 +88,7 @@ func counts(h ccp.Script) (int, int) {
 // every stranded message into the receivers.
 func TestPartitionQuiesceWhileOpen(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
-		c := compressedCluster(t, 4, tcp, runtime.LinkOptions{})
+		c := compressedCluster(t, 4, tcp)
 		defer c.Close()
 
 		if err := c.Partition([][]int{{0, 1}, {2, 3}}); err != nil {
@@ -156,7 +155,7 @@ func TestPartitionFlappingUnderLoad(t *testing.T) {
 			opsPerNode = 400
 			flaps      = 40
 		)
-		c := compressedCluster(t, n, tcp, runtime.LinkOptions{Window: 1 << 15})
+		c := compressedCluster(t, n, tcp)
 		defer c.Close()
 
 		var stop atomic.Bool
@@ -227,32 +226,24 @@ func TestPartitionFlappingUnderLoad(t *testing.T) {
 // while retransmit timers are armed with a huge backoff must return
 // promptly — the retry machinery observes the closed flag instead of
 // waiting out its schedule. A cut pair arms no timer (it waits for the
-// heal), so the backlog here stands behind a dial that fails: a deadline
-// that has passed before the dial can start.
+// heal), so the backlog here stands behind a stream that died with frames
+// it had accepted (PoisonStream), and its retry waits an hour (HoldRetries).
 func TestPartitionCloseDuringBackoff(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
 		if !tcp {
-			t.Skip("the in-process wire refuses nothing, so it never arms a retry timer")
+			t.Skip("the in-process wire loses nothing it accepted, so it never arms a retry timer")
 		}
 		reg := obs.NewRegistry()
 		c, err := runtime.NewCluster(runtime.Config{
 			N: 2, TCP: true, Compress: true,
-			Link: runtime.LinkOptions{
-				RetryBase:   30 * time.Second,
-				RetryCap:    time.Minute,
-				DialTimeout: time.Nanosecond,
-			},
 			Obs: obs.Options{Registry: reg},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 10; k++ {
-			if err := c.Node(0).Send(1); err != nil {
-				t.Fatalf("send %d: %v", k, err)
-			}
-		}
-		c.Quiesce() // everything is parked; the retry timer now holds a 15 s+ schedule
+		c.HoldRetries()
+		c.PoisonStream(0, 1, 10)
+		c.Quiesce() // everything is parked; the retry timer now holds a 30 min+ schedule
 		snap := reg.Snapshot()
 		if h, _ := snap.Histogram(obs.RuntimeLinkBackoffNs); h.Count != 1 || snap.Gauge(obs.RuntimeLinkParked) != 10 {
 			t.Fatalf("%d retry timers armed over %d parked frames, want 1 over 10",
@@ -283,7 +274,7 @@ func TestPartitionDifferentialDelivery(t *testing.T) {
 			seed = 7
 		)
 		drive := func(partitioned bool) ccp.Script {
-			c := compressedCluster(t, n, tcp, runtime.LinkOptions{})
+			c := compressedCluster(t, n, tcp)
 			defer c.Close()
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < ops; k++ {
@@ -360,7 +351,7 @@ func TestPartitionRetransmitKeepsEntryBuffers(t *testing.T) {
 			n      = 4
 			rounds = 60
 		)
-		c := compressedCluster(t, n, tcp, runtime.LinkOptions{})
+		c := compressedCluster(t, n, tcp)
 		defer c.Close()
 
 		// Warm every pair and the freelist, so what parks below are incremental
@@ -440,7 +431,6 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 		var crossed atomic.Int64
 		c, err := runtime.NewCluster(runtime.Config{
 			N: n, TCP: tcp, Compress: true,
-			Link:      runtime.LinkOptions{Window: 1 << 15},
 			OnDeliver: func(int, app.App, []byte) { crossed.Add(1) },
 		})
 		if err != nil {
@@ -513,7 +503,7 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 func TestPartitionCutAPIValidatesPairs(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
 		const n = 3
-		c := compressedCluster(t, n, tcp, runtime.LinkOptions{})
+		c := compressedCluster(t, n, tcp)
 		defer c.Close()
 		for _, p := range [][2]int{{0, n}, {n, 0}, {-1, 0}, {0, -1}, {1, 1}, {n, n}} {
 			if c.BreakLink(p[0], p[1]) || c.HealLink(p[0], p[1]) || c.PartitionedPairs() != 0 {
@@ -544,7 +534,7 @@ func TestPartitionCutAPIValidatesPairs(t *testing.T) {
 // HealLink restores one direction only.
 func TestPartitionImplicitGroup(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
-		c := compressedCluster(t, 3, tcp, runtime.LinkOptions{})
+		c := compressedCluster(t, 3, tcp)
 		defer c.Close()
 		if err := c.Partition([][]int{{1}}); err != nil {
 			t.Fatal(err)

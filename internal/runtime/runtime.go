@@ -90,11 +90,6 @@ type Config struct {
 	// checkpoint (if any) and the vector merge, so state it mutates is
 	// atomic with respect to checkpoints — exactly like Node.Update.
 	OnDeliver func(self int, a app.App, payload []byte)
-	// Link tunes the link layer every cluster runs: the retry backoff, the
-	// per-pair retransmit window that replays frames stranded by a severed
-	// or partitioned link after it heals, and the TCP wire's socket
-	// deadlines.
-	Link LinkOptions
 	// Obs attaches live telemetry: a metrics registry instrumenting the
 	// kernel, sender pool, mesh and stores, and a flight recorder capturing
 	// the protocol event stream. The zero value (both nil) is the default
@@ -152,14 +147,13 @@ type Cluster struct {
 	// hand-off or the TCP mesh (wire.go). Chosen once, in NewCluster.
 	wire wire
 
-	// The link layer (link.go): links/linkOpts hold its per-pair state,
+	// The link layer (link.go): links holds its per-pair state,
 	// cutPairs the directed pairs BreakLink/Partition currently hold cut,
 	// and downLinks the pairLinks whose down flag is set (setDown keeps
 	// it): with none, a session has nothing to purge and sweeps no pair.
 	// created lists the pairLinks that exist, in creation order and
 	// append-only under linkMu: what a sweep over the pairs visits, instead
 	// of the n² slots most of which stay nil.
-	linkOpts  LinkOptions
 	links     []atomic.Pointer[pairLink]
 	linkMu    sync.Mutex
 	created   []*pairLink
@@ -173,6 +167,11 @@ type Cluster struct {
 	// the deterministic engine's byte-identical-table contract.
 	jitMu sync.Mutex
 	jit   *rand.Rand
+	// holdRetries stretches every retry's wait to an hour, so a backlog
+	// behind a retry stays parked for as long as a test looks at it. Only
+	// the tests set it (export_test.go); every cluster NewCluster returns
+	// runs the backoff schedule of link.go.
+	holdRetries bool
 }
 
 // Node is one process's middleware endpoint: a kernel behind a lock. All
@@ -270,7 +269,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// a TCP cluster has always promised it (a pair is one stream).
 		c.pairDue = make([]int64, cfg.N*cfg.N)
 	}
-	c.linkOpts = cfg.Link.withDefaults()
 	c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
 	c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
 	// The one place that asks which wire; nothing arrives on either before
@@ -486,11 +484,6 @@ func (c *Cluster) recycle(from int, pb *node.Piggyback) {
 		n.bufMu.Unlock()
 	}
 }
-
-// CheckpointState implements node.Driver: live checkpoints carry the
-// application snapshot (handled by the kernel), never an accounting
-// payload.
-func (n *Node) CheckpointState() []byte { return nil }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
 // forced ones the delivery path takes) land in the node's history the

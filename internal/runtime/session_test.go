@@ -162,9 +162,6 @@ func TestSessionDropsParkedFrames(t *testing.T) {
 		reg := obs.NewRegistry()
 		c, err := runtime.NewCluster(runtime.Config{
 			N: n, TCP: tcp, Compress: true,
-			// A dead stream's backlog waits on a retry the test never sees
-			// fire: the session has to stop it.
-			Link:    runtime.LinkOptions{RetryBase: time.Hour, RetryCap: time.Hour},
 			LocalGC: func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 			OnDeliver: func(_ int, _ app.App, p []byte) {
 				switch p[0] {
@@ -180,6 +177,9 @@ func TestSessionDropsParkedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
+		// A dead stream's backlog waits on a retry the test never sees fire:
+		// the session has to stop it.
+		c.HoldRetries()
 		parkedGauge := reg.Gauge(obs.RuntimeLinkParked)
 		downLinks := func(when string, want int) {
 			t.Helper()

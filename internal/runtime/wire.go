@@ -80,7 +80,7 @@ type meshPair struct {
 }
 
 // frameRing is a pair's retransmit window: a FIFO of frames in a ring that
-// doubles while it is too small — never past LinkOptions.Window, which send
+// doubles while it is too small — never past linkWindow, which send
 // enforces before it pushes — and is then reused in place, so a pair in
 // steady state accepts and prunes frames without allocating. It keeps its
 // high-water size; a pair that never talks never builds one.
@@ -115,7 +115,7 @@ func (r *frameRing) pop() {
 // delivering are reconciled by onLinkDown, which hands them back to the link
 // for retransmit — so Quiesce cannot hang on a torn-down link.
 func newMeshWire(c *Cluster) (*meshWire, error) {
-	mesh, err := transport.NewTCPWith(c.cfg.N, transport.Options{DialTimeout: c.linkOpts.DialTimeout})
+	mesh, err := transport.NewTCP(c.cfg.N)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (w *meshWire) send(pl *pairLink, run []pending) int {
 	clear(msgs)
 	mp.out = msgs[:0]
 	for k := 0; k < accepted; k++ {
-		if mp.window.n >= w.c.linkOpts.Window {
+		if mp.window.n >= linkWindow {
 			// Window overflow: the oldest accepted frame loses its
 			// retransmit coverage. It is not lost yet — only unprotected; if
 			// its stream dies before delivering it, onLinkDown counts it

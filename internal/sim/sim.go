@@ -44,9 +44,6 @@ type Config struct {
 	// GlobalGC, if set, runs every GlobalEvery events (default 1).
 	GlobalGC    gc.Global
 	GlobalEvery int
-	// StateBytes is the size of the opaque state saved with each
-	// checkpoint (for byte accounting); default 0.
-	StateBytes int
 	// Compress piggybacks only the dependency-vector entries changed since
 	// the previous send to the same destination (Singhal–Kshemkalyani).
 	// Requires per-pair FIFO delivery; Run fails on reordered scripts.
@@ -97,7 +94,6 @@ type Runner struct {
 	// (or the end of the Run, for a message left in transit) puts it back.
 	dvFree  []vclock.DV
 	entFree [][]node.Entry
-	state   []byte // shared zero state buffer (stores copy defensively)
 }
 
 // message is one script message: the process bound to receive it (−1 for
@@ -159,20 +155,6 @@ func (r *Runner) Close() error {
 		errs = append(errs, storage.Close(k.Store()))
 	}
 	return errors.Join(errs...)
-}
-
-// CheckpointState implements node.Driver: the opaque payload stored with
-// each checkpoint for byte accounting.
-func (r *Runner) CheckpointState() []byte {
-	if r.cfg.StateBytes <= 0 {
-		return nil
-	}
-	// One shared zero buffer: stores copy State defensively, so every
-	// checkpoint can hand in the same backing array.
-	if r.state == nil {
-		r.state = make([]byte, r.cfg.StateBytes)
-	}
-	return r.state
 }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the

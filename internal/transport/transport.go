@@ -254,21 +254,6 @@ func decodeFrame(b []byte, view bool, m *Message) error {
 // model permits.
 var ErrLinkDown = errors.New("transport: link is down")
 
-// Options tunes the mesh's failure behavior. The zero value selects the
-// defaults below; NewTCP uses them.
-type Options struct {
-	// DialTimeout bounds each connection attempt (default 3s): a hung
-	// listener costs one sender a bounded stall, never an unbounded one.
-	DialTimeout time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	return o
-}
-
 // writeTimeout bounds each batch write. A peer that accepts the connection
 // but stops reading eventually fills the socket; the deadline errors the
 // write out and the link dies — the reliability layer above redials and
@@ -278,6 +263,10 @@ func (o Options) withDefaults() Options {
 // write that blocks dies within writeTimeout and never sooner than
 // writeTimeout/2.
 const writeTimeout = 5 * time.Second
+
+// dialTimeout bounds each connection attempt: a hung listener costs one
+// sender a bounded stall, never an unbounded one.
+const dialTimeout = 3 * time.Second
 
 // helloMagic opens every connection: the dialer announces which (from, to)
 // pair the stream carries, so the reader side can account delivered frames
@@ -301,7 +290,6 @@ const maxInboundBatch = 64
 // against it, so a torn-down link cannot strand their accounting.
 type TCP struct {
 	n         int
-	opts      Options
 	listeners []net.Listener
 
 	// conns[from*n+to] is the pair's current incarnation, live or dead, or
@@ -398,22 +386,17 @@ func (sc *sendConn) carries(conn net.Conn) bool {
 	return p != nil && (*p).LocalAddr().String() == conn.RemoteAddr().String()
 }
 
-// NewTCP opens one loopback listener per node with default Options. Call
-// StartBatched to begin delivering, then SendBatch at will, then Close.
-func NewTCP(n int) (*TCP, error) { return NewTCPWith(n, Options{}) }
-
-// NewTCPWith is NewTCP with explicit failure-behavior options.
-func NewTCPWith(n int, opts Options) (*TCP, error) {
-	opts = opts.withDefaults()
+// NewTCP opens one loopback listener per node. Call StartBatched to begin
+// delivering, then SendBatch at will, then Close.
+func NewTCP(n int) (*TCP, error) {
 	t := &TCP{
 		n:         n,
-		opts:      opts,
 		conns:     make([]atomic.Pointer[sendConn], n*n),
 		accepted:  make(map[net.Conn]struct{}),
 		closed:    make(chan struct{}),
 		delivered: make([]atomic.Int64, n*n),
 		dial: func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, opts.DialTimeout)
+			return net.DialTimeout("tcp", addr, dialTimeout)
 		},
 	}
 	for i := 0; i < n; i++ {

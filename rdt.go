@@ -138,7 +138,6 @@ type options struct {
 	collector  Collector
 	backend    Backend
 	storageDir string
-	stateBytes int
 	compress   bool
 	obs        obs.Options
 }
@@ -161,10 +160,6 @@ func WithStorage(b Backend, dir string) Option {
 	return func(o *options) { o.backend, o.storageDir = b, dir }
 }
 
-// WithStateSize sets the opaque state payload saved with each checkpoint,
-// for storage-byte accounting.
-func WithStateSize(bytes int) Option { return func(o *options) { o.stateBytes = bytes } }
-
 // WithCompression piggybacks only the dependency-vector entries changed
 // since the previous send to the same destination (the Singhal–Kshemkalyani
 // incremental technique). It means the same thing in every engine — a
@@ -173,7 +168,9 @@ func WithStateSize(bytes int) Option { return func(o *options) { o.stateBytes = 
 // scripts, live clusters reject lossy networks at construction (the sender
 // pool sequences each pair, and the link layer keeps that order across cuts
 // and reconnects on either wire),
-// and chaos runs refuse lossy baselines while keeping delay bursts.
+// and chaos runs refuse lossy baselines and drop nothing in their loss
+// bursts (a plan's burst carries loss alone, so there it only lifts the
+// baseline delay).
 func WithCompression() Option { return func(o *options) { o.compress = true } }
 
 // stores resolves the configured backend to the per-process NewStore hook
@@ -200,13 +197,12 @@ func (o options) simConfig(n int) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg := sim.Config{
-		N:          n,
-		Protocol:   pf,
-		LocalGC:    col.Local,
-		GlobalGC:   col.Global,
-		StateBytes: o.stateBytes,
-		Compress:   o.compress,
-		Obs:        o.obs,
+		N:        n,
+		Protocol: pf,
+		LocalGC:  col.Local,
+		GlobalGC: col.Global,
+		Compress: o.compress,
+		Obs:      o.obs,
 	}
 	if cfg.NewStore, err = o.stores(); err != nil {
 		return sim.Config{}, err

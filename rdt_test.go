@@ -56,9 +56,11 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
-// TestLogStorageOption runs a system on disk-backed stores and closes it.
+// TestLogStorageOption runs a system on disk-backed stores and closes it. A
+// facade system attaches no application, so its checkpoints carry no state
+// and the stores count no state bytes.
 func TestLogStorageOption(t *testing.T) {
-	sys, err := rdt.New(3, rdt.WithStorage(rdt.BackendLog, t.TempDir()), rdt.WithStateSize(128))
+	sys, err := rdt.New(3, rdt.WithStorage(rdt.BackendLog, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +73,11 @@ func TestLogStorageOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sys.StorageStats(0)
-	if st.Live == 0 || st.LiveBytes == 0 {
-		t.Errorf("log storage stats empty: %+v", st)
+	if st.Live == 0 || st.Saved <= st.Live {
+		t.Errorf("log storage stats show no saved or no collected checkpoint: %+v", st)
+	}
+	if st.LiveBytes != 0 {
+		t.Errorf("log storage counts %d state bytes for checkpoints without state", st.LiveBytes)
 	}
 }
 
@@ -92,7 +97,7 @@ func TestStorageBackendOption(t *testing.T) {
 		t.Error("ParseBackend accepted the retired file backend")
 	}
 	for _, b := range []rdt.Backend{rdt.BackendMem, rdt.BackendLog} {
-		sys, err := rdt.New(3, rdt.WithStorage(b, t.TempDir()), rdt.WithStateSize(64))
+		sys, err := rdt.New(3, rdt.WithStorage(b, t.TempDir()))
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}

@@ -234,6 +234,27 @@ if awk '/^type pairLink struct/{s=1} s && /^}/{s=0}
 	fail=1
 fi
 
+# Every setting has a caller. The knobs that only tests set, or that nothing
+# read, became constants beside the code they tune (the link layer's backoff
+# and window, the mesh's dial timeout, a chaos plan's shape), and the
+# mechanisms that only carried them went with them: the facade's state-size
+# option, the simulator's opaque checkpoint payload and the kernel driver's
+# method that served it. A test that needs another schedule gets a seam in an
+# export_test.go, not an option.
+for gone in runtime.LinkOptions transport.Options transport.NewTCPWith sim.Config.StateBytes \
+	node.Driver.CheckpointState ccp.RandomOptions.MaxDelay chaos.PlanOptions.DowntimeOps \
+	chaos.PlanOptions.BurstLoss chaos.PlanOptions.BurstDelay chaos.PlanOptions.RepeatedCrashes \
+	chaos.PlanOptions.Flaps; do
+	if go doc "repro/internal/${gone%%.*}" "${gone#*.}" >/dev/null 2>&1; then
+		echo "layering violation: $gone exists again; it was a setting no caller but a test set, or that nothing read" >&2
+		fail=1
+	fi
+done
+if go doc repro WithStateSize >/dev/null 2>&1; then
+	echo "layering violation: rdt.WithStateSize exists again; it was a setting no caller but a test set" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -246,4 +267,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; only the TCP wire keeps a retransmit window; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
