@@ -146,7 +146,7 @@ func TestCrossEngineDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, err := runtime.NewCluster(runtime.Config{
-				N: n, Protocol: fdas, LocalGC: lgc, Compress: compress,
+				N: n, Protocol: fdas, LocalGC: lgc, Compress: compress, Record: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +195,7 @@ func TestCrossEngineDeterminism(t *testing.T) {
 	const n = 3
 	stream := xstream(n, 80, 99)
 	mk := func() ccp.Script {
-		c, err := runtime.NewCluster(runtime.Config{N: n})
+		c, err := runtime.NewCluster(runtime.Config{N: n, Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestHistoryCopyCanBeExtended(t *testing.T) {
 	const n = 3
 	stream := xstream(n, 60, 7)
 	live := func() ccp.Script {
-		c, err := runtime.NewCluster(runtime.Config{N: n})
+		c, err := runtime.NewCluster(runtime.Config{N: n, Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}

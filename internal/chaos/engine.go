@@ -159,6 +159,7 @@ func Run(cfg Config, plan Plan) (Result, error) {
 		TCP:      cfg.TCP,
 		Compress: cfg.Compress,
 		Obs:      cfg.Obs,
+		Record:   true, // the oracles read the history around every recovery
 	})
 	if err != nil {
 		return Result{}, err

@@ -53,8 +53,8 @@ func (k EventKind) String() string {
 // slices, no strings — so recording never allocates. Field meaning varies
 // by kind:
 //
-//	Send        P=sender,    Msg=global msg id, Aux=destination, Clock=sender's own DV entry
-//	Deliver     P=receiver,  Msg=global msg id, Aux=sender,      Clock=receiver's own DV entry
+//	Send        P=sender,    Msg=msg id, Aux=destination, Clock=sender's own DV entry
+//	Deliver     P=receiver,  Msg=msg id, Aux=sender,      Clock=receiver's own DV entry
 //	Checkpoint  P=process,   Msg=checkpoint index, Aux=1 if forced (0 basic), Clock=own DV entry
 //	Rollback    P=process,   Msg=recovery-line index rolled back to
 //	Collect     P=process,   Msg=collected checkpoint index
@@ -64,6 +64,11 @@ func (k EventKind) String() string {
 //	LinkUp      P=sender,    Aux=receiver, Msg=frames resent on reconnect
 //	FenceDrop   P=sender,    Msg=fenced frames dropped undelivered (its crash, a recovery session, a failed flush)
 //	SessionPurge P=-1 (the cluster), Msg=queued frames a recovery session or Close cancelled in the sender pool, Aux=the epoch it opened
+//
+// A message id is unique per sender, not across the cluster (the runtime
+// counts them per node unless it records its history, where the send's
+// cluster-wide tick is the id): (sender, Msg) names a message — a Send's
+// (P, Msg), a Deliver's (Aux, Msg).
 type Event struct {
 	Kind  EventKind
 	T     int64 // wall clock, UnixNano

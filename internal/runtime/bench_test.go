@@ -30,9 +30,9 @@ func benchDelivery(b *testing.B, compress bool) {
 			// RDT-LGC's collect work.
 			var c *runtime.Cluster
 			if net := (runtime.NetworkOptions{Seed: 1}); compress {
-				c = compressCluster(b, n, net, false)
+				c = compressCluster(b, n, net, false, unrecorded)
 			} else {
-				c = lgcCluster(b, n, net)
+				c = lgcCluster(b, n, net, unrecorded)
 			}
 			send := func(i int) {
 				from := i % n
@@ -85,52 +85,7 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 	}
 	for _, n := range sizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			credits := make([]chan struct{}, n)
-			for i := range credits {
-				credits[i] = make(chan struct{}, window)
-				for k := 0; k < window; k++ {
-					credits[i] <- struct{}{}
-				}
-			}
-			c, err := runtime.NewCluster(runtime.Config{
-				N: n, TCP: true,
-				LocalGC: func(self, n int, st storage.Store) gc.Local {
-					return core.New(self, n, st)
-				},
-				// Every message on the ring comes from the receiver's
-				// predecessor: its credit goes back there, and never blocks
-				// the receiver, since a node has window credits in all.
-				OnDeliver: func(self int, _ app.App, _ []byte) { credits[(self+n-1)%n] <- struct{}{} },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = c.Close() }()
-			// One full window per node first: every stream dials, the
-			// workers spawn and the snapshot freelists fill.
-			ring := func(msgs int) {
-				var wg sync.WaitGroup
-				for i := 0; i < n; i++ {
-					share := msgs / n
-					if i < msgs%n {
-						share++
-					}
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						for k := share; k > 0; k-- {
-							<-credits[i]
-							if err := c.Node(i).Send((i + 1) % n); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(i)
-				}
-				wg.Wait()
-				c.Quiesce()
-			}
-			ring(n * window)
+			_, ring := creditRing(b, n, window, true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			t0 := time.Now()
@@ -138,6 +93,61 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 			b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
 		})
 	}
+}
+
+// creditRing builds an unrecorded n-node ring under RDT-LGC with window
+// messages in flight per node, closed when the test ends, and returns it
+// with ring: ring(msgs) sends msgs messages, one sender goroutine per node,
+// and returns once they are delivered. It has already run one full
+// window per node, so every stream is dialled, the workers have spawned and
+// the snapshot freelists are stocked.
+func creditRing(tb testing.TB, n, window int, tcp bool) (*runtime.Cluster, func(msgs int)) {
+	tb.Helper()
+	credits := make([]chan struct{}, n)
+	for i := range credits {
+		credits[i] = make(chan struct{}, window)
+		for k := 0; k < window; k++ {
+			credits[i] <- struct{}{}
+		}
+	}
+	c, err := runtime.NewCluster(runtime.Config{
+		N: n, TCP: tcp,
+		LocalGC: func(self, n int, st storage.Store) gc.Local {
+			return core.New(self, n, st)
+		},
+		// Every message on the ring comes from the receiver's predecessor:
+		// its credit goes back there, and never blocks the receiver, since a
+		// node has window credits in all.
+		OnDeliver: func(self int, _ app.App, _ []byte) { credits[(self+n-1)%n] <- struct{}{} },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close() })
+	ring := func(msgs int) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			share := msgs / n
+			if i < msgs%n {
+				share++
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for k := share; k > 0; k-- {
+					<-credits[i]
+					if err := c.Node(i).Send((i + 1) % n); err != nil {
+						tb.Error(err)
+						return
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		c.Quiesce()
+	}
+	ring(n * window)
+	return c, ring
 }
 
 // BenchmarkRestartAtRest times a crash and restart of p0 on an idle
@@ -159,7 +169,7 @@ func BenchmarkRestartAtRest(b *testing.B) {
 			continue
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			c := compressCluster(b, n, runtime.NetworkOptions{Seed: 1}, false)
+			c := compressCluster(b, n, runtime.NetworkOptions{Seed: 1}, false, unrecorded)
 			defer func() { _ = c.Close() }()
 			alone := make([][]int, n)
 			for i := range alone {

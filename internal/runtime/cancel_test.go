@@ -61,6 +61,7 @@ func TestSessionCancelsDelayedTraffic(t *testing.T) {
 						LocalGC: func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 						Net:     runtime.NetworkOptions{Seed: 17},
 						Obs:     obs.Options{Registry: reg, Recorder: rec},
+						Record:  true,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -200,6 +201,7 @@ func TestSessionBarrierCatchesStraddlingSend(t *testing.T) {
 		Net:       runtime.NetworkOptions{MinDelay: deadDelay, MaxDelay: deadDelay},
 		OnDeliver: func(int, app.App, []byte) { delivered.Add(1) },
 		Obs:       obs.Options{Recorder: rec},
+		Record:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +267,7 @@ func TestSessionsRaceSenders(t *testing.T) {
 				LocalGC: func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 				Net:     runtime.NetworkOptions{MaxDelay: 2 * time.Millisecond, Seed: 23},
 				Obs:     obs.Options{Registry: reg},
+				Record:  true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // refuses every application-facing operation with ErrCrashed, messages
 // addressed to it are lost, and the survivors keep running.
 func TestChaosCrashRefusesWork(t *testing.T) {
-	c := lgcCluster(t, 3, runtime.NetworkOptions{Seed: 5})
+	c := lgcCluster(t, 3, runtime.NetworkOptions{Seed: 5}, recorded)
 	driveRandom(t, c, 20, 1)
 
 	if err := c.Crash(1); err != nil {
@@ -61,7 +61,7 @@ func TestChaosCrashRefusesWork(t *testing.T) {
 // rehydrated state agrees with stable storage and the replayed history.
 func TestChaosCrashRestartRehydrates(t *testing.T) {
 	const n = 4
-	c := lgcCluster(t, n, runtime.NetworkOptions{MaxDelay: 100 * time.Microsecond, Seed: 9})
+	c := lgcCluster(t, n, runtime.NetworkOptions{MaxDelay: 100 * time.Microsecond, Seed: 9}, recorded)
 	driveRandom(t, c, 50, 13)
 
 	victim := 2
@@ -134,7 +134,7 @@ func TestChaosCrashRestartRehydrates(t *testing.T) {
 // them in one session.
 func TestChaosCorrelatedRestart(t *testing.T) {
 	const n = 5
-	c := lgcCluster(t, n, runtime.NetworkOptions{Seed: 21})
+	c := lgcCluster(t, n, runtime.NetworkOptions{Seed: 21}, recorded)
 	driveRandom(t, c, 40, 29)
 
 	for _, p := range []int{1, 3} {
@@ -168,7 +168,7 @@ func TestChaosCorrelatedRestart(t *testing.T) {
 // a process is down, Restart refuses with none down, and rehydration works
 // through a genuine on-disk store.
 func TestChaosSessionGuards(t *testing.T) {
-	c := lgcCluster(t, 3, runtime.NetworkOptions{Seed: 2})
+	c := lgcCluster(t, 3, runtime.NetworkOptions{Seed: 2}, unrecorded)
 	driveRandom(t, c, 15, 3)
 
 	if _, err := c.Restart(true); err == nil {
@@ -221,6 +221,7 @@ func TestChaosFailedRestartLeavesProcessesDown(t *testing.T) {
 			}
 			return st, nil
 		},
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +265,7 @@ func TestChaosLogStoreRestart(t *testing.T) {
 			return core.New(self, n, st)
 		},
 		NewStore: logStores(t.TempDir()),
+		Record:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

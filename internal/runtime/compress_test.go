@@ -12,7 +12,8 @@ import (
 	"repro/internal/storage"
 )
 
-func compressCluster(t testing.TB, n int, net runtime.NetworkOptions, tcp bool) *runtime.Cluster {
+// compressCluster builds a compressed cluster with the RDT-LGC collector.
+func compressCluster(t testing.TB, n int, net runtime.NetworkOptions, tcp, record bool) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
 		N:        n,
@@ -21,7 +22,8 @@ func compressCluster(t testing.TB, n int, net runtime.NetworkOptions, tcp bool) 
 		LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		},
-		Net: net,
+		Net:    net,
+		Record: record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +49,7 @@ func TestCompressRejectsLossyNetwork(t *testing.T) {
 // in flight: a fault-injection harness cannot turn loss on under a
 // compressed cluster.
 func TestCompressRejectsLossBurst(t *testing.T) {
-	c := compressCluster(t, 2, runtime.NetworkOptions{}, false)
+	c := compressCluster(t, 2, runtime.NetworkOptions{}, false, unrecorded)
 	if err := c.SetNetwork(0, time.Millisecond, 0.2); err == nil {
 		t.Fatal("loss burst on a compressed cluster should be rejected")
 	}
@@ -69,7 +71,7 @@ func TestCompressedLiveCluster(t *testing.T) {
 		MinDelay: 20 * time.Microsecond,
 		MaxDelay: 400 * time.Microsecond,
 		Seed:     3,
-	}, false)
+	}, false, recorded)
 	driveRandom(t, c, 60, 17)
 
 	oracle := c.Oracle()
@@ -105,7 +107,7 @@ func TestCompressedTCPMesh(t *testing.T) {
 	c := compressCluster(t, n, runtime.NetworkOptions{
 		MaxDelay: 100 * time.Microsecond,
 		Seed:     5,
-	}, true)
+	}, true, recorded)
 	defer func() { _ = c.Close() }()
 	driveRandom(t, c, 40, 23)
 
@@ -123,7 +125,7 @@ func TestCompressedTCPMesh(t *testing.T) {
 // still merge correctly (a stale delta chain would panic or diverge).
 func TestCompressedRecoverySession(t *testing.T) {
 	const n = 3
-	c := compressCluster(t, n, runtime.NetworkOptions{MaxDelay: 100 * time.Microsecond, Seed: 9}, false)
+	c := compressCluster(t, n, runtime.NetworkOptions{MaxDelay: 100 * time.Microsecond, Seed: 9}, false, recorded)
 	driveRandom(t, c, 40, 31)
 
 	if err := c.Crash(1); err != nil {

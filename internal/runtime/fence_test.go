@@ -153,7 +153,7 @@ func stageForcedCheckpoint(t *testing.T, c *runtime.Cluster, gate *syncGate) (to
 // flight; once the flush is through, they all arrive, in send order.
 func TestFenceHoldsUntilDurable(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, gates := gatedCluster(t, 3, runtime.Config{Obs: obs.Options{Registry: reg}})
+	c, gates := gatedCluster(t, 3, runtime.Config{Obs: obs.Options{Registry: reg}, Record: true})
 	toP1 := stageForcedCheckpoint(t, c, gates[0])
 
 	quiesced := make(chan struct{})
@@ -218,7 +218,7 @@ func TestFenceHoldsUntilDurable(t *testing.T) {
 // line with every invariant intact.
 func TestFenceCrashBetweenStageAndFlush(t *testing.T) {
 	rec := obs.NewRecorder(256)
-	c, gates := gatedCluster(t, 3, runtime.Config{Obs: obs.Options{Recorder: rec}})
+	c, gates := gatedCluster(t, 3, runtime.Config{Obs: obs.Options{Recorder: rec}, Record: true})
 	stageForcedCheckpoint(t, c, gates[0])
 
 	if err := c.Crash(0); err != nil {
@@ -390,7 +390,8 @@ func TestFenceSlowFlushSoak(t *testing.T) {
 				return nil
 			}})
 		},
-		Net: runtime.NetworkOptions{MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Seed: 11},
+		Net:    runtime.NetworkOptions{MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Seed: 11},
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)

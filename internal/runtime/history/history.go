@@ -1,11 +1,14 @@
 // Package history is the live cluster's record of what happened: what tests
-// and the chaos engine replay through the internal/ccp oracles. Nothing on
-// the message path shares it. Each node appends its own events —
-// checkpoint, send, receive — to its own Log, under the node lock the three
-// record sites already hold, stamped with a tick from the cluster's one
-// atomic counter. A total order is built only when somebody asks for one
-// (Linearize merges the logs by tick), and a recovery session cuts only the
-// logs of the processes it rolls back, from the tail.
+// and the chaos engine replay through the internal/ccp oracles. A cluster
+// keeps it only when built with runtime.Config.Record; one built without it
+// logs nothing and draws no tick, so its memory does not grow with the
+// messages it carries. On a recording cluster each node appends its own
+// events — checkpoint, send, receive — to its own Log, under the node lock
+// the three record sites already hold, stamped with a tick from the
+// cluster's one atomic counter; the counter is all the record shares. A
+// total order is built only when somebody asks for one (Linearize merges the
+// logs by tick), and a recovery session cuts only the logs of the processes
+// it rolls back, from the tail.
 //
 // Tick order is a linearization of the execution: a node's ticks increase
 // because it draws them under its own lock, and a receive draws its tick

@@ -18,7 +18,7 @@ import (
 // events — and at none of theirs.
 func TestSessionCutWorkIndependentOfHistory(t *testing.T) {
 	session := func(events int) int {
-		c, err := NewCluster(Config{N: 3, LocalGC: func(self, n int, st storage.Store) gc.Local {
+		c, err := NewCluster(Config{N: 3, Record: true, LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		}})
 		if err != nil {
@@ -54,7 +54,7 @@ func TestSessionCutWorkIndependentOfHistory(t *testing.T) {
 		if err := h.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return c.cutVisited
+		return c.hist.cutVisited
 	}
 	large := 1_000_000
 	if testing.Short() {
@@ -80,7 +80,7 @@ func TestHistoryWhileSendingTCP(t *testing.T) {
 			tokens[i] <- struct{}{}
 		}
 	}
-	c, err := NewCluster(Config{N: n, TCP: true,
+	c, err := NewCluster(Config{N: n, TCP: true, Record: true,
 		OnDeliver: func(_ int, _ app.App, payload []byte) { tokens[payload[0]] <- struct{}{} },
 	})
 	if err != nil {

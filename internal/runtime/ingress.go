@@ -44,7 +44,8 @@ import (
 const ingRingSize = 32
 
 // deliverMeta is the per-message state postDeliver needs after the kernel
-// has consumed the piggyback: the history record and the application hook.
+// has consumed the piggyback: the application hook, the history record and
+// the flight event.
 type deliverMeta struct {
 	msg     int
 	from    int
@@ -181,7 +182,7 @@ func (n *Node) postDeliver(i int) {
 	if n.c.cfg.OnDeliver != nil {
 		n.c.cfg.OnDeliver(n.id, n.k.App(), m.payload)
 	}
-	n.log.Recv(n.c.tick.Add(1), uint64(m.msg))
+	n.recordRecv(m.msg)
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvDeliver, P: n.id, Msg: m.msg, Aux: m.from, Clock: n.k.DVRef()[n.id],
 	})

@@ -46,6 +46,7 @@ func TestIngressBackpressureBounded(t *testing.T) {
 			LocalGC: func(self, nn int, st storage.Store) gc.Local {
 				return core.New(self, nn, st)
 			},
+			Record: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -48,7 +48,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 
 	t.Run("in-process, delayed sends queued", func(t *testing.T) {
 		base := goruntime.NumGoroutine()
-		c := lgcCluster(t, 4, delayed)
+		c := lgcCluster(t, 4, delayed, unrecorded)
 		ringSends(t, c, 40)
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

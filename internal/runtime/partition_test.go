@@ -34,7 +34,8 @@ func wireName(tcp bool) string {
 // compressedCluster builds the configuration the partition tests lean on:
 // compressed piggybacking, whose delivery-order verification inside every
 // kernel is the loud witness that retransmission introduced no duplicate,
-// reorder, or silent loss.
+// reorder, or silent loss. It records, since they count what the history
+// holds.
 func compressedCluster(t *testing.T, n int, tcp bool) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
@@ -42,6 +43,7 @@ func compressedCluster(t *testing.T, n int, tcp bool) *runtime.Cluster {
 		TCP:      tcp,
 		Compress: true,
 		Net:      runtime.NetworkOptions{Seed: 11},
+		Record:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,6 +434,7 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 		c, err := runtime.NewCluster(runtime.Config{
 			N: n, TCP: tcp, Compress: true,
 			OnDeliver: func(int, app.App, []byte) { crossed.Add(1) },
+			Record:    true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -44,6 +44,7 @@ func TestQuiesceReturnsAfterLinkKill(t *testing.T) {
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
 			return core.New(self, nn, st)
 		},
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +141,7 @@ func TestPooledDelayedFIFOCompressed(t *testing.T) {
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
 			return core.New(self, nn, st)
 		},
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +169,7 @@ func TestSaturationSmoke(t *testing.T) {
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
 			return core.New(self, nn, st)
 		},
+		Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,8 @@ func (c *Cluster) Down() []int {
 //  5. roll back every process whose component is stable (Algorithm 3 on
 //     its collector, with LI when globalLI is true) and release stale UC
 //     entries on the others;
-//  6. cut the rolled-back processes' recorded history at the line, resume.
+//  6. cut the rolled-back processes' recorded history (Config.Record) at
+//     the line, resume.
 //
 // Recover models processes that fail and rejoin within one session. For
 // processes that crashed earlier via Crash use Restart, which rehydrates
@@ -211,10 +212,11 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	rep.Line = line
 	err = node.ApplyLine(c.kernels, line, globalLI, func(j, _ int) {
 		rep.RolledBack = append(rep.RolledBack, j)
-		// The process's history is cut with it, at its stable component;
-		// processes that keep their state keep their logs untouched, and the
-		// receives this orphans are dropped when History next merges.
-		c.cutVisited += c.nodes[j].log.CutAfterCheckpoint(line[j])
+		// The process's recorded history is cut with it, at its stable
+		// component; processes that keep their state keep their logs
+		// untouched, and the receives this orphans are dropped when History
+		// next merges.
+		c.nodes[j].cutHistory(line[j])
 		c.flight.Record(obs.Event{Kind: obs.EvRollback, P: j, Msg: line[j], Clock: line[j]})
 	})
 	return rep, err

@@ -12,15 +12,15 @@
 // "evaluation in a practical environment" the paper lists as future work
 // (Section 6), with deliveries racing application activity.
 //
-// Every node records its own middleware events — checkpoints, sends,
-// receives — in its own append-only log, under the lock it already holds,
-// each stamped with a tick from one cluster-wide atomic counter; no message
-// touches shared history state. History merges the logs by tick when asked.
-// Tick order is a linearization (a node's ticks increase under its lock, and
-// a receive draws its tick after its send returned) and, for a serialized
-// execution, is exactly the order things happened — so tests can still
-// rebuild the exact checkpoint and communication pattern and run the
-// internal/ccp oracles against a concurrent execution (see package history).
+// A cluster built with Config.Record also keeps its history: every node
+// records its own middleware events — checkpoints, sends, receives — in its
+// own append-only log, under the lock it already holds, stamped from one
+// cluster-wide atomic counter, and History merges the logs when asked (see
+// record.go and package history), so tests and the chaos engine can rebuild
+// the exact checkpoint and communication pattern of a concurrent execution
+// and run the internal/ccp oracles against it. A cluster built without it —
+// the default — logs nothing: its memory holds what the paper bounds, and no
+// message draws from that counter.
 package runtime
 
 import (
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/ccp"
 	"repro/internal/gc"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -95,6 +94,14 @@ type Config struct {
 	// the protocol event stream. The zero value (both nil) is the default
 	// and keeps every hot path at its uninstrumented cost.
 	Obs obs.Options
+	// Record keeps the history History and Oracle rebuild: every checkpoint,
+	// send and receive is logged on its node for the cluster's life, and each
+	// draws from one cluster-wide counter (record.go). Whoever checks the
+	// execution against the internal/ccp oracles sets it — tests, the chaos
+	// engine, the facade's live cluster. Off (the default), nothing is
+	// logged, no message draws from the counter, and History and Oracle
+	// panic.
+	Record bool
 }
 
 // Cluster is a set of live middleware nodes.
@@ -124,11 +131,8 @@ type Cluster struct {
 	// with a load. A recovery session is the only writer.
 	st atomic.Uint64
 
-	// tick orders the nodes' logs (see package history): every recorded event
-	// draws the next value, and a send's tick doubles as its message id.
-	// cutVisited sums what sessions looked at while cutting logs.
-	tick       atomic.Uint64
-	cutVisited int
+	// hist is a recorded cluster's share of the history (record.go).
+	hist recording
 
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
@@ -212,8 +216,12 @@ type Node struct {
 	staged uint64
 	fence  fence
 
-	// log is this process's history, appended to under mu.
-	log history.Log
+	// log is this process's history, appended to under mu on a recorded
+	// cluster. lastID is the id of the last message the node sent on an
+	// unrecorded one: ids count per sender, under mu, and survive Crash and
+	// Restart, so (From, Msg) names one message for the cluster's life.
+	log    history.Log
+	lastID uint64
 
 	// ing is the bounded ingress ring every inbound batch passes through
 	// (see ingress.go); pbs/meta are the drain's reusable kernel-call
@@ -390,31 +398,6 @@ func (c *Cluster) Quiesce() {
 	c.inflight.Wait()
 }
 
-// History returns a snapshot of the linearized middleware history; replayed
-// through internal/ccp it reconstructs the exact pattern of the concurrent
-// execution so far. It is built on demand by merging the nodes' logs, with
-// every node locked for the duration (as a recovery session locks them), so
-// the snapshot is exactly the events recorded before it.
-func (c *Cluster) History() ccp.Script {
-	logs := make([]*history.Log, len(c.nodes))
-	for i, n := range c.nodes {
-		n.mu.Lock()
-		logs[i] = &n.log
-	}
-	defer func() {
-		for _, n := range c.nodes {
-			n.mu.Unlock()
-		}
-	}()
-	return history.Linearize(logs)
-}
-
-// Oracle rebuilds the ground-truth CCP from the recorded history.
-func (c *Cluster) Oracle() *ccp.CCP {
-	h := c.History()
-	return h.BuildCCP()
-}
-
 // PiggybackEntries returns the total dependency-vector entries piggybacked
 // on messages so far, summed over the nodes — n per full-vector send, only
 // the changed entries per send with Compress.
@@ -486,12 +469,13 @@ func (c *Cluster) recycle(from int, pb *node.Piggyback) {
 }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
-// forced ones the delivery path takes) land in the node's history the
-// instant they are staged, while the node's lock is held, and the stage
-// number becomes the ticket of every frame the node builds from here on.
+// forced ones the delivery path takes) land in the node's history, on a
+// recorded cluster, the instant they are staged, while the node's lock is
+// held, and the stage number becomes the ticket of every frame the node
+// builds from here on.
 func (n *Node) OnKernelCheckpoint(self, index int, basic bool) {
 	n.staged = n.k.Store().Staged()
-	n.log.Checkpoint(n.c.tick.Add(1))
+	n.recordCheckpoint()
 	forced := 0
 	if !basic {
 		forced = 1
@@ -627,11 +611,9 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		n.mu.Unlock()
 		return err
 	}
-	// The send's tick is the message's id on the wire and in the flight
-	// recorder: unique, increasing per sender, never rewound by a session.
-	tick := n.c.tick.Add(1)
-	n.log.Send(tick)
-	d.msg = int(tick)
+	// The message's id on the wire and in the flight recorder: unique per
+	// sender, increasing, never rewound by a session (record.go).
+	d.msg = n.recordSend()
 	n.c.flight.Record(obs.Event{
 		Kind: obs.EvSend, P: n.id, Msg: d.msg, Aux: to, Clock: n.k.DVRef()[n.id],
 	})

@@ -32,14 +32,23 @@ func logStores(dir string) func(self int) (storage.Store, error) {
 	}
 }
 
-func lgcCluster(t testing.TB, n int, net runtime.NetworkOptions) *runtime.Cluster {
+// recorded and unrecorded name a test cluster's Config.Record: a test that
+// reads History or Oracle records, a benchmark never does.
+const (
+	recorded   = true
+	unrecorded = false
+)
+
+// lgcCluster builds an in-process cluster with the RDT-LGC collector.
+func lgcCluster(t testing.TB, n int, net runtime.NetworkOptions, record bool) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.Config{
 		N: n,
 		LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		},
-		Net: net,
+		Net:    net,
+		Record: record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +140,7 @@ func TestLiveClusterMaintainsRDTAndTheorems(t *testing.T) {
 		MaxDelay: 500 * time.Microsecond,
 		Loss:     0.05,
 		Seed:     1,
-	})
+	}, recorded)
 	driveRandom(t, c, 60, 99)
 
 	checkOracles(t, c)
@@ -166,7 +175,7 @@ func TestLiveClusterMaintainsRDTAndTheorems(t *testing.T) {
 // from stable states, and execution continues.
 func TestLiveRecovery(t *testing.T) {
 	const n = 3
-	c := lgcCluster(t, n, runtime.NetworkOptions{MaxDelay: 200 * time.Microsecond, Seed: 2})
+	c := lgcCluster(t, n, runtime.NetworkOptions{MaxDelay: 200 * time.Microsecond, Seed: 2}, recorded)
 	driveRandom(t, c, 40, 7)
 
 	rep, err := c.Recover([]int{1}, true)
@@ -199,7 +208,7 @@ func TestLiveRecovery(t *testing.T) {
 // all succeed after the session (both acceptable) — here we test the flag
 // directly through a cluster with an in-progress session window.
 func TestSendValidation(t *testing.T) {
-	c := lgcCluster(t, 2, runtime.NetworkOptions{})
+	c := lgcCluster(t, 2, runtime.NetworkOptions{}, unrecorded)
 	if err := c.Node(0).Send(0); err == nil {
 		t.Error("self-send should be rejected")
 	}

@@ -96,6 +96,7 @@ func TestRefusedSessionLeavesCompressedClusterUsable(t *testing.T) {
 					},
 					// Runs under the receiver's lock; read after Quiesce.
 					OnDeliver: func(self int, _ app.App, _ []byte) { delivered[self]++ },
+					Record:    true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -171,7 +172,8 @@ func TestSessionDropsParkedFrames(t *testing.T) {
 					postDelivered.Add(1)
 				}
 			},
-			Obs: obs.Options{Registry: reg},
+			Obs:    obs.Options{Registry: reg},
+			Record: true,
 		})
 		if err != nil {
 			t.Fatal(err)

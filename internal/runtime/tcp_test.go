@@ -19,7 +19,8 @@ func lgcClusterTCP(t *testing.T, n int) *runtime.Cluster {
 		LocalGC: func(self, nn int, st storage.Store) gc.Local {
 			return core.New(self, nn, st)
 		},
-		Net: runtime.NetworkOptions{MaxDelay: 200 * time.Microsecond, Seed: 3},
+		Net:    runtime.NetworkOptions{MaxDelay: 200 * time.Microsecond, Seed: 3},
+		Record: true, // its one caller checks the oracles
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 // after Quiesce, the delivered count equals the sent count (no loss
 // configured).
 func TestTCPClusterQuiesceDrains(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.Config{N: 2, TCP: true})
+	c, err := runtime.NewCluster(runtime.Config{N: 2, TCP: true, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,5 +46,30 @@ func TestObsFromEvents(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("diagram missing %q:\n%s", frag, out)
 		}
+	}
+}
+
+// TestFromEventsJoinsOnSenderAndID pins the join key: a message id is unique
+// per sender only, so two senders' message 5 are two messages. Keyed by the
+// id alone, p1's delivery of p0's message 5 would be joined to p2's send.
+func TestFromEventsJoinsOnSenderAndID(t *testing.T) {
+	evs := []obs.Event{
+		{Kind: obs.EvSend, P: 0, Msg: 5, Aux: 1},
+		{Kind: obs.EvSend, P: 2, Msg: 5, Aux: 1},
+		{Kind: obs.EvDeliver, P: 1, Msg: 5, Aux: 0},
+		{Kind: obs.EvDeliver, P: 1, Msg: 5, Aux: 2},
+	}
+	s := trace.FromEvents(3, evs)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("converted script invalid: %v", err)
+	}
+	want := []ccp.Op{
+		{Kind: ccp.OpSend, P: 0, Msg: 0},
+		{Kind: ccp.OpSend, P: 2, Msg: 1},
+		{Kind: ccp.OpRecv, P: 1, Msg: 0},
+		{Kind: ccp.OpRecv, P: 1, Msg: 1},
+	}
+	if !slices.Equal(s.Ops, want) {
+		t.Fatalf("got %v, want %v", s.Ops, want)
 	}
 }

@@ -32,7 +32,7 @@ import (
 type Message struct {
 	From    int
 	To      int
-	Msg     int          // global message number
+	Msg     int          // message id, unique per sender: (From, Msg) names it
 	Epoch   uint64       // network epoch; stale messages are dropped as lost
 	Index   int          // protocol-specific index (BCS)
 	Ord     int          // per-(From,To) send order (compressed piggybacks)

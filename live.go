@@ -55,6 +55,8 @@ func NewCluster(n int, net Network, opt ...Option) (*Cluster, error) {
 		TCP:      net.TCP,
 		Compress: o.compress,
 		Obs:      o.obs,
+		// History and Oracle are part of this API, so the cluster records.
+		Record: true,
 		Net: runtime.NetworkOptions{
 			MinDelay: net.MinDelay,
 			MaxDelay: net.MaxDelay,
@@ -107,7 +109,9 @@ func (c *Cluster) Restart(globalLI bool) (LiveReport, error) {
 }
 
 // Oracle rebuilds the ground-truth pattern from the linearized history of
-// the concurrent execution.
+// the concurrent execution. A live cluster records that history for its
+// whole life (runtime.Config.Record): about 16 bytes per checkpoint, send
+// and receive.
 func (c *Cluster) Oracle() *CCP { return c.c.Oracle() }
 
 // BreakLink cuts the directed pair from "from" to "to" until HealLink or

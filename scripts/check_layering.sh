@@ -234,6 +234,19 @@ if awk '/^type pairLink struct/{s=1} s && /^}/{s=0}
 	fail=1
 fi
 
+# The history is recorded only when asked (Config.Record). Its three record
+# sites, the session's cut and the merge are methods in
+# internal/runtime/record.go, each of which returns at once on a cluster that
+# does not record. No other file of the runtime names the cluster tick or
+# writes a node's log: a tick drawn or an event logged elsewhere is the
+# per-message log write and the cluster-wide word growing back onto the
+# unrecorded message path.
+if grep -nw 'tick' $(echo "$rt_files" | grep -v '/record\.go$') >&2 ||
+	grep -n '\.log\.' $(echo "$rt_files" | grep -v '/record\.go$') >&2; then
+	echo "layering violation: the cluster tick or a node's history log named outside internal/runtime/record.go" >&2
+	fail=1
+fi
+
 # Every setting has a caller. The knobs that only tests set, or that nothing
 # read, became constants beside the code they tune (the link layer's backoff
 # and window, the mesh's dial timeout, a chaos plan's shape), and the
@@ -267,4 +280,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; the history is recorded only when asked, in one file; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
