@@ -126,7 +126,15 @@ func (kv *KV) AppendSnapshot(dst []byte) []byte {
 
 // Restore implements App. The snapshot must decode exactly: a truncated
 // field or bytes past the last pair reject it, leaving the state untouched.
+// A snapshot of the store's own keys in their order — a recovery's usual
+// case — is written into the existing slots and allocates nothing.
 func (kv *KV) Restore(snapshot []byte) error {
+	kv.mu.Lock()
+	sameKeys := kv.restoreInPlaceLocked(snapshot)
+	kv.mu.Unlock()
+	if sameKeys {
+		return nil
+	}
 	rest := snapshot
 	next := func() (int64, bool) {
 		if len(rest) < 8 {
@@ -169,6 +177,36 @@ func (kv *KV) Restore(snapshot []byte) error {
 	defer kv.mu.Unlock()
 	kv.slot, kv.vals, kv.order, kv.ops = re.slot, re.vals, re.order, ops
 	return nil
+}
+
+// restoreInPlaceLocked restores snapshot into the existing slots if it
+// names exactly the store's keys, in their order, and decodes exactly. It
+// checks the whole snapshot before it writes a value, and reports whether
+// it restored; any other snapshot is left to Restore's general path.
+func (kv *KV) restoreInPlaceLocked(snapshot []byte) bool {
+	le := binary.LittleEndian
+	if len(snapshot) < 16 || le.Uint64(snapshot[8:]) != uint64(len(kv.order)) {
+		return false
+	}
+	off := 16
+	for _, k := range kv.order {
+		if len(snapshot)-off < 16+len(k.key) || le.Uint64(snapshot[off:]) != uint64(len(k.key)) ||
+			string(snapshot[off+8:off+8+len(k.key)]) != k.key {
+			return false
+		}
+		off += 16 + len(k.key)
+	}
+	if off != len(snapshot) {
+		return false
+	}
+	off = 16
+	for _, k := range kv.order {
+		off += 8 + len(k.key)
+		kv.vals[k.slot] = int64(le.Uint64(snapshot[off:]))
+		off += 8
+	}
+	kv.ops = int64(le.Uint64(snapshot))
+	return true
 }
 
 // Equal reports whether two stores hold identical state (counter + data).

@@ -264,3 +264,50 @@ func TestKVEmptySnapshot(t *testing.T) {
 		t.Fatal("restore of empty snapshot should empty the store")
 	}
 }
+
+// TestKVRestoreSameKeysAllocatesNothing: a snapshot of the store's own keys
+// in their order — what a recovery restores — is written into the existing
+// slots and allocates nothing; cut anywhere, it is refused and leaves the
+// store as it was, and a snapshot of other keys of the same count still
+// restores whole.
+func TestKVRestoreSameKeysAllocatesNothing(t *testing.T) {
+	kv := NewKV()
+	for i := 0; i < 64; i++ {
+		kv.Set(fmt.Sprintf("key-%04d", i), int64(i))
+	}
+	snap := kv.AppendSnapshot(nil)
+	kv.Add("key-0007", 100)
+	kv.Add("key-0063", -5)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := kv.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("restoring a same-key snapshot: %v allocs/op, want 0", allocs)
+	}
+	if got := kv.AppendSnapshot(nil); !bytes.Equal(got, snap) {
+		t.Fatal("in-place restore did not reproduce the snapshot")
+	}
+
+	kv.Add("key-0001", 1)
+	before := kv.AppendSnapshot(nil)
+	for cut := 0; cut < len(snap); cut++ {
+		if err := kv.Restore(snap[:cut]); err == nil {
+			t.Fatalf("cut at %d of %d: restored without error", cut, len(snap))
+		}
+		if !bytes.Equal(kv.AppendSnapshot(nil), before) {
+			t.Fatalf("cut at %d of %d: a refused restore changed the store", cut, len(snap))
+		}
+	}
+	if err := kv.Restore(append(append([]byte(nil), snap...), 0)); err == nil {
+		t.Fatal("trailing byte: restored without error")
+	}
+
+	other := NewKV()
+	for i := 0; i < 64; i++ {
+		other.Set(fmt.Sprintf("key-%04d", i+1), int64(-i))
+	}
+	if err := kv.Restore(other.AppendSnapshot(nil)); err != nil || !kv.Equal(other) {
+		t.Fatalf("a snapshot of other keys did not restore whole: %v", err)
+	}
+}

@@ -10,7 +10,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,6 +121,22 @@ func appendEncode(buf []byte, m *Message) []byte {
 	return append(buf, m.Payload...)
 }
 
+// appendFrame appends m's stream frame to buf: a length prefix, then the
+// encoding padded with zeros to a whole number of 8-byte words inside that
+// length (decodeFrame ignores bytes after the payload). Every frame of a
+// stream then starts word-aligned behind the 24-byte hello, so the reader
+// decodes each one in place.
+func appendFrame(buf []byte, m *Message) []byte {
+	size := encodedSize(m)
+	pad := -size & 7
+	buf = slices.Grow(buf, 8+size+pad)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(size+pad))
+	buf = appendEncode(buf, m)
+	end := len(buf) + pad // within the capacity grown above
+	clear(buf[len(buf):end])
+	return buf[:end]
+}
+
 // decode parses one frame payload, copying the entries, vector and payload
 // out of b — the portable path, and the public Decode.
 func decode(b []byte) (Message, error) {
@@ -133,11 +148,13 @@ func decode(b []byte) (Message, error) {
 }
 
 // decodeView parses one frame payload into m, zero-copy where the platform
-// allows: Entries, DV and Payload alias b, so the message is valid only as
-// long as b's bytes are. The mesh read path uses it, decoding straight into
-// its batch slot — frame buffers there outlive the delivery callback, which
-// is the ownership handoff StartBatched documents. On targets without
-// aliasing support it copies like decode.
+// allows and b is word-aligned: Entries, DV and Payload alias b, so the
+// message is valid only as long as b's bytes are. The mesh read path uses
+// it, decoding each frame in place in the stream's read buffer straight
+// into its batch slot; the buffer is not touched until the delivery
+// callback returns, which is the ownership handoff StartBatched documents.
+// A frame that is not word-aligned (a sender that does not pad) and every
+// frame on targets without aliasing support are copied like decode.
 func decodeView(b []byte, m *Message) error { return decodeFrame(b, aliasable(b), m) }
 
 // decodeFrame parses one frame payload into m; view selects aliasing (the
@@ -272,6 +289,9 @@ const dialTimeout = 3 * time.Second
 // pair the stream carries, so the reader side can account delivered frames
 // per pair and report the frames lost when a stream dies.
 const helloMagic = int64(0x52445448454C4C4F) // "RDTHELLO"
+
+// helloSize is the connection hello: magic, from, to.
+const helloSize = 24
 
 // maxInboundBatch bounds how many decoded frames one delivery callback
 // receives: enough to amortize the receiver's per-batch locking, small
@@ -420,10 +440,11 @@ func (t *TCP) Addr(i int) string { return t.listeners[i].Addr().String() }
 // batch instead of once per message.
 //
 // Ownership handoff: the slice AND the messages' variable-length sections
-// (Entries, DV, Payload) are views into per-stream read buffers that are
-// reused as soon as the callback returns — messages are decoded zero-copy
-// (decodeView). Implementations must fully consume a batch synchronously;
-// anything that must outlive the callback has to be copied inside it.
+// (Entries, DV, Payload) are views into the stream's one read buffer, in
+// which every frame is decoded in place (decodeView); the reader moves,
+// overwrites or replaces those bytes as soon as the callback returns.
+// Implementations must fully consume a batch synchronously; anything that
+// must outlive the callback has to be copied inside it.
 func (t *TCP) StartBatched(deliver func([]Message)) error {
 	if deliver == nil {
 		return errors.New("transport: nil deliver callback")
@@ -483,23 +504,36 @@ func (t *TCP) SetObs(reg *obs.Registry) {
 	reg.RegisterCounter(obs.TransportBadFrames, &t.badFrames)
 }
 
+// The inbound buffer of one stream: it starts at minReadBuf, doubles after a
+// read that filled all of its free space (a burst) up to maxReadBuf, and
+// grows to fit one frame of up to maxFrame bytes. It never shrinks.
+const (
+	minReadBuf = 4 << 10
+	maxReadBuf = 64 << 10
+	maxFrame   = 1 << 20
+)
+
 // readLoop drains one accepted stream: the hello identifying its (from,
-// to) pair, then length-prefixed frames. Frames already buffered behind
-// the one being read are decoded into the same batch, so a burst reaches
-// the deliver callback as one call. On exit — peer close, poisoned frame,
-// mesh close — the pair is reaped: sender-side accounting reconciles the
-// frames this reader will never deliver.
+// to) pair, then length-prefixed frames. The stream owns one byte buffer;
+// each read appends to it, and every complete frame it holds is decoded in
+// place (decodeView) into one batch, so a burst reaches the deliver callback
+// as one call. The buffer is touched again only after the callback returns:
+// the partial tail then moves to the front, or the buffer grows. On exit —
+// peer close, poisoned frame, mesh close — the pair is reaped: sender-side
+// accounting reconciles the frames this reader will never deliver.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	br := bufio.NewReaderSize(conn, 64<<10)
-
-	var hello [24]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	// A heap block of minReadBuf bytes is word-aligned, and so is every
+	// frame behind the hello when the sender pads frames to whole words
+	// (appendFrame): every view is then zero-copy.
+	buf := make([]byte, minReadBuf)
+	w, err := io.ReadAtLeast(conn, buf, helloSize)
+	if err != nil {
 		return
 	}
-	from := int(int64(binary.LittleEndian.Uint64(hello[8:])))
-	to := int(int64(binary.LittleEndian.Uint64(hello[16:])))
-	if int64(binary.LittleEndian.Uint64(hello[:])) != helloMagic ||
+	from := int(int64(binary.LittleEndian.Uint64(buf[8:])))
+	to := int(int64(binary.LittleEndian.Uint64(buf[16:])))
+	if int64(binary.LittleEndian.Uint64(buf)) != helloMagic ||
 		from < 0 || from >= t.n || to < 0 || to >= t.n {
 		t.frameError(-1, -1, errors.New("transport: bad connection hello"))
 		return
@@ -515,70 +549,75 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 	}()
 
-	// One reusable frame buffer per batch slot: messages are decoded
-	// zero-copy (decodeView aliases the buffer), so every frame of a batch
-	// must stay resident until the delivery callback has consumed the
-	// batch. Slot i is only overwritten when a later batch reads its i-th
-	// frame — after the callback for this batch returned (the StartBatched
-	// ownership handoff).
-	frameBufs := make([][]byte, maxInboundBatch)
-	// Frames decode straight into their batch slot (decodeFrame resets it
-	// first); the callback gets the first k slots.
-	batch := make([]Message, maxInboundBatch)
-	// hdr is the stream's one length-prefix buffer. It escapes through
-	// io.ReadFull, so it lives out here: one allocation per stream, not one
-	// per frame.
-	var hdr [8]byte
-	readFrame := func(slot int) error {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return err
-		}
-		size := int64(binary.LittleEndian.Uint64(hdr[:]))
-		if size <= 0 || size > 1<<20 {
-			return fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size)
-		}
-		buf := frameBufs[slot]
-		if int64(cap(buf)) < size {
-			buf = make([]byte, size)
-		}
-		buf = buf[:size]
-		frameBufs[slot] = buf
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return err
-		}
-		t.obs.BytesIn.Add(uint64(8 + size))
-		return decodeView(buf, &batch[slot])
-	}
+	// buf[r:w] holds the bytes read and not yet decoded. Frames decode
+	// straight into their batch slot (decodeFrame resets it first); the
+	// callback gets the first k slots, views into buf.
+	var batch []Message
+	r, burst := helloSize, false
 	for {
-		if err := readFrame(0); err != nil {
+		k, in := 0, 0
+		for k < maxInboundBatch && w-r >= 8 {
+			size := int64(binary.LittleEndian.Uint64(buf[r:]))
+			if size <= 0 || size > maxFrame {
+				t.deliverBatch(from, to, batch[:k])
+				t.frameError(from, to, fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size))
+				return
+			}
+			end := r + 8 + int(size)
+			if end > w {
+				break
+			}
+			if k == len(batch) {
+				batch = append(batch, Message{})
+			}
+			if err := decodeView(buf[r+8:end], &batch[k]); err != nil {
+				t.deliverBatch(from, to, batch[:k])
+				t.frameError(from, to, err)
+				return
+			}
+			k, in, r = k+1, in+end-r, end
+		}
+		if k > 0 {
+			t.obs.BytesIn.Add(uint64(in))
+			select {
+			case <-t.closed:
+				return
+			default:
+			}
+			t.deliverBatch(from, to, batch[:k])
+			continue
+		}
+		if err != nil {
+			if w > r && err == io.EOF {
+				err = fmt.Errorf("transport: torn frame: %w", io.ErrUnexpectedEOF)
+			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				t.frameError(from, to, err)
 			}
 			return
 		}
-		k := 1
-		// Coalesce: frames fully buffered behind this one join the batch,
-		// so a burst costs the receiver one callback (one lock
-		// acquisition in the engine) instead of one per frame.
-		for k < maxInboundBatch && br.Buffered() >= 8 {
-			hdr, _ := br.Peek(8)
-			size := int64(binary.LittleEndian.Uint64(hdr))
-			if size <= 0 || size > 1<<20 || int64(br.Buffered()) < 8+size {
-				break
-			}
-			if err := readFrame(k); err != nil {
-				t.deliverBatch(from, to, batch[:k])
-				t.frameError(from, to, err)
-				return
-			}
-			k++
+		// No complete frame is left: the callback has returned, so the
+		// partial tail moves to the front, and the buffer grows to fit the
+		// frame it starts, or doubles after a burst.
+		w, r = copy(buf, buf[r:w]), 0
+		need := 8
+		if w >= 8 {
+			need += int(binary.LittleEndian.Uint64(buf)) // checked above
 		}
-		select {
-		case <-t.closed:
-			return
-		default:
+		if burst {
+			need = max(need, min(2*len(buf), maxReadBuf))
 		}
-		t.deliverBatch(from, to, batch[:k])
+		if need > len(buf) {
+			grown := make([]byte, need)
+			copy(grown, buf[:w])
+			buf = grown
+			// Stale views must not keep the old buffer alive.
+			clear(batch)
+		}
+		var n int
+		n, err = conn.Read(buf[w:])
+		burst = w+n == len(buf)
+		w += n
 	}
 }
 
@@ -645,7 +684,7 @@ func (t *TCP) conn(from, to int) (*sendConn, error) {
 			t.obs.Dials.Inc()
 			conn, err := t.dial(t.Addr(to))
 			if err == nil {
-				var hello [24]byte
+				var hello [helloSize]byte
 				binary.LittleEndian.PutUint64(hello[:], uint64(helloMagic))
 				binary.LittleEndian.PutUint64(hello[8:], uint64(from))
 				binary.LittleEndian.PutUint64(hello[16:], uint64(to))
@@ -704,9 +743,7 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	defer sc.mu.Unlock()
 	buf, ends := sc.buf[:0], sc.ends[:0]
 	for i := range msgs {
-		m := &msgs[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(encodedSize(m)))
-		buf = appendEncode(buf, m)
+		buf = appendFrame(buf, &msgs[i])
 		ends = append(ends, len(buf))
 	}
 	sc.buf, sc.ends = buf, ends

@@ -793,3 +793,47 @@ func TestTCPSendersRaceSeverRedialAndClose(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPStreamHeapBounded pins what an accepted stream costs at rest: an
+// n = 32 mesh carries one small frame on each of its 992 streams, and the
+// live heap it adds, divided by the streams, stays within 8 KiB — the
+// reader's 4 KiB buffer plus the connection on both ends. A reader holding
+// a 64 KiB bufio.Reader and 64 frame slots read 75 KiB a stream here.
+func TestTCPStreamHeapBounded(t *testing.T) {
+	const n = 32
+	const streams = n * (n - 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mesh, err := NewTCP(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mesh.Close() }()
+	var delivered atomic.Int64
+	if err := mesh.StartBatched(func(ms []Message) { delivered.Add(int64(len(ms))) }); err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				if err := send(mesh, Message{From: from, To: to, Sparse: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); delivered.Load() < streams; {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d frames", delivered.Load(), streams)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perStream := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams
+	t.Logf("%d B of live heap per accepted stream", perStream)
+	if perStream > 8<<10 {
+		t.Fatalf("%d B of live heap per accepted stream, want at most %d", perStream, 8<<10)
+	}
+}
