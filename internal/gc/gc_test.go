@@ -240,60 +240,93 @@ func TestAllFaultyLineAgainstOracle(t *testing.T) {
 	}
 }
 
-// lastStableCounter counts the last_s reads a recovery-line computation
-// makes of the global view.
-type lastStableCounter struct {
+// readCounter counts the last_s reads a recovery-line computation makes of
+// the global view, and the checkpoints it loads from each store.
+type readCounter struct {
 	gc.View
 	reads int
+	loads []int
 }
 
-func (v *lastStableCounter) LastStable(i int) int {
+func (v *readCounter) LastStable(i int) int {
 	v.reads++
 	return v.View.LastStable(i)
+}
+
+func (v *readCounter) Store(i int) storage.Store {
+	return loadCounter{Store: v.View.Store(i), loads: &v.loads[i]}
+}
+
+type loadCounter struct {
+	storage.Store
+	loads *int
+}
+
+func (s loadCounter) Load(index int) (storage.Checkpoint, error) {
+	*s.loads++
+	return s.Store.Load(index)
 }
 
 // TestComputeLineReadsEachFaultyOnce pins what the recovery line reads of
 // last_s: each faulty process's once — Equation 2 compares every candidate
 // vector on the |F| faulty entries, with values read up front, not by a fresh
 // read per candidate — plus one read per volatile component, which is named
-// last_s(i)+1. Random faulty sets, repeats included, on seeded FDAS runs;
-// every line is also held to the oracle's.
+// last_s(i)+1. And of the stores: a faulty process no other faulty process
+// constrains takes its newest checkpoint unread, since Equation 2 never
+// compares a process's own entry. Random faulty sets, repeats included, and
+// each one's first process alone, on seeded FDAS runs with and without
+// RDT-LGC pruning the stores; every line is also held to the oracle's.
 func TestComputeLineReadsEachFaultyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(6)
-		r, err := sim.NewRunner(sim.Config{N: n, Protocol: fdas})
+		cfg := sim.Config{N: n, Protocol: fdas}
+		if trial%2 == 1 {
+			cfg.LocalGC = lgcFactory
+		}
+		r, err := sim.NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Run(ccp.RandomScript(rng, ccp.RandomOptions{N: n, Ops: 60})); err != nil {
 			t.Fatal(err)
 		}
-		var faulty []int
-		distinct := make(map[int]bool)
+		var random []int
 		for k := 1 + rng.Intn(n); k > 0; k-- {
-			f := rng.Intn(n)
-			faulty = append(faulty, f)
-			distinct[f] = true
+			random = append(random, rng.Intn(n))
 		}
-		v := &lastStableCounter{View: r.View()}
-		line, err := gc.ComputeLine(v, faulty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := r.Oracle().RecoveryLine(faulty)
-		volatile := 0
-		for i := range line {
-			if line[i] != want[i] {
-				t.Fatalf("trial %d: F=%v line %v, oracle %v", trial, faulty, line, want)
+		for _, faulty := range [][]int{random, random[:1]} {
+			distinct := make(map[int]bool)
+			for _, f := range faulty {
+				distinct[f] = true
 			}
-			if line[i] == r.LastStable(i)+1 {
-				volatile++
+			v := &readCounter{View: r.View(), loads: make([]int, n)}
+			line, err := gc.ComputeLine(v, faulty)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if wantReads := len(distinct) + volatile; v.reads != wantReads {
-			t.Fatalf("trial %d: n=%d F=%v: %d last_s reads, want %d (one per faulty process, one per volatile component)",
-				trial, n, faulty, v.reads, wantReads)
+			want := r.Oracle().RecoveryLine(faulty)
+			volatile := 0
+			for i := range line {
+				if line[i] != want[i] {
+					t.Fatalf("trial %d: F=%v line %v, oracle %v", trial, faulty, line, want)
+				}
+				if line[i] == r.LastStable(i)+1 {
+					volatile++
+				}
+			}
+			if wantReads := len(distinct) + volatile; v.reads != wantReads {
+				t.Fatalf("trial %d: n=%d F=%v: %d last_s reads, want %d (one per faulty process, one per volatile component)",
+					trial, n, faulty, v.reads, wantReads)
+			}
+			if len(distinct) == 1 {
+				f := faulty[0]
+				idx := r.View().Store(f).Indices()
+				if newest := idx[len(idx)-1]; line[f] != newest || v.loads[f] != 0 {
+					t.Fatalf("trial %d: sole faulty p%d got %d with %d loads on its store, want its newest checkpoint %d with none",
+						trial, f, line[f], v.loads[f], newest)
+				}
+			}
 		}
 	}
 }

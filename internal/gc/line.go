@@ -14,7 +14,10 @@ import "fmt"
 //
 // Equation 2 reads only the faulty entries, so the line costs n·|F| vector
 // compares, not n²: each faulty process's last_s is read once, and a
-// candidate vector is compared on those |F| entries alone.
+// candidate vector is compared on those |F| entries alone. Process i's own
+// entry is never compared, so a faulty process no other faulty process
+// constrains — the sole process of a restart — takes its newest stored
+// checkpoint without a Load: its vector could not change the answer.
 func ComputeLine(v View, faulty []int) ([]int, error) {
 	n := v.N()
 	isFaulty := make([]bool, n)
@@ -46,6 +49,11 @@ func ComputeLine(v View, faulty []int) ([]int, error) {
 		}
 		if !found {
 			indices := v.Store(i).Indices()
+			if len(fs) == 1 && fs[0].f == i && len(indices) > 0 {
+				// Only i is faulty: notPreceded holds for every vector.
+				line[i] = indices[len(indices)-1]
+				continue
+			}
 			for k := len(indices) - 1; k >= 0; k-- {
 				cp, err := v.Store(i).Load(indices[k])
 				if err != nil {

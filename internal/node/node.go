@@ -30,8 +30,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// Config assembles a Kernel. Protocol, LocalGC and NewApp are factories so
-// Rehydrate can construct conservative fresh instances after a crash.
+// Config assembles a Kernel. Protocol and LocalGC are factories so Rehydrate
+// can construct conservative fresh instances after a crash; NewApp runs once,
+// in New, since a crash destroys the application's state, not its object.
 type Config struct {
 	// ID is this process's identity, N the system size.
 	ID, N int
@@ -44,7 +45,8 @@ type Config struct {
 	// LocalGC constructs the local collector (default: keep everything).
 	LocalGC func(self, n int, store storage.Store) gc.Local
 	// NewApp, if set, attaches an application state machine: its snapshot
-	// is saved with every checkpoint and restored by Rollback.
+	// is saved with every checkpoint and restored by Rollback. New calls it
+	// once; the instance is kept across crashes.
 	NewApp func(self int) app.App
 	// Compress piggybacks only the dependency-vector entries changed since
 	// the previous send to the same destination (Singhal–Kshemkalyani).
@@ -123,6 +125,17 @@ type Kernel struct {
 	// messages: N per full-vector send, the changed entries per encode
 	// with compression.
 	pbEntries int
+
+	// parked holds the application object while the kernel is crashed:
+	// CrashVolatile takes it off app and Rehydrate puts it back, for the
+	// rollback that follows to replace its state (app.App.Restore).
+	parked app.App
+	// handoff is the checkpoint Rehydrate read, kept while an application
+	// is attached for the first Rollback after it: when that rollback
+	// targets handoff's index it restores the application from it, not
+	// from a second Load of the same record.
+	handoff   storage.Checkpoint
+	handedOff bool
 }
 
 // Piggyback is the control information one application message carries
@@ -349,8 +362,11 @@ func (k *Kernel) Checkpoint(basic bool) (int, error) {
 // session: the collector runs its Algorithm 3 variant (with the manager's
 // last-interval vector when li is non-nil) and rebuilds the dependency
 // vector; the attached application, if any, is restored to the checkpointed
-// snapshot.
+// snapshot — taken from the checkpoint Rehydrate read when ri is its index,
+// else loaded from the store.
 func (k *Kernel) Rollback(ri int, li []int) error {
+	cp, ok := k.handoff, k.handedOff
+	k.handoff, k.handedOff = storage.Checkpoint{}, false
 	dv, err := k.gcol.Rollback(ri, li)
 	if err != nil {
 		return err
@@ -360,9 +376,10 @@ func (k *Kernel) Rollback(ri int, li []int) error {
 	k.proto.OnRollback()
 	k.cfg.Metrics.Rollbacks.Inc()
 	if k.app != nil {
-		cp, err := k.store.Load(ri)
-		if err != nil {
-			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
+		if !ok || cp.Index != ri {
+			if cp, err = k.store.Load(ri); err != nil {
+				return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
+			}
 		}
 		if err := k.app.Restore(cp.State); err != nil {
 			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
@@ -378,13 +395,19 @@ func (k *Kernel) ReleaseStale(li []int) error { return k.gcol.ReleaseStale(li, k
 
 // CrashVolatile discards everything a failure destroys — dependency vector,
 // protocol, collector, application and compression state — leaving only the
-// stable store. The kernel is unusable until Rehydrate.
+// stable store. The kernel is unusable until Rehydrate, and has no
+// application: App returns nil. The application object is parked, not
+// dropped, for Rehydrate to take back; the state it holds is dead, and the
+// rollback that follows every Rehydrate replaces it.
 func (k *Kernel) CrashVolatile() {
 	k.dv = nil
 	k.lastS = 0
 	k.proto = nil
 	k.gcol = nil
-	k.app = nil
+	if k.app != nil {
+		k.parked, k.app = k.app, nil
+	}
+	k.handoff, k.handedOff = storage.Checkpoint{}, false
 	k.comp = nil
 	k.pendRun, k.pendN, k.virt, k.virtOK = nil, 0, nil, false
 }
@@ -392,11 +415,14 @@ func (k *Kernel) CrashVolatile() {
 // Rehydrate rebuilds a crashed kernel's volatile state from stable storage:
 // the dependency vector and interval index come from the most recent stored
 // checkpoint (the one checkpoint no collector ever discards), and fresh
-// protocol, collector, application and compression instances are
-// constructed from the config factories. The recovery session that follows
-// immediately rolls the process back to its recovery-line component, which
-// rebuilds the collector's UC state from the surviving checkpoints, so the
-// conservatively fresh instances never face traffic.
+// protocol, collector and compression instances are constructed from the
+// config factories. The parked application object is taken back, its state
+// still dead. The recovery session that follows immediately rolls the
+// process back to its recovery-line component, which rebuilds the
+// collector's UC state from the surviving checkpoints and restores the
+// application — from the checkpoint read here when the component is the
+// most recent one — so neither the conservatively fresh instances nor the
+// dead state ever face traffic.
 func (k *Kernel) Rehydrate(store storage.Store) error {
 	if store == nil {
 		store = k.store
@@ -420,8 +446,9 @@ func (k *Kernel) Rehydrate(store storage.Store) error {
 	k.lastS = last
 	k.proto = k.cfg.Protocol(k.cfg.ID)
 	k.gcol = k.cfg.LocalGC(k.cfg.ID, k.cfg.N, k.store)
-	if k.cfg.NewApp != nil {
-		k.app = k.cfg.NewApp(k.cfg.ID) // state machine restored by the rollback that follows
+	if k.parked != nil {
+		k.app, k.parked = k.parked, nil
+		k.handoff, k.handedOff = cp, true
 	}
 	if k.cfg.Compress {
 		k.comp = newCompressor(k.cfg.N)

@@ -211,6 +211,57 @@ func TestCrashRehydrateRollback(t *testing.T) {
 	}
 }
 
+// TestRehydratedAppRestoresTheRollbackTarget checks the crash lifecycle of
+// an attached application: CrashVolatile hides it, Rehydrate takes the same
+// object back, and the rollback restores the state of its own target —
+// from the checkpoint Rehydrate read when the target is the newest, from
+// the store when it is older.
+func TestRehydratedAppRestoresTheRollbackTarget(t *testing.T) {
+	for _, target := range []int{2, 1} {
+		news := 0
+		k, err := node.New(node.Config{
+			ID: 0, N: 2,
+			Store:    storage.NewMemStore(),
+			Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
+			NewApp: func(int) app.App {
+				news++
+				return app.NewKV()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := k.App().(*app.KV)
+		for v := int64(1); v <= 3; v++ {
+			kv.Set("x", v) // checkpoint v holds x = v; x = 3 is lost with the crash
+			if v < 3 {
+				if _, err := k.Checkpoint(true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		k.CrashVolatile()
+		if k.App() != nil {
+			t.Fatal("a crashed kernel shows an application")
+		}
+		if err := k.Rehydrate(nil); err != nil {
+			t.Fatal(err)
+		}
+		if k.App() != kv {
+			t.Fatal("Rehydrate did not take the pre-crash application object back")
+		}
+		if err := k.Rollback(target, nil); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := kv.Get("x"); v != int64(target) {
+			t.Fatalf("rollback to checkpoint %d left x = %d, want %d", target, v, target)
+		}
+		if news != 1 {
+			t.Fatalf("NewApp ran %d times, want once", news)
+		}
+	}
+}
+
 // TestResetCompressionRestartsPairs checks that after a reset the next
 // message carries the full set of non-zero entries again, the property
 // recovery sessions rely on.

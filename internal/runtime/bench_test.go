@@ -8,6 +8,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -203,6 +204,39 @@ func BenchmarkRestartAtRest(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				restart()
+			}
+		})
+	}
+}
+
+// BenchmarkRestartDurable times a crash and restart at rest on the shape of
+// the end-to-end benchmark's durable-ckpt workload: log stores (the device
+// flush stubbed out) and a 170-key KV application, whose snapshot is 4 KiB,
+// on an in-process cluster under RDT-LGC. Each iteration restarts a seeded
+// victim; every process has been restarted once before the clock starts, so
+// each session rolls back its victim alone, to its newest checkpoint.
+func BenchmarkRestartDurable(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			const keys = 170
+			c := kvCluster(b, n, keys, logStores(b.TempDir()), nil)
+			rng := rand.New(rand.NewSource(79))
+			driveKV(b, c, rng, 8*n, keys)
+			restart := func(victim int) {
+				if err := c.Crash(victim); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Restart(false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				restart(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restart(rng.Intn(n))
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/ccp"
 	"repro/internal/core"
 	"repro/internal/gc"
@@ -189,15 +190,20 @@ func TestChaosSessionGuards(t *testing.T) {
 }
 
 // flakyStore injects Load failures, modeling stable storage that breaks
-// between the crash and the restart.
+// between the crash and the restart: while failLoad is set, every Load
+// fails once passLoads more have succeeded.
 type flakyStore struct {
 	storage.Store
-	failLoad bool
+	failLoad  bool
+	passLoads int
 }
 
 func (s *flakyStore) Load(index int) (storage.Checkpoint, error) {
 	if s.failLoad {
-		return storage.Checkpoint{}, errors.New("injected load failure")
+		if s.passLoads == 0 {
+			return storage.Checkpoint{}, errors.New("injected load failure")
+		}
+		s.passLoads--
 	}
 	return s.Store.Load(index)
 }
@@ -251,6 +257,87 @@ func TestChaosFailedRestartLeavesProcessesDown(t *testing.T) {
 		t.Fatalf("retry after the store recovered: %v", err)
 	}
 	driveRandom(t, c, 10, 23)
+	if v, bad := c.Oracle().FirstRDTViolation(); bad {
+		t.Fatalf("post-retry execution not RDT: %v", v)
+	}
+}
+
+// TestChaosRestartFailingPastRehydrateLeavesProcessDown pins the same
+// atomicity past rehydration: when the restart's first read after
+// Rehydrate's fails — in the process's own rollback, since the line does not
+// read a sole faulty process's store — the process is left crashed, not up
+// with a collector and an application no rollback ever reset. The survivors
+// stay up (any the line already rolled back keep that rollback), and a retry
+// on the healed store restores the process's application to the line's
+// checkpoint.
+func TestChaosRestartFailingPastRehydrateLeavesProcessDown(t *testing.T) {
+	flaky := &flakyStore{}
+	c, err := runtime.NewCluster(runtime.Config{
+		N: 3,
+		LocalGC: func(self, n int, st storage.Store) gc.Local {
+			return core.New(self, n, st)
+		},
+		NewStore: func(self int) (storage.Store, error) {
+			st := storage.Store(storage.NewMemStore())
+			if self == 2 {
+				flaky.Store = st
+				st = flaky
+			}
+			return st, nil
+		},
+		NewApp: func(int) app.App { return app.NewKV() },
+		Record: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	driveRandom(t, c, 20, 29)
+	c.Quiesce()
+	set := func(v int64) {
+		t.Helper()
+		if err := c.Node(2).Update(func(a app.App) { a.(*app.KV).Set("x", v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(1)
+	if err := c.Node(2).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	set(2) // lost with the crash
+
+	if err := c.Crash(2); err != nil {
+		t.Fatal(err)
+	}
+	flaky.failLoad, flaky.passLoads = true, 1 // Rehydrate's read succeeds
+	if _, err := c.Restart(true); err == nil {
+		t.Fatal("restart should fail when the read after rehydration fails")
+	}
+	if got := c.Down(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Down() = %v after a restart failing past rehydration, want [2]", got)
+	}
+	if err := c.Node(2).Send(0); !errors.Is(err, runtime.ErrCrashed) {
+		t.Errorf("process whose restart failed accepted work: %v", err)
+	}
+	if a := c.Node(2).App(); a != nil {
+		t.Errorf("process whose restart failed shows an application holding its pre-crash state")
+	}
+	for _, j := range []int{0, 1} {
+		if err := c.Node(j).Send(1 - j); err != nil {
+			t.Errorf("survivor p%d refused work after the failed restart: %v", j, err)
+		}
+	}
+	c.Quiesce()
+
+	flaky.failLoad = false
+	rep, err := c.Restart(true)
+	if err != nil {
+		t.Fatalf("retry after the store recovered: %v", err)
+	}
+	if v, _ := c.Node(2).App().(*app.KV).Get("x"); v != 1 {
+		t.Fatalf("after the retry p2 holds x = %d, want 1 from checkpoint %d", v, rep.Line[2])
+	}
+	driveRandom(t, c, 10, 31)
 	if v, bad := c.Oracle().FirstRDTViolation(); bad {
 		t.Fatalf("post-retry execution not RDT: %v", v)
 	}

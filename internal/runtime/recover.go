@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gc"
 	"repro/internal/node"
@@ -179,6 +178,22 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 		}
 	}()
 
+	// A failed restart must leave every crashed process crashed — whether
+	// rehydrating a later one failed or the line or a rollback did — so
+	// Restart can be retried. A process rehydrated but never rolled back
+	// holds a fresh collector and its application's pre-crash state: it must
+	// not take traffic. Survivors are not undone: one ApplyLine rolled back
+	// before the failure keeps that rollback.
+	var restarted []int
+	defer func() {
+		if err != nil {
+			for _, j := range restarted {
+				c.nodes[j].k.CrashVolatile()
+				c.nodes[j].down = true
+			}
+		}
+	}()
+
 	rep = Report{Faulty: append([]int(nil), faulty...)}
 	for i, n := range c.nodes {
 		if !n.down {
@@ -190,20 +205,13 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 			return Report{}, fmt.Errorf("runtime: p%d is crashed; restart it via Restart", i)
 		}
 		if err := n.k.Rehydrate(nil); err != nil {
-			// Re-crash whatever was already rehydrated: a failed restart
-			// must leave every crashed process crashed, so the cluster
-			// resumes in its pre-call state and Restart can be retried.
-			for _, j := range rep.Restarted {
-				c.nodes[j].k.CrashVolatile()
-				c.nodes[j].down = true
-			}
 			return Report{}, fmt.Errorf("runtime: restart p%d: %w", i, err)
 		}
 		n.down = false
-		rep.Restarted = append(rep.Restarted, i)
+		restarted = append(restarted, i)
 		c.flight.Record(obs.Event{Kind: obs.EvRestart, P: i, Msg: n.k.LastStable(), Clock: n.k.DVRef()[i]})
 	}
-	sort.Ints(rep.Restarted)
+	rep.Restarted = restarted // ascending: the nodes are walked in order
 
 	line, err := gc.ComputeLine(haltedView{c}, faulty)
 	if err != nil {

@@ -70,7 +70,8 @@ type Config struct {
 	// NewApp, if set, attaches an application state machine to each node:
 	// its snapshot is saved with every checkpoint, and a rollback restores
 	// it to the checkpointed state — application-level rollback, not just
-	// middleware bookkeeping.
+	// middleware bookkeeping. It runs once per node, in NewCluster: a crash
+	// kills the state, and the restart restores the same object.
 	NewApp func(self int) app.App
 	// TCP selects the wire under the link layer: a loopback TCP mesh
 	// (internal/transport), so the piggybacked vectors cross a real network
@@ -582,6 +583,11 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	if to < 0 || to >= n.c.cfg.N || to == n.id {
 		return fmt.Errorf("runtime: p%d sending to invalid target %d", n.id, to)
 	}
+	// A send called while a session runs refuses at once, as Checkpoint and
+	// Update do, rather than waiting out the session's hold on the lock.
+	if n.c.isHalted() {
+		return ErrHalted
+	}
 	n.mu.Lock()
 	// Halt and epoch are snapshotted together, under the node's lock and
 	// before the piggyback is built: a send that straddles a recovery
@@ -656,7 +662,8 @@ func (n *Node) Checkpoint() error {
 	return n.fence.awaitDurable(ticket)
 }
 
-// App returns the node's attached application state machine, or nil.
+// App returns the node's attached application state machine, or nil — nil
+// too while the node is crashed; after Restart it is the same object again.
 func (n *Node) App() app.App { return n.k.App() }
 
 // Update mutates the application state under the middleware lock, so the
