@@ -9,13 +9,18 @@ package runtime_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/gc"
+	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/storage"
 )
@@ -94,6 +99,134 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 			b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
 		})
 	}
+}
+
+// BenchmarkDeliveryUniform is the stopwatch of the end-to-end benchmark's
+// uniform-w1 workload: n = 32 on TCP, compressed piggybacks, FDAS and
+// RDT-LGC on in-memory stores, one message in flight per node, each to a
+// seeded uniform destination, with a 16-byte payload and a checkpoint every
+// 64 sends. Every directed pair carries one message before the clock
+// starts, so every connection is dialled. Besides msgs/s it reports the
+// process's CPU time per message (getrusage) and the TCP segments sent per
+// message (Tcp OutSegs in /proc/net/snmp, which counts every socket in the
+// network namespace; left out where the file cannot be read): 2 when every
+// data segment draws a pure ACK back, fewer when ACKs ride reverse traffic.
+func BenchmarkDeliveryUniform(b *testing.B) {
+	const n, ckptEach = 32, 64
+	credits := make([]chan struct{}, n)
+	for i := range credits {
+		credits[i] = make(chan struct{}, 1)
+		credits[i] <- struct{}{}
+	}
+	c, err := runtime.NewCluster(runtime.Config{
+		N: n, TCP: true, Compress: true,
+		Protocol: func(int) protocol.Protocol { return protocol.NewFDAS() },
+		LocalGC:  func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
+		// payload[0] is the sender, whose credit the delivery gives back;
+		// payload[1] marks a set-up message, which took none.
+		OnDeliver: func(_ int, _ app.App, p []byte) {
+			if p[1] == 0 {
+				credits[p[0]] <- struct{}{}
+			}
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if to != from {
+				if err := c.Node(from).SendPayload(to, []byte{byte(from), 1, 15: 0}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	c.Quiesce()
+	rngs := make([]*rand.Rand, n)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(int64(i + 1)))
+	}
+	cpu0, segs0 := cpuTime(), tcpOutSegs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		share := b.N / n
+		if i < b.N%n {
+			share++
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rngs[i]
+			for k := 1; k <= share; k++ {
+				<-credits[i]
+				to := rng.Intn(n - 1)
+				if to >= i {
+					to++
+				}
+				if err := c.Node(i).SendPayload(to, []byte{byte(i), 0, 15: 0}); err != nil {
+					b.Error(err)
+					return
+				}
+				if k%ckptEach == 0 {
+					if err := c.Node(i).Checkpoint(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	c.Quiesce()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
+	b.ReportMetric(float64(cpuTime()-cpu0)/float64(time.Microsecond)/float64(b.N), "cpu-us/msg")
+	if segs1 := tcpOutSegs(); segs0 >= 0 && segs1 >= 0 {
+		b.ReportMetric(float64(segs1-segs0)/float64(b.N), "segs/msg")
+	}
+}
+
+// cpuTime is the user and system CPU time the process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// tcpOutSegs is the TCP segments sent in this network namespace so far
+// (Tcp OutSegs in /proc/net/snmp), or -1 where that cannot be read.
+func tcpOutSegs() int64 {
+	raw, err := os.ReadFile("/proc/net/snmp")
+	if err != nil {
+		return -1
+	}
+	var head []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] != "Tcp:" {
+			continue
+		}
+		if head == nil {
+			head = f
+			continue
+		}
+		for i := range head {
+			if head[i] == "OutSegs" && i < len(f) {
+				if v, err := strconv.ParseInt(f[i], 10, 64); err == nil {
+					return v
+				}
+			}
+		}
+		return -1
+	}
+	return -1
 }
 
 // creditRing builds an unrecorded n-node ring under RDT-LGC with window

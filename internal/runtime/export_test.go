@@ -104,10 +104,11 @@ func (c *Cluster) DownLinks() (recounted, counted int) {
 // reader refuses to decode (a sparse entry with a negative value). They are
 // written in one batch, so the wire accepts all k; the reader drops the
 // stream at the first, and the transport reports the k lost through
-// onLinkDown, which parks them behind a retry. A severed loopback stream
-// never takes that path — it drains what it carried — so this is how a test
-// reaches it. TCP clusters only: the in-process wire would hand the frames
-// to a kernel.
+// onLinkDown, which parks them behind a retry. A severed connection takes
+// that path only for what it still carried when its ends closed, which a
+// test cannot arrange, so this is how a test reaches it for sure; it kills
+// the pair's other direction too, which shares the connection. TCP
+// clusters only: the in-process wire would hand the frames to a kernel.
 func (c *Cluster) PoisonStream(from, to, k int) {
 	run := make([]pending, k)
 	for i := range run {

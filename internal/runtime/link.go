@@ -381,9 +381,12 @@ func (c *Cluster) setBlocked(pl *pairLink, v bool) int {
 // held it has finished, whoever takes it next sees the block. What such a
 // straggler dialed is severed again, and the reap awaited: the receiving
 // side has delivered what it will, and the wire has handed back the rest.
-// Returns how many pairs were open. Takes no node lock and must not be
-// called under one (OnDeliver, Update): the barrier may wait for a
-// receiver's drain.
+// On a wire whose connection carries both directions of a pair (TCP), the
+// sever kills the reverse direction's stream too, and the reap awaited is
+// both directions': the reverse direction's lost frames are back with its
+// link, whose retry resends them on a new connection with no heal. Returns
+// how many pairs were open. Takes no node lock and must not be called under
+// one (OnDeliver, Update): the barrier may wait for a receiver's drain.
 func (c *Cluster) cut(pairs []*pairLink) (opened int) {
 	for _, pl := range pairs {
 		opened += c.setBlocked(pl, true)

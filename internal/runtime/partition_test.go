@@ -498,6 +498,98 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 	})
 }
 
+// TestPartitionOneWayCutKeepsReverse cuts one direction of a pair under
+// traffic both ways. On TCP the two directions share one connection, so the
+// cut kills the reverse direction's stream too; the link layer must heal
+// that on its own, with no heal call. From the instant BreakLink(0, 1)
+// returns nothing crosses 0→1, and every 1→0 message is delivered exactly
+// once, in order; after HealLink and Quiesce the 0→1 backlog arrives, once
+// each, in order.
+func TestPartitionOneWayCutKeepsReverse(t *testing.T) {
+	bothWires(t, func(t *testing.T, tcp bool) {
+		const perDir = 400
+		var mu sync.Mutex
+		var got [2][]int // got[to]: the sequence numbers delivered to p<to>, in order
+		c, err := runtime.NewCluster(runtime.Config{
+			N: 2, TCP: tcp, Compress: true,
+			OnDeliver: func(self int, _ app.App, p []byte) {
+				mu.Lock()
+				got[self] = append(got[self], int(p[0])|int(p[1])<<8)
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		delivered := func(to int) int {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got[to])
+		}
+		waitFor := func(what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for %s", what)
+				}
+			}
+		}
+
+		// Each direction sends half its messages, the second half once the
+		// cut is in place, so the cut always has traffic on both sides of it.
+		cutDone := make(chan struct{})
+		var wg sync.WaitGroup
+		for from := 0; from < 2; from++ {
+			wg.Add(1)
+			go func(from int) {
+				defer wg.Done()
+				for k := 0; k < perDir; k++ {
+					if k == perDir/2 {
+						<-cutDone
+					}
+					if err := c.Node(from).SendPayload(1-from, []byte{byte(k), byte(k >> 8)}); err != nil {
+						t.Errorf("p%d→p%d: %v", from, 1-from, err)
+						return
+					}
+					if k%16 == 15 {
+						time.Sleep(100 * time.Microsecond) // keep both directions busy
+					}
+				}
+			}(from)
+		}
+		waitFor("traffic both ways", func() bool { return delivered(0) >= 50 && delivered(1) >= 50 })
+		if !c.BreakLink(0, 1) {
+			t.Fatal("BreakLink(0,1) found the pair cut already")
+		}
+		atCut := delivered(1)
+		close(cutDone)
+		wg.Wait()
+		waitFor("every 1→0 message, with no heal", func() bool { return delivered(0) >= perDir })
+		c.Quiesce()
+		if d := delivered(1); d != atCut {
+			t.Fatalf("%d messages crossed 0→1 after BreakLink returned (%d at the cut, %d now)", d-atCut, atCut, d)
+		}
+
+		if !c.HealLink(0, 1) {
+			t.Fatal("HealLink(0,1) found nothing to heal")
+		}
+		c.Quiesce()
+		mu.Lock()
+		defer mu.Unlock()
+		for to := 0; to < 2; to++ {
+			if len(got[to]) != perDir {
+				t.Fatalf("p%d received %d messages, want %d", to, len(got[to]), perDir)
+			}
+			for k, seq := range got[to] {
+				if seq != k {
+					t.Fatalf("p%d's %dth delivery is message %d: a duplicate, a loss or a reorder", to, k, seq)
+				}
+			}
+		}
+	})
+}
+
 // TestPartitionCutAPIValidatesPairs pins what the cut API does with a pair
 // that cannot exist — an index outside the cluster, a process paired with
 // itself: it reports false and changes nothing (the parent indexed a table

@@ -47,11 +47,14 @@ func (handoff) sever(int, int) bool { return false }
 func (handoff) waitReap(int, int)   {}
 func (handoff) close() error        { return nil }
 
-// meshWire is the socket wire: one loopback TCP stream per talking pair
-// (internal/transport), frames encoded on the way in and decoded zero-copy
-// on the way out. A stream can die holding frames it accepted, so this wire
-// keeps them until they are known delivered and hands a dead stream's back
-// to the link (onLinkDown).
+// meshWire is the socket wire: one loopback TCP connection per pair of
+// processes that talks (internal/transport), carrying both directions,
+// frames encoded on the way in and decoded zero-copy on the way out. State
+// here is per direction, as the link's is: a connection can die holding
+// frames it accepted either way — cutting one direction kills the other's
+// stream too — so this wire keeps each direction's frames until they are
+// known delivered and hands a dead stream's back to that direction's link
+// (onLinkDown), whose retry resends them with no heal needed.
 type meshWire struct {
 	c     *Cluster
 	mesh  *transport.TCP

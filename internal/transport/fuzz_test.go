@@ -148,12 +148,12 @@ func streamFrames(spec []byte) ([]Message, []byte) {
 	return msgs, stream
 }
 
-// FuzzStreamFraming drives the mesh's reader (readLoop) over a stream cut
-// at fuzz-chosen read boundaries: a valid hello, the frames streamFrames
-// builds, then arbitrary trailing bytes. Every frame arrives intact and in
-// order; the trailing bytes never panic the reader, never make it allocate
-// past the frame cap, and end the stream in OnFrameError or a clean EOF —
-// clean only if nothing was left undecoded.
+// FuzzStreamFraming drives the mesh's reader (readLoop) over one direction
+// of a connection, cut at fuzz-chosen read boundaries: the frames
+// streamFrames builds, then arbitrary trailing bytes. Every frame arrives
+// intact and in order; the trailing bytes never panic the reader, never
+// make it allocate past the frame cap, and end the stream in OnFrameError
+// or a clean EOF — clean only if nothing was left undecoded.
 func FuzzStreamFraming(f *testing.F) {
 	small := bytes.Repeat([]byte{1, 0, 0, 0}, 200) // 200 empty sparse frames: more than 64 a read
 	f.Add(small, []byte{}, []byte{})
@@ -164,18 +164,16 @@ func FuzzStreamFraming(f *testing.F) {
 	f.Add([]byte{0, 4, 16, 0}, []byte{}, []byte{64, 0, 0, 0, 0, 0, 0, 0, 0x45, 0x52}) // a torn last frame
 	f.Add([]byte{}, []byte{3}, []byte("not a frame at all, not even a length prefix"))
 	f.Fuzz(func(t *testing.T, spec, cuts, tail []byte) {
-		msgs, stream := streamFrames(spec)
-		data := binary.LittleEndian.AppendUint64(nil, uint64(helloMagic))
-		data = binary.LittleEndian.AppendUint64(data, 0)
-		data = binary.LittleEndian.AppendUint64(data, 1)
-		data = append(append(data, stream...), tail...)
+		msgs, data := streamFrames(spec)
+		data = append(data, tail...)
 		conn := &chunkConn{data: data}
 		for _, c := range cuts {
 			conn.cuts = append(conn.cuts, 1+int(c)*int(c)/4)
 		}
 		var got []Message
 		var frameErr error
-		mesh := &TCP{n: 2, conns: make([]atomic.Pointer[sendConn], 4), delivered: make([]atomic.Int64, 4), closed: make(chan struct{})}
+		mesh := &TCP{n: 2, delivered: make([]atomic.Int64, 4), closed: make(chan struct{})}
+		pc := newPairConn(0, 1)
 		mesh.deliver = func(ms []Message) {
 			for i := range ms {
 				got = append(got, cloneMessage(ms[i]))
@@ -185,7 +183,7 @@ func FuzzStreamFraming(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		mesh.readLoop(conn)
+		mesh.readLoop(conn, pc, &pc.dirs[0])
 		runtime.ReadMemStats(&after)
 
 		if len(got) < len(msgs) {
