@@ -99,16 +99,22 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 	return dv, nil
 }
 
-// loadDVs reads the dependency vector of every surviving checkpoint, one Load
-// each: a rollback's only reads of stable storage.
+// loadDVs reads the dependency vector of every surviving checkpoint, one
+// LoadDV each — no application state: a rollback's only reads of stable
+// storage. A stored vector is outside input, so one whose length is not n
+// fails here rather than being indexed.
 func (g *LGC) loadDVs(kept []int) ([]vclock.DV, error) {
 	dvs := make([]vclock.DV, len(kept))
 	for k, idx := range kept {
-		cp, err := g.store.Load(idx)
+		dv, err := g.store.LoadDV(idx)
 		if err != nil {
 			return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
 		}
-		dvs[k] = cp.DV
+		if len(dv) != g.n {
+			return nil, fmt.Errorf("core: p%d rollback: checkpoint %d has a %d-entry vector, want %d",
+				g.self, idx, len(dv), g.n)
+		}
+		dvs[k] = dv
 	}
 	return dvs, nil
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ccp"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // lgcConfig builds a runner config with FDAS + RDT-LGC.
@@ -191,10 +193,11 @@ func TestRollbackRecreatesDV(t *testing.T) {
 	}
 }
 
-// loadCounter is a stable store that counts its Loads.
+// loadCounter is a stable store that counts its whole-record Loads and its
+// vector-only LoadDVs apart.
 type loadCounter struct {
 	storage.Store
-	loads int
+	loads, dvLoads int
 }
 
 func (c *loadCounter) Load(index int) (storage.Checkpoint, error) {
@@ -202,9 +205,16 @@ func (c *loadCounter) Load(index int) (storage.Checkpoint, error) {
 	return c.Store.Load(index)
 }
 
+func (c *loadCounter) LoadDV(index int) (vclock.DV, error) {
+	c.dvLoads++
+	return c.Store.LoadDV(index)
+}
+
 // TestRollbackLoadsEachSurvivorOnce pins what a rollback reads from stable
-// storage: each surviving checkpoint once, the target included — its vector
-// comes from the same pass as the others', not from a second Load.
+// storage: each surviving checkpoint's vector once, the target included —
+// its vector comes from the same pass as the others', not from a second
+// read — and no checkpoint whole: Algorithm 3 compares vectors, and
+// restoring the application is the kernel's read, not the collector's.
 func TestRollbackLoadsEachSurvivorOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	for trial := 0; trial < 30; trial++ {
@@ -220,14 +230,40 @@ func TestRollbackLoadsEachSurvivorOnce(t *testing.T) {
 		idxs := stores[victim].Indices()
 		at := rng.Intn(len(idxs))
 		lgc := r.LocalGC(victim).(*core.LGC)
-		before := stores[victim].loads
+		loads, dvLoads := stores[victim].loads, stores[victim].dvLoads
 		if _, err := lgc.Rollback(idxs[at], nil); err != nil {
 			t.Fatalf("trial %d: Rollback(%d): %v", trial, idxs[at], err)
 		}
-		if got, kept := stores[victim].loads-before, at+1; got != kept {
-			t.Fatalf("trial %d: Rollback to checkpoint %d of %v made %d loads, want %d: one per survivor",
+		if got := stores[victim].loads - loads; got != 0 {
+			t.Fatalf("trial %d: Rollback to checkpoint %d of %v made %d whole-record loads, want 0",
+				trial, idxs[at], idxs, got)
+		}
+		if got, kept := stores[victim].dvLoads-dvLoads, at+1; got != kept {
+			t.Fatalf("trial %d: Rollback to checkpoint %d of %v made %d vector loads, want %d: one per survivor",
 				trial, idxs[at], idxs, got, kept)
 		}
+	}
+}
+
+// TestRollbackRefusesShortStoredVector holds Algorithm 3 to the length of
+// the vectors it reads: a stored vector is outside input, and one with n−1
+// entries, kept behind the target, fails the rollback with an error naming
+// the process and the checkpoint instead of an index out of range.
+func TestRollbackRefusesShortStoredVector(t *testing.T) {
+	const n, self = 3, 1
+	st := storage.NewMemStore()
+	for _, cp := range []storage.Checkpoint{
+		{Process: self, Index: 0, DV: vclock.DV{0, 0}},    // n−1 entries
+		{Process: self, Index: 1, DV: vclock.DV{0, 1, 1}}, // its last entry makes Theorem 2 read entry 2
+	} {
+		if err := st.Save(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lgc := core.New(self, n, st)
+	_, err := lgc.Rollback(1, nil)
+	if err == nil || !strings.Contains(err.Error(), "p1") || !strings.Contains(err.Error(), "checkpoint 0") {
+		t.Fatalf("Rollback over a 2-entry stored vector at n=3: %v, want an error naming p1 and checkpoint 0", err)
 	}
 }
 

@@ -54,6 +54,26 @@ func TestComputeLineValidation(t *testing.T) {
 	}
 }
 
+// TestComputeLineRefusesShortStoredVector holds the line to the length of
+// the vectors it reads: a stored vector is outside input, and Equation 2
+// indexes a candidate's faulty entries, so an (n−1)-entry record fails the
+// line with an error naming the process and the checkpoint instead of an
+// index out of range.
+func TestComputeLineRefusesShortStoredVector(t *testing.T) {
+	v := newFakeView(t, 2)
+	short := storage.NewMemStore()
+	if err := short.Save(storage.Checkpoint{Process: 0, Index: 0, DV: vclock.DV{0}}); err != nil {
+		t.Fatal(err)
+	}
+	v.stores[0] = short
+	// Both faulty: p0's newest checkpoint is a candidate Equation 2 compares
+	// on p1's entry.
+	_, err := gc.ComputeLine(v, []int{0, 1})
+	if err == nil || !strings.Contains(err.Error(), "p0 checkpoint 0") {
+		t.Fatalf("ComputeLine over a 1-entry stored vector at n=2: %v, want an error naming p0 checkpoint 0", err)
+	}
+}
+
 func TestComputeLineFreshSystem(t *testing.T) {
 	v := newFakeView(t, 3)
 	line, err := gc.ComputeLine(v, []int{1})

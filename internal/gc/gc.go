@@ -121,11 +121,13 @@ func RollbackStore(store storage.Store, self, ri int) (vclock.DV, error) {
 	if !found {
 		return nil, fmt.Errorf("rollback target checkpoint %d not in store", ri)
 	}
-	cp, err := store.Load(ri)
+	dv, err := store.LoadDV(ri)
 	if err != nil {
 		return nil, err
 	}
-	dv := cp.DV.Clone()
+	if self < 0 || self >= len(dv) {
+		return nil, fmt.Errorf("rollback target checkpoint %d of p%d has a %d-entry vector", ri, self, len(dv))
+	}
 	dv[self]++
 	return dv, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 func fdas(int) protocol.Protocol { return protocol.NewFDAS() }
@@ -241,11 +242,13 @@ func TestAllFaultyLineAgainstOracle(t *testing.T) {
 }
 
 // readCounter counts the last_s reads a recovery-line computation makes of
-// the global view, and the checkpoints it loads from each store.
+// the global view, and the whole checkpoints and the vectors alone it reads
+// from each store.
 type readCounter struct {
 	gc.View
-	reads int
-	loads []int
+	reads   int
+	loads   []int
+	dvLoads []int
 }
 
 func (v *readCounter) LastStable(i int) int {
@@ -254,12 +257,12 @@ func (v *readCounter) LastStable(i int) int {
 }
 
 func (v *readCounter) Store(i int) storage.Store {
-	return loadCounter{Store: v.View.Store(i), loads: &v.loads[i]}
+	return loadCounter{Store: v.View.Store(i), loads: &v.loads[i], dvLoads: &v.dvLoads[i]}
 }
 
 type loadCounter struct {
 	storage.Store
-	loads *int
+	loads, dvLoads *int
 }
 
 func (s loadCounter) Load(index int) (storage.Checkpoint, error) {
@@ -267,15 +270,23 @@ func (s loadCounter) Load(index int) (storage.Checkpoint, error) {
 	return s.Store.Load(index)
 }
 
+func (s loadCounter) LoadDV(index int) (vclock.DV, error) {
+	*s.dvLoads++
+	return s.Store.LoadDV(index)
+}
+
 // TestComputeLineReadsEachFaultyOnce pins what the recovery line reads of
 // last_s: each faulty process's once — Equation 2 compares every candidate
 // vector on the |F| faulty entries, with values read up front, not by a fresh
 // read per candidate — plus one read per volatile component, which is named
-// last_s(i)+1. And of the stores: a faulty process no other faulty process
-// constrains takes its newest checkpoint unread, since Equation 2 never
-// compares a process's own entry. Random faulty sets, repeats included, and
-// each one's first process alone, on seeded FDAS runs with and without
-// RDT-LGC pruning the stores; every line is also held to the oracle's.
+// last_s(i)+1. And of the stores: no checkpoint whole, only vectors; one
+// vector per candidate tried, newest first down to the component — none for
+// a volatile component; and none for a faulty process no other faulty
+// process constrains, which takes its newest checkpoint unread, since
+// Equation 2 never compares a process's own entry. Random faulty sets,
+// repeats included, and each one's first process alone, on seeded FDAS runs
+// with and without RDT-LGC pruning the stores; every line is also held to
+// the oracle's.
 func TestComputeLineReadsEachFaultyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 40; trial++ {
@@ -300,7 +311,7 @@ func TestComputeLineReadsEachFaultyOnce(t *testing.T) {
 			for _, f := range faulty {
 				distinct[f] = true
 			}
-			v := &readCounter{View: r.View(), loads: make([]int, n)}
+			v := &readCounter{View: r.View(), loads: make([]int, n), dvLoads: make([]int, n)}
 			line, err := gc.ComputeLine(v, faulty)
 			if err != nil {
 				t.Fatal(err)
@@ -319,12 +330,26 @@ func TestComputeLineReadsEachFaultyOnce(t *testing.T) {
 				t.Fatalf("trial %d: n=%d F=%v: %d last_s reads, want %d (one per faulty process, one per volatile component)",
 					trial, n, faulty, v.reads, wantReads)
 			}
+			for i := range line {
+				tried := 0
+				if line[i] != r.LastStable(i)+1 && (len(distinct) > 1 || !distinct[i]) {
+					for _, idx := range r.View().Store(i).Indices() {
+						if idx >= line[i] {
+							tried++
+						}
+					}
+				}
+				if v.loads[i] != 0 || v.dvLoads[i] != tried {
+					t.Fatalf("trial %d: F=%v: p%d (component %d) read %d checkpoints whole and %d vectors, want none whole and %d vectors",
+						trial, faulty, i, line[i], v.loads[i], v.dvLoads[i], tried)
+				}
+			}
 			if len(distinct) == 1 {
 				f := faulty[0]
 				idx := r.View().Store(f).Indices()
-				if newest := idx[len(idx)-1]; line[f] != newest || v.loads[f] != 0 {
-					t.Fatalf("trial %d: sole faulty p%d got %d with %d loads on its store, want its newest checkpoint %d with none",
-						trial, f, line[f], v.loads[f], newest)
+				if newest := idx[len(idx)-1]; line[f] != newest || v.loads[f]+v.dvLoads[f] != 0 {
+					t.Fatalf("trial %d: sole faulty p%d got %d with %d reads of its store, want its newest checkpoint %d with none",
+						trial, f, line[f], v.loads[f]+v.dvLoads[f], newest)
 				}
 			}
 		}

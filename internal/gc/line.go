@@ -17,7 +17,9 @@ import "fmt"
 // candidate vector is compared on those |F| entries alone. Process i's own
 // entry is never compared, so a faulty process no other faulty process
 // constrains — the sole process of a restart — takes its newest stored
-// checkpoint without a Load: its vector could not change the answer.
+// checkpoint unread: its vector could not change the answer. Every other
+// candidate costs one LoadDV, which reads the vector and none of the state,
+// and a stored vector whose length is not n fails the line.
 func ComputeLine(v View, faulty []int) ([]int, error) {
 	n := v.N()
 	isFaulty := make([]bool, n)
@@ -55,11 +57,15 @@ func ComputeLine(v View, faulty []int) ([]int, error) {
 				continue
 			}
 			for k := len(indices) - 1; k >= 0; k-- {
-				cp, err := v.Store(i).Load(indices[k])
+				dv, err := v.Store(i).LoadDV(indices[k])
 				if err != nil {
 					return nil, fmt.Errorf("gc: recovery line: %w", err)
 				}
-				if notPreceded(i, cp.DV) {
+				if len(dv) != n {
+					return nil, fmt.Errorf("gc: recovery line: p%d checkpoint %d has a %d-entry vector, want %d",
+						i, indices[k], len(dv), n)
+				}
+				if notPreceded(i, dv) {
 					line[i] = indices[k]
 					found = true
 					break

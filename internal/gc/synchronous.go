@@ -32,15 +32,18 @@ func (*Synchronous) Collect(v View) error {
 		if len(indices) == 0 {
 			return fmt.Errorf("gc: sync: p%d has no stable checkpoints", i)
 		}
-		// Load the stored vectors once; entry values are non-decreasing in
+		// Read the stored vectors once; entry values are non-decreasing in
 		// the checkpoint index.
 		dvs := make(map[int][]int, len(indices))
 		for _, idx := range indices {
-			cp, err := store.Load(idx)
+			dv, err := store.LoadDV(idx)
 			if err != nil {
 				return fmt.Errorf("gc: sync: %w", err)
 			}
-			dvs[idx] = cp.DV
+			if len(dv) != n {
+				return fmt.Errorf("gc: sync: p%d checkpoint %d has a %d-entry vector, want %d", i, idx, len(dv), n)
+			}
+			dvs[idx] = dv
 		}
 		keep := map[int]bool{indices[len(indices)-1]: true} // s_i^last
 		cur := v.CurrentDV(i)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/gc"
 	"repro/internal/runtime"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // TestChaosCrashRefusesWork checks the crash semantics: a crashed process
@@ -189,23 +190,39 @@ func TestChaosSessionGuards(t *testing.T) {
 	}
 }
 
-// flakyStore injects Load failures, modeling stable storage that breaks
-// between the crash and the restart: while failLoad is set, every Load
-// fails once passLoads more have succeeded.
+// flakyStore injects read failures, modeling stable storage that breaks
+// between the crash and the restart: while failLoad is set, every Load or
+// LoadDV fails once passLoads more reads of either kind have succeeded.
 type flakyStore struct {
 	storage.Store
 	failLoad  bool
 	passLoads int
 }
 
+// readFails counts one read and reports whether it fails.
+func (s *flakyStore) readFails() bool {
+	if !s.failLoad {
+		return false
+	}
+	if s.passLoads == 0 {
+		return true
+	}
+	s.passLoads--
+	return false
+}
+
 func (s *flakyStore) Load(index int) (storage.Checkpoint, error) {
-	if s.failLoad {
-		if s.passLoads == 0 {
-			return storage.Checkpoint{}, errors.New("injected load failure")
-		}
-		s.passLoads--
+	if s.readFails() {
+		return storage.Checkpoint{}, errors.New("injected load failure")
 	}
 	return s.Store.Load(index)
+}
+
+func (s *flakyStore) LoadDV(index int) (vclock.DV, error) {
+	if s.readFails() {
+		return nil, errors.New("injected load failure")
+	}
+	return s.Store.LoadDV(index)
 }
 
 // TestChaosFailedRestartLeavesProcessesDown pins the failure atomicity of

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 
@@ -11,17 +12,24 @@ import (
 	"repro/internal/gc"
 	"repro/internal/runtime"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
-// loadCounter counts the checkpoints read from a store.
+// loadCounter counts the checkpoints read whole from a store, and apart
+// from them the vectors read alone.
 type loadCounter struct {
 	storage.Store
-	loads atomic.Int64
+	loads, dvLoads atomic.Int64
 }
 
 func (s *loadCounter) Load(index int) (storage.Checkpoint, error) {
 	s.loads.Add(1)
 	return s.Store.Load(index)
+}
+
+func (s *loadCounter) LoadDV(index int) (vclock.DV, error) {
+	s.dvLoads.Add(1)
+	return s.Store.LoadDV(index)
 }
 
 // kvKeys name a test application's keys, built once so that NewApp costs
@@ -93,11 +101,12 @@ func driveKV(tb testing.TB, c *runtime.Cluster, rng *rand.Rand, ops, keys int) {
 }
 
 // TestRestartLoadsRetainedPlusOne pins what a restart reads from the
-// restarted process's store: with k checkpoints retained, k + 1 loads — one
-// for Rehydrate and one per survivor for the collector's Algorithm 3. The
+// restarted process's store: with k checkpoints retained, k + 1 reads — one
+// whole record, for Rehydrate, and one vector alone per survivor for the
+// collector's Algorithm 3, which compares vectors and reads no state. The
 // recovery line does not read the sole faulty process's newest checkpoint
 // (its vector cannot change the answer), and the application is restored
-// from the checkpoint Rehydrate read, so attaching one adds no load.
+// from the checkpoint Rehydrate read, so attaching one adds no read.
 func TestRestartLoadsRetainedPlusOne(t *testing.T) {
 	for _, withApp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("app=%v", withApp), func(t *testing.T) {
@@ -132,13 +141,17 @@ func TestRestartLoadsRetainedPlusOne(t *testing.T) {
 				}
 				idx := stores[victim].Indices()
 				maxK = max(maxK, len(idx))
-				before := stores[victim].loads.Load()
+				loads, dvLoads := stores[victim].loads.Load(), stores[victim].dvLoads.Load()
 				rep, err := c.Restart(cycle%2 == 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := stores[victim].loads.Load()-before, int64(len(idx)+1); got != want {
-					t.Fatalf("cycle %d: restart of p%d with %d checkpoints retained %v made %d loads, want %d",
+				if got := stores[victim].loads.Load() - loads; got != 1 {
+					t.Fatalf("cycle %d: restart of p%d with %d checkpoints retained %v made %d whole-record loads, want 1",
+						cycle, victim, len(idx), idx, got)
+				}
+				if got, want := stores[victim].dvLoads.Load()-dvLoads, int64(len(idx)); got != want {
+					t.Fatalf("cycle %d: restart of p%d with %d checkpoints retained %v made %d vector loads, want %d",
 						cycle, victim, len(idx), idx, got, want)
 				}
 				if newest := idx[len(idx)-1]; rep.Line[victim] != newest {
@@ -205,9 +218,9 @@ func TestRestartKeepsTheApplicationInstance(t *testing.T) {
 // TestRestartAtRestAllocs pins what one crash and restart allocates at rest
 // on an n = 8 in-process cluster with a 170-key KV application: the
 // session's line and report, the rehydrated vector, protocol, collector and
-// its rollback's reads — and nothing for the application, whose object is
-// kept and whose state is restored in place from the checkpoint Rehydrate
-// read.
+// its rollback's vector reads — and nothing for the application, whose
+// object is kept and whose state is restored in place from the checkpoint
+// Rehydrate read.
 func TestRestartAtRestAllocs(t *testing.T) {
 	const n, keys = 8, 170
 	c := kvCluster(t, n, keys, nil, nil)
@@ -221,7 +234,41 @@ func TestRestartAtRestAllocs(t *testing.T) {
 		}
 	}
 	restart() // the first session may roll others back; every later one finds the same line
-	if got := testing.AllocsPerRun(50, restart); got != 27 {
-		t.Fatalf("crash+restart at rest allocates %v times, want %d", got, 27)
+	if got := testing.AllocsPerRun(50, restart); got != 25 {
+		t.Fatalf("crash+restart at rest allocates %v times, want %d", got, 25)
+	}
+}
+
+// TestRestartDurableAllocBytes bounds the heap bytes one crash and restart
+// allocates at rest on log stores with a 170-key KV application, whose
+// snapshot is 4 KiB: under two snapshots. The restart reads one record
+// whole — Rehydrate's, which restores the application — and only the
+// vectors of the others, so however many checkpoints the victim retains,
+// one snapshot is copied out of the store.
+func TestRestartDurableAllocBytes(t *testing.T) {
+	const n, keys, victim, runs = 8, 170, 3, 50
+	c := kvCluster(t, n, keys, logStores(t.TempDir()), nil)
+	driveKV(t, c, rand.New(rand.NewSource(73)), 8*n, keys)
+	restart := func() {
+		if err := c.Crash(victim); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Restart(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart() // the first session may roll others back; every later one finds the same line
+	if k := len(c.Node(victim).Store().Indices()); k < 2 {
+		t.Fatalf("p%d retains %d checkpoints: the drive no longer exercises the survivors' reads", victim, k)
+	}
+	snapshot := len(c.Node(victim).App().(*app.KV).AppendSnapshot(nil))
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		restart()
+	}
+	goruntime.ReadMemStats(&after)
+	if per := int(after.TotalAlloc-before.TotalAlloc) / runs; per >= 2*snapshot {
+		t.Fatalf("crash+restart at rest allocates %d bytes, want under two %d-byte snapshots", per, snapshot)
 	}
 }

@@ -2,22 +2,52 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/vclock"
 )
 
-// FuzzDecode checks the checkpoint-record parser never panics and that every
-// accepted input round-trips through encode.
+// FuzzDecode checks the checkpoint-record parser never panics, that every
+// accepted input round-trips through encode, and that its two entry points
+// agree: DecodeVector accepts the prefix of every record DecodeRecord
+// accepts, with the same vector, and every prefix DecodeVector accepts makes
+// a record DecodeRecord accepts, with the same vector, once the state bytes
+// it declares follow.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add(AppendRecord(nil, Checkpoint{Process: 1, Index: 2, DV: vclock.DV{3, 4}, State: []byte("s")}))
+	// A record without state is its own prefix.
+	f.Add(AppendRecord(nil, Checkpoint{Process: 1, Index: 2, DV: vclock.DV{3, 4}}))
 	f.Add(deltaRecord()) // the retired kind: must fail, never panic
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 8 {
+			// Read data as a prefix: its last word is the state length.
+			sl := int64(binary.LittleEndian.Uint64(data[len(data)-8:]))
+			if sl >= 0 && sl <= 1<<16 {
+				if dv, err := DecodeVector(data, int(sl)); err == nil {
+					cp, err := DecodeRecord(append(slices.Clip(data), make([]byte, sl)...))
+					if err != nil {
+						t.Fatalf("DecodeVector accepts a prefix whose record DecodeRecord rejects: %v", err)
+					}
+					if !cp.DV.Equal(dv) {
+						t.Fatalf("prefix vector %v, record vector %v", dv, cp.DV)
+					}
+				}
+			}
+		}
 		cp, err := DecodeRecord(data)
 		if err != nil {
 			return
+		}
+		dv, err := DecodeVector(data[:len(data)-len(cp.State)], len(cp.State))
+		if err != nil {
+			t.Fatalf("DecodeVector rejects the prefix of a record DecodeRecord accepts: %v", err)
+		}
+		if !dv.Equal(cp.DV) {
+			t.Fatalf("prefix vector %v, record vector %v", dv, cp.DV)
 		}
 		re, err := DecodeRecord(AppendRecord(nil, cp))
 		if err != nil {

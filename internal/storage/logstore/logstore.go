@@ -70,13 +70,16 @@
 // read-only descriptor its segment keeps: opened, under the store lock, by
 // the first read that needs it, and closed when compaction drops the segment
 // and at Close — so a Load is one read and one decode, with no open(2) or
-// close(2). Compaction closes the descriptor before it unlinks the file:
-// an open descriptor keeps an unlinked file's blocks allocated, and nothing
-// reads the victim once its live records are durable elsewhere. The
-// committer's write handle is a separate file, because the committer opens
-// and closes it without the store lock. No decoded record is cached: every
-// read still decodes the bytes on disk, so DecodeRecord checks what is on
-// the device at each Load, as it did when each read opened the file.
+// close(2). A LoadDV is the same read cut short before the state bytes: a
+// rollback and the recovery line compare vectors, and only the checkpoint a
+// process restores from is read whole. Compaction closes the descriptor
+// before it unlinks the file: an open descriptor keeps an unlinked file's
+// blocks allocated, and nothing reads the victim once its live records are
+// durable elsewhere. The committer's write handle is a separate file,
+// because the committer opens and closes it without the store lock. No
+// decoded record is cached: every read still decodes the bytes on disk, so
+// the record parser checks what is on the device at each Load and LoadDV,
+// as it did when each read opened the file.
 package logstore
 
 import (
@@ -93,6 +96,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 const (
@@ -259,7 +263,7 @@ type LogStore struct {
 	stats  storage.Stats
 
 	enc  []byte // reused record-encode buffer
-	rbuf []byte // reused record-read buffer; DecodeRecord copies out of it
+	rbuf []byte // reused record-read buffer; the decoders copy out of it
 
 	segs    map[int]*segInfo
 	projSeg int   // tail segment id; −1 before the first record
@@ -618,11 +622,8 @@ func (s *LogStore) Delete(index int) error {
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return storage.Checkpoint{}, errClosed
-	}
-	if ri := s.recs[index]; ri == nil || ri.dead {
-		return storage.Checkpoint{}, fmt.Errorf("storage: load of absent checkpoint %d", index)
+	if err := s.readableLocked(index); err != nil {
+		return storage.Checkpoint{}, err
 	}
 	var t0 time.Time
 	if s.obs.LoadNs != nil {
@@ -635,10 +636,45 @@ func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	return cp, err
 }
 
+// LoadDV implements Store: Load's one read cut to the record's prefix —
+// every word before the state — decoded by storage.DecodeVector, whose
+// state-length word must match the one this index recorded. It serves and
+// refuses what Load does.
+func (s *LogStore) LoadDV(index int) (vclock.DV, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.readableLocked(index); err != nil {
+		return nil, err
+	}
+	ri := s.recs[index]
+	prefix, err := s.bodyLocked(ri, ri.size-ri.stateLen)
+	if err != nil {
+		return nil, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
+	}
+	dv, err := storage.DecodeVector(prefix, ri.stateLen)
+	if err != nil {
+		return nil, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
+	}
+	return dv, nil
+}
+
+// readableLocked reports why index cannot be read: the store is closed, or
+// holds no live record of it.
+func (s *LogStore) readableLocked(index int) error {
+	if s.closed {
+		return errClosed
+	}
+	if ri := s.recs[index]; ri == nil || ri.dead {
+		return fmt.Errorf("storage: load of absent checkpoint %d", index)
+	}
+	return nil
+}
+
 // loadLocked reads and decodes the record of index, which the caller has
 // checked is present.
 func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
-	body, err := s.bodyLocked(s.recs[index])
+	ri := s.recs[index]
+	body, err := s.bodyLocked(ri, ri.size)
 	if err != nil {
 		return storage.Checkpoint{}, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
 	}
@@ -649,13 +685,13 @@ func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
 	return cp, nil
 }
 
-// bodyLocked returns a record's body bytes: the staging copy while its
-// batch is in flight, a read through the segment's kept descriptor once
-// durable. The read lands in s.rbuf, so the bytes are valid only until the
-// next call; DecodeRecord copies out of them.
-func (s *LogStore) bodyLocked(ri *recInfo) ([]byte, error) {
+// bodyLocked returns the first n bytes of a record's body: from the staging
+// copy while its batch is in flight, by one read through the segment's kept
+// descriptor once durable. The read lands in s.rbuf, so the bytes are valid
+// only until the next call; the decoders copy out of them.
+func (s *LogStore) bodyLocked(ri *recInfo, n int) ([]byte, error) {
 	if ri.pending != nil {
-		return ri.pending, nil
+		return ri.pending[:n], nil
 	}
 	seg := s.segs[ri.seg]
 	if seg.rf == nil {
@@ -665,10 +701,10 @@ func (s *LogStore) bodyLocked(ri *recInfo) ([]byte, error) {
 		}
 		seg.rf = f
 	}
-	if cap(s.rbuf) < ri.size {
-		s.rbuf = make([]byte, ri.size)
+	if cap(s.rbuf) < n {
+		s.rbuf = make([]byte, n)
 	}
-	body := s.rbuf[:ri.size]
+	body := s.rbuf[:n]
 	if _, err := seg.rf.ReadAt(body, ri.off); err != nil {
 		return nil, err
 	}

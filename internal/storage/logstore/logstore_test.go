@@ -741,6 +741,17 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 		if got.Process != want.Process || !got.DV.Equal(want.DV) || !bytes.Equal(got.State, want.State) {
 			p.t.Fatalf("%s: log Load(%d) = %+v, mem = %+v", what, idx, got, want)
 		}
+		// The vector alone, read from the record's prefix — from the staging
+		// copy while the record is in flight, the segment once durable.
+		for _, st := range []storage.Store{p.mem, p.log} {
+			dv, err := st.LoadDV(idx)
+			if err != nil {
+				p.t.Fatalf("%s: %T LoadDV(%d): %v", what, st, idx, err)
+			}
+			if !dv.Equal(want.DV) {
+				p.t.Fatalf("%s: %T LoadDV(%d) = %v, Load gives %v", what, st, idx, dv, want.DV)
+			}
+		}
 	}
 	want := p.mem.Stats()
 	want.Saved -= p.resaved
@@ -1007,6 +1018,88 @@ func (w *durableWaiter) await(seq uint64) error {
 		w.cond.Wait()
 	}
 	return w.err
+}
+
+// TestLoadDVReadsThePrefix pins what LoadDV reads of a record: its prefix,
+// from the staging copy while the record's flush is in flight and from the
+// segment once it is durable — never a state byte, so a durable record whose
+// state is cut off the device still gives its vector, while Load fails on
+// it — and that the prefix gets the checks Load makes of the whole record: a
+// bad header fails both with ErrCorrupt.
+func TestLoadDVReadsThePrefix(t *testing.T) {
+	dir := t.TempDir()
+	var gate sync.Mutex // held: flushes sit in Sync
+	s := openTest(t, dir, Options{NoCompact: true, Sync: func(*os.File) error {
+		gate.Lock()
+		gate.Unlock()
+		return nil
+	}})
+	w := newDurableWaiter()
+	s.NotifyDurable(w.notify)
+	big := func(idx int) storage.Checkpoint {
+		cp := ckpt(idx)
+		cp.State = bytes.Repeat([]byte{byte(idx)}, 4096)
+		return cp
+	}
+	wantDV := func(idx int) {
+		t.Helper()
+		dv, err := s.LoadDV(idx)
+		if err != nil || !dv.Equal(big(idx).DV) {
+			t.Fatalf("LoadDV(%d) = %v, %v, want %v", idx, dv, err, big(idx).DV)
+		}
+	}
+
+	gate.Lock()
+	for i := 0; i < 2; i++ {
+		if err := s.Save(big(i)); err != nil { // staged; the flush is stuck
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	staged := s.recs[0].pending != nil && s.recs[1].pending != nil
+	s.mu.Unlock()
+	if !staged {
+		t.Fatal("a record is durable with its flush held: the staged read is not exercised")
+	}
+	wantDV(0)
+	wantDV(1)
+	gate.Unlock()
+	if err := w.await(2); err != nil {
+		t.Fatal(err)
+	}
+	wantDV(0)
+	wantDV(1)
+
+	// Cut record 1's state off the device and break record 0's magic.
+	s.mu.Lock()
+	r0, r1 := *s.recs[0], *s.recs[1]
+	s.mu.Unlock()
+	if r0.seg != r1.seg || r1.off < r0.off {
+		t.Fatalf("records at %d:%d and %d:%d, want 1 after 0 in one segment", r0.seg, r0.off, r1.seg, r1.off)
+	}
+	f, err := os.OpenFile(segPath(dir, r1.seg), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(r1.off + int64(r1.size-r1.stateLen)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, r0.off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantDV(1)
+	if _, err := s.Load(1); err == nil {
+		t.Fatal("Load of a record whose state was cut off succeeded")
+	}
+	if _, err := s.LoadDV(0); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("LoadDV of a record with a bad magic: %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Load(0); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("Load of a record with a bad magic: %v, want ErrCorrupt", err)
+	}
 }
 
 // TestStagedSaveOrdersBeforeItsTombstones: with the flush of a staged save

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/vclock"
@@ -50,7 +51,43 @@ func AppendRecord(buf []byte, cp Checkpoint) []byte {
 // corruption — bad magic, a kind other than the full record, truncation,
 // implausible counts — fails loudly with ErrCorrupt.
 func DecodeRecord(b []byte) (Checkpoint, error) {
-	off := 0
+	cp, sl, off, err := decodeHead(b)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	if sl > len(b)-off {
+		// The state length must not exceed the bytes actually present.
+		return Checkpoint{}, corruptf(nil, "storage: bad state length")
+	}
+	cp.State = make([]byte, sl)
+	copy(cp.State, b[off:off+sl])
+	return cp, nil
+}
+
+// DecodeVector parses a record's prefix — the record less its last stateLen
+// bytes, which hold the state — and returns its vector. stateLen is the
+// state length the caller knows the record to have, and the record's
+// state-length word must equal it. The two decoders are one parser
+// (decodeHead), so they agree: DecodeVector accepts the prefix of every
+// record DecodeRecord accepts, with the same vector, and accepts no prefix
+// that DecodeRecord would reject once its stateLen state bytes follow; its
+// errors are DecodeRecord's. No state byte is read.
+func DecodeVector(prefix []byte, stateLen int) (vclock.DV, error) {
+	cp, sl, _, err := decodeHead(prefix)
+	if err != nil {
+		return nil, err
+	}
+	if sl != stateLen {
+		return nil, corruptf(nil, "storage: bad state length")
+	}
+	return cp.DV, nil
+}
+
+// decodeHead is the one record parser behind DecodeRecord and DecodeVector:
+// it reads the header, the vector and the state-length word of b, and
+// returns the checkpoint without its state, the state length (checked
+// non-negative) and the offset of the state bytes.
+func decodeHead(b []byte) (cp Checkpoint, stateLen, off int, err error) {
 	rd := func() (int64, bool) {
 		if off+8 > len(b) {
 			return 0, false
@@ -61,34 +98,31 @@ func DecodeRecord(b []byte) (Checkpoint, error) {
 	}
 	magic, ok := rd()
 	if !ok || magic != ckptMagicV2 {
-		return Checkpoint{}, corruptf(nil, "storage: bad checkpoint file header")
+		return Checkpoint{}, 0, 0, corruptf(nil, "storage: bad checkpoint file header")
 	}
 	p, ok := rd()
 	if !ok {
-		return Checkpoint{}, corruptf(io.ErrUnexpectedEOF, "storage: truncated record header")
+		return Checkpoint{}, 0, 0, corruptf(io.ErrUnexpectedEOF, "storage: truncated record header")
 	}
 	idx, ok := rd()
 	if !ok {
-		return Checkpoint{}, corruptf(io.ErrUnexpectedEOF, "storage: truncated record header")
+		return Checkpoint{}, 0, 0, corruptf(io.ErrUnexpectedEOF, "storage: truncated record header")
 	}
 	if kind, ok := rd(); !ok || kind != recFull {
-		return Checkpoint{}, corruptf(nil, "storage: bad record kind")
+		return Checkpoint{}, 0, 0, corruptf(nil, "storage: bad record kind")
 	}
 	n, ok := rd()
 	if !ok || n < 0 || n > maxCount || n > int64(len(b)-off)/8 {
-		return Checkpoint{}, corruptf(nil, "storage: bad vector length")
+		return Checkpoint{}, 0, 0, corruptf(nil, "storage: bad vector length")
 	}
-	cp := Checkpoint{Process: int(p), Index: int(idx), DV: vclock.New(int(n))}
+	cp = Checkpoint{Process: int(p), Index: int(idx), DV: vclock.New(int(n))}
 	for i := range cp.DV {
 		v, _ := rd() // length was validated against the bytes present
 		cp.DV[i] = int(v)
 	}
 	sl, ok := rd()
-	if !ok || sl < 0 || sl > int64(len(b)-off) {
-		// The state length must not exceed the bytes actually present.
-		return Checkpoint{}, corruptf(nil, "storage: bad state length")
+	if !ok || sl < 0 || sl > math.MaxInt {
+		return Checkpoint{}, 0, 0, corruptf(nil, "storage: bad state length")
 	}
-	cp.State = make([]byte, sl)
-	copy(cp.State, b[off:off+int(sl)])
-	return cp, nil
+	return cp, int(sl), off, nil
 }

@@ -87,6 +87,13 @@ type Store interface {
 	Delete(index int) error
 	// Load returns the checkpoint with the given index.
 	Load(index int) (Checkpoint, error)
+	// LoadDV returns the dependency vector of the checkpoint with the given
+	// index, which the caller owns, and reads none of its state: the readers
+	// that compare vectors alone (the rollback's survivor pass, the recovery
+	// line, the global collector) call it, and only the checkpoint a process
+	// restores from costs a Load. It fails where Load fails, with the same
+	// errors, and makes the same structural checks of what it reads.
+	LoadDV(index int) (vclock.DV, error)
 	// Indices returns the indices of stored checkpoints in ascending order.
 	Indices() []int
 	// Stats returns space-accounting counters.
@@ -107,7 +114,8 @@ type Stats struct {
 // of each checkpoint. The zero value is not usable; use NewMemStore.
 // MemStore is safe for concurrent use.
 //
-// It encodes nothing: Save costs one O(n) copy of the vector, Load one more.
+// It encodes nothing: Save costs one O(n) copy of the vector, Load and
+// LoadDV one more.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec
@@ -117,8 +125,8 @@ type MemStore struct {
 	// spare holds the vectors of the records deleted last, for the next Save
 	// to copy into: a collector that deletes as fast as it saves (RDT-LGC,
 	// Section 4.5) then saves without allocating. A fixed array, so keeping a
-	// spare costs nothing and the list cannot grow; Load clones, so no caller
-	// can hold a recycled vector.
+	// spare costs nothing and the list cannot grow; Load and LoadDV clone, so
+	// no caller can hold a recycled vector.
 	spare  [maxSpare]vclock.DV
 	nSpare int
 
@@ -258,6 +266,17 @@ func (s *MemStore) Load(index int) (Checkpoint, error) {
 		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return cp, nil
+}
+
+// LoadDV implements Store, returning a copy of the vector alone.
+func (s *MemStore) LoadDV(index int) (vclock.DV, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.byIdx[index]
+	if !ok {
+		return nil, fmt.Errorf("storage: load of absent checkpoint %d", index)
+	}
+	return rec.dv.Clone(), nil
 }
 
 // NotifyDurable implements Store: a MemStore save is as stable as it will

@@ -41,6 +41,12 @@ func testStoreBasics(t *testing.T, s Store) {
 	if _, err := s.Load(0); err == nil {
 		t.Fatal("Load after Delete should fail")
 	}
+	if _, err := s.LoadDV(0); err == nil {
+		t.Fatal("LoadDV after Delete should fail")
+	}
+	if dv, err := s.LoadDV(3); err != nil || !dv.Equal(vclock.DV{2, 0, 4}) {
+		t.Fatalf("LoadDV(3) = %v, %v, want (2, 0, 4)", dv, err)
+	}
 	st := s.Stats()
 	if st.Live != 1 || st.Saved != 2 || st.Collected != 1 || st.Peak != 2 {
 		t.Fatalf("Stats = %+v, want Live=1 Saved=2 Collected=1 Peak=2", st)
@@ -70,6 +76,11 @@ func TestMemStoreIsolation(t *testing.T) {
 	again, _ := s.Load(0)
 	if again.DV[0] != 1 {
 		t.Fatal("Load result aliases store internals")
+	}
+	vec, _ := s.LoadDV(0)
+	vec[0] = 77
+	if again, _ := s.LoadDV(0); again[0] != 1 {
+		t.Fatal("LoadDV result aliases store internals")
 	}
 }
 
