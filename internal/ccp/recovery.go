@@ -127,6 +127,19 @@ func (c *CCP) MaxConsistentBelow(avail []int) []int {
 		}
 		line[i] = a
 	}
+	// Every index is available, so an orphan steps back one checkpoint; it
+	// never passes s_j^0, which nothing of another process precedes.
+	_ = c.Propagate(line, func(_, j int) (int, error) { return line[j] - 1, nil })
+	return line
+}
+
+// Propagate runs rollback propagation on line, in place, to a fixpoint:
+// while line[i]'s member causally precedes line[j]'s, the latter is an
+// orphan, and p_j rolls back to back(i, j) — an index below line[j], its
+// newest admissible checkpoint — or the propagation stops with back's error
+// (Equation 2). Each rollback only lowers the line, so the fixpoint is the
+// maximum consistent line below the start that back admits.
+func (c *CCP) Propagate(line []int, back func(i, j int) (int, error)) error {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < c.n; i++ {
@@ -134,20 +147,20 @@ func (c *CCP) MaxConsistentBelow(avail []int) []int {
 				if i == j {
 					continue
 				}
-				// If line[i]'s member causally precedes line[j]'s member,
-				// the latter is an orphan: roll p_j back to its newest
-				// checkpoint not preceded by c_i^{line[i]} (Equation 2).
-				for line[j] > 0 &&
-					c.CausallyPrecedes(
-						CheckpointID{Process: i, Index: line[i]},
-						CheckpointID{Process: j, Index: line[j]}) {
-					line[j]--
+				for c.CausallyPrecedes(
+					CheckpointID{Process: i, Index: line[i]},
+					CheckpointID{Process: j, Index: line[j]}) {
+					k, err := back(i, j)
+					if err != nil {
+						return err
+					}
+					line[j] = k
 					changed = true
 				}
 			}
 		}
 	}
-	return line
+	return nil
 }
 
 // NeedlessSingleFault evaluates the single-fault reduction of Lemma 2:

@@ -1,8 +1,8 @@
 // Package obs is the runtime observability substrate: a metrics registry
 // (atomic counters, gauges, fixed-bucket latency histograms) and a flight
-// recorder (a bounded ring of structured protocol events) that every layer
-// of the middleware — kernel, runtime, transport, storage, chaos — reports
-// into when a run asks for visibility.
+// recorder (structured protocol events, one shard per process) that every
+// layer of the middleware — kernel, runtime, transport, storage, chaos —
+// reports into when a run asks for visibility.
 //
 // The package is stdlib-only and imports nothing from this repository, so
 // anything may import it without creating a layering cycle (the inverse of

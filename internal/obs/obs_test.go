@@ -175,32 +175,168 @@ func TestObsRecorderWraparound(t *testing.T) {
 	}
 }
 
-// TestObsRecorderConcurrent drives a recorder from several goroutines
-// under -race and checks the ring stays internally consistent.
+// TestObsRecorderConcurrent drives a recorder from four goroutines, each
+// recording as its own process, and reads it while they run (under -race):
+// every snapshot is a gap-free Seq run, and once they stop the window is
+// exactly the last 64 events and Dropped counts the rest.
 func TestObsRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(64)
+	const writers, each, size = 4, 1000, 64
+	r := NewRecorder(size)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
+			for i := 0; i < each; i++ {
 				r.Record(Event{Kind: EvDeliver, P: w, Msg: i})
 			}
 		}(w)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		evs := r.Events()
+		if len(evs) > size {
+			t.Fatalf("snapshot %d holds %d events, more than the window of %d", snaps, len(evs), size)
+		}
+		for i := 1; i < len(evs); i++ {
+			if evs[i].Seq != evs[i-1].Seq+1 {
+				t.Fatalf("snapshot %d: seq gap at %d: %d then %d", snaps, i, evs[i-1].Seq, evs[i].Seq)
+			}
+		}
+		select {
+		case <-done:
+		default:
+			continue
+		}
+		break
+	}
 	evs := r.Events()
-	if len(evs) != 64 {
-		t.Fatalf("len = %d, want 64", len(evs))
+	if len(evs) != size {
+		t.Fatalf("len = %d, want %d", len(evs), size)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
 			t.Fatalf("seq gap at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
 	}
-	if got := r.Dropped(); got != 4*1000-64 {
-		t.Fatalf("dropped = %d, want %d", got, 4*1000-64)
+	if evs[size-1].Seq != writers*each-1 {
+		t.Fatalf("newest event has seq %d, want %d", evs[size-1].Seq, writers*each-1)
+	}
+	if got := r.Dropped(); got != writers*each-size {
+		t.Fatalf("dropped = %d, want %d", got, writers*each-size)
+	}
+	if held, bound := chunks(r); held > bound+writers {
+		t.Fatalf("recorder holds %d chunks, past its bound of %d plus one per writer", held, bound)
+	}
+}
+
+// chunks returns how many chunks r's shards hold, and the bound the
+// Recorder documents: ceil(size/c) + 2·shards + 1.
+func chunks(r *Recorder) (held, bound int) {
+	tbl := *r.shards.Load()
+	for _, s := range tbl {
+		s.mu.Lock()
+		held += len(s.chunks)
+		s.mu.Unlock()
+	}
+	return held, int(r.size+uint64(r.chunk)-1)/r.chunk + 2*len(tbl) + 1
+}
+
+// TestObsRecorderMemoryBound pins the bound the Recorder documents: however
+// the events are spread over processes — one busy process, then another, a
+// quiet one waking, all at once — a recorder written by one goroutine at a
+// time never holds more than ceil(size/c) + 2·shards + 1 chunks, and its
+// window is always exactly the last size events.
+func TestObsRecorderMemoryBound(t *testing.T) {
+	const size = 1000
+	r := NewRecorder(size)
+	rng := rand.New(rand.NewSource(1))
+	var all []int
+	for phase := 0; phase < 60; phase++ {
+		procs := 1 + rng.Intn(8) // this phase writes to processes [lo, lo+procs)
+		lo := rng.Intn(9) - 1
+		for i := rng.Intn(3 * size); i >= 0; i-- {
+			p := lo + rng.Intn(procs)
+			r.Record(Event{Kind: EvSend, P: p, Msg: len(all)})
+			all = append(all, len(all))
+			if held, bound := chunks(r); held > bound {
+				t.Fatalf("phase %d, event %d: %d chunks held, bound %d", phase, len(all), held, bound)
+			}
+		}
+		evs := r.Events()
+		want := all[max(0, len(all)-size):]
+		if len(evs) != len(want) || r.Len() != len(want) || r.Dropped() != uint64(len(all)-len(want)) {
+			t.Fatalf("phase %d: %d events (Len %d, Dropped %d), want the last %d of %d",
+				phase, len(evs), r.Len(), r.Dropped(), len(want), len(all))
+		}
+		for i, ev := range evs {
+			if ev.Msg != want[i] || ev.Seq != uint64(want[i]) {
+				t.Fatalf("phase %d: event %d is msg %d seq %d, want %d", phase, i, ev.Msg, ev.Seq, want[i])
+			}
+		}
+	}
+}
+
+// TestObsRecorderWarmAllocatesNothing: once a bounded recorder has reached
+// its working set, recording reuses evicted chunks — no allocation, and no
+// chunk added.
+func TestObsRecorderWarmAllocatesNothing(t *testing.T) {
+	r := NewRecorder(1024)
+	i := 0
+	record := func() {
+		r.Record(Event{Kind: EvSend, P: i % 4, Msg: i})
+		i++
+	}
+	for range 8 * 1024 {
+		record()
+	}
+	held, _ := chunks(r)
+	if allocs := testing.AllocsPerRun(4*1024, record); allocs != 0 {
+		t.Errorf("recording on a warm recorder allocated %.2f times per event, want 0", allocs)
+	}
+	if got, _ := chunks(r); got != held {
+		t.Errorf("a warm recorder grew from %d to %d chunks", held, got)
+	}
+}
+
+// TestObsRecorderAttach: a recorder is claimed by one recorded cluster only,
+// only while empty, and not shared once claimed; a claimed recorder keeps
+// every event.
+func TestObsRecorderAttach(t *testing.T) {
+	shared := NewRecorder(8)
+	if err := shared.Attach(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Attach(false); err != nil {
+		t.Fatalf("a second unrecorded cluster on one recorder: %v", err)
+	}
+	if err := shared.Attach(true); err == nil {
+		t.Fatal("claimed a recorder other clusters record into")
+	}
+	used := NewRecorder(8)
+	used.Record(Event{Kind: EvSend})
+	if err := used.Attach(true); err == nil {
+		t.Fatal("claimed a recorder that already holds events")
+	}
+	own := NewRecorder(8)
+	if err := own.Attach(true); err != nil {
+		t.Fatal(err)
+	}
+	for _, claim := range []bool{false, true} {
+		if err := own.Attach(claim); err == nil {
+			t.Fatalf("attached (claim %v) to a claimed recorder", claim)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		own.Record(Event{Kind: EvSend, P: i % 3, Msg: i})
+	}
+	if evs := own.Events(); len(evs) != 100 || own.Dropped() != 0 || evs[99].Msg != 99 {
+		t.Fatalf("a claimed recorder of size 8 holds %d of 100 events, dropped %d", len(evs), own.Dropped())
+	}
+	var none *Recorder
+	if err := none.Attach(true); err != nil {
+		t.Fatalf("nil recorder: %v", err)
 	}
 }
 

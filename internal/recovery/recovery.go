@@ -168,36 +168,19 @@ func MaxConsistentStored(c *ccp.CCP, targets Targets, stored [][]int) ([]int, er
 		avail[p][c.VolatileIndex(p)] = true
 		line[p] = c.VolatileIndex(p)
 	}
-	lower := func(j, below int) (int, bool) {
-		for k := below - 1; k >= 0; k-- {
+	err := c.Propagate(line, func(i, j int) (int, error) {
+		if _, isTarget := targets[j]; isTarget {
+			return 0, fmt.Errorf("recovery: no stored consistent line contains the targets (p%d would force target p%d back)", i, j)
+		}
+		for k := line[j] - 1; k >= 0; k-- {
 			if avail[j][k] {
-				return k, true
+				return k, nil
 			}
 		}
-		return 0, false
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < c.N(); i++ {
-			for j := 0; j < c.N(); j++ {
-				if i == j {
-					continue
-				}
-				for c.CausallyPrecedes(
-					ccp.CheckpointID{Process: i, Index: line[i]},
-					ccp.CheckpointID{Process: j, Index: line[j]}) {
-					if _, isTarget := targets[j]; isTarget {
-						return nil, fmt.Errorf("recovery: no stored consistent line contains the targets (p%d would force target p%d back)", i, j)
-					}
-					k, ok := lower(j, line[j])
-					if !ok {
-						return nil, fmt.Errorf("recovery: p%d has no stored checkpoint consistent with the targets", j)
-					}
-					line[j] = k
-					changed = true
-				}
-			}
-		}
+		return 0, fmt.Errorf("recovery: p%d has no stored checkpoint consistent with the targets", j)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !c.IsConsistentGlobal(line) {
 		return nil, fmt.Errorf("recovery: propagation produced an inconsistent line %v", line)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/gc"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/storage"
@@ -82,23 +83,29 @@ func BenchmarkDeliveryCompressed(b *testing.B) { benchDelivery(b, true) }
 // the receiver's delivery handler gives it back. Run it at -cpu 1,2,...: a
 // lock every message takes shows as msgs/s that does not grow with the
 // processors, which BenchmarkDelivery's one serial sender cannot show.
-// -short runs n = 32 only.
+// obs=on/n=32 is the n = 32 ring with a default-size flight recorder
+// attached: what recording a send, a delivery and a checkpoint costs.
+// -short runs n = 32 only, off and on.
 func BenchmarkDeliveryParallel(b *testing.B) {
 	const window = 16
 	sizes := []int{32, 128}
 	if testing.Short() {
 		sizes = sizes[:1]
 	}
-	for _, n := range sizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			_, ring := creditRing(b, n, window, true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			t0 := time.Now()
-			ring(b.N)
-			b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
-		})
+	run := func(b *testing.B, n int, o obs.Options) {
+		_, ring := creditRing(b, n, window, true, o)
+		b.ReportAllocs()
+		b.ResetTimer()
+		t0 := time.Now()
+		ring(b.N)
+		b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "msgs/s")
 	}
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { run(b, n, obs.Options{}) })
+	}
+	b.Run("obs=on/n=32", func(b *testing.B) {
+		run(b, 32, obs.Options{Recorder: obs.NewRecorder(0)})
+	})
 }
 
 // BenchmarkDeliveryUniform is the stopwatch of the end-to-end benchmark's
@@ -230,12 +237,13 @@ func tcpOutSegs() int64 {
 }
 
 // creditRing builds an unrecorded n-node ring under RDT-LGC with window
-// messages in flight per node, closed when the test ends, and returns it
+// messages in flight per node and the observability o, closed when the test
+// ends, and returns it
 // with ring: ring(msgs) sends msgs messages, one sender goroutine per node,
 // and returns once they are delivered. It has already run one full
 // window per node, so every stream is dialled, the workers have spawned and
 // the snapshot freelists are stocked.
-func creditRing(tb testing.TB, n, window int, tcp bool) (*runtime.Cluster, func(msgs int)) {
+func creditRing(tb testing.TB, n, window int, tcp bool, o obs.Options) (*runtime.Cluster, func(msgs int)) {
 	tb.Helper()
 	credits := make([]chan struct{}, n)
 	for i := range credits {
@@ -245,7 +253,7 @@ func creditRing(tb testing.TB, n, window int, tcp bool) (*runtime.Cluster, func(
 		}
 	}
 	c, err := runtime.NewCluster(runtime.Config{
-		N: n, TCP: tcp,
+		N: n, TCP: tcp, Obs: o,
 		LocalGC: func(self, n int, st storage.Store) gc.Local {
 			return core.New(self, n, st)
 		},

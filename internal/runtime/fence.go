@@ -129,7 +129,7 @@ func (n *Node) dropFencedLocked() {
 	}
 	c.inflight.Add(-len(f.q))
 	c.obs.FenceDepth.Add(-int64(len(f.q)))
-	c.flight.Record(obs.Event{Kind: obs.EvFenceDrop, P: n.id, Msg: len(f.q)})
+	c.record(obs.Event{Kind: obs.EvFenceDrop, P: n.id, Msg: len(f.q)})
 	clear(f.q)
 	f.q = f.q[:0]
 }

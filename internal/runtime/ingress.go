@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // This file is the receive-side counterpart of the sender pool: a bounded
@@ -182,8 +180,5 @@ func (n *Node) postDeliver(i int) {
 	if n.c.cfg.OnDeliver != nil {
 		n.c.cfg.OnDeliver(n.id, n.k.App(), m.payload)
 	}
-	n.recordRecv(m.msg)
-	n.c.flight.Record(obs.Event{
-		Kind: obs.EvDeliver, P: n.id, Msg: m.msg, Aux: m.from, Clock: n.k.DVRef()[n.id],
-	})
+	n.recordRecv(m.from, m.msg)
 }

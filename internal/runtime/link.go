@@ -164,7 +164,7 @@ func (c *Cluster) sendRun(from, to int, run []pending) {
 // partition stays open — and arms the retry timer. Called with pl.mu held.
 func (c *Cluster) park(pl *pairLink, run []pending) {
 	if c.setDown(pl, true) {
-		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
+		c.record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	for k := range run {
 		if c.closed.Load() || len(pl.parked) >= linkWindow {
@@ -189,7 +189,7 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 // with pl.mu held.
 func (c *Cluster) requeue(pl *pairLink, back []pending, lost int) {
 	if c.setDown(pl, true) {
-		c.flight.Record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(back)})
+		c.record(obs.Event{Kind: obs.EvLinkDown, P: pl.from, Aux: pl.to, Msg: len(back)})
 	}
 	if c.closed.Load() {
 		for i := range back {
@@ -287,7 +287,7 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 	}
 	pl.tries = 0
 	if c.setDown(pl, false) {
-		c.flight.Record(obs.Event{Kind: obs.EvLinkUp, P: pl.from, Aux: pl.to, Msg: total})
+		c.record(obs.Event{Kind: obs.EvLinkUp, P: pl.from, Aux: pl.to, Msg: total})
 	}
 	if total > 0 {
 		c.obs.LinkRetransmits.Add(uint64(total))

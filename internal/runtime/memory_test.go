@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
@@ -13,9 +14,9 @@ import (
 // with the messages it has carried. An n = 32 ring with 16 messages in
 // flight per node carries 1 M messages, then 4 M; the live heap after the
 // 4 M is within 2 MB of the heap after the first 1 M, on both wires. A
-// recorded cluster keeps 16 bytes per event, two events per message, for
-// good: about 30 MB per million messages. -short compares 250 k with 1 M on
-// the in-process wire alone.
+// recorded cluster's recorder keeps 56 bytes per event, two events per
+// message, for good: about 120 MB per million messages. -short compares
+// 250 k with 1 M on the in-process wire alone.
 func TestUnrecordedMemoryBounded(t *testing.T) {
 	const n, window, slack = 32, 16, 2 << 20
 	early, late := 1_000_000, 4_000_000
@@ -26,7 +27,7 @@ func TestUnrecordedMemoryBounded(t *testing.T) {
 	}
 	for _, tcp := range wires {
 		t.Run(wireName(tcp), func(t *testing.T) {
-			_, ring := creditRing(t, n, window, tcp)
+			_, ring := creditRing(t, n, window, tcp, obs.Options{})
 			ring(early)
 			before := liveHeap()
 			ring(late - early)

@@ -42,7 +42,7 @@ func (c *Cluster) Crash(i int) error {
 	}
 	// Recorded before CrashVolatile wipes the vector, so the event carries
 	// the clock at the instant of failure.
-	c.flight.Record(obs.Event{Kind: obs.EvCrash, P: i, Clock: n.k.DVRef()[i]})
+	c.record(obs.Event{Kind: obs.EvCrash, P: i, Clock: n.k.DVRef()[i]})
 	n.k.CrashVolatile()
 	n.down = true
 	// The frames it had fenced are volatile state too: nobody has seen them,
@@ -83,7 +83,7 @@ func (c *Cluster) cancelTransit() {
 		c.obs.QueueDepth.Add(-int64(purged))
 		c.obs.SessionPurged.Add(uint64(purged))
 	}
-	c.flight.Record(obs.Event{Kind: obs.EvSessionPurge, P: -1, Msg: purged, Aux: int(epoch)})
+	c.record(obs.Event{Kind: obs.EvSessionPurge, P: -1, Msg: purged, Aux: int(epoch)})
 }
 
 // Down returns the crashed processes, in ascending order.
@@ -109,8 +109,8 @@ func (c *Cluster) Down() []int {
 //  5. roll back every process whose component is stable (Algorithm 3 on
 //     its collector, with LI when globalLI is true) and release stale UC
 //     entries on the others;
-//  6. cut the rolled-back processes' recorded history (Config.Record) at
-//     the line, resume.
+//  6. record each rollback — on a recorded cluster, History cuts the
+//     process's events at the line when it next reads them — and resume.
 //
 // Recover models processes that fail and rejoin within one session. For
 // processes that crashed earlier via Crash use Restart, which rehydrates
@@ -209,7 +209,7 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 		}
 		n.down = false
 		restarted = append(restarted, i)
-		c.flight.Record(obs.Event{Kind: obs.EvRestart, P: i, Msg: n.k.LastStable(), Clock: n.k.DVRef()[i]})
+		c.record(obs.Event{Kind: obs.EvRestart, P: i, Msg: n.k.LastStable(), Clock: n.k.DVRef()[i]})
 	}
 	rep.Restarted = restarted // ascending: the nodes are walked in order
 
@@ -220,12 +220,10 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	rep.Line = line
 	err = node.ApplyLine(c.kernels, line, globalLI, func(j, _ int) {
 		rep.RolledBack = append(rep.RolledBack, j)
-		// The process's recorded history is cut with it, at its stable
-		// component; processes that keep their state keep their logs
-		// untouched, and the receives this orphans are dropped when History
-		// next merges.
-		c.nodes[j].cutHistory(line[j])
-		c.flight.Record(obs.Event{Kind: obs.EvRollback, P: j, Msg: line[j], Clock: line[j]})
+		// Recorded under every node lock, so the event follows all of j's
+		// earlier events and precedes its later ones: History drops what it
+		// cuts off, and the receives this orphans, when it next joins.
+		c.record(obs.Event{Kind: obs.EvRollback, P: j, Msg: line[j], Clock: line[j]})
 	})
 	return rep, err
 }

@@ -12,15 +12,14 @@
 // "evaluation in a practical environment" the paper lists as future work
 // (Section 6), with deliveries racing application activity.
 //
-// A cluster built with Config.Record also keeps its history: every node
-// records its own middleware events — checkpoints, sends, receives — in its
-// own append-only log, under the lock it already holds, stamped from one
-// cluster-wide atomic counter, and History merges the logs when asked (see
-// record.go and package history), so tests and the chaos engine can rebuild
+// A cluster built with Config.Record also keeps its history: its flight
+// recorder keeps every event — checkpoints, sends, receives, rollbacks —
+// each recorded under the lock of the node it belongs to, and History joins
+// them when asked (see record.go), so tests and the chaos engine can rebuild
 // the exact checkpoint and communication pattern of a concurrent execution
 // and run the internal/ccp oracles against it. A cluster built without it —
-// the default — logs nothing: its memory holds what the paper bounds, and no
-// message draws from that counter.
+// the default — keeps nothing it was not asked to: its memory holds what the
+// paper bounds.
 package runtime
 
 import (
@@ -36,7 +35,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/runtime/history"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -95,13 +93,13 @@ type Config struct {
 	// the protocol event stream. The zero value (both nil) is the default
 	// and keeps every hot path at its uninstrumented cost.
 	Obs obs.Options
-	// Record keeps the history History and Oracle rebuild: every checkpoint,
-	// send and receive is logged on its node for the cluster's life, and each
-	// draws from one cluster-wide counter (record.go). Whoever checks the
-	// execution against the internal/ccp oracles sets it — tests, the chaos
-	// engine, the facade's live cluster. Off (the default), nothing is
-	// logged, no message draws from the counter, and History and Oracle
-	// panic.
+	// Record keeps the history History and Oracle rebuild: the cluster's
+	// flight recorder — Obs.Recorder, or one NewCluster makes — keeps every
+	// event for the cluster's life, and no other cluster may share it
+	// (record.go). Whoever checks the execution against the internal/ccp
+	// oracles sets it — tests, the chaos engine, the facade's live cluster.
+	// Off (the default), the recorder, if any, keeps its window, and History
+	// and Oracle panic.
 	Record bool
 }
 
@@ -132,8 +130,8 @@ type Cluster struct {
 	// with a load. A recovery session is the only writer.
 	st atomic.Uint64
 
-	// hist is a recorded cluster's share of the history (record.go).
-	hist recording
+	// rec is a recorded cluster's message-id source (record.go).
+	rec recording
 
 	// queues are the sender pool: one due-time-ordered queue and at most
 	// one worker goroutine per destination (see sendpool.go). pairDue
@@ -146,7 +144,7 @@ type Cluster struct {
 	t0      time.Time
 
 	obs    obs.RuntimeMetrics // zero (free) unless Config.Obs named a registry
-	flight *obs.Recorder      // nil unless Config.Obs named a recorder
+	flight *obs.Recorder      // Config.Obs's recorder; on a recorded cluster never nil
 
 	// wire carries the link layer's frames to the receivers: the in-process
 	// hand-off or the TCP mesh (wire.go). Chosen once, in NewCluster.
@@ -217,11 +215,9 @@ type Node struct {
 	staged uint64
 	fence  fence
 
-	// log is this process's history, appended to under mu on a recorded
-	// cluster. lastID is the id of the last message the node sent on an
-	// unrecorded one: ids count per sender, under mu, and survive Crash and
+	// lastID is the id of the last message the node sent on an unrecorded
+	// cluster: ids count per sender, under mu, and survive Crash and
 	// Restart, so (From, Msg) names one message for the cluster's life.
-	log    history.Log
 	lastID uint64
 
 	// ing is the bounded ingress ring every inbound batch passes through
@@ -248,11 +244,18 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) (storage.Store, error) { return storage.NewMemStore(), nil }
 	}
+	flight := cfg.Obs.Recorder
+	if cfg.Record && flight == nil {
+		flight = obs.NewRecorder(0)
+	}
+	if err := flight.Attach(cfg.Record); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
 	c := &Cluster{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Net.Seed)),
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
-		flight: cfg.Obs.Recorder,
+		flight: flight,
 		t0:     time.Now(),
 	}
 	c.quiet.Store(quietDelay(cfg.Net))
@@ -470,20 +473,12 @@ func (c *Cluster) recycle(from int, pb *node.Piggyback) {
 }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
-// forced ones the delivery path takes) land in the node's history, on a
-// recorded cluster, the instant they are staged, while the node's lock is
-// held, and the stage number becomes the ticket of every frame the node
-// builds from here on.
-func (n *Node) OnKernelCheckpoint(self, index int, basic bool) {
+// forced ones the delivery path takes) are recorded the instant they are
+// staged, while the node's lock is held, and the stage number becomes the
+// ticket of every frame the node builds from here on.
+func (n *Node) OnKernelCheckpoint(_, index int, basic bool) {
 	n.staged = n.k.Store().Staged()
-	n.recordCheckpoint()
-	forced := 0
-	if !basic {
-		forced = 1
-	}
-	n.c.flight.Record(obs.Event{
-		Kind: obs.EvCheckpoint, P: self, Msg: index, Aux: forced, Clock: index,
-	})
+	n.recordCheckpoint(index, basic)
 }
 
 func (c *Cluster) curEpoch() uint64 { return c.st.Load() >> 1 }
@@ -618,11 +613,9 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		return err
 	}
 	// The message's id on the wire and in the flight recorder: unique per
-	// sender, increasing, never rewound by a session (record.go).
-	d.msg = n.recordSend()
-	n.c.flight.Record(obs.Event{
-		Kind: obs.EvSend, P: n.id, Msg: d.msg, Aux: to, Clock: n.k.DVRef()[n.id],
-	})
+	// sender, increasing, never rewound by a session. Recorded before the
+	// frame is handed off, so the delivery's record follows it (record.go).
+	d.msg = n.recordSend(to)
 	delay, drop := n.netDraw()
 	if drop {
 		// The unused snapshot still feeds the freelist. A compressed

@@ -110,8 +110,8 @@ func (c *Cluster) Restart(globalLI bool) (LiveReport, error) {
 
 // Oracle rebuilds the ground-truth pattern from the linearized history of
 // the concurrent execution. A live cluster records that history for its
-// whole life (runtime.Config.Record): about 16 bytes per checkpoint, send
-// and receive.
+// whole life (runtime.Config.Record): its flight recorder keeps every event,
+// 56 bytes each, about two per message.
 func (c *Cluster) Oracle() *CCP { return c.c.Oracle() }
 
 // BreakLink cuts the directed pair from "from" to "to" until HealLink or

@@ -18,7 +18,8 @@ type MetricsRegistry = obs.Registry
 type MetricsSnapshot = obs.Snapshot
 
 // FlightRecorder captures the protocol event stream (sends, deliveries,
-// checkpoints, rollbacks, collects, crashes, restarts) into a bounded ring.
+// checkpoints, rollbacks, collects, crashes, restarts), one shard per
+// process: its most recent events, or, on a live cluster, every event.
 type FlightRecorder = obs.Recorder
 
 // FlightEvent is one recorded protocol event.
@@ -28,15 +29,17 @@ type FlightEvent = obs.Event
 // WithObservability.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewFlightRecorder returns a flight recorder holding the most recent
-// `size` events (obs.DefaultRecorderSize when size <= 0).
+// NewFlightRecorder returns a flight recorder holding the most recent `size`
+// events (obs.DefaultRecorderSize when size <= 0), or all of a live cluster's.
 func NewFlightRecorder(size int) *FlightRecorder { return obs.NewRecorder(size) }
 
 // WithObservability attaches a metrics registry and/or flight recorder to
 // the system under construction. Either may be nil; instrumentation that is
 // not attached costs nothing. The same registry may observe several systems
-// (their counts aggregate); a recorder interleaves events from everything
-// it watches.
+// (their counts aggregate). A live cluster's recorder is its history: it
+// keeps every event of that cluster and watches nothing else, and
+// NewCluster refuses one in use. A recorder of simulated systems interleaves
+// the events of everything it watches.
 func WithObservability(reg *MetricsRegistry, rec *FlightRecorder) Option {
 	return func(o *options) { o.obs = obs.Options{Registry: reg, Recorder: rec} }
 }

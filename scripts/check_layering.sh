@@ -234,16 +234,19 @@ if awk '/^type pairLink struct/{s=1} s && /^}/{s=0}
 	fail=1
 fi
 
-# The history is recorded only when asked (Config.Record). Its three record
-# sites, the session's cut and the merge are methods in
-# internal/runtime/record.go, each of which returns at once on a cluster that
-# does not record. No other file of the runtime names the cluster tick or
-# writes a node's log: a tick drawn or an event logged elsewhere is the
-# per-message log write and the cluster-wide word growing back onto the
-# unrecorded message path.
-if grep -nw 'tick' $(echo "$rt_files" | grep -v '/record\.go$') >&2 ||
-	grep -n '\.log\.' $(echo "$rt_files" | grep -v '/record\.go$') >&2; then
-	echo "layering violation: the cluster tick or a node's history log named outside internal/runtime/record.go" >&2
+# A process's events are recorded once, in one place. The flight recorder is
+# the history of a recorded cluster (Config.Record): History joins its
+# events at read time, so no second event log may come back — neither the
+# per-node log package nor a record call outside internal/runtime/record.go,
+# whose three message sites make one record call each and whose
+# Cluster.record carries every other event. The cluster tick is only the
+# message-id source of a recorded cluster, and only record.go names it.
+if go list repro/internal/runtime/history >/dev/null 2>&1; then
+	echo "layering violation: repro/internal/runtime/history exists again; the flight recorder is the recorded history" >&2
+	fail=1
+fi
+if grep -nE '\.Record\(|\btick\b' $(echo "$rt_files" | grep -v '/record\.go$') >&2; then
+	echo "layering violation: the recorder's Record called, or the cluster tick named, outside internal/runtime/record.go" >&2
 	fail=1
 fi
 
@@ -280,4 +283,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; the history is recorded only when asked, in one file; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
