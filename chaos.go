@@ -49,7 +49,7 @@ func NewChaosPlan(o ChaosPlanOptions) (ChaosPlan, error) { return chaos.NewPlan(
 // the same plan and options yield the same measurements. Partition steps
 // cut and heal links on whichever wire Network.TCP selects — the link layer
 // that holds the cut is the same under both — and every heal is followed by
-// a full drain — reconnect, retransmit, delivery — and the oracle battery.
+// a full drain — the parked backlog delivered — and the oracle battery.
 func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 	o := defaults()
 	for _, f := range opt {

@@ -60,7 +60,7 @@ type Config struct {
 
 	// TCP runs the cluster under test over the real batched TCP mesh
 	// instead of the in-process wire, so a chaos run exercises the socket
-	// path (framing, reconnects, link reconciliation) too. Partition plans
+	// path (framing, drains, loss accounting) too. Partition plans
 	// run on either: the link layer that cuts and heals is above the wire.
 	TCP bool
 	// Obs attaches live telemetry to the cluster under test and to the
@@ -114,12 +114,11 @@ type Result struct {
 	// one per StepBreakLink flap.
 	Partitions int
 	// Heals counts StepHeal executions — each heals the whole mesh, drains
-	// the retransmit backlog, and verifies the cluster against the
-	// replayed history.
+	// the parked backlog, and verifies the cluster against the replayed
+	// history.
 	Heals int
 	// HealLatency is the total wall clock from each HealAll call to the
-	// drained cluster — reconnect, retransmit, and delivery of every
-	// parked frame.
+	// drained cluster — the flush and delivery of every parked frame.
 	HealLatency time.Duration
 }
 
@@ -234,9 +233,9 @@ func Run(cfg Config, plan Plan) (Result, error) {
 				}
 			}
 			c.HealAll()
-			// The drain after a heal is the whole point: reconnect, flush the
-			// retransmit backlog, deliver every parked frame — only then is
-			// the healed state checkable against the replayed history.
+			// The drain after a heal is the whole point: flush the backlog,
+			// deliver every parked frame — only then is the healed state
+			// checkable against the replayed history.
 			c.Quiesce()
 			res.HealLatency += time.Since(t0)
 			res.Heals++
@@ -476,10 +475,10 @@ func verifyClusterState(c *runtime.Cluster, cfg Config, res *Result, afterRecove
 	return nil
 }
 
-// verifyHeal asserts a drained post-heal cluster: no pair still severed,
-// and the live state passes the shared oracle battery — in particular the
+// verifyHeal asserts a drained post-heal cluster: no pair still cut, and
+// the live state passes the shared oracle battery — in particular the
 // compressed-piggyback delivery-order verification already ran inside
-// every kernel during the drain, so a duplicated or reordered retransmit
+// every kernel during the drain, so a duplicated or reordered parked frame
 // would have surfaced before this check.
 func verifyHeal(c *runtime.Cluster, cfg Config) error {
 	if open := c.PartitionedPairs(); open != 0 {

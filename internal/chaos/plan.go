@@ -39,12 +39,13 @@ const (
 	// which the cluster is still digesting its previous recovery.
 	Repeated
 	// SplitBrain partitions the mesh into two seeded halves mid-traffic,
-	// drives both sides against the wall, heals, drains the retransmit
+	// drives both sides against the wall, heals, drains the parked
 	// backlog, and then runs a crash/restart cycle so the full oracle
 	// battery covers the healed pattern. TCP clusters only.
 	SplitBrain
 	// Flapping breaks and heals one seeded directed link repeatedly under
-	// traffic — the reconnect path exercised while the sender pool is hot.
+	// traffic — the cut's drain and the heal's flush exercised while the
+	// sender pool is hot.
 	// TCP clusters only.
 	Flapping
 	// Isolation cuts one process off from everyone (both directions) per
@@ -131,14 +132,14 @@ const (
 	// StepRestart rehydrates every crashed process from stable storage and
 	// runs the recovery session, then verifies it against the oracles.
 	StepRestart
-	// StepPartition severs every cross-group mesh pair atomically; frames
-	// into the cut park for retransmit. TCP clusters only.
+	// StepPartition cuts every cross-group mesh pair atomically; frames
+	// into the cut park until the heal. TCP clusters only.
 	StepPartition
-	// StepHeal lifts every open partition and break, drains the retransmit
+	// StepHeal lifts every open partition and break, drains the parked
 	// backlog, and verifies the healed cluster state against the replayed
 	// history.
 	StepHeal
-	// StepBreakLink severs one directed pair (Procs[0] -> Procs[1]).
+	// StepBreakLink cuts one directed pair (Procs[0] -> Procs[1]).
 	StepBreakLink
 	// StepHealLink heals one directed pair (Procs[0] -> Procs[1]).
 	StepHealLink

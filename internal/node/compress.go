@@ -38,8 +38,8 @@ import (
 //
 // Ownership. The entries of a piggyback live in a buffer drawn from the
 // driver (Driver.EntryBuf) and belong to the sender's side of the engine —
-// in the live runtime, to the pair's link until its retransmit window
-// prunes the frame — which then recycles the buffer. Receivers only read
+// in the live runtime, to the pair's link until the wire has delivered or
+// encoded the frame — which then recycles the buffer. Receivers only read
 // them for the duration of a delivery call and copy what must outlive it
 // (the batch path's pendRun does).
 //

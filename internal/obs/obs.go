@@ -67,20 +67,18 @@ const (
 	RuntimeIngressDepth  = "runtime.ingress.depth"
 	RuntimeIngressDrains = "runtime.ingress.drains"
 	RuntimeIngressNs     = "runtime.ingress.drain_ns"
-	// Link layer (per-pair cuts and retransmit windows over either wire):
-	// retransmits counts frames resent through the retry path after a link
-	// died, reconnects counts pairs whose parked backlog flushed clean,
-	// parked is the frames currently awaiting a reconnect, lost is frames
-	// dropped past the retransmit window (permanently, like the old
-	// severed-link semantics), duplicates is receiver-side dedup drops,
-	// backoff_ns samples every retry delay the backoff schedule draws, and
-	// partitioned_pairs gauges the directed pairs BreakLink/Partition hold cut.
+	// Link layer (per-pair cuts over either wire): parked is the frames a
+	// cut holds back, awaiting the heal; retransmits counts the parked
+	// frames heals sent on, and reconnects the backlogs they flushed; lost
+	// counts frames that will never be delivered — refused by the wire (a
+	// closed mesh, a loudly dead connection, a failed dial), stranded by a
+	// connection that died loudly, or given up by a closed cluster or a
+	// recovery session's purge; and partitioned_pairs gauges the directed
+	// pairs BreakLink/Partition hold cut.
 	RuntimeLinkRetransmits = "runtime.link.retransmits"
 	RuntimeLinkReconnects  = "runtime.link.reconnects"
 	RuntimeLinkParked      = "runtime.link.parked"
 	RuntimeLinkLost        = "runtime.link.lost"
-	RuntimeLinkDups        = "runtime.link.duplicates"
-	RuntimeLinkBackoffNs   = "runtime.link.backoff_ns"
 	RuntimeLinkPartitioned = "runtime.link.partitioned_pairs"
 	// Egress fence (output commit): depth is the outgoing frames held back
 	// because they name a checkpoint that is staged and not yet durable,
@@ -177,8 +175,6 @@ type RuntimeMetrics struct {
 	LinkReconnects  *Counter
 	LinkParked      *Gauge
 	LinkLost        *Counter
-	LinkDups        *Counter
-	LinkBackoffNs   *Histogram
 	LinkPartitioned *Gauge
 
 	FenceDepth  *Gauge
@@ -204,8 +200,6 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 		LinkReconnects:  r.Counter(RuntimeLinkReconnects),
 		LinkParked:      r.Gauge(RuntimeLinkParked),
 		LinkLost:        r.Counter(RuntimeLinkLost),
-		LinkDups:        r.Counter(RuntimeLinkDups),
-		LinkBackoffNs:   r.Histogram(RuntimeLinkBackoffNs),
 		LinkPartitioned: r.Gauge(RuntimeLinkPartitioned),
 
 		FenceDepth:  r.Gauge(RuntimeFenceDepth),

@@ -62,8 +62,8 @@ func (k EventKind) String() string {
 //	Collect     P=process,   Msg=collected checkpoint index
 //	Crash       P=process,   Clock=own DV entry at the instant of failure
 //	Restart     P=process,   Msg=checkpoint index rehydrated from
-//	LinkDown    P=sender,    Aux=receiver, Msg=frames parked for retransmit
-//	LinkUp      P=sender,    Aux=receiver, Msg=frames resent on reconnect
+//	LinkDown    P=sender,    Aux=receiver, Msg=frames parked behind a cut
+//	LinkUp      P=sender,    Aux=receiver, Msg=parked frames a heal sent on
 //	FenceDrop   P=sender,    Msg=fenced frames dropped undelivered (its crash, a recovery session, a failed flush)
 //	SessionPurge P=-1 (the cluster), Msg=queued frames a recovery session or Close cancelled in the sender pool, Aux=the epoch it opened
 //

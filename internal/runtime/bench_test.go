@@ -84,7 +84,8 @@ func BenchmarkDeliveryCompressed(b *testing.B) { benchDelivery(b, true) }
 // lock every message takes shows as msgs/s that does not grow with the
 // processors, which BenchmarkDelivery's one serial sender cannot show.
 // obs=on/n=32 is the n = 32 ring with a default-size flight recorder
-// attached: what recording a send, a delivery and a checkpoint costs.
+// attached, its window filled before the clock starts: what recording a
+// send, a delivery and a checkpoint costs.
 // -short runs n = 32 only, off and on.
 func BenchmarkDeliveryParallel(b *testing.B) {
 	const window = 16
@@ -94,6 +95,12 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 	}
 	run := func(b *testing.B, n int, o obs.Options) {
 		_, ring := creditRing(b, n, window, true, o)
+		// A recorder allocates chunks until its window is full and it evicts;
+		// fill it twice over before the clock starts, so the loop pays what a
+		// warm recorder costs and not the chunks of its first 64 K events.
+		for o.Recorder != nil && o.Recorder.Dropped() < obs.DefaultRecorderSize {
+			ring(n * window * 16)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		t0 := time.Now()
@@ -301,8 +308,7 @@ func creditRing(tb testing.TB, n, window int, tcp bool, o obs.Options) (*runtime
 // survivor's ReleaseStale scans its n-entry UC, an O(n²) of the collector's
 // that this leaves out (EXPERIMENTS.md E19 times both). The n² first messages
 // are sent into a full partition and released by one heal, so each carries
-// only its sender's own entry. The in-process wire keeps no retransmit
-// window, but n = 512 still allocates about 295 MB while its cluster is set
+// only its sender's own entry. n = 512 allocates about 295 MB while its cluster is set
 // up (alloc_space at -benchtime 20x; the pair links are 68 MB of it, their
 // parked backlogs 70 MB), so -short stops at 128.
 func BenchmarkRestartAtRest(b *testing.B) {

@@ -9,8 +9,8 @@ import (
 
 // Views of a cluster's transit state for the tests in package runtime_test:
 // what Quiesce waits on, what the sender pool holds, what the piggyback
-// freelists hold, what the link layer holds parked or armed; and the send
-// path's network draw.
+// freelists hold, what the link layer holds parked; and the send path's
+// network draw.
 
 // InTransit is the in-flight count Quiesce waits to see at zero.
 func (c *Cluster) InTransit() int64 { return c.inflight.n.Load() }
@@ -67,24 +67,6 @@ func (n *Node) NetworkDraw() (time.Duration, bool) {
 // WorkerIdle is how long a sender-pool worker stays idle before it retires.
 const WorkerIdle = workerIdle
 
-// HoldRetries makes every retry timer the cluster arms from now on wait an
-// hour, so a backlog behind one stays parked while the test looks at it.
-// Call it before the cluster carries traffic.
-func (c *Cluster) HoldRetries() { c.holdRetries = true }
-
-// RetryTimers counts the pairs holding an armed retry timer.
-func (c *Cluster) RetryTimers() int {
-	armed := 0
-	for _, pl := range c.createdLinks() {
-		pl.mu.Lock()
-		if pl.timer != nil {
-			armed++
-		}
-		pl.mu.Unlock()
-	}
-	return armed
-}
-
 // DownLinks recounts the pairs whose down flag is set, under each pair's
 // lock, and returns the recount beside the cluster's own count (downLinks),
 // which a session reads instead of sweeping. On a quiet cluster the two must
@@ -102,13 +84,11 @@ func (c *Cluster) DownLinks() (recounted, counted int) {
 
 // PoisonStream hands the (from,to) pair's link k frames that the TCP wire's
 // reader refuses to decode (a sparse entry with a negative value). They are
-// written in one batch, so the wire accepts all k; the reader drops the
-// stream at the first, and the transport reports the k lost through
-// onLinkDown, which parks them behind a retry. A severed connection takes
-// that path only for what it still carried when its ends closed, which a
-// test cannot arrange, so this is how a test reaches it for sure; it kills
-// the pair's other direction too, which shares the connection. TCP
-// clusters only: the in-process wire would hand the frames to a kernel.
+// written in one batch, so the wire accepts all k; the reader kills the
+// connection at the first — both directions, for the cluster's life — and
+// the transport reports the k lost through onLinkDown. A connection dies
+// only so, loudly, or at Close. TCP clusters only: the in-process wire would
+// hand the frames to a kernel.
 func (c *Cluster) PoisonStream(from, to, k int) {
 	run := make([]pending, k)
 	for i := range run {

@@ -11,8 +11,7 @@ import (
 // are stocked with more buffers than its traffic can hold at once, so every
 // buffer a node hands out comes from its stock; after rounds of all-pairs
 // sends and a Quiesce, each node's freelists must hold the whole stock
-// again. A pair that kept its last frame for a retransmit — which the
-// in-process wire, delivering as it accepts, never makes — would keep that
+// again. A pair that kept its last frame after delivery would keep that
 // frame's buffer too.
 func TestHandoffRecyclesAtDelivery(t *testing.T) {
 	const n, rounds, stock = 4, 3, 4 * 4

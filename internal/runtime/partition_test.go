@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	goruntime "runtime"
 	"sync"
@@ -15,9 +16,9 @@ import (
 )
 
 // bothWires runs one test body on each wire the link layer can stand on:
-// the in-process hand-off and the TCP mesh. The cut, the backlog and the
-// retransmit are the link layer's, so every promise about them is made —
-// and checked, by the same body — on both.
+// the in-process hand-off and the TCP mesh. The cut and the backlog behind
+// it are the link layer's, so every promise about them is made — and
+// checked, by the same body — on both.
 func bothWires(t *testing.T, body func(t *testing.T, tcp bool)) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(wireName(tcp), func(t *testing.T) { body(t, tcp) })
@@ -33,8 +34,8 @@ func wireName(tcp bool) string {
 
 // compressedCluster builds the configuration the partition tests lean on:
 // compressed piggybacking, whose delivery-order verification inside every
-// kernel is the loud witness that retransmission introduced no duplicate,
-// reorder, or silent loss. It records, since they count what the history
+// kernel is the loud witness that a cut and its heal introduced no
+// duplicate, reorder, or silent loss. It records, since they count what the history
 // holds.
 func compressedCluster(t *testing.T, n int, tcp bool) *runtime.Cluster {
 	t.Helper()
@@ -224,40 +225,88 @@ func TestPartitionFlappingUnderLoad(t *testing.T) {
 	})
 }
 
-// TestPartitionCloseDuringBackoff pins the prompt-shutdown fix: Close
-// while retransmit timers are armed with a huge backoff must return
-// promptly — the retry machinery observes the closed flag instead of
-// waiting out its schedule. A cut pair arms no timer (it waits for the
-// heal), so the backlog here stands behind a stream that died with frames
-// it had accepted (PoisonStream), and its retry waits an hour (HoldRetries).
-func TestPartitionCloseDuringBackoff(t *testing.T) {
+// TestPartitionFlapsUnderAnUnthrottledSender holds a partition to pure
+// delay under the heaviest backlog a cut can build: an n = 4 ring, each node
+// sending to its successor, p0 as fast as it can and the others at a walk,
+// while BreakLink/HealLink(0, 1) flap 50 times 200 µs apart. Every send is
+// delivered exactly once and in order per pair, nothing is counted in
+// runtime.link.lost, and on TCP nothing in transport.frames_lost; with
+// compressed piggybacks a FIFO gap would panic the receiving kernel. One
+// cut can strand thousands of frames, so a bound on the backlog, or a cut
+// that kills the pair's connection, fails it.
+func TestPartitionFlapsUnderAnUnthrottledSender(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
-		if !tcp {
-			t.Skip("the in-process wire loses nothing it accepted, so it never arms a retry timer")
-		}
-		reg := obs.NewRegistry()
-		c, err := runtime.NewCluster(runtime.Config{
-			N: 2, TCP: true, Compress: true,
-			Obs: obs.Options{Registry: reg},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.HoldRetries()
-		c.PoisonStream(0, 1, 10)
-		c.Quiesce() // everything is parked; the retry timer now holds a 30 min+ schedule
-		snap := reg.Snapshot()
-		if h, _ := snap.Histogram(obs.RuntimeLinkBackoffNs); h.Count != 1 || snap.Gauge(obs.RuntimeLinkParked) != 10 {
-			t.Fatalf("%d retry timers armed over %d parked frames, want 1 over 10",
-				h.Count, snap.Gauge(obs.RuntimeLinkParked))
-		}
+		for _, compress := range []bool{true, false} {
+			t.Run(map[bool]string{true: "compressed", false: "full"}[compress], func(t *testing.T) {
+				const n, flaps, budget = 4, 50, 1 << 17
+				var mu sync.Mutex
+				var got [n][]uint32 // got[from]: what p<from> sent, in delivery order
+				reg := obs.NewRegistry()
+				c, err := runtime.NewCluster(runtime.Config{
+					N: n, TCP: tcp, Compress: compress,
+					Obs: obs.Options{Registry: reg},
+					OnDeliver: func(self int, _ app.App, p []byte) {
+						mu.Lock()
+						from := (self + n - 1) % n
+						got[from] = append(got[from], binary.LittleEndian.Uint32(p))
+						mu.Unlock()
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
 
-		t0 := time.Now()
-		if err := c.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		if d := time.Since(t0); d > 3*time.Second {
-			t.Fatalf("Close took %v with a retry pending; must not wait on backoff timers", d)
+				var sent [n]uint32
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						for seq := uint32(0); !stop.Load() && seq < budget; seq++ {
+							if err := c.Node(i).SendPayload((i+1)%n, binary.LittleEndian.AppendUint32(nil, seq)); err != nil {
+								t.Errorf("p%d: %v", i, err)
+								return
+							}
+							sent[i] = seq + 1
+							if i != 0 {
+								time.Sleep(100 * time.Microsecond)
+							}
+						}
+					}(i)
+				}
+				for f := 0; f < flaps; f++ {
+					c.BreakLink(0, 1)
+					time.Sleep(200 * time.Microsecond)
+					c.HealLink(0, 1)
+					time.Sleep(200 * time.Microsecond)
+				}
+				stop.Store(true)
+				wg.Wait()
+				c.Quiesce()
+
+				mu.Lock()
+				defer mu.Unlock()
+				for from := 0; from < n; from++ {
+					if uint32(len(got[from])) != sent[from] {
+						t.Fatalf("p%d sent %d messages and %d were delivered", from, sent[from], len(got[from]))
+					}
+					for k, seq := range got[from] {
+						if seq != uint32(k) {
+							t.Fatalf("p%d's %dth delivery is its message %d: a duplicate, a loss or a reorder", from, k, seq)
+						}
+					}
+				}
+				snap := reg.Snapshot()
+				if lost := snap.Counter(obs.RuntimeLinkLost); lost != 0 {
+					t.Fatalf("runtime.link.lost = %d over %d flaps", lost, flaps)
+				}
+				if lost := snap.Counter(obs.TransportFramesLost); lost != 0 {
+					t.Fatalf("transport.frames_lost = %d over %d flaps", lost, flaps)
+				}
+				t.Logf("p0 sent %d messages through %d flaps", sent[0], flaps)
+			})
 		}
 	})
 }
@@ -340,8 +389,8 @@ func TestPartitionDifferentialDelivery(t *testing.T) {
 // TestPartitionRetransmitKeepsEntryBuffers is the ownership rule of
 // compressed piggybacks under the one condition that stretches it: a frame's
 // entries live in a recycled buffer, and the frame sits parked behind a
-// broken link — then in the retransmit window — while the sender goes on
-// encoding other messages out of the same freelist. Were a buffer recycled
+// broken link until the heal sends it on, while the sender goes on encoding
+// other messages out of the same freelist. Were a buffer recycled
 // while the backlog still held it, a later message would overwrite the
 // parked frame's entries: under -race that is a reported race, and in any
 // build the receiver's vector would stop matching the replayed pattern.
@@ -424,9 +473,9 @@ func TestPartitionRetransmitKeepsEntryBuffers(t *testing.T) {
 // eight senders push across a split flat out, on their own goroutines, and
 // from the instant Partition returns the count of messages delivered across
 // the cut stands still — no sender that had read "open" a moment earlier
-// slips a frame through afterwards (the barrier in cut), and no stream is
-// still draining into a receiver (the awaited reap) — until the heal, which
-// then delivers every one of them, once, in order.
+// slips a frame through afterwards (the barrier in cut), and nothing the
+// wire took before the cut is still arriving (the awaited drain) — until
+// the heal, which then delivers every one of them, once, in order.
 func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
 		const n = 4 // {0,1} | {2,3}; two senders per process, all of it cross traffic
@@ -442,7 +491,7 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 		defer c.Close()
 
 		// The senders run closed-loop against the delivered count, so the
-		// backlog the cut strands stays far inside the retransmit window.
+		// backlog the cut strands stays small.
 		var sent, credit atomic.Int64
 		credit.Store(256)
 		var stop atomic.Bool
@@ -499,12 +548,11 @@ func TestPartitionNothingCrossesAfterCut(t *testing.T) {
 }
 
 // TestPartitionOneWayCutKeepsReverse cuts one direction of a pair under
-// traffic both ways. On TCP the two directions share one connection, so the
-// cut kills the reverse direction's stream too; the link layer must heal
-// that on its own, with no heal call. From the instant BreakLink(0, 1)
-// returns nothing crosses 0→1, and every 1→0 message is delivered exactly
-// once, in order; after HealLink and Quiesce the 0→1 backlog arrives, once
-// each, in order.
+// traffic both ways. On TCP the two directions share one connection, which
+// the cut drains one way and leaves alone: the reverse direction carries on
+// with no heal call. From the instant BreakLink(0, 1) returns nothing
+// crosses 0→1, and every 1→0 message is delivered exactly once, in order;
+// after HealLink and Quiesce the 0→1 backlog arrives, once each, in order.
 func TestPartitionOneWayCutKeepsReverse(t *testing.T) {
 	bothWires(t, func(t *testing.T, tcp bool) {
 		const perDir = 400

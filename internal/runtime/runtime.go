@@ -25,6 +25,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -74,14 +75,15 @@ type Config struct {
 	// TCP selects the wire under the link layer: a loopback TCP mesh
 	// (internal/transport), so the piggybacked vectors cross a real network
 	// path, instead of the in-process hand-off to the receiver's ingress
-	// ring. Sender pool, cuts, retransmit, backpressure: the same on both.
+	// ring. Sender pool, cuts, backlog, backpressure: the same on both. A
+	// TCP frame has a 1 MiB cap, so a send refuses a payload too large for it.
 	TCP bool
 	// Compress piggybacks only the dependency-vector entries changed since
 	// the previous send to the same destination (Singhal–Kshemkalyani).
 	// The technique requires reliable per-pair FIFO channels: NewCluster
 	// rejects a lossy network, SetNetwork rejects loss bursts, the sender
 	// pool sequences each (sender, receiver) pair in send order, and the
-	// link layer keeps that order across cuts and reconnects on either wire.
+	// link layer keeps that order across cuts on either wire.
 	Compress bool
 	// OnDeliver, if set, is the application-level message handler: it runs
 	// under the receiving node's middleware lock, after the forced
@@ -112,7 +114,7 @@ type Cluster struct {
 	kernels []*node.Kernel
 
 	inflight inflight
-	closed   atomic.Bool // set by Close; retry timers and parks observe it
+	closed   atomic.Bool // set by Close; parks and heals observe it
 
 	// rngMu guards rng and the network shape (cfg.Net). quiet publishes the
 	// shape to the send path: the fixed delay, in nanoseconds, of a network
@@ -163,18 +165,9 @@ type Cluster struct {
 	cutPairs  atomic.Int64
 	downLinks atomic.Int64
 
-	// jit feeds the retry-backoff jitter. It is deliberately NOT c.rng:
-	// retry attempts are wall-clock paced, so their draw count is
-	// nondeterministic, and sharing the stream that decides message loss
-	// would let an open partition perturb the loss sequence — breaking
-	// the deterministic engine's byte-identical-table contract.
-	jitMu sync.Mutex
-	jit   *rand.Rand
-	// holdRetries stretches every retry's wait to an hour, so a backlog
-	// behind a retry stays parked for as long as a test looks at it. Only
-	// the tests set it (export_test.go); every cluster NewCluster returns
-	// runs the backoff schedule of link.go.
-	holdRetries bool
+	// maxPayload is the largest payload a send may carry: a TCP frame has a
+	// cap (transport.MaxPayload), the in-process hand-off none.
+	maxPayload int
 }
 
 // Node is one process's middleware endpoint: a kernel behind a lock. All
@@ -195,8 +188,8 @@ type Node struct {
 	// entry buffers of its compressed piggybacks are drawn from (EntryBuf).
 	// Both are returned by Cluster.recycle, to the sender, once nothing on
 	// the sending side can read the piggyback again — the in-process wire
-	// delivered it, or the TCP wire pruned its frame from the pair's
-	// retransmit window — so the per-message send path allocates neither.
+	// delivered it, or the TCP wire encoded its frame — so the per-message
+	// send path allocates neither.
 	// bufMu is a leaf: it is taken under n.mu, fence.mu, a destination
 	// queue's lock or a pair's lock, and nothing is taken under it.
 	bufMu   sync.Mutex
@@ -282,16 +275,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.pairDue = make([]int64, cfg.N*cfg.N)
 	}
 	c.links = make([]atomic.Pointer[pairLink], cfg.N*cfg.N)
-	c.jit = rand.New(rand.NewSource(cfg.Net.Seed ^ 0x6a09e667f3bcc908))
 	// The one place that asks which wire; nothing arrives on either before
 	// the first send, so it may open before the nodes exist.
-	c.wire = handoff{c}
+	c.wire, c.maxPayload = handoff{c}, math.MaxInt
 	if cfg.TCP {
 		mesh, err := newMeshWire(c)
 		if err != nil {
 			return nil, err
 		}
-		c.wire = mesh
+		c.wire, c.maxPayload = mesh, mesh.maxPayload()
 	}
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
@@ -357,9 +349,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // stable store Config.NewStore opened — whoever called NewStore closes, so
 // a log store's goroutines and tail segment do not outlive the cluster and
 // its staged tombstones are committed. Close during an open partition
-// returns promptly: the dead flag is set first, so retry timers and parked
-// backlogs observe it and abandon their work instead of waiting out a
-// backoff schedule. It must not overlap a recovery session,
+// returns promptly: the closed flag is set first, so parked backlogs are
+// abandoned, not flushed. It must not overlap a recovery session,
 // and the cluster is unusable afterwards.
 //
 // A late forced checkpoint must not reach a closed store, so Close opens the
@@ -434,7 +425,7 @@ func (n *Node) CloneDV(src vclock.DV) vclock.DV {
 }
 
 // EntryBuf implements node.Driver: the buffer a compressed piggyback's
-// entries are built in, from the node's freelist when a pruned frame has
+// entries are built in, from the node's freelist when a sent frame has
 // returned one. Buffers keep whatever capacity their messages grew them to;
 // nothing here sizes one by n, so sparse traffic at large n stays small.
 func (n *Node) EntryBuf() []node.Entry {
@@ -582,6 +573,12 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 	// Update do, rather than waiting out the session's hold on the lock.
 	if n.c.isHalted() {
 		return ErrHalted
+	}
+	// Refused before the kernel encodes anything, so no compressor moves: a
+	// frame past the cap would be a bad frame to its reader.
+	if len(payload) > n.c.maxPayload {
+		return fmt.Errorf("runtime: p%d: a %d-byte payload does not fit the TCP wire's 1 MiB frame cap (%d bytes at most beside a %d-process piggyback)",
+			n.id, len(payload), n.c.maxPayload, n.c.cfg.N)
 	}
 	n.mu.Lock()
 	// Halt and epoch are snapshotted together, under the node's lock and

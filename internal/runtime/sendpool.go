@@ -55,7 +55,6 @@ type delivery struct {
 type pending struct {
 	delivery
 	from int
-	wseq uint64 // per-(from,to) wire seq, stamped by the pair's link
 }
 
 // dueKey is one heap entry: what orders a queued frame, and the slab slot
@@ -301,13 +300,11 @@ func (c *Cluster) sendWorker(q *destQueue) {
 }
 
 // dispatch hands a batch of due messages for one destination to the link
-// layer, one (sender, destination) run at a time: wire seqs are stamped
-// there, the wire takes what it can — its piggyback buffers recycle once the
-// wire is done with them, not here: at delivery in process, when the
-// retransmit window prunes them on TCP — and frames it refuses, or that a
-// cut holds back, park instead of dropping. Every message ends its
-// in-flight accounting at delivery, when it parks, or when the wire hands
-// it back lost.
+// layer, one (sender, destination) run at a time: the wire takes the run —
+// its piggyback buffers recycle once the wire is done with them, not here:
+// at delivery in process, once encoded on TCP — or a cut holds it back and
+// it parks. Every message ends its in-flight accounting at delivery, when
+// it parks, or when the wire counts it lost.
 func (c *Cluster) dispatch(to int, batch []pending) {
 	c.obs.QueueDepth.Add(-int64(len(batch)))
 	for i := 0; i < len(batch); {

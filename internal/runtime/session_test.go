@@ -147,11 +147,9 @@ func TestRefusedSessionLeavesCompressedClusterUsable(t *testing.T) {
 }
 
 // TestSessionDropsParkedFrames pins what a recovery session leaves of the
-// link layer's backlogs: nothing. Frames reach a backlog two ways — a cut
-// pair parks what it is sent (park), and on TCP a stream that dies with
-// frames accepted and undelivered hands them back (onLinkDown), behind a
-// retry timer. After Recover, and again after Restart, no retry timer is
-// armed, runtime.link.parked reads 0, and the cluster's down-link count —
+// link layer's backlogs: nothing. Frames reach a backlog one way — a cut
+// pair parks what it is sent (park). After Recover, and again after
+// Restart, runtime.link.parked reads 0, and the cluster's down-link count —
 // what the session reads instead of sweeping every pair — equals a recount
 // under each pair's lock, both 0. Healing the cut afterwards delivers none
 // of the pre-session frames, and both pairs carry new traffic.
@@ -179,9 +177,6 @@ func TestSessionDropsParkedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
-		// A dead stream's backlog waits on a retry the test never sees fire:
-		// the session has to stop it.
-		c.HoldRetries()
 		parkedGauge := reg.Gauge(obs.RuntimeLinkParked)
 		downLinks := func(when string, want int) {
 			t.Helper()
@@ -212,25 +207,16 @@ func TestSessionDropsParkedFrames(t *testing.T) {
 				}
 			}
 			c.Quiesce()
-			want, down := int64(parked), 1
-			if tcp {
-				c.PoisonStream(1, 0, parked)
-				until(t, "the dead stream's frames to park", func() bool { return parkedGauge.Value() == 2*parked })
-				want, down = 2*parked, 2
+			if got := parkedGauge.Value(); got != parked {
+				t.Fatalf("%s: %d frames parked before the session, want %d", s.name, got, parked)
 			}
-			if got := parkedGauge.Value(); got != want {
-				t.Fatalf("%s: %d frames parked before the session, want %d", s.name, got, want)
-			}
-			downLinks(s.name+": before the session", down)
+			downLinks(s.name+": before the session", 1)
 
 			if err := s.run(); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
 			after := func(when string) {
 				t.Helper()
-				if got := c.RetryTimers(); got != 0 {
-					t.Fatalf("%s: %d retry timers armed", when, got)
-				}
 				if got := parkedGauge.Value(); got != 0 {
 					t.Fatalf("%s: runtime.link.parked = %d", when, got)
 				}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/vclock"
@@ -172,7 +171,7 @@ func FuzzStreamFraming(f *testing.F) {
 		}
 		var got []Message
 		var frameErr error
-		mesh := &TCP{n: 2, delivered: make([]atomic.Int64, 4), closed: make(chan struct{})}
+		mesh := &TCP{n: 2, closed: make(chan struct{})}
 		pc := newPairConn(0, 1)
 		mesh.deliver = func(ms []Message) {
 			for i := range ms {

@@ -3,13 +3,13 @@
 // through real loopback sockets with length-prefixed binary framing, so the
 // live-cluster experiments exercise a genuine network path: encoding, kernel
 // buffering, per-connection ordering and cross-connection reordering. Like
-// the paper's channels, one connection joins each pair of processes and
-// carries both directions, so one direction's ACKs ride the other's data. It
-// carries frames, kills a connection when told to (Sever) and accounts, per
-// direction, for what a dead connection lost (OnLinkDown); which pairs may
-// talk, when to try again and what to resend are decided once, for every
-// wire, by the link layer of internal/runtime — whose other wire is an
-// in-process hand-off.
+// the paper's channels, one connection joins each pair of processes for the
+// mesh's life and carries both directions, so one direction's ACKs ride the
+// other's data. It carries frames, waits for a direction to drain (Drain)
+// and accounts, per direction, for what a loudly dead connection or Close
+// stranded (OnLinkDown); which pairs may talk, and what waits behind a cut,
+// are decided once, for every wire, by the link layer of internal/runtime —
+// whose other wire is an in-process hand-off.
 package transport
 
 import (
@@ -39,7 +39,7 @@ type Message struct {
 	Epoch   uint64       // network epoch; stale messages are dropped as lost
 	Index   int          // protocol-specific index (BCS)
 	Ord     int          // per-(From,To) send order (compressed piggybacks)
-	Seq     uint64       // per-(From,To) wire sequence (retransmit dedup)
+	Seq     uint64       // reserved: the frame carries it, no sender stamps it
 	Sparse  bool         // Entries, not DV, carry the piggyback
 	DV      []int        // piggybacked dependency vector (full frames)
 	Entries vclock.Delta // changed entries (sparse frames), carried natively
@@ -266,24 +266,12 @@ func decodeFrame(b []byte, view bool, m *Message) error {
 	return nil
 }
 
-// ErrLinkDown is returned by SendBatch while a pair's connection is
-// unavailable: a previous incarnation died (a write error, a bad frame, or
-// Sever) and its accounting has not been reaped yet, or the mesh is closed.
-// The refusal is immediate, and so is a failed dial's error — the mesh paces
-// nothing: callers that want reliability retry on their own schedule (the
-// runtime's link layer does); callers that treat it as loss lose the frame,
-// which the model permits.
+// ErrLinkDown is returned by SendBatch when a pair's connection cannot take
+// frames: it died loudly (a write error, a frame its reader refused), a
+// dial it waited on failed, or the mesh is closed. The refusal is immediate
+// and final for the connection — nothing here retries or resends; a pair
+// whose dial failed carried nothing, and its next send dials afresh.
 var ErrLinkDown = errors.New("transport: link is down")
-
-// writeTimeout bounds each batch write. A peer that accepts the connection
-// but stops reading eventually fills the socket; the deadline errors the
-// write out and the link dies — the reliability layer above redials and
-// retransmits, so a hung peer costs a reconnect, not a wedged sender. The
-// deadline is moved only when less than writeTimeout/2 of it remains, not
-// on every write (a deadline change costs a runtime timer update), so a
-// write that blocks dies within writeTimeout and never sooner than
-// writeTimeout/2.
-const writeTimeout = 5 * time.Second
 
 // dialTimeout bounds each connection attempt, and a first send against the
 // dial's direction waiting for the far end to be accepted: a hung listener
@@ -291,8 +279,8 @@ const writeTimeout = 5 * time.Second
 const dialTimeout = 3 * time.Second
 
 // helloMagic opens every connection: the dialer announces itself and the
-// peer it dialed, so the acceptor can find the incarnation the connection
-// belongs to and publish its end there.
+// peer it dialed, so the acceptor can find the pair the connection belongs
+// to and publish its end there.
 const helloMagic = int64(0x52445448454C4C4F) // "RDTHELLO"
 
 // helloSize is the connection hello: magic, dialer, peer.
@@ -305,26 +293,25 @@ const maxInboundBatch = 64
 
 // TCP is a full mesh of loopback TCP connections between n nodes: one
 // connection per unordered pair {i, j}, dialed by the first sender in either
-// direction and carrying both — the end at i writes i→j and reads j→i, and
-// the end at j the reverse. Sends are safe for concurrent use; received
-// messages are handed to the deliver callback registered with StartBatched,
-// one goroutine per direction in use.
+// direction, carrying both — the end at i writes i→j and reads j→i, and the
+// end at j the reverse — and kept until Close. Sends are safe for
+// concurrent use; received messages are handed to the deliver callback
+// registered with StartBatched, one goroutine per direction in use.
 //
-// The mesh accounts every frame: a frame accepted by SendBatch is
-// either handed to the deliver callback exactly once, or counted as lost —
-// at the connection's death or at Close — through the OnLinkDown callback.
+// The mesh accounts every frame: a frame accepted by SendBatch is either
+// handed to the deliver callback exactly once, or counted as lost — at the
+// connection's loud death or at Close — through the OnLinkDown callback.
 // Engines that track in-flight messages (runtime.Cluster.Quiesce) reconcile
-// against it, so a torn-down link cannot strand their accounting.
+// against it, so a dead connection cannot strand their accounting.
 type TCP struct {
 	n         int
 	listeners []net.Listener
 
-	// pairs[slot(i, j)] is the pair's current incarnation, live or dead, or
-	// nil: a send on a live pair loads its slot and takes only its
-	// direction's lock. mu serializes what fills a slot, and what starts a
-	// reader, against Close, which closes closed and snapshots the table
-	// under it; a dead incarnation is replaced by the pair's next send once
-	// the sender's direction of it is reaped (replace).
+	// pairs[slot(i, j)] is the pair's connection, live or dead, or nil: a
+	// send loads its slot and takes only its direction's lock. A connection
+	// leaves its slot only when its dial fails, having carried nothing. mu
+	// serializes what fills a slot, and what starts a reader, against
+	// Close, which closes closed and snapshots the table under it.
 	mu    sync.Mutex
 	pairs []atomic.Pointer[pairConn]
 
@@ -336,11 +323,6 @@ type TCP struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// delivered[from*n+to] counts frames handed to the deliver callback,
-	// the receiver-side half of the per-direction accounting (sender side is
-	// direction.sent).
-	delivered []atomic.Int64
-
 	// badFrames is mesh-owned (it predates the registry and its accessor
 	// is public API); SetObs adopts the same cell into a registry so
 	// snapshots and BadFrames() can never disagree.
@@ -351,25 +333,25 @@ type TCP struct {
 	dial func(addr string) (net.Conn, error) // test hook; a keepalive-free dialer by default
 
 	// OnFrameError, if set before StartBatched, is called when a connection is
-	// severed by an undecodable or oversized frame — a poisoned link. When
+	// killed by an undecodable or oversized frame — a poisoned link. When
 	// nil the event is logged; either way BadFrames counts it, so a
 	// poisoned link is loudly diagnosable instead of a mystery hang.
 	OnFrameError func(from, to int, err error)
 
 	// OnLinkDown, if set before StartBatched, reports frames that were
 	// accepted by SendBatch but will never reach the deliver callback because
-	// their connection died (reader torn down, or frames still undelivered
-	// at Close). It fires at most once per direction of an incarnation,
-	// after that direction's reader has exited, and never concurrently with
-	// a delivery of the same direction.
+	// their connection died (its reader stopped, or frames still undelivered
+	// at Close). It fires at most once per direction, after that direction's
+	// reader has exited, and never concurrently with a delivery of the same
+	// direction.
 	OnLinkDown func(from, to int, lost int)
 }
 
-// pairConn is one incarnation of the connection between a pair {lo, hi}:
-// one socket, and one direction for each way across it. The directions
-// share the socket's life — a write error, a bad frame or Sever kills it
-// for both — and nothing else: each has its own write lock, accounting and
-// reap, so a writer blocked one way never holds up the other.
+// pairConn is the connection between a pair {lo, hi}: one socket, and one
+// direction for each way across it. The directions share the socket's life
+// — a write error or a bad frame kills it for both — and nothing else: each
+// has its own write lock and accounting, so a writer blocked one way never
+// holds up the other.
 type pairConn struct {
 	dirs [2]direction // lo→hi, then hi→lo; dirs[s] writes on ends[s]
 
@@ -384,71 +366,47 @@ type pairConn struct {
 	registered chan struct{} // closed when the accepted end is published
 	killed     chan struct{} // closed by the kill that set dead
 
-	// prev is the dead incarnation this one replaced, while a direction of
-	// it is still being reaped: each direction of this one opens only once
-	// prev's same direction is reaped, and WaitReap and Close reach prev
-	// through it. It is set before the slot publishes this incarnation, and
-	// cleared once prev is wholly reaped.
-	prev atomic.Pointer[pairConn]
-
 	// dead is deliberately outside every lock: a writer blocked on a full
 	// socket holds its direction's lock for the whole Write, and the only
-	// thing that unblocks it is closing the socket — so Sever, reap and
-	// Close must be able to kill the incarnation without queueing behind it.
+	// thing that unblocks it is closing the socket — so a reader's exit and
+	// Close must be able to kill the connection without queueing behind it.
 	dead atomic.Bool
 }
 
-// direction is one way across an incarnation, from → to: frames are
-// written on the end at from and read on the end at to.
+// direction is one way across a connection, from → to: frames are written
+// on the end at from and read on the end at to.
 type direction struct {
 	from, to int
 
-	mu     sync.Mutex
-	c      net.Conn // the end written on; nil until the direction's first send opens it (guarded by mu)
-	buf    []byte   // reused frame buffer (guarded by mu)
-	ends   []int    // reused per-frame end offsets of buf (guarded by mu)
-	sent   int64    // frames fully written
-	reaped bool     // lost-frame reconciliation has run (at most once)
+	mu   sync.Mutex
+	c    net.Conn // the end written on; nil until the direction's first send opens it (guarded by mu)
+	buf  []byte   // reused frame buffer (guarded by mu)
+	ends []int    // reused per-frame end offsets of buf (guarded by mu)
+	sent int64    // frames fully written (guarded by mu)
 
-	// reading is set, under mu, once a reader is running or bound to come
-	// for this direction: for the dial's direction, the acceptor's; for the
-	// other, the one its first send starts on the dialer's end. A direction
-	// without one has sent nothing, and is reaped by whoever finds the
-	// incarnation dead (reapIdle).
-	reading bool
+	// delivered counts the frames the direction's reader has handed to the
+	// deliver callback, once the callback returned; only that reader writes
+	// it. sent − delivered is what the direction still carries.
+	delivered atomic.Int64
 
-	// deadline is the write deadline set on c (guarded by mu); SendBatch
-	// moves it only when less than writeTimeout/2 of it remains.
-	deadline time.Time
-
-	// delivBase is the direction's cumulative delivered count when it
-	// opened: t.delivered is cumulative across incarnations while sent is
-	// per incarnation, so the reap subtracts the baseline. Written once
-	// under mu before the first send; read by reap.
-	delivBase int64
-
-	// reapDone closes when the direction's lost-frame reconciliation has
-	// completed (OnLinkDown included). The same direction of the next
-	// incarnation opens only after it: opening earlier could deliver new
-	// frames before the old tail is accounted, reordering the direction.
-	reapDone chan struct{}
+	// Drain waits on drained, under waitMu, for delivered to reach sent or
+	// for the reap; waiters tells the reader whether anyone does, so a
+	// delivery costs one atomic load when nobody waits. reaped is set, under
+	// waitMu, once the reader is gone and its losses are reported.
+	waiters atomic.Int32
+	waitMu  sync.Mutex
+	drained sync.Cond
+	reaped  bool
 }
 
 func newPairConn(lo, hi int) *pairConn {
 	pc := &pairConn{dialer: -1, registered: make(chan struct{}), killed: make(chan struct{})}
-	pc.dirs[0] = direction{from: lo, to: hi, reapDone: make(chan struct{})}
-	pc.dirs[1] = direction{from: hi, to: lo, reapDone: make(chan struct{})}
-	return pc
-}
-
-// reaped reports whether direction s of the incarnation is reaped.
-func (pc *pairConn) reaped(s int) bool {
-	select {
-	case <-pc.dirs[s].reapDone:
-		return true
-	default:
-		return false
+	pc.dirs[0] = direction{from: lo, to: hi}
+	pc.dirs[1] = direction{from: hi, to: lo}
+	for i := range pc.dirs {
+		pc.dirs[i].drained.L = &pc.dirs[i].waitMu
 	}
+	return pc
 }
 
 // side is the index, in dirs and ends, of node i's side of the pair: its
@@ -460,12 +418,11 @@ func (pc *pairConn) side(i int) int {
 	return 1
 }
 
-// kill marks the incarnation dead and closes every end it has published,
-// unblocking any writer mid-Write. It reports whether this call killed it;
-// later calls only close the ends again, which is harmless.
-func (pc *pairConn) kill() bool {
-	first := !pc.dead.Swap(true)
-	if first {
+// kill marks the connection dead and closes every end it has published,
+// unblocking any writer mid-Write. Later calls only close the ends again,
+// which is harmless.
+func (pc *pairConn) kill() {
+	if !pc.dead.Swap(true) {
 		close(pc.killed)
 	}
 	for i := range pc.ends {
@@ -473,13 +430,11 @@ func (pc *pairConn) kill() bool {
 			_ = (*p).Close()
 		}
 	}
-	return first
 }
 
 // register publishes an accepted connection as the peer's end, if it is
-// the one this incarnation's dial opened: the dialer's local address is the
-// acceptor's remote one. A connection that is not — its dial failed after
-// the connect, and the incarnation moved on — is refused.
+// the one this pair's dial opened: the dialer's local address is the
+// acceptor's remote one. A connection that is not is refused.
 func (pc *pairConn) register(conn net.Conn, dialer, peer int) bool {
 	p := pc.ends[pc.side(dialer)].Load()
 	if p == nil || (*p).LocalAddr().String() != conn.RemoteAddr().String() ||
@@ -496,16 +451,15 @@ func (pc *pairConn) register(conn net.Conn, dialer, peer int) bool {
 // NewTCP opens one loopback listener per node. Call StartBatched to begin
 // delivering, then SendBatch at will, then Close. Neither end of a
 // connection turns TCP keepalive on: a loopback peer does not vanish
-// unseen, and every write already carries writeTimeout.
+// unseen.
 func NewTCP(n int) (*TCP, error) {
 	dialer := &net.Dialer{Timeout: dialTimeout, KeepAlive: -1}
 	t := &TCP{
-		n:         n,
-		pairs:     make([]atomic.Pointer[pairConn], n*(n-1)/2),
-		accepted:  make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
-		delivered: make([]atomic.Int64, n*n),
-		dial:      func(addr string) (net.Conn, error) { return dialer.Dial("tcp", addr) },
+		n:        n,
+		pairs:    make([]atomic.Pointer[pairConn], n*(n-1)/2),
+		accepted: make(map[net.Conn]struct{}),
+		closed:   make(chan struct{}),
+		dial:     func(addr string) (net.Conn, error) { return dialer.Dial("tcp", addr) },
 	}
 	lc := net.ListenConfig{KeepAlive: -1}
 	for i := 0; i < n; i++ {
@@ -573,19 +527,19 @@ func (t *TCP) StartBatched(deliver func([]Message)) error {
 }
 
 // frameError surfaces a poisoned link: a frame that cannot be decoded (or
-// is absurdly oversized) severs the connection, and that must be loud —
-// a counter plus a callback or log line — not a silent return that leaves
-// a mystery hang.
+// is absurdly oversized) kills the connection, and that must be loud — a
+// counter plus a callback or log line — not a silent return that leaves a
+// mystery hang.
 func (t *TCP) frameError(from, to int, err error) {
 	t.badFrames.Inc()
 	if t.OnFrameError != nil {
 		t.OnFrameError(from, to, err)
 		return
 	}
-	log.Printf("transport: severing link %d->%d on bad frame: %v", from, to, err)
+	log.Printf("transport: killing link %d->%d on bad frame: %v", from, to, err)
 }
 
-// BadFrames reports how many connections were severed by undecodable or
+// BadFrames reports how many connections were killed by undecodable or
 // oversized frames.
 func (t *TCP) BadFrames() uint64 { return t.badFrames.Value() }
 
@@ -600,10 +554,10 @@ func (t *TCP) SetObs(reg *obs.Registry) {
 }
 
 // serve takes an accepted connection: the hello names the dialer and the
-// peer, the connection is published as the peer's end of the incarnation
-// that dialed it — atomic loads and a compare-and-swap, no lock a sender
-// could hold — and the dialer → peer direction is read on it. A connection
-// no incarnation claims is closed unread.
+// peer, the connection is published as the peer's end of the pair's
+// connection — atomic loads and a compare-and-swap, no lock a sender could
+// hold — and the dialer → peer direction is read on it. A connection no
+// pair claims is closed unread.
 func (t *TCP) serve(conn net.Conn) {
 	hello := make([]byte, helloSize)
 	if _, err := io.ReadFull(conn, hello); err != nil {
@@ -618,13 +572,9 @@ func (t *TCP) serve(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// The incarnation may have died and been replaced already; it is then
-	// the new one's prev, kept until this reader has reaped it.
-	for pc := t.slot(dialer, peer).Load(); pc != nil; pc = pc.prev.Load() {
-		if pc.register(conn, dialer, peer) {
-			t.readLoop(conn, pc, &pc.dirs[pc.side(dialer)])
-			return
-		}
+	if pc := t.slot(dialer, peer).Load(); pc != nil && pc.register(conn, dialer, peer) {
+		t.readLoop(conn, pc, &pc.dirs[pc.side(dialer)])
+		return
 	}
 	_ = conn.Close()
 }
@@ -639,18 +589,24 @@ const (
 	maxFrame   = 1 << 20
 )
 
-// readLoop drains direction d of incarnation pc from conn, the end at d.to:
+// MaxPayload is the largest application payload a frame carries beside the
+// largest piggyback of an n-process cluster — a sparse one naming all n
+// entries — within the 1 MiB frame cap. A frame past the cap is a bad frame
+// to its reader, which kills the connection.
+func MaxPayload(n int) int { return maxFrame - 8*(11+2*n) }
+
+// readLoop drains direction d of pc from conn, the end at d.to:
 // length-prefixed frames. The direction owns one byte buffer; each read
 // appends to it, and every complete frame it holds is decoded in place
 // (decodeView) into one batch, so a burst reaches the deliver callback as
 // one call. The buffer is touched again only after the callback returns:
 // the partial tail then moves to the front, or the buffer grows. On exit —
-// peer close, poisoned frame, mesh close — the incarnation dies and d is
-// reaped: sender-side accounting reconciles the frames this reader will
-// never deliver.
+// poisoned frame, a failed write that killed the socket, mesh close — the
+// connection dies and d is reaped: sender-side accounting reconciles the
+// frames this reader will never deliver.
 func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 	defer func() {
-		t.reap(pc, d) // kills the incarnation before either end closes
+		t.reap(pc, d) // kills the connection before either end closes
 		_ = conn.Close()
 	}()
 	from, to := d.from, d.to
@@ -670,7 +626,7 @@ func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 		for k < maxInboundBatch && w-r >= 8 {
 			size := int64(binary.LittleEndian.Uint64(buf[r:]))
 			if size <= 0 || size > maxFrame {
-				t.deliverBatch(from, to, batch[:k])
+				t.deliverBatch(d, batch[:k])
 				t.frameError(from, to, fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size))
 				return
 			}
@@ -682,7 +638,7 @@ func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 				batch = append(batch, Message{})
 			}
 			if err := decodeView(buf[r+8:end], &batch[k]); err != nil {
-				t.deliverBatch(from, to, batch[:k])
+				t.deliverBatch(d, batch[:k])
 				t.frameError(from, to, err)
 				return
 			}
@@ -695,7 +651,7 @@ func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 				return
 			default:
 			}
-			t.deliverBatch(from, to, batch[:k])
+			t.deliverBatch(d, batch[:k])
 			continue
 		}
 		if err != nil {
@@ -704,7 +660,7 @@ func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 			}
 			// A kill closes both ends, so the read may fail with a reset or
 			// a torn tail the kill itself caused: that is a dead link, not a
-			// poisoned one. The kill marks the incarnation dead first.
+			// poisoned one. The kill marks the connection dead first.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !pc.dead.Load() {
 				t.frameError(from, to, err)
 			}
@@ -735,110 +691,74 @@ func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 	}
 }
 
-func (t *TCP) deliverBatch(from, to int, batch []Message) {
+// deliverBatch hands a batch of direction d to the deliver callback and,
+// once it returns, counts it delivered and wakes a Drain waiting on d.
+func (t *TCP) deliverBatch(d *direction, batch []Message) {
 	if len(batch) == 0 {
 		return
 	}
 	t.deliver(batch)
-	t.delivered[from*t.n+to].Add(int64(len(batch)))
+	d.delivered.Add(int64(len(batch)))
 	t.obs.FramesDeliv.Add(uint64(len(batch)))
+	if d.waiters.Load() != 0 {
+		d.waitMu.Lock()
+		d.drained.Broadcast()
+		d.waitMu.Unlock()
+	}
 }
 
-// conn returns the pair's current incarnation and the (from, to)
-// direction of it, with the direction's lock held, opening the direction
-// on its first send. Nothing here takes the mesh-wide lock but the fill of
-// a slot, so a slow or hung dial to one peer stalls only the senders of
-// that pair.
-//
-// A dead incarnation is not permanent: once the sender's direction of it
-// has been reaped, the pair's next send replaces it — at the caller's next
-// attempt, whenever that is. Every refusal of a dead pair is immediate —
-// conn never blocks on a reap — so a caller holding higher-level locks (the
-// runtime's per-pair link lock, whose OnLinkDown callback the reap itself
-// runs) cannot deadlock against the teardown.
+// conn returns the pair's connection and the (from, to) direction of it,
+// with the direction's lock held, opening the direction on its first send.
+// Nothing here takes the mesh-wide lock but the fill of a slot, so a slow
+// or hung dial to one peer stalls only the senders of that pair. A dead
+// connection is refused at once (ErrLinkDown).
 func (t *TCP) conn(from, to int) (*pairConn, *direction, error) {
 	slot := t.slot(from, to)
-	for {
-		pc := slot.Load()
-		if pc == nil || pc.dead.Load() {
-			if err := t.replace(slot, pc, from, to); err != nil {
-				return nil, nil, err
-			}
-			continue
+	pc := slot.Load()
+	for pc == nil {
+		t.mu.Lock()
+		select {
+		case <-t.closed:
+			t.mu.Unlock()
+			return nil, nil, ErrLinkDown
+		default:
 		}
-
-		d := &pc.dirs[pc.side(from)]
-		d.mu.Lock()
-		if pc.dead.Load() {
+		if pc = slot.Load(); pc == nil {
+			pc = newPairConn(min(from, to), max(from, to))
+			slot.Store(pc)
+		}
+		t.mu.Unlock()
+	}
+	d := &pc.dirs[pc.side(from)]
+	d.mu.Lock()
+	if pc.dead.Load() {
+		d.mu.Unlock()
+		return nil, nil, ErrLinkDown
+	}
+	if d.c == nil {
+		if err := t.open(slot, pc, d); err != nil {
 			d.mu.Unlock()
-			continue // died while we queued; take the dead path above
-		}
-		if d.c == nil {
-			if err := t.open(pc, d); err != nil {
-				d.mu.Unlock()
-				return nil, nil, err
-			}
-		}
-		return pc, d, nil
-	}
-}
-
-// replace puts a new incarnation of the pair {from, to} in its slot, in
-// place of old: nil, or a dead incarnation. A dead one is replaced only once
-// the sender's direction of it is reaped (its reader exited, its lost frames
-// reported), and once the incarnation it replaced in turn is wholly reaped,
-// so at most two incarnations of a pair are ever unreaped. If old's other
-// direction is still being reaped, the new incarnation keeps it as prev,
-// and that direction opens on the new one only after the reap. The
-// refusal is immediate (ErrLinkDown): a sender never waits on a reap.
-func (t *TCP) replace(slot *atomic.Pointer[pairConn], old *pairConn, from, to int) error {
-	var prev *pairConn
-	if old != nil {
-		reapIdle(old)
-		if p := old.prev.Load(); !old.reaped(old.side(from)) || p != nil && !(p.reaped(0) && p.reaped(1)) {
-			return ErrLinkDown
-		}
-		old.prev.Store(nil)
-		if !(old.reaped(0) && old.reaped(1)) {
-			prev = old
+			return nil, nil, err
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-t.closed:
-		return ErrLinkDown
-	default:
-	}
-	if slot.Load() == old {
-		pc := newPairConn(min(from, to), max(from, to))
-		pc.prev.Store(prev)
-		slot.Store(pc)
-	}
-	return nil
+	return pc, d, nil
 }
 
 // open makes direction d of pc writable, with d's lock held. The first
 // sender in either direction dials, naming (dialer, peer) in the hello, and
 // the acceptor's reader will read its direction; a first sender the other
 // way waits for the acceptor to publish its end — bounded by dialTimeout,
-// and released by the incarnation's death, which Close brings — and starts
+// and released by the connection's death, which Close brings — and starts
 // its direction's reader on the dialer's end. A pair only ever used one way
-// therefore has one reader. Either way, the direction opens only once the
-// previous incarnation's same direction is reaped; until then it is
-// refused. Any other failure kills the incarnation.
-func (t *TCP) open(pc *pairConn, d *direction) error {
-	if p := pc.prev.Load(); p != nil {
-		if !p.reaped(pc.side(d.from)) {
-			return ErrLinkDown
-		}
-		if p.reaped(0) && p.reaped(1) {
-			pc.prev.CompareAndSwap(p, nil)
-		}
-	}
+// therefore has one reader. A failed dial takes pc out of its slot; any
+// other failure kills it.
+func (t *TCP) open(slot *atomic.Pointer[pairConn], pc *pairConn, d *direction) error {
 	pc.dialMu.Lock()
 	if pc.dialer < 0 && !pc.dead.Load() {
 		if err := t.dialPair(pc, d.from, d.to); err != nil {
+			// Dead for any sender already queued on the pair, but the pair
+			// is not: it carried nothing, and its next send dials afresh.
+			slot.CompareAndSwap(pc, nil)
 			pc.dialMu.Unlock()
 			return err
 		}
@@ -848,7 +768,6 @@ func (t *TCP) open(pc *pairConn, d *direction) error {
 	if dialer < 0 {
 		return ErrLinkDown // a failed dial killed it while we queued
 	}
-	d.delivBase = t.delivered[d.from*t.n+d.to].Load()
 	if dialer != d.from {
 		timer := time.NewTimer(dialTimeout)
 		defer timer.Stop()
@@ -875,7 +794,6 @@ func (t *TCP) open(pc *pairConn, d *direction) error {
 			t.readLoop(end, pc, d)
 		}()
 	}
-	d.reading = true
 	d.c = *pc.ends[pc.side(d.from)].Load()
 	return nil
 }
@@ -896,14 +814,12 @@ func (t *TCP) dialPair(pc *pairConn, from, to int) error {
 		_, err = conn.Write(hello[:])
 	}
 	if err != nil {
-		// This attempt is dead for any sender already queued on the pair,
-		// but the pair is not: once reaped, the next send dials afresh.
 		t.obs.DialFailures.Inc()
 		pc.kill()
 		return fmt.Errorf("transport: dial node %d: %w", to, err)
 	}
 	if pc.dead.Load() {
-		// A Sever raced the dial: it killed the incarnation while the socket
+		// Close raced the dial: it killed the connection while the socket
 		// did not exist yet, so closing it falls to us.
 		_ = conn.Close()
 		return ErrLinkDown
@@ -916,10 +832,10 @@ func (t *TCP) dialPair(pc *pairConn, from, to int) error {
 // a single buffered write, dialing the pair on first use: every frame is
 // encoded, length prefix included, into the direction's reused buffer, and
 // the whole batch costs one syscall. It returns how many leading messages
-// were accepted onto the connection; on error the remainder are lost and
-// the link is dead, both ways. Accepted messages are delivered in order by
-// the direction's reader (or reconciled through OnLinkDown if the
-// connection dies first).
+// were accepted onto the connection; on error the remainder are refused and
+// the connection is dead, both ways. Accepted messages are delivered in
+// order by the direction's reader (or reconciled through OnLinkDown if the
+// connection dies first). Nothing reads msgs after SendBatch returns.
 func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -938,13 +854,6 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 		ends = append(ends, len(buf))
 	}
 	d.buf, d.ends = buf, ends
-	// A peer that stops reading eventually fills the socket; the deadline
-	// turns the resulting indefinite block into a dead link the layers
-	// above can heal, instead of a wedged sender holding the direction's lock.
-	if now := time.Now(); d.deadline.Sub(now) < writeTimeout/2 {
-		d.deadline = now.Add(writeTimeout)
-		_ = d.c.SetWriteDeadline(d.deadline)
-	}
 	nw, werr := d.c.Write(buf)
 	if werr != nil {
 		// Frames entirely inside the written prefix may still be
@@ -970,84 +879,60 @@ func (t *TCP) SendBatch(from, to int, msgs []Message) (int, error) {
 	return len(msgs), nil
 }
 
-// Sever kills the connection between from and to, if the pair has one,
-// modeling a link failure — in both directions, since they share the
-// socket: each direction's reader stops and reconciles what it did not
-// deliver through OnLinkDown. It reports whether there was a connection
-// (live, or mid-dial) to kill. Nothing keeps the pair from redialing once
-// the sender's direction is reaped: a cut that lasts is the caller's to hold.
-func (t *TCP) Sever(from, to int) bool {
-	// Lock-free on purpose: the writer this is meant to interrupt may be
-	// holding its direction's lock, blocked on the very socket being closed.
-	// If the dial is still in flight, dialPair re-checks dead after the
-	// connect and closes the socket on our behalf.
+// Drain returns once every frame SendBatch accepted from → to before the
+// call has been handed to the deliver callback and the callback has
+// returned — or once the pair's connection is dead and the direction's
+// losses are reported through OnLinkDown. It waits for the receiver, not
+// for a timer: what a live connection carries arrives, and a mesh Close
+// reaps everything, so the wait always ends once StartBatched has run.
+func (t *TCP) Drain(from, to int) {
 	pc := t.slot(from, to).Load()
-	return pc != nil && pc.kill()
-}
-
-// WaitReap blocks until the pair's dead incarnations (if any) have been
-// reaped in both directions: their readers have exited and every frame
-// they lost has been reported through OnLinkDown. WaitReap(from, to) and
-// WaitReap(to, from) wait for the same thing. A mesh Close reaps
-// everything, so the wait always ends.
-func (t *TCP) WaitReap(from, to int) {
-	for pc := t.slot(from, to).Load(); pc != nil; pc = pc.prev.Load() {
-		if pc.dead.Load() {
-			reapIdle(pc)
-			for i := range pc.dirs {
-				<-pc.dirs[i].reapDone
-			}
-		}
+	if pc == nil {
+		return
 	}
-}
-
-// reapIdle reaps the directions of a dead incarnation that no reader will
-// reap: those never opened for reading, which have sent nothing and so
-// report nothing. The reap is whole under the direction's lock, so two
-// senders finding the incarnation dead at once both see it done.
-func reapIdle(pc *pairConn) {
-	for i := range pc.dirs {
-		d := &pc.dirs[i]
-		d.mu.Lock()
-		if !d.reading && !d.reaped {
-			d.reaped = true
-			close(d.reapDone)
-		}
-		d.mu.Unlock()
+	d := &pc.dirs[pc.side(from)]
+	d.mu.Lock()
+	sent := d.sent
+	d.mu.Unlock()
+	// Registered before the check: a reader that loaded waiters as zero
+	// counted its delivery before, and the check below sees it.
+	d.waiters.Add(1)
+	d.waitMu.Lock()
+	for d.delivered.Load() < sent && !d.reaped {
+		d.drained.Wait()
 	}
+	d.waitMu.Unlock()
+	d.waiters.Add(-1)
 }
 
-// reap kills the incarnation and reports direction d's unaccounted frames
-// — written but never handed to the deliver callback — through OnLinkDown,
-// exactly once. The sent counter is read under the direction's lock, so a
-// write racing the teardown is either refused (dead was seen) or counted
-// here (the write finished first). The delivered counter is cumulative
-// across incarnations, so the direction's open-time baseline is subtracted.
-// reapDone closes only after OnLinkDown has returned: the direction's next
-// incarnation, gated on it, therefore starts with the old one's losses fully
-// reported, which is what keeps the direction's wire sequence gap-free
-// across a reconnect.
+// reap kills the connection and reports direction d's unaccounted frames —
+// written but never handed to the deliver callback — through OnLinkDown,
+// exactly once, then wakes any Drain of d. The sent counter is read under
+// the direction's lock after the kill, so a write racing the teardown is
+// either refused (dead was seen) or counted here (the write finished
+// first). A direction's reaps never overlap: its reader reaps as it exits,
+// and Close only after every reader has.
 func (t *TCP) reap(pc *pairConn, d *direction) {
 	// Kill the socket before queueing on the direction's lock: a writer
 	// blocked on a full socket holds the lock until the close errors it
 	// out, and waiting for it with the socket still open would deadlock.
 	pc.kill()
 	d.mu.Lock()
-	if d.reaped {
-		d.mu.Unlock()
+	sent := d.sent
+	d.mu.Unlock()
+	if d.reaped { // only reap writes it, and a direction's reaps never overlap
 		return
 	}
-	d.reaped = true
-	sent := d.sent
-	base := d.delivBase
-	d.mu.Unlock()
-	if lost := sent - (t.delivered[d.from*t.n+d.to].Load() - base); lost > 0 {
+	if lost := sent - d.delivered.Load(); lost > 0 {
 		t.obs.FramesLost.Add(uint64(lost))
 		if t.OnLinkDown != nil {
 			t.OnLinkDown(d.from, d.to, int(lost))
 		}
 	}
-	close(d.reapDone)
+	d.waitMu.Lock()
+	d.reaped = true
+	d.drained.Broadcast()
+	d.waitMu.Unlock()
 }
 
 // Close shuts down listeners and connections, waits for reader goroutines
@@ -1060,7 +945,7 @@ func (t *TCP) Close() error {
 		close(t.closed)
 		var pcs []*pairConn
 		for i := range t.pairs {
-			for pc := t.pairs[i].Load(); pc != nil; pc = pc.prev.Load() {
+			if pc := t.pairs[i].Load(); pc != nil {
 				pcs = append(pcs, pc)
 			}
 		}

@@ -381,8 +381,8 @@ func TestTCPDialDoesNotHoldMeshLock(t *testing.T) {
 }
 
 // TestTCPDialFailureAllowsRetry checks a failed dial poisons nothing and
-// paces nothing: the very next Send to the same peer dials afresh (when to
-// try again is the caller's business — the runtime's link layer backs off).
+// paces nothing: the pair carried nothing, so the very next Send to the same
+// peer dials afresh.
 func TestTCPDialFailureAllowsRetry(t *testing.T) {
 	mesh, err := NewTCP(2)
 	if err != nil {
@@ -420,10 +420,10 @@ func TestTCPDialFailureAllowsRetry(t *testing.T) {
 }
 
 // TestTCPBadFrameIsLoud pins the poisoned-link fix: an undecodable frame
-// severs the connection with a counter increment and an error callback,
+// kills the connection with a counter increment and an error callback,
 // not a silent return. The frame is one the reader refuses (a sparse entry
 // with a negative value), sent on the pair's own connection: a connection
-// the mesh did not dial belongs to no incarnation and is closed unread.
+// the mesh did not dial belongs to no pair and is closed unread.
 func TestTCPBadFrameIsLoud(t *testing.T) {
 	mesh, err := NewTCP(2)
 	if err != nil {
@@ -554,51 +554,135 @@ func TestTCPLinkDownAccounting(t *testing.T) {
 	}
 }
 
-// TestTCPSeverThenRedial checks what is left of a link failure at this
-// level: Sever kills the pair's stream exactly once, WaitReap returns when
-// the dead stream's accounting is closed — every frame it carried delivered
-// or reported through OnLinkDown — and nothing then keeps the pair from
-// dialing afresh. Holding a pair cut is the caller's job (the runtime's link
-// layer stops sending), not the mesh's.
-func TestTCPSeverThenRedial(t *testing.T) {
+// TestTCPDrainWaitsForDelivery pins what the runtime's cut waits on: Drain
+// returns only once every frame the direction accepted has been handed to
+// the deliver callback and the callback has returned. A pair that never
+// talked, and the reverse direction, have nothing to wait for. The
+// connection is not touched: the pair carries on after the drain on the
+// one connection it dialed.
+func TestTCPDrainWaitsForDelivery(t *testing.T) {
 	mesh, err := NewTCP(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = mesh.Close() }()
-	var delivered, lost atomic.Int64
-	mesh.OnLinkDown = func(_, _, n int) { lost.Add(int64(n)) }
-	if err := start(mesh, func(Message) { delivered.Add(1) }); err != nil {
+	reg := obs.NewRegistry()
+	mesh.SetObs(reg)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	var delivered atomic.Int64
+	if err := mesh.StartBatched(func(ms []Message) {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		delivered.Add(int64(len(ms)))
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if mesh.Sever(0, 1) {
-		t.Fatal("severed a pair that never dialed")
-	}
+	mesh.Drain(0, 1) // no connection yet: nothing to wait for
 	const frames = 20
 	for i := 0; i < frames; i++ {
 		if err := send(mesh, Message{From: 0, To: 1, Msg: i, DV: []int{i, 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !mesh.Sever(0, 1) {
-		t.Fatal("no live link to sever")
+	<-entered
+	mesh.Drain(1, 0) // the reverse direction carried nothing
+	drained := make(chan struct{})
+	go func() {
+		mesh.Drain(0, 1)
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while the receiver held a batch")
+	case <-time.After(50 * time.Millisecond):
 	}
-	if mesh.Sever(0, 1) {
-		t.Fatal("the same stream died twice")
+	close(release)
+	<-drained
+	if got := delivered.Load(); got != frames {
+		t.Fatalf("Drain returned with %d of %d frames delivered", got, frames)
 	}
-	mesh.WaitReap(0, 1)
-	if got := delivered.Load() + lost.Load(); got != frames {
-		t.Fatalf("after the reap %d delivered + %d lost, want %d in all", delivered.Load(), lost.Load(), frames)
-	}
-	before := delivered.Load()
 	if err := send(mesh, Message{From: 0, To: 1, Msg: frames, DV: []int{frames, 0}}); err != nil {
-		t.Fatalf("send after the reap did not redial: %v", err)
+		t.Fatalf("send after the drain: %v", err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == before; {
-		if time.Now().After(deadline) {
-			t.Fatal("the redialed stream delivered nothing")
+	mesh.Drain(0, 1)
+	if got, dials := delivered.Load(), reg.Counter(obs.TransportDials).Value(); got != frames+1 || dials != 1 {
+		t.Fatalf("%d frames delivered over %d dials, want %d over 1", got, dials, frames+1)
+	}
+}
+
+// TestTCPDrainReturnsAtClose: frames written into a connection nobody
+// reads (no StartBatched, so nothing accepts) are never delivered, and a
+// Drain waiting on them returns when Close reaps the direction and reports
+// them lost.
+func TestTCPDrainReturnsAtClose(t *testing.T) {
+	mesh, err := NewTCP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost atomic.Int64
+	mesh.OnLinkDown = func(_, _, n int) { lost.Add(int64(n)) }
+	if err := send(mesh, Message{From: 0, To: 1, DV: []int{1, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		mesh.Drain(0, 1)
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned with a frame undelivered")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := mesh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain hung past Close")
+	}
+	if lost.Load() != 1 {
+		t.Fatalf("%d frames reported lost, want 1", lost.Load())
+	}
+}
+
+// TestTCPLoudDeathIsFinal: a frame the reader refuses kills the pair's one
+// connection, both ways, for the mesh's life — every later send either way
+// is refused with ErrLinkDown, nothing redials, and the frames the dead
+// connection carried undelivered are reported lost, the refused ones not.
+func TestTCPLoudDeathIsFinal(t *testing.T) {
+	mesh, err := NewTCP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mesh.Close() }()
+	reg := obs.NewRegistry()
+	mesh.SetObs(reg)
+	var lost atomic.Int64
+	mesh.OnLinkDown = func(_, _, n int) { lost.Add(int64(n)) }
+	mesh.OnFrameError = func(int, int, error) {}
+	if err := start(mesh, func(Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	poison := Message{From: 0, To: 1, Sparse: true, Entries: vclock.Delta{{K: 0, V: -1}}}
+	if n, err := mesh.SendBatch(0, 1, []Message{poison, poison, poison}); n != 3 || err != nil {
+		t.Fatalf("the poisoned batch: %d accepted, %v", n, err)
+	}
+	mesh.Drain(0, 1) // returns once the reader has died and reported
+	if lost.Load() != 3 || mesh.BadFrames() != 1 {
+		t.Fatalf("%d frames reported lost and %d bad frames, want 3 and 1", lost.Load(), mesh.BadFrames())
+	}
+	for _, p := range [][2]int{{0, 1}, {1, 0}} {
+		if err := send(mesh, Message{From: p[0], To: p[1], DV: []int{1, 1}}); !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("%d→%d after the loud death: %v, want ErrLinkDown", p[0], p[1], err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if dials := reg.Counter(obs.TransportDials).Value(); dials != 1 || lost.Load() != 3 {
+		t.Fatalf("%d dials and %d lost after the refusals, want 1 and 3", dials, lost.Load())
 	}
 }
 
@@ -623,8 +707,8 @@ func TestTCPCloseUnblocks(t *testing.T) {
 
 // TestNoGoroutineLeakAfterTCPClose guards Close with live traffic in both
 // directions between every pair: accept loops, both readers of every
-// connection and any redial in progress are gone when it returns — the goroutine count is
-// back at its value before the mesh existed.
+// connection and any dial in progress are gone when it returns — the
+// goroutine count is back at its value before the mesh existed.
 func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
 	const n = 3
 	base := runtime.NumGoroutine()
@@ -659,23 +743,19 @@ func TestNoGoroutineLeakAfterTCPClose(t *testing.T) {
 	leakcheck.Settle(t, base)
 }
 
-// TestTCPSendersRaceSeverRedialAndClose races four senders on a pair
-// against a goroutine that keeps severing the pair's connection — each
-// sender's next SendBatch redials once the dead incarnation is reaped — and
-// then against Close. One way, all four send 0→1 and the severer cuts
-// (0, 1); both ways, two send each way and the severer alternates Sever(0, 1)
-// and Sever(1, 0), either of which kills the one connection under both.
-// For each direction, every accepted frame must be delivered exactly once or
-// reported lost through OnLinkDown; OnLinkDown fires at most once per
-// direction of an incarnation (each incarnation is one dial) and, like the
-// direction's deliveries, never concurrently with another delivery or
-// report of that direction.
-func TestTCPSendersRaceSeverRedialAndClose(t *testing.T) {
-	t.Run("one-way", func(t *testing.T) { raceSeverRedialAndClose(t, false) })
-	t.Run("both-ways", func(t *testing.T) { raceSeverRedialAndClose(t, true) })
+// TestTCPSendersRaceClose races four senders on a pair against Close. One
+// way, all four send 0→1; both ways, two send each way over the pair's one
+// connection. For each direction, every accepted frame must be delivered
+// exactly once or reported lost through OnLinkDown; OnLinkDown fires at most
+// once per direction and, like the direction's deliveries, never
+// concurrently with another delivery or report of that direction; and the
+// pair dials once.
+func TestTCPSendersRaceClose(t *testing.T) {
+	t.Run("one-way", func(t *testing.T) { raceClose(t, false) })
+	t.Run("both-ways", func(t *testing.T) { raceClose(t, true) })
 }
 
-func raceSeverRedialAndClose(t *testing.T, bothWays bool) {
+func raceClose(t *testing.T, bothWays bool) {
 	// Per direction: 0 is 0→1, 1 is 1→0.
 	type dirStats struct {
 		mu               sync.Mutex
@@ -724,7 +804,6 @@ func raceSeverRedialAndClose(t *testing.T, bothWays bool) {
 			t.Fatal(err)
 		}
 
-		var accepted atomic.Int64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -747,38 +826,14 @@ func raceSeverRedialAndClose(t *testing.T, bothWays bool) {
 					}
 					n, _ := mesh.SendBatch(from, 1-from, batch)
 					dirs[from].accepted.Add(int64(n))
-					accepted.Add(int64(n))
-					runtime.Gosched() // let the severer in at one processor too
+					runtime.Gosched() // let Close in at one processor too
 				}
 			}(g, from)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for last, k := int64(0), 0; ; time.Sleep(200 * time.Microsecond) {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Sever only once something was accepted since the last
-				// kill, so a loaded machine still sends between severs.
-				if a := accepted.Load(); a > last {
-					last = a
-					if bothWays && k%2 == 1 {
-						mesh.Sever(1, 0)
-					} else {
-						mesh.Sever(0, 1)
-					}
-					k++
-				}
-			}
-		}()
-		// Close once the pair has gone through a few incarnations. A pair
-		// that stops redialing is stuck on a reap that never comes.
-		for deadline := time.Now().Add(5 * time.Second); reg.Counter(obs.TransportDials).Value() < 10; {
+		// Close once every direction in use has carried traffic.
+		for deadline := time.Now().Add(5 * time.Second); dirs[0].accepted.Load() < 100 || bothWays && dirs[1].accepted.Load() < 100; {
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: %d dials in 5 s: the pair stopped redialing", round, reg.Counter(obs.TransportDials).Value())
+				t.Fatalf("round %d: accepted %d 0→1 and %d 1→0 frames in 5 s", round, dirs[0].accepted.Load(), dirs[1].accepted.Load())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -788,7 +843,9 @@ func raceSeverRedialAndClose(t *testing.T, bothWays bool) {
 		close(stop)
 		wg.Wait()
 
-		dials := int64(reg.Counter(obs.TransportDials).Value())
+		if dials := reg.Counter(obs.TransportDials).Value(); dials != 1 {
+			t.Fatalf("round %d: %d dials for one pair", round, dials)
+		}
 		for i := range dirs {
 			ds := &dirs[i]
 			if !bothWays && i == 1 {
@@ -803,87 +860,12 @@ func raceSeverRedialAndClose(t *testing.T, bothWays bool) {
 			if got := int64(len(ds.seen)) + ds.lost.Load(); got != ds.accepted.Load() {
 				t.Fatalf("round %d, %d→%d: %d delivered + %d lost, but %d accepted", round, i, 1-i, len(ds.seen), ds.lost.Load(), ds.accepted.Load())
 			}
-			if ds.reports.Load() > dials {
-				t.Fatalf("round %d, %d→%d: %d OnLinkDown reports for %d incarnations", round, i, 1-i, ds.reports.Load(), dials)
+			if ds.reports.Load() > 1 {
+				t.Fatalf("round %d, %d→%d: %d OnLinkDown reports for one connection", round, i, 1-i, ds.reports.Load())
 			}
 			if ds.overlapped.Load() {
 				t.Fatalf("round %d, %d→%d: a delivery or OnLinkDown of the direction overlapped another", round, i, 1-i)
 			}
-			if ds.accepted.Load() == 0 {
-				t.Fatalf("round %d, %d→%d: nothing accepted: the race never ran", round, i, 1-i)
-			}
-		}
-	}
-}
-
-// TestTCPRedialWaitsOnlyForTheSendersReap: after the connection dies, each
-// direction waits only for its own old reap. Here 1→0's reader is held in the
-// deliver callback when Sever kills the connection, so 1→0's reap cannot
-// finish; 0→1 redials all the same, while 1→0 is refused until its reap is
-// done. WaitReap, which the runtime's cut waits on, still waits for the held
-// direction of the replaced connection, and returns once it is reaped.
-func TestTCPRedialWaitsOnlyForTheSendersReap(t *testing.T) {
-	mesh, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mesh.Close() }()
-	entered, release := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
-	var got [2]atomic.Int64 // frames delivered, by sender
-	if err := mesh.StartBatched(func(ms []Message) {
-		if ms[0].From == 1 && held.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
-		}
-		got[ms[0].From].Add(int64(len(ms)))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := send(mesh, Message{From: 0, To: 1, DV: []int{1, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := send(mesh, Message{From: 1, To: 0, DV: []int{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	// A kill may lose what the connection still carries (OnLinkDown reports
-	// it); let the first 0→1 frame arrive first, so every frame is counted.
-	for deadline := time.Now().Add(5 * time.Second); got[0].Load() < 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the first 0→1 frame never arrived")
-		}
-	}
-	if !mesh.Sever(0, 1) {
-		t.Fatal("no connection to sever")
-	}
-	// 0→1's reader exits and reaps at once; until then 0→1 is refused too.
-	for deadline := time.Now().Add(5 * time.Second); send(mesh, Message{From: 0, To: 1, DV: []int{2, 0}}) != nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("0→1 never redialed while 1→0's reap was held")
-		}
-	}
-	if err := send(mesh, Message{From: 1, To: 0, DV: []int{0, 2}}); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("1→0 opened before its old reap finished: %v", err)
-	}
-	reaped := make(chan struct{})
-	go func() {
-		mesh.WaitReap(1, 0)
-		close(reaped)
-	}()
-	select {
-	case <-reaped:
-		t.Fatal("WaitReap returned while 1→0's old reader was still delivering")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	<-reaped
-	if err := send(mesh, Message{From: 1, To: 0, DV: []int{0, 3}}); err != nil {
-		t.Fatalf("1→0 after its reap: %v", err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); got[0].Load() < 2 || got[1].Load() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d 0→1 and %d 1→0 frames, want 2 each", got[0].Load(), got[1].Load())
 		}
 	}
 }

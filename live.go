@@ -16,7 +16,7 @@ type Network struct {
 	// Seed makes the loss/delay draws reproducible.
 	Seed int64
 	// TCP puts a loopback TCP mesh under the cluster's link layer instead of
-	// the in-process hand-off; cuts, heals, retransmit and backpressure are
+	// the in-process hand-off; cuts, heals, backlogs and backpressure are
 	// the same on both.
 	TCP bool
 }
@@ -115,9 +115,11 @@ func (c *Cluster) Restart(globalLI bool) (LiveReport, error) {
 func (c *Cluster) Oracle() *CCP { return c.c.Oracle() }
 
 // BreakLink cuts the directed pair from "from" to "to" until HealLink or
-// HealAll: once it returns nothing more crosses. Frames in the cut park for
-// retransmit and are replayed after the heal. The same on every cluster, TCP
-// or not. Reports whether the pair was open (one that cannot exist is not).
+// HealAll: once it returns, everything the pair had in transit has arrived
+// and nothing more crosses. Later sends on the pair park, unbounded, and are
+// delivered in order after the heal: a cut is delay, never loss. The reverse
+// pair is untouched. The same on every cluster, TCP or not. Reports whether
+// the pair was open (one that cannot exist is not).
 func (c *Cluster) BreakLink(from, to int) bool { return c.c.BreakLink(from, to) }
 
 // HealLink lifts one directed break and synchronously flushes the pair's

@@ -167,7 +167,7 @@ func WithStorage(b Backend, dir string) Option {
 // reliable per-pair FIFO channels: simulated systems fail on reordered
 // scripts, live clusters reject lossy networks at construction (the sender
 // pool sequences each pair, and the link layer keeps that order across cuts
-// and reconnects on either wire),
+// on either wire),
 // and chaos runs refuse lossy baselines and drop nothing in their loss
 // bursts (a plan's burst carries loss alone, so there it only lifts the
 // baseline delay).

@@ -182,8 +182,7 @@ fi
 # and their lock, the mesh's inbound-slice pool and its connection map stay
 # gone. The seeded network stream is locked only where it is drawn for a lossy
 # or delayed network (randDelayDrop) and where SetNetwork replays what quiet
-# sends skipped. And the socket's write deadline is moved in one place, which
-# moves it only when half of it is spent.
+# sends skipped.
 tp_files=$(ls internal/transport/*.go | grep -v '_test\.go$')
 if grep -nwE 'dvMu|dvFree|entFree|pendMu|pendFree|getPending|putPending' $rt_files >&2 ||
 	grep -nE 'conns[[:space:]]+map' $tp_files >&2; then
@@ -195,11 +194,6 @@ rng_sites=$(awk '/^func /{fn=$0} /rngMu\.(Try)?Lock\(\)/{print FILENAME ": " fn}
 if [ -n "$rng_sites" ]; then
 	echo "layering violation: rngMu taken outside SetNetwork and the lossy-or-delayed draw (randDelayDrop):" >&2
 	printf '%s\n' "$rng_sites" >&2
-	fail=1
-fi
-if [ "$(grep -c 'SetWriteDeadline(' $tp_files | awk -F: '{s+=$NF} END{print s}')" -ne 1 ]; then
-	grep -n 'SetWriteDeadline(' $tp_files >&2
-	echo "layering violation: SetWriteDeadline must have exactly one call site, in TCP.SendBatch" >&2
 	fail=1
 fi
 
@@ -217,14 +211,21 @@ if grep -nE '^[[:space:]]+h[[:space:]]+\[\]pending|pop\(\) pending' $rt_files >&
 	fail=1
 fi
 
-# The retransmit window belongs to the wire that can lose a frame. Only the
-# TCP wire can lose a frame after accepting it, so the window, the count of
-# frames delivered that prunes it and the lost-frame reconciliation live
-# behind meshWire in internal/runtime/wire.go. The link layer keeps what
-# every wire needs, and a pair link carries none of the TCP wire's scratch:
-# no inbound batch, no batch of wire frames.
-if grep -nwE 'frameRing|winBase|pruneWindow|dropOldest|wireDeliv|onLinkDown' $(echo "$rt_files" | grep -v '/wire\.go$') >&2; then
-	echo "layering violation: the retransmit window or the lost-frame reconciliation named outside internal/runtime/wire.go" >&2
+# A cut drains, it does not sever. The link layer blocks a cut pair, passes
+# its lock and waits for the wire to drain it, so a TCP pair keeps one
+# connection for the mesh's life and nothing is lost to resend: the mesh's
+# sever and reap-gated redial, the retransmit window, the wire-seq dedup, the
+# retry timer and the backlog bound stay gone. A pair link carries none of
+# the TCP wire's scratch: no inbound batch, no batch of wire frames.
+for gone in transport.TCP.Sever transport.TCP.WaitReap; do
+	if go doc "repro/internal/${gone%%.*}" "${gone#*.}" >/dev/null 2>&1; then
+		echo "layering violation: $gone exists again; a cut drains the pair and the connection lives until Close" >&2
+		fail=1
+	fi
+done
+if grep -nwE 'frameRing|winBase|pruneWindow|recvSeq|armRetry|holdRetries|reapIdle|linkWindow' \
+	$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') >&2; then
+	echo "layering violation: the retransmit window, the wire-seq dedup, the retry timer, the idle reap or the backlog bound is back" >&2
 	fail=1
 fi
 if awk '/^type pairLink struct/{s=1} s && /^}/{s=0}
@@ -283,4 +284,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; only the TCP wire keeps a retransmit window; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
