@@ -40,8 +40,7 @@ import (
 // driver (Driver.EntryBuf) and belong to the sender's side of the engine —
 // in the live runtime, to the pair's link until the wire has delivered or
 // encoded the frame — which then recycles the buffer. Receivers only read
-// them for the duration of a delivery call and copy what must outlive it
-// (the batch path's pendRun does).
+// them for the duration of a delivery call.
 //
 // Both engines encode at send (Kernel.Send): the live runtime is told the
 // destination by the application, the simulator reads it from its script

@@ -106,18 +106,6 @@ type Kernel struct {
 	// overwrites it.
 	snap []byte
 
-	// Batch receive state (deliver.go): the composed entries of the
-	// pending same-sender run, its ComposePatch ping-pong buffer, and the
-	// lazily materialized dv ⊔ run vector the forced-checkpoint predicate
-	// evaluates against. Always empty between DeliverBatch calls —
-	// flushRun runs before the batch returns.
-	pendRun  vclock.Delta
-	pendBuf  vclock.Delta
-	pendFrom int
-	pendN    int
-	virt     vclock.DV
-	virtOK   bool
-
 	comp *compressor // non-nil iff cfg.Compress and not crashed
 
 	basic, forced int
@@ -292,7 +280,7 @@ func (k *Kernel) Deliver(pb Piggyback) (forced bool, err error) { return k.deliv
 
 // deliver is Deliver reading the piggyback in place: DeliverBatch hands it
 // the batch's own entry, so a full-vector message is not copied to be
-// delivered.
+// delivered. It is the one delivery step of both engines.
 func (k *Kernel) deliver(pb *Piggyback) (forced bool, err error) {
 	decision := protocol.Piggyback{DV: pb.DV, Index: pb.Index}
 	if pb.Compressed {
@@ -409,7 +397,6 @@ func (k *Kernel) CrashVolatile() {
 	}
 	k.handoff, k.handedOff = storage.Checkpoint{}, false
 	k.comp = nil
-	k.pendRun, k.pendN, k.virt, k.virtOK = nil, 0, nil, false
 }
 
 // Rehydrate rebuilds a crashed kernel's volatile state from stable storage:

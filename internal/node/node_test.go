@@ -300,14 +300,33 @@ func TestResetCompressionRestartsPairs(t *testing.T) {
 	}
 }
 
-// TestDeliverBatchMatchesSequential is the batch path's differential
-// oracle: the same seeded traffic — sends, basic checkpoints, and
-// deliveries in per-pair FIFO order but randomly chunked into batches —
-// runs through a message-by-message universe (Deliver) and a batched one
-// (DeliverBatch), across every protocol, both piggyback encodings and two
-// collectors. Coalescing is exact or it is wrong: vectors, checkpoint
-// counts, stable indices, stored checkpoints and piggyback cost must all
-// match bit for bit.
+// recordingLocal is a collector that logs every OnCheckpoint and OnNewInfo
+// call with its arguments before handing it to the collector it wraps.
+type recordingLocal struct {
+	gc.Local
+	log []string
+}
+
+func (r *recordingLocal) OnCheckpoint(index int, dv vclock.DV) error {
+	r.log = append(r.log, fmt.Sprintf("checkpoint %d %v", index, dv))
+	return r.Local.OnCheckpoint(index, dv)
+}
+
+func (r *recordingLocal) OnNewInfo(increased []int, dv vclock.DV) error {
+	r.log = append(r.log, fmt.Sprintf("newinfo %v %v", increased, dv))
+	return r.Local.OnNewInfo(increased, dv)
+}
+
+// TestDeliverBatchMatchesSequential is DeliverBatch's differential oracle:
+// the same seeded traffic — sends, basic checkpoints, and deliveries in
+// per-pair FIFO order but randomly chunked into batches — runs through a
+// message-by-message universe (Deliver) and a batched one (DeliverBatch),
+// across every protocol, both piggyback encodings and three collectors.
+// Vectors, checkpoint counts, stable indices, stored checkpoints and
+// piggyback cost must all match bit for bit, and the recording collector
+// ("rec") must see the same OnCheckpoint and OnNewInfo calls, with the same
+// arguments, in the same order: a batch is its messages' deliveries, one by
+// one, not a fold of them.
 func TestDeliverBatchMatchesSequential(t *testing.T) {
 	const n = 4
 	protocols := map[string]func(int) protocol.Protocol{
@@ -321,12 +340,24 @@ func TestDeliverBatchMatchesSequential(t *testing.T) {
 	collectors := map[string]func(self, nn int, st storage.Store) gc.Local{
 		"core": func(self, nn int, st storage.Store) gc.Local { return core.New(self, nn, st) },
 		"nogc": func(self, nn int, st storage.Store) gc.Local { return gc.NewNoGC(self, nn, st) },
+		"rec":  nil, // a recordingLocal over core, built per subtest
 	}
 	for pname, proto := range protocols {
 		for gname, lgc := range collectors {
 			for _, compress := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/compress=%v", pname, gname, compress)
 				t.Run(name, func(t *testing.T) {
+					// recs holds the recording collectors in build order: the
+					// sequential universe's n, then the batched one's.
+					var recs []*recordingLocal
+					newGC := lgc
+					if newGC == nil {
+						newGC = func(self, nn int, st storage.Store) gc.Local {
+							r := &recordingLocal{Local: core.New(self, nn, st)}
+							recs = append(recs, r)
+							return r
+						}
+					}
 					build := func() []*node.Kernel {
 						ks := make([]*node.Kernel, n)
 						for i := range ks {
@@ -334,7 +365,7 @@ func TestDeliverBatchMatchesSequential(t *testing.T) {
 								ID: i, N: n,
 								Store:    storage.NewMemStore(),
 								Protocol: proto,
-								LocalGC:  lgc,
+								LocalGC:  newGC,
 								Compress: compress,
 							})
 							if err != nil {
@@ -429,6 +460,21 @@ func TestDeliverBatchMatchesSequential(t *testing.T) {
 							t.Errorf("p%d stored checkpoints: sequential %v != batched %v", i, si, bi)
 						}
 					}
+					if recs != nil {
+						if len(recs) != 2*n {
+							t.Fatalf("%d recording collectors built, want %d", len(recs), 2*n)
+						}
+						for i := 0; i < n; i++ {
+							sl, bl := recs[i].log, recs[n+i].log
+							if len(sl) == 0 {
+								t.Errorf("p%d: the recording collector saw no call", i)
+							}
+							if !reflect.DeepEqual(sl, bl) {
+								t.Errorf("p%d collector calls differ: sequential %d calls, batched %d; first difference %s",
+									i, len(sl), len(bl), firstDiff(sl, bl))
+							}
+						}
+					}
 				})
 			}
 		}
@@ -475,4 +521,14 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 	if live := ls.Stats().Live; live != 1 {
 		t.Fatalf("a process that never communicates retains %d checkpoints, want 1", live)
 	}
+}
+
+// firstDiff describes the first position where two call logs differ.
+func firstDiff(a, b []string) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("at call %d: %q != %q", i, a[i], b[i])
+		}
+	}
+	return fmt.Sprintf("at call %d: one log ends", min(len(a), len(b)))
 }

@@ -42,11 +42,10 @@ const (
 	KernelPiggybackEntries  = "kernel.piggyback.entries"      // sparse entries actually shipped
 	KernelPiggybackFull     = "kernel.piggyback.full_entries" // entries a full vector would have shipped
 	KernelPiggybackBytes    = "kernel.piggyback.bytes"
-	// Batch delivery (Kernel.DeliverBatch): merges counts the composed-run
-	// flushes that actually touched the vector, coalesced the messages
-	// folded into an earlier message's flush — deliveries / merges is the
-	// coalescing ratio of the receive path.
-	KernelDeliveryMerges    = "kernel.delivery.merges"
+	// KernelDeliveryCoalesced is written by nothing: every message is
+	// delivered by its own step, and no delivery folds into another's. The
+	// benchmark harness still reads the name (node.coalesced_share), which
+	// is 0.
 	KernelDeliveryCoalesced = "kernel.delivery.coalesced"
 
 	// Runtime (internal/runtime). timer_resets counts the sender-pool
@@ -69,14 +68,13 @@ const (
 	RuntimeIngressNs     = "runtime.ingress.drain_ns"
 	// Link layer (per-pair cuts over either wire): parked is the frames a
 	// cut holds back, awaiting the heal; retransmits counts the parked
-	// frames heals sent on, and reconnects the backlogs they flushed; lost
-	// counts frames that will never be delivered — refused by the wire (a
-	// closed mesh, a loudly dead connection, a failed dial), stranded by a
-	// connection that died loudly, or given up by a closed cluster or a
-	// recovery session's purge; and partitioned_pairs gauges the directed
-	// pairs BreakLink/Partition hold cut.
+	// frames heals sent on; lost counts frames that will never be
+	// delivered — refused by the wire (a closed mesh, a loudly dead
+	// connection, a failed dial), stranded by a connection that died
+	// loudly, or given up by a closed cluster or a recovery session's purge;
+	// and partitioned_pairs gauges the directed pairs BreakLink/Partition
+	// hold cut.
 	RuntimeLinkRetransmits = "runtime.link.retransmits"
-	RuntimeLinkReconnects  = "runtime.link.reconnects"
 	RuntimeLinkParked      = "runtime.link.parked"
 	RuntimeLinkLost        = "runtime.link.lost"
 	RuntimeLinkPartitioned = "runtime.link.partitioned_pairs"
@@ -138,8 +136,6 @@ type KernelMetrics struct {
 	PiggybackEntries  *Counter
 	PiggybackFull     *Counter
 	PiggybackBytes    *Counter
-	DeliveryMerges    *Counter
-	DeliveryCoalesced *Counter
 }
 
 // KernelMetricsFrom resolves the kernel bundle against a registry. A nil
@@ -153,8 +149,6 @@ func KernelMetricsFrom(r *Registry) KernelMetrics {
 		PiggybackEntries:  r.Counter(KernelPiggybackEntries),
 		PiggybackFull:     r.Counter(KernelPiggybackFull),
 		PiggybackBytes:    r.Counter(KernelPiggybackBytes),
-		DeliveryMerges:    r.Counter(KernelDeliveryMerges),
-		DeliveryCoalesced: r.Counter(KernelDeliveryCoalesced),
 	}
 }
 
@@ -172,7 +166,6 @@ type RuntimeMetrics struct {
 	IngressNs     *Histogram
 
 	LinkRetransmits *Counter
-	LinkReconnects  *Counter
 	LinkParked      *Gauge
 	LinkLost        *Counter
 	LinkPartitioned *Gauge
@@ -197,7 +190,6 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 		IngressNs:     r.Histogram(RuntimeIngressNs),
 
 		LinkRetransmits: r.Counter(RuntimeLinkRetransmits),
-		LinkReconnects:  r.Counter(RuntimeLinkReconnects),
 		LinkParked:      r.Gauge(RuntimeLinkParked),
 		LinkLost:        r.Counter(RuntimeLinkLost),
 		LinkPartitioned: r.Gauge(RuntimeLinkPartitioned),
@@ -220,11 +212,10 @@ type TransportMetrics struct {
 	BytesIn        *Counter
 	Dials          *Counter
 	DialFailures   *Counter
+	BadFrames      *Counter
 }
 
 // TransportMetricsFrom resolves the transport bundle against a registry.
-// The bad-frame counter is not here: the mesh owns one unconditionally
-// (the PR-6 accessor) and adopts it into the registry via RegisterCounter.
 func TransportMetricsFrom(r *Registry) TransportMetrics {
 	return TransportMetrics{
 		Batches:        r.Counter(TransportBatches),
@@ -236,6 +227,7 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 		BytesIn:        r.Counter(TransportBytesIn),
 		Dials:          r.Counter(TransportDials),
 		DialFailures:   r.Counter(TransportDialFailures),
+		BadFrames:      r.Counter(TransportBadFrames),
 	}
 }
 

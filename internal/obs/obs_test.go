@@ -417,19 +417,3 @@ func TestObsNilZeroAllocs(t *testing.T) {
 		t.Fatal("StoreMetricsFrom(nil) must be the zero bundle")
 	}
 }
-
-// TestObsRegisterCounter checks external counter adoption: the owner's
-// pointer and the snapshot read the same cell.
-func TestObsRegisterCounter(t *testing.T) {
-	reg := NewRegistry()
-	owned := &Counter{}
-	owned.Add(5)
-	reg.RegisterCounter("transport.bad_frames", owned)
-	owned.Add(2)
-	if got := reg.Snapshot().Counter("transport.bad_frames"); got != 7 {
-		t.Fatalf("adopted counter = %d, want 7", got)
-	}
-	if reg.Counter("transport.bad_frames") != owned {
-		t.Fatal("Counter(name) after RegisterCounter must return the adopted cell")
-	}
-}

@@ -104,20 +104,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// RegisterCounter adopts an externally-owned counter under a name. This is
-// how pre-registry counters (transport bad frames, runtime wire errors —
-// PR 6's ad-hoc atomics) appear in snapshots without double accounting:
-// the owner keeps its pointer and its old accessor, the registry exports
-// the same cells. Re-registering a name replaces the previous handle.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	if r == nil || c == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ctrs[name] = c
-	r.mu.Unlock()
-}
-
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

@@ -9,13 +9,14 @@ import (
 // This file is the receive-side counterpart of the sender pool: a bounded
 // per-node ingress ring between the concurrent producers of inbound batches
 // (the wire: mesh readLoops — one per live TCP stream — or the in-process
-// hand-off, on whoever holds the pair's link) and the node's kernel. Producers enqueue whole batches and
-// block until theirs is applied; whichever producer finds no drain in
-// progress becomes the drainer and applies everything queued — its own
-// batch plus anything other streams enqueued behind it — under ONE
-// receiver-lock acquisition via Kernel.DeliverBatch. k streams hammering
-// one receiver used to cost k lock acquisitions and k vector merges; now a
-// drain pays one acquisition and the kernel coalesces the merges.
+// hand-off, on whoever holds the pair's link) and the node's kernel.
+// Producers enqueue whole batches and block until theirs is applied;
+// whichever producer finds no drain in progress becomes the drainer and
+// applies everything queued — its own batch plus anything other streams
+// enqueued behind it — under ONE receiver-lock acquisition. k streams
+// hammering one receiver pay one lock acquisition per drain, not one per
+// batch; inside the drain every message is delivered by the kernel's one
+// per-message step (Kernel.Deliver), the step the simulator runs.
 //
 // Blocking producers give two properties at once:
 //
@@ -40,15 +41,6 @@ import (
 // ring never forces tiny drains, while per-node memory stays a fixed 32
 // slice headers however large the cluster.
 const ingRingSize = 32
-
-// deliverMeta is the per-message state postDeliver needs after the kernel
-// has consumed the piggyback: the application hook, the history record and
-// the flight event.
-type deliverMeta struct {
-	msg     int
-	from    int
-	payload []byte
-}
 
 // ingress is the bounded MPSC batch ring. head/tail/applied are monotone
 // slot sequence numbers (slot i lives at i%ingRingSize): head..tail-1 are
@@ -118,12 +110,10 @@ func (n *Node) drainLocked() {
 	}
 }
 
-// applyBatches delivers one drain group to the kernel under a single
-// receiver-lock acquisition: epoch and crash filtering first, then one
-// DeliverBatch over the survivors, with postDeliver running per message for
-// the application handler, the node's history record, and the flight
-// event — the same per-message sequence deliverPending performed, in the
-// same arrival order.
+// applyBatches delivers one drain group under a single receiver-lock
+// acquisition: each message that passes the epoch and crash filter is
+// delivered by the kernel, then handed to the application handler, then
+// recorded — in arrival order.
 //
 // Piggyback vectors are only read for the duration of the drain: nothing
 // here (protocols and collectors included, per their interface contracts)
@@ -136,30 +126,7 @@ func (n *Node) applyBatches(groups [][]pending) {
 		t0 = time.Now()
 	}
 	n.mu.Lock()
-	epoch := c.curEpoch()
-	pbs, meta := n.pbs[:0], n.meta[:0]
-	if !n.down {
-		for _, batch := range groups {
-			for i := range batch {
-				d := &batch[i].delivery
-				if d.epoch != epoch {
-					// Sent before a recovery session: in transit when the
-					// failure hit, lost per the model. A crashed destination
-					// (n.down) loses whole groups the same way.
-					continue
-				}
-				pbs = append(pbs, d.pb)
-				meta = append(meta, deliverMeta{msg: d.msg, from: batch[i].from, payload: d.payload})
-			}
-		}
-	}
-	n.pbs, n.meta = pbs, meta
-	var err error
-	if len(pbs) > 0 {
-		err = n.k.DeliverBatch(pbs, n.postFn)
-	}
-	clear(pbs) // release piggyback references before parking the scratch
-	clear(meta)
+	err := n.deliverLocked(groups)
 	n.mu.Unlock()
 	if err != nil {
 		panic(fmt.Sprintf("runtime: delivery on p%d: %v", n.id, err))
@@ -171,14 +138,28 @@ func (n *Node) applyBatches(groups [][]pending) {
 	}
 }
 
-// postDeliver is the kernel's per-message post hook (pre-bound in
-// NewCluster so the hot path passes a method value, not a fresh closure):
-// it runs under the node's lock, after the message's forced checkpoint and
-// protocol notification, with i indexing the drain's meta table.
-func (n *Node) postDeliver(i int) {
-	m := &n.meta[i]
-	if n.c.cfg.OnDeliver != nil {
-		n.c.cfg.OnDeliver(n.id, n.k.App(), m.payload)
+// deliverLocked is applyBatches' work under n.mu. A message sent before a
+// recovery session was in transit when the failure hit, lost per the
+// model; a crashed destination (n.down) loses whole groups the same way.
+func (n *Node) deliverLocked(groups [][]pending) error {
+	if n.down {
+		return nil
 	}
-	n.recordRecv(m.from, m.msg)
+	epoch := n.c.curEpoch()
+	for _, batch := range groups {
+		for i := range batch {
+			d := &batch[i].delivery
+			if d.epoch != epoch {
+				continue
+			}
+			if _, err := n.k.Deliver(d.pb); err != nil {
+				return err
+			}
+			if n.c.cfg.OnDeliver != nil {
+				n.c.cfg.OnDeliver(n.id, n.k.App(), d.payload)
+			}
+			n.recordRecv(batch[i].from, d.msg)
+		}
+	}
+	return nil
 }

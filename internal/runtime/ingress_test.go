@@ -223,13 +223,8 @@ func TestObsIngressMetrics(t *testing.T) {
 	if d := snap.Gauge(obs.RuntimeIngressDepth); d != 0 {
 		t.Errorf("%s = %d on an idle cluster, want 0", obs.RuntimeIngressDepth, d)
 	}
-	// Kernel-side accounting of the same drains: every flushed run is a
-	// merge, and merges can never exceed deliveries.
-	merges := snap.Counter(obs.KernelDeliveryMerges)
-	if merges <= 0 {
-		t.Errorf("%s = %d, want > 0", obs.KernelDeliveryMerges, merges)
-	}
-	if got := snap.Counter(obs.KernelDeliveries); merges > got {
-		t.Errorf("%s = %d exceeds deliveries %d", obs.KernelDeliveryMerges, merges, got)
+	// Kernel-side accounting of the same drains: one delivery per message.
+	if got := snap.Counter(obs.KernelDeliveries); got != 50*n {
+		t.Errorf("%s = %d, want %d", obs.KernelDeliveries, got, 50*n)
 	}
 }

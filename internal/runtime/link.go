@@ -172,7 +172,6 @@ func (c *Cluster) flushLocked(pl *pairLink) {
 		c.record(obs.Event{Kind: obs.EvLinkUp, P: pl.from, Aux: pl.to, Msg: len(run)})
 	}
 	c.obs.LinkRetransmits.Add(uint64(len(run)))
-	c.obs.LinkReconnects.Inc()
 }
 
 // dropParkedLocked abandons the pair's backlog (cluster closing, or a

@@ -86,9 +86,10 @@ type Config struct {
 	// link layer keeps that order across cuts on either wire.
 	Compress bool
 	// OnDeliver, if set, is the application-level message handler: it runs
-	// under the receiving node's middleware lock, after the forced
-	// checkpoint (if any) and the vector merge, so state it mutates is
-	// atomic with respect to checkpoints — exactly like Node.Update.
+	// under the receiving node's middleware lock, after the message's forced
+	// checkpoint (if any) and its vector merge, compressed or not, so state
+	// it mutates is atomic with respect to checkpoints — exactly like
+	// Node.Update.
 	OnDeliver func(self int, a app.App, payload []byte)
 	// Obs attaches live telemetry: a metrics registry instrumenting the
 	// kernel, sender pool, mesh and stores, and a flight recorder capturing
@@ -214,13 +215,8 @@ type Node struct {
 	lastID uint64
 
 	// ing is the bounded ingress ring every inbound batch passes through
-	// (see ingress.go); pbs/meta are the drain's reusable kernel-call
-	// scratch and postFn the pre-bound per-message post hook, all owned by
-	// whichever producer holds the drainer role.
-	ing    ingress
-	pbs    []node.Piggyback
-	meta   []deliverMeta
-	postFn func(i int)
+	// (see ingress.go).
+	ing ingress
 }
 
 // NewCluster starts a cluster. As in the model, every node stores its
@@ -316,15 +312,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nd.staged = store.Staged() // s^0's ticket; the kernel hook sees only later checkpoints
 		nd.ing.space.L = &nd.ing.mu
 		nd.ing.done.L = &nd.ing.mu
-		nd.postFn = nd.postDeliver
 		// Drain scratch is built up front like the sender queues': growing
 		// it lazily would bill every node's first drains — mid-measurement
-		// — for the ring's working memory (≈2KB per node). Saturated
-		// drains still grow past this once and keep the larger capacity.
+		// — for the ring's working memory. Saturated drains still grow past
+		// this once and keep the larger capacity.
 		nd.ing.scratch = make([][]pending, 0, 4)
-		nd.pbs = make([]node.Piggyback, 0, 8)
-		nd.meta = make([]deliverMeta, 0, 8)
-		k.PrewarmBatch()
 		c.nodes = append(c.nodes, nd)
 		c.kernels = append(c.kernels, k)
 	}

@@ -304,8 +304,10 @@ const maxInboundBatch = 64
 // Engines that track in-flight messages (runtime.Cluster.Quiesce) reconcile
 // against it, so a dead connection cannot strand their accounting.
 type TCP struct {
-	n         int
-	listeners []net.Listener
+	n int
+	// listener accepts every connection of the mesh: a connection's hello
+	// names its pair, so one listener serves all n nodes.
+	listener net.Listener
 
 	// pairs[slot(i, j)] is the pair's connection, live or dead, or nil: a
 	// send loads its slot and takes only its direction's lock. A connection
@@ -323,19 +325,16 @@ type TCP struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// badFrames is mesh-owned (it predates the registry and its accessor
-	// is public API); SetObs adopts the same cell into a registry so
-	// snapshots and BadFrames() can never disagree.
-	badFrames obs.Counter
-
 	obs obs.TransportMetrics // zero (free) unless SetObs attached a registry
 
-	dial func(addr string) (net.Conn, error) // test hook; a keepalive-free dialer by default
+	// dial opens a connection to peer's side of the mesh: a keepalive-free
+	// dial of the listener by default, a test hook otherwise.
+	dial func(peer int) (net.Conn, error)
 
 	// OnFrameError, if set before StartBatched, is called when a connection is
 	// killed by an undecodable or oversized frame — a poisoned link. When
-	// nil the event is logged; either way BadFrames counts it, so a
-	// poisoned link is loudly diagnosable instead of a mystery hang.
+	// nil the event is logged; either way transport.bad_frames counts it, so
+	// a poisoned link is loudly diagnosable instead of a mystery hang.
 	OnFrameError func(from, to int, err error)
 
 	// OnLinkDown, if set before StartBatched, reports frames that were
@@ -448,33 +447,27 @@ func (pc *pairConn) register(conn net.Conn, dialer, peer int) bool {
 	return true
 }
 
-// NewTCP opens one loopback listener per node. Call StartBatched to begin
-// delivering, then SendBatch at will, then Close. Neither end of a
-// connection turns TCP keepalive on: a loopback peer does not vanish
-// unseen.
+// NewTCP opens the mesh's one loopback listener: every dial, whichever
+// node it is to, connects there, and its hello names the pair. Call
+// StartBatched to begin delivering, then SendBatch at will, then Close.
+// Neither end of a connection turns TCP keepalive on: a loopback peer does
+// not vanish unseen.
 func NewTCP(n int) (*TCP, error) {
+	l, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen: %w", err)
+	}
 	dialer := &net.Dialer{Timeout: dialTimeout, KeepAlive: -1}
-	t := &TCP{
+	addr := l.Addr().String()
+	return &TCP{
 		n:        n,
+		listener: l,
 		pairs:    make([]atomic.Pointer[pairConn], n*(n-1)/2),
 		accepted: make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
-		dial:     func(addr string) (net.Conn, error) { return dialer.Dial("tcp", addr) },
-	}
-	lc := net.ListenConfig{KeepAlive: -1}
-	for i := 0; i < n; i++ {
-		l, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
-		if err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("transport: listen for node %d: %w", i, err)
-		}
-		t.listeners = append(t.listeners, l)
-	}
-	return t, nil
+		dial:     func(int) (net.Conn, error) { return dialer.Dial("tcp", addr) },
+	}, nil
 }
-
-// Addr returns node i's listening address.
-func (t *TCP) Addr(i int) string { return t.listeners[i].Addr().String() }
 
 // slot returns the table slot of the pair {i, j}, i ≠ j.
 func (t *TCP) slot(i, j int) *atomic.Pointer[pairConn] {
@@ -499,30 +492,27 @@ func (t *TCP) StartBatched(deliver func([]Message)) error {
 		return errors.New("transport: nil deliver callback")
 	}
 	t.deliver = deliver
-	for i := range t.listeners {
-		l := t.listeners[i]
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for {
-				conn, err := l.Accept()
-				if err != nil {
-					return // listener closed
-				}
-				t.accMu.Lock()
-				t.accepted[conn] = struct{}{}
-				t.accMu.Unlock()
-				t.wg.Add(1)
-				go func() {
-					defer t.wg.Done()
-					t.serve(conn)
-					t.accMu.Lock()
-					delete(t.accepted, conn)
-					t.accMu.Unlock()
-				}()
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		for {
+			conn, err := t.listener.Accept()
+			if err != nil {
+				return // listener closed
 			}
-		}()
-	}
+			t.accMu.Lock()
+			t.accepted[conn] = struct{}{}
+			t.accMu.Unlock()
+			t.wg.Add(1)
+			go func() {
+				defer t.wg.Done()
+				t.serve(conn)
+				t.accMu.Lock()
+				delete(t.accepted, conn)
+				t.accMu.Unlock()
+			}()
+		}
+	}()
 	return nil
 }
 
@@ -531,7 +521,7 @@ func (t *TCP) StartBatched(deliver func([]Message)) error {
 // counter plus a callback or log line — not a silent return that leaves a
 // mystery hang.
 func (t *TCP) frameError(from, to int, err error) {
-	t.badFrames.Inc()
+	t.obs.BadFrames.Inc()
 	if t.OnFrameError != nil {
 		t.OnFrameError(from, to, err)
 		return
@@ -539,19 +529,10 @@ func (t *TCP) frameError(from, to int, err error) {
 	log.Printf("transport: killing link %d->%d on bad frame: %v", from, to, err)
 }
 
-// BadFrames reports how many connections were killed by undecodable or
-// oversized frames.
-func (t *TCP) BadFrames() uint64 { return t.badFrames.Value() }
-
-// SetObs attaches telemetry to the mesh: per-mesh counters resolve against
-// the registry, and the mesh-owned bad-frame counter is adopted under
-// obs.TransportBadFrames so snapshots read the same cell BadFrames()
-// does. Call before StartBatched; a nil registry leaves the mesh on the free
-// (nil-handle) path.
-func (t *TCP) SetObs(reg *obs.Registry) {
-	t.obs = obs.TransportMetricsFrom(reg)
-	reg.RegisterCounter(obs.TransportBadFrames, &t.badFrames)
-}
+// SetObs attaches telemetry to the mesh: its counters resolve against the
+// registry. Call before StartBatched; a nil registry leaves the mesh on the
+// free (nil-handle) path.
+func (t *TCP) SetObs(reg *obs.Registry) { t.obs = obs.TransportMetricsFrom(reg) }
 
 // serve takes an accepted connection: the hello names the dialer and the
 // peer, the connection is published as the peer's end of the pair's
@@ -804,7 +785,7 @@ func (t *TCP) open(slot *atomic.Pointer[pairConn], pc *pairConn, d *direction) e
 // finds it.
 func (t *TCP) dialPair(pc *pairConn, from, to int) error {
 	t.obs.Dials.Inc()
-	conn, err := t.dial(t.Addr(to))
+	conn, err := t.dial(to)
 	if err == nil {
 		pc.ends[pc.side(from)].Store(&conn)
 		var hello [helloSize]byte
@@ -935,10 +916,10 @@ func (t *TCP) reap(pc *pairConn, d *direction) {
 	d.waitMu.Unlock()
 }
 
-// Close shuts down listeners and connections, waits for reader goroutines
-// to exit, and reconciles every direction's accounting. Safe for concurrent
-// use: every caller returns only after the teardown has completed, and no
-// delivery callback runs after the first Close returns.
+// Close shuts down the listener and the connections, waits for reader
+// goroutines to exit, and reconciles every direction's accounting. Safe for
+// concurrent use: every caller returns only after the teardown has
+// completed, and no delivery callback runs after the first Close returns.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
 		t.mu.Lock()
@@ -950,11 +931,7 @@ func (t *TCP) Close() error {
 			}
 		}
 		t.mu.Unlock()
-		for _, l := range t.listeners {
-			if l != nil {
-				_ = l.Close()
-			}
-		}
+		_ = t.listener.Close()
 		for _, pc := range pcs {
 			pc.kill()
 		}

@@ -351,11 +351,11 @@ func TestTCPDialDoesNotHoldMeshLock(t *testing.T) {
 
 	realDial := mesh.dial
 	release := make(chan struct{})
-	mesh.dial = func(addr string) (net.Conn, error) {
-		if addr == mesh.Addr(1) {
+	mesh.dial = func(peer int) (net.Conn, error) {
+		if peer == 1 {
 			<-release // a peer whose dial hangs
 		}
-		return realDial(addr)
+		return realDial(peer)
 	}
 	defer close(release)
 
@@ -396,11 +396,11 @@ func TestTCPDialFailureAllowsRetry(t *testing.T) {
 
 	realDial := mesh.dial
 	fail := true
-	mesh.dial = func(addr string) (net.Conn, error) {
+	mesh.dial = func(peer int) (net.Conn, error) {
 		if fail {
 			return nil, errors.New("injected dial failure")
 		}
-		return realDial(addr)
+		return realDial(peer)
 	}
 	if err := send(mesh, Message{From: 0, To: 1, DV: []int{1, 0}}); err == nil {
 		t.Fatal("send over a failing dial should error")
@@ -430,6 +430,8 @@ func TestTCPBadFrameIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = mesh.Close() }()
+	reg := obs.NewRegistry()
+	mesh.SetObs(reg)
 	type linkErr struct {
 		from, to int
 	}
@@ -455,8 +457,8 @@ func TestTCPBadFrameIsLoud(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("poisoned frame produced no error callback")
 	}
-	if mesh.BadFrames() == 0 {
-		t.Fatal("poisoned frame not counted")
+	if got := reg.Snapshot().Counter(obs.TransportBadFrames); got != 1 {
+		t.Fatalf("%s = %d after one poisoned frame, want 1", obs.TransportBadFrames, got)
 	}
 }
 
@@ -673,8 +675,8 @@ func TestTCPLoudDeathIsFinal(t *testing.T) {
 		t.Fatalf("the poisoned batch: %d accepted, %v", n, err)
 	}
 	mesh.Drain(0, 1) // returns once the reader has died and reported
-	if lost.Load() != 3 || mesh.BadFrames() != 1 {
-		t.Fatalf("%d frames reported lost and %d bad frames, want 3 and 1", lost.Load(), mesh.BadFrames())
+	if bad := reg.Snapshot().Counter(obs.TransportBadFrames); lost.Load() != 3 || bad != 1 {
+		t.Fatalf("%d frames reported lost and %d bad frames, want 3 and 1", lost.Load(), bad)
 	}
 	for _, p := range [][2]int{{0, 1}, {1, 0}} {
 		if err := send(mesh, Message{From: p[0], To: p[1], DV: []int{1, 1}}); !errors.Is(err, ErrLinkDown) {

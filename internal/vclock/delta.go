@@ -59,32 +59,6 @@ func (dv DV) NewInfoDelta(d Delta) bool {
 	return false
 }
 
-// ComposePatch composes two sorted deltas into buf by assignment: writing
-// the result's entries into a vector equals writing a's and then b's (b's
-// value wins on a shared key). Its one caller, Kernel.DeliverBatch, composes
-// a run of one sender's compressed piggybacks, whose values never decrease
-// per key, so the composition is also their entry-wise maximum and the run
-// merges into the receiver's vector in one pass. Cost O(len(a)+len(b));
-// output sorted and duplicate-free.
-func ComposePatch(a, b, buf Delta) Delta {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].K < b[j].K:
-			buf = append(buf, a[i])
-			i++
-		case a[i].K > b[j].K:
-			buf = append(buf, b[j])
-			j++
-		default:
-			buf = append(buf, b[j]) // the later patch overwrites
-			i, j = i+1, j+1
-		}
-	}
-	buf = append(buf, a[i:]...)
-	return append(buf, b[j:]...)
-}
-
 // ExpandInto writes (base merged d) into the caller's reused buffer — the
 // sparse→dense bridge for consumers that genuinely need a full vector.
 // base and buf must have the same length.

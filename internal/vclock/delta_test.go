@@ -75,34 +75,6 @@ func TestSparseMergeEqualsDense(t *testing.T) {
 	}
 }
 
-// TestComposePatch holds ComposePatch to its definition: writing the
-// composition into a vector equals writing a's entries and then b's.
-func TestComposePatch(t *testing.T) {
-	assign := func(dv vclock.DV, d vclock.Delta) {
-		for _, e := range d {
-			dv[e.K] = e.V
-		}
-	}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(16)
-		a, b := randDelta(rng, n), randDelta(rng, n)
-		c := vclock.ComposePatch(a, b, nil)
-		if err := c.Validate(n); err != nil {
-			t.Fatalf("composed patch invalid: %v", err)
-		}
-		base := randDV(rng, n)
-		seq := base.Clone()
-		assign(seq, a)
-		assign(seq, b)
-		got := base.Clone()
-		assign(got, c)
-		if !got.Equal(seq) {
-			t.Fatalf("compose(%v, %v) = %v applied to %v gives %v, want %v", a, b, c, base, got, seq)
-		}
-	}
-}
-
 func TestExpandInto(t *testing.T) {
 	base := vclock.DV{1, 2, 3, 4}
 	d := vclock.Delta{{K: 0, V: 5}, {K: 2, V: 1}}

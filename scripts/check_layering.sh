@@ -272,6 +272,30 @@ if go doc repro WithStateSize >/dev/null 2>&1; then
 	fail=1
 fi
 
+# One delivery path. Every message, in both engines, is delivered by the
+# kernel's per-message step (Kernel.Deliver): no composed-run batch path — its
+# pending run, virtual vector and flush, the patch composition only it called,
+# the runtime's per-drain meta table — and the runtime delivers message by
+# message, not through DeliverBatch. A count has one cell (the mesh's bad
+# frames are a TransportMetrics counter, not an adopted one), and a metric
+# nothing reads is not kept.
+for gone in vclock.ComposePatch obs.Registry.RegisterCounter transport.TCP.BadFrames \
+	obs.RuntimeLinkReconnects; do
+	if go doc "repro/internal/${gone%%.*}" "${gone#*.}" >/dev/null 2>&1; then
+		echo "layering violation: $gone exists again; a delivery is one per-message step, and a count has one cell that something reads" >&2
+		fail=1
+	fi
+done
+if grep -nwE 'pendRun|virtView|flushRun|deliverMeta' \
+	$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*') >&2; then
+	echo "layering violation: the composed-run delivery path (pendRun, virtView, flushRun) or the runtime's deliverMeta is back" >&2
+	fail=1
+fi
+if grep -rnE '\.DeliverBatch\(' internal/runtime >&2; then
+	echo "layering violation: internal/runtime calls DeliverBatch; a drain delivers each message with Kernel.Deliver" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -284,4 +308,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
