@@ -484,7 +484,7 @@ func TestDeliverBatchMatchesSequential(t *testing.T) {
 // TestCheckpointAllocationBudget holds a whole checkpoint — 170-key
 // application snapshot into the kernel's scratch buffer, record encode,
 // group commit on a log store, collector work, the collected checkpoint's
-// tombstone — to the allocations it needs: the store's index entry.
+// tombstone — to no allocation: the store holds its index entry by value.
 func TestCheckpointAllocationBudget(t *testing.T) {
 	ls, err := logstore.Open(t.TempDir(), logstore.Options{Sync: func(*os.File) error { return nil }})
 	if err != nil {
@@ -515,8 +515,8 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		checkpoint() // warm the scratch buffer, the batch freelist, the index
 	}
-	if allocs := testing.AllocsPerRun(200, checkpoint); allocs != 1 {
-		t.Fatalf("Kernel.Checkpoint, 170-key KV on a log store: %v allocs/op, want 1", allocs)
+	if allocs := testing.AllocsPerRun(200, checkpoint); allocs != 0 {
+		t.Fatalf("Kernel.Checkpoint, 170-key KV on a log store: %v allocs/op, want 0", allocs)
 	}
 	if live := ls.Stats().Live; live != 1 {
 		t.Fatalf("a process that never communicates retains %d checkpoints, want 1", live)

@@ -9,19 +9,35 @@ import (
 	"repro/internal/storage"
 )
 
-// kickCompactLocked nudges the compactor; a kick already pending is enough.
-func (s *LogStore) kickCompactLocked() {
-	if s.opt.NoCompact {
+// victimLocked reports whether segment id qualifies for compaction: sealed
+// (not the tail), no staged batch still targeting it, and a live ratio below
+// compactRatio.
+func (s *LogStore) victimLocked(id int) bool {
+	seg := s.segs[id]
+	return seg != nil && id != s.projSeg && seg.batches == 0 &&
+		float64(seg.live)/float64(seg.size) < compactRatio
+}
+
+// kickIfVictimLocked wakes the compactor if segment id qualifies; a kick
+// already pending is enough. A segment becomes a victim only when one of the
+// conditions of victimLocked turns true with the others holding: the tail
+// rolls past it, its last staged batch commits, or a Delete drops its live
+// bytes — its size grows only while it is the tail. Those three events and
+// Open, which checks what replay left, are the only callers: an op that
+// cannot have made a victim wakes nobody.
+func (s *LogStore) kickIfVictimLocked(id int) {
+	if s.opt.NoCompact || !s.victimLocked(id) {
 		return
 	}
 	select {
 	case s.compactKick <- struct{}{}:
+		s.wakes++
 	default:
 	}
 }
 
-// compactor runs in the background and, whenever kicked (after commits and
-// deletes), compacts segments until no victim qualifies.
+// compactor runs in the background and, whenever kicked (a segment has
+// become a victim), compacts segments until no victim qualifies.
 func (s *LogStore) compactor() {
 	defer close(s.compactorDone)
 	for {
@@ -40,7 +56,7 @@ func (s *LogStore) compactor() {
 func (s *LogStore) pickVictimLocked() int {
 	best, bestRatio := -1, compactRatio
 	for id, seg := range s.segs {
-		if id == s.projSeg || seg.batches > 0 {
+		if !s.victimLocked(id) {
 			continue
 		}
 		if ratio := float64(seg.live) / float64(seg.size); ratio < bestRatio {
@@ -105,7 +121,9 @@ func (s *LogStore) compactOnce() bool {
 	}
 	for _, idx := range carry {
 		b := s.stageTombstoneLocked(idx)
-		s.recs[idx].tombSeg = b.seg
+		ri := s.recs[idx]
+		ri.tombSeg = b.seg
+		s.recs[idx] = ri
 		hold(b)
 	}
 	for _, b := range held {
@@ -118,7 +136,11 @@ func (s *LogStore) compactOnce() bool {
 		return false
 	}
 	for idx, ri := range s.recs {
-		ri.older = slices.DeleteFunc(ri.older, func(seg int) bool { return seg == victim })
+		changed := slices.Contains(ri.older, victim)
+		if changed {
+			// In place: the entry must be written back below.
+			ri.older = slices.DeleteFunc(ri.older, func(seg int) bool { return seg == victim })
+		}
 		if ri.seg == victim && ri.dead {
 			if len(ri.older) == 0 {
 				delete(s.recs, idx)
@@ -127,6 +149,10 @@ func (s *LogStore) compactOnce() bool {
 			// An earlier copy outlives this one: seg names its segment, so
 			// the tombstone is carried until that segment goes too.
 			ri.seg, ri.older = ri.older[0], ri.older[1:]
+			changed = true
+		}
+		if changed {
+			s.recs[idx] = ri
 		}
 	}
 	// No record points into the victim any more, so nothing reads it again:
@@ -155,11 +181,10 @@ func (s *LogStore) stageRewriteLocked(cp storage.Checkpoint) *batch {
 	s.segs[old.seg].live -= int64(old.size)
 	// The superseded copy is not listed in older: the victim holding it is
 	// dropped once this rewrite is durable, or the store stops.
-	ri := &recInfo{
+	s.recs[cp.Index] = recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: old.stateLen,
 		tombSeg: -1, older: old.older, pending: body, pendingIn: b,
 	}
-	s.recs[cp.Index] = ri
 	s.segs[b.seg].live += int64(len(body))
-	return ri.pendingIn
+	return b
 }

@@ -174,10 +174,11 @@ func Factory(dir string) func(self int) (storage.Store, error) {
 }
 
 // recInfo is the in-memory index entry for one checkpoint record: where its
-// body bytes live and its deletion state. Dead entries persist until every
-// segment holding a copy of their index is compacted away or a save takes
-// their index again — they are what tells compaction which tombstones still
-// matter.
+// body bytes live and its deletion state. The index holds entries by value,
+// so a save costs the heap nothing: every site that changes an entry writes
+// it back. Dead entries persist until every segment holding a copy of their
+// index is compacted away or a save takes their index again — they are what
+// tells compaction which tombstones still matter.
 type recInfo struct {
 	seg      int
 	off      int64 // offset of the record body (v2 bytes) in the segment
@@ -258,7 +259,7 @@ type LogStore struct {
 	dir    string
 	opt    Options
 
-	recs   map[int]*recInfo
+	recs   map[int]recInfo
 	sorted []int // live indices, ascending
 	stats  storage.Stats
 
@@ -291,6 +292,7 @@ type LogStore struct {
 
 	committerDone chan struct{}
 	compactKick   chan struct{}
+	wakes         int // kicks that reached the compactor, under mu; tests read it
 	compactorDone chan struct{}
 	stop          chan struct{}
 	closeOnce     sync.Once
@@ -317,7 +319,7 @@ func Open(dir string, opt Options) (*LogStore, error) {
 	s := &LogStore{
 		dir:           dir,
 		opt:           opt.withDefaults(),
-		recs:          make(map[int]*recInfo),
+		recs:          make(map[int]recInfo),
 		segs:          make(map[int]*segInfo),
 		projSeg:       -1,
 		fSeg:          -1,
@@ -331,6 +333,9 @@ func Open(dir string, opt Options) (*LogStore, error) {
 	s.synced.L = &s.mu
 	if err := s.replay(); err != nil {
 		return nil, err
+	}
+	for id := range s.segs {
+		s.kickIfVictimLocked(id) // buffered: the compactor takes it once started
 	}
 	go s.committer()
 	if s.opt.NoCompact {
@@ -457,12 +462,13 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		s.mu.Unlock()
 		return err
 	}
-	if old := s.recs[cp.Index]; old != nil && !old.dead {
+	old, had := s.recs[cp.Index]
+	if had && !old.dead {
 		// A dead record's index is free: this save supersedes it.
 		s.mu.Unlock()
 		return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 	}
-	b := s.stageSaveLocked(cp)
+	b := s.stageSaveLocked(cp, old, had)
 	if s.notify != nil {
 		s.commit.Signal()
 		s.staged++
@@ -480,19 +486,20 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 	return err
 }
 
-// stageSaveLocked encodes cp, stages the frame, and applies index state. The
+// stageSaveLocked encodes cp, stages the frame, and applies index state. old
+// is the index's dead entry, if had: Save has looked it up already. The
 // caller makes the returned batch wanted: it holds and awaits it, or gives
 // it a stage number.
-func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) *batch {
+func (s *LogStore) stageSaveLocked(cp storage.Checkpoint, old recInfo, had bool) *batch {
 	s.enc = storage.AppendRecord(s.enc[:0], cp)
 	s.roomLocked(frameHdrLen + len(s.enc))
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
-	ri := &recInfo{
+	ri := recInfo{
 		seg: b.seg, off: bodyOff, size: len(body), stateLen: len(cp.State),
 		tombSeg: -1, pending: body, pendingIn: b,
 	}
-	if old := s.recs[cp.Index]; old != nil {
+	if had {
 		// A dead record (Save refuses a live one): its bytes stay on disk.
 		ri.older = withSeg(old.older, old.seg)
 	}
@@ -529,9 +536,11 @@ func (s *LogStore) roomLocked(need int) {
 		fresh = false // empty segment: take the oversized frame here
 	}
 	if fresh {
+		sealed := s.projSeg
 		s.projSeg++
 		s.projOff = segHdrLen
 		s.segs[s.projSeg] = &segInfo{size: segHdrLen}
+		s.kickIfVictimLocked(sealed)
 	}
 	var b *batch
 	if k := len(s.free); k > 0 {
@@ -588,14 +597,15 @@ func (s *LogStore) Delete(index int) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
-	ri := s.recs[index]
-	if ri == nil || ri.dead {
+	ri, ok := s.recs[index]
+	if !ok || ri.dead {
 		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
 	}
 	newest := index == s.sorted[len(s.sorted)-1]
 	b := s.stageTombstoneLocked(index)
 	ri.dead = true
 	ri.tombSeg = b.seg
+	s.recs[index] = ri
 	s.sorted = removeSorted(s.sorted, index)
 	s.segs[ri.seg].live -= int64(ri.size)
 	s.stats.Collected++
@@ -604,7 +614,7 @@ func (s *LogStore) Delete(index int) error {
 	s.obs.Deletes.Inc()
 	s.obs.Retained.Add(-1)
 	s.flight.Record(obs.Event{Kind: obs.EvCollect, P: s.proc, Msg: index})
-	s.kickCompactLocked()
+	s.kickIfVictimLocked(ri.seg)
 	if newest {
 		s.holdLocked(b)
 		return s.awaitLocked(b)
@@ -664,7 +674,7 @@ func (s *LogStore) readableLocked(index int) error {
 	if s.closed {
 		return errClosed
 	}
-	if ri := s.recs[index]; ri == nil || ri.dead {
+	if ri, ok := s.recs[index]; !ok || ri.dead {
 		return fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
 	return nil
@@ -689,7 +699,7 @@ func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
 // copy while its batch is in flight, by one read through the segment's kept
 // descriptor once durable. The read lands in s.rbuf, so the bytes are valid
 // only until the next call; the decoders copy out of them.
-func (s *LogStore) bodyLocked(ri *recInfo, n int) ([]byte, error) {
+func (s *LogStore) bodyLocked(ri recInfo, n int) ([]byte, error) {
 	if ri.pending != nil {
 		return ri.pending[:n], nil
 	}
@@ -812,11 +822,13 @@ func (s *LogStore) committer() {
 		}
 		if seg := s.segs[b.seg]; seg != nil {
 			seg.batches--
+			s.kickIfVictimLocked(b.seg)
 		}
 		s.stagedBytes -= len(b.buf)
 		for _, idx := range b.saved {
-			if ri := s.recs[idx]; ri != nil && ri.pendingIn == b {
+			if ri, ok := s.recs[idx]; ok && ri.pendingIn == b {
 				ri.pending, ri.pendingIn = nil, nil
+				s.recs[idx] = ri
 			}
 		}
 		s.obs.BatchRecords.Observe(int64(b.records))
@@ -826,7 +838,6 @@ func (s *LogStore) committer() {
 		s.synced.Broadcast()
 		s.recycleLocked(b)
 		s.flow.Broadcast()
-		s.kickCompactLocked()
 		if stage > 0 {
 			s.obs.DurableLag.Add(-int64(stage - s.durable))
 			s.durable = stage
@@ -912,7 +923,7 @@ func withSeg(older []int, seg int) []int {
 
 // copyOutside reports whether a copy of ri's index, its own or an earlier
 // one, survives in a segment other than victim.
-func (ri *recInfo) copyOutside(victim int) bool {
+func (ri recInfo) copyOutside(victim int) bool {
 	return ri.seg != victim || slices.ContainsFunc(ri.older, func(seg int) bool { return seg != victim })
 }
 

@@ -201,8 +201,8 @@ func (s *LogStore) replayApplySave(seg int, bodyOff int64, body []byte) error {
 		return fmt.Errorf("logstore: segment %d: %w", seg, err)
 	}
 	idx := cp.Index
-	ri := &recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(cp.State), tombSeg: -1}
-	if old := s.recs[idx]; old != nil {
+	ri := recInfo{seg: seg, off: bodyOff, size: len(body), stateLen: len(cp.State), tombSeg: -1}
+	if old, ok := s.recs[idx]; ok {
 		if !old.dead {
 			if old.seg == seg {
 				return corruptf("logstore: segment %d: duplicate live checkpoint %d", seg, idx)
@@ -234,16 +234,17 @@ func (s *LogStore) replayApplyTomb(seg int, body []byte) error {
 	if idx < 0 {
 		return corruptf("logstore: segment %d: tombstone for negative index", seg)
 	}
-	ri := s.recs[idx]
-	if ri == nil {
+	ri, ok := s.recs[idx]
+	if !ok {
 		return nil
 	}
-	if ri.dead {
-		ri.tombSeg = seg
-		return nil
-	}
+	wasDead := ri.dead
 	ri.dead = true
 	ri.tombSeg = seg
+	s.recs[idx] = ri
+	if wasDead {
+		return nil
+	}
 	s.sorted = removeSorted(s.sorted, idx)
 	s.segs[ri.seg].live -= int64(ri.size)
 	s.stats.Live--
