@@ -19,21 +19,25 @@ import (
 //
 // The encoder pays O(changed) too, not just the wire: instead of keeping a
 // full vector copy per destination (O(n) memory each, O(n) scan per
-// encode), the kernel appends every entry change to a shared change log
-// and remembers, per destination, the log position its last message
-// covered. An encode replays only the log suffix since that position —
-// exactly the changed entries, because vector entries only ever increase
-// between compression resets. When that suffix is at least n long (dense
-// traffic: every pair is used rarely, and most of the vector moves between
-// two of its messages) an encode instead scans, per entry, the log
+// encode), the kernel counts entry changes in one position counter and
+// remembers, per entry, the position of its latest change and, per
+// destination, the position its last message covered — the "last update"
+// and "last sent" of the original technique. The entries are kept in one
+// recency list, newest change first, so the entries that changed since a
+// destination's covered position are a prefix of it: an encode walks that
+// prefix, visiting each changed entry once however often it changed, and
+// sorts it. When the destination's window is at least n positions long
+// (dense traffic: every pair is used rarely, and most of the vector moves
+// between two of its messages) an encode instead scans, per entry, the
 // position of the entry's latest change — the same set, already in key
-// order — so an encode costs O(min(window, n)). The encoder state is O(n)
-// ints per kernel, the order of the dependency vector and the collector's
-// UC it sits beside, carved from one array at construction and never
-// allocated again.
+// order — so an encode costs O(min(changed·log changed, n)). The encoder
+// state is a fixed 7n ints per kernel, the order of the dependency vector
+// and the collector's UC it sits beside, carved from one array at
+// construction and never allocated again, however long a destination stays
+// quiet.
 //
 // A reset (every recovery session, on every kernel) is O(1), not a clear:
-// log positions never restart, and every per-peer and per-entry value
+// positions never restart, and every per-peer and per-entry value
 // written before the latest reset reads as unwritten (see resetPos).
 //
 // Ownership. The entries of a piggyback live in a buffer drawn from the
@@ -58,37 +62,33 @@ type Entry = vclock.Entry
 // per-entry state is dense — slices of length n indexed by process — so the
 // send and receive paths touch no map and reset touches none of it.
 type compressor struct {
-	// log records the index of every dependency-vector entry that changed,
-	// in change order; the absolute position of log[i] is logBase+i.
-	// Trimming drops the prefix every destination has already covered.
-	log     []int
-	logBase int
-	// resetPos is the log position of the latest reset (0 before any): every
+	// pos is the current change position: every note batch advances it by
+	// the batch's length, every reset by one. An encode covers the changes
+	// up to it.
+	pos int
+	// resetPos is the position of the latest reset (0 before any): every
 	// per-peer and per-entry value written before the reset is at most
 	// resetPos, and every one written after it is above.
 	resetPos int
-	// chgPos[k] is the log position just past the note batch that last
-	// recorded entry k; a value not above resetPos means k has not changed
-	// since the last reset. An encode's covered position is always a batch
-	// boundary (positions are captured between kernel events) and at least
-	// resetPos, so k changed at or after it exactly when chgPos[k] > covered.
+	// chgPos[k] is the position just past the note batch that last recorded
+	// entry k; a value not above resetPos means k has not changed since the
+	// last reset. An encode's covered position is always a batch boundary
+	// (positions are captured between kernel events) and at least resetPos,
+	// so k changed at or after it exactly when chgPos[k] > covered.
 	chgPos []int
-	// sentPos[d] is one past the log position destination d's most recent
-	// encode covered; a value not above resetPos marks a destination that has
-	// not been synced since the last reset and gets a full scan of the vector.
+	// head, next and prev hold every entry in one doubly-linked recency
+	// list, ordered by chgPos with the newest change first (-1 ends it), so
+	// the entries with chgPos above any position are a prefix of the list.
+	head       int
+	next, prev []int
+	// sentPos[d] is one past the position destination d's most recent encode
+	// covered; a value not above resetPos marks a destination that has not
+	// been synced since the last reset and gets a full scan of the vector.
 	sentPos []int
-	// trimAt is the log length at which trim next looks for a droppable
-	// prefix, so its O(n) minimum is paid once per minTrim noted changes,
-	// not once per encode.
-	trimAt int
 
 	encCnt   []int // per destination: encodes so far since it was synced (the wire Ord)
 	recvNext []int // per source: next expected wire Ord, valid while recvGen matches
 	recvGen  []int // per source: the resetPos recvNext was last written under
-
-	// seen/stamp dedup log indices during one log walk without clearing.
-	seen  []int
-	stamp int
 
 	// entBuf is the buffer every encode builds its result in; the result is
 	// valid until the next encode (Kernel.Send copies it out).
@@ -97,44 +97,53 @@ type compressor struct {
 
 func newCompressor(n int) *compressor {
 	c := &compressor{}
-	all := make([]int, 6*n)
-	for _, s := range []*[]int{&c.chgPos, &c.sentPos, &c.encCnt, &c.recvNext, &c.recvGen, &c.seen} {
+	all := make([]int, 7*n)
+	for _, s := range []*[]int{&c.chgPos, &c.next, &c.prev, &c.sentPos, &c.encCnt, &c.recvNext, &c.recvGen} {
 		*s, all = all[:n:n], all[n:]
 	}
+	// Every entry is listed from the start, in key order: none has changed.
+	for k := range n {
+		c.prev[k], c.next[k] = k-1, k+1
+	}
+	c.next[n-1] = -1
 	return c
 }
 
-// reset discards all incremental state — log, per-pair positions and
-// orders — restarting every pair from a full set of entries, in O(1): the
-// log restarts one position past its end, so every value written so far
-// reads as "before the reset" (see resetPos). The stamp survives so stale
-// seen marks can never collide.
+// reset discards all incremental state — per-pair positions and orders —
+// restarting every pair from a full set of entries, in O(1): the position
+// moves one past its end, so every value written so far reads as "before
+// the reset" (see resetPos), and every listed entry reads as unchanged.
 func (c *compressor) reset() {
-	c.logBase = c.pos() + 1
-	c.resetPos = c.logBase
-	c.log = c.log[:0]
-	c.trimAt = 0
+	c.pos++
+	c.resetPos = c.pos
 }
 
-// note records that the vector entries with the given indices increased.
-// The kernel calls it on every merge, checkpoint and initialization, so
-// the log is a faithful journal of the vector's evolution.
+// note records that the vector entries with the given indices increased,
+// moving each to the head of the recency list. The kernel calls it on every
+// merge, checkpoint and initialization.
 func (c *compressor) note(indices ...int) {
-	c.log = append(c.log, indices...)
-	end := c.pos()
+	c.pos += len(indices)
 	for _, k := range indices {
-		c.chgPos[k] = end
+		c.chgPos[k] = c.pos
+		if k == c.head {
+			continue
+		}
+		p, nx := c.prev[k], c.next[k]
+		c.next[p] = nx
+		if nx >= 0 {
+			c.prev[nx] = p
+		}
+		c.prev[k], c.next[k] = -1, c.head
+		c.prev[c.head] = k
+		c.head = k
 	}
 }
 
-// pos returns the current log position: an encode covers the log up to it.
-func (c *compressor) pos() int { return c.logBase + len(c.log) }
-
 // encode returns the entries of dv that changed since the previous encode
-// for dest — the log window between the destination's last covered position
-// and the end of the log — in key order, plus the message's per-pair wire
-// order. The entries live in the compressor's buffer and are valid until
-// the next encode.
+// for dest — those whose latest change lies past the destination's covered
+// position — in key order, plus the message's per-pair wire order. The
+// entries live in the compressor's buffer and are valid until the next
+// encode.
 func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
 	if dest < 0 || dest >= len(c.sentPos) {
 		return nil, 0, fmt.Errorf("node: compressed piggyback for destination %d outside [0,%d)", dest, len(c.sentPos))
@@ -147,7 +156,6 @@ func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
 	c.encCnt[dest] = ord + 1
 
 	entries := c.entBuf[:0]
-	pos := c.pos()
 	covered := c.sentPos[dest] - 1
 	switch {
 	case !synced:
@@ -158,44 +166,34 @@ func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
 				entries = append(entries, Entry{K: k, V: v})
 			}
 		}
-	case covered < c.logBase:
-		// Positions below logBase are trimmed only once every synced
-		// destination has passed them.
-		return nil, 0, fmt.Errorf("node: internal: change log trimmed to %d past →p%d's covered position %d",
-			c.logBase, dest, covered)
-	case pos-covered >= len(c.chgPos):
+	case c.pos-covered >= len(c.chgPos):
 		// A window no shorter than the vector: asking each entry whether it
 		// changed is the cheaper enumeration.
 		entries = c.scanChanged(covered, dv, entries)
 	default:
-		entries = c.walkLog(covered, dv, entries)
+		entries = c.walkRecent(covered, dv, entries)
 	}
 	c.entBuf = entries
-	c.sentPos[dest] = pos + 1
-	c.trim()
+	c.sentPos[dest] = c.pos + 1
 	return entries, ord, nil
 }
 
-// walkLog appends the entries whose indices appear in the log from position
-// covered on, in key order. Every index there strictly increased since the
-// pair's previous message, so its value is new to the receiver; indices
-// changed more than once are sent once.
-func (c *compressor) walkLog(covered int, dv vclock.DV, entries []Entry) []Entry {
-	c.stamp++
-	for _, k := range c.log[covered-c.logBase:] {
-		if c.seen[k] == c.stamp {
-			continue
-		}
-		c.seen[k] = c.stamp
+// walkRecent appends the entries that changed at or after position
+// covered, in key order: the recency list's prefix down to the first entry
+// whose latest change is not past covered, sorted. Every one strictly
+// increased since the pair's previous message, so its value is new to the
+// receiver, and each is listed once however often it changed.
+func (c *compressor) walkRecent(covered int, dv vclock.DV, entries []Entry) []Entry {
+	for k := c.head; k >= 0 && c.chgPos[k] > covered; k = c.next[k] {
 		entries = append(entries, Entry{K: k, V: dv[k]})
 	}
 	slices.SortFunc(entries, func(a, b Entry) int { return a.K - b.K })
 	return entries
 }
 
-// scanChanged appends the entries that changed at or after log position
-// covered, in key order: the set walkLog enumerates, found per entry
-// instead of per log position.
+// scanChanged appends the entries that changed at or after position
+// covered, in key order: the set walkRecent enumerates, found per entry
+// instead of per list position.
 func (c *compressor) scanChanged(covered int, dv vclock.DV, entries []Entry) []Entry {
 	for k, p := range c.chgPos {
 		if p > covered {
@@ -203,34 +201,6 @@ func (c *compressor) scanChanged(covered int, dv vclock.DV, entries []Entry) []E
 		}
 	}
 	return entries
-}
-
-// trim drops the log prefix every synced destination has covered. It never
-// evicts a destination's position: eviction would make what a message
-// carries depend on when the log was last trimmed, not only on what changed
-// since the pair's previous message — the definition the equivalence tests
-// and the compression tables hold every encode to. The cost of that
-// guarantee is that a once-synced destination that goes permanently quiet
-// pins the log, which then grows with the kernel's total entry changes
-// until the next compression reset (recovery sessions reset it); the old
-// per-destination vector copies cost O(n) per active pair instead, so the
-// trade is bounded history for bounded width.
-func (c *compressor) trim() {
-	const minTrim = 256
-	if len(c.log) < c.trimAt {
-		return
-	}
-	m := c.pos()
-	for _, sp := range c.sentPos {
-		if sp > c.resetPos && sp-1 < m {
-			m = sp - 1
-		}
-	}
-	if cut := m - c.logBase; cut >= minTrim {
-		c.log = c.log[:copy(c.log, c.log[cut:])]
-		c.logBase = m
-	}
-	c.trimAt = len(c.log) + minTrim
 }
 
 // verifyArrival checks a compressed message arrives exactly in per-pair

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -40,14 +41,14 @@ func compressingKernel(t *testing.T, id, n int, d Driver) *Kernel {
 // TestScanMatchesLogWalk is the equivalence the send-time fast path rests
 // on. Over 1000 seeded histories — random interleavings of merges,
 // checkpoints, sends and the occasional reset, at n = 4, 32 and 64, with
-// uniform and repeat-pair destinations, long enough to cross trim many
-// times — every send-time encode is computed three ways: by the log walk, by
-// the per-entry scan, and from the definition (the entries that differ from
-// a copy of the vector kept at the pair's previous message). All three, and
-// whichever of the first two encode itself chose, must agree entry for
-// entry, and the wire Ord must count the pair's encodes since the reset.
+// uniform and repeat-pair destinations — every send-time encode is computed
+// three ways: by the recency-list walk, by the per-entry scan, and from the
+// definition (the entries that differ from a copy of the vector kept at the
+// pair's previous message). All three, and whichever of the first two
+// encode itself chose, must agree entry for entry, and the wire Ord must
+// count the pair's encodes since the reset.
 func TestScanMatchesLogWalk(t *testing.T) {
-	scans, walks, trims := 0, 0, 0
+	scans, walks := 0, 0
 	for seed := 0; seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := []int{4, 32, 64}[seed%3]
@@ -93,18 +94,17 @@ func TestScanMatchesLogWalk(t *testing.T) {
 					}
 				}
 				if covered := c.sentPos[dest] - 1; covered >= c.resetPos {
-					walk := c.walkLog(covered, dv, nil)
+					walk := c.walkRecent(covered, dv, nil)
 					scan := c.scanChanged(covered, dv, nil)
 					if !slices.Equal(walk, want) || !slices.Equal(scan, want) {
 						t.Fatalf("seed %d step %d →p%d: walk %v, scan %v, definition %v", seed, step, dest, walk, scan, want)
 					}
-					if c.pos()-covered >= n {
+					if c.pos-covered >= n {
 						scans++
 					} else {
 						walks++
 					}
 				}
-				base := c.logBase
 				got, ord, err := c.encode(dest, dv)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -115,16 +115,13 @@ func TestScanMatchesLogWalk(t *testing.T) {
 				if ord != ords[dest] {
 					t.Fatalf("seed %d step %d →p%d: Ord %d, want %d", seed, step, dest, ord, ords[dest])
 				}
-				if c.logBase != base {
-					trims++
-				}
 				ords[dest]++
 				lastSent[dest] = append(lastSent[dest][:0], dv...)
 			}
 		}
 	}
-	if scans == 0 || walks == 0 || trims == 0 {
-		t.Fatalf("histories took the scan %d times, the log walk %d times and trimmed %d times; all three must occur", scans, walks, trims)
+	if scans == 0 || walks == 0 {
+		t.Fatalf("histories took the scan %d times and the list walk %d times; both must occur", scans, walks)
 	}
 }
 
@@ -242,28 +239,46 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 	}
 }
 
-// TestUnsentSnapshotDoesNotPinTheLog: a snapshot a compressing kernel takes
-// for a message nobody receives is never encoded, so it must not hold the
-// change log back — 3,000 changes later the log is still trimmed to within
-// a few trim steps of the pair's covered position.
-func TestUnsentSnapshotDoesNotPinTheLog(t *testing.T) {
-	const n = 2
-	a, b := compressingKernel(t, 0, n, nil), compressingKernel(t, 1, n, nil)
-	a.SendSnapshot()
-	for i := 0; i < 3000; i++ {
-		if _, err := a.Checkpoint(true); err != nil {
-			t.Fatal(err)
-		}
-		pb, err := a.Send(1)
+// TestCompressorStateIsSevenN pins the encoder's memory bound: its int
+// state is the 7n it was built with, whatever the traffic. One destination
+// synced once and then quiet, 100,000 changes sent to another, and a
+// snapshot nobody encodes leave every int slice of the compressor at its
+// construction length and capacity — nothing grows with the changes a
+// quiet destination has not been sent.
+func TestCompressorStateIsSevenN(t *testing.T) {
+	const n = 3
+	a := compressingKernel(t, 0, n, nil)
+	b, c := compressingKernel(t, 1, n, nil), compressingKernel(t, 2, n, nil)
+	send := func(dest int, to *Kernel) {
+		t.Helper()
+		pb, err := a.Send(dest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Deliver(pb); err != nil {
+		if _, err := to.Deliver(pb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(a.comp.log); got >= 2*256 {
-		t.Fatalf("change log holds %d entries after 3000 sends; a snapshot nobody encodes pins it", got)
+	send(2, c) // p2 is synced once, then never sent to again
+	a.SendSnapshot()
+	for i := 0; i < 100_000; i++ {
+		if _, err := a.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+		send(1, b)
+	}
+	count, lens, caps := 0, 0, 0
+	v := reflect.ValueOf(a.comp).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Type() == reflect.TypeOf([]int(nil)) {
+			count++
+			lens += f.Len()
+			caps += f.Cap()
+		}
+	}
+	if count != 7 || lens != 7*n || caps != 7*n {
+		t.Fatalf("compressor holds %d int slices of total length %d and capacity %d after 100,000 changes; want 7 slices, %d and %d",
+			count, lens, caps, 7*n, 7*n)
 	}
 }
 
@@ -294,7 +309,7 @@ func TestCompressedSendAllocatesNothing(t *testing.T) {
 		d.recycle(pb)
 	}
 	for i := 0; i < 4*n; i++ {
-		step() // sync every pair, grow the log and the buffers to their steady size
+		step() // sync every pair, grow the buffers to their steady size
 	}
 	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
 		t.Errorf("steady-state compressed Send: %v allocs/op, want 0", allocs)

@@ -35,11 +35,11 @@ func TestCompressedCostIsChanged(t *testing.T) {
 	}
 }
 
-// TestChangeLogTrim drives one pair far past the trim threshold while a
-// second destination stays synced at an old position, then checks both
-// destinations still receive exactly the right entries — trimming must be
-// invisible.
-func TestChangeLogTrim(t *testing.T) {
+// TestQuietDestinationCatchesUpWithOneEntry drives one pair through
+// thousands of changes while a second destination stays synced at an old
+// position, then checks the long-quiet destination catches up with exactly
+// the one entry that changed since its previous message.
+func TestQuietDestinationCatchesUpWithOneEntry(t *testing.T) {
 	const n = 3
 	a := kernel(t, 0, n, true)
 	b := kernel(t, 1, n, true)
@@ -60,8 +60,8 @@ func TestChangeLogTrim(t *testing.T) {
 		deliver(to, pb)
 	}
 
-	send(2, c) // sync a→c once, pinning an early log position
-	// Drive a→b through thousands of changes, far past the trim threshold.
+	send(2, c) // sync a→c once, at an early position
+	// Drive a→b through thousands of changes.
 	for i := 0; i < 3000; i++ {
 		if _, err := a.Checkpoint(true); err != nil {
 			t.Fatal(err)

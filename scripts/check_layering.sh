@@ -104,8 +104,9 @@ done
 # One encode time. Both engines compress a piggyback when it is sent, in
 # Kernel.Send (its body is Kernel.send, the pointer form it wraps); the
 # encoder has no other caller. A second call site, or the
-# delivery-time encoder and the log position it replayed to, is the lazy
-# path growing back — with its held positions that pin the change log.
+# delivery-time encoder and the position it replayed to, is the lazy path
+# growing back — with held positions that would pin encoder state for
+# messages not yet delivered.
 node_files=$(ls internal/node/*.go | grep -v '_test\.go$')
 encode_sites=$(awk '/^func /{fn=$0} /\.encode\(/{print FILENAME ": " fn}' $node_files)
 if [ "$(printf '%s\n' "$encode_sites" | grep -c 'func (k \*Kernel) send(')" -ne 1 ] ||
@@ -117,6 +118,14 @@ fi
 all_go=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*')
 if grep -nw 'EncodeFor' $all_go >&2 || go doc repro/internal/node Piggyback.Pos >/dev/null 2>&1; then
 	echo "layering violation: the delivery-time encoder (EncodeFor, Piggyback.Pos) is back" >&2
+	fail=1
+fi
+# The encoder's state is a fixed 7n ints: a recency list of the changed
+# entries, each listed once, replaced the change log, which journalled every
+# repeat and grew while one synced destination stayed quiet. The journal and
+# the names that managed it stay gone.
+if grep -nwE 'logBase|trimAt|minTrim|walkLog' $node_files >&2; then
+	echo "layering violation: internal/node keeps a change log again (logBase, trimAt, minTrim, walkLog); the compressor's state is its 7n-int recency list" >&2
 	fail=1
 fi
 
@@ -308,4 +317,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
