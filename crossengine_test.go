@@ -115,9 +115,9 @@ func xcompare(t *testing.T, phase string, r *sim.Runner, c *runtime.Cluster) {
 		t.Errorf("%s: checkpoint counts diverge: sim (%d,%d) vs live (%d,%d)",
 			phase, m.Basic, m.Forced, basic, forced)
 	}
-	if m.PiggybackEntries != c.PiggybackEntries() {
-		t.Errorf("%s: piggybacked entries diverge: sim %d vs live %d",
-			phase, m.PiggybackEntries, c.PiggybackEntries())
+	if m.PiggybackEntries != c.PiggybackEntries() || m.PiggybackBytes != c.PiggybackBytes() {
+		t.Errorf("%s: piggybacks diverge: sim %d entries in %d bytes vs live %d in %d",
+			phase, m.PiggybackEntries, m.PiggybackBytes, c.PiggybackEntries(), c.PiggybackBytes())
 	}
 	// Both linearized histories rebuild the same oracle; one verdict pass
 	// suffices once the histories are known equal.
@@ -130,7 +130,8 @@ func xcompare(t *testing.T, phase string, r *sim.Runner, c *runtime.Cluster) {
 // the simulator and a serialized live cluster — full-vector and compressed,
 // with the RDT-LGC collector — then puts both through the same recovery
 // session and a post-recovery stream, asserting identical checkpoint and
-// communication patterns, retained sets and recovery lines throughout.
+// communication patterns, retained sets and recovery lines throughout, and
+// — compressed — the same piggybacks, in both of their wire forms.
 func TestCrossEngineDifferential(t *testing.T) {
 	const n = 4
 	for _, compress := range []bool{false, true} {
@@ -184,6 +185,12 @@ func TestCrossEngineDifferential(t *testing.T) {
 			}
 			xdrive(t, c, cont)
 			xcompare(t, "after continuation", r, c)
+
+			// Compressed, both forms crossed: whole vectors (8 bytes an
+			// entry) and changed entries (16), so the bytes fall between.
+			if e, b := c.PiggybackEntries(), c.PiggybackBytes(); compress && (b <= 8*e || b >= 16*e) {
+				t.Errorf("compressed engines shipped %d entries in %d bytes: want both forms", e, b)
+			}
 		})
 	}
 }

@@ -15,7 +15,9 @@ import (
 // covered by the previous message — so the middleware behaves identically
 // to full-vector piggybacking (the equivalence tests assert this) while
 // the control information shrinks from n entries per message to the number
-// of recently changed ones.
+// of recently changed ones. A changed entry takes two words on the wire, so
+// when more than half the vector changed the kernel ships the whole vector
+// instead (Kernel.Send): a message costs min(16·changed, 8·n) bytes.
 //
 // The encoder pays O(changed) too, not just the wire: instead of keeping a
 // full vector copy per destination (O(n) memory each, O(n) scan per
@@ -91,12 +93,14 @@ type compressor struct {
 	recvGen  []int // per source: the resetPos recvNext was last written under
 
 	// entBuf is the buffer every encode builds its result in; the result is
-	// valid until the next encode (Kernel.Send copies it out).
+	// valid until the next encode (Kernel.Send copies it out). An encode
+	// stops building one entry past half the vector, so newCompressor sizes
+	// it once, to n/2+1 entries, and it never grows.
 	entBuf []Entry
 }
 
 func newCompressor(n int) *compressor {
-	c := &compressor{}
+	c := &compressor{entBuf: make([]Entry, 0, n/2+1)}
 	all := make([]int, 7*n)
 	for _, s := range []*[]int{&c.chgPos, &c.next, &c.prev, &c.sentPos, &c.encCnt, &c.recvNext, &c.recvGen} {
 		*s, all = all[:n:n], all[n:]
@@ -141,50 +145,63 @@ func (c *compressor) note(indices ...int) {
 
 // encode returns the entries of dv that changed since the previous encode
 // for dest — those whose latest change lies past the destination's covered
-// position — in key order, plus the message's per-pair wire order. The
-// entries live in the compressor's buffer and are valid until the next
-// encode.
-func (c *compressor) encode(dest int, dv vclock.DV) ([]Entry, int, error) {
+// position — in key order, plus the message's per-pair wire order. When
+// more than half the vector changed (2k > n) it reports dense instead, with
+// no entries: at two words an entry against one a process, the whole
+// vector is then the smaller form, and the kernel ships that. Either way
+// the pair is synced to the current position. The entries live in the
+// compressor's buffer and are valid until the next encode.
+func (c *compressor) encode(dest int, dv vclock.DV) (entries []Entry, dense bool, ord int, err error) {
 	if dest < 0 || dest >= len(c.sentPos) {
-		return nil, 0, fmt.Errorf("node: compressed piggyback for destination %d outside [0,%d)", dest, len(c.sentPos))
+		return nil, false, 0, fmt.Errorf("node: compressed piggyback for destination %d outside [0,%d)", dest, len(c.sentPos))
 	}
 	synced := c.sentPos[dest] > c.resetPos
-	ord := 0
 	if synced {
 		ord = c.encCnt[dest]
 	}
 	c.encCnt[dest] = ord + 1
 
-	entries := c.entBuf[:0]
-	covered := c.sentPos[dest] - 1
+	entries = c.entBuf[:0]
+	covered, most := c.sentPos[dest]-1, len(c.chgPos)/2
 	switch {
 	case !synced:
 		// First message of the pair (or first after a reset): everything
 		// the vector knows, which is exactly its nonzero entries.
 		for k, v := range dv {
-			if v != 0 {
-				entries = append(entries, Entry{K: k, V: v})
+			if v == 0 {
+				continue
 			}
+			if len(entries) > most {
+				break
+			}
+			entries = append(entries, Entry{K: k, V: v})
 		}
 	case c.pos-covered >= len(c.chgPos):
 		// A window no shorter than the vector: asking each entry whether it
 		// changed is the cheaper enumeration.
-		entries = c.scanChanged(covered, dv, entries)
+		entries = c.scanChanged(covered, dv, entries, most)
 	default:
-		entries = c.walkRecent(covered, dv, entries)
+		entries = c.walkRecent(covered, dv, entries, most)
 	}
 	c.entBuf = entries
 	c.sentPos[dest] = c.pos + 1
-	return entries, ord, nil
+	if len(entries) > most {
+		return nil, true, ord, nil
+	}
+	return entries, false, ord, nil
 }
 
 // walkRecent appends the entries that changed at or after position
 // covered, in key order: the recency list's prefix down to the first entry
 // whose latest change is not past covered, sorted. Every one strictly
 // increased since the pair's previous message, so its value is new to the
-// receiver, and each is listed once however often it changed.
-func (c *compressor) walkRecent(covered int, dv vclock.DV, entries []Entry) []Entry {
+// receiver, and each is listed once however often it changed. Past most
+// entries it stops, unsorted, at most+1.
+func (c *compressor) walkRecent(covered int, dv vclock.DV, entries []Entry, most int) []Entry {
 	for k := c.head; k >= 0 && c.chgPos[k] > covered; k = c.next[k] {
+		if len(entries) > most {
+			return entries
+		}
 		entries = append(entries, Entry{K: k, V: dv[k]})
 	}
 	slices.SortFunc(entries, func(a, b Entry) int { return a.K - b.K })
@@ -193,10 +210,13 @@ func (c *compressor) walkRecent(covered int, dv vclock.DV, entries []Entry) []En
 
 // scanChanged appends the entries that changed at or after position
 // covered, in key order: the set walkRecent enumerates, found per entry
-// instead of per list position.
-func (c *compressor) scanChanged(covered int, dv vclock.DV, entries []Entry) []Entry {
+// instead of per list position. Past most entries it stops, at most+1.
+func (c *compressor) scanChanged(covered int, dv vclock.DV, entries []Entry, most int) []Entry {
 	for k, p := range c.chgPos {
 		if p > covered {
+			if len(entries) > most {
+				return entries
+			}
 			entries = append(entries, Entry{K: k, V: dv[k]})
 		}
 	}

@@ -10,12 +10,26 @@ import (
 	"repro/internal/vclock"
 )
 
-// recyclingDriver is the smallest engine that gives entry buffers back: the
-// test hands a consumed piggyback to recycle, the next Send draws it again.
-type recyclingDriver struct{ free [][]Entry }
+// recyclingDriver is the smallest engine that gives piggyback buffers back:
+// the test hands a consumed piggyback to recycle, and the next Send draws
+// its entry buffer, or its snapshot, again.
+type recyclingDriver struct {
+	free   [][]Entry
+	dvFree []vclock.DV
+}
 
-func (d *recyclingDriver) CloneDV(src vclock.DV) vclock.DV   { return src.Clone() }
 func (d *recyclingDriver) OnKernelCheckpoint(int, int, bool) {}
+
+func (d *recyclingDriver) CloneDV(src vclock.DV) vclock.DV {
+	k := len(d.dvFree)
+	if k == 0 {
+		return src.Clone()
+	}
+	dv := d.dvFree[k-1]
+	d.dvFree = d.dvFree[:k-1]
+	dv.CopyFrom(src)
+	return dv
+}
 
 func (d *recyclingDriver) EntryBuf() []Entry {
 	k := len(d.free)
@@ -27,7 +41,13 @@ func (d *recyclingDriver) EntryBuf() []Entry {
 	return buf
 }
 
-func (d *recyclingDriver) recycle(pb Piggyback) { d.free = append(d.free, pb.Entries[:0]) }
+func (d *recyclingDriver) recycle(pb Piggyback) {
+	if pb.DV != nil {
+		d.dvFree = append(d.dvFree, pb.DV)
+		return
+	}
+	d.free = append(d.free, pb.Entries[:0])
+}
 
 func compressingKernel(t *testing.T, id, n int, d Driver) *Kernel {
 	t.Helper()
@@ -45,10 +65,12 @@ func compressingKernel(t *testing.T, id, n int, d Driver) *Kernel {
 // three ways: by the recency-list walk, by the per-entry scan, and from the
 // definition (the entries that differ from a copy of the vector kept at the
 // pair's previous message). All three, and whichever of the first two
-// encode itself chose, must agree entry for entry, and the wire Ord must
-// count the pair's encodes since the reset.
+// encode itself chose, must agree entry for entry — or, when the definition
+// holds more than half the vector, encode must report the whole vector as
+// the smaller form — and the wire Ord must count the pair's encodes since
+// the reset.
 func TestScanMatchesLogWalk(t *testing.T) {
-	scans, walks := 0, 0
+	scans, walks, denses := 0, 0, 0
 	for seed := 0; seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := []int{4, 32, 64}[seed%3]
@@ -94,8 +116,8 @@ func TestScanMatchesLogWalk(t *testing.T) {
 					}
 				}
 				if covered := c.sentPos[dest] - 1; covered >= c.resetPos {
-					walk := c.walkRecent(covered, dv, nil)
-					scan := c.scanChanged(covered, dv, nil)
+					walk := c.walkRecent(covered, dv, nil, n)
+					scan := c.scanChanged(covered, dv, nil, n)
 					if !slices.Equal(walk, want) || !slices.Equal(scan, want) {
 						t.Fatalf("seed %d step %d →p%d: walk %v, scan %v, definition %v", seed, step, dest, walk, scan, want)
 					}
@@ -105,12 +127,15 @@ func TestScanMatchesLogWalk(t *testing.T) {
 						walks++
 					}
 				}
-				got, ord, err := c.encode(dest, dv)
+				got, dense, ord, err := c.encode(dest, dv)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d →p%d: encode %v, definition %v", seed, step, dest, got, want)
+				if dense != (2*len(want) > n) || (!dense && !slices.Equal(got, want)) {
+					t.Fatalf("seed %d step %d →p%d: encode %v (dense %v), definition %v", seed, step, dest, got, dense, want)
+				}
+				if dense {
+					denses++
 				}
 				if ord != ords[dest] {
 					t.Fatalf("seed %d step %d →p%d: Ord %d, want %d", seed, step, dest, ord, ords[dest])
@@ -120,8 +145,9 @@ func TestScanMatchesLogWalk(t *testing.T) {
 			}
 		}
 	}
-	if scans == 0 || walks == 0 {
-		t.Fatalf("histories took the scan %d times and the list walk %d times; both must occur", scans, walks)
+	if scans == 0 || walks == 0 || denses == 0 {
+		t.Fatalf("histories took the scan %d times, the list walk %d times and the whole vector %d times; all must occur",
+			scans, walks, denses)
 	}
 }
 
@@ -141,7 +167,7 @@ func TestDenseStateFailsLoudly(t *testing.T) {
 		if err := k.DeliverBatch([]Piggyback{{Compressed: true, From: p}}, nil); err == nil {
 			t.Errorf("DeliverBatch(From=%d) accepted an out-of-range sender", p)
 		}
-		if _, _, err := k.comp.encode(p, k.dv); err == nil {
+		if _, _, _, err := k.comp.encode(p, k.dv); err == nil {
 			t.Errorf("encode(dest=%d) accepted an out-of-range destination", p)
 		}
 	}
@@ -156,7 +182,8 @@ func TestDenseStateFailsLoudly(t *testing.T) {
 // TestResetLeavesNoStaleState checks the invariant ApplyLine relies on, by
 // what the kernels do rather than what their slots hold (a reset leaves the
 // stale values in place): after a recovery session's reset, the first
-// message of every pair is the full nonzero set with Ord 0, and every
+// message of every pair carries every nonzero entry — as entries, or as the
+// whole vector when that is the smaller form — with Ord 0, and every
 // receiver accepts Ord 0 from every source and refuses Ord 1 — over two
 // reset cycles, so the second meets values the first cycle's traffic wrote
 // after the first reset.
@@ -208,9 +235,22 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(pb.Entries, want) || pb.Ord != 0 {
+				got := pb.Entries
+				if pb.DV != nil {
+					if !pb.DV.Equal(k.DVRef()) || len(pb.Entries) != 0 {
+						t.Fatalf("cycle %d: first post-reset message p%d→p%d: vector %v and entries %v; want %v alone",
+							cycle, from, to, pb.DV, pb.Entries, k.DVRef())
+					}
+					got = nil
+					for e, v := range pb.DV {
+						if v != 0 {
+							got = append(got, Entry{K: e, V: v})
+						}
+					}
+				}
+				if !slices.Equal(got, want) || pb.Ord != 0 {
 					t.Fatalf("cycle %d: first post-reset message p%d→p%d: %v, Ord %d; want %v, Ord 0",
-						cycle, from, to, pb.Entries, pb.Ord, want)
+						cycle, from, to, got, pb.Ord, want)
 				}
 				late := pb
 				late.Ord = 1
@@ -244,7 +284,8 @@ func TestResetLeavesNoStaleState(t *testing.T) {
 // synced once and then quiet, 100,000 changes sent to another, and a
 // snapshot nobody encodes leave every int slice of the compressor at its
 // construction length and capacity — nothing grows with the changes a
-// quiet destination has not been sent.
+// quiet destination has not been sent — and its encode buffer at the n/2+1
+// entries it was built with.
 func TestCompressorStateIsSevenN(t *testing.T) {
 	const n = 3
 	a := compressingKernel(t, 0, n, nil)
@@ -280,22 +321,27 @@ func TestCompressorStateIsSevenN(t *testing.T) {
 		t.Fatalf("compressor holds %d int slices of total length %d and capacity %d after 100,000 changes; want 7 slices, %d and %d",
 			count, lens, caps, 7*n, 7*n)
 	}
+	if got := cap(a.comp.entBuf); got != n/2+1 {
+		t.Fatalf("the encode buffer grew to %d entries; an encode builds at most n/2+1 = %d", got, n/2+1)
+	}
 }
 
 // TestCompressedSendAllocatesNothing holds the steady state to zero
-// allocations: dense uniform traffic (most of the vector moves between two
-// messages of a pair, the shape that takes the scan) through a driver that
-// recycles the entry buffers, and the recovery session's reset.
+// allocations: uniform traffic (every pair used rarely, so an encode takes
+// the scan) through a driver that recycles the entry buffers and snapshots,
+// in both forms — most of the vector moving between two messages of a pair
+// (the whole vector ships) and two entries moving (their entries ship) —
+// and the recovery session's reset.
 func TestCompressedSendAllocatesNothing(t *testing.T) {
 	const n = 32
 	d := &recyclingDriver{}
 	k := compressingKernel(t, 0, n, d)
 	changed := make([]int, 0, n)
-	dest := 0
-	step := func() {
+	dest, wholes, sends := 0, 0, 0
+	step := func(wide bool) {
 		changed = changed[:0]
 		for p := 1; p < n; p++ {
-			if p%4 != dest%4 {
+			if (wide && p%4 != dest%4) || (!wide && p <= 2) {
 				k.dv[p]++
 				changed = append(changed, p)
 			}
@@ -306,13 +352,27 @@ func TestCompressedSendAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if pb.DV != nil {
+			wholes++
+		}
+		sends++
 		d.recycle(pb)
 	}
-	for i := 0; i < 4*n; i++ {
-		step() // sync every pair, grow the buffers to their steady size
-	}
-	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-		t.Errorf("steady-state compressed Send: %v allocs/op, want 0", allocs)
+	for _, wide := range []bool{true, false} {
+		for i := 0; i < 4*n; i++ {
+			step(wide) // sync every pair, grow the buffers to their steady size
+		}
+		wholes, sends = 0, 0
+		if allocs := testing.AllocsPerRun(500, func() { step(wide) }); allocs != 0 {
+			t.Errorf("steady-state compressed Send (wide=%v): %v allocs/op, want 0", wide, allocs)
+		}
+		want := 0
+		if wide {
+			want = sends
+		}
+		if wholes != want {
+			t.Errorf("wide=%v: %d of %d messages shipped the whole vector, want %d", wide, wholes, sends, want)
+		}
 	}
 	if allocs := testing.AllocsPerRun(100, k.comp.reset); allocs != 0 {
 		t.Errorf("compressor.reset: %v allocs/op, want 0", allocs)

@@ -109,10 +109,11 @@ type Kernel struct {
 	comp *compressor // non-nil iff cfg.Compress and not crashed
 
 	basic, forced int
-	// pbEntries counts the dependency-vector entries piggybacked on
-	// messages: N per full-vector send, the changed entries per encode
-	// with compression.
-	pbEntries int
+	// pbEntries and pbBytes count the dependency-vector entries piggybacked
+	// on messages and the bytes they take on the wire: N entries of 8 bytes
+	// per full-vector send, and per compressed send whichever form is
+	// smaller — the changed entries at 16 bytes each, or the whole vector.
+	pbEntries, pbBytes int
 
 	// parked holds the application object while the kernel is crashed:
 	// CrashVolatile takes it off app and Rehydrate puts it back, for the
@@ -127,15 +128,20 @@ type Kernel struct {
 }
 
 // Piggyback is the control information one application message carries
-// between kernels: either a full dependency-vector snapshot or, with
-// compression, the entries changed since the pair's previous message.
+// between kernels: a full dependency-vector snapshot or, with compression,
+// the entries changed since the pair's previous message — or the snapshot
+// again when those entries would take more bytes on the wire than it.
 type Piggyback struct {
-	// DV is the sender's full vector snapshot (nil when Compressed).
+	// DV is the sender's full vector snapshot: every uncompressed
+	// piggyback's, and a compressed one's whose changed entries outnumber
+	// half the vector (2k > n: 16 bytes an entry against 8 a process).
 	DV vclock.DV
-	// Entries are the changed entries of a compressed piggyback.
+	// Entries are the changed entries of a compressed piggyback that
+	// carries no DV.
 	Entries []Entry
-	// Compressed distinguishes an empty compressed piggyback (no entry
-	// changed) from a full-vector one.
+	// Compressed marks a piggyback checked against the per-pair encode
+	// order (From, Ord), in either form; it also distinguishes an empty
+	// compressed piggyback (no entry changed) from a full-vector one.
 	Compressed bool
 	// From is the sending process; with Ord it lets the receiving kernel
 	// verify per-pair FIFO delivery of compressed piggybacks.
@@ -198,9 +204,10 @@ func (k *Kernel) ID() int { return k.cfg.ID }
 // Send produces the piggyback for a message to dest and notifies the
 // protocol of the send. With compression the changed entries are encoded
 // here, against the pair's previous message, into a buffer from the
-// driver's EntryBuf hook, which the engine owns until the message is
-// consumed; without it the piggyback is a full snapshot (via the CloneDV
-// hook) and dest is not consulted.
+// driver's EntryBuf hook — or, when more than half the vector changed, the
+// piggyback is a snapshot from the CloneDV hook, the smaller form on the
+// wire; the engine owns either until the message is consumed. Without
+// compression the piggyback is a full snapshot and dest is not consulted.
 func (k *Kernel) Send(dest int) (pb Piggyback, err error) {
 	err = k.send(dest, &pb)
 	return pb, err
@@ -218,24 +225,39 @@ func (k *Kernel) send(dest int, pb *Piggyback) error {
 		return fmt.Errorf("node: p%d sending to invalid destination %d", k.cfg.ID, dest)
 	}
 	idx := k.proto.OnSend()
-	entries, ord, err := k.comp.encode(dest, k.dv)
+	entries, dense, ord, err := k.comp.encode(dest, k.dv)
 	if err != nil {
 		return err
 	}
+	pb.Compressed, pb.From, pb.Ord, pb.Index = true, k.cfg.ID, ord, idx
 	// The result escapes onto the engine's network, so it leaves the
-	// encoder's buffer for one the driver owns — sized by what this message
-	// carries, never by n.
+	// encoder's buffer for memory the driver owns, in the smaller of the two
+	// forms: the whole vector when the changed entries, at two words each,
+	// would outweigh it. The receiver decides and merges on either alike:
+	// an entry that did not change is one it already holds, by FIFO.
+	if dense {
+		pb.DV = k.cloneDV()
+		k.shipped(k.cfg.N, 8*k.cfg.N)
+		return nil
+	}
+	// Sized by what this message carries, never by n.
 	var buf []Entry
 	if k.cfg.Driver != nil {
 		buf = k.cfg.Driver.EntryBuf()
 	}
-	entries = append(buf[:0], entries...)
-	k.pbEntries += len(entries)
-	k.cfg.Metrics.PiggybackEntries.Add(uint64(len(entries)))
-	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
-	k.cfg.Metrics.PiggybackBytes.Add(uint64(16 * len(entries)))
-	pb.Entries, pb.Compressed, pb.From, pb.Ord, pb.Index = entries, true, k.cfg.ID, ord, idx
+	pb.Entries = append(buf[:0], entries...)
+	k.shipped(len(entries), 16*len(entries))
 	return nil
+}
+
+// shipped counts one piggyback sent: the entries it carries and their bytes
+// on the wire.
+func (k *Kernel) shipped(entries, bytes int) {
+	k.pbEntries += entries
+	k.pbBytes += bytes
+	k.cfg.Metrics.PiggybackEntries.Add(uint64(entries))
+	k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
+	k.cfg.Metrics.PiggybackBytes.Add(uint64(bytes))
 }
 
 // SendSnapshot produces a full-vector piggyback without binding a
@@ -254,10 +276,7 @@ func (k *Kernel) SendSnapshot() (pb Piggyback) {
 func (k *Kernel) snapshotTo(pb *Piggyback) {
 	pb.Index = k.proto.OnSend()
 	if !k.cfg.Compress {
-		k.pbEntries += k.cfg.N
-		k.cfg.Metrics.PiggybackEntries.Add(uint64(k.cfg.N))
-		k.cfg.Metrics.PiggybackFull.Add(uint64(k.cfg.N))
-		k.cfg.Metrics.PiggybackBytes.Add(uint64(8 * k.cfg.N))
+		k.shipped(k.cfg.N, 8*k.cfg.N)
 	}
 	pb.DV = k.cloneDV()
 }
@@ -288,8 +307,12 @@ func (k *Kernel) deliver(pb *Piggyback) (forced bool, err error) {
 			return false, err
 		}
 		// The protocol decides on the changed entries directly — no full
-		// vector is materialized, so the decision costs O(changed).
-		decision = protocol.Piggyback{Entries: pb.Entries, Sparse: true, Index: pb.Index}
+		// vector is materialized, so the decision costs O(changed). A
+		// compressed piggyback that came as the whole vector is decided on
+		// as it came: its unchanged entries add nothing the receiver lacks.
+		if pb.DV == nil {
+			decision = protocol.Piggyback{Entries: pb.Entries, Sparse: true, Index: pb.Index}
+		}
 	}
 	if k.proto.ForcedBeforeDelivery(k.dv, decision) {
 		forced = true
@@ -297,7 +320,7 @@ func (k *Kernel) deliver(pb *Piggyback) (forced bool, err error) {
 			return false, err
 		}
 	}
-	if pb.Compressed {
+	if decision.Sparse {
 		k.scratch = vclock.Delta(pb.Entries).MergeAppend(k.dv, k.scratch[:0])
 	} else {
 		k.scratch = k.dv.MergeAppend(pb.DV, k.scratch[:0])
@@ -535,5 +558,10 @@ func (k *Kernel) App() app.App { return k.app }
 func (k *Kernel) Counts() (basic, forced int) { return k.basic, k.forced }
 
 // PiggybackEntries returns the dependency-vector entries this kernel has
-// piggybacked on outgoing messages.
+// piggybacked on outgoing messages: what the wire carries, n for every
+// message that took the whole vector.
 func (k *Kernel) PiggybackEntries() int { return k.pbEntries }
+
+// PiggybackBytes returns the wire bytes of the piggybacks counted by
+// PiggybackEntries: 8 an entry of a whole vector, 16 a changed entry.
+func (k *Kernel) PiggybackBytes() int { return k.pbBytes }

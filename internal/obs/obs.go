@@ -39,9 +39,9 @@ const (
 	KernelCheckpointsForced = "kernel.checkpoints.forced"
 	KernelDeliveries        = "kernel.deliveries"
 	KernelRollbacks         = "kernel.rollbacks"
-	KernelPiggybackEntries  = "kernel.piggyback.entries"      // sparse entries actually shipped
+	KernelPiggybackEntries  = "kernel.piggyback.entries"      // entries actually shipped: changed ones, or n for a whole vector
 	KernelPiggybackFull     = "kernel.piggyback.full_entries" // entries a full vector would have shipped
-	KernelPiggybackBytes    = "kernel.piggyback.bytes"
+	KernelPiggybackBytes    = "kernel.piggyback.bytes"        // their wire bytes: 16 a changed entry, 8 a whole-vector one
 	// KernelDeliveryCoalesced is written by nothing: every message is
 	// delivered by its own step, and no delivery folds into another's. The
 	// benchmark harness still reads the name (node.coalesced_share), which
@@ -96,6 +96,7 @@ const (
 	TransportFramesLost     = "transport.frames_lost"
 	TransportBytesOut       = "transport.bytes_out"
 	TransportBytesIn        = "transport.bytes_in"
+	TransportReads          = "transport.reads" // read calls on the mesh's streams, one that would block included
 	TransportDials          = "transport.dials"
 	TransportDialFailures   = "transport.dial_failures"
 	TransportBadFrames      = "transport.bad_frames"
@@ -210,6 +211,7 @@ type TransportMetrics struct {
 	FramesLost     *Counter
 	BytesOut       *Counter
 	BytesIn        *Counter
+	Reads          *Counter
 	Dials          *Counter
 	DialFailures   *Counter
 	BadFrames      *Counter
@@ -225,6 +227,7 @@ func TransportMetricsFrom(r *Registry) TransportMetrics {
 		FramesLost:     r.Counter(TransportFramesLost),
 		BytesOut:       r.Counter(TransportBytesOut),
 		BytesIn:        r.Counter(TransportBytesIn),
+		Reads:          r.Counter(TransportReads),
 		Dials:          r.Counter(TransportDials),
 		DialFailures:   r.Counter(TransportDialFailures),
 		BadFrames:      r.Counter(TransportBadFrames),

@@ -125,6 +125,9 @@ func BenchmarkDeliveryParallel(b *testing.B) {
 // message (Tcp OutSegs in /proc/net/snmp, which counts every socket in the
 // network namespace; left out where the file cannot be read): 2 when every
 // data segment draws a pure ACK back, fewer when ACKs ride reverse traffic.
+// It also reports the read syscalls and the bytes they read per message
+// (syscr and rchar in /proc/self/io, every read of the process: 1 read a
+// message when each arrival costs one, 2 when each also reads EAGAIN).
 func BenchmarkDeliveryUniform(b *testing.B) {
 	const n, ckptEach = 32, 64
 	credits := make([]chan struct{}, n)
@@ -163,6 +166,7 @@ func BenchmarkDeliveryUniform(b *testing.B) {
 		rngs[i] = rand.New(rand.NewSource(int64(i + 1)))
 	}
 	cpu0, segs0 := cpuTime(), tcpOutSegs()
+	reads0, bytes0 := procReads()
 	b.ReportAllocs()
 	b.ResetTimer()
 	t0 := time.Now()
@@ -203,6 +207,36 @@ func BenchmarkDeliveryUniform(b *testing.B) {
 	if segs1 := tcpOutSegs(); segs0 >= 0 && segs1 >= 0 {
 		b.ReportMetric(float64(segs1-segs0)/float64(b.N), "segs/msg")
 	}
+	if reads1, bytes1 := procReads(); reads0 >= 0 && reads1 >= 0 {
+		b.ReportMetric(float64(reads1-reads0)/float64(b.N), "reads/msg")
+		b.ReportMetric(float64(bytes1-bytes0)/float64(b.N), "read-B/msg")
+	}
+}
+
+// procReads is the read syscalls this process has made so far and the bytes
+// they returned (syscr and rchar in /proc/self/io), or -1s where that cannot
+// be read.
+func procReads() (calls, bytes int64) {
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return -1, -1
+	}
+	calls, bytes = -1, -1
+	for _, line := range strings.Split(string(raw), "\n") {
+		k, v, ok := strings.Cut(line, ": ")
+		n, err := strconv.ParseInt(v, 10, 64)
+		switch {
+		case !ok || err != nil:
+		case k == "syscr":
+			calls = n
+		case k == "rchar":
+			bytes = n
+		}
+	}
+	if calls < 0 || bytes < 0 {
+		return -1, -1
+	}
+	return calls, bytes
 }
 
 // cpuTime is the user and system CPU time the process has used.

@@ -101,7 +101,9 @@ func TestCompressedLiveCluster(t *testing.T) {
 }
 
 // TestCompressedTCPMesh runs compression over the loopback TCP mesh: the
-// sparse entries cross a real network path in per-connection FIFO order.
+// piggybacks cross a real network path in per-connection FIFO order, in both
+// wire forms — changed entries, and the whole vector when more than half of
+// it changed, which the receiving side must still check as compressed.
 func TestCompressedTCPMesh(t *testing.T) {
 	const n = 3
 	c := compressCluster(t, n, runtime.NetworkOptions{
@@ -110,6 +112,20 @@ func TestCompressedTCPMesh(t *testing.T) {
 	}, true, recorded)
 	defer func() { _ = c.Close() }()
 	driveRandom(t, c, 40, 23)
+	// Random bursts move little between two messages of a pair. Then p0
+	// learns of p1's new interval and starts one of its own before writing
+	// to p2: two of the three entries changed, so the whole vector ships.
+	// The pair's next message, one entry, must follow it in the pair's order.
+	for _, step := range []func() error{
+		c.Node(1).Checkpoint, func() error { return c.Node(1).Send(0) },
+		c.Node(0).Checkpoint, func() error { return c.Node(0).Send(2) },
+		c.Node(0).Checkpoint, func() error { return c.Node(0).Send(2) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		c.Quiesce()
+	}
 
 	oracle := c.Oracle()
 	for i := 0; i < n; i++ {
@@ -117,6 +133,10 @@ func TestCompressedTCPMesh(t *testing.T) {
 		if !c.Node(i).CurrentDV().Equal(oracle.DV(vol)) {
 			t.Errorf("p%d live DV %v != replayed %v over TCP", i, c.Node(i).CurrentDV(), oracle.DV(vol))
 		}
+	}
+	// Whole vectors cost 8 bytes an entry, changed entries 16.
+	if e, b := c.PiggybackEntries(), c.PiggybackBytes(); b <= 8*e || b >= 16*e {
+		t.Errorf("%d entries crossed in %d bytes: want both forms", e, b)
 	}
 }
 

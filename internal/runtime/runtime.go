@@ -386,13 +386,22 @@ func (c *Cluster) Quiesce() {
 }
 
 // PiggybackEntries returns the total dependency-vector entries piggybacked
-// on messages so far, summed over the nodes — n per full-vector send, only
-// the changed entries per send with Compress.
-func (c *Cluster) PiggybackEntries() int {
+// on messages so far, summed over the nodes: what the wire carried — n per
+// full-vector send, and with Compress the changed entries, or n for a send
+// that shipped the whole vector as the smaller form.
+func (c *Cluster) PiggybackEntries() int { return c.sumKernels((*node.Kernel).PiggybackEntries) }
+
+// PiggybackBytes returns the wire bytes of the entries PiggybackEntries
+// counts: 8 a whole-vector entry, 16 a changed entry.
+func (c *Cluster) PiggybackBytes() int { return c.sumKernels((*node.Kernel).PiggybackBytes) }
+
+// sumKernels sums a kernel counter over the nodes, each read under its
+// node's lock.
+func (c *Cluster) sumKernels(count func(*node.Kernel) int) int {
 	total := 0
 	for _, n := range c.nodes {
 		n.mu.Lock()
-		total += n.k.PiggybackEntries()
+		total += count(n.k)
 		n.mu.Unlock()
 	}
 	return total
@@ -433,24 +442,21 @@ func (n *Node) EntryBuf() []node.Entry {
 }
 
 // recycle returns a dead piggyback's buffer to the freelist of the node that
-// sent it: the entry buffer of a compressed one, the snapshot of a
-// full-vector one (full-size vectors only; foreign lengths are dropped). The
-// caller guarantees nothing will read the piggyback again, and that its
-// memory came from that node's CloneDV or EntryBuf — never a transport frame
-// view.
+// sent it: the snapshot of one that carries the whole vector, compressed or
+// not (full-size vectors only; foreign lengths are dropped), else the entry
+// buffer of a compressed one. The caller guarantees nothing will read the
+// piggyback again, and that its memory came from that node's CloneDV or
+// EntryBuf — never a transport frame view.
 func (c *Cluster) recycle(from int, pb *node.Piggyback) {
 	n := c.nodes[from]
 	switch {
-	case pb.Compressed:
-		if cap(pb.Entries) == 0 {
-			return
-		}
-		n.bufMu.Lock()
-		n.entBufs = append(n.entBufs, pb.Entries[:0])
-		n.bufMu.Unlock()
 	case len(pb.DV) == c.cfg.N:
 		n.bufMu.Lock()
 		n.dvBufs = append(n.dvBufs, pb.DV)
+		n.bufMu.Unlock()
+	case cap(pb.Entries) > 0:
+		n.bufMu.Lock()
+		n.entBufs = append(n.entBufs, pb.Entries[:0])
 		n.bufMu.Unlock()
 	}
 }

@@ -108,11 +108,11 @@ func (w *meshWire) send(pl *pairLink, run []pending) {
 	for k := range run {
 		p, m := &run[k], &msgs[k]
 		m.From, m.To, m.Msg, m.Epoch = pl.from, pl.to, p.msg, p.epoch
-		m.Index, m.Payload = p.pb.Index, p.payload
-		if p.pb.Compressed {
-			m.Sparse, m.Ord, m.Entries = true, p.pb.Ord, p.pb.Entries
-		} else {
+		m.Index, m.Ord, m.Payload = p.pb.Index, p.pb.Ord, p.payload
+		if p.pb.DV != nil {
 			m.DV = p.pb.DV
+		} else {
+			m.Sparse, m.Entries = true, p.pb.Entries
 		}
 	}
 	accepted, _ := w.mesh.SendBatch(pl.from, pl.to, msgs)
@@ -140,17 +140,19 @@ func (w *meshWire) onLinkDown(_, _, lost int) {
 }
 
 // onWire feeds a non-empty batch of messages arriving from one TCP stream —
-// all from the same (sender, receiver) pair, in stream order — into the
-// receiver's ingress ring. The matching inflight increments happened at
-// send. Everything here is a view: sparse entries, full vectors and
-// payloads alias the readLoop's frame buffers (zero-copy decode), which
-// the transport reuses once this callback returns — safe because ingest
-// blocks until the batch is applied. For the same reason the decoded
-// vectors must NOT feed the DV freelist: they are transport-owned memory,
-// not CloneDV snapshots. The batch is built in the pair's inbound scratch,
-// which ingest has applied before the next batch arrives. Each pending is
-// written in place in its scratch slot, which the clear at the end of the
-// previous batch left zero.
+// all from the same (sender, receiver) pair, in stream order, which the
+// mesh's reader checks — into the receiver's ingress ring. On a compressed
+// cluster every piggyback is compressed, a full vector included: the
+// sender ships the whole vector when it is the smaller form. The matching
+// inflight increments happened at send. Everything here is a view: sparse
+// entries, full vectors and payloads alias the readLoop's frame buffers
+// (zero-copy decode), which the transport reuses once this callback returns
+// — safe because ingest blocks until the batch is applied. For the same
+// reason the decoded vectors must NOT feed the DV freelist: they are
+// transport-owned memory, not CloneDV snapshots. The batch is built in the
+// pair's inbound scratch, which ingest has applied before the next batch
+// arrives. Each pending is written in place in its scratch slot, which the
+// clear at the end of the previous batch left zero.
 func (w *meshWire) onWire(ms []transport.Message) {
 	c := w.c
 	defer c.inflight.Add(-len(ms))
@@ -171,11 +173,11 @@ func (w *meshWire) onWire(ms []transport.Message) {
 		batch = batch[:len(batch)+1]
 		p := &batch[len(batch)-1]
 		p.msg, p.epoch, p.payload, p.from = m.Msg, m.Epoch, m.Payload, m.From
-		p.pb.Index = m.Index
+		p.pb.Index, p.pb.From, p.pb.Ord = m.Index, m.From, m.Ord
 		if m.Sparse {
-			p.pb.Compressed, p.pb.From, p.pb.Ord, p.pb.Entries = true, m.From, m.Ord, m.Entries
+			p.pb.Compressed, p.pb.Entries = true, m.Entries
 		} else {
-			p.pb.DV = vclock.DV(m.DV)
+			p.pb.Compressed, p.pb.DV = c.cfg.Compress, vclock.DV(m.DV)
 		}
 	}
 	if len(batch) > 0 {

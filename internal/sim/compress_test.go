@@ -22,7 +22,9 @@ func fifoScript(kind workload.Kind, n, ops int, seed int64) ccp.Script {
 // incremental piggybacking and checks the middleware is bit-for-bit
 // equivalent: same vectors, same stores, same forced checkpoints — while
 // strictly fewer vector entries cross the network. Each input is a sequence
-// of scripts run back to back on one runner.
+// of scripts run back to back on one runner. Across the inputs the
+// compressed runs ship both forms: changed entries (16 bytes each) and, when
+// more than half the vector changed, the whole vector (8 bytes an entry).
 func TestCompressionEquivalence(t *testing.T) {
 	// A message a script leaves in transit is lost with its Run, so it must
 	// not move its pair's encoder: the next script's first p0→p1 message is
@@ -51,6 +53,7 @@ func TestCompressionEquivalence(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("trial %d (%s)", trial, kind), []ccp.Script{script}})
 	}
 
+	var entries, bytes int // of the compressed runs
 	for _, in := range inputs {
 		n := in.scripts[0].N
 		run := func(compress bool) *sim.Runner {
@@ -87,6 +90,13 @@ func TestCompressionEquivalence(t *testing.T) {
 			t.Fatalf("%s: compression grew the piggyback: %d > %d",
 				in.name, mc.PiggybackEntries, mf.PiggybackEntries)
 		}
+		entries += mc.PiggybackEntries
+		bytes += mc.PiggybackBytes
+	}
+	// Only whole vectors would read 8 bytes an entry, only changed entries 16.
+	if bytes <= 8*entries || bytes >= 16*entries {
+		t.Fatalf("compressed runs shipped %d entries in %d bytes: want both forms, strictly between 8 and 16 bytes an entry",
+			entries, bytes)
 	}
 }
 

@@ -69,9 +69,10 @@ type Metrics struct {
 	Rollbacks   int // processes rolled back across recovery sessions
 	RolledCkpts int // stable checkpoints discarded because they were rolled back
 	// PiggybackEntries counts the dependency-vector entries piggybacked on
-	// messages: n per send with full vectors, only the changed entries of
-	// each delivered message with Compress.
-	PiggybackEntries int
+	// messages: n per send with full vectors; with Compress, the changed
+	// entries of each delivered message, or n for one that shipped the whole
+	// vector as the smaller form. PiggybackBytes is their size on the wire.
+	PiggybackEntries, PiggybackBytes int
 }
 
 // Runner executes scripts against the configured middleware stack.
@@ -253,7 +254,8 @@ func (r *Runner) EntryBuf() []node.Entry {
 	return nil
 }
 
-// recycle returns a consumed piggyback's buffers to the freelists.
+// recycle returns a consumed piggyback's buffers to the freelists: a
+// snapshot, compressed or not, to dvFree, an entry buffer to entFree.
 func (r *Runner) recycle(pb node.Piggyback) {
 	if pb.DV != nil {
 		r.dvFree = append(r.dvFree, pb.DV)
@@ -320,6 +322,7 @@ func (r *Runner) Metrics() Metrics {
 	m := r.metrics
 	for _, p := range r.procs {
 		m.PiggybackEntries += p.PiggybackEntries()
+		m.PiggybackBytes += p.PiggybackBytes()
 	}
 	return m
 }

@@ -85,12 +85,12 @@ func compressStack() (func(int) protocol.Protocol, func(int, int, storage.Store)
 }
 
 // runCompressSim replays the traffic as a simulator script with immediate
-// deliveries and returns (piggybacked entries, sends).
-func runCompressSim(n int, traffic []trafficOp, compress bool) (entries, sends int, err error) {
+// deliveries and returns (piggybacked entries, their wire bytes, sends).
+func runCompressSim(n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
 	pf, lgc := compressStack()
 	r, err := sim.NewRunner(sim.Config{N: n, Protocol: pf, LocalGC: lgc, Compress: compress})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	s := ccp.Script{N: n}
 	for _, op := range traffic {
@@ -101,35 +101,35 @@ func runCompressSim(n int, traffic []trafficOp, compress bool) (entries, sends i
 		}
 	}
 	if err := r.Run(s); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	m := r.Metrics()
-	return m.PiggybackEntries, m.Sends, nil
+	return m.PiggybackEntries, m.PiggybackBytes, m.Sends, nil
 }
 
 // runCompressLive replays the traffic serialized on a live cluster (zero
 // delays, network drained after every operation, so the run is
-// deterministic) and returns (piggybacked entries, sends).
-func runCompressLive(n int, traffic []trafficOp, compress bool) (entries, sends int, err error) {
+// deterministic) and returns (piggybacked entries, their wire bytes, sends).
+func runCompressLive(n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
 	pf, lgc := compressStack()
 	c, err := rt.NewCluster(rt.Config{N: n, Protocol: pf, LocalGC: lgc, Compress: compress})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for _, op := range traffic {
 		if op.ckpt {
 			if err := c.Node(op.p).Checkpoint(); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 			continue
 		}
 		if err := c.Node(op.p).Send(op.to); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		sends++
 		c.Quiesce()
 	}
-	return c.PiggybackEntries(), sends, nil
+	return c.PiggybackEntries(), c.PiggybackBytes(), sends, nil
 }
 
 // runCompress measures one Compression cell: Seeds independent seeded
@@ -139,16 +139,16 @@ func (c Cell) runCompress(res *Result) error {
 	if c.N < 2 {
 		return fmt.Errorf("sweep: cell %d (n=%d %s): compression traffic needs at least 2 processes", c.Index, c.N, v.Name())
 	}
-	var entries, sends int
+	var entries, bytes, sends int
 	for s := 0; s < c.Seeds; s++ {
 		traffic := compressTraffic(c.N, c.Ops, int64(1000*s+c.N), c.PCheckpoint)
-		var e, snd int
+		var e, b, snd int
 		var err error
 		switch v.Engine {
 		case "sim":
-			e, snd, err = runCompressSim(c.N, traffic, v.Compress)
+			e, b, snd, err = runCompressSim(c.N, traffic, v.Compress)
 		case "live":
-			e, snd, err = runCompressLive(c.N, traffic, v.Compress)
+			e, b, snd, err = runCompressLive(c.N, traffic, v.Compress)
 		default:
 			err = fmt.Errorf("sweep: unknown compression engine %q", v.Engine)
 		}
@@ -156,19 +156,17 @@ func (c Cell) runCompress(res *Result) error {
 			return fmt.Errorf("sweep: cell %d (n=%d %s): %w", c.Index, c.N, v.Name(), err)
 		}
 		entries += e
+		bytes += b
 		sends += snd
 	}
 	res.Sends = sends / c.Seeds
 	res.PBEntries = entries / c.Seeds
 	if sends > 0 {
+		// The bytes are the kernels' own count: a compressed message ships
+		// the whole vector (8 bytes an entry) or its changed entries
+		// (index and value, 16 bytes each), whichever is smaller.
 		res.EntriesPerMsg = float64(entries) / float64(sends)
-		// A full-vector entry costs 8 bytes on the wire; an incremental
-		// entry carries (index, value), 16 bytes.
-		entryBytes := 8.0
-		if v.Compress {
-			entryBytes = 16.0
-		}
-		res.PBBytesPerMsg = res.EntriesPerMsg * entryBytes
+		res.PBBytesPerMsg = float64(bytes) / float64(sends)
 		res.PBOfFullPct = 100 * res.PBBytesPerMsg / float64(8*c.N)
 	}
 	return nil

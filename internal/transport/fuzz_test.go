@@ -152,7 +152,9 @@ func streamFrames(spec []byte) ([]Message, []byte) {
 // streamFrames builds, then arbitrary trailing bytes. Every frame arrives
 // intact and in order; the trailing bytes never panic the reader, never
 // make it allocate past the frame cap, and end the stream in OnFrameError
-// or a clean EOF — clean only if nothing was left undecoded.
+// or a clean EOF — clean only if nothing was left undecoded. Every frame
+// delivered belongs to the stream: a well-formed frame naming other
+// endpoints is a bad frame.
 func FuzzStreamFraming(f *testing.F) {
 	small := bytes.Repeat([]byte{1, 0, 0, 0}, 200) // 200 empty sparse frames: more than 64 a read
 	f.Add(small, []byte{}, []byte{})
@@ -162,6 +164,7 @@ func FuzzStreamFraming(f *testing.F) {
 	f.Add([]byte{2, 1, 13, 0, 4, 2, 1, 0, 3, 0, 7, 0}, []byte{9, 40}, []byte{})       // unpadded, over 64 KiB, sparse unpadded
 	f.Add([]byte{0, 4, 16, 0}, []byte{}, []byte{64, 0, 0, 0, 0, 0, 0, 0, 0x45, 0x52}) // a torn last frame
 	f.Add([]byte{}, []byte{3}, []byte("not a frame at all, not even a length prefix"))
+	f.Add([]byte{0, 2, 0, 0}, []byte{}, appendFrame(nil, &Message{From: 1, To: 0, DV: []int{1, 1}})) // a frame off its stream
 	f.Fuzz(func(t *testing.T, spec, cuts, tail []byte) {
 		msgs, data := streamFrames(spec)
 		data = append(data, tail...)
@@ -187,6 +190,11 @@ func FuzzStreamFraming(f *testing.F) {
 
 		if len(got) < len(msgs) {
 			t.Fatalf("%d of %d frames delivered (frame error: %v)", len(got), len(msgs), frameErr)
+		}
+		for i := range got {
+			if got[i].From != 0 || got[i].To != 1 {
+				t.Fatalf("frame %d, %d→%d, delivered on the 0→1 stream", i, got[i].From, got[i].To)
+			}
 		}
 		for i := range msgs {
 			if !reflect.DeepEqual(got[i], msgs[i]) {

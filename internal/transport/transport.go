@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -581,95 +582,212 @@ func MaxPayload(n int) int { return maxFrame - 8*(11+2*n) }
 // appends to it, and every complete frame it holds is decoded in place
 // (decodeView) into one batch, so a burst reaches the deliver callback as
 // one call. The buffer is touched again only after the callback returns:
-// the partial tail then moves to the front, or the buffer grows. On exit —
-// poisoned frame, a failed write that killed the socket, mesh close — the
-// connection dies and d is reaped: sender-side accounting reconciles the
-// frames this reader will never deliver.
+// the partial tail then moves to the front, or the buffer grows. A frame
+// whose endpoints are not the direction's is a bad frame, like one that
+// does not decode: the receiver routes a batch by its first frame and
+// charges each frame to its sender's order. On exit — a bad frame, a
+// failed write that killed the socket, mesh close — the connection dies
+// and d is reaped: sender-side accounting reconciles the frames this
+// reader will never deliver.
 func (t *TCP) readLoop(conn net.Conn, pc *pairConn, d *direction) {
 	defer func() {
 		t.reap(pc, d) // kills the connection before either end closes
 		_ = conn.Close()
 	}()
-	from, to := d.from, d.to
 	// A heap block of minReadBuf bytes is word-aligned, and so is every
 	// frame in it when the sender pads frames to whole words (appendFrame):
 	// every view is then zero-copy.
-	buf := make([]byte, minReadBuf)
-
-	// buf[r:w] holds the bytes read and not yet decoded. Frames decode
-	// straight into their batch slot (decodeFrame resets it first); the
-	// callback gets the first k slots, views into buf.
-	var batch []Message
+	s := &inbound{t: t, pc: pc, d: d, buf: make([]byte, minReadBuf)}
 	var err error
-	r, w, burst := 0, 0, false
+	if rc := rawConn(conn); rc != nil {
+		err = s.pumpPoller(rc)
+	} else {
+		err = s.pumpBlocking(conn)
+	}
+	if s.stopped || err == nil {
+		return // a bad frame (reported), the mesh closed, or a kill
+	}
+	if s.w > s.r && err == io.EOF {
+		err = fmt.Errorf("transport: torn frame: %w", io.ErrUnexpectedEOF)
+	}
+	// A kill closes both ends, so the read may fail with a reset or a torn
+	// tail the kill itself caused: that is a dead link, not a poisoned one.
+	// The kill marks the connection dead first.
+	if err != io.EOF && !errors.Is(err, net.ErrClosed) && !pc.dead.Load() {
+		t.frameError(d.from, d.to, err)
+	}
+}
+
+// rawConn returns conn's descriptor access, or nil for a connection that
+// has none (a test's in-memory stream).
+func rawConn(conn net.Conn) syscall.RawConn {
+	if sc, ok := conn.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			return rc
+		}
+	}
+	return nil
+}
+
+// pumpPoller feeds the reader from a socket at one read(2) per arrival. The
+// whole loop runs inside the poller's read callback: a read that returned
+// less than the buffer's free space drained the socket — Linux TCP returns
+// short only with its receive queue empty, and a segment that raced the
+// read into the socket's backlog is queued and signalled as the read
+// releases the socket — so once its frame is delivered the reader parks on
+// the poller (the callback returns false) instead of reading again only to
+// get EAGAIN, and the next arrival is a new readiness edge. nginx's
+// ngx_unix_recv clears ready on the same rule under EPOLLET.
+//
+// That holds for a read that brought at most one frame: a stream at batch
+// size one. A short read that brought several shows frames arriving faster
+// than one delivery, so more may have come while they were delivered, and
+// the reader reads again, parking only on EAGAIN. A parked reader waits for
+// the scheduler to poll the network, which a busy GOMAXPROCS=1 process does
+// only every 10 ms, so parking a busy stream with data waiting starves it.
+// A read that filled the space reads again at once; EINTR retries; nothing
+// is read once the connection is dead.
+//
+// The callback stays inside one RawConn.Read for the connection's life,
+// because each new Read forgets a readiness edge that arrived before it.
+// Delivering inside the callback holds the descriptor's read lock, so
+// closing this end waits for a delivery in progress: no caller of kill
+// holds anything a delivery waits on.
+func (s *inbound) pumpPoller(rc syscall.RawConn) error {
+	var rerr error
+	err := rc.Read(func(fd uintptr) bool {
+		for !s.pc.dead.Load() {
+			space := len(s.buf) - s.w
+			n, err := syscall.Read(int(fd), s.buf[s.w:])
+			s.t.obs.Reads.Inc()
+			switch {
+			case err == syscall.EINTR:
+				continue
+			case err == syscall.EAGAIN:
+				return false
+			case err != nil:
+				rerr = err
+				return true
+			case n == 0:
+				rerr = io.EOF
+				return true
+			}
+			frames, ok := s.took(n)
+			if !ok {
+				return true
+			}
+			if n < space && frames <= 1 {
+				return false
+			}
+		}
+		return true
+	})
+	if rerr != nil {
+		return rerr
+	}
+	return err
+}
+
+// pumpBlocking feeds the reader from a connection without descriptor
+// access, one blocking Read at a time, through the same body.
+func (s *inbound) pumpBlocking(conn net.Conn) error {
+	for !s.pc.dead.Load() {
+		n, err := conn.Read(s.buf[s.w:])
+		s.t.obs.Reads.Inc()
+		if _, ok := s.took(n); !ok || err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inbound is one direction's receive state, owned by its reader: the byte
+// buffer reads land in, buf[r:w] the bytes read and not yet decoded, and
+// the batch every complete frame is decoded into — the callback gets the
+// first k slots, views into buf.
+type inbound struct {
+	t     *TCP
+	pc    *pairConn
+	d     *direction
+	buf   []byte
+	r, w  int
+	batch []Message
+	// stopped is set when the reader must stop reading: a bad frame, which
+	// took reported, or the mesh closed.
+	stopped bool
+}
+
+// took is the reader's one body, run after n bytes landed at buf[w:]: it
+// delivers every complete frame, in batches of at most maxInboundBatch,
+// then moves the partial tail to the front and grows the buffer to fit the
+// frame the tail starts — or doubles it, up to maxReadBuf, after a read
+// that filled it (a burst) — so the next read has room. It returns how many
+// frames it delivered, and ok false once the reader must stop.
+func (s *inbound) took(n int) (frames int, ok bool) {
+	t, from, to := s.t, s.d.from, s.d.to
+	burst := s.w+n == len(s.buf)
+	s.w += n
 	for {
 		k, in := 0, 0
-		for k < maxInboundBatch && w-r >= 8 {
-			size := int64(binary.LittleEndian.Uint64(buf[r:]))
+		for k < maxInboundBatch && s.w-s.r >= 8 {
+			size := int64(binary.LittleEndian.Uint64(s.buf[s.r:]))
 			if size <= 0 || size > maxFrame {
-				t.deliverBatch(d, batch[:k])
-				t.frameError(from, to, fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size))
-				return
+				return frames, s.refuse(k, fmt.Errorf("transport: frame size %d outside (0, 1MiB]", size))
 			}
-			end := r + 8 + int(size)
-			if end > w {
+			end := s.r + 8 + int(size)
+			if end > s.w {
 				break
 			}
-			if k == len(batch) {
-				batch = append(batch, Message{})
+			if k == len(s.batch) {
+				s.batch = append(s.batch, Message{})
 			}
-			if err := decodeView(buf[r+8:end], &batch[k]); err != nil {
-				t.deliverBatch(d, batch[:k])
-				t.frameError(from, to, err)
-				return
+			m := &s.batch[k]
+			if err := decodeView(s.buf[s.r+8:end], m); err != nil {
+				return frames, s.refuse(k, err)
 			}
-			k, in, r = k+1, in+end-r, end
-		}
-		if k > 0 {
-			t.obs.BytesIn.Add(uint64(in))
-			select {
-			case <-t.closed:
-				return
-			default:
+			if m.From != from || m.To != to {
+				return frames, s.refuse(k, fmt.Errorf("transport: a %d→%d frame on the %d→%d stream", m.From, m.To, from, to))
 			}
-			t.deliverBatch(d, batch[:k])
-			continue
+			k, in, s.r = k+1, in+end-s.r, end
 		}
-		if err != nil {
-			if w > r && err == io.EOF {
-				err = fmt.Errorf("transport: torn frame: %w", io.ErrUnexpectedEOF)
-			}
-			// A kill closes both ends, so the read may fail with a reset or
-			// a torn tail the kill itself caused: that is a dead link, not a
-			// poisoned one. The kill marks the connection dead first.
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !pc.dead.Load() {
-				t.frameError(from, to, err)
-			}
-			return
+		if k == 0 {
+			break
 		}
-		// No complete frame is left: the callback has returned, so the
-		// partial tail moves to the front, and the buffer grows to fit the
-		// frame it starts, or doubles after a burst.
-		w, r = copy(buf, buf[r:w]), 0
-		need := 8
-		if w >= 8 {
-			need += int(binary.LittleEndian.Uint64(buf)) // checked above
+		t.obs.BytesIn.Add(uint64(in))
+		select {
+		case <-t.closed:
+			s.stopped = true
+			return frames, false
+		default:
 		}
-		if burst {
-			need = max(need, min(2*len(buf), maxReadBuf))
-		}
-		if need > len(buf) {
-			grown := make([]byte, need)
-			copy(grown, buf[:w])
-			buf = grown
-			// Stale views must not keep the old buffer alive.
-			clear(batch)
-		}
-		var n int
-		n, err = conn.Read(buf[w:])
-		burst = w+n == len(buf)
-		w += n
+		t.deliverBatch(s.d, s.batch[:k])
+		frames += k
 	}
+	s.w, s.r = copy(s.buf, s.buf[s.r:s.w]), 0
+	need := 8
+	if s.w >= 8 {
+		need += int(binary.LittleEndian.Uint64(s.buf)) // checked above
+	}
+	if burst {
+		need = max(need, min(2*len(s.buf), maxReadBuf))
+	}
+	if need > len(s.buf) {
+		grown := make([]byte, need)
+		copy(grown, s.buf[:s.w])
+		s.buf = grown
+		// Stale views must not keep the old buffer alive.
+		clear(s.batch)
+	}
+	return frames, true
+}
+
+// refuse ends the stream at a bad frame: the k good frames decoded before it
+// are delivered, the frame is reported, and the reader stops.
+func (s *inbound) refuse(k int, err error) bool {
+	s.t.deliverBatch(s.d, s.batch[:k])
+	s.t.frameError(s.d.from, s.d.to, err)
+	s.stopped = true
+	return false
 }
 
 // deliverBatch hands a batch of direction d to the deliver callback and,

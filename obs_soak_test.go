@@ -67,6 +67,7 @@ func TestObsInstrumentedSoak(t *testing.T) {
 		"transport.frames_sent",
 		"transport.frames_delivered",
 		"transport.bytes_out",
+		"transport.reads",
 		"transport.dials",
 		"storage.saves",
 	} {
