@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/storage/logstore"
@@ -40,9 +40,6 @@ type TortureConfig struct {
 	Ops int
 	// Seed makes the stream and the injection points reproducible.
 	Seed int64
-	// SegmentBytes sizes log segments (default 1024, so a short stream still
-	// spans several segments).
-	SegmentBytes int64
 	// BitFlips is the number of single-bit corruption images (default 24).
 	BitFlips int
 }
@@ -143,17 +140,17 @@ func checkView(st storage.Store, want map[int]storage.Checkpoint) error {
 // Torture runs the matrix against the log store (MemStore has no stable
 // bytes to tear) and returns its tally; the first oracle violation aborts
 // with an error naming the image that broke. It drives the op stream
-// serially through a log store, then reopens crash images truncated at and
-// inside every commit boundary plus bit-flipped images. Compaction is off,
-// so the log holds one record per op in op order and the running sum of
+// serially through a log store, snapshotting the directory's files as each
+// commit leaves them, then reopens crash images — the files as the commit
+// before left them, with the one the commit names truncated at and inside
+// its boundaries — plus bit-flipped images of the final files. A stream
+// this short never fills a generation, so no switch rewrites the live set:
+// the log holds one record per op in op order and the running sum of
 // Commit.Records is the boundary map: commit k made exactly
 // ops[:sum(Records[0..k])] durable.
 func Torture(cfg TortureConfig) (TortureResult, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 48
-	}
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 1024
 	}
 	if cfg.BitFlips <= 0 {
 		cfg.BitFlips = 24
@@ -165,11 +162,20 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	ops := tortureOps(rng, cfg.Ops)
 	res := TortureResult{Ops: len(ops)}
 	liveDir := filepath.Join(cfg.Dir, "live")
-	var commits []logstore.Commit
+	var (
+		commits []logstore.Commit
+		snaps   []map[string][]byte // snaps[k]: the files as commit k left them
+		snapErr error
+	)
 	s, err := logstore.Open(liveDir, logstore.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		NoCompact:    true, // records must map 1:1 to ops
-		OnCommit:     func(c logstore.Commit) { commits = append(commits, c) },
+		OnCommit: func(c logstore.Commit) {
+			files, err := snapshotDir(liveDir)
+			if err != nil && snapErr == nil {
+				snapErr = err
+			}
+			commits = append(commits, c)
+			snaps = append(snaps, files)
+		},
 	})
 	if err != nil {
 		return res, fmt.Errorf("torture: open live store: %w", err)
@@ -187,6 +193,9 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	if err := s.Close(); err != nil {
 		return res, fmt.Errorf("torture: close live store: %w", err)
 	}
+	if snapErr != nil {
+		return res, snapErr
+	}
 	durable := 0
 	for _, c := range commits {
 		durable += c.Records
@@ -194,16 +203,14 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	if durable != len(ops) {
 		return res, fmt.Errorf("torture: %d ops produced %d durable records in %d commits; Close must leave every op durable", len(ops), durable, len(commits))
 	}
-	segs, err := snapshotDir(liveDir)
-	if err != nil {
-		return res, err
-	}
+	final := snaps[len(snaps)-1] // Close committed last: the files as they stay
 
 	// Crash images: with before ops durable ahead of commit k, a cut at
 	// Start leaves ops[:before], a cut at End leaves ops[:before+Records],
 	// and any cut between must behave exactly like Start — the batch, the
 	// Save and the tombstones riding with it, is all-or-nothing.
 	before := 0
+	prev := map[string][]byte{}
 	for k, c := range commits {
 		span := c.End - c.Start
 		cuts := []struct {
@@ -218,57 +225,51 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 		before += c.Records
 		for _, cut := range cuts {
 			dir := filepath.Join(cfg.Dir, "img")
-			if err := writeLogImage(dir, segs, c.Seg, cut.at); err != nil {
+			if err := writeLogImage(dir, prev, c.File, snaps[k][c.File][:cut.at]); err != nil {
 				return res, err
 			}
 			res.Injections++
-			r, err := logstore.Open(dir, logstore.Options{NoCompact: true})
+			r, err := logstore.Open(dir, logstore.Options{})
 			if err != nil {
-				return res, fmt.Errorf("torture: commit %d cut %d@seg%d: truncation crash must rehydrate, got: %w", k, cut.at, c.Seg, err)
+				return res, fmt.Errorf("torture: commit %d cut %s@%d: truncation crash must rehydrate, got: %w", k, c.File, cut.at, err)
 			}
 			res.TornTails += r.TornTails()
 			verr := checkView(r, viewAfter(ops, cut.want))
 			r.Close()
 			if verr != nil {
-				return res, fmt.Errorf("torture: commit %d cut %d@seg%d: want ops[:%d]: %w", k, cut.at, c.Seg, cut.want, verr)
+				return res, fmt.Errorf("torture: commit %d cut %s@%d: want ops[:%d]: %w", k, c.File, cut.at, cut.want, verr)
 			}
 			res.CleanPrefix++
 			if err := os.RemoveAll(dir); err != nil {
 				return res, err
 			}
 		}
+		prev = snaps[k]
 	}
 
 	// Bit-rot images: one flipped bit anywhere in the synced log must turn
 	// the open into a loud storage.ErrCorrupt refusal, never a quiet
 	// truncation — acknowledged data is at stake.
-	segIDs := make([]int, 0, len(segs))
-	for id := range segs {
-		segIDs = append(segIDs, id)
-	}
-	sort.Ints(segIDs)
+	names := slices.Sorted(maps.Keys(final))
 	for i := 0; i < cfg.BitFlips; i++ {
-		id := segIDs[rng.Intn(len(segIDs))]
-		data := segs[id]
+		name := names[rng.Intn(len(names))]
+		data := final[name]
 		off := rng.Intn(len(data))
 		bit := byte(1) << uint(rng.Intn(8))
 		dir := filepath.Join(cfg.Dir, "img")
 		flipped := append([]byte(nil), data...)
 		flipped[off] ^= bit
-		if err := writeLogImage(dir, segs, -1, 0); err != nil {
-			return res, err
-		}
-		if err := os.WriteFile(filepath.Join(dir, segName(id)), flipped, 0o644); err != nil {
+		if err := writeLogImage(dir, final, name, flipped); err != nil {
 			return res, err
 		}
 		res.Injections++
-		r, err := logstore.Open(dir, logstore.Options{NoCompact: true})
+		r, err := logstore.Open(dir, logstore.Options{})
 		if err == nil {
 			r.Close()
-			return res, fmt.Errorf("torture: bit flip seg %d offset %d bit %#x opened silently", id, off, bit)
+			return res, fmt.Errorf("torture: bit flip %s offset %d bit %#x opened silently", name, off, bit)
 		}
 		if !errors.Is(err, storage.ErrCorrupt) {
-			return res, fmt.Errorf("torture: bit flip seg %d offset %d: error is not ErrCorrupt: %w", id, off, err)
+			return res, fmt.Errorf("torture: bit flip %s offset %d: error is not ErrCorrupt: %w", name, off, err)
 		}
 		res.LoudRefusals++
 		if err := os.RemoveAll(dir); err != nil {
@@ -278,56 +279,41 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	return res, nil
 }
 
-func segName(id int) string { return fmt.Sprintf("seg-%08d.log", id) }
-
-// writeLogImage materializes a crash image: every segment before cutSeg in
-// full, cutSeg truncated at cut, later segments gone (a crash truncates the
-// log suffix, not a middle). cutSeg −1 writes all segments in full.
-func writeLogImage(dir string, segs map[int][]byte, cutSeg int, cut int64) error {
+// writeLogImage materializes a crash image in dir: every file of files as
+// it is, except name, which holds data instead.
+func writeLogImage(dir string, files map[string][]byte, name string, data []byte) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for id, data := range segs {
-		switch {
-		case cutSeg >= 0 && id > cutSeg:
-			continue
-		case id == cutSeg:
-			data = data[:cut]
-		}
-		if err := os.WriteFile(filepath.Join(dir, segName(id)), data, 0o644); err != nil {
-			return err
+	for n, d := range files {
+		if n != name {
+			if err := os.WriteFile(filepath.Join(dir, n), d, 0o644); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 }
 
-// snapshotDir reads every segment file into memory, keyed by segment id.
-func snapshotDir(dir string) (map[int][]byte, error) {
+// snapshotDir reads every file of dir into memory, keyed by name.
+func snapshotDir(dir string) (map[string][]byte, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	segs := make(map[int][]byte)
+	files := make(map[string][]byte, len(ents))
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(name, "seg-%d.log", &id); err != nil {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
-		segs[id] = data
+		files[e.Name()] = data
 	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("torture: live store left no segments in %s", dir)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("torture: live store left no files in %s", dir)
 	}
-	return segs, nil
+	return files, nil
 }

@@ -15,16 +15,15 @@ import (
 )
 
 // TestTortureLogStore runs the full crash-torture matrix against the
-// segmented log backend: truncation images at and inside every commit
+// log store: truncation images at and inside every commit
 // boundary must rehydrate the exact acknowledged prefix, and bit-flip
 // images must refuse loudly. This is the CI torture lane's main dish.
 func TestTortureLogStore(t *testing.T) {
 	res, err := Torture(TortureConfig{
-		Dir:          t.TempDir(),
-		Ops:          48,
-		Seed:         1,
-		SegmentBytes: 1024,
-		BitFlips:     32,
+		Dir:      t.TempDir(),
+		Ops:      48,
+		Seed:     1,
+		BitFlips: 32,
 	})
 	if err != nil {
 		t.Fatalf("%v (after %s)", err, res)
@@ -39,7 +38,7 @@ func TestTortureLogStore(t *testing.T) {
 }
 
 // TestTortureLogStoreSeeds varies the stream seed so the op mix (rollback
-// positions, delete density, segment roll points) differs run to run while
+// positions, delete density, batch boundaries) differs run to run while
 // staying reproducible per seed.
 func TestTortureLogStoreSeeds(t *testing.T) {
 	if testing.Short() {
@@ -47,15 +46,15 @@ func TestTortureLogStoreSeeds(t *testing.T) {
 	}
 	for seed := int64(2); seed <= 5; seed++ {
 		res, err := Torture(TortureConfig{
-			Dir:          t.TempDir(),
-			Ops:          40,
-			Seed:         seed,
-			SegmentBytes: 768,
-			BitFlips:     8,
+			Dir:      t.TempDir(),
+			Ops:      40,
+			Seed:     seed,
+			BitFlips: 8,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v (after %s)", seed, err, res)
 		}
+		t.Logf("seed %d: %s", seed, res)
 	}
 }
 
@@ -71,8 +70,7 @@ func TestLostTombstoneIsRecollected(t *testing.T) {
 	liveDir := filepath.Join(dir, "live")
 	var commits []logstore.Commit
 	ls, err := logstore.Open(liveDir, logstore.Options{
-		NoCompact: true,
-		OnCommit:  func(c logstore.Commit) { commits = append(commits, c) },
+		OnCommit: func(c logstore.Commit) { commits = append(commits, c) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,16 +111,16 @@ func TestLostTombstoneIsRecollected(t *testing.T) {
 	}
 
 	// The crash image: everything but the batch Close committed.
-	segs, err := snapshotDir(liveDir)
+	files, err := snapshotDir(liveDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tail := commits[len(commits)-1]
 	imgDir := filepath.Join(dir, "img")
-	if err := writeLogImage(imgDir, segs, tail.Seg, tail.Start); err != nil {
+	if err := writeLogImage(imgDir, files, tail.File, files[tail.File][:tail.Start]); err != nil {
 		t.Fatal(err)
 	}
-	re, err := logstore.Open(imgDir, logstore.Options{NoCompact: true})
+	re, err := logstore.Open(imgDir, logstore.Options{})
 	if err != nil {
 		t.Fatalf("the image cut before the tombstone batch must reopen: %v", err)
 	}

@@ -109,12 +109,12 @@ const (
 	StorageRetained = "storage.retained"
 
 	// Storage, log backend only (internal/storage/logstore): group-commit
-	// shape and the segment lifecycle. MemStore leaves these untouched.
+	// shape and the generation lifecycle. MemStore leaves these untouched.
 	StorageBatchRecords = "storage.commit.batch_records" // records per group commit
 	StorageCommitNs     = "storage.commit_ns"            // write+sync latency per batch
-	StorageCompactions  = "storage.compactions"          // segments rewritten and dropped
+	StorageCompactions  = "storage.compactions"          // generation switches: live set rewritten, old file removed
 	StorageTornTails    = "storage.torn_tails"           // torn tails truncated at replay
-	StorageLiveRatioPct = "storage.live_ratio_pct"       // live bytes / log bytes, percent
+	StorageLiveRatioPct = "storage.live_ratio_pct"       // live bytes / generation bytes, percent
 	StorageDurableLag   = "storage.durable_lag"          // saves staged and not yet durable (staged − durable sequence)
 
 	// Chaos / recovery (internal/chaos, internal/runtime recovery).

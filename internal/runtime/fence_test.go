@@ -384,9 +384,13 @@ func TestFenceSlowFlushSoak(t *testing.T) {
 		N:       n,
 		LocalGC: func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 		NewStore: func(self int) (storage.Store, error) {
-			rng := rand.New(rand.NewSource(int64(self))) // the committer alone draws from it
+			var mu sync.Mutex // a new generation's file and directory flushes draw at once
+			rng := rand.New(rand.NewSource(int64(self)))
 			return logstore.Open(logStoreDir(dir, self), logstore.Options{Sync: func(*os.File) error {
-				time.Sleep(time.Millisecond + time.Duration(rng.Intn(1000))*time.Microsecond)
+				mu.Lock()
+				d := time.Millisecond + time.Duration(rng.Intn(1000))*time.Microsecond
+				mu.Unlock()
+				time.Sleep(d)
 				return nil
 			}})
 		},

@@ -239,7 +239,7 @@ func TestLogStoreCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		re, err := logstore.Open(logStoreDir(dir, i), logstore.Options{NoCompact: true})
+		re, err := logstore.Open(logStoreDir(dir, i), logstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

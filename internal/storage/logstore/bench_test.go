@@ -41,7 +41,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				re, err := Open(dir, Options{NoCompact: true})
+				re, err := Open(dir, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,23 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-// FuzzLogReplay feeds arbitrary bytes to the replay path as a lone segment
-// file: every input must either open into a self-consistent store or fail
-// loudly with storage.ErrCorrupt — a silent half-state is the one outcome
-// crash recovery may never produce. When the open succeeds, a second open
+// FuzzLogReplay feeds arbitrary bytes to the replay path as a lone
+// generation file: every input must either open into a self-consistent store
+// or fail loudly with storage.ErrCorrupt — a silent half-state is the one
+// outcome crash recovery may never produce. When the open succeeds, a second open
 // of the same directory must agree with the first (replay is deterministic
 // and any torn-tail truncation is physical).
 func FuzzLogReplay(f *testing.F) {
 	// Seed with a genuine log (saves, a tombstone, a supersede) and a few
 	// broken variants of it.
 	seedDir := f.TempDir()
-	s, err := Open(seedDir, Options{NoCompact: true})
+	s, err := Open(seedDir, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,13 +40,13 @@ func FuzzLogReplay(f *testing.F) {
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(segPath(seedDir, 0))
+	valid, err := os.ReadFile(genPath(seedDir, 0))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:segHdrLen])
+	f.Add(valid[:genHdrLen])
 	f.Add([]byte{})
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x10
@@ -55,11 +54,11 @@ func FuzzLogReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "seg-00000000.log")
+		path := genPath(dir, 0)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{NoCompact: true})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			if !errors.Is(err, storage.ErrCorrupt) {
 				t.Fatalf("open failed without ErrCorrupt: %v", err)
@@ -68,7 +67,7 @@ func FuzzLogReplay(f *testing.F) {
 		}
 		view := checkConsistent(t, s)
 		s.Close()
-		again, err := Open(dir, Options{NoCompact: true})
+		again, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("second open of a replayed log failed: %v", err)
 		}
@@ -123,8 +122,8 @@ func checkConsistent(t *testing.T, s *LogStore) map[int]storage.Checkpoint {
 }
 
 // FuzzStoreDifferential plays arbitrary op streams — saves, deletes, rollback
-// re-saves of deleted indices, compaction on segments of three records, close
-// and reopen — through a log store and MemStore, which must agree on every
+// re-saves of deleted indices, generation switches forced and from three
+// records on, close and reopen — through a log store and MemStore, which must agree on every
 // op's outcome and on Indices, Load, LoadDV and Stats after it. The index
 // holds its entries by value, so a change that forgets to write an entry
 // back leaves a stale one that no error reports: a view that parts from
@@ -133,12 +132,11 @@ func FuzzStoreDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f.Add(seededOps(seed, true))
 	}
-	noSync := func(*os.File) error { return nil }
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		p := newStorePair(t, Options{SegmentBytes: 16 + 3*115, NoCompact: true, Sync: noSync})
+		p := newStorePair(t, Options{Sync: noSync}, genHdrLen+3*115)
 		playOps(t, ops, p.save, p.delete, p)
 	})
 }

@@ -1,17 +1,19 @@
-// Package logstore implements storage.Store as a segmented append-only log
-// with group commit: the durable store of the two (MemStore, in package
-// storage, a plain map, is the oracle it is tested against). Every
+// Package logstore implements storage.Store as an append-only log in
+// generations with group commit: the durable store of the two (MemStore, in
+// package storage, a plain map, is the oracle it is tested against). Every
 // mutation — checkpoint saves and deletion tombstones alike — is appended to
-// a fixed-size segment file, and a single committer goroutine folds all
+// the current generation's file, and a single committer goroutine folds all
 // mutations staged while the previous write+sync was in flight into the
 // next one. Under concurrent writers the sync cost amortizes across the
 // batch; a lone writer still pays exactly one write+sync per save.
 //
-// On-disk layout. A directory holds segment files seg-%08d.log. A segment
-// starts with a 16-byte header (magic, segment id — the id is checked
-// against the filename so a misplaced file cannot impersonate another
-// segment). After the header, segments are a sequence of batches, each the
-// unit of one group commit:
+// On-disk layout. A directory holds one file per generation, gen-%08d.log
+// (two for the moment between a switch's first batch and the removal of the
+// generation it replaces). A generation file starts with a 16-byte header
+// (magic, generation number — the number is checked against the filename so
+// a misplaced file cannot impersonate another generation). After the
+// header, a generation is a sequence of batches, each the unit of one group
+// commit:
 //
 //	u32 batchMagic | u32 recordCount | u32 payloadLen |
 //	u32 payloadCRC32 | u32 headerCRC32(first 16 bytes) | payload
@@ -22,8 +24,21 @@
 // so every record decodes on its own. A tombstone frame's body is the
 // deleted checkpoint index as a u64.
 //
+// Generations. A generation's first batch opens with the whole live set at
+// the moment the generation was opened; the rest of it and every later batch
+// append saves and tombstones, so a generation holds everything a reopen
+// needs. Under RDT-LGC a process keeps at most n checkpoints, so the live set
+// is small: when a save would take the generation past max(genFloor, 4 ×
+// live bytes), it opens generation g+1 first. The committer writes g+1's
+// first batch, syncs the file and the directory, and only then closes and
+// removes g. Replay takes the newest generation whose first batch is
+// complete and removes the others. A tombstone lives in the generation of
+// the record it kills — the next first batch leaves that record out — so no
+// tombstone outlives its generation, and the index keeps no entry for a
+// deleted checkpoint.
+//
 // The two checksums split the failure modes: a batch whose declared extent
-// runs past the end of the final segment is a torn tail — a crash hit
+// runs past the end of the newest generation is a torn tail — a crash hit
 // mid-write before the sync, so the batch was never acknowledged and replay
 // truncates it loudly-but-successfully at the last durable batch boundary.
 // A batch whose bytes are all present but whose header or payload CRC
@@ -42,44 +57,35 @@
 // Delete stages its tombstone and returns: the paper's collector is
 // asynchronous, so eliminating an obsolete checkpoint is never worth a flush
 // of its own. The tombstone rides the next batch somebody waits for — the
-// next Save, a compaction rewrite, or Close — and because batches commit in
-// staging order it is never durable before the Save it follows. A crash
-// before that batch resurrects the checkpoint; the Rollback every restart
-// runs (Algorithm 3) rebuilds UC from whatever survived and collects it
-// again. Deleting the most recent checkpoint is the exception: only a
-// rollback does that, a restart resumes from the most recent checkpoint it
-// finds, and a rolled-back checkpoint that came back would be taken for the
-// process's last stable state. That Delete waits for its batch — which, the
-// log being FIFO, also settles every tombstone staged before it, so a
-// rollback that discards k checkpoints in ascending order pays one flush.
+// next Save or Close — and because batches commit in staging order it is
+// never durable before the Save it follows. A crash before that batch
+// resurrects the checkpoint; the Rollback every restart runs (Algorithm 3)
+// rebuilds UC from whatever survived and collects it again. Deleting the
+// most recent checkpoint is the exception: only a rollback does that, a
+// restart resumes from the most recent checkpoint it finds, and a
+// rolled-back checkpoint that came back would be taken for the process's
+// last stable state. That Delete waits for its batch — which, the log being
+// FIFO, also settles every tombstone staged before it, so a rollback that
+// discards k checkpoints in ascending order pays one flush.
 // In-memory index state is applied at staging time under the store
 // lock, so the Store view is sequentially consistent for callers even while
 // batches are in flight; Load serves not-yet-durable records from the
-// staging buffer.
-//
-// Deletion frees the index at once — a later Save may take it again, as in
-// MemStore — but keeps the dead record's bookkeeping: the dead bytes stay in
-// their segment until background compaction rewrites a segment whose live
-// ratio has dropped below compactRatio — surviving records are re-appended
-// at the tail, a tombstone is carried forward while any copy of its index —
-// the one it killed, or an earlier one a re-save superseded — survives in
-// another segment, and the victim file is deleted. No record refers to
-// another, so any sealed segment is individually rewritable.
+// staging buffer. Deletion frees the index at once — a later Save may take
+// it again, as in MemStore.
 //
 // Reading a record. A durable record is read with one pread through a
-// read-only descriptor its segment keeps: opened, under the store lock, by
-// the first read that needs it, and closed when compaction drops the segment
-// and at Close — so a Load is one read and one decode, with no open(2) or
-// close(2). A LoadDV is the same read cut short before the state bytes: a
-// rollback and the recovery line compare vectors, and only the checkpoint a
-// process restores from is read whole. Compaction closes the descriptor
-// before it unlinks the file: an open descriptor keeps an unlinked file's
-// blocks allocated, and nothing reads the victim once its live records are
-// durable elsewhere. The committer's write handle is a separate file,
-// because the committer opens and closes it without the store lock. No
-// decoded record is cached: every read still decodes the bytes on disk, so
-// the record parser checks what is on the device at each Load and LoadDV,
-// as it did when each read opened the file.
+// read-only descriptor the store keeps on the current generation: opened,
+// under the store lock, by the first read that needs it, and closed at a
+// switch and at Close — so a Load is one read and one decode, with no
+// open(2) or close(2). After a switch every live record is served from the
+// new first batch's staging copy until it is durable, so nothing reads the
+// old generation again and its blocks go with its removal. A LoadDV is the
+// same read cut short before the state bytes: a rollback and the recovery
+// line compare vectors, and only the checkpoint a process restores from is
+// read whole. The committer's write handle is a separate file, because the
+// committer opens and closes it without the store lock. No decoded record is
+// cached: every read still decodes the bytes on disk, so the record parser
+// checks what is on the device at each Load and LoadDV.
 package logstore
 
 import (
@@ -89,7 +95,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,10 +105,10 @@ import (
 )
 
 const (
-	segMagic   = uint64(0x5244544c4f473353) // "RDTLOG3S"
+	genMagic   = uint64(0x5244544c4f473447) // "RDTLOG4G"
 	batchMagic = uint32(0xb47c4d17)
 
-	segHdrLen   = 16
+	genHdrLen   = 16
 	batchHdrLen = 20
 	frameHdrLen = 5 // u32 body length + kind byte
 
@@ -117,23 +122,21 @@ const (
 	// maxStaged bounds the bytes staged but not yet durable; writers block
 	// (backpressure) rather than grow the buffer without bound.
 	maxStaged = 1 << 20
-	// compactRatio is the live-bytes/segment-bytes threshold below which a
-	// sealed segment becomes a compaction victim.
-	compactRatio = 0.45
+
+	// genFloor is the size below which a generation is never switched,
+	// however small the live set: 4 MiB, the segment size of the log before
+	// generations, so a store switches about as often as it compacted.
+	genFloor = 4 << 20
 )
 
 // Options tunes a log store. The zero value gives production defaults; the
 // hooks exist for the torture harness and tests.
 type Options struct {
-	// SegmentBytes is the roll threshold: a batch that would run past this
-	// offset goes to a fresh segment instead (a single oversized record is
-	// allowed to overflow a segment that holds nothing else). Default 4 MiB.
-	SegmentBytes int64
-	// NoCompact disables background compaction (the torture harness uses
-	// this so injected damage maps 1:1 to staged operations).
-	NoCompact bool
-	// Sync flushes a segment file to stable storage; nil means
-	// (*os.File).Sync. The torture harness injects failures here.
+	// Sync flushes a generation file, or the store's directory after a new
+	// generation's file is created, to stable storage; nil means
+	// (*os.File).Sync. A new generation's two flushes run at once, so Sync
+	// must be safe for concurrent use. The torture harness injects failures
+	// here.
 	Sync func(*os.File) error
 	// OnCommit, if set, is called with the extent of every durable batch,
 	// before the operations it carried are acknowledged. The torture harness
@@ -142,18 +145,16 @@ type Options struct {
 }
 
 // Commit describes one durable batch: the half-open byte range
-// [Start, End) it occupies in segment Seg, and the records it carried.
+// [Start, End) it occupies in File — the name of its generation's file in
+// the store's directory — and the records it carried.
 type Commit struct {
-	Seg     int
+	File    string
 	Start   int64
 	End     int64
 	Records int
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
 	if o.Sync == nil {
 		o.Sync = (*os.File).Sync
 	}
@@ -173,57 +174,21 @@ func Factory(dir string) func(self int) (storage.Store, error) {
 	}
 }
 
-// recInfo is the in-memory index entry for one checkpoint record: where its
-// body bytes live and its deletion state. The index holds entries by value,
-// so a save costs the heap nothing: every site that changes an entry writes
-// it back. Dead entries persist until every segment holding a copy of their
-// index is compacted away or a save takes their index again — they are what
-// tells compaction which tombstones still matter.
+// recInfo is the in-memory index entry for one live checkpoint record:
+// where its body bytes lie in the current generation. The index holds
+// entries by value, so a save costs the heap nothing: every site that
+// changes an entry writes it back.
 type recInfo struct {
-	seg      int
-	off      int64 // offset of the record body (v2 bytes) in the segment
+	off      int64 // offset of the record body in the current generation
 	size     int   // body length
 	stateLen int
-	dead     bool
-	tombSeg  int // segment holding the tombstone; -1 while live
-
-	// older lists the segments still holding earlier copies of the index,
-	// which a later save superseded: a rolled-back checkpoint the index was
-	// taken again over, or (after a replay) a copy compaction rewrote. Once
-	// the index is dead, its newest tombstone is all that keeps them from
-	// coming back, so compaction carries it while any of them survives. When
-	// compaction drops a dead record's own segment first, seg takes one of
-	// these over.
-	older []int
 
 	// pending holds the body bytes until the batch carrying them is
 	// durable, so Load works on staged-but-unsynced records; pendingIn
-	// identifies that batch so a supersede cannot be cleared by the old
-	// version's commit.
+	// identifies that batch so that the commit of an older copy — the one a
+	// switch rewrote — cannot clear it.
 	pending   []byte
 	pendingIn *batch
-}
-
-// segInfo is per-segment accounting: projected size, live body bytes (the
-// compaction trigger), and the number of staged batches still targeting it
-// (a segment with in-flight writes is never a compaction victim). rf is the
-// segment's read descriptor, opened by the first read that needs it and kept
-// until compaction drops the segment or the store closes; it is separate
-// from the committer's write handle, which lives outside the store lock.
-type segInfo struct {
-	size    int64
-	live    int64
-	batches int
-	rf      *os.File
-}
-
-// closeReader closes the segment's read descriptor, if one was opened.
-// Nothing was written through it, so there is no error worth reporting.
-func (seg *segInfo) closeReader() {
-	if seg.rf != nil {
-		seg.rf.Close()
-		seg.rf = nil
-	}
 }
 
 // batch is one group commit being assembled or awaiting the committer. buf
@@ -234,9 +199,9 @@ func (seg *segInfo) closeReader() {
 // neither carries only tombstones and stays open. Batches and their buffers
 // are recycled through LogStore.free once done and released.
 type batch struct {
-	seg     int
+	gen     int
 	off     int64
-	newSeg  bool // the committer must create the segment file first
+	first   bool // opens generation gen with the live set: the committer creates the file
 	buf     []byte
 	records int
 	saved   []int // checkpoint indices staged here, for pending cleanup
@@ -249,8 +214,8 @@ type batch struct {
 // wanted reports whether somebody needs b durable: a batch worth a flush.
 func (b *batch) wanted() bool { return b.waiters > 0 || b.stage > 0 }
 
-// LogStore is a segmented group-commit log implementing storage.Store. Use
-// Open; the zero value is not usable. Safe for concurrent use.
+// LogStore is a group-commit log in generations implementing storage.Store.
+// Use Open; the zero value is not usable. Safe for concurrent use.
 type LogStore struct {
 	mu     sync.Mutex
 	commit sync.Cond // committer waits here for staged batches
@@ -261,14 +226,16 @@ type LogStore struct {
 
 	recs   map[int]recInfo
 	sorted []int // live indices, ascending
+	live   int64 // body bytes of the live records
 	stats  storage.Stats
 
 	enc  []byte // reused record-encode buffer
 	rbuf []byte // reused record-read buffer; the decoders copy out of it
 
-	segs    map[int]*segInfo
-	projSeg int   // tail segment id; −1 before the first record
-	projOff int64 // projected next write offset in projSeg
+	gen    int      // current generation; −1 before the first record
+	genOff int64    // projected end of the current generation
+	floor  int64    // genFloor; tests lower it to switch within a few records
+	rf     *os.File // read descriptor on the current generation, opened by the first read
 
 	queue       []*batch // staged batches, FIFO
 	cur         *batch   // open batch accepting records (tail of queue)
@@ -286,16 +253,10 @@ type LogStore struct {
 	staged  uint64
 	durable uint64
 
-	// f is the open tail segment file, owned by the committer goroutine.
-	f    *os.File
-	fSeg int
-
+	// f is the file of the generation being written, owned by the committer
+	// goroutine.
+	f             *os.File
 	committerDone chan struct{}
-	compactKick   chan struct{}
-	wakes         int // kicks that reached the compactor, under mu; tests read it
-	compactorDone chan struct{}
-	stop          chan struct{}
-	closeOnce     sync.Once
 
 	obs    obs.StoreMetrics
 	flight *obs.Recorder
@@ -305,28 +266,25 @@ type LogStore struct {
 var _ storage.Store = (*LogStore)(nil)
 var _ obs.Instrumentable = (*LogStore)(nil)
 
-func segPath(dir string, id int) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%08d.log", id))
-}
+func genName(gen int) string { return fmt.Sprintf("gen-%08d.log", gen) }
 
-// Open opens (or creates) a log store rooted at dir, replaying existing
-// segments to rebuild the index: every batch's checksums are verified, a
-// torn tail in the final segment is truncated at the last durable batch
-// boundary (counted — see TornTails), and any other damage fails the open
-// with storage.ErrCorrupt. The returned store has running committer (and,
-// unless opt.NoCompact, compactor) goroutines; Close stops them.
+func genPath(dir string, gen int) string { return filepath.Join(dir, genName(gen)) }
+
+// Open opens (or creates) a log store rooted at dir, replaying the newest
+// generation whose first batch is complete to rebuild the index: every
+// batch's checksums are verified, a torn tail is truncated at the last
+// durable batch boundary (counted — see TornTails), the other generation
+// files are removed, and any other damage fails the open with
+// storage.ErrCorrupt. The returned store has a running committer goroutine;
+// Close stops it.
 func Open(dir string, opt Options) (*LogStore, error) {
 	s := &LogStore{
 		dir:           dir,
 		opt:           opt.withDefaults(),
 		recs:          make(map[int]recInfo),
-		segs:          make(map[int]*segInfo),
-		projSeg:       -1,
-		fSeg:          -1,
+		gen:           -1,
+		floor:         genFloor,
 		committerDone: make(chan struct{}),
-		compactKick:   make(chan struct{}, 1),
-		compactorDone: make(chan struct{}),
-		stop:          make(chan struct{}),
 	}
 	s.commit.L = &s.mu
 	s.flow.L = &s.mu
@@ -334,15 +292,7 @@ func Open(dir string, opt Options) (*LogStore, error) {
 	if err := s.replay(); err != nil {
 		return nil, err
 	}
-	for id := range s.segs {
-		s.kickIfVictimLocked(id) // buffered: the compactor takes it once started
-	}
 	go s.committer()
-	if s.opt.NoCompact {
-		close(s.compactorDone)
-	} else {
-		go s.compactor()
-	}
 	return s, nil
 }
 
@@ -462,13 +412,15 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		s.mu.Unlock()
 		return err
 	}
-	old, had := s.recs[cp.Index]
-	if had && !old.dead {
-		// A dead record's index is free: this save supersedes it.
+	if _, had := s.recs[cp.Index]; had {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 	}
-	b := s.stageSaveLocked(cp, old, had)
+	b, err := s.stageSaveLocked(cp)
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	if s.notify != nil {
 		s.commit.Signal()
 		s.staged++
@@ -478,7 +430,7 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 		return nil
 	}
 	s.holdLocked(b)
-	err := s.awaitLocked(b)
+	err = s.awaitLocked(b)
 	s.mu.Unlock()
 	if err == nil && saveNs != nil {
 		saveNs.Observe(time.Since(t0).Nanoseconds())
@@ -486,26 +438,19 @@ func (s *LogStore) Save(cp storage.Checkpoint) error {
 	return err
 }
 
-// stageSaveLocked encodes cp, stages the frame, and applies index state. old
-// is the index's dead entry, if had: Save has looked it up already. The
+// stageSaveLocked encodes cp, stages the frame, and applies index state. The
 // caller makes the returned batch wanted: it holds and awaits it, or gives
 // it a stage number.
-func (s *LogStore) stageSaveLocked(cp storage.Checkpoint, old recInfo, had bool) *batch {
+func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) (*batch, error) {
 	s.enc = storage.AppendRecord(s.enc[:0], cp)
-	s.roomLocked(frameHdrLen + len(s.enc))
+	if err := s.roomLocked(frameHdrLen + len(s.enc)); err != nil {
+		return nil, err
+	}
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
-	ri := recInfo{
-		seg: b.seg, off: bodyOff, size: len(body), stateLen: len(cp.State),
-		tombSeg: -1, pending: body, pendingIn: b,
-	}
-	if had {
-		// A dead record (Save refuses a live one): its bytes stay on disk.
-		ri.older = withSeg(old.older, old.seg)
-	}
-	s.recs[cp.Index] = ri
+	s.recs[cp.Index] = recInfo{off: bodyOff, size: len(body), stateLen: len(cp.State), pending: body, pendingIn: b}
 	s.sorted = insertSorted(s.sorted, cp.Index)
-	s.segs[b.seg].live += int64(len(body))
+	s.live += int64(len(body))
 	s.stats.Saved++
 	s.stats.Live++
 	s.stats.LiveBytes += len(cp.State)
@@ -517,50 +462,83 @@ func (s *LogStore) stageSaveLocked(cp storage.Checkpoint, old recInfo, had bool)
 	}
 	s.obs.Saves.Inc()
 	s.obs.Retained.Add(1)
-	return b
+	return b, nil
 }
 
-// roomLocked makes sure the open batch can take a frame of the given size,
-// sealing it and rolling to a fresh segment when the segment would
-// overflow. A frame too large for any segment is allowed to overflow a
-// segment holding nothing else.
-func (s *LogStore) roomLocked(need int) {
-	if s.cur != nil {
-		if s.cur.off+int64(len(s.cur.buf)+need) <= s.opt.SegmentBytes {
-			return
+// roomLocked readies the open batch for a checkpoint frame of need bytes,
+// switching to a new generation first when there is none yet or when the
+// frame would take the current one past max(floor, 4 × live bytes).
+func (s *LogStore) roomLocked(need int) error {
+	if s.gen < 0 || s.genOff+int64(need) > max(s.floor, 4*s.live) {
+		if err := s.switchLocked(); err != nil {
+			return err
 		}
-		s.cur = nil // seal; it stays queued for the committer
 	}
-	fresh := s.projSeg < 0 || s.projOff+int64(batchHdrLen+need) > s.opt.SegmentBytes
-	if fresh && s.projOff == segHdrLen {
-		fresh = false // empty segment: take the oversized frame here
+	s.openLocked()
+	return nil
+}
+
+// switchLocked opens generation g+1 with the live set at the head of its
+// first batch, which stays open: the save that called for the switch, and
+// what is staged until the committer takes the batch, ride it. Each live
+// record is decoded — from g, or from its staging copy — and encoded again,
+// never copied as bytes, so a record that rotted on the device fails the
+// switch loudly instead of moving under a fresh checksum. The open batch of
+// g is sealed first, so it commits before the new generation exists.
+func (s *LogStore) switchLocked() error {
+	s.cur = nil
+	first := s.startLocked(s.gen+1, genHdrLen)
+	first.first = true
+	var enc []byte
+	for _, idx := range s.sorted {
+		cp, err := s.loadLocked(idx)
+		if err != nil {
+			s.failLocked(fmt.Errorf("switch to generation %d: %w", first.gen, err))
+			return s.failed
+		}
+		enc = storage.AppendRecord(enc[:0], cp)
+		_, off, body := s.appendFrameLocked(kindCheckpoint, enc)
+		first.saved = append(first.saved, idx)
+		ri := s.recs[idx]
+		ri.off, ri.pending, ri.pendingIn = off, body, first
+		s.recs[idx] = ri
 	}
-	if fresh {
-		sealed := s.projSeg
-		s.projSeg++
-		s.projOff = segHdrLen
-		s.segs[s.projSeg] = &segInfo{size: segHdrLen}
-		s.kickIfVictimLocked(sealed)
+	// Every live record is now served from the first batch until it is
+	// durable in the new generation: nothing reads g again.
+	s.closeReaderLocked()
+	s.gen = first.gen
+	return nil
+}
+
+// openLocked returns the open batch, starting one at the current
+// generation's projected end if there is none.
+func (s *LogStore) openLocked() *batch {
+	if s.cur == nil {
+		s.startLocked(s.gen, s.genOff)
 	}
+	return s.cur
+}
+
+// startLocked queues a new open batch at offset off of generation gen.
+func (s *LogStore) startLocked(gen int, off int64) *batch {
 	var b *batch
 	if k := len(s.free); k > 0 {
 		b, s.free = s.free[k-1], s.free[:k-1]
 	} else {
-		b = &batch{buf: make([]byte, 0, batchHdrLen+need)}
+		b = &batch{}
 	}
-	b.seg, b.off, b.newSeg = s.projSeg, s.projOff, fresh
+	b.gen, b.off = gen, off
 	b.buf = append(b.buf, make([]byte, batchHdrLen)...) // header placeholder
 	s.cur = b
 	s.queue = append(s.queue, b)
-	s.segs[b.seg].batches++
-	s.projOff += batchHdrLen
-	s.segs[b.seg].size += batchHdrLen
+	s.genOff = off + batchHdrLen
 	s.stagedBytes += batchHdrLen
+	return b
 }
 
 // appendFrameLocked appends one frame to the open batch and returns the
-// batch, the segment offset of the body, and the staged body bytes (stable:
-// later appends never rewrite an already-staged region).
+// batch, the generation offset of the body, and the staged body bytes
+// (stable: later appends never rewrite an already-staged region).
 func (s *LogStore) appendFrameLocked(kind byte, body []byte) (*batch, int64, []byte) {
 	b := s.cur
 	bodyOff := b.off + int64(len(b.buf)) + frameHdrLen
@@ -569,28 +547,16 @@ func (s *LogStore) appendFrameLocked(kind byte, body []byte) (*batch, int64, []b
 	b.buf = append(b.buf, body...)
 	b.records++
 	n := frameHdrLen + len(body)
-	s.projOff += int64(n)
-	s.segs[b.seg].size += int64(n)
+	s.genOff += int64(n)
 	s.stagedBytes += n
 	return b, bodyOff, b.buf[len(b.buf)-len(body):]
 }
 
-// stageTombstoneLocked stages the deletion tombstone of checkpoint index in
-// the open batch. It wakes nobody: a caller that needs the tombstone durable
-// holds the returned batch.
-func (s *LogStore) stageTombstoneLocked(index int) *batch {
-	var body [8]byte
-	binary.LittleEndian.PutUint64(body[:], uint64(index))
-	s.roomLocked(frameHdrLen + len(body))
-	b, _, _ := s.appendFrameLocked(kindTombstone, body[:])
-	return b
-}
-
-// Delete implements Store: the record is marked dead — every later call
-// sees it gone — and its tombstone is staged to ride the next batch somebody
-// waits for; only the delete of the most recent checkpoint waits for that
-// batch itself (see the package comment for the durability contract). The
-// dead bytes stay in their segment until compaction claims it.
+// Delete implements Store: the index entry goes at once — every later call
+// sees the checkpoint gone — and its tombstone is staged in the current
+// generation to ride the next batch somebody waits for; only the delete of
+// the most recent checkpoint waits for that batch itself (see the package
+// comment for the durability contract).
 func (s *LogStore) Delete(index int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -598,23 +564,23 @@ func (s *LogStore) Delete(index int) error {
 		return err
 	}
 	ri, ok := s.recs[index]
-	if !ok || ri.dead {
+	if !ok {
 		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
 	}
 	newest := index == s.sorted[len(s.sorted)-1]
-	b := s.stageTombstoneLocked(index)
-	ri.dead = true
-	ri.tombSeg = b.seg
-	s.recs[index] = ri
+	var body [8]byte
+	binary.LittleEndian.PutUint64(body[:], uint64(index))
+	s.openLocked()
+	b, _, _ := s.appendFrameLocked(kindTombstone, body[:])
+	delete(s.recs, index)
 	s.sorted = removeSorted(s.sorted, index)
-	s.segs[ri.seg].live -= int64(ri.size)
+	s.live -= int64(ri.size)
 	s.stats.Collected++
 	s.stats.Live--
 	s.stats.LiveBytes -= ri.stateLen
 	s.obs.Deletes.Inc()
 	s.obs.Retained.Add(-1)
 	s.flight.Record(obs.Event{Kind: obs.EvCollect, P: s.proc, Msg: index})
-	s.kickIfVictimLocked(ri.seg)
 	if newest {
 		s.holdLocked(b)
 		return s.awaitLocked(b)
@@ -627,8 +593,8 @@ func (s *LogStore) Delete(index int) error {
 
 // Load implements Store: one read and one decode. Staged-but-unsynced
 // records are served from the staging buffer; durable ones are read back
-// from their segment. A failed store still serves what it holds; a closed
-// one serves nothing.
+// from the current generation. A failed store still serves what it holds; a
+// closed one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,7 +640,7 @@ func (s *LogStore) readableLocked(index int) error {
 	if s.closed {
 		return errClosed
 	}
-	if ri, ok := s.recs[index]; !ok || ri.dead {
+	if _, ok := s.recs[index]; !ok {
 		return fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
 	return nil
@@ -696,29 +662,38 @@ func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
 }
 
 // bodyLocked returns the first n bytes of a record's body: from the staging
-// copy while its batch is in flight, by one read through the segment's kept
-// descriptor once durable. The read lands in s.rbuf, so the bytes are valid
-// only until the next call; the decoders copy out of them.
+// copy while its batch is in flight, by one read through the current
+// generation's kept descriptor once durable. The read lands in s.rbuf, so
+// the bytes are valid only until the next call; the decoders copy out of
+// them.
 func (s *LogStore) bodyLocked(ri recInfo, n int) ([]byte, error) {
 	if ri.pending != nil {
 		return ri.pending[:n], nil
 	}
-	seg := s.segs[ri.seg]
-	if seg.rf == nil {
-		f, err := os.Open(segPath(s.dir, ri.seg))
+	if s.rf == nil {
+		f, err := os.Open(genPath(s.dir, s.gen))
 		if err != nil {
 			return nil, err
 		}
-		seg.rf = f
+		s.rf = f
 	}
 	if cap(s.rbuf) < n {
 		s.rbuf = make([]byte, n)
 	}
 	body := s.rbuf[:n]
-	if _, err := seg.rf.ReadAt(body, ri.off); err != nil {
+	if _, err := s.rf.ReadAt(body, ri.off); err != nil {
 		return nil, err
 	}
 	return body, nil
+}
+
+// closeReaderLocked closes the read descriptor, if one was opened. Nothing
+// was written through it, so there is no error worth reporting.
+func (s *LogStore) closeReaderLocked() {
+	if s.rf != nil {
+		s.rf.Close()
+		s.rf = nil
+	}
 }
 
 // Indices implements Store.
@@ -737,9 +712,8 @@ func (s *LogStore) Stats() storage.Stats {
 
 // Close seals the store: staged batches — the tombstones no Save has carried
 // yet among them — are committed (and every staged save reported to the
-// NotifyDurable callback), the goroutines exit, the tail file handle and
-// every segment's read descriptor close. Later operations fail; Close is
-// idempotent.
+// NotifyDurable callback), the committer exits, and the write handle and the
+// read descriptor close. Later operations fail; Close is idempotent.
 func (s *LogStore) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -748,14 +722,9 @@ func (s *LogStore) Close() error {
 	s.flow.Broadcast()
 	s.mu.Unlock()
 	<-s.committerDone
-	s.closeOnce.Do(func() { close(s.stop) })
-	<-s.compactorDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// No reader is left: Load refuses a closed store, the compactor exited.
-	for _, seg := range s.segs {
-		seg.closeReader()
-	}
+	s.closeReaderLocked() // no reader is left: Load refuses a closed store
 	if already {
 		return nil
 	}
@@ -809,7 +778,7 @@ func (s *LogStore) committer() {
 		if err == nil && s.opt.OnCommit != nil {
 			// Before the waiters are released: every acknowledged operation
 			// has had its commit reported. The dequeued batch is ours alone.
-			s.opt.OnCommit(Commit{Seg: b.seg, Start: b.off, End: b.off + int64(len(b.buf)), Records: b.records})
+			s.opt.OnCommit(Commit{File: genName(b.gen), Start: b.off, End: b.off + int64(len(b.buf)), Records: b.records})
 		}
 
 		s.mu.Lock()
@@ -820,9 +789,8 @@ func (s *LogStore) committer() {
 			s.synced.Broadcast()
 			continue
 		}
-		if seg := s.segs[b.seg]; seg != nil {
-			seg.batches--
-			s.kickIfVictimLocked(b.seg)
+		if b.first && b.gen > 0 {
+			s.obs.Compactions.Inc() // a switch: generation gen−1 is gone
 		}
 		s.stagedBytes -= len(b.buf)
 		for _, idx := range b.saved {
@@ -870,61 +838,89 @@ func finalizeBatch(buf []byte, records int) {
 }
 
 // writeBatch writes one finalized batch at its precomputed offset and syncs
-// the segment. Only the committer calls this; it owns s.f.
+// the generation file. Only the committer calls this; it owns s.f. A first
+// batch creates its generation's file, and once the file and the directory
+// are synced — g+1 is durable and named — closes and removes g.
 func (s *LogStore) writeBatch(b *batch) error {
-	if s.f == nil || s.fSeg != b.seg {
-		if s.f != nil {
-			s.f.Close()
-			s.f = nil
-		}
-		f, err := os.OpenFile(segPath(s.dir, b.seg), os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		s.f, s.fSeg = f, b.seg
-		if b.newSeg {
-			var hdr [segHdrLen]byte
-			binary.LittleEndian.PutUint64(hdr[0:], segMagic)
-			binary.LittleEndian.PutUint64(hdr[8:], uint64(b.seg))
-			if _, err := f.WriteAt(hdr[:], 0); err != nil {
+	if !b.first {
+		if s.f == nil { // the first append after Open
+			f, err := os.OpenFile(genPath(s.dir, b.gen), os.O_RDWR, 0)
+			if err != nil {
 				return err
 			}
+			s.f = f
 		}
+		if _, err := s.f.WriteAt(b.buf, b.off); err != nil {
+			return err
+		}
+		return s.opt.Sync(s.f)
 	}
-	if _, err := s.f.WriteAt(b.buf, b.off); err != nil {
+	f, err := os.OpenFile(genPath(s.dir, b.gen), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
 		return err
 	}
-	return s.opt.Sync(s.f)
+	var hdr [genHdrLen]byte
+	binary.LittleEndian.PutUint64(hdr[0:], genMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(b.gen))
+	if err := s.writeFirst(f, hdr[:], b); err != nil {
+		f.Close()
+		return err
+	}
+	if s.f != nil {
+		s.f.Close()
+	}
+	s.f = f
+	if b.gen > 0 {
+		// Garbage whether or not the removal succeeds or survives a crash:
+		// replay takes the newest generation whose first batch is complete,
+		// and removes the others.
+		_ = os.Remove(genPath(s.dir, b.gen-1))
+	}
+	return nil
 }
 
-// updateLiveRatioLocked refreshes the live-ratio gauge from the per-segment
-// accounting. Free when no gauge is attached.
+// writeFirst writes a new generation's header and first batch and syncs the
+// file and, at the same time, the directory that f was created in, so that
+// the generation is named on the device before anything acknowledged
+// depends on it. The two flushes need no order between them, only to be
+// done before g goes: a crash that keeps the name but not the batch leaves
+// a torn first batch, one that loses the name leaves no file, and replay
+// takes g either way. One after the other, they would cost every store's
+// first Save, and every switch, a second flush's wait.
+func (s *LogStore) writeFirst(f *os.File, hdr []byte, b *batch) error {
+	named := make(chan error, 1)
+	go func() { named <- s.syncDir() }()
+	_, err := f.WriteAt(hdr, 0)
+	if err == nil {
+		_, err = f.WriteAt(b.buf, b.off)
+	}
+	if err == nil {
+		err = s.opt.Sync(f)
+	}
+	if derr := <-named; err == nil {
+		err = derr
+	}
+	return err
+}
+
+func (s *LogStore) syncDir() error {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	err = s.opt.Sync(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// updateLiveRatioLocked refreshes the live-ratio gauge: live record bytes
+// over the current generation's bytes. Free when no gauge is attached.
 func (s *LogStore) updateLiveRatioLocked() {
-	if s.obs.LiveRatioPct == nil {
-		return
+	if s.obs.LiveRatioPct != nil && s.genOff > 0 {
+		s.obs.LiveRatioPct.Set(100 * s.live / s.genOff)
 	}
-	var live, size int64
-	for _, seg := range s.segs {
-		live += seg.live
-		size += seg.size
-	}
-	if size > 0 {
-		s.obs.LiveRatioPct.Set(100 * live / size)
-	}
-}
-
-// withSeg adds seg to a record's older segments, once.
-func withSeg(older []int, seg int) []int {
-	if slices.Contains(older, seg) {
-		return older
-	}
-	return append(older, seg)
-}
-
-// copyOutside reports whether a copy of ri's index, its own or an earlier
-// one, survives in a segment other than victim.
-func (ri recInfo) copyOutside(victim int) bool {
-	return ri.seg != victim || slices.ContainsFunc(ri.older, func(seg int) bool { return seg != victim })
 }
 
 // insertSorted and removeSorted mirror MemStore's helpers.

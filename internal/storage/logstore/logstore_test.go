@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,42 @@ func openTest(t *testing.T, dir string, opt Options) *LogStore {
 	t.Cleanup(func() { s.Close() })
 	return s
 }
+
+// openFloor opens a store whose generations switch from floor bytes on
+// instead of genFloor's 4 MiB, so a test switches within a few records.
+func openFloor(t *testing.T, dir string, opt Options, floor int64) *LogStore {
+	t.Helper()
+	s := openTest(t, dir, opt)
+	s.mu.Lock()
+	s.floor = floor
+	s.mu.Unlock()
+	return s
+}
+
+// switchNow switches s to a new generation and waits for its first batch.
+func switchNow(t *testing.T, s *LogStore) {
+	t.Helper()
+	s.mu.Lock()
+	err := s.switchLocked()
+	if err == nil {
+		b := s.cur
+		s.holdLocked(b)
+		err = s.awaitLocked(b)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("switch: %v", err)
+	}
+}
+
+// genOf reads the current generation of s.
+func genOf(s *LogStore) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen
+}
+
+func noSync(*os.File) error { return nil }
 
 // ckpt builds a deterministic checkpoint for index idx.
 func ckpt(idx int) storage.Checkpoint {
@@ -112,10 +149,10 @@ func TestLogStoreIsolation(t *testing.T) {
 	}
 }
 
-// TestLogStoreReopen saves records across several segments, deletes some,
-// and checks the index and every survivor before and after a reopen, on two
-// inputs: a few scattered deletes, and every third record of a run whose
-// 64-entry vectors move one or two entries per save.
+// TestLogStoreReopen saves records across a generation switch, deletes
+// some, and checks the index and every survivor before and after a reopen,
+// on two inputs: a few scattered deletes, and every third record of a run
+// whose 64-entry vectors move one or two entries per save.
 func TestLogStoreReopen(t *testing.T) {
 	var scattered []storage.Checkpoint
 	for i := 0; i < 40; i++ {
@@ -139,11 +176,13 @@ func TestLogStoreReopen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opt := Options{SegmentBytes: 512, NoCompact: true}
-			s := openTest(t, dir, opt)
+			s := openTest(t, dir, Options{})
 			for _, cp := range tc.cps {
 				if err := s.Save(cp); err != nil {
 					t.Fatalf("Save(%d): %v", cp.Index, err)
+				}
+				if cp.Index == len(tc.cps)/2 {
+					switchNow(t, s)
 				}
 			}
 			var want []int
@@ -175,7 +214,7 @@ func TestLogStoreReopen(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 
-			r := openTest(t, dir, opt)
+			r := openTest(t, dir, Options{})
 			check(r)
 			st := r.Stats()
 			if st.Live != before.Live || st.LiveBytes != before.LiveBytes {
@@ -199,7 +238,7 @@ func TestLogStoreReopen(t *testing.T) {
 
 // TestDeltaRecordFailsOpen: a log whose checksummed batch holds a record of
 // the retired delta kind (kind word 1) refuses to open with ErrCorrupt
-// rather than load a vector it cannot rebuild. The same segment with the
+// rather than load a vector it cannot rebuild. The same generation with the
 // kind word 0 opens, so the kind word is what it refuses.
 func TestDeltaRecordFailsOpen(t *testing.T) {
 	open := func(kind uint64) (*LogStore, error) {
@@ -210,13 +249,13 @@ func TestDeltaRecordFailsOpen(t *testing.T) {
 		batch = append(batch, kindCheckpoint)
 		batch = append(batch, body...)
 		finalizeBatch(batch, 1)
-		seg := binary.LittleEndian.AppendUint64(nil, segMagic)
-		seg = binary.LittleEndian.AppendUint64(seg, 0) // segment id
+		gen := binary.LittleEndian.AppendUint64(nil, genMagic)
+		gen = binary.LittleEndian.AppendUint64(gen, 0) // generation number
 		dir := t.TempDir()
-		if err := os.WriteFile(segPath(dir, 0), append(seg, batch...), 0o644); err != nil {
+		if err := os.WriteFile(genPath(dir, 0), append(gen, batch...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return Open(dir, Options{NoCompact: true})
+		return Open(dir, Options{})
 	}
 	s, err := open(0)
 	if err != nil {
@@ -237,7 +276,7 @@ func TestDeltaRecordFailsOpen(t *testing.T) {
 // content wins both live and across a reopen.
 func TestLogStoreSupersede(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{NoCompact: true})
+	s := openTest(t, dir, Options{})
 	for i := 0; i < 10; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
@@ -269,265 +308,90 @@ func TestLogStoreSupersede(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check(openTest(t, dir, Options{NoCompact: true}))
+	check(openTest(t, dir, Options{}))
 }
 
-// TestResavedIndexStaysDeadAfterCompaction is a rollback's trace on segments
-// of three records: checkpoint 2 is saved, deleted, saved again and deleted
-// again, so two dead copies of index 2 sit in two segments. Compaction to a
-// fixpoint must keep a tombstone for as long as either copy survives, or a
-// reopen brings the rolled-back checkpoint back.
-func TestResavedIndexStaysDeadAfterCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{SegmentBytes: 16 + 3*115, NoCompact: true}
-	s := openTest(t, dir, opt)
-	do := func(what string, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		do("Save", s.Save(ckpt(i)))
-	}
-	do("Delete(2)", s.Delete(2))
-	do("re-Save(2)", s.Save(ckpt(2)))
-	do("Delete(2)", s.Delete(2))
-	for i := 3; i < 12; i++ {
-		do("Save", s.Save(ckpt(i)))
-		if i > 3 {
-			do("Delete", s.Delete(i-1))
-		}
-	}
-	for s.compactOnce() {
-	}
-	want := []int{0, 1, 11}
-	if got := s.Indices(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Indices after compaction = %v, want %v", got, want)
-	}
-	do("Close", s.Close())
-	if got := openTest(t, dir, opt).Indices(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Indices after compaction and reopen = %v, want %v", got, want)
-	}
-}
-
-func segFiles(t *testing.T, dir string) []string {
+// genFiles lists the generation files in dir.
+func genFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs []string
+	var gens []string
 	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, e.Name())
+		if _, ok := parseGenName(e.Name()); ok {
+			gens = append(gens, e.Name())
 		}
 	}
-	return segs
+	return gens
 }
 
-// TestLogStoreCompaction deletes most of the early segments' records and
-// waits for the compactor to rewrite them; the view must be unchanged, the
-// segment count must drop, and a reopen must agree (tombstone carry and
-// supersede both get exercised by the rewrite).
+// TestLogStoreCompaction bounds the disk a long stream leaves: 10,000 saves
+// that keep the newest four, as a collector bounded by n = 4 does, switch
+// generations again and again, and after every save the directory holds at
+// most two generation files, of at most the switch threshold plus one batch
+// in all; the view and a reopen agree.
 func TestLogStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	s := openTest(t, dir, Options{SegmentBytes: 1024})
+	const floor = 4096
+	s := openFloor(t, dir, Options{Sync: noSync}, floor)
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
-	const n = 60
+	const n, keep = 10000, 4
+	// The largest batch of this stream: a save and the tombstone riding it.
+	oneBatch := int64(batchHdrLen + frameHdrLen + len(storage.AppendRecord(nil, ckpt(n))) + frameHdrLen + 8)
 	for i := 0; i < n; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	nsegs := len(segFiles(t, dir))
-	if nsegs < 3 {
-		t.Fatalf("want several segments before compaction, got %d", nsegs)
-	}
-	var live []int
-	for i := 0; i < n; i++ {
-		if i%5 == 0 {
-			live = append(live, i)
-			continue
+		if i >= keep {
+			if err := s.Delete(i - keep); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.Delete(i); err != nil {
-			t.Fatalf("Delete(%d): %v", i, err)
+		files := genFiles(t, dir)
+		var size int64
+		for _, name := range files {
+			fi, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size += fi.Size()
+		}
+		if len(files) > 2 || size > floor+oneBatch {
+			t.Fatalf("after save %d: %d files, %d bytes; want at most 2 and %d", i, len(files), size, floor+oneBatch)
 		}
 	}
-	awaitCompaction(t, reg)
-	if got := s.Indices(); !reflect.DeepEqual(got, live) {
-		t.Fatalf("Indices after compaction = %v, want %v", got, live)
+	switches := reg.Counter(obs.StorageCompactions).Value()
+	if switches < 100 {
+		t.Fatalf("%d switches in %d saves, want the stream to switch again and again", switches, n)
 	}
-	for _, idx := range live {
-		wantCkpt(t, s, idx)
+	want := []int{n - keep, n - keep + 1, n - keep + 2, n - keep + 3}
+	if got := s.Indices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices = %v, want %v", got, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openTest(t, dir, Options{SegmentBytes: 1024, NoCompact: true})
-	if got := r.Indices(); !reflect.DeepEqual(got, live) {
-		t.Fatalf("Indices after compaction+reopen = %v, want %v", got, live)
+	r := openTest(t, dir, Options{})
+	if got := r.Indices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indices after reopen = %v, want %v", got, want)
 	}
-	for _, idx := range live {
+	for _, idx := range want {
 		wantCkpt(t, r, idx)
 	}
 }
 
-// wakesOf reads how many kicks of s have reached its compactor.
-func wakesOf(s *LogStore) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wakes
-}
-
-// awaitDropped waits for compaction to delete segment id's file.
-func awaitDropped(t *testing.T, dir string, id int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(segPath(dir, id)); errors.Is(err, os.ErrNotExist) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("segment %d was never compacted", id)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestCompactorWokenOnlyWithWork: the compactor is woken when a segment can
-// have just become a victim — the tail rolled past it, its last staged batch
-// committed, a Delete dropped its live bytes, or the opening replay left it
-// one — and by no other op. A save batch of ckpt(i) is 115 bytes and a
-// tombstone frame 13, so segments of 600 bytes hold four saves and a batch
-// of tombstones.
-func TestCompactorWokenOnlyWithWork(t *testing.T) {
-	noSync := func(*os.File) error { return nil }
-	must := func(t *testing.T, what string, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-	}
-
-	t.Run("deletes in the tail", func(t *testing.T) {
-		s := openTest(t, t.TempDir(), Options{Sync: noSync})
-		for i := 0; i < 20; i++ {
-			must(t, "Save", s.Save(ckpt(i)))
-		}
-		for i := 0; i < 20; i++ { // the last is of the newest, and waits for its commit
-			must(t, "Delete", s.Delete(i))
-		}
-		if w := wakesOf(s); w != 0 {
-			t.Fatalf("deletes confined to the tail woke the compactor %d times, want 0", w)
-		}
-	})
-
-	// The segment falls below the threshold while it is the tail; the save
-	// that rolls the tail past it is the only op after, and touches none of
-	// its records.
-	for _, tc := range []struct {
-		name    string
-		settled bool // the tombstones are durable before the roll
-	}{
-		{"woken by the roll", true},
-		{"woken by the commit after the roll", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openTest(t, dir, Options{SegmentBytes: 600, Sync: noSync})
-			for i := 0; i < 4; i++ {
-				must(t, "Save", s.Save(ckpt(i)))
-			}
-			for i := 0; i < 3; i++ {
-				must(t, "Delete", s.Delete(i))
-			}
-			if tc.settled {
-				// Of the newest: it waits for the batch of every tombstone,
-				// so the roll finds the segment with no staged batch.
-				must(t, "Delete", s.Delete(3))
-			}
-			if n, w := len(segFiles(t, dir)), wakesOf(s); n != 1 || w != 0 {
-				t.Fatalf("before the roll: %d segments, %d wakes; want 1 and 0", n, w)
-			}
-			must(t, "Save", s.Save(ckpt(4)))
-			awaitDropped(t, dir, 0)
-			if w := wakesOf(s); w != 1 {
-				t.Fatalf("%d wakes, want 1", w)
-			}
-			want := []int{4}
-			if !tc.settled {
-				want = []int{3, 4}
-			}
-			if got := s.Indices(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Indices = %v, want %v", got, want)
-			}
-		})
-	}
-
-	t.Run("reopen over a victim", func(t *testing.T) {
-		dir := t.TempDir()
-		opt := Options{SegmentBytes: 600, NoCompact: true, Sync: noSync}
-		s := openTest(t, dir, opt)
-		for i := 0; i < 8; i++ {
-			must(t, "Save", s.Save(ckpt(i)))
-		}
-		for i := 0; i < 3; i++ {
-			must(t, "Delete", s.Delete(i))
-		}
-		must(t, "Close", s.Close())
-		opt.NoCompact = false
-		r := openTest(t, dir, opt)
-		awaitDropped(t, dir, 0)
-		if w := wakesOf(r); w != 1 {
-			t.Fatalf("%d wakes, want 1", w)
-		}
-		if got, want := r.Indices(), []int{3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("Indices = %v, want %v", got, want)
-		}
-	})
-
-	// A long stream that keeps the newest four checkpoints, as a collector
-	// bounded by n = 4 does, on segments of about seven saves, with a flush
-	// that takes time as a device's does: every sealed segment is compacted.
-	// A kick that finds a victim leads to its compaction, and a kick sent
-	// while the compactor is busy to at most one wake that finds nothing, so
-	// wakes stay within twice the compactions, plus two for the commits of
-	// Close, which may kick a compactor that no longer compacts. Waking the
-	// compactor after every Delete and every commit instead took 7.7 wakes
-	// per compaction on this stream, against 1.0 (EXPERIMENTS.md E34).
-	t.Run("wakes per compaction", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		flush := func(*os.File) error { time.Sleep(50 * time.Microsecond); return nil }
-		s := openTest(t, t.TempDir(), Options{SegmentBytes: 1024, Sync: flush})
-		s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
-		const n, keep = 1000, 4
-		for i := 0; i < n; i++ {
-			must(t, "Save", s.Save(ckpt(i)))
-			if i >= keep {
-				must(t, "Delete", s.Delete(i-keep))
-			}
-		}
-		must(t, "Close", s.Close())
-		wakes, compactions := wakesOf(s), int(reg.Counter(obs.StorageCompactions).Value())
-		t.Logf("%d saves: %d wakes, %d compactions, %.2f wakes per compaction",
-			n, wakes, compactions, float64(wakes)/float64(compactions))
-		if compactions == 0 || wakes > 2*compactions+2 {
-			t.Fatalf("%d wakes for %d compactions, want at most %d", wakes, compactions, 2*compactions+2)
-		}
-	})
-}
-
-// TestLogStoreTornTail truncates the final segment mid-batch and checks
+// TestLogStoreTornTail truncates the newest generation mid-batch and checks
 // replay comes back with exactly the prefix before that batch, counting the
-// torn tail; a truncation in a non-final segment must refuse loudly.
+// torn tail; a truncation in a generation a later one follows must refuse
+// loudly.
 func TestLogStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	var commits []Commit
 	s := openTest(t, dir, Options{
-		SegmentBytes: 4 << 20, NoCompact: true,
 		OnCommit: func(c Commit) { mu.Lock(); commits = append(commits, c); mu.Unlock() },
 	})
 	const n = 8
@@ -542,18 +406,18 @@ func TestLogStoreTornTail(t *testing.T) {
 	if len(commits) != n {
 		t.Fatalf("got %d commits for %d serial saves", len(commits), n)
 	}
-	seg := filepath.Join(dir, segFiles(t, dir)[0])
-	whole, err := os.ReadFile(seg)
+	gen := filepath.Join(dir, genFiles(t, dir)[0])
+	whole, err := os.ReadFile(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Cut inside the batch of op 5: ops 0..4 must survive, 5.. must vanish.
 	cut := commits[5].Start + 7
-	if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+	if err := os.WriteFile(gen, whole[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := openTest(t, dir, Options{NoCompact: true})
+	r := openTest(t, dir, Options{})
 	if got := r.Indices(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("Indices after torn tail = %v, want [0 1 2 3 4]", got)
 	}
@@ -567,34 +431,35 @@ func TestLogStoreTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The truncation was made physical: a second reopen sees a clean log.
-	r2 := openTest(t, dir, Options{NoCompact: true})
+	r2 := openTest(t, dir, Options{})
 	if r2.TornTails() != 0 {
 		t.Fatalf("second reopen still torn: %d", r2.TornTails())
 	}
 	r2.Close()
 
-	// A mid-batch truncation in a non-final segment is not a crash shape:
-	// it must refuse with storage.ErrCorrupt, not quietly drop a suffix.
-	if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+	// Generation 1 was created only once generation 0 was whole, so a
+	// mid-batch truncation of 0 beside it is not a crash shape: it must
+	// refuse with storage.ErrCorrupt, not quietly drop a suffix.
+	if err := os.WriteFile(gen, whole[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hdr := make([]byte, segHdrLen)
-	copy(hdr, whole[:segHdrLen])
-	hdr[8] = 1 // segment id 1
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), hdr, 0o644); err != nil {
+	hdr := make([]byte, genHdrLen)
+	copy(hdr, whole[:genHdrLen])
+	hdr[8] = 1 // generation 1
+	if err := os.WriteFile(genPath(dir, 1), hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{NoCompact: true}); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := Open(dir, Options{}); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("mid-log truncation: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestLogStoreBitFlip flips single bits in every region of a synced log —
-// segment header, batch header, payload — and requires the open to refuse
+// generation header, batch header, payload — and requires the open to refuse
 // with storage.ErrCorrupt every time: bit rot is never a torn tail.
 func TestLogStoreBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{NoCompact: true})
+	s := openTest(t, dir, Options{})
 	for i := 0; i < 6; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
@@ -606,23 +471,23 @@ func TestLogStoreBitFlip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segFiles(t, dir)[0])
-	whole, err := os.ReadFile(seg)
+	gen := filepath.Join(dir, genFiles(t, dir)[0])
+	whole, err := os.ReadFile(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
-	offsets := []int{0, 9, segHdrLen + 1, segHdrLen + 9, segHdrLen + batchHdrLen + 3, len(whole) - 2}
+	offsets := []int{0, 9, genHdrLen + 1, genHdrLen + 9, genHdrLen + batchHdrLen + 3, len(whole) - 2}
 	for i := 0; i < 12; i++ {
 		offsets = append(offsets, rng.Intn(len(whole)))
 	}
 	for _, off := range offsets {
 		flipped := append([]byte(nil), whole...)
 		flipped[off] ^= 1 << uint(rng.Intn(8))
-		if err := os.WriteFile(seg, flipped, 0o644); err != nil {
+		if err := os.WriteFile(gen, flipped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, Options{NoCompact: true}); !errors.Is(err, storage.ErrCorrupt) {
+		if _, err := Open(dir, Options{}); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("bit flip at offset %d: err = %v, want ErrCorrupt", off, err)
 		}
 	}
@@ -635,7 +500,7 @@ func TestLogStoreBitFlip(t *testing.T) {
 func TestLogStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	s := openTest(t, dir, Options{SegmentBytes: 8 << 10})
+	s := openFloor(t, dir, Options{}, 8<<10)
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
 	const (
 		workers = 8
@@ -687,7 +552,7 @@ func TestLogStoreConcurrent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openTest(t, dir, Options{SegmentBytes: 8 << 10, NoCompact: true})
+	r := openTest(t, dir, Options{})
 	if got, live := r.Indices(), s.Indices(); !reflect.DeepEqual(got, live) {
 		t.Fatalf("reopen Indices = %v, want %v", got, live)
 	}
@@ -713,7 +578,6 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 	const crashAt = 12
 	crash := errors.New("injected power failure before sync")
 	s, err := Open(dir, Options{
-		SegmentBytes: 4 << 20, NoCompact: true,
 		OnCommit: func(c Commit) { mu.Lock(); commits = append(commits, c); mu.Unlock() },
 		Sync: func(f *os.File) error {
 			mu.Lock()
@@ -784,17 +648,17 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 		}
 	}
 
-	segs := segFiles(t, dir)
-	if len(segs) != 1 {
-		t.Fatalf("want 1 segment, got %v", segs)
+	gens := genFiles(t, dir)
+	if len(gens) != 1 {
+		t.Fatalf("want 1 generation, got %v", gens)
 	}
-	seg := filepath.Join(dir, segs[0])
-	whole, err := os.ReadFile(seg)
+	gen := filepath.Join(dir, gens[0])
+	whole, err := os.ReadFile(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	durableEnd := int64(segHdrLen)
+	durableEnd := int64(genHdrLen)
 	if len(commits) > 0 {
 		durableEnd = commits[len(commits)-1].End
 	}
@@ -810,10 +674,10 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 	cuts := []int64{durableEnd, durableEnd + 1, durableEnd + batchHdrLen,
 		(durableEnd + int64(len(whole))) / 2, int64(len(whole)) - 1}
 	for _, cut := range cuts {
-		if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+		if err := os.WriteFile(gen, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(dir, Options{NoCompact: true})
+		r, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -836,7 +700,7 @@ func TestTortureGroupCommitCrash(t *testing.T) {
 		}
 		r.Close()
 		// Restore the crashed image for the next cut.
-		if err := os.WriteFile(seg, whole, 0o644); err != nil {
+		if err := os.WriteFile(gen, whole, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -850,17 +714,18 @@ type storePair struct {
 	mem *storage.MemStore
 	log *LogStore
 
-	// dir and opt reopen the log store. A reopened log counts Saved from
-	// zero; resaved is what the oracle, rebuilt at the same moment, counts
-	// for re-saving the live checkpoints.
+	// dir, opt and floor reopen the log store. A reopened log counts Saved
+	// from zero; resaved is what the oracle, rebuilt at the same moment,
+	// counts for re-saving the live checkpoints.
 	dir     string
 	opt     Options
+	floor   int64
 	resaved int
 }
 
-func newStorePair(t *testing.T, opt Options) *storePair {
+func newStorePair(t *testing.T, opt Options, floor int64) *storePair {
 	dir := t.TempDir()
-	return &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, dir, opt), dir: dir, opt: opt}
+	return &storePair{t: t, mem: storage.NewMemStore(), log: openFloor(t, dir, opt, floor), dir: dir, opt: opt, floor: floor}
 }
 
 // apply runs do against both stores and reports whether it succeeded.
@@ -887,7 +752,7 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 			p.t.Fatalf("%s: log Load(%d) = %+v, mem = %+v", what, idx, got, want)
 		}
 		// The vector alone, read from the record's prefix — from the staging
-		// copy while the record is in flight, the segment once durable.
+		// copy while the record is in flight, the generation once durable.
 		for _, st := range []storage.Store{p.mem, p.log} {
 			dv, err := st.LoadDV(idx)
 			if err != nil {
@@ -906,13 +771,12 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 	return memErr == nil
 }
 
-// compact runs the log store's compaction to a fixpoint. The store must be
-// opened NoCompact, so that nothing else compacts.
-func (p *storePair) compact() {
+// switchGen switches the log store to a new generation, as a save past the
+// threshold does.
+func (p *storePair) switchGen() {
 	p.t.Helper()
-	for p.log.compactOnce() {
-	}
-	p.apply("compact", func(storage.Store) error { return nil })
+	switchNow(p.t, p.log)
+	p.apply("switch", func(storage.Store) error { return nil })
 }
 
 // reopen closes the log store and replays its directory. The oracle starts
@@ -923,7 +787,7 @@ func (p *storePair) reopen() {
 	if err := p.log.Close(); err != nil {
 		p.t.Fatal(err)
 	}
-	p.log = openTest(p.t, p.dir, p.opt)
+	p.log = openFloor(p.t, p.dir, p.opt, p.floor)
 	mem := storage.NewMemStore()
 	for _, idx := range p.mem.Indices() {
 		cp, err := p.mem.Load(idx)
@@ -957,7 +821,7 @@ const (
 	opDelete          // 2 bytes: collects live checkpoint number arg modulo their count
 	opRollback        // 1 byte: deletes the newest 1 + arg%2 of more live ones; the next save re-takes an index
 	opAbsent          // deletes an index never saved, which both stores must refuse
-	opCompact         // compacts the log to a fixpoint
+	opSwitch          // switches the log to a new generation
 	opReopen          // closes the log and replays it
 	numOps
 )
@@ -965,8 +829,8 @@ const (
 var opArgs = [numOps]int{opSave: 4, opDelete: 2, opRollback: 1}
 
 // seededOps encodes a seeded stream of saves, random deletes, rollback-style
-// delete-then-resave and refused deletes; with maint, it also compacts and
-// reopens, each about once in 40 steps.
+// delete-then-resave and refused deletes; with maint, it also switches the
+// log's generation and reopens it, each about once in 40 steps.
 func seededOps(seed int64, maint bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	var ops []byte
@@ -990,7 +854,7 @@ func seededOps(seed int64, maint bool) []byte {
 		if maint {
 			switch rng.Intn(40) {
 			case 0:
-				ops = append(ops, opCompact)
+				ops = append(ops, opSwitch)
 			case 1:
 				ops = append(ops, opReopen)
 			}
@@ -1000,7 +864,7 @@ func seededOps(seed int64, maint bool) []byte {
 }
 
 // playOps drives the op stream through save and del, and through maint's
-// compact and reopen when maint is given (they are skipped otherwise). An op
+// switchGen and reopen when maint is given (they are skipped otherwise). An op
 // with nothing to act on — a delete with no live checkpoint, a rollback that
 // would leave none — is skipped too.
 func playOps(t *testing.T, ops []byte, save func(storage.Checkpoint) bool, del func(int) bool, maint *storePair) {
@@ -1042,9 +906,9 @@ func playOps(t *testing.T, ops []byte, save func(storage.Checkpoint) bool, del f
 			if del(next + 100) {
 				t.Fatalf("delete of the absent index %d accepted", next+100)
 			}
-		case opCompact:
+		case opSwitch:
 			if maint != nil {
-				maint.compact()
+				maint.switchGen()
 			}
 		case opReopen:
 			if maint != nil {
@@ -1052,6 +916,19 @@ func playOps(t *testing.T, ops []byte, save func(storage.Checkpoint) bool, del f
 			}
 		}
 	}
+}
+
+// keepOps encodes n saves, each followed, once keep are live, by the delete
+// of the oldest: the stream of a collector bounded by n = keep.
+func keepOps(n, keep int) []byte {
+	var ops []byte
+	for i := 0; i < n; i++ {
+		ops = append(ops, opSave, byte(i), byte(i>>8), 1, 2)
+		if i >= keep {
+			ops = append(ops, opDelete, 0, 0)
+		}
+	}
+	return ops
 }
 
 func mustAccept(t *testing.T, ok bool) {
@@ -1064,9 +941,9 @@ func mustAccept(t *testing.T, ok bool) {
 // TestStoreDifferential holds the log store to MemStore's behaviour, op by
 // op, with no case of its own: interior deletes, the re-save of a deleted
 // interior index, then a seeded stream of saves, random deletes,
-// rollback-style delete-then-resave and, on segments of three records,
-// compaction to a fixpoint and a close and reopen. The CI determinism lane
-// runs this as the storage differential.
+// rollback-style delete-then-resave and, on generations that switch from
+// three records on, a forced switch and a close and reopen. The CI
+// determinism lane runs this as the storage differential.
 func TestStoreDifferential(t *testing.T) {
 	// sparse changes one entry per checkpoint.
 	sparse := func(idx int) storage.Checkpoint {
@@ -1077,7 +954,7 @@ func TestStoreDifferential(t *testing.T) {
 	}
 
 	t.Run("interior deletes", func(t *testing.T) {
-		p := newStorePair(t, Options{SegmentBytes: 2048})
+		p := newStorePair(t, Options{}, 2048)
 		const n = 24
 		for i := 0; i < n; i++ {
 			mustAccept(t, p.save(sparse(i)))
@@ -1091,7 +968,7 @@ func TestStoreDifferential(t *testing.T) {
 	})
 
 	t.Run("resave of a deleted interior index", func(t *testing.T) {
-		p := newStorePair(t, Options{SegmentBytes: 2048})
+		p := newStorePair(t, Options{}, 2048)
 		for i := 0; i < 4; i++ {
 			mustAccept(t, p.save(sparse(i)))
 		}
@@ -1107,14 +984,13 @@ func TestStoreDifferential(t *testing.T) {
 		mustAccept(t, p.save(resaved))
 	})
 
-	// Three records to a segment, so that a rollback's re-save lands in
-	// another segment than the copy it takes the index over from. Twenty
-	// streams, because a resurrection needs a compaction that drops the
-	// re-saved copy's segment and its tombstone's, but not the older copy's.
+	// Generations that switch from three records on, so that switches fall
+	// between a rollback's deletes and its re-save, and between a save and
+	// the tombstone that kills it. Twenty streams.
 	t.Run("seeded stream", func(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-				p := newStorePair(t, Options{SegmentBytes: 16 + 3*115, NoCompact: true})
+				p := newStorePair(t, Options{}, genHdrLen+3*115)
 				playOps(t, seededOps(seed, true), p.save, p.delete, p)
 			})
 		}
@@ -1127,9 +1003,8 @@ func TestStoreDifferential(t *testing.T) {
 	// the two leave the same bytes on disk.
 	t.Run("staged saves", func(t *testing.T) {
 		dir, twinDir := t.TempDir(), t.TempDir()
-		opt := Options{SegmentBytes: 2048, NoCompact: true}
-		p := &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, dir, opt)}
-		twin := openTest(t, twinDir, opt)
+		p := &storePair{t: t, mem: storage.NewMemStore(), log: openFloor(t, dir, Options{}, 2048)}
+		twin := openFloor(t, twinDir, Options{}, 2048)
 		w := newDurableWaiter()
 		p.log.NotifyDurable(w.notify)
 		playOps(t, seededOps(7, false), func(cp storage.Checkpoint) bool {
@@ -1150,6 +1025,8 @@ func TestStoreDifferential(t *testing.T) {
 			}
 			return ok
 		}, nil)
+		switchNow(t, p.log)
+		switchNow(t, twin)
 		if got, want := p.log.Staged(), uint64(p.log.Stats().Saved); got != want {
 			t.Fatalf("Staged() = %d after %d saves", got, want)
 		}
@@ -1159,11 +1036,11 @@ func TestStoreDifferential(t *testing.T) {
 		if err := twin.Close(); err != nil {
 			t.Fatal(err)
 		}
-		segs := segFiles(t, dir)
-		if !reflect.DeepEqual(segs, segFiles(t, twinDir)) || len(segs) < 2 {
-			t.Fatalf("segments %v, twin %v", segs, segFiles(t, twinDir))
+		gens := genFiles(t, dir)
+		if !reflect.DeepEqual(gens, genFiles(t, twinDir)) || len(gens) != 1 {
+			t.Fatalf("generations %v, twin %v; want the same one", gens, genFiles(t, twinDir))
 		}
-		for _, name := range segs {
+		for _, name := range gens {
 			a, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
@@ -1178,20 +1055,20 @@ func TestStoreDifferential(t *testing.T) {
 		}
 	})
 
-	// The same stream on segments of a few records each, saves staged and
-	// compaction on: the after-every-op Loads meet staged records, the tail
-	// the committer is appending to, sealed segments, and records compaction
-	// rewrote after closing and unlinking their old segment. A last view
-	// comparison once compaction has run covers the rewritten records for
-	// certain.
+	// A stream that keeps the newest four, on generations that switch from
+	// 512 bytes on, saves staged: the after-every-op Loads meet staged
+	// records, the generation the committer is appending to, and records a
+	// switch rewrote after it closed the old generation's descriptor and the
+	// committer removed the file. A last view comparison once a switch is
+	// durable covers the rewritten records for certain.
 	t.Run("churn", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		p := &storePair{t: t, mem: storage.NewMemStore(), log: openTest(t, t.TempDir(), Options{SegmentBytes: 512})}
+		p := &storePair{t: t, mem: storage.NewMemStore(), log: openFloor(t, t.TempDir(), Options{}, 512)}
 		p.log.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
 		p.log.NotifyDurable(newDurableWaiter().notify)
-		playOps(t, seededOps(7, false), p.save, p.delete, nil)
-		awaitCompaction(t, reg)
-		p.apply("view after compaction", func(storage.Store) error { return nil })
+		playOps(t, keepOps(200, 4), p.save, p.delete, nil)
+		awaitSwitch(t, reg)
+		p.apply("view after a switch", func(storage.Store) error { return nil })
 	})
 }
 
@@ -1231,14 +1108,14 @@ func (w *durableWaiter) await(seq uint64) error {
 
 // TestLoadDVReadsThePrefix pins what LoadDV reads of a record: its prefix,
 // from the staging copy while the record's flush is in flight and from the
-// segment once it is durable — never a state byte, so a durable record whose
+// generation once it is durable — never a state byte, so a durable record whose
 // state is cut off the device still gives its vector, while Load fails on
 // it — and that the prefix gets the checks Load makes of the whole record: a
 // bad header fails both with ErrCorrupt.
 func TestLoadDVReadsThePrefix(t *testing.T) {
 	dir := t.TempDir()
 	var gate sync.Mutex // held: flushes sit in Sync
-	s := openTest(t, dir, Options{NoCompact: true, Sync: func(*os.File) error {
+	s := openTest(t, dir, Options{Sync: func(*os.File) error {
 		gate.Lock()
 		gate.Unlock()
 		return nil
@@ -1283,10 +1160,10 @@ func TestLoadDVReadsThePrefix(t *testing.T) {
 	s.mu.Lock()
 	r0, r1 := s.recs[0], s.recs[1]
 	s.mu.Unlock()
-	if r0.seg != r1.seg || r1.off < r0.off {
-		t.Fatalf("records at %d:%d and %d:%d, want 1 after 0 in one segment", r0.seg, r0.off, r1.seg, r1.off)
+	if r1.off < r0.off {
+		t.Fatalf("records at %d and %d, want 1 after 0", r0.off, r1.off)
 	}
-	f, err := os.OpenFile(segPath(dir, r1.seg), os.O_RDWR, 0)
+	f, err := os.OpenFile(genPath(dir, genOf(s)), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1320,7 +1197,7 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 	dir := t.TempDir()
 	var gate sync.Mutex // held: flushes sit in Sync
 	flushing := make(chan struct{}, 8)
-	s := openTest(t, dir, Options{NoCompact: true, Sync: func(*os.File) error {
+	s := openTest(t, dir, Options{Sync: func(*os.File) error {
 		flushing <- struct{}{}
 		gate.Lock()
 		gate.Unlock()
@@ -1337,6 +1214,9 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 	if err := w.await(2); err != nil {
 		t.Fatal(err)
 	}
+	for len(flushing) > 0 {
+		<-flushing // the directory sync that named the first generation
+	}
 
 	gate.Lock()
 	if err := s.Save(ckpt(2)); err != nil { // staged; returns with the flush stuck
@@ -1351,7 +1231,7 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 	}
 	wantCkpt(t, s, 2)
 	img := t.TempDir()
-	for _, name := range segFiles(t, dir) {
+	for _, name := range genFiles(t, dir) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -1360,7 +1240,7 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := openTest(t, img, Options{NoCompact: true})
+	r := openTest(t, img, Options{})
 	if !slices.Contains(r.Indices(), 1) {
 		t.Fatalf("crash image with checkpoint 2's flush in flight reopens with %v: the tombstone of 1 overtook it", r.Indices())
 	}
@@ -1383,52 +1263,50 @@ func TestStagedSaveOrdersBeforeItsTombstones(t *testing.T) {
 	if want := []uint64{1, 2, 3}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("callback calls %v when Close returned, want %v", calls, want)
 	}
-	r2 := openTest(t, dir, Options{NoCompact: true})
+	r2 := openTest(t, dir, Options{})
 	if got, want := r2.Indices(), []int{0, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened Indices = %v, want %v", got, want)
 	}
 }
 
 // TestNoGoroutineLeakAfterStoreClose guards Close's promises: after saves,
-// reads of every record, deletes heavy enough to kick a compaction and a
-// trailing batch of staged tombstones, the committer and compactor are gone
-// when it returns (the goroutine count is back at its pre-Open value), so is
-// every descriptor the store opened — the read descriptors of the segments
-// compaction dropped and of those it did not (the descriptor count is back
-// at its pre-Open value) — closing again is a no-op returning nil (the
-// engines that own a store and the callers that opened it may both close),
-// and later operations fail.
+// reads of every record, deletes, switches and a trailing batch of staged
+// tombstones, the committer is gone when it returns (the goroutine count is
+// back at its pre-Open value), so is every descriptor the store opened — the
+// read descriptors of the generations a switch left and of the current one,
+// the write handles, the directory's (the descriptor count is back at its
+// pre-Open value) — closing again is a no-op returning nil (the engines that
+// own a store and the callers that opened it may both close), and later
+// operations fail.
 func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
 	// With the collector off, no *os.File finalizer can close a descriptor
-	// the store forgot (compaction dropping a segment without closing it).
+	// the store forgot (a switch leaving a generation without closing it).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	base, baseFDs := runtime.NumGoroutine(), leakcheck.FDs(t)
 	reg := obs.NewRegistry()
-	s, err := Open(t.TempDir(), Options{SegmentBytes: 512, Sync: func(*os.File) error { return nil }})
+	s, err := Open(t.TempDir(), Options{Sync: noSync})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.floor = 512 // before any op: the committer does not read it
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
-	// Each record is read back once durable, so every segment holds a read
-	// descriptor. Deletes of 0..29 ride the saves that follow them, so sealed
-	// segments fall under compactRatio and compaction drops some of them; the
-	// compactor is kicked again and at work when Close arrives, and the
-	// tombstones of 30..39 are still staged then.
+	// Each record is read back once durable, so every generation has had a
+	// read descriptor. Each delete rides the save that follows it, the
+	// stream keeps the newest four so the generation switches from 512 bytes
+	// on, and the tombstones of 46..48 are still staged when Close arrives.
 	for i := 0; i < 50; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
 		}
 		wantCkpt(t, s, i)
-		if i >= 40 {
-			for d := (i - 40) * 3; d < (i-39)*3; d++ {
-				if err := s.Delete(d); err != nil {
-					t.Fatal(err)
-				}
+		if i >= 4 {
+			if err := s.Delete(i - 4); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	awaitCompaction(t, reg)
-	for d := 30; d < 40; d++ {
+	awaitSwitch(t, reg)
+	for d := 46; d < 49; d++ {
 		if err := s.Delete(d); err != nil {
 			t.Fatal(err)
 		}
@@ -1450,47 +1328,54 @@ func TestNoGoroutineLeakAfterStoreClose(t *testing.T) {
 	leakcheck.SettleFDs(t, baseFDs)
 }
 
-// awaitCompaction waits until the store reporting to reg has dropped a
-// segment.
-func awaitCompaction(t *testing.T, reg *obs.Registry) {
+// awaitSwitch waits until the store reporting to reg has made a switch
+// durable.
+func awaitSwitch(t *testing.T, reg *obs.Registry) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.Counter(obs.StorageCompactions).Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran")
+			t.Fatal("the store never switched generations")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestReadDescriptorsBoundedBySegments: a thousand Loads spread over every
-// live segment leave at most one read descriptor open per segment — a read
-// reuses the descriptor its segment keeps instead of opening the file — and
-// Close releases them all.
+// live record, across generation switches, leave at most two descriptors
+// open — the one read descriptor the store keeps on the current generation
+// and the committer's write handle; a read reuses the kept descriptor
+// instead of opening the file — and Close releases them all.
 func TestReadDescriptorsBoundedBySegments(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in TestNoGoroutineLeakAfterStoreClose
 	baseFDs := leakcheck.FDs(t)
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 1024, NoCompact: true, Sync: func(*os.File) error { return nil }})
+	s, err := Open(dir, Options{Sync: noSync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 120
+	s.floor = 1024 // before any op: the committer does not read it
+	const n, keep = 120, 8
+	before := leakcheck.FDs(t)
 	for i := 0; i < n; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
 		}
+		if i >= keep {
+			if err := s.Delete(i - keep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantCkpt(t, s, i-i%keep)
 	}
-	segs := len(segFiles(t, dir))
-	if segs < 5 {
-		t.Fatalf("%d segments, want several", segs)
+	if g := genOf(s); g < 3 {
+		t.Fatalf("generation %d after %d saves, want several switches", g, n)
 	}
-	before := leakcheck.FDs(t)
 	for k := 0; k < 1000; k++ {
-		wantCkpt(t, s, k%n)
+		wantCkpt(t, s, n-keep+k%keep)
 	}
-	if held := leakcheck.FDs(t) - before; held < 1 || held > segs {
-		t.Fatalf("1000 loads over %d segments hold %d descriptors, want 1..%d", segs, held, segs)
+	if held := leakcheck.FDs(t) - before; held < 1 || held > 2 {
+		t.Fatalf("1000 loads hold %d descriptors, want 1..2", held)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -1498,17 +1383,19 @@ func TestReadDescriptorsBoundedBySegments(t *testing.T) {
 	leakcheck.SettleFDs(t, baseFDs)
 }
 
-// TestLoadsRaceCommitterAndCompactor runs readers against a writer on tiny
-// segments, so a Load meets a staged record, the tail segment while the
-// committer appends to it, a sealed segment, or a record compaction has
-// rewritten and whose old segment it closed and unlinked. The writer keeps
-// every fourth checkpoint and deletes the rest, so compaction keeps running;
-// every Load of a kept checkpoint must succeed with its bytes. Its subject is
-// the read path's locking: the race lane runs it under the detector, the
-// flake lane at GOMAXPROCS 1, 2 and 4.
+// TestLoadsRaceCommitterAndCompactor runs readers against a writer on
+// generations that switch from 512 bytes on, so a Load meets a staged
+// record, the generation the committer appends to, or a record a switch
+// has rewritten, whose old generation's descriptor it closed and whose file
+// the committer removed. The writer keeps every fourth checkpoint and
+// deletes the rest, so switches keep coming; every Load of a kept
+// checkpoint must succeed with its bytes. Its subject is the read path's
+// locking: the race lane runs it under the detector, the flake lane at
+// GOMAXPROCS 1, 2 and 4. (The name predates generations: switches stand
+// where the compactor stood.)
 func TestLoadsRaceCommitterAndCompactor(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := openTest(t, t.TempDir(), Options{SegmentBytes: 512, Sync: func(*os.File) error { return nil }})
+	s := openFloor(t, t.TempDir(), Options{Sync: noSync}, 512)
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 0)
 	const n, readers = 400, 4
 	var saved atomic.Int64 // highest index saved; kept ones at or below it are loadable
@@ -1556,23 +1443,25 @@ func TestLoadsRaceCommitterAndCompactor(t *testing.T) {
 			}
 		}
 	}
-	awaitCompaction(t, reg)
+	if reg.Counter(obs.StorageCompactions).Value() == 0 {
+		t.Fatal("the writer never switched generations")
+	}
 }
 
 // TestLogStoreObsMetrics checks the log backend reports through the obs
-// registry: batch sizes, commit latency, live ratio, and compactions.
+// registry: batch sizes, commit latency, live ratio, and switches.
 func TestLogStoreObsMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := openTest(t, t.TempDir(), Options{SegmentBytes: 1024})
+	s := openFloor(t, t.TempDir(), Options{}, 1024)
 	s.SetObs(obs.StoreMetricsFrom(reg), nil, 3)
 	for i := 0; i < 30; i++ {
 		if err := s.Save(ckpt(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 27; i++ {
-		if err := s.Delete(i); err != nil {
-			t.Fatal(err)
+		if i >= 3 {
+			if err := s.Delete(i - 3); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if got := reg.Counter(obs.StorageSaves).Value(); got != 30 {
@@ -1587,7 +1476,7 @@ func TestLogStoreObsMetrics(t *testing.T) {
 	if reg.Histogram(obs.StorageCommitNs).Count() == 0 {
 		t.Fatal("no commit-latency observations")
 	}
-	awaitCompaction(t, reg)
+	awaitSwitch(t, reg)
 	if got := reg.Gauge(obs.StorageLiveRatioPct).Value(); got < 0 || got > 100 {
 		t.Fatalf("live ratio gauge = %d, want a percentage", got)
 	}
@@ -1607,8 +1496,7 @@ func TestDeleteRidesTheNextCommit(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s := openTest(t, dir, Options{
-		NoCompact: true,
-		OnCommit:  func(c Commit) { mu.Lock(); commits = append(commits, c); mu.Unlock() },
+		OnCommit: func(c Commit) { mu.Lock(); commits = append(commits, c); mu.Unlock() },
 		Sync: func(*os.File) error {
 			mu.Lock()
 			h := hold
@@ -1694,7 +1582,7 @@ func TestDeleteRidesTheNextCommit(t *testing.T) {
 	if got, want := records(), []int{1, 1, 1, 1, 2, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("records per commit after Close %v, want %v", got, want)
 	}
-	r := openTest(t, dir, Options{NoCompact: true})
+	r := openTest(t, dir, Options{})
 	if got, want := r.Indices(), []int{2, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened Indices = %v, want %v", got, want)
 	}
@@ -1716,7 +1604,7 @@ func failedCommit(t *testing.T, staged bool) {
 	boom := errors.New("injected flush failure")
 	var fail sync.Mutex // guards failing
 	failing := false
-	s := openTest(t, t.TempDir(), Options{NoCompact: true, Sync: func(*os.File) error {
+	s := openTest(t, t.TempDir(), Options{Sync: func(*os.File) error {
 		fail.Lock()
 		defer fail.Unlock()
 		if failing {
@@ -1772,7 +1660,7 @@ func failedCommit(t *testing.T, staged bool) {
 // allocation at all: batch structs and their buffers come off the freelist,
 // and the index holds its entries by value.
 func TestSaveAllocationBudget(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{Sync: func(*os.File) error { return nil }})
+	s := openTest(t, t.TempDir(), Options{Sync: noSync})
 	cp := ckpt(0)
 	cp.State = make([]byte, 4096)
 	next := 0
@@ -1806,7 +1694,7 @@ func TestDeleteOfNewestIsDurableOnReturn(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	var records []int
-	s := openTest(t, dir, Options{NoCompact: true, OnCommit: func(c Commit) {
+	s := openTest(t, dir, Options{OnCommit: func(c Commit) {
 		mu.Lock()
 		records = append(records, c.Records)
 		mu.Unlock()
@@ -1828,7 +1716,7 @@ func TestDeleteOfNewestIsDurableOnReturn(t *testing.T) {
 		t.Fatalf("records per commit %v, want %v: both tombstones in one flush", got, want)
 	}
 	img := t.TempDir()
-	for _, name := range segFiles(t, dir) {
+	for _, name := range genFiles(t, dir) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -1837,8 +1725,255 @@ func TestDeleteOfNewestIsDurableOnReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := openTest(t, img, Options{NoCompact: true})
+	r := openTest(t, img, Options{})
 	if got, want := r.Indices(), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("crash image after the rollback's deletes reopens with %v, want %v", got, want)
+	}
+}
+
+// TestSwitchSyncsFileAndDirectory records every Sync and commit of a store:
+// the first generation's file and its directory are both synced before the
+// first Save is acknowledged, and at a switch the tombstone staged in g
+// commits to g, then generation g+1's file and the directory are synced —
+// in either order, since the two flushes overlap, and with g still on disk
+// — and only then is g removed, before the Save riding the switch is
+// acknowledged.
+func TestSwitchSyncsFileAndDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		mu     sync.Mutex
+		events []string
+	)
+	record := func(what string) {
+		_, err := os.Stat(genPath(dir, 0))
+		mu.Lock()
+		events = append(events, fmt.Sprintf("%s, generation 0 on disk: %v", what, err == nil))
+		mu.Unlock()
+	}
+	// take returns the events so far, the two syncs of a first batch, which
+	// run at once, in one order.
+	take := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		got := events
+		events = nil
+		for i := 0; i+1 < len(got); i++ {
+			if strings.HasPrefix(got[i], "sync directory") && strings.HasPrefix(got[i+1], "sync gen-") {
+				got[i], got[i+1] = got[i+1], got[i]
+			}
+		}
+		return got
+	}
+	s := openTest(t, dir, Options{
+		Sync: func(f *os.File) error {
+			name := filepath.Base(f.Name())
+			if f.Name() == dir {
+				name = "directory"
+			}
+			record("sync " + name)
+			return nil
+		},
+		OnCommit: func(c Commit) { record("commit " + c.File) },
+	})
+	if err := s.Save(ckpt(0)); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"sync gen-00000000.log, generation 0 on disk: true",
+		"sync directory, generation 0 on disk: true",
+		"commit gen-00000000.log, generation 0 on disk: true",
+	}
+	if got := take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first Save:\n got %q\nwant %q", got, want)
+	}
+	s.mu.Lock()
+	s.floor = 1 // the 4 × live bytes rule alone: a switch once three quarters are dead
+	s.mu.Unlock()
+	for i := 1; genOf(s) == 0; i++ {
+		take()
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(i - 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = []string{
+		"sync gen-00000000.log, generation 0 on disk: true",
+		"commit gen-00000000.log, generation 0 on disk: true",
+		"sync gen-00000001.log, generation 0 on disk: true",
+		"sync directory, generation 0 on disk: true",
+		"commit gen-00000001.log, generation 0 on disk: false",
+	}
+	if got := take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the switching Save:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCrashImagesAcrossASwitch reopens the images a crash can leave while a
+// switch is in flight, from the bytes on disk just after generation 1's
+// first batch is written and synced and before anything is removed: (i)
+// generation 1 cut at the start, the middle and one byte short of the end of
+// its first batch reopens as generation 0's view, counting a torn tail and
+// removing generation 1; (ii) the first batch complete beside an intact
+// generation 0 reopens as generation 1's view and removes generation 0;
+// (iii) a bit flipped inside the complete first batch is ErrCorrupt.
+func TestCrashImagesAcrossASwitch(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		mu    sync.Mutex
+		image map[string][]byte // the directory when generation 1's file is synced
+		first Commit            // generation 1's first batch
+	)
+	s := openTest(t, dir, Options{
+		Sync: func(f *os.File) error {
+			if f.Name() != genPath(dir, 1) {
+				return nil
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			image = map[string][]byte{}
+			for _, name := range genFiles(t, dir) {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					return err
+				}
+				image[name] = data
+			}
+			return nil
+		},
+		OnCommit: func(c Commit) {
+			if c.File == genName(1) && c.Start == genHdrLen {
+				mu.Lock()
+				first = c
+				mu.Unlock()
+			}
+		},
+	})
+	for i := 0; i < 10; i++ {
+		if err := s.Save(ckpt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := 1; idx < 8; idx++ {
+		if err := s.Delete(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Indices() // generation 0's view: its tombstones ride the switching Save
+	s.mu.Lock()
+	s.floor = 1 // the 4 × live bytes rule alone: three live records of ten
+	s.mu.Unlock()
+	if err := s.Save(ckpt(10)); err != nil {
+		t.Fatal(err)
+	}
+	if genOf(s) != 1 {
+		t.Fatalf("generation %d after the Save past the threshold, want 1", genOf(s))
+	}
+	after := s.Indices()
+	mu.Lock()
+	img, c := image, first
+	mu.Unlock()
+	if len(img) != 2 || c.End != int64(len(img[genName(1)])) {
+		t.Fatalf("image %d files, first batch %+v: want both generations, the first batch whole", len(img), c)
+	}
+
+	reopen := func(what string, files map[string][]byte) (*LogStore, error) {
+		t.Helper()
+		d := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(d, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := Open(d, Options{})
+		if err == nil {
+			t.Cleanup(func() { r.Close() })
+			if got := genFiles(t, d); len(got) != 1 {
+				t.Fatalf("%s: reopened with files %v, want one generation", what, got)
+			}
+		}
+		return r, err
+	}
+	whole := img[genName(1)]
+	for _, cut := range []int64{c.Start, (c.Start + c.End) / 2, c.End - 1} {
+		what := fmt.Sprintf("(i) generation 1 cut at %d", cut)
+		r, err := reopen(what, map[string][]byte{genName(0): img[genName(0)], genName(1): whole[:cut]})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := r.Indices(); !reflect.DeepEqual(got, before) || r.TornTails() != 1 {
+			t.Fatalf("%s: Indices %v, %d torn tails; want generation 0's %v and 1", what, got, r.TornTails(), before)
+		}
+		for _, idx := range before {
+			wantCkpt(t, r, idx)
+		}
+	}
+	r, err := reopen("(ii)", img)
+	if err != nil {
+		t.Fatalf("(ii) first batch complete: %v", err)
+	}
+	if got := r.Indices(); !reflect.DeepEqual(got, after) || r.TornTails() != 0 {
+		t.Fatalf("(ii): Indices %v, %d torn tails; want generation 1's %v and 0", got, r.TornTails(), after)
+	}
+	for _, idx := range after {
+		wantCkpt(t, r, idx)
+	}
+	for _, off := range []int64{c.Start + 3, c.Start + batchHdrLen + 7, (c.Start + c.End) / 2, c.End - 1} {
+		flipped := append([]byte(nil), whole...)
+		flipped[off] ^= 0x20
+		if _, err := reopen("(iii)", map[string][]byte{genName(0): img[genName(0)], genName(1): flipped}); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("(iii) bit flipped at %d of the first batch: %v, want ErrCorrupt", off, err)
+		}
+	}
+}
+
+// TestResavedIndexStaysDeadAcrossSwitches is a rollback's trace: index 2 is
+// saved, deleted, saved again and deleted again, with a switch and a reopen
+// placed at every point of the trace in turn. However they fall, a reopen
+// must not bring the rolled-back checkpoint back (the segmented log before
+// generations did, once compaction dropped the last tombstone of an older
+// copy).
+func TestResavedIndexStaysDeadAcrossSwitches(t *testing.T) {
+	type op struct {
+		del bool
+		idx int
+	}
+	trace := []op{{false, 0}, {false, 1}, {false, 2}, {true, 2}, {false, 2}, {true, 2}, {false, 3}, {true, 1}}
+	want := []int{0, 3}
+	for sw := 0; sw <= len(trace); sw++ {
+		for re := sw; re <= len(trace); re++ {
+			dir := t.TempDir()
+			s := openTest(t, dir, Options{Sync: noSync})
+			for i := 0; i <= len(trace); i++ {
+				if i == sw {
+					switchNow(t, s)
+				}
+				if i == re {
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					s = openTest(t, dir, Options{Sync: noSync})
+				}
+				if i == len(trace) {
+					break
+				}
+				var err error
+				if o := trace[i]; o.del {
+					err = s.Delete(o.idx)
+				} else {
+					err = s.Save(ckpt(o.idx))
+				}
+				if err != nil {
+					t.Fatalf("switch before op %d, reopen before op %d: op %d: %v", sw, re, i, err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := openTest(t, dir, Options{}).Indices(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("switch before op %d, reopen before op %d: reopened with %v, want %v", sw, re, got, want)
+			}
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // in-memory map from index to checkpoint: the simulator's store and the
 // oracle the other is tested against ("stable" means surviving a simulated
 // crash: the kernel's volatile state is discarded, the store kept). The
-// segmented group-commit log store (internal/storage/logstore) is the
+// group-commit log store in generations (internal/storage/logstore) is the
 // durable one: a saved record is flushed before Save returns — or, for a
 // caller that has taken the wait on itself with NotifyDurable, before the
 // store reports its stage sequence number durable. This package holds the

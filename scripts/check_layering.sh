@@ -178,6 +178,14 @@ if grep -nwE 'fullEvery|unlinkLocked' internal/storage/logstore/*.go >&2; then
 	echo "layering violation: internal/storage/logstore chains its records; every log record is a full record" >&2
 	fail=1
 fi
+# The log store keeps one generation file and rewrites its live set into the
+# next when it fills; the segment compactor, its victim picking and wake-ups,
+# its tombstone carry and the segment-size option are gone, from the store
+# and from the torture harness that drove it.
+if grep -nwE 'compactOnce|pickVictimLocked|kickIfVictimLocked|copyOutside|compactKick|SegmentBytes' internal/storage/logstore/*.go internal/chaos/*.go >&2; then
+	echo "layering violation: the log store's segment compactor is back; a generation switch rewrites the live set instead" >&2
+	fail=1
+fi
 sim_files=$(ls internal/sim/*.go | grep -v '_test\.go$')
 if grep -n 'ccp\.NewBuilder' $sim_files >&2; then
 	echo "layering violation: internal/sim keeps a second record of the pattern (ccp.NewBuilder); Oracle builds from the history" >&2
@@ -317,4 +325,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
