@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/storage"
@@ -112,24 +111,7 @@ func main() {
 	g.Ops = *ops
 	g.PCheckpoint = *pcheck
 	g.Workers = *workers
-	if g.Workers <= 0 {
-		g.Workers = runtime.NumCPU()
-	}
-
-	start := time.Now()
-	results, err := g.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
-	if *format == "json" {
-		err = sweep.WriteJSON(os.Stdout, g, results, wall)
-	} else {
-		err = sweep.WriteText(os.Stdout, g.Table, results)
-	}
-	if err != nil {
+	if err := sweep.Report(os.Stdout, g, *format); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -90,21 +90,7 @@ func main() {
 		total, float64(total)/float64(*n), *n, peak, collectedTotal(sys, *n))
 
 	oracle := sys.Oracle()
-	obsolete, kept := 0, 0
-	for i := 0; i < *n; i++ {
-		retained := map[int]bool{}
-		for _, idx := range sys.Retained(i) {
-			retained[idx] = true
-		}
-		for g := 0; g <= oracle.LastStable(i); g++ {
-			if oracle.Obsolete(i, g) {
-				obsolete++
-				if retained[g] {
-					kept++
-				}
-			}
-		}
-	}
+	obsolete, kept := oracle.ObsoleteStored(sys.Retained)
 	fmt.Printf("oracle:      obsolete=%d still-stored=%d collection-ratio=%.4f rdt=%v\n",
 		obsolete, kept, ratio(obsolete-kept, obsolete), oracle.IsRDT())
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/sweep"
 )
@@ -67,26 +66,7 @@ func main() {
 	g.PCheckpoint = *pcheck
 	g.GlobalEvery = *every
 	g.Workers = *workers
-	if g.Workers <= 0 {
-		// Normalize here so JSON output records the worker count
-		// that actually ran, not the raw flag value.
-		g.Workers = runtime.NumCPU()
-	}
-
-	start := time.Now()
-	results, err := g.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
-	if *format == "json" {
-		err = sweep.WriteJSON(os.Stdout, g, results, wall)
-	} else {
-		err = sweep.WriteText(os.Stdout, g.Table, results)
-	}
-	if err != nil {
+	if err := sweep.Report(os.Stdout, g, *format); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -47,21 +47,7 @@ func main() {
 	// everything collected was indeed obsolete.
 	oracle := sys.Oracle()
 	fmt.Printf("\npattern is RD-trackable: %v\n", oracle.IsRDT())
-	obsolete, kept := 0, 0
-	for i := 0; i < n; i++ {
-		live := map[int]bool{}
-		for _, idx := range sys.Retained(i) {
-			live[idx] = true
-		}
-		for g := 0; g <= oracle.LastStable(i); g++ {
-			if oracle.Obsolete(i, g) {
-				obsolete++
-				if live[g] {
-					kept++
-				}
-			}
-		}
-	}
+	obsolete, kept := oracle.ObsoleteStored(sys.Retained)
 	fmt.Printf("obsolete checkpoints: %d total, %d not yet identifiable from causal knowledge\n",
 		obsolete, kept)
 	fmt.Printf("asynchronous collection ratio: %.4f\n",

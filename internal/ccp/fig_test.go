@@ -160,6 +160,18 @@ func TestFig3RecoveryLine(t *testing.T) {
 	if !reflect.DeepEqual(got, want5) {
 		t.Errorf("ObsoleteSet = %v, want %v", got, want5)
 	}
+	every := func(i int) (stored []int) {
+		for g := 0; g <= c.LastStable(i); g++ {
+			stored = append(stored, g)
+		}
+		return stored
+	}
+	if obsolete, kept := c.ObsoleteStored(every); obsolete != 5 || kept != 5 {
+		t.Errorf("ObsoleteStored(every stable checkpoint) = %d, %d, want 5, 5", obsolete, kept)
+	}
+	if obsolete, kept := c.ObsoleteStored(func(int) []int { return nil }); obsolete != 5 || kept != 0 {
+		t.Errorf("ObsoleteStored(nothing) = %d, %d, want 5, 0", obsolete, kept)
+	}
 
 	if v, bad := c.FirstRDTViolation(); bad {
 		t.Errorf("Figure 3 CCP should be RDT; violation: %v", v)

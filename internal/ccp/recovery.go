@@ -82,6 +82,25 @@ func (c *CCP) ObsoleteSet() []CheckpointID {
 	return out
 }
 
+// ObsoleteStored counts the pattern's obsolete stable checkpoints and, of
+// those, the ones a collector left in storage: stored(i) lists the indices
+// process i's store holds. A collector that misses none leaves kept = 0.
+func (c *CCP) ObsoleteStored(stored func(i int) []int) (obsolete, kept int) {
+	for i := 0; i < c.n; i++ {
+		for g := 0; g <= c.lastS[i]; g++ {
+			if c.Obsolete(i, g) {
+				obsolete++
+			}
+		}
+		for _, g := range stored(i) {
+			if g <= c.lastS[i] && c.Obsolete(i, g) {
+				kept++
+			}
+		}
+	}
+	return obsolete, kept
+}
+
 // NeedlessBruteForce evaluates Definition 7 literally: s_i^γ is needless in
 // the cut iff it belongs to no recovery line R_F over all 2^n faulty sets
 // F ⊆ Π. It is exponential in n and exists only as a test oracle for

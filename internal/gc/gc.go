@@ -55,7 +55,9 @@ type View interface {
 	N() int
 	// LastStable returns last_s(i).
 	LastStable(i int) int
-	// CurrentDV returns a copy of process i's volatile dependency vector.
+	// CurrentDV lends process i's volatile dependency vector: the reader
+	// must not modify it, nor keep it past the Collect or ComputeLine call
+	// it was read in.
 	CurrentDV(i int) vclock.DV
 	// Store returns process i's stable store.
 	Store(i int) storage.Store

@@ -11,43 +11,11 @@ import (
 )
 
 // recyclingDriver is the smallest engine that gives piggyback buffers back:
-// the test hands a consumed piggyback to recycle, and the next Send draws
-// its entry buffer, or its snapshot, again.
-type recyclingDriver struct {
-	free   [][]Entry
-	dvFree []vclock.DV
-}
+// the test hands a consumed piggyback to Recycle, and the next Send draws
+// its entry buffer, or its snapshot, from the pool again.
+type recyclingDriver struct{ Pool }
 
 func (d *recyclingDriver) OnKernelCheckpoint(int, int, bool) {}
-
-func (d *recyclingDriver) CloneDV(src vclock.DV) vclock.DV {
-	k := len(d.dvFree)
-	if k == 0 {
-		return src.Clone()
-	}
-	dv := d.dvFree[k-1]
-	d.dvFree = d.dvFree[:k-1]
-	dv.CopyFrom(src)
-	return dv
-}
-
-func (d *recyclingDriver) EntryBuf() []Entry {
-	k := len(d.free)
-	if k == 0 {
-		return nil
-	}
-	buf := d.free[k-1]
-	d.free = d.free[:k-1]
-	return buf
-}
-
-func (d *recyclingDriver) recycle(pb Piggyback) {
-	if pb.DV != nil {
-		d.dvFree = append(d.dvFree, pb.DV)
-		return
-	}
-	d.free = append(d.free, pb.Entries[:0])
-}
 
 func compressingKernel(t *testing.T, id, n int, d Driver) *Kernel {
 	t.Helper()
@@ -356,7 +324,7 @@ func TestCompressedSendAllocatesNothing(t *testing.T) {
 			wholes++
 		}
 		sends++
-		d.recycle(pb)
+		d.Recycle(&pb)
 	}
 	for _, wide := range []bool{true, false} {
 		for i := 0; i < 4*n; i++ {
@@ -403,7 +371,7 @@ func TestEntryBufferIsNotSizedByN(t *testing.T) {
 					name, i, len(pb.Entries), cap(pb.Entries))
 			}
 			if d != nil {
-				d.recycle(pb)
+				d.Recycle(&pb)
 			}
 		}
 	}

@@ -38,21 +38,14 @@ func (c *Cluster) FreeBuffers() int {
 }
 
 // FreeBuffers counts the piggyback buffers resting on this node's freelists.
-func (n *Node) FreeBuffers() int {
-	n.bufMu.Lock()
-	defer n.bufMu.Unlock()
-	return len(n.dvBufs) + len(n.entBufs)
-}
+func (n *Node) FreeBuffers() int { return n.pool.Len() }
 
 // StockBuffers puts k vector snapshots and k entry buffers, each sized for
 // the whole cluster, on this node's freelists. While the stock lasts, the
 // node's sends draw every piggyback buffer from it and allocate none.
 func (n *Node) StockBuffers(k int) {
-	n.bufMu.Lock()
-	defer n.bufMu.Unlock()
 	for i := 0; i < k; i++ {
-		n.dvBufs = append(n.dvBufs, make(vclock.DV, n.c.cfg.N))
-		n.entBufs = append(n.entBufs, make([]node.Entry, 0, n.c.cfg.N))
+		n.pool.Recycle(&node.Piggyback{DV: make(vclock.DV, n.c.cfg.N), Entries: make([]node.Entry, 0, n.c.cfg.N)})
 	}
 }
 

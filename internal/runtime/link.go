@@ -142,7 +142,7 @@ func (c *Cluster) park(pl *pairLink, run []pending) {
 // giving their piggyback buffers back to the sender. Called with pl.mu held.
 func (c *Cluster) lose(pl *pairLink, run []pending) {
 	for i := range run {
-		c.recycle(pl.from, &run[i].pb)
+		c.nodes[pl.from].pool.Recycle(&run[i].pb)
 	}
 	c.obs.LinkLost.Add(uint64(len(run)))
 }

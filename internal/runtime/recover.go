@@ -6,8 +6,6 @@ import (
 	"repro/internal/gc"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // Report describes a live recovery session.
@@ -213,7 +211,7 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	}
 	rep.Restarted = restarted // ascending: the nodes are walked in order
 
-	line, err := gc.ComputeLine(haltedView{c}, faulty)
+	line, err := gc.ComputeLine(c.view, faulty)
 	if err != nil {
 		return Report{}, fmt.Errorf("runtime: %w", err)
 	}
@@ -227,14 +225,3 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	})
 	return rep, err
 }
-
-// haltedView adapts a fully locked cluster to gc.View. It must only be used
-// while session holds every node lock — which is also why CurrentDV can lend
-// the live vectors: ComputeLine only compares them, and cloning all n cost
-// 8 KB of garbage per session at n = 32.
-type haltedView struct{ c *Cluster }
-
-func (v haltedView) N() int                    { return v.c.cfg.N }
-func (v haltedView) LastStable(i int) int      { return v.c.nodes[i].k.LastStable() }
-func (v haltedView) CurrentDV(i int) vclock.DV { return v.c.nodes[i].k.DVRef() }
-func (v haltedView) Store(i int) storage.Store { return v.c.nodes[i].k.Store() }

@@ -110,9 +110,12 @@ type Config struct {
 type Cluster struct {
 	cfg   Config
 	nodes []*Node
-	// kernels[i] is nodes[i].k: the form node.ApplyLine takes, built once so
-	// a recovery session allocates nothing for it.
+	// kernels[i] is nodes[i].k: the form node.ApplyLine takes, and view the
+	// same as gc.View, which gc.ComputeLine takes. Both are built once, so a
+	// recovery session allocates nothing for them; view lends the live
+	// vectors, so it is read only under every node lock.
 	kernels []*node.Kernel
+	view    gc.View
 
 	inflight inflight
 	closed   atomic.Bool // set by Close; parks and heals observe it
@@ -184,18 +187,14 @@ type Node struct {
 	// network; SetNetwork replays and zeroes it (Cluster.quiet).
 	skipped atomic.Uint64
 
-	// bufMu guards the node's piggyback freelists: dvBufs, which its
-	// full-vector snapshots are drawn from (CloneDV), and entBufs, which the
-	// entry buffers of its compressed piggybacks are drawn from (EntryBuf).
-	// Both are returned by Cluster.recycle, to the sender, once nothing on
-	// the sending side can read the piggyback again — the in-process wire
-	// delivered it, or the TCP wire encoded its frame — so the per-message
-	// send path allocates neither.
-	// bufMu is a leaf: it is taken under n.mu, fence.mu, a destination
-	// queue's lock or a pair's lock, and nothing is taken under it.
-	bufMu   sync.Mutex
-	dvBufs  []vclock.DV
-	entBufs [][]node.Entry
+	// pool is the node's piggyback freelist, which its kernel's snapshots
+	// and entry buffers are drawn from (CloneDV, EntryBuf). A piggyback's
+	// buffers return to its sender's pool once nothing on the sending side
+	// can read it again — the in-process wire delivered it, or the TCP wire
+	// encoded its frame — so the per-message send path allocates neither.
+	// Its lock is a leaf: it is taken under n.mu, fence.mu, a destination
+	// queue's lock or a pair's lock.
+	pool node.Pool
 
 	// down marks a crashed process: its volatile state is gone, deliveries
 	// to it are dropped, and every application-facing method refuses with
@@ -320,6 +319,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, nd)
 		c.kernels = append(c.kernels, k)
 	}
+	c.view = node.View(c.kernels)
 	for _, nd := range c.nodes {
 		if err := nd.fence.awaitDurable(nd.staged); err != nil {
 			_ = c.Close()
@@ -339,7 +339,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 // Close releases what NewCluster acquired: the wire, and every
 // stable store Config.NewStore opened — whoever called NewStore closes, so
-// a log store's goroutines and tail segment do not outlive the cluster and
+// a log store's committer and generation file do not outlive the cluster and
 // its staged tombstones are committed. Close during an open partition
 // returns promptly: the closed flag is set first, so parked backlogs are
 // abandoned, not flushed. It must not overlap a recovery session,
@@ -407,59 +407,11 @@ func (c *Cluster) sumKernels(count func(*node.Kernel) int) int {
 	return total
 }
 
-// CloneDV implements node.Driver: it serves the piggyback snapshot from
-// the node's freelist when a consumed message has returned one, and
-// allocates otherwise. Piggybacks escape onto network goroutines, so the
-// freelist is mutex-guarded — the lock is per sender and uncontended, and far
-// cheaper than the per-message allocation it replaces.
-func (n *Node) CloneDV(src vclock.DV) vclock.DV {
-	n.bufMu.Lock()
-	if k := len(n.dvBufs); k > 0 {
-		dv := n.dvBufs[k-1]
-		n.dvBufs = n.dvBufs[:k-1]
-		n.bufMu.Unlock()
-		dv.CopyFrom(src)
-		return dv
-	}
-	n.bufMu.Unlock()
-	return src.Clone()
-}
+// CloneDV implements node.Driver from the node's pool.
+func (n *Node) CloneDV(src vclock.DV) vclock.DV { return n.pool.CloneDV(src) }
 
-// EntryBuf implements node.Driver: the buffer a compressed piggyback's
-// entries are built in, from the node's freelist when a sent frame has
-// returned one. Buffers keep whatever capacity their messages grew them to;
-// nothing here sizes one by n, so sparse traffic at large n stays small.
-func (n *Node) EntryBuf() []node.Entry {
-	n.bufMu.Lock()
-	defer n.bufMu.Unlock()
-	k := len(n.entBufs)
-	if k == 0 {
-		return nil
-	}
-	buf := n.entBufs[k-1]
-	n.entBufs = n.entBufs[:k-1]
-	return buf
-}
-
-// recycle returns a dead piggyback's buffer to the freelist of the node that
-// sent it: the snapshot of one that carries the whole vector, compressed or
-// not (full-size vectors only; foreign lengths are dropped), else the entry
-// buffer of a compressed one. The caller guarantees nothing will read the
-// piggyback again, and that its memory came from that node's CloneDV or
-// EntryBuf — never a transport frame view.
-func (c *Cluster) recycle(from int, pb *node.Piggyback) {
-	n := c.nodes[from]
-	switch {
-	case len(pb.DV) == c.cfg.N:
-		n.bufMu.Lock()
-		n.dvBufs = append(n.dvBufs, pb.DV)
-		n.bufMu.Unlock()
-	case cap(pb.Entries) > 0:
-		n.bufMu.Lock()
-		n.entBufs = append(n.entBufs, pb.Entries[:0])
-		n.bufMu.Unlock()
-	}
-}
+// EntryBuf implements node.Driver from the node's pool.
+func (n *Node) EntryBuf() []node.Entry { return n.pool.EntryBuf() }
 
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
 // forced ones the delivery path takes) are recorded the instant they are
@@ -616,7 +568,7 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		// The unused snapshot still feeds the freelist. A compressed
 		// cluster never draws drops (loss is rejected at configuration
 		// time), so a dropped message cannot leave a FIFO gap.
-		n.c.recycle(n.id, &d.pb)
+		n.pool.Recycle(&d.pb)
 		n.mu.Unlock()
 		return nil
 	}

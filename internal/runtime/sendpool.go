@@ -213,7 +213,7 @@ func (c *Cluster) purgeQueue(q *destQueue) int {
 	defer q.mu.Unlock()
 	for _, k := range q.h {
 		p := &q.slab[k.slot]
-		c.recycle(p.from, &p.pb)
+		c.nodes[p.from].pool.Recycle(&p.pb)
 		if c.pairDue != nil {
 			c.pairDue[p.from*c.cfg.N+q.to] = 0
 		}

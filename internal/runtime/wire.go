@@ -35,7 +35,7 @@ func (h handoff) send(pl *pairLink, run []pending) {
 	c := h.c
 	c.nodes[pl.to].ingest(run)
 	for i := range run {
-		c.recycle(pl.from, &run[i].pb)
+		c.nodes[pl.from].pool.Recycle(&run[i].pb)
 	}
 	c.inflight.Add(-len(run))
 }
@@ -119,7 +119,7 @@ func (w *meshWire) send(pl *pairLink, run []pending) {
 	clear(msgs)
 	mp.out = msgs[:0]
 	for k := range run {
-		c.recycle(pl.from, &run[k].pb)
+		c.nodes[pl.from].pool.Recycle(&run[k].pb)
 	}
 	if refused := len(run) - accepted; refused > 0 {
 		c.obs.LinkLost.Add(uint64(refused))

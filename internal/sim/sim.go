@@ -90,11 +90,13 @@ type Runner struct {
 	// capacity, emptied before Run returns.
 	transit []message
 
-	// dvFree and entFree recycle piggyback buffers — snapshot vectors and
-	// compressed entries: a send takes one, the delivery that consumes it
-	// (or the end of the Run, for a message left in transit) puts it back.
-	dvFree  []vclock.DV
-	entFree [][]node.Entry
+	// pool serves every kernel's piggyback buffers: a send takes one, the
+	// delivery that consumes it (or the end of the Run, for a message left
+	// in transit) puts it back.
+	pool node.Pool
+	// view is the kernels as gc.View, built by View on first use: a run
+	// without a global collector or a recovery never needs it.
+	view gc.View
 }
 
 // message is one script message: the process bound to receive it (−1 for
@@ -161,14 +163,7 @@ func (r *Runner) Close() error {
 // OnKernelCheckpoint implements node.Driver: checkpoints (basic and the
 // forced ones Deliver takes) are recorded in the history at the instant they
 // become durable, keeping the linearized order exact.
-func (r *Runner) OnKernelCheckpoint(self, index int, basic bool) {
-	r.hist.Checkpoint(self)
-	if basic {
-		r.metrics.Basic++
-	} else {
-		r.metrics.Forced++
-	}
-}
+func (r *Runner) OnKernelCheckpoint(self, _ int, _ bool) { r.hist.Checkpoint(self) }
 
 // N returns the number of processes.
 func (r *Runner) N() int { return r.cfg.N }
@@ -224,46 +219,17 @@ func (r *Runner) Run(script ccp.Script) error {
 // and empties the table.
 func (r *Runner) endRun() {
 	for i := range r.transit {
-		r.recycle(r.transit[i].pb)
+		r.pool.Recycle(&r.transit[i].pb)
 	}
 	clear(r.transit)
 	r.transit = r.transit[:0]
 }
 
-// CloneDV implements node.Driver: it pops a recycled snapshot vector or
-// allocates a fresh one, so every full-vector piggyback draws from the
-// runner's freelist.
-func (r *Runner) CloneDV(src vclock.DV) vclock.DV {
-	if k := len(r.dvFree); k > 0 {
-		dv := r.dvFree[k-1]
-		r.dvFree = r.dvFree[:k-1]
-		dv.CopyFrom(src)
-		return dv
-	}
-	return src.Clone()
-}
+// CloneDV implements node.Driver from the runner's pool.
+func (r *Runner) CloneDV(src vclock.DV) vclock.DV { return r.pool.CloneDV(src) }
 
-// EntryBuf implements node.Driver: it pops a recycled entry buffer, or
-// returns nil for the kernel to grow.
-func (r *Runner) EntryBuf() []node.Entry {
-	if k := len(r.entFree); k > 0 {
-		buf := r.entFree[k-1]
-		r.entFree = r.entFree[:k-1]
-		return buf
-	}
-	return nil
-}
-
-// recycle returns a consumed piggyback's buffers to the freelists: a
-// snapshot, compressed or not, to dvFree, an entry buffer to entFree.
-func (r *Runner) recycle(pb node.Piggyback) {
-	if pb.DV != nil {
-		r.dvFree = append(r.dvFree, pb.DV)
-	}
-	if pb.Entries != nil {
-		r.entFree = append(r.entFree, pb.Entries[:0])
-	}
-}
+// EntryBuf implements node.Driver from the runner's pool.
+func (r *Runner) EntryBuf() []node.Entry { return r.pool.EntryBuf() }
 
 // send runs m's send event. A message nobody receives gets a snapshot that
 // binds no destination, so no pair's encoder moves for it.
@@ -285,7 +251,7 @@ func (r *Runner) deliver(p *node.Kernel, m *message) error {
 	}
 	r.hist.Recv(p.ID(), m.g)
 	r.metrics.Delivered++
-	r.recycle(m.pb)
+	r.pool.Recycle(&m.pb)
 	m.pb = node.Piggyback{}
 	return nil
 }
@@ -316,11 +282,15 @@ func (r *Runner) History() ccp.Script {
 	return out
 }
 
-// Metrics returns execution counters. Piggyback-entry counts are
-// aggregated from the kernels, which own the encode paths.
+// Metrics returns execution counters. Checkpoint and piggyback counts are
+// summed over the kernels, which take the checkpoints and own the encode
+// paths.
 func (r *Runner) Metrics() Metrics {
 	m := r.metrics
 	for _, p := range r.procs {
+		basic, forced := p.Counts()
+		m.Basic += basic
+		m.Forced += forced
 		m.PiggybackEntries += p.PiggybackEntries()
 		m.PiggybackBytes += p.PiggybackBytes()
 	}
@@ -339,12 +309,11 @@ func (r *Runner) LastStable(i int) int { return r.procs[i].LastStable() }
 // LocalGC returns process i's local collector (for inspection in tests).
 func (r *Runner) LocalGC(i int) gc.Local { return r.procs[i].Collector() }
 
-// View adapts the runner to the gc.View interface.
-func (r *Runner) View() gc.View { return runnerView{r} }
-
-type runnerView struct{ r *Runner }
-
-func (v runnerView) N() int                    { return v.r.cfg.N }
-func (v runnerView) LastStable(i int) int      { return v.r.procs[i].LastStable() }
-func (v runnerView) CurrentDV(i int) vclock.DV { return v.r.procs[i].DV() }
-func (v runnerView) Store(i int) storage.Store { return v.r.procs[i].Store() }
+// View returns the runner's kernels as a gc.View (node.View). Its CurrentDV
+// lends the live vectors, which the next executed event changes.
+func (r *Runner) View() gc.View {
+	if r.view == nil {
+		r.view = node.View(r.procs)
+	}
+	return r.view
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 func fdasLGC(n int) sim.Config {
@@ -156,5 +157,64 @@ func TestMetricsCounting(t *testing.T) {
 	got := r.Metrics()
 	if got.Basic != 1 || got.Sends != 2 || got.Delivered != 1 {
 		t.Fatalf("metrics = %+v, want Basic=1 Sends=2 Delivered=1", got)
+	}
+}
+
+// frozenView passes a runner's view through and remembers every vector its
+// CurrentDV lends, with a copy: check fails if one changed since.
+type frozenView struct {
+	gc.View
+	lent, copies []vclock.DV
+}
+
+func (v *frozenView) CurrentDV(i int) vclock.DV {
+	dv := v.View.CurrentDV(i)
+	v.lent = append(v.lent, dv)
+	v.copies = append(v.copies, dv.Clone())
+	return dv
+}
+
+func (v *frozenView) check(t *testing.T, call string) {
+	t.Helper()
+	for k, dv := range v.lent {
+		if !dv.Equal(v.copies[k]) {
+			t.Fatalf("%s wrote a lent vector: %v, was %v", call, dv, v.copies[k])
+		}
+	}
+	v.lent, v.copies = v.lent[:0], v.copies[:0]
+}
+
+// TestLentViewIsReadOnly: the runner's view lends the kernels' live vectors,
+// so the readers of a gc.View — both global collectors and the recovery
+// line a Recover computes — must leave them as they found them.
+func TestLentViewIsReadOnly(t *testing.T) {
+	const n = 5
+	fdas := func(int) protocol.Protocol { return protocol.NewFDAS() }
+	for _, global := range []gc.Global{gc.NewSynchronous(), gc.NewRecoveryLine()} {
+		var v *frozenView
+		r, err := sim.NewRunner(sim.Config{N: n, Protocol: fdas, AfterEvent: func() error {
+			err := global.Collect(v)
+			v.check(t, global.Name()+" Collect")
+			return err
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = &frozenView{View: r.View()}
+		script := ccp.RandomScript(rand.New(rand.NewSource(11)), ccp.RandomOptions{N: n, Ops: 300})
+		if err := r.Run(script); err != nil {
+			t.Fatal(err)
+		}
+		line, err := gc.ComputeLine(v, []int{1, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.check(t, "ComputeLine")
+		if _, err := r.ApplyLine(line, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run(script); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -36,7 +36,7 @@ type Backend string
 const (
 	// Mem is the in-memory store (MemStore).
 	Mem Backend = "mem"
-	// Log is the segmented group-commit log store
+	// Log is the group-commit log store, kept in generations
 	// (internal/storage/logstore).
 	Log Backend = "log"
 )
@@ -51,9 +51,10 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// Close releases whatever a store holds: the log store's goroutines and tail
-// segment (committing its staged tombstones); MemStore holds nothing. The
-// rule for the engines is that whoever opened a store closes it.
+// Close releases whatever a store holds: the log store's committer goroutine
+// and generation file (committing its staged tombstones); MemStore holds
+// nothing. The rule for the engines is that whoever opened a store closes
+// it.
 func Close(s Store) error {
 	if c, ok := s.(io.Closer); ok {
 		return c.Close()

@@ -95,7 +95,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -449,7 +448,7 @@ func (s *LogStore) stageSaveLocked(cp storage.Checkpoint) (*batch, error) {
 	b, bodyOff, body := s.appendFrameLocked(kindCheckpoint, s.enc)
 	b.saved = append(b.saved, cp.Index)
 	s.recs[cp.Index] = recInfo{off: bodyOff, size: len(body), stateLen: len(cp.State), pending: body, pendingIn: b}
-	s.sorted = insertSorted(s.sorted, cp.Index)
+	s.sorted = storage.InsertSorted(s.sorted, cp.Index)
 	s.live += int64(len(body))
 	s.stats.Saved++
 	s.stats.Live++
@@ -481,25 +480,28 @@ func (s *LogStore) roomLocked(need int) error {
 // switchLocked opens generation g+1 with the live set at the head of its
 // first batch, which stays open: the save that called for the switch, and
 // what is staged until the committer takes the batch, ride it. Each live
-// record is decoded — from g, or from its staging copy — and encoded again,
-// never copied as bytes, so a record that rotted on the device fails the
-// switch loudly instead of moving under a fresh checksum. The open batch of
-// g is sealed first, so it commits before the new generation exists.
+// record's bytes are read — from g, or from its staging copy — and staged
+// again once their prefix passes storage.DecodeVector against the index's
+// state length: the structural checks a Load makes, so a record that rotted
+// on the device fails the switch loudly instead of moving under a fresh
+// checksum. The state bytes are opaque to both. The open batch of g is
+// sealed first, so it commits before the new generation exists.
 func (s *LogStore) switchLocked() error {
 	s.cur = nil
 	first := s.startLocked(s.gen+1, genHdrLen)
 	first.first = true
-	var enc []byte
 	for _, idx := range s.sorted {
-		cp, err := s.loadLocked(idx)
+		ri := s.recs[idx]
+		body, err := s.bodyLocked(ri, ri.size)
+		if err == nil {
+			_, err = storage.DecodeVector(body[:ri.size-ri.stateLen], ri.stateLen)
+		}
 		if err != nil {
-			s.failLocked(fmt.Errorf("switch to generation %d: %w", first.gen, err))
+			s.failLocked(fmt.Errorf("switch to generation %d: checkpoint %d: %w", first.gen, idx, err))
 			return s.failed
 		}
-		enc = storage.AppendRecord(enc[:0], cp)
-		_, off, body := s.appendFrameLocked(kindCheckpoint, enc)
+		_, off, body := s.appendFrameLocked(kindCheckpoint, body)
 		first.saved = append(first.saved, idx)
-		ri := s.recs[idx]
 		ri.off, ri.pending, ri.pendingIn = off, body, first
 		s.recs[idx] = ri
 	}
@@ -573,7 +575,7 @@ func (s *LogStore) Delete(index int) error {
 	s.openLocked()
 	b, _, _ := s.appendFrameLocked(kindTombstone, body[:])
 	delete(s.recs, index)
-	s.sorted = removeSorted(s.sorted, index)
+	s.sorted = storage.RemoveSorted(s.sorted, index)
 	s.live -= int64(ri.size)
 	s.stats.Collected++
 	s.stats.Live--
@@ -921,24 +923,4 @@ func (s *LogStore) updateLiveRatioLocked() {
 	if s.obs.LiveRatioPct != nil && s.genOff > 0 {
 		s.obs.LiveRatioPct.Set(100 * s.live / s.genOff)
 	}
-}
-
-// insertSorted and removeSorted mirror MemStore's helpers.
-func insertSorted(s []int, idx int) []int {
-	if n := len(s); n == 0 || idx > s[n-1] {
-		return append(s, idx)
-	}
-	at := sort.SearchInts(s, idx)
-	s = append(s, 0)
-	copy(s[at+1:], s[at:])
-	s[at] = idx
-	return s
-}
-
-func removeSorted(s []int, idx int) []int {
-	at := sort.SearchInts(s, idx)
-	if at >= len(s) || s[at] != idx {
-		return s
-	}
-	return append(s[:at], s[at+1:]...)
 }

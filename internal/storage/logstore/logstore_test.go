@@ -1977,3 +1977,68 @@ func TestResavedIndexStaysDeadAcrossSwitches(t *testing.T) {
 		}
 	}
 }
+
+// TestSwitchOverRottedHeaderFailsStop: a switch re-stages each live record's
+// bytes only after checking them as a Load would, so a durable record whose
+// header word rotted on the device fails the Save that called for the
+// switch with ErrCorrupt, and the store refuses every later write. The
+// intact case is the control: the same Save switches and succeeds.
+func TestSwitchOverRottedHeaderFailsStop(t *testing.T) {
+	const n = 4 // ckpt's vector length
+	for _, c := range []struct {
+		word string
+		off  int // byte offset in the record; -1: no rot
+	}{{"intact", -1}, {"magic", 0}, {"kind", 24}, {"vector length", 32}, {"state length", 40 + 8*n}} {
+		t.Run(c.word, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openFloor(t, dir, Options{Sync: noSync}, 1)
+			for i := 0; i < 12; i++ {
+				if err := s.Save(ckpt(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i < 11; i++ {
+				if err := s.Delete(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.mu.Lock()
+			r0 := s.recs[0]
+			s.mu.Unlock()
+			if r0.pending != nil {
+				t.Fatal("record 0 is still staged: the device read is not exercised")
+			}
+			if c.off >= 0 {
+				f, err := os.OpenFile(genPath(dir, genOf(s)), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte{0x5a}, r0.off+int64(c.off)); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two live records against twelve written: this Save switches.
+			gen := genOf(s)
+			err := s.Save(ckpt(12))
+			if c.off < 0 {
+				if err != nil || genOf(s) != gen+1 {
+					t.Fatalf("Save over an intact live set: %v, generation %d → %d, want a switch", err, gen, genOf(s))
+				}
+				wantCkpt(t, s, 0)
+				return
+			}
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("Save whose switch meets a rotted %s word: %v, want ErrCorrupt", c.word, err)
+			}
+			if err := s.Save(ckpt(13)); !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("Save after the failed switch: %v, want the store's ErrCorrupt", err)
+			}
+			if err := s.Delete(11); !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("Delete after the failed switch: %v, want the store's ErrCorrupt", err)
+			}
+		})
+	}
+}

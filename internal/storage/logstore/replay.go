@@ -215,7 +215,7 @@ func (s *LogStore) replayApplySave(g int, bodyOff int64, body []byte) error {
 		return corruptf("logstore: generation %d: duplicate live checkpoint %d", g, cp.Index)
 	}
 	s.recs[cp.Index] = recInfo{off: bodyOff, size: len(body), stateLen: len(cp.State)}
-	s.sorted = insertSorted(s.sorted, cp.Index)
+	s.sorted = storage.InsertSorted(s.sorted, cp.Index)
 	s.live += int64(len(body))
 	s.stats.Live++
 	s.stats.LiveBytes += len(cp.State)
@@ -235,7 +235,7 @@ func (s *LogStore) replayApplyTomb(g int, body []byte) error {
 		return corruptf("logstore: generation %d: tombstone for absent checkpoint %d", g, idx)
 	}
 	delete(s.recs, idx)
-	s.sorted = removeSorted(s.sorted, idx)
+	s.sorted = storage.RemoveSorted(s.sorted, idx)
 	s.live -= int64(ri.size)
 	s.stats.Live--
 	s.stats.LiveBytes -= ri.stateLen

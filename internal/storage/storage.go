@@ -155,11 +155,11 @@ type memRec struct {
 // this drops the rest to the garbage collector.
 const maxSpare = 16
 
-// insertSorted adds idx to an ascending index slice. Checkpoint indices
-// almost always arrive in increasing order, so the common case is a plain
-// append; rollback re-saves after a recovery session take the binary-
-// search path.
-func insertSorted(s []int, idx int) []int {
+// InsertSorted adds idx to an ascending index slice, the form both stores
+// keep their live indices in. Checkpoint indices almost always arrive in
+// increasing order, so the common case is a plain append; rollback re-saves
+// after a recovery session take the binary-search path.
+func InsertSorted(s []int, idx int) []int {
 	if n := len(s); n == 0 || idx > s[n-1] {
 		return append(s, idx)
 	}
@@ -167,8 +167,9 @@ func insertSorted(s []int, idx int) []int {
 	return slices.Insert(s, at, idx)
 }
 
-// removeSorted deletes idx from an ascending index slice.
-func removeSorted(s []int, idx int) []int {
+// RemoveSorted deletes idx from an ascending index slice; an absent idx
+// leaves it as it was.
+func RemoveSorted(s []int, idx int) []int {
 	at, ok := slices.BinarySearch(s, idx)
 	if !ok {
 		return s
@@ -202,7 +203,7 @@ func (s *MemStore) Save(cp Checkpoint) error {
 		rec.dv = cp.DV.Clone()
 	}
 	s.byIdx[cp.Index] = rec
-	s.sorted = insertSorted(s.sorted, cp.Index)
+	s.sorted = InsertSorted(s.sorted, cp.Index)
 	s.stats.Saved++
 	s.stats.Live++
 	s.stats.LiveBytes += len(cp.State)
@@ -234,7 +235,7 @@ func (s *MemStore) Delete(index int) error {
 		s.spare[s.nSpare] = rec.dv
 		s.nSpare++
 	}
-	s.sorted = removeSorted(s.sorted, index)
+	s.sorted = RemoveSorted(s.sorted, index)
 	s.stats.Collected++
 	s.stats.Live--
 	s.stats.LiveBytes -= len(rec.state)

@@ -4,9 +4,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"text/tabwriter"
 	"time"
 )
+
+// Report runs g and writes its results to w as the text table, or as JSON
+// when format is "json" — the output of cmd/sweep and cmd/chaos. A worker
+// count of zero or less becomes runtime.NumCPU() first, so the JSON records
+// the pool that ran, not the raw flag value.
+func Report(w io.Writer, g Grid, format string) error {
+	if g.Workers <= 0 {
+		g.Workers = runtime.NumCPU()
+	}
+	start := time.Now()
+	results, err := g.Run()
+	if err != nil {
+		return err
+	}
+	if format == "json" {
+		return WriteJSON(w, g, results, time.Since(start))
+	}
+	return WriteText(w, g.Table, results)
+}
 
 // WriteText renders results as the tab-aligned table the seed CLI printed,
 // one row per cell in grid order. Because Run's result order is

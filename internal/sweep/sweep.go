@@ -8,7 +8,6 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/ccp"
@@ -445,22 +444,7 @@ func ratio(num, den int) float64 {
 // collectRatio is the fraction of the oracle's obsolete checkpoints the
 // run's collector had eliminated by its end (1 with none obsolete).
 func collectRatio(r *sim.Runner) float64 {
-	oracle := r.Oracle()
-	obsolete, kept := 0, 0
-	for i := 0; i < r.N(); i++ {
-		stored := map[int]bool{}
-		for _, idx := range r.Store(i).Indices() {
-			stored[idx] = true
-		}
-		for g := 0; g <= oracle.LastStable(i); g++ {
-			if oracle.Obsolete(i, g) {
-				obsolete++
-				if stored[g] {
-					kept++
-				}
-			}
-		}
-	}
+	obsolete, kept := r.Oracle().ObsoleteStored(func(i int) []int { return r.Store(i).Indices() })
 	if obsolete == 0 {
 		return 1
 	}
@@ -638,9 +622,6 @@ func (c Cell) runChaos(res *Result) error {
 func (g Grid) Run() ([]Result, error) {
 	if g.Seeds < 1 {
 		return nil, fmt.Errorf("sweep: grid needs Seeds >= 1, got %d", g.Seeds)
-	}
-	if g.Workers <= 0 {
-		g.Workers = runtime.NumCPU()
 	}
 	return Map(g.Workers, g.Cells(), Cell.Run)
 }

@@ -120,8 +120,10 @@ type Backend = storage.Backend
 
 // Storage backends. BackendMem keeps checkpoints in memory (the default;
 // nothing survives the process). BackendLog is the durable one: it appends
-// to a segmented group-commit log with checksummed batches, a flush before
-// every Save returns, crash-truncated tails and background compaction.
+// to a group-commit log with checksummed batches, a flush before every Save
+// returns and crash-truncated tails, kept in one generation file that a save
+// rewrites into the next, live set first, once deletes have left it mostly
+// dead.
 const (
 	BackendMem = storage.Mem
 	BackendLog = storage.Log

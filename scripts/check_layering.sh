@@ -206,6 +206,19 @@ if grep -nwE 'dvMu|dvFree|entFree|pendMu|pendFree|getPending|putPending' $rt_fil
 	echo "layering violation: a cluster-wide freelist, the mesh's shared inbound pool or its connection map is back" >&2
 	fail=1
 fi
+# One freelist, one view. Both engines serve their kernels' piggyback
+# buffers from node.Pool and hand their kernels to gc.View readers through
+# node.View; the engines' own freelists, their lock and their view adapters
+# stay gone, and so does the log store's copy of the sorted-index helpers
+# package storage keeps for both stores.
+if grep -nwE 'dvBufs|entBufs|bufMu|dvFree|entFree|runnerView|haltedView' $sim_files $rt_files >&2; then
+	echo "layering violation: an engine keeps its own piggyback freelist or gc.View adapter; both use node.Pool and node.View" >&2
+	fail=1
+fi
+if grep -nE 'func (insertSorted|removeSorted)\(' internal/storage/logstore/*.go >&2; then
+	echo "layering violation: internal/storage/logstore defines its own sorted-index helpers; use storage.InsertSorted and storage.RemoveSorted" >&2
+	fail=1
+fi
 rng_sites=$(awk '/^func /{fn=$0} /rngMu\.(Try)?Lock\(\)/{print FILENAME ": " fn}' $rt_files |
 	grep -v -e ') SetNetwork(' -e ') randDelayDrop(' || true)
 if [ -n "$rng_sites" ]; then
@@ -216,15 +229,16 @@ fi
 
 # A message is written once per hand-off. The destination heap orders 24-byte
 # keys over a slab of frames, and from Kernel.Send to the kernel's delivery a
-# frame moves by pointer: recycle, egress and enqueue take pointers, the
-# codec reads a *Message, and the wire and transport fill and read their
-# frame batches in place. A heap of whole frames, or a by-value form of any
+# frame moves by pointer: recycle, egress, enqueue and node.Pool.Recycle take
+# pointers, the codec reads a *Message, and the wire and transport fill and
+# read their frame batches in place. A heap of whole frames, or a by-value form of any
 # of these, is a copy per hand-off growing back.
 if grep -nE '^[[:space:]]+h[[:space:]]+\[\]pending|pop\(\) pending' $rt_files >&2 ||
 	grep -nE 'func \([a-z]+ \*[A-Za-z]+\) (recycle|egress|enqueue)\([^)]*[a-z] (node\.Piggyback|delivery)[,)]' $rt_files >&2 ||
+	grep -nE 'func \([a-z]+ \*Pool\) Recycle\([^)]*[a-z] Piggyback[,)]' $node_files >&2 ||
 	grep -nE 'func (appendEncode|encodedSize)\([^)]*[a-z] Message[,)]|func \([a-z]+ Message\) Validate\(' $tp_files >&2 ||
 	grep -n 'for _, m := range' internal/runtime/wire.go internal/transport/transport.go >&2; then
-	echo "layering violation: a frame copied by value on the message path (a heap of frames, a by-value recycle/egress/enqueue, codec or Validate, or a range copying each message)" >&2
+	echo "layering violation: a frame copied by value on the message path (a heap of frames, a by-value recycle/egress/enqueue, Pool.Recycle, codec or Validate, or a range copying each message)" >&2
 	fail=1
 fi
 
@@ -325,4 +339,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
