@@ -59,10 +59,11 @@ const (
 	RuntimeWorkerRetire = "runtime.sendpool.worker_retires"
 	RuntimeTimerResets  = "runtime.sendpool.timer_resets"
 	RuntimeQuiesceNs    = "runtime.quiesce_ns"
-	// Ingress ring (the receive path): depth is producer batches queued and
-	// not yet drained, summed over the nodes; drains counts applier passes
-	// (each one node-lock acquisition for every batch it grabbed); drain_ns
-	// is the latency of one pass, grab to applied.
+	// Ingress (the receive path, where each producer applies its own batch
+	// under the receiver's lock): depth is batches waiting for or holding a
+	// receiver's lock, summed over the nodes; drains counts batches applied
+	// (one node-lock acquisition each); drain_ns is the latency of one
+	// batch, lock wait included, from its arrival to applied.
 	RuntimeIngressDepth  = "runtime.ingress.depth"
 	RuntimeIngressDrains = "runtime.ingress.drains"
 	RuntimeIngressNs     = "runtime.ingress.drain_ns"

@@ -61,7 +61,8 @@ func (c *Cluster) Crash(i int) error {
 // and released no old-epoch frame of that node can enter its fence or a queue
 // any more; the fence is emptied in the same visit — behind the barrier, not
 // before it — and the queues after the last node. What is left is on a socket,
-// in a worker's hands or in an ingress ring: Quiesce waits for that.
+// in a worker's hands or waiting on a receiver's lock: Quiesce waits for
+// that.
 func (c *Cluster) cancelTransit() {
 	// Halt first, then advance the epoch: a reader in between sees "halted"
 	// (sends refuse), never the new epoch with the flag still clear.

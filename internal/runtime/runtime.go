@@ -74,9 +74,10 @@ type Config struct {
 	NewApp func(self int) app.App
 	// TCP selects the wire under the link layer: a loopback TCP mesh
 	// (internal/transport), so the piggybacked vectors cross a real network
-	// path, instead of the in-process hand-off to the receiver's ingress
-	// ring. Sender pool, cuts, backlog, backpressure: the same on both. A
-	// TCP frame has a 1 MiB cap, so a send refuses a payload too large for it.
+	// path, instead of the in-process hand-off, which applies a run under
+	// the receiver's lock itself. Sender pool, cuts, backlog, backpressure:
+	// the same on both. A TCP frame has a 1 MiB cap, so a send refuses a
+	// payload too large for it.
 	TCP bool
 	// Compress piggybacks only the dependency-vector entries changed since
 	// the previous send to the same destination (Singhal–Kshemkalyani).
@@ -212,10 +213,6 @@ type Node struct {
 	// cluster: ids count per sender, under mu, and survive Crash and
 	// Restart, so (From, Msg) names one message for the cluster's life.
 	lastID uint64
-
-	// ing is the bounded ingress ring every inbound batch passes through
-	// (see ingress.go).
-	ing ingress
 }
 
 // NewCluster starts a cluster. As in the model, every node stores its
@@ -309,13 +306,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		nd.k = k
 		nd.staged = store.Staged() // s^0's ticket; the kernel hook sees only later checkpoints
-		nd.ing.space.L = &nd.ing.mu
-		nd.ing.done.L = &nd.ing.mu
-		// Drain scratch is built up front like the sender queues': growing
-		// it lazily would bill every node's first drains — mid-measurement
-		// — for the ring's working memory. Saturated drains still grow past
-		// this once and keep the larger capacity.
-		nd.ing.scratch = make([][]pending, 0, 4)
 		c.nodes = append(c.nodes, nd)
 		c.kernels = append(c.kernels, k)
 	}

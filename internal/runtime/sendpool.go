@@ -38,7 +38,7 @@ const workerIdle = 50 * time.Millisecond
 
 // maxDispatchBatch bounds how many due messages one dispatch consumes, so
 // a saturated queue cannot hold a pair's link (and through it the receiver's
-// ring, or the wire buffer) for an unbounded stretch.
+// lock, or the wire buffer) for an unbounded stretch.
 const maxDispatchBatch = 128
 
 // delivery is one message as the receiver consumes it.

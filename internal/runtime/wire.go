@@ -10,7 +10,7 @@ import (
 )
 
 // wire is the seam under the link layer (link.go): what carries a pair's
-// frames to the receiver's ingress ring. NewCluster picks one and nothing
+// frames to the receiver's ingest. NewCluster picks one and nothing
 // else asks which; cuts and the backlog behind them live above it. send is
 // called with the pair's lock held, and takes the whole run: each frame is
 // handed to the receiver's ingest exactly once or counted lost
@@ -25,10 +25,10 @@ type wire interface {
 	close() error
 }
 
-// handoff is the in-process wire: the receiver's ingress ring is the
-// channel. Nothing is encoded, copied or checked — ingest returns once the
-// run is applied, which is the delivery — so nothing is ever refused, and a
-// pair is drained whenever its lock is free.
+// handoff is the in-process wire: the pair's lock holder applies the run
+// under the receiver's lock itself. Nothing is encoded, copied or checked —
+// ingest returns once the run is applied, which is the delivery — so nothing
+// is ever refused, and a pair is drained whenever its lock is free.
 type handoff struct{ c *Cluster }
 
 func (h handoff) send(pl *pairLink, run []pending) {
@@ -139,9 +139,9 @@ func (w *meshWire) onLinkDown(_, _, lost int) {
 	w.c.inflight.Add(-lost)
 }
 
-// onWire feeds a non-empty batch of messages arriving from one TCP stream —
+// onWire applies a non-empty batch of messages arriving from one TCP stream —
 // all from the same (sender, receiver) pair, in stream order, which the
-// mesh's reader checks — into the receiver's ingress ring. On a compressed
+// mesh's reader checks — under the receiver's lock (ingest). On a compressed
 // cluster every piggyback is compressed, a full vector included: the
 // sender ships the whole vector when it is the smaller form. The matching
 // inflight increments happened at send. Everything here is a view: sparse

@@ -10,11 +10,11 @@ import (
 )
 
 // FuzzDecode checks the checkpoint-record parser never panics, that every
-// accepted input round-trips through encode, and that its two entry points
+// accepted input round-trips through encode, and that its entry points
 // agree: DecodeVector accepts the prefix of every record DecodeRecord
 // accepts, with the same vector, and every prefix DecodeVector accepts makes
 // a record DecodeRecord accepts, with the same vector, once the state bytes
-// it declares follow.
+// it declares follow; CheckPrefix accepts exactly what DecodeVector does.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
@@ -27,7 +27,11 @@ func FuzzDecode(f *testing.F) {
 			// Read data as a prefix: its last word is the state length.
 			sl := int64(binary.LittleEndian.Uint64(data[len(data)-8:]))
 			if sl >= 0 && sl <= 1<<16 {
-				if dv, err := DecodeVector(data, int(sl)); err == nil {
+				dv, err := DecodeVector(data, int(sl))
+				if cerr := CheckPrefix(data, int(sl)); (cerr == nil) != (err == nil) {
+					t.Fatalf("CheckPrefix says %v, DecodeVector %v", cerr, err)
+				}
+				if err == nil {
 					cp, err := DecodeRecord(append(slices.Clip(data), make([]byte, sl)...))
 					if err != nil {
 						t.Fatalf("DecodeVector accepts a prefix whose record DecodeRecord rejects: %v", err)
@@ -45,6 +49,9 @@ func FuzzDecode(f *testing.F) {
 		dv, err := DecodeVector(data[:len(data)-len(cp.State)], len(cp.State))
 		if err != nil {
 			t.Fatalf("DecodeVector rejects the prefix of a record DecodeRecord accepts: %v", err)
+		}
+		if err := CheckPrefix(data[:len(data)-len(cp.State)], len(cp.State)); err != nil {
+			t.Fatalf("CheckPrefix rejects the prefix of a record DecodeRecord accepts: %v", err)
 		}
 		if !dv.Equal(cp.DV) {
 			t.Fatalf("prefix vector %v, record vector %v", dv, cp.DV)

@@ -481,11 +481,12 @@ func (s *LogStore) roomLocked(need int) error {
 // first batch, which stays open: the save that called for the switch, and
 // what is staged until the committer takes the batch, ride it. Each live
 // record's bytes are read — from g, or from its staging copy — and staged
-// again once their prefix passes storage.DecodeVector against the index's
-// state length: the structural checks a Load makes, so a record that rotted
-// on the device fails the switch loudly instead of moving under a fresh
-// checksum. The state bytes are opaque to both. The open batch of g is
-// sealed first, so it commits before the new generation exists.
+// again once their prefix passes storage.CheckPrefix against the index's
+// state length: the structural checks a Load makes, with no vector built,
+// so a record that rotted on the device fails the switch loudly instead of
+// moving under a fresh checksum. The state bytes are opaque to both. The
+// open batch of g is sealed first, so it commits before the new generation
+// exists.
 func (s *LogStore) switchLocked() error {
 	s.cur = nil
 	first := s.startLocked(s.gen+1, genHdrLen)
@@ -494,7 +495,7 @@ func (s *LogStore) switchLocked() error {
 		ri := s.recs[idx]
 		body, err := s.bodyLocked(ri, ri.size)
 		if err == nil {
-			_, err = storage.DecodeVector(body[:ri.size-ri.stateLen], ri.stateLen)
+			err = storage.CheckPrefix(body[:ri.size-ri.stateLen], ri.stateLen)
 		}
 		if err != nil {
 			s.failLocked(fmt.Errorf("switch to generation %d: checkpoint %d: %w", first.gen, idx, err))

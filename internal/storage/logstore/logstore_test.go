@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -1682,6 +1683,31 @@ func TestSaveAllocationBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("Save+Delete steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSwitchAllocsSameAtAnyLiveCount: a forced switch re-stages every live
+// record after checking its prefix, and the check builds no vector, so the
+// switch allocates the same with 10 live records as with 40: nothing it
+// allocates is per record. One allocation of slack is for the race build,
+// whose sync.Pool drops a quarter of what it is given, so the file-name
+// formatting a switch does allocates at random there; an allocation per
+// record reads 30 apart.
+func TestSwitchAllocsSameAtAnyLiveCount(t *testing.T) {
+	allocs := func(live int) float64 {
+		s := openTest(t, t.TempDir(), Options{Sync: noSync})
+		for i := 0; i < live; i++ {
+			if err := s.Save(ckpt(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			switchNow(t, s) // warm the batch freelist, its buffers and the read buffer
+		}
+		return testing.AllocsPerRun(100, func() { switchNow(t, s) })
+	}
+	if a10, a40 := allocs(10), allocs(40); math.Abs(a10-a40) > 1 {
+		t.Fatalf("forced switch: %v allocs at 10 live records, %v at 40; want the same", a10, a40)
 	}
 }
 

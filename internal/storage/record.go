@@ -51,7 +51,7 @@ func AppendRecord(buf []byte, cp Checkpoint) []byte {
 // corruption — bad magic, a kind other than the full record, truncation,
 // implausible counts — fails loudly with ErrCorrupt.
 func DecodeRecord(b []byte) (Checkpoint, error) {
-	cp, sl, off, err := decodeHead(b)
+	cp, sl, off, err := decodeHead(b, true)
 	if err != nil {
 		return Checkpoint{}, err
 	}
@@ -67,13 +67,13 @@ func DecodeRecord(b []byte) (Checkpoint, error) {
 // DecodeVector parses a record's prefix — the record less its last stateLen
 // bytes, which hold the state — and returns its vector. stateLen is the
 // state length the caller knows the record to have, and the record's
-// state-length word must equal it. The two decoders are one parser
+// state-length word must equal it. The decoders are one parser
 // (decodeHead), so they agree: DecodeVector accepts the prefix of every
 // record DecodeRecord accepts, with the same vector, and accepts no prefix
 // that DecodeRecord would reject once its stateLen state bytes follow; its
 // errors are DecodeRecord's. No state byte is read.
 func DecodeVector(prefix []byte, stateLen int) (vclock.DV, error) {
-	cp, sl, _, err := decodeHead(prefix)
+	cp, sl, _, err := decodeHead(prefix, true)
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +83,25 @@ func DecodeVector(prefix []byte, stateLen int) (vclock.DV, error) {
 	return cp.DV, nil
 }
 
-// decodeHead is the one record parser behind DecodeRecord and DecodeVector:
-// it reads the header, the vector and the state-length word of b, and
-// returns the checkpoint without its state, the state length (checked
-// non-negative) and the offset of the state bytes.
-func decodeHead(b []byte) (cp Checkpoint, stateLen, off int, err error) {
+// CheckPrefix makes DecodeVector's checks and builds no vector: it accepts
+// exactly the prefixes DecodeVector accepts, with the same errors, and
+// allocates nothing on success. A store that moves a record without reading
+// its vector checks it with this.
+func CheckPrefix(prefix []byte, stateLen int) error {
+	_, sl, _, err := decodeHead(prefix, false)
+	if err == nil && sl != stateLen {
+		err = corruptf(nil, "storage: bad state length")
+	}
+	return err
+}
+
+// decodeHead is the one record parser behind DecodeRecord, DecodeVector and
+// CheckPrefix: it reads the header, the vector and the state-length word of
+// b, and returns the checkpoint without its state, the state length
+// (checked non-negative) and the offset of the state bytes. With vec false
+// the vector's entries are skipped, not read: the checkpoint's DV is nil
+// and every structural check still holds.
+func decodeHead(b []byte, vec bool) (cp Checkpoint, stateLen, off int, err error) {
 	rd := func() (int64, bool) {
 		if off+8 > len(b) {
 			return 0, false
@@ -115,7 +129,12 @@ func decodeHead(b []byte) (cp Checkpoint, stateLen, off int, err error) {
 	if !ok || n < 0 || n > maxCount || n > int64(len(b)-off)/8 {
 		return Checkpoint{}, 0, 0, corruptf(nil, "storage: bad vector length")
 	}
-	cp = Checkpoint{Process: int(p), Index: int(idx), DV: vclock.New(int(n))}
+	cp = Checkpoint{Process: int(p), Index: int(idx)}
+	if vec {
+		cp.DV = vclock.New(int(n))
+	} else {
+		off += 8 * int(n)
+	}
 	for i := range cp.DV {
 		v, _ := rd() // length was validated against the bytes present
 		cp.DV[i] = int(v)

@@ -327,6 +327,16 @@ if grep -rnE '\.DeliverBatch\(' internal/runtime >&2; then
 	fail=1
 fi
 
+# No ingress ring. Each producer of an inbound batch — a mesh reader, or the
+# in-process hand-off — applies its own batch under the receiver's node lock,
+# which is the backpressure: no per-node slot ring, drainer role or ring
+# field in front of it.
+if grep -nE 'ingRingSize|drainLocked|type ingress struct|\.ing\.' \
+	$(find internal/runtime -name '*.go' ! -name '*_test.go') >&2; then
+	echo "layering violation: the runtime's ingress ring is back; a producer applies its batch under the receiver's lock itself" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -339,4 +349,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
