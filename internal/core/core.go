@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/storage"
@@ -48,6 +49,16 @@ type LGC struct {
 	store storage.Store
 	uc    []*ccb
 
+	// held has bit f set exactly when f ≠ self and UC[f] ≠ nil, so a
+	// recovery session's ReleaseStale visits the entries that hold a
+	// reference and not all n. link sets a bit, release clears it, and
+	// Rollback rewrites the set with UC.
+	held []uint64
+
+	// s0 is the initial checkpoint's CCB, a field so that New pays for
+	// held without a further allocation.
+	s0 ccb
+
 	// spare recycles CCBs whose checkpoint was eliminated: the collect
 	// path runs on every message delivery, and reusing the blocks keeps it
 	// from allocating one per checkpoint. At most n blocks are live at
@@ -63,8 +74,8 @@ func New(self, n int, store storage.Store) *LGC {
 	if self < 0 || self >= n {
 		panic(fmt.Sprintf("core: process %d out of range [0,%d)", self, n))
 	}
-	g := &LGC{self: self, n: n, store: store, uc: make([]*ccb, n)}
-	g.uc[self] = &ccb{ind: 0, rc: 1}
+	g := &LGC{self: self, n: n, store: store, uc: make([]*ccb, n), held: make([]uint64, (n+63)/64), s0: ccb{ind: 0, rc: 1}}
+	g.uc[self] = &g.s0
 	return g
 }
 
@@ -76,6 +87,7 @@ func (g *LGC) release(j int) error {
 		return nil
 	}
 	g.uc[j] = nil
+	g.held[j>>6] &^= 1 << (j & 63)
 	b.rc--
 	if b.rc == 0 {
 		if err := g.store.Delete(b.ind); err != nil {
@@ -103,6 +115,7 @@ func (g *LGC) newCCB(index int) *ccb {
 func (g *LGC) link(j int) {
 	b := g.uc[g.self]
 	g.uc[j] = b
+	g.held[j>>6] |= 1 << (j & 63)
 	b.rc++
 }
 
@@ -190,14 +203,30 @@ func (g *LGC) UCString() string {
 	return sb.String()
 }
 
-// sanity panics if reference counts do not match the UC entries; used by
-// the test suite via CheckRefCounts.
+// sanity reports an error if reference counts do not match the UC entries,
+// or the held set does not match the non-nil entries other than self; used
+// by the test suite via CheckRefCounts.
 func (g *LGC) sanity() error {
 	counts := map[*ccb]int{}
-	for _, b := range g.uc {
+	held := 0
+	for f, b := range g.uc {
 		if b != nil {
 			counts[b]++
 		}
+		want := b != nil && f != g.self
+		if got := g.held[f>>6]>>(f&63)&1 == 1; got != want {
+			return fmt.Errorf("core: p%d held bit %d is %v, want %v", g.self, f, got, want)
+		}
+		if want {
+			held++
+		}
+	}
+	set := 0
+	for _, w := range g.held {
+		set += bits.OnesCount64(w)
+	}
+	if set != held {
+		return fmt.Errorf("core: p%d held set has %d bits set past n = %d", g.self, set-held, g.n)
 	}
 	for b, c := range counts {
 		if b.rc != c {
@@ -208,5 +237,6 @@ func (g *LGC) sanity() error {
 }
 
 // CheckRefCounts validates the internal reference-counting invariant: every
-// CCB's counter equals the number of UC entries referencing it.
+// CCB's counter equals the number of UC entries referencing it, and the held
+// set is {f ≠ self : UC[f] ≠ nil}.
 func (g *LGC) CheckRefCounts() error { return g.sanity() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/vclock"
@@ -62,6 +63,7 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 	// vector entry for f is below the bound; the bound is LI[f] with global
 	// information (provided the recreated state actually depends on f's
 	// last interval — otherwise nothing is retained for f) and DV[f] without.
+	clear(g.held)
 	for f := 0; f < g.n; f++ {
 		bound := dv[f]
 		if li != nil {
@@ -86,6 +88,9 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 		}
 		g.uc[f] = blocks[k]
 		blocks[k].rc++
+		if f != g.self {
+			g.held[f>>6] |= 1 << (f & 63)
+		}
 	}
 
 	// Lines 15-17: eliminate every surviving checkpoint left unreferenced.
@@ -125,17 +130,21 @@ func (g *LGC) loadDVs(kept []int) ([]vclock.DV, error) {
 // UC[f] with DV[f] < LI[f] — the last stable checkpoint of f does not
 // causally precede the local volatile state, so by Theorem 1 nothing needs
 // to be retained because of f. dv is the process's current vector.
+//
+// Only the held set is walked, in ascending f, so a session costs each
+// survivor O(n/64 + held) rather than n releases; an entry outside the set
+// is nil, and releasing it would do nothing.
 func (g *LGC) ReleaseStale(li []int, dv vclock.DV) error {
 	if len(li) != g.n || dv.Len() != g.n {
 		return fmt.Errorf("core: p%d ReleaseStale: vector length mismatch", g.self)
 	}
-	for f := 0; f < g.n; f++ {
-		if f == g.self {
-			continue
-		}
-		if dv[f] < li[f] {
-			if err := g.release(f); err != nil {
-				return err
+	for w, word := range g.held {
+		for ; word != 0; word &= word - 1 {
+			f := w<<6 | bits.TrailingZeros64(word)
+			if dv[f] < li[f] {
+				if err := g.release(f); err != nil {
+					return err
+				}
 			}
 		}
 	}

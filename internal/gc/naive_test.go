@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ccp"
+	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -34,12 +35,20 @@ type naive struct {
 	store storage.Store
 	cur   vclock.DV
 	lastS int
+
+	// stale[f] is set when a recovery session with global information
+	// releases f (Theorem 1): nothing is retained because of f until a
+	// message brings new information about f, just as RDT-LGC's UC[f] stays
+	// nil until OnNewInfo relinks it. The mark outlives the session's own
+	// sweep: a later sweep bounded by DV[f] alone would retain a checkpoint
+	// the session showed obsolete.
+	stale []bool
 }
 
 // naiveFactory returns the scan-based collector for process self of n; the
 // initial checkpoint s^0 must already be stored.
 func naiveFactory(self, n int, store storage.Store) gc.Local {
-	g := &naive{self: self, n: n, store: store, cur: vclock.New(n)}
+	g := &naive{self: self, n: n, store: store, cur: vclock.New(n), stale: make([]bool, n)}
 	g.cur[self] = 1
 	return g
 }
@@ -51,7 +60,10 @@ func (g *naive) OnCheckpoint(index int, dv vclock.DV) error {
 	return g.sweep()
 }
 
-func (g *naive) OnNewInfo(_ []int, dv vclock.DV) error {
+func (g *naive) OnNewInfo(increased []int, dv vclock.DV) error {
+	for _, f := range increased {
+		g.stale[f] = false
+	}
 	g.cur.CopyFrom(dv)
 	return g.sweep()
 }
@@ -70,7 +82,7 @@ func (g *naive) sweep() error {
 	keep := make(map[int]bool, g.n)
 	keep[g.lastS] = true
 	for f := 0; f < g.n; f++ {
-		if f == g.self || g.cur[f] < 1 {
+		if f == g.self || g.cur[f] < 1 || g.stale[f] {
 			continue
 		}
 		for k := len(indices) - 1; k >= 0; k-- {
@@ -98,35 +110,32 @@ func (g *naive) Rollback(ri int, li []int) (vclock.DV, error) {
 	}
 	g.cur.CopyFrom(dv)
 	g.lastS = ri
-	if li == nil {
-		return dv, g.sweep()
+	clear(g.stale)
+	if li != nil {
+		// With global information the bound for f is LI[f] when the
+		// recreated state depends on f's last interval, and nothing is
+		// retained for f otherwise. dv[f] ≤ LI[f] on a consistent line, so
+		// the bound in the first case is dv[f] itself.
+		g.markStale(li, dv)
 	}
-	// With global information the bound for f is LI[f] when the recreated
-	// state depends on f's last interval, and nothing is retained for f
-	// otherwise.
-	return dv, g.sweepClamped(li, dv)
+	return dv, g.sweep()
 }
 
 func (g *naive) ReleaseStale(li []int, dv vclock.DV) error {
 	g.cur.CopyFrom(dv)
-	return g.sweepClamped(li, dv)
+	g.markStale(li, dv)
+	return g.sweep()
 }
 
-// sweepClamped sweeps with DV[f] cleared for every f whose last interval
-// dv does not depend on (dv[f] < li[f]), so nothing is retained because of
-// f, and then restores the current vector.
-func (g *naive) sweepClamped(li []int, dv vclock.DV) error {
-	clamped := dv.Clone()
+// markStale marks every f whose last interval dv does not depend on
+// (dv[f] < li[f]): nothing is retained because of f until new information
+// about f arrives.
+func (g *naive) markStale(li []int, dv vclock.DV) {
 	for f := 0; f < g.n; f++ {
 		if f != g.self && dv[f] < li[f] {
-			clamped[f] = 0
+			g.stale[f] = true
 		}
 	}
-	old := g.cur
-	g.cur = clamped
-	err := g.sweep()
-	g.cur = old
-	return err
 }
 
 // TestNaiveEquivalentToRDTLGC checks the scan-based ablation retains
@@ -168,39 +177,58 @@ func TestNaiveEquivalentToRDTLGC(t *testing.T) {
 }
 
 // TestNaiveEquivalenceThroughRecovery extends the equivalence through crash
-// and recovery sessions in both LI and DV variants.
+// and recovery sessions in both LI and DV variants. The random trials draw
+// n = 2–4; the wide ones put n on either side of the 64-bit words of
+// RDT-LGC's held set (Algorithm 3's ReleaseStale walks only the set bits)
+// and fail the last process, whose entry sits in the top word.
 func TestNaiveEquivalenceThroughRecovery(t *testing.T) {
+	type trial struct {
+		n, ops   int
+		seed     int64
+		faulty   int
+		globalLI bool
+	}
+	var trials []trial
 	rng := rand.New(rand.NewSource(409))
-	for trial := 0; trial < 20; trial++ {
+	for i := 0; i < 20; i++ {
 		n := 2 + rng.Intn(3)
 		seed := rng.Int63()
-		faulty := []int{rng.Intn(n)}
-		globalLI := rng.Intn(2) == 0
-
+		trials = append(trials, trial{n: n, ops: 50, seed: seed, faulty: rng.Intn(n), globalLI: rng.Intn(2) == 0})
+	}
+	for _, n := range []int{63, 64, 65, 130} {
+		for _, globalLI := range []bool{false, true} {
+			trials = append(trials, trial{n: n, ops: 20 * n, seed: int64(n), faulty: n - 1, globalLI: globalLI})
+		}
+	}
+	for i, tr := range trials {
+		n := tr.n
 		run := func(local func(int, int, storage.Store) gc.Local) *sim.Runner {
 			r, err := sim.NewRunner(sim.Config{N: n, Protocol: fdas, LocalGC: local})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := ccp.RandomScript(rand.New(rand.NewSource(seed)), ccp.RandomOptions{N: n, Ops: 50})
+			s := ccp.RandomScript(rand.New(rand.NewSource(tr.seed)), ccp.RandomOptions{N: n, Ops: tr.ops})
 			if err := r.Run(s); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Recover(faulty, globalLI); err != nil {
+			if _, err := r.Recover([]int{tr.faulty}, tr.globalLI); err != nil {
 				t.Fatal(err)
 			}
-			s2 := ccp.RandomScript(rand.New(rand.NewSource(seed+1)), ccp.RandomOptions{N: n, Ops: 30})
+			s2 := ccp.RandomScript(rand.New(rand.NewSource(tr.seed+1)), ccp.RandomOptions{N: n, Ops: tr.ops * 3 / 5})
 			if err := r.Run(s2); err != nil {
 				t.Fatal(err)
 			}
 			return r
 		}
 		a, b := run(lgcFactory), run(naiveFactory)
-		for i := 0; i < n; i++ {
-			ia, ib := a.Store(i).Indices(), b.Store(i).Indices()
+		for p := 0; p < n; p++ {
+			ia, ib := a.Store(p).Indices(), b.Store(p).Indices()
 			if !reflect.DeepEqual(ia, ib) {
-				t.Fatalf("trial %d (LI=%v): p%d diverges after recovery: lgc %v vs naive %v",
-					trial, globalLI, i, ia, ib)
+				t.Fatalf("trial %d (n=%d, LI=%v): p%d diverges after recovery: lgc %v vs naive %v",
+					i, n, tr.globalLI, p, ia, ib)
+			}
+			if err := a.LocalGC(p).(*core.LGC).CheckRefCounts(); err != nil {
+				t.Fatalf("trial %d (n=%d, LI=%v): %v", i, n, tr.globalLI, err)
 			}
 		}
 	}

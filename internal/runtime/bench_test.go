@@ -337,56 +337,63 @@ func creditRing(tb testing.TB, n, window int, tcp bool, o obs.Options) (*runtime
 // in-process compressed cluster: the recovery session alone, with nothing in
 // transit, nothing parked and nobody to roll back but p0, after every pair
 // has carried one message — so every pair link exists and every encoder is
-// synced, the state a session used to sweep and clear at O(n²). The session
-// runs without the last-interval vector (globalLI false): with it, every
-// survivor's ReleaseStale scans its n-entry UC, an O(n²) of the collector's
-// that this leaves out (EXPERIMENTS.md E19 times both). The n² first messages
-// are sent into a full partition and released by one heal, so each carries
-// only its sender's own entry. n = 512 allocates about 295 MB while its cluster is set
-// up (alloc_space at -benchtime 20x; the pair links are 68 MB of it, their
-// parked backlogs 70 MB), so -short stops at 128.
+// synced, the state a session used to sweep and clear at O(n²). It runs
+// without the last-interval vector (li=false) and with it (li=true, what the
+// benchmark and the CLIs run), where every survivor's ReleaseStale walks the
+// UC entries its collector holds, O(n/64 + held) each (EXPERIMENTS.md E19,
+// E40). The n² first messages are sent into a full partition and released by
+// one heal, so each carries only its sender's own entry. n = 512 allocates
+// about 295 MB while its cluster is set up, for each li (alloc_space at
+// -benchtime 20x; the pair links are 68 MB of it, their parked backlogs 70
+// MB), so -short stops at 128.
 func BenchmarkRestartAtRest(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 512} {
 		if testing.Short() && n > 128 {
 			continue
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			c := compressCluster(b, n, runtime.NetworkOptions{Seed: 1}, false, unrecorded)
-			defer func() { _ = c.Close() }()
-			alone := make([][]int, n)
-			for i := range alone {
-				alone[i] = []int{i}
-			}
-			if err := c.Partition(alone); err != nil {
-				b.Fatal(err)
-			}
-			for from := 0; from < n; from++ {
-				for to := 0; to < n; to++ {
-					if to != from {
-						if err := c.Node(from).Send(to); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			c.Quiesce()
-			c.HealAll()
-			c.Quiesce()
-			restart := func() {
-				if err := c.Crash(0); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Restart(false); err != nil {
-					b.Fatal(err)
-				}
-			}
-			restart() // the first session rolls p0 back; every later one finds the same line
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				restart()
+			for _, li := range []bool{false, true} {
+				b.Run(fmt.Sprintf("li=%v", li), func(b *testing.B) { benchRestartAtRest(b, n, li) })
 			}
 		})
+	}
+}
+
+func benchRestartAtRest(b *testing.B, n int, li bool) {
+	c := compressCluster(b, n, runtime.NetworkOptions{Seed: 1}, false, unrecorded)
+	defer func() { _ = c.Close() }()
+	alone := make([][]int, n)
+	for i := range alone {
+		alone[i] = []int{i}
+	}
+	if err := c.Partition(alone); err != nil {
+		b.Fatal(err)
+	}
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if to != from {
+				if err := c.Node(from).Send(to); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	c.Quiesce()
+	c.HealAll()
+	c.Quiesce()
+	restart := func() {
+		if err := c.Crash(0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Restart(li); err != nil {
+			b.Fatal(err)
+		}
+	}
+	restart() // the first session rolls p0 back; every later one finds the same line
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restart()
 	}
 }
 
@@ -399,26 +406,32 @@ func BenchmarkRestartAtRest(b *testing.B) {
 func BenchmarkRestartDurable(b *testing.B) {
 	for _, n := range []int{8, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			const keys = 170
-			c := kvCluster(b, n, keys, logStores(b.TempDir()), nil)
-			rng := rand.New(rand.NewSource(79))
-			driveKV(b, c, rng, 8*n, keys)
-			restart := func(victim int) {
-				if err := c.Crash(victim); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Restart(false); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < n; i++ {
-				restart(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				restart(rng.Intn(n))
+			for _, li := range []bool{false, true} {
+				b.Run(fmt.Sprintf("li=%v", li), func(b *testing.B) { benchRestartDurable(b, n, li) })
 			}
 		})
+	}
+}
+
+func benchRestartDurable(b *testing.B, n int, li bool) {
+	const keys = 170
+	c := kvCluster(b, n, keys, logStores(b.TempDir()), nil)
+	rng := rand.New(rand.NewSource(79))
+	driveKV(b, c, rng, 8*n, keys)
+	restart := func(victim int) {
+		if err := c.Crash(victim); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Restart(li); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		restart(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restart(rng.Intn(n))
 	}
 }

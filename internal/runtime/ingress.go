@@ -57,7 +57,7 @@ func (n *Node) ingest(batch []pending) {
 // the model; a crashed destination (n.down) loses the whole batch the same
 // way.
 func (n *Node) deliverLocked(batch []pending) error {
-	if n.down {
+	if n.down.Load() {
 		return nil
 	}
 	epoch := n.c.curEpoch()

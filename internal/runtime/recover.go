@@ -35,14 +35,14 @@ func (c *Cluster) Crash(i int) error {
 	n := c.nodes[i]
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.down {
+	if n.down.Load() {
 		return fmt.Errorf("runtime: p%d is already crashed", i)
 	}
 	// Recorded before CrashVolatile wipes the vector, so the event carries
 	// the clock at the instant of failure.
 	c.record(obs.Event{Kind: obs.EvCrash, P: i, Clock: n.k.DVRef()[i]})
 	n.k.CrashVolatile()
-	n.down = true
+	n.down.Store(true)
 	// The frames it had fenced are volatile state too: nobody has seen them,
 	// and nobody will. What it had staged may still reach the disk — the
 	// legal schedule "crashed just after the flush".
@@ -63,6 +63,12 @@ func (c *Cluster) Crash(i int) error {
 // before it — and the queues after the last node. What is left is on a socket,
 // in a worker's hands or waiting on a receiver's lock: Quiesce waits for
 // that.
+//
+// The queue sweep is skipped when nothing is in flight behind the barrier.
+// The skip is exact: a queued frame holds the in-flight accounting its send
+// took until it is delivered, parked or lost, and past the barrier nothing
+// enters a queue — sends refuse and the fences are empty — so a zero read
+// there means every queue is empty and stays so.
 func (c *Cluster) cancelTransit() {
 	// Halt first, then advance the epoch: a reader in between sees "halted"
 	// (sends refuse), never the new epoch with the flag still clear.
@@ -74,8 +80,10 @@ func (c *Cluster) cancelTransit() {
 		n.mu.Unlock()
 	}
 	purged := 0
-	for i := range c.queues {
-		purged += c.purgeQueue(&c.queues[i])
+	if c.inflight.n.Load() != 0 {
+		for i := range c.queues {
+			purged += c.purgeQueue(&c.queues[i])
+		}
 	}
 	if purged > 0 {
 		c.inflight.Add(-purged)
@@ -188,14 +196,14 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 		if err != nil {
 			for _, j := range restarted {
 				c.nodes[j].k.CrashVolatile()
-				c.nodes[j].down = true
+				c.nodes[j].down.Store(true)
 			}
 		}
 	}()
 
 	rep = Report{Faulty: append([]int(nil), faulty...)}
 	for i, n := range c.nodes {
-		if !n.down {
+		if !n.down.Load() {
 			continue
 		}
 		if !restart || !isFaulty[i] {
@@ -206,7 +214,7 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 		if err := n.k.Rehydrate(nil); err != nil {
 			return Report{}, fmt.Errorf("runtime: restart p%d: %w", i, err)
 		}
-		n.down = false
+		n.down.Store(false)
 		restarted = append(restarted, i)
 		c.record(obs.Event{Kind: obs.EvRestart, P: i, Msg: n.k.LastStable(), Clock: n.k.DVRef()[i]})
 	}

@@ -220,22 +220,32 @@ func TestRestartKeepsTheApplicationInstance(t *testing.T) {
 // session's line and report, the rehydrated vector, protocol, collector and
 // its rollback's vector reads — and nothing for the application, whose
 // object is kept and whose state is restored in place from the checkpoint
-// Rehydrate read.
+// Rehydrate read. With the last-interval vector (li=true, what the
+// benchmark and the CLIs run) the session also builds LI, and the victim,
+// which then retains one checkpoint rather than two, reads one vector and
+// builds one CCB fewer. Neither count may grow with the collector's held set.
 func TestRestartAtRestAllocs(t *testing.T) {
 	const n, keys = 8, 170
-	c := kvCluster(t, n, keys, nil, nil)
-	driveKV(t, c, rand.New(rand.NewSource(73)), 8*n, keys)
-	restart := func() {
-		if err := c.Crash(3); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Restart(false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restart() // the first session may roll others back; every later one finds the same line
-	if got := testing.AllocsPerRun(50, restart); got != 25 {
-		t.Fatalf("crash+restart at rest allocates %v times, want %d", got, 25)
+	for _, tc := range []struct {
+		li   bool
+		want float64
+	}{{false, 25}, {true, 24}} {
+		t.Run(fmt.Sprintf("li=%v", tc.li), func(t *testing.T) {
+			c := kvCluster(t, n, keys, nil, nil)
+			driveKV(t, c, rand.New(rand.NewSource(73)), 8*n, keys)
+			restart := func() {
+				if err := c.Crash(3); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Restart(tc.li); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restart() // the first session may roll others back; every later one finds the same line
+			if got := testing.AllocsPerRun(50, restart); got != tc.want {
+				t.Fatalf("crash+restart at rest allocates %v times, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -199,8 +199,9 @@ type Node struct {
 
 	// down marks a crashed process: its volatile state is gone, deliveries
 	// to it are dropped, and every application-facing method refuses with
-	// ErrCrashed until Restart rehydrates it from stable storage.
-	down bool
+	// ErrCrashed until Restart rehydrates it from stable storage. It is
+	// written under mu, and atomic so that Down reads it without the lock.
+	down atomic.Bool
 
 	// staged is the stage sequence number of the node's newest checkpoint
 	// (storage.Store.Staged), written under mu each time the kernel takes
@@ -530,7 +531,7 @@ func (n *Node) sendPayload(to int, payload []byte, update func(a app.App)) error
 		n.mu.Unlock()
 		return ErrHalted
 	}
-	if n.down {
+	if n.down.Load() {
 		n.mu.Unlock()
 		return ErrCrashed
 	}
@@ -579,7 +580,7 @@ func (n *Node) Checkpoint() error {
 		return ErrHalted
 	}
 	n.mu.Lock()
-	if n.down {
+	if n.down.Load() {
 		n.mu.Unlock()
 		return ErrCrashed
 	}
@@ -605,7 +606,7 @@ func (n *Node) Update(f func(a app.App)) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.down {
+	if n.down.Load() {
 		return ErrCrashed
 	}
 	if n.k.App() == nil {
@@ -637,12 +638,9 @@ func (n *Node) LastStable() int {
 	return n.k.LastStable()
 }
 
-// Down reports whether the process is currently crashed.
-func (n *Node) Down() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down
-}
+// Down reports whether the process is currently crashed. It takes no lock,
+// so Cluster.Down and Restart do not wait on a busy node.
+func (n *Node) Down() bool { return n.down.Load() }
 
 // Store exposes the node's stable store.
 func (n *Node) Store() storage.Store { return n.k.Store() }

@@ -129,17 +129,21 @@ if grep -nwE 'logBase|trimAt|minTrim|walkLog' $node_files >&2; then
 	fail=1
 fi
 
-# A recovery session costs what failed, not n². Three things kept it
-# quadratic at rest, and each must stay gone. (1) The link sweep: a session
-# skips purgeParked's pass over every pair link when the cluster counts no
-# link down, so every write of a pairLink's down flag goes through setDown,
-# which keeps that count — a write elsewhere lets it drift and a session
-# leave a backlog behind. (Node.down, the crashed flag, is written as n.down
-# or c.nodes[j].down and is not the link's.) (2) The session body walks no
-# pair list itself. (3) A compression reset is O(1): no clear of the per-peer
-# slices.
+# A recovery session costs what failed, not n². Six things kept it
+# quadratic, or n-wide, at rest, and each must stay gone. (1) The link sweep:
+# a session skips purgeParked's pass over every pair link when the cluster
+# counts no link down, so every write of a pairLink's down flag goes through
+# setDown, which keeps that count — a write elsewhere lets it drift and a
+# session leave a backlog behind. (Node.down, the crashed flag, is an
+# atomic.Bool written with Store and is not the link's.) (2) The session body
+# walks no pair list itself. (3) A compression reset is O(1): no clear of the
+# per-peer slices. (4) A survivor's ReleaseStale walks its collector's held
+# set, not all n UC entries. (5) Node.Down reads the atomic crashed flag and
+# takes no lock, so Cluster.Down and Restart lock no node. (6) cancelTransit
+# sweeps the destination queues only when something is in flight behind its
+# barrier.
 down_writes=$(awk '/^func /{fn=$0}
-	/\.down = / && fn !~ /\) setDown\(/ && $0 !~ /[[:space:]](n|c\.nodes\[[a-z]+\])\.down = / {print FILENAME ":" FNR ":" $0}' $rt_files)
+	/\.down = / && fn !~ /\) setDown\(/ {print FILENAME ":" FNR ":" $0}' $rt_files)
 if [ -n "$down_writes" ]; then
 	echo "layering violation: a pairLink's down flag written outside setDown, which keeps the down-link count:" >&2
 	printf '%s\n' "$down_writes" >&2
@@ -151,6 +155,24 @@ if grep -n 'createdLinks' internal/runtime/recover.go >&2; then
 fi
 if awk '/^func \([a-z]+ \*compressor\) reset\(/{r=1} r && /clear\(/{found=1} r && /^}/{r=0} END{exit !found}' internal/node/compress.go; then
 	echo "layering violation: compressor.reset clears per-peer state; a reset moves resetPos and touches no slice" >&2
+	fail=1
+fi
+if awk '/^func \([a-z]+ \*LGC\) ReleaseStale\(/{r=1} r && /for f := 0; f < g\.n/{found=1} r && /^}/{r=0} END{exit !found}' \
+	$(ls internal/core/*.go | grep -v '_test\.go$'); then
+	echo "layering violation: core.LGC.ReleaseStale loops over all n UC entries; it walks the held set" >&2
+	fail=1
+fi
+if awk '/^func \([a-z]+ \*Node\) Down\(/{r=1} r && /\.R?Lock\(/{found=1} r && /^}|^func .*}$/{r=0} END{exit !found}' $rt_files; then
+	echo "layering violation: runtime.Node.Down takes a lock; it reads the atomic crashed flag" >&2
+	fail=1
+fi
+if awk '/^func \(c \*Cluster\) cancelTransit\(/{r=1}
+	r && /^\tif c\.inflight\.n\.Load\(\) != 0 \{$/{g=1}
+	r && g && /^\t}$/{g=0}
+	r && /purgeQueue\(/ && !g {bad=1}
+	r && /^}/{r=0}
+	END{exit !bad}' internal/runtime/recover.go; then
+	echo "layering violation: cancelTransit sweeps the destination queues outside its in-flight gate" >&2
 	fail=1
 fi
 
@@ -349,4 +371,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link and clears no encoder; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link or empty queue, clears no encoder, walks only held UC entries and reads the crashed set without a lock; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
