@@ -39,6 +39,10 @@ func main() {
 		dir     = flag.String("store-dir", "", "root directory for on-disk backends (default: a temp dir)")
 	)
 	flag.Parse()
+	if err := checkShape(*n, *crash); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	storeOpts, cleanup, err := storageOptions(*store, *dir)
 	exitOn(err)
@@ -105,6 +109,19 @@ func main() {
 		}
 		fmt.Printf("post-recovery storage: live=%d\n", total)
 	}
+}
+
+// checkShape refuses, in both modes and before anything is built, a run
+// the workloads cannot drive — fewer than two processes — and a -crash
+// naming no process.
+func checkShape(n, crash int) error {
+	if n < 2 {
+		return fmt.Errorf("rdtsim: -n must be at least 2, got %d", n)
+	}
+	if crash < -1 || crash >= n {
+		return fmt.Errorf("rdtsim: -crash must be -1 (none) or a process in [0, %d), got %d", n, crash)
+	}
+	return nil
 }
 
 // storageOptions resolves the -store/-store-dir flags to facade options; an
@@ -196,7 +213,7 @@ func runLive(w io.Writer, r liveRun, storeOpts []rdt.Option) error {
 	fmt.Fprintf(w, "stored total: %d; linearized events: %d; RD-trackable: %v\n",
 		total, len(cluster.History().Ops), oracle.IsRDT())
 
-	if r.crash >= 0 && r.crash < n {
+	if r.crash >= 0 {
 		rep, err := cluster.Recover([]int{r.crash}, r.useLI)
 		if err != nil {
 			return err

@@ -28,6 +28,19 @@ func TestParseWorkload(t *testing.T) {
 	}
 }
 
+func TestCheckShape(t *testing.T) {
+	for _, ok := range [][2]int{{2, -1}, {2, 0}, {2, 1}, {3, 2}, {8, -1}} {
+		if err := checkShape(ok[0], ok[1]); err != nil {
+			t.Errorf("checkShape(n=%d, crash=%d) = %v", ok[0], ok[1], err)
+		}
+	}
+	for _, bad := range [][2]int{{1, -1}, {0, -1}, {-3, -1}, {3, 3}, {3, 7}, {3, -2}} {
+		if err := checkShape(bad[0], bad[1]); err == nil {
+			t.Errorf("checkShape(n=%d, crash=%d) should fail", bad[0], bad[1])
+		}
+	}
+}
+
 func TestParseProtocol(t *testing.T) {
 	for _, p := range []rdt.Protocol{rdt.FDAS, rdt.FDI, rdt.CBR, rdt.Russell, rdt.BCS, rdt.NoProtocol} {
 		got, err := parseProtocol(p.String())

@@ -20,7 +20,8 @@ func TestParseSizes(t *testing.T) {
 			t.Errorf("ParseSizes(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "4,", ",4", "a", "4,b", "4,,8"} {
+	for _, bad := range []string{"", "4,", ",4", "a", "4,b", "4,,8",
+		"0", "1", "4,1", "-4", "+4", " 4", "99999999999999999999999", "4,99999999999999999999999"} {
 		if _, err := sweep.ParseSizes(bad); err == nil {
 			t.Errorf("ParseSizes(%q) should fail", bad)
 		}

@@ -16,13 +16,21 @@ import (
 // go by then. Tests using it cannot run in parallel with others.
 func Settle(t testing.TB, base int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	SettleWithin(t, base, 2*time.Second)
+}
+
+// SettleWithin is Settle with its own deadline, for a value whose Close
+// waits for what it started: a short d then tells a Close that stops its
+// goroutines from one that leaves them to exit on their own.
+func SettleWithin(t testing.TB, base int, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%d goroutines 2 s after Close, %d before the value under test existed:\n%s",
-				runtime.NumGoroutine(), base, buf)
+			t.Fatalf("%d goroutines %v after Close, %d before the value under test existed:\n%s",
+				runtime.NumGoroutine(), d, base, buf)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

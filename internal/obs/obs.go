@@ -48,15 +48,12 @@ const (
 	// is 0.
 	KernelDeliveryCoalesced = "kernel.delivery.coalesced"
 
-	// Runtime (internal/runtime). timer_resets counts the sender-pool
-	// workers' timer arms: one per due-time wait on a delayed network, and
-	// otherwise one per idle period (a worker's first idle wait, and each
-	// idle fire that comes before workerIdle has passed since its last
-	// dispatch) — not one per emptied queue. So it stays at or below
-	// worker_spawns plus the due-time waits plus the idle periods.
+	// Runtime (internal/runtime). worker_spawns counts the sender-pool
+	// workers NewCluster starts, n per cluster; they live until Close.
+	// timer_resets counts the workers' timer arms: one per due-time wait,
+	// so a zero-delay network reads 0 — an empty queue waits on no timer.
 	RuntimeQueueDepth   = "runtime.sendpool.queue_depth"
 	RuntimeWorkerSpawns = "runtime.sendpool.worker_spawns"
-	RuntimeWorkerRetire = "runtime.sendpool.worker_retires"
 	RuntimeTimerResets  = "runtime.sendpool.timer_resets"
 	RuntimeQuiesceNs    = "runtime.quiesce_ns"
 	// Ingress (the receive path, where each producer applies its own batch
@@ -159,7 +156,6 @@ func KernelMetricsFrom(r *Registry) KernelMetrics {
 type RuntimeMetrics struct {
 	QueueDepth   *Gauge
 	WorkerSpawns *Counter
-	WorkerRetire *Counter
 	TimerResets  *Counter
 	QuiesceNs    *Histogram
 
@@ -183,7 +179,6 @@ func RuntimeMetricsFrom(r *Registry) RuntimeMetrics {
 	return RuntimeMetrics{
 		QueueDepth:   r.Gauge(RuntimeQueueDepth),
 		WorkerSpawns: r.Counter(RuntimeWorkerSpawns),
-		WorkerRetire: r.Counter(RuntimeWorkerRetire),
 		TimerResets:  r.Counter(RuntimeTimerResets),
 		QuiesceNs:    r.Histogram(RuntimeQuiesceNs),
 

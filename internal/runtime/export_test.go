@@ -57,9 +57,6 @@ func (n *Node) NetworkDraw() (time.Duration, bool) {
 	return n.netDraw()
 }
 
-// WorkerIdle is how long a sender-pool worker stays idle before it retires.
-const WorkerIdle = workerIdle
-
 // DownLinks recounts the pairs whose down flag is set, under each pair's
 // lock, and returns the recount beside the cluster's own count (downLinks),
 // which a session reads instead of sweeping. On a quiet cluster the two must

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"bytes"
 	"math/rand"
 	goruntime "runtime"
 	"sync"
@@ -238,54 +239,90 @@ func TestSaturationSmoke(t *testing.T) {
 	}
 }
 
-// TestIdleWorkerArmsOneTimerPerIdlePeriod pins the sender pool's timer
-// budget and its retirement rule. Every round below empties the queue; the
-// worker must not re-arm its idle timer for each, only once per idle period
-// (plus the first arm of every incarnation). And it retires after workerIdle
-// of idleness counted from its last dispatch: not before, and not long after.
-func TestIdleWorkerArmsOneTimerPerIdlePeriod(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	reg := obs.NewRegistry()
-	c, err := runtime.NewCluster(runtime.Config{N: 2, Obs: obs.Options{Registry: reg}})
-	if err != nil {
-		t.Fatal(err)
+// senderWorkers counts the goroutines NewCluster started — its sender-pool
+// workers, the only goroutines it starts itself — in every cluster the test
+// binary holds: unlike the goroutine count, it does not move when another
+// test's teardown finishes late. A worker that has not run yet shows no
+// sendWorker frame, so the count reads who created it.
+func senderWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		k := goruntime.Stack(buf, true)
+		if k < len(buf) {
+			return bytes.Count(buf[:k], []byte("created by repro/internal/runtime.NewCluster "))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	defer func() { _ = c.Close() }()
-	resets := reg.Counter(obs.RuntimeTimerResets)
-	spawns := reg.Counter(obs.RuntimeWorkerSpawns)
-	retires := reg.Counter(obs.RuntimeWorkerRetire)
+}
 
-	t0 := time.Now()
-	var last time.Time
-	for i := 0; i < 2000; i++ {
-		last = time.Now()
-		if err := c.Node(0).Send(1); err != nil {
+// TestSenderWorkersLiveUntilClose pins the sender pool's lifecycle: one worker
+// per destination from NewCluster to Close. An idle cluster runs exactly n
+// sender workers; a zero-delay network arms no timer, however often the
+// queues empty; and Close leaves nothing running — on both wires, the
+// goroutine count is back at its base within closeSettle of Close returning,
+// with no idle period to wait out. On a delayed network Close neither waits
+// out the queued frames' delay nor leaves a worker parked on it.
+func TestSenderWorkersLiveUntilClose(t *testing.T) {
+	const n, closeSettle = 4, 20 * time.Millisecond
+	bothWires(t, func(t *testing.T, tcp bool) {
+		base, workers := goruntime.NumGoroutine(), senderWorkers()
+		reg := obs.NewRegistry()
+		c, err := runtime.NewCluster(runtime.Config{N: n, TCP: tcp, Obs: obs.Options{Registry: reg}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.Quiesce()
-	}
-	periods := uint64((time.Since(t0) + runtime.WorkerIdle - 1) / runtime.WorkerIdle)
-	if got, bound := resets.Value(), spawns.Value()+periods+2; got > bound {
-		t.Fatalf("%d timer resets over 2000 emptied queues: want at most %d (%d spawns, %d idle periods)",
-			got, bound, spawns.Value(), periods)
-	}
-
-	// The last dispatch came after the last send started, so a retirement
-	// seen less than workerIdle after that start came too early.
-	before := retires.Value()
-	for {
-		got := retires.Value()
-		idle := time.Since(last)
-		if got > before {
-			if idle < runtime.WorkerIdle {
-				t.Fatalf("the worker retired %v after the last send, before %v of idleness", idle, runtime.WorkerIdle)
+		if got := senderWorkers() - workers; got != n {
+			t.Errorf("an idle cluster of %d runs %d sender workers, want one per destination", n, got)
+		}
+		if got := reg.Counter(obs.RuntimeWorkerSpawns).Value(); got != n {
+			t.Errorf("%d workers spawned, want %d", got, n)
+		}
+		for i := 0; i < 2000; i++ {
+			if err := c.Node(i % n).Send((i + 1) % n); err != nil {
+				t.Fatal(err)
 			}
-			break
+			c.Quiesce()
 		}
-		if idle > runtime.WorkerIdle+2*time.Second {
-			t.Fatalf("the worker has not retired %v after the last send", idle)
+		if got := reg.Counter(obs.RuntimeTimerResets).Value(); got != 0 {
+			t.Errorf("%d timer resets over 2000 emptied queues on a zero-delay network, want 0", got)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	leakcheck.Settle(t, base)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		leakcheck.SettleWithin(t, base, closeSettle)
+	})
+
+	t.Run("delayed frames queued", func(t *testing.T) {
+		const delay = 100 * time.Millisecond
+		base := goruntime.NumGoroutine()
+		reg := obs.NewRegistry()
+		c, err := runtime.NewCluster(runtime.Config{
+			N: n, Obs: obs.Options{Registry: reg},
+			Net: runtime.NetworkOptions{MinDelay: delay, MaxDelay: 2 * delay, Seed: 5},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ringSends(t, c, 40)
+		// Every destination has frames queued behind the delay. Wait for n
+		// timer arms, so that Close finds workers parked on a due time and
+		// not only ones that have yet to look at their queues.
+		for deadline := time.Now().Add(2 * time.Second); reg.Counter(obs.RuntimeTimerResets).Value() < n; goruntime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d workers wait on a due time", reg.Counter(obs.RuntimeTimerResets).Value(), n)
+			}
+		}
+		if c.Queued() == 0 {
+			t.Fatal("no frame is queued behind the delay")
+		}
+		t0 := time.Now()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(t0); took >= delay/2 {
+			t.Fatalf("Close took %v: it waited out the network delay (%v)", took, delay)
+		}
+		closedEmpty(t, c)
+		leakcheck.SettleWithin(t, base, closeSettle)
+	})
 }

@@ -140,13 +140,16 @@ type Cluster struct {
 	// rec is a recorded cluster's message-id source (record.go).
 	rec recording
 
-	// queues are the sender pool: one due-time-ordered queue and at most
-	// one worker goroutine per destination (see sendpool.go). pairDue
-	// backs the per-pair FIFO clamp — the latest due time handed out per
-	// (from, to) pair, in mono's nanoseconds, guarded by the destination
-	// queue's lock; nil on a cluster that needs no clamp (see NewCluster).
-	// t0 is the origin of mono, the pool's clock.
+	// queues are the sender pool: one due-time-ordered queue and one worker
+	// goroutine per destination (see sendpool.go), running from NewCluster
+	// until Close closes stop; workers counts them out. pairDue backs the
+	// per-pair FIFO clamp — the latest due time handed out per (from, to)
+	// pair, in mono's nanoseconds, guarded by the destination queue's lock;
+	// nil on a cluster that needs no clamp (see NewCluster). t0 is the
+	// origin of mono, the pool's clock.
 	queues  []destQueue
+	stop    chan struct{}
+	workers sync.WaitGroup
 	pairDue []int64
 	t0      time.Time
 
@@ -243,6 +246,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		obs:    obs.RuntimeMetricsFrom(cfg.Obs.Registry),
 		flight: flight,
 		t0:     time.Now(),
+		stop:   make(chan struct{}),
 	}
 	c.quiet.Store(quietDelay(cfg.Net))
 	c.inflight.init()
@@ -250,17 +254,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := range c.queues {
 		c.queues[i].to = i
 		c.queues[i].wake = make(chan struct{}, 1)
-		// The heap, dispatch scratch and worker timer are built up front:
-		// paying them lazily would bill the first message to every
-		// destination for the queue's whole infrastructure — visible as
-		// allocation noise at large n — for a few hundred KB at n=1024.
-		// The timer arrives armed; the first worker resets it before its
-		// first wait, and a Reset discards a fire nobody received.
+		// The heap is built up front: paying for it lazily would bill the
+		// first message to every destination for the queue's whole
+		// infrastructure — visible as allocation noise at large n — for a
+		// few hundred KB at n=1024.
 		c.queues[i].h = make([]dueKey, 0, 4)
 		c.queues[i].slab = make([]pending, 0, 4)
 		c.queues[i].free = make([]int32, 0, 4)
-		c.queues[i].batch = make([]pending, 0, 4)
-		c.queues[i].timer = time.NewTimer(workerIdle)
 	}
 	if cfg.Compress || cfg.TCP {
 		// Compressed piggybacking needs strict per-pair send-order FIFO, and
@@ -278,6 +278,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.wire, c.maxPayload = mesh, mesh.maxPayload()
 	}
+	// The sender pool starts once the wire is open, so a failed mesh leaves
+	// nothing running; from here on every error exit goes through Close,
+	// which stops the workers.
+	c.workers.Add(cfg.N)
+	for i := range c.queues {
+		go c.sendWorker(&c.queues[i])
+	}
+	c.obs.WorkerSpawns.Add(uint64(cfg.N))
 	for i := 0; i < cfg.N; i++ {
 		store, err := cfg.NewStore(i)
 		if err != nil {
@@ -328,24 +336,32 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Close releases what NewCluster acquired: the wire, and every
-// stable store Config.NewStore opened — whoever called NewStore closes, so
-// a log store's committer and generation file do not outlive the cluster and
-// its staged tombstones are committed. Close during an open partition
-// returns promptly: the closed flag is set first, so parked backlogs are
-// abandoned, not flushed. It must not overlap a recovery session,
-// and the cluster is unusable afterwards.
+// Close releases what NewCluster acquired: the wire, the sender pool's
+// workers, and every stable store Config.NewStore opened — whoever called
+// NewStore closes, so a log store's committer and generation file do not
+// outlive the cluster and its staged tombstones are committed. Close during
+// an open partition returns promptly: the closed flag is set first, so
+// parked backlogs are abandoned, not flushed. It must not overlap a recovery
+// session, and the cluster is unusable afterwards.
 //
 // A late forced checkpoint must not reach a closed store, so Close opens the
 // way a recovery session does (cancelTransit): sends refuse, what was fenced
 // or queued is gone, and a frame already on a socket or in a worker's hands
-// drops on the epoch filter. Each store is then closed under its node's
-// lock, behind whatever delivery was already in.
+// drops on the epoch filter. The workers are stopped after the wire is
+// closed, so one blocked on a full socket errors out, and Close waits for
+// them. Each store is then closed under its node's lock, behind whatever
+// delivery was already in.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
 	c.cancelTransit()
 	c.purgeParked()
 	errs := []error{c.wire.close()}
+	select {
+	case <-c.stop: // an earlier Close stopped them
+	default:
+		close(c.stop)
+	}
+	c.workers.Wait()
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		errs = append(errs, storage.Close(n.k.Store()))

@@ -10,11 +10,10 @@ import (
 
 // This file is the cluster's sender pool: the bounded, reusable machinery
 // that replaced the goroutine-per-message send path. Each destination owns
-// one queue — a min-heap ordered by delivery due time — drained by at most
-// one worker goroutine, spawned lazily on the first enqueue and retired
-// after an idle period, so a cluster never holds more than N sender
-// goroutines however many messages are in flight (the old path held one
-// per in-flight message, each parked in its own time.Sleep).
+// one queue — a min-heap ordered by delivery due time — drained by one
+// worker goroutine that lives from NewCluster to Close, so a cluster holds
+// exactly N sender goroutines however many messages are in flight (the old
+// path held one per in-flight message, each parked in its own time.Sleep).
 //
 // The heap is also the delay/drop simulation's timer: a message's network
 // delay becomes its due time, and the worker sleeps on a single timer
@@ -29,12 +28,6 @@ import (
 // (under the sender's fence lock, so they follow encode order) and ties
 // break on the enqueue sequence number, so a pair's messages can never
 // overtake each other however the delay draws land.
-
-// workerIdle is how long an empty queue keeps its worker parked before the
-// goroutine retires. Long enough that steady traffic reuses one goroutine,
-// short enough that an idle cluster (the common state of test clusters,
-// which are rarely Closed) sheds its workers.
-const workerIdle = 50 * time.Millisecond
 
 // maxDispatchBatch bounds how many due messages one dispatch consumes, so
 // a saturated queue cannot hold a pair's link (and through it the receiver's
@@ -73,28 +66,19 @@ func (k dueKey) before(o dueKey) bool {
 	return k.seq < o.seq
 }
 
-// destQueue is one destination's pending-message heap plus its worker's
-// lifecycle state. A queued frame is written once, into a slot of slab, and
-// leaves it once, into the worker's dispatch batch; h orders the slots by
-// due time and free lists the slots nobody holds.
+// destQueue is one destination's pending-message heap. A queued frame is
+// written once, into a slot of slab, and leaves it once, into the worker's
+// dispatch batch; h orders the slots by due time and free lists the slots
+// nobody holds.
 type destQueue struct {
 	to int
 
-	mu      sync.Mutex
-	h       []dueKey
-	slab    []pending
-	free    []int32
-	seq     uint64
-	running bool
-	wake    chan struct{} // 1-buffered: signals a new earliest due time
-
-	// Worker working state, owned by whichever incarnation is running.
-	// Kept on the queue rather than the worker's stack so that retiring
-	// and respawning a worker (idle queues shed their goroutine) does not
-	// re-allocate the timer and scratch buffers each time — at large n
-	// most destinations see sparse traffic and churn workers constantly.
-	timer *time.Timer
-	batch []pending
+	mu   sync.Mutex
+	h    []dueKey
+	slab []pending
+	free []int32
+	seq  uint64
+	wake chan struct{} // 1-buffered: signals a new earliest due time
 }
 
 // put queues one frame due at at: the frame is written into a free slab slot
@@ -159,10 +143,11 @@ func (q *destQueue) popTo(batch []pending) []pending {
 	}
 }
 
-// enqueue hands a message to the destination's queue, starting or waking
-// the worker as needed. Called with the sending node's fence lock held
-// (Node.egress, Node.onDurable), so a pair's messages enqueue in encode
-// order; the due-time clamp then keeps that order through the heap.
+// enqueue hands a message to the destination's queue, waking the worker
+// when the message is the new earliest. Called with the sending node's
+// fence lock held (Node.egress, Node.onDurable), so a pair's messages
+// enqueue in encode order; the due-time clamp then keeps that order through
+// the heap.
 func (c *Cluster) enqueue(from, to int, d *delivery, delay time.Duration) {
 	q := &c.queues[to]
 	// A zero-delay network (the benchmark and default test shape) skips the
@@ -186,11 +171,7 @@ func (c *Cluster) enqueue(from, to int, d *delivery, delay time.Duration) {
 	}
 	newTop := q.put(from, d, at)
 	c.obs.QueueDepth.Add(1)
-	if !q.running {
-		q.running = true
-		c.obs.WorkerSpawns.Inc()
-		go c.sendWorker(q)
-	} else if newTop {
+	if newTop {
 		select {
 		case q.wake <- struct{}{}:
 		default:
@@ -225,30 +206,16 @@ func (c *Cluster) purgeQueue(q *destQueue) int {
 	return purged
 }
 
-// sendWorker drains one destination's queue: it sleeps until the earliest
-// due time, pops everything due, and dispatches the batch. A worker retires
-// once its queue has been empty for workerIdle since its last dispatch;
-// enqueue spawns a fresh one on the next message.
-//
-// The idle timer is armed once per idle period, not each time the queue
-// empties: a saturated queue empties after nearly every batch, and a re-arm
-// there cost a timer reset per batch. An idle wait that finds a fire already
-// pending keeps it; when the fire comes, the worker retires if workerIdle has
-// passed since its last dispatch and re-arms for the rest otherwise. Only a
-// wait for a due time re-arms every time, since its deadline moves.
+// sendWorker drains one destination's queue from NewCluster to Close: it pops
+// everything due and dispatches the batch, and otherwise waits — for a new
+// earliest frame (wake), for Close (c.stop), and, only while the head of the
+// heap is not yet due, for its due time. An empty queue waits on no timer;
+// the one timer is made at the worker's first due-time wait and re-armed at
+// each later one.
 func (c *Cluster) sendWorker(q *destQueue) {
-	// The timer and batch buffer live on the queue (built at cluster
-	// construction) and survive this incarnation's retirement, handed
-	// over under q.mu; only one worker runs at a time, so between lock
-	// acquisitions they are exclusively this goroutine's. Every wait in an
-	// incarnation follows a Reset of its own (armed starts false), and a
-	// worker retires only on a fire it received, so no incarnation inherits
-	// a pending fire.
-	q.mu.Lock()
-	timer, batch := q.timer, q.batch[:0]
-	q.mu.Unlock()
-	armed := false
-	last := c.mono() // the last dispatch, or the spawn
+	defer c.workers.Done()
+	var timer *time.Timer
+	batch := make([]pending, 0, 4)
 	for {
 		q.mu.Lock()
 		now := c.mono()
@@ -256,45 +223,36 @@ func (c *Cluster) sendWorker(q *destQueue) {
 			batch = q.popTo(batch)
 		}
 		var wait time.Duration
-		idle := len(q.h) == 0
-		if !idle {
+		if len(q.h) > 0 {
 			wait = time.Duration(q.h[0].at - now)
 		}
 		q.mu.Unlock()
 
 		if len(batch) > 0 {
-			last = now
 			c.dispatch(q.to, batch)
 			clear(batch)
 			batch = batch[:0]
 			continue
 		}
 
-		if !idle || !armed {
-			if idle {
-				wait = workerIdle - time.Duration(now-last)
+		var due <-chan time.Time
+		if wait > 0 {
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
 			}
-			timer.Reset(wait)
 			c.obs.TimerResets.Inc()
-			armed = true
+			due = timer.C
 		}
 		select {
 		case <-q.wake:
-		case <-timer.C:
-			armed = false
-			if idle && time.Duration(c.mono()-last) >= workerIdle {
-				q.mu.Lock()
-				if len(q.h) == 0 {
-					q.batch = batch[:0] // hand the scratch to the next incarnation
-					q.running = false
-					// Counted under the lock, like a spawn: whoever sees the
-					// next spawn's traffic sees this retirement counted.
-					c.obs.WorkerRetire.Inc()
-					q.mu.Unlock()
-					return
-				}
-				q.mu.Unlock()
+		case <-due:
+		case <-c.stop:
+			if timer != nil {
+				timer.Stop()
 			}
+			return
 		}
 	}
 }

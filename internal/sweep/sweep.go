@@ -8,6 +8,8 @@ package sweep
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/ccp"
@@ -79,25 +81,17 @@ func ParseTable(s string) (Table, error) {
 }
 
 // ParseSizes maps a -sizes flag value (comma-separated process counts) to
-// the grid's size axis. Shared by the cmd/sweep and cmd/chaos CLIs.
+// the grid's size axis. Shared by the cmd/sweep and cmd/chaos CLIs. A size
+// is a plain decimal of at least 2 — every workload needs two processes —
+// that fits an int.
 func ParseSizes(s string) ([]int, error) {
 	var out []int
-	var cur int
-	seen := false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if !seen {
-				return nil, fmt.Errorf("sweep: bad -sizes %q", s)
-			}
-			out = append(out, cur)
-			cur, seen = 0, false
-			continue
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(f)
+		if err != nil || f[0] == '+' || n < 2 {
+			return nil, fmt.Errorf("sweep: bad -sizes %q: each size is a process count of at least 2", s)
 		}
-		if s[i] < '0' || s[i] > '9' {
-			return nil, fmt.Errorf("sweep: bad -sizes %q", s)
-		}
-		cur = cur*10 + int(s[i]-'0')
-		seen = true
+		out = append(out, n)
 	}
 	return out, nil
 }

@@ -58,8 +58,6 @@ type Options struct {
 	// PCheckpoint is the probability an operation is a basic checkpoint
 	// (default 0.2). Higher values model shorter checkpoint intervals.
 	PCheckpoint float64
-	// PLoss is the probability a message is lost (Uniform only).
-	PLoss float64
 }
 
 func (o Options) pc() float64 {
@@ -78,7 +76,7 @@ func Generate(kind Kind, opts Options) ccp.Script {
 	switch kind {
 	case Uniform:
 		return ccp.RandomScript(rng, ccp.RandomOptions{
-			N: opts.N, Ops: opts.Ops, PCheckpoint: opts.pc(), PLoss: opts.PLoss,
+			N: opts.N, Ops: opts.Ops, PCheckpoint: opts.pc(),
 		})
 	case Ring:
 		return ring(rng, opts)

@@ -359,6 +359,23 @@ if grep -nE 'ingRingSize|drainLocked|type ingress struct|\.ing\.' \
 	fail=1
 fi
 
+# One sender worker per destination for the cluster's life. NewCluster starts
+# the n workers and Close stops them: no lazy spawn on an enqueue, no idle
+# retirement, period or counter, and no running flag to hand a queue from one
+# incarnation of its worker to the next.
+if grep -nwE 'workerIdle|WorkerRetire' $rt_files >&2 || grep -nE '\bq\.running\b' $rt_files >&2; then
+	echo "layering violation: the sender pool's idle retirement (workerIdle, q.running, WorkerRetire) is back; a worker lives from NewCluster to Close" >&2
+	fail=1
+fi
+if awk '/^func /{ f = $0 } /go [^ ]*sendWorker\(/ && f !~ /^func NewCluster\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' $rt_files >&2; then
+	echo "layering violation: a sender worker is started outside NewCluster" >&2
+	fail=1
+fi
+if go doc repro/internal/obs RuntimeWorkerRetire >/dev/null 2>&1; then
+	echo "layering violation: obs.RuntimeWorkerRetire exists again; sender-pool workers do not retire" >&2
+	fail=1
+fi
+
 # And the instrumentation must stay attached: the kernel and both engines
 # report through obs. Losing the import means a layer went dark.
 for layer in repro/internal/node repro/internal/runtime repro/internal/sim; do
@@ -371,4 +388,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link or empty queue, clears no encoder, walks only held UC entries and reads the crashed set without a lock; a message takes no cluster-wide lock and is written once per hand-off; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link or empty queue, clears no encoder, walks only held UC entries and reads the crashed set without a lock; a message takes no cluster-wide lock and is written once per hand-off; each destination has one sender worker from NewCluster to Close; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
