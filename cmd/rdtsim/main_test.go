@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -138,5 +139,24 @@ func TestLiveRefusesGlobalCollector(t *testing.T) {
 	err := runLive(new(bytes.Buffer), run, nil)
 	if err == nil || !strings.Contains(err.Error(), "live engines run only local collectors") {
 		t.Fatalf("runLive with %s: %v", rdt.SyncOptimal, err)
+	}
+}
+
+func TestCheckLoad(t *testing.T) {
+	for _, ok := range []struct {
+		ops int
+		pc  float64
+	}{{1, 0}, {1, 1}, {2000, 0.2}} {
+		if err := checkLoad(ok.ops, ok.pc); err != nil {
+			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) = %v", ok.ops, ok.pc, err)
+		}
+	}
+	for _, bad := range []struct {
+		ops int
+		pc  float64
+	}{{0, 0.2}, {-5, 0.2}, {10, -1}, {10, 2}, {10, -0.01}, {10, 1.01}, {10, math.NaN()}} {
+		if err := checkLoad(bad.ops, bad.pc); err == nil {
+			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) should fail", bad.ops, bad.pc)
+		}
 	}
 }

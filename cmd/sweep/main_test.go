@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -24,6 +25,25 @@ func TestParseSizes(t *testing.T) {
 		"0", "1", "4,1", "-4", "+4", " 4", "99999999999999999999999", "4,99999999999999999999999"} {
 		if _, err := sweep.ParseSizes(bad); err == nil {
 			t.Errorf("ParseSizes(%q) should fail", bad)
+		}
+	}
+}
+
+func TestCheckLoad(t *testing.T) {
+	for _, ok := range []struct {
+		ops int
+		pc  float64
+	}{{1, 0}, {1, 1}, {3000, 0.2}} {
+		if err := checkLoad(ok.ops, ok.pc); err != nil {
+			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) = %v", ok.ops, ok.pc, err)
+		}
+	}
+	for _, bad := range []struct {
+		ops int
+		pc  float64
+	}{{0, 0.2}, {-5, 0.2}, {10, -1}, {10, 2}, {10, -0.01}, {10, 1.01}, {10, math.NaN()}} {
+		if err := checkLoad(bad.ops, bad.pc); err == nil {
+			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) should fail", bad.ops, bad.pc)
 		}
 	}
 }

@@ -59,6 +59,14 @@ type LGC struct {
 	// held without a further allocation.
 	s0 ccb
 
+	// rb is Rollback's scratch: the vectors of the surviving checkpoints,
+	// back to back, and the vector the process resumes with after them —
+	// at most (n+1)·n ints, since no more than n checkpoints are retained
+	// (Section 4.5), and kept for the next rollback.
+	rb []int
+	// blocks is Rollback's scratch list of the surviving checkpoints' CCBs.
+	blocks []*ccb
+
 	// spare recycles CCBs whose checkpoint was eliminated: the collect
 	// path runs on every message delivery, and reusing the blocks keeps it
 	// from allocating one per checkpoint. At most n blocks are live at

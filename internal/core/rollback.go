@@ -21,7 +21,8 @@ import (
 // surviving checkpoints per Theorem 1 (or Theorem 2 when li is nil),
 // eliminates the checkpoints no entry references, and returns the recreated
 // dependency vector DV(s^ri) with the self entry incremented — the vector
-// the process resumes execution with.
+// the process resumes execution with, in the collector's scratch: valid
+// until its next Rollback, so the kernel copies it.
 func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 	if li != nil && len(li) != g.n {
 		return nil, fmt.Errorf("core: p%d rollback: LI has %d entries, want %d", g.self, len(li), g.n)
@@ -44,18 +45,22 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 	}
 
 	// Line 7: a fresh CCB for every surviving stored checkpoint.
-	dvs, err := g.loadDVs(kept)
-	if err != nil {
+	if err := g.loadDVs(kept); err != nil {
 		return nil, err
 	}
-	blocks := make([]*ccb, len(kept))
-	for k, idx := range kept {
-		blocks[k] = &ccb{ind: idx, rc: 0}
+	blocks := g.blocks[:0]
+	for _, idx := range kept {
+		b := g.newCCB(idx)
+		b.rc = 0
+		blocks = append(blocks, b)
 	}
+	g.blocks = blocks
 
 	// Lines 5-6: recreate DV from the checkpoint rolled back to, which is
-	// kept's last: its vector was just loaded with the others.
-	dv := dvs[len(kept)-1].Clone()
+	// kept's last: its vector was just loaded with the others, into the
+	// scratch slot past them.
+	dv := vclock.DV(g.rb[len(kept)*g.n:])
+	copy(dv, g.survivor(len(kept)-1))
 	dv[g.self]++
 
 	// Lines 8-14: rebuild UC per Theorem 1 (LI) or Theorem 2 (DV). For each
@@ -81,7 +86,7 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 		}
 		// Binary search (the paper's O(log n) remark): dvs[k][f] is
 		// non-decreasing in k, so find the last k with dvs[k][f] < bound.
-		k := sort.Search(len(kept), func(k int) bool { return dvs[k][f] >= bound }) - 1
+		k := sort.Search(len(kept), func(k int) bool { return g.survivor(k)[f] >= bound }) - 1
 		if k < 0 {
 			g.uc[f] = nil
 			continue
@@ -99,6 +104,7 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 			if err := g.store.Delete(b.ind); err != nil {
 				return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
 			}
+			g.spare = append(g.spare, b)
 		}
 	}
 	return dv, nil
@@ -106,23 +112,32 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 
 // loadDVs reads the dependency vector of every surviving checkpoint, one
 // LoadDV each — no application state: a rollback's only reads of stable
-// storage. A stored vector is outside input, so one whose length is not n
-// fails here rather than being indexed.
-func (g *LGC) loadDVs(kept []int) ([]vclock.DV, error) {
-	dvs := make([]vclock.DV, len(kept))
-	for k, idx := range kept {
-		dv, err := g.store.LoadDV(idx)
-		if err != nil {
-			return nil, fmt.Errorf("core: p%d rollback: %w", g.self, err)
-		}
-		if len(dv) != g.n {
-			return nil, fmt.Errorf("core: p%d rollback: checkpoint %d has a %d-entry vector, want %d",
-				g.self, idx, len(dv), g.n)
-		}
-		dvs[k] = dv
+// storage — into g.rb, which it sizes for them and one vector more (the k-th
+// is survivor(k)). A stored vector is outside input, so one whose length is
+// not n fails here rather than being indexed.
+func (g *LGC) loadDVs(kept []int) error {
+	n := g.n
+	if size := (len(kept) + 1) * n; cap(g.rb) < size {
+		g.rb = make([]int, size)
+	} else {
+		g.rb = g.rb[:size]
 	}
-	return dvs, nil
+	for k, idx := range kept {
+		dv, err := g.store.LoadDV(idx, g.rb[k*n:k*n:(k+1)*n])
+		if err != nil {
+			return fmt.Errorf("core: p%d rollback: %w", g.self, err)
+		}
+		if len(dv) != n {
+			return fmt.Errorf("core: p%d rollback: checkpoint %d has a %d-entry vector, want %d",
+				g.self, idx, len(dv), n)
+		}
+	}
+	return nil
 }
+
+// survivor returns the vector loadDVs read for the k-th surviving
+// checkpoint.
+func (g *LGC) survivor(k int) vclock.DV { return g.rb[k*g.n : (k+1)*g.n] }
 
 // ReleaseStale is the recovery-session step for a process whose
 // recovery-line component is its volatile checkpoint: it does not roll back,

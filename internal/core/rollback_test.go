@@ -205,9 +205,9 @@ func (c *loadCounter) Load(index int) (storage.Checkpoint, error) {
 	return c.Store.Load(index)
 }
 
-func (c *loadCounter) LoadDV(index int) (vclock.DV, error) {
+func (c *loadCounter) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 	c.dvLoads++
-	return c.Store.LoadDV(index)
+	return c.Store.LoadDV(index, dst)
 }
 
 // TestRollbackLoadsEachSurvivorOnce pins what a rollback reads from stable

@@ -40,7 +40,9 @@ type Local interface {
 	// Rollback runs Algorithm 3 (or the collector's equivalent) when the
 	// process rolls back to stable checkpoint ri; li is the recovery
 	// manager's last-interval vector, or nil for uncoordinated recovery.
-	// It returns the dependency vector the process resumes with.
+	// It returns the dependency vector the process resumes with, which the
+	// collector may lend from its own scratch: the caller copies it before
+	// the collector's next call.
 	Rollback(ri int, li []int) (vclock.DV, error)
 	// ReleaseStale runs during a recovery session for a process that does
 	// not roll back, when the manager's last-interval vector is available.
@@ -123,7 +125,7 @@ func RollbackStore(store storage.Store, self, ri int) (vclock.DV, error) {
 	if !found {
 		return nil, fmt.Errorf("rollback target checkpoint %d not in store", ri)
 	}
-	dv, err := store.LoadDV(ri)
+	dv, err := store.LoadDV(ri, nil)
 	if err != nil {
 		return nil, err
 	}

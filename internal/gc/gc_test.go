@@ -270,9 +270,9 @@ func (s loadCounter) Load(index int) (storage.Checkpoint, error) {
 	return s.Store.Load(index)
 }
 
-func (s loadCounter) LoadDV(index int) (vclock.DV, error) {
+func (s loadCounter) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 	*s.dvLoads++
-	return s.Store.LoadDV(index)
+	return s.Store.LoadDV(index, dst)
 }
 
 // TestComputeLineReadsEachFaultyOnce pins what the recovery line reads of

@@ -36,7 +36,7 @@ func (*Synchronous) Collect(v View) error {
 		// the checkpoint index.
 		dvs := make(map[int][]int, len(indices))
 		for _, idx := range indices {
-			dv, err := store.LoadDV(idx)
+			dv, err := store.LoadDV(idx, nil)
 			if err != nil {
 				return fmt.Errorf("gc: sync: %w", err)
 			}

@@ -115,16 +115,19 @@ type Kernel struct {
 	// smaller — the changed entries at 16 bytes each, or the whole vector.
 	pbEntries, pbBytes int
 
-	// parked holds the application object while the kernel is crashed:
-	// CrashVolatile takes it off app and Rehydrate puts it back, for the
-	// rollback that follows to replace its state (app.App.Restore).
-	parked app.App
-	// handoff is the checkpoint Rehydrate read, kept while an application
-	// is attached for the first Rollback after it: when that rollback
-	// targets handoff's index it restores the application from it, not
-	// from a second Load of the same record.
-	handoff   storage.Checkpoint
-	handedOff bool
+	// parked holds what a crash leaves allocated while the kernel is down —
+	// the application object, the dependency vector's memory and the
+	// compressor — for Rehydrate to take back instead of building anew:
+	// CrashVolatile moves them here, their contents dead.
+	parked struct {
+		app  app.App
+		dv   vclock.DV
+		comp *compressor
+	}
+	// restored is the index of the checkpoint Rehydrate restored the
+	// application from, or −1: the first Rollback after it restores again
+	// only when its line is older.
+	restored int
 }
 
 // Piggyback is the control information one application message carries
@@ -171,11 +174,12 @@ func New(cfg Config) (*Kernel, error) {
 		cfg.LocalGC = func(self, n int, st storage.Store) gc.Local { return gc.NewNoGC(self, n, st) }
 	}
 	k := &Kernel{
-		cfg:     cfg,
-		dv:      vclock.New(cfg.N),
-		store:   cfg.Store,
-		proto:   cfg.Protocol(cfg.ID),
-		scratch: make([]int, 0, cfg.N),
+		cfg:      cfg,
+		dv:       vclock.New(cfg.N),
+		store:    cfg.Store,
+		proto:    cfg.Protocol(cfg.ID),
+		scratch:  make([]int, 0, cfg.N),
+		restored: -1,
 	}
 	if cfg.NewApp != nil {
 		k.app = cfg.NewApp(cfg.ID)
@@ -373,24 +377,26 @@ func (k *Kernel) Checkpoint(basic bool) (int, error) {
 // session: the collector runs its Algorithm 3 variant (with the manager's
 // last-interval vector when li is non-nil) and rebuilds the dependency
 // vector; the attached application, if any, is restored to the checkpointed
-// snapshot — taken from the checkpoint Rehydrate read when ri is its index,
-// else loaded from the store.
+// snapshot, loaded from the store — unless Rehydrate restored it from ri
+// already.
 func (k *Kernel) Rollback(ri int, li []int) error {
-	cp, ok := k.handoff, k.handedOff
-	k.handoff, k.handedOff = storage.Checkpoint{}, false
+	restored := k.restored
+	k.restored = -1
 	dv, err := k.gcol.Rollback(ri, li)
 	if err != nil {
 		return err
 	}
-	k.dv = dv
+	if len(dv) != k.cfg.N {
+		return fmt.Errorf("node: rollback p%d: checkpoint %d has a %d-entry vector, want %d", k.cfg.ID, ri, len(dv), k.cfg.N)
+	}
+	k.dv.CopyFrom(dv) // the collector lends it
 	k.lastS = ri
 	k.proto.OnRollback()
 	k.cfg.Metrics.Rollbacks.Inc()
-	if k.app != nil {
-		if !ok || cp.Index != ri {
-			if cp, err = k.store.Load(ri); err != nil {
-				return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
-			}
+	if k.app != nil && ri != restored {
+		cp, err := k.store.Load(ri)
+		if err != nil {
+			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
 		}
 		if err := k.app.Restore(cp.State); err != nil {
 			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
@@ -407,32 +413,37 @@ func (k *Kernel) ReleaseStale(li []int) error { return k.gcol.ReleaseStale(li, k
 // CrashVolatile discards everything a failure destroys — dependency vector,
 // protocol, collector, application and compression state — leaving only the
 // stable store. The kernel is unusable until Rehydrate, and has no
-// application: App returns nil. The application object is parked, not
-// dropped, for Rehydrate to take back; the state it holds is dead, and the
-// rollback that follows every Rehydrate replaces it.
+// application: App returns nil. The application object, the vector's memory
+// and the compressor are parked, not dropped, for Rehydrate to take back;
+// the state they hold is dead, and Rehydrate overwrites it.
 func (k *Kernel) CrashVolatile() {
-	k.dv = nil
+	if k.dv != nil {
+		k.parked.dv, k.dv = k.dv, nil
+	}
 	k.lastS = 0
 	k.proto = nil
 	k.gcol = nil
 	if k.app != nil {
-		k.parked, k.app = k.app, nil
+		k.parked.app, k.app = k.app, nil
 	}
-	k.handoff, k.handedOff = storage.Checkpoint{}, false
-	k.comp = nil
+	if k.comp != nil {
+		k.parked.comp, k.comp = k.comp, nil
+	}
+	k.restored = -1
 }
 
 // Rehydrate rebuilds a crashed kernel's volatile state from stable storage:
 // the dependency vector and interval index come from the most recent stored
-// checkpoint (the one checkpoint no collector ever discards), and fresh
-// protocol, collector and compression instances are constructed from the
-// config factories. The parked application object is taken back, its state
-// still dead. The recovery session that follows immediately rolls the
-// process back to its recovery-line component, which rebuilds the
-// collector's UC state from the surviving checkpoints and restores the
-// application — from the checkpoint read here when the component is the
-// most recent one — so neither the conservatively fresh instances nor the
-// dead state ever face traffic.
+// checkpoint (the one checkpoint no collector ever discards), copied into
+// the parked vector, and the parked application is restored from its
+// snapshot at once, while the store lends it; fresh protocol and collector
+// instances are constructed from the config factories, and the parked
+// compressor is reset. The recovery session that follows immediately rolls
+// the process back to its recovery-line component, which rebuilds the
+// collector's UC state from the surviving checkpoints — and restores the
+// application again only if the component is older than the one restored
+// here — so the conservatively fresh instances never face traffic. On error
+// the kernel stays crashed, with everything still parked.
 func (k *Kernel) Rehydrate(store storage.Store) error {
 	if store == nil {
 		store = k.store
@@ -450,18 +461,34 @@ func (k *Kernel) Rehydrate(store storage.Store) error {
 		return fmt.Errorf("node: rehydrate p%d: checkpoint %d has a %d-entry vector, want %d",
 			k.cfg.ID, last, cp.DV.Len(), k.cfg.N)
 	}
-	k.store = store
-	k.dv = cp.DV.Clone()
+	// The checkpoint is the store's until its next call: restore from it,
+	// and copy its vector, before anything else calls the store.
+	restored := -1
+	if a := k.parked.app; a != nil {
+		if err := a.Restore(cp.State); err != nil {
+			return fmt.Errorf("node: rehydrate p%d: restore checkpoint %d: %w", k.cfg.ID, last, err)
+		}
+		k.app, k.parked.app = a, nil
+		restored = last
+	}
+	dv := k.parked.dv
+	if dv == nil {
+		dv = vclock.New(k.cfg.N)
+	}
+	dv.CopyFrom(cp.DV)
+	k.dv, k.parked.dv = dv, nil
 	k.dv[k.cfg.ID]++ // the process resumes in the interval after its last checkpoint
+	k.store = store
 	k.lastS = last
+	k.restored = restored
 	k.proto = k.cfg.Protocol(k.cfg.ID)
 	k.gcol = k.cfg.LocalGC(k.cfg.ID, k.cfg.N, k.store)
-	if k.parked != nil {
-		k.app, k.parked = k.parked, nil
-		k.handoff, k.handedOff = cp, true
-	}
 	if k.cfg.Compress {
-		k.comp = newCompressor(k.cfg.N)
+		k.comp, k.parked.comp = k.parked.comp, nil
+		if k.comp == nil {
+			k.comp = newCompressor(k.cfg.N)
+		}
+		k.comp.reset()
 	}
 	return nil
 }
@@ -519,6 +546,7 @@ func ApplyLine(ks []*Kernel, line []int, globalLI bool, rolledBack func(j, lostC
 	}
 	for _, k := range ks {
 		k.ResetCompression()
+		k.restored = -1 // a restore Rehydrate made serves this line alone
 	}
 	return nil
 }

@@ -218,11 +218,11 @@ func (s *flakyStore) Load(index int) (storage.Checkpoint, error) {
 	return s.Store.Load(index)
 }
 
-func (s *flakyStore) LoadDV(index int) (vclock.DV, error) {
+func (s *flakyStore) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 	if s.readFails() {
 		return nil, errors.New("injected load failure")
 	}
-	return s.Store.LoadDV(index)
+	return s.Store.LoadDV(index, dst)
 }
 
 // TestChaosFailedRestartLeavesProcessesDown pins the failure atomicity of

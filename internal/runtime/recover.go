@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"repro/internal/gc"
 	"repro/internal/node"
 	"repro/internal/obs"
 )
@@ -94,8 +93,10 @@ func (c *Cluster) cancelTransit() {
 }
 
 // Down returns the crashed processes, in ascending order.
-func (c *Cluster) Down() []int {
-	var out []int
+func (c *Cluster) Down() []int { return c.appendDown(nil) }
+
+// appendDown appends the crashed processes to out, in ascending order.
+func (c *Cluster) appendDown(out []int) []int {
 	for i, n := range c.nodes {
 		if n.Down() {
 			out = append(out, i)
@@ -124,6 +125,8 @@ func (c *Cluster) Down() []int {
 // them from stable storage first; Recover refuses while any process is
 // down.
 func (c *Cluster) Recover(faulty []int, globalLI bool) (Report, error) {
+	c.sess.Lock()
+	defer c.sess.Unlock()
 	return c.session(faulty, globalLI, false)
 }
 
@@ -134,18 +137,25 @@ func (c *Cluster) Recover(faulty []int, globalLI bool) (Report, error) {
 // recovery line. The whole operation happens with the cluster halted, so
 // survivors never observe a half-rehydrated process.
 func (c *Cluster) Restart(globalLI bool) (Report, error) {
-	down := c.Down()
-	if len(down) == 0 {
+	c.sess.Lock()
+	defer c.sess.Unlock()
+	c.sess.crashed = c.appendDown(c.sess.crashed[:0])
+	if len(c.sess.crashed) == 0 {
 		return Report{}, fmt.Errorf("runtime: restart with no crashed process")
 	}
-	return c.session(down, globalLI, true)
+	return c.session(c.sess.crashed, globalLI, true)
 }
 
-// session is the shared recovery-session body of Recover and Restart.
+// session is the shared recovery-session body of Recover and Restart, run
+// under c.sess.
 func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report, err error) {
 	// Refuse a malformed request before anything is disturbed: past this
 	// point the session drops everything in transit.
-	isFaulty := make([]bool, c.cfg.N)
+	if c.sess.isFaulty == nil {
+		c.sess.isFaulty = make([]bool, c.cfg.N)
+	}
+	isFaulty := c.sess.isFaulty
+	clear(isFaulty)
 	for _, f := range faulty {
 		if f < 0 || f >= c.cfg.N {
 			return Report{}, fmt.Errorf("runtime: faulty process %d out of range", f)
@@ -220,7 +230,7 @@ func (c *Cluster) session(faulty []int, globalLI bool, restart bool) (rep Report
 	}
 	rep.Restarted = restarted // ascending: the nodes are walked in order
 
-	line, err := gc.ComputeLine(c.view, faulty)
+	line, err := c.sess.line.ComputeLine(c.view, faulty)
 	if err != nil {
 		return Report{}, fmt.Errorf("runtime: %w", err)
 	}

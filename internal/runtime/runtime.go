@@ -118,6 +118,18 @@ type Cluster struct {
 	kernels []*node.Kernel
 	view    gc.View
 
+	// sess serializes the recovery sessions and keeps their scratch: the
+	// faulty set as flags, the crashed processes Restart collects, and what
+	// the recovery line reads into — so a session allocates what its Report
+	// returns and what the restarted kernels' factories build, nothing per
+	// process or per stored vector.
+	sess struct {
+		sync.Mutex
+		isFaulty []bool
+		crashed  []int
+		line     gc.LineScratch
+	}
+
 	inflight inflight
 	closed   atomic.Bool // set by Close; parks and heals observe it
 

@@ -14,7 +14,10 @@ import (
 // agree: DecodeVector accepts the prefix of every record DecodeRecord
 // accepts, with the same vector, and every prefix DecodeVector accepts makes
 // a record DecodeRecord accepts, with the same vector, once the state bytes
-// it declares follow; CheckPrefix accepts exactly what DecodeVector does.
+// it declares follow; CheckPrefix accepts exactly what DecodeVector does;
+// and the decode-into-destination forms, DecodeRecordInto and
+// DecodeVectorInto, accept and reject what DecodeRecord and DecodeVector do,
+// with the same content, starting from a dirty destination.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
@@ -31,6 +34,10 @@ func FuzzDecode(f *testing.F) {
 				if cerr := CheckPrefix(data, int(sl)); (cerr == nil) != (err == nil) {
 					t.Fatalf("CheckPrefix says %v, DecodeVector %v", cerr, err)
 				}
+				into, ierr := DecodeVectorInto(dirtyDV(len(data)), data, int(sl))
+				if (ierr == nil) != (err == nil) || (err == nil && !into.Equal(dv)) {
+					t.Fatalf("DecodeVectorInto = %v, %v; DecodeVector = %v, %v", into, ierr, dv, err)
+				}
 				if err == nil {
 					cp, err := DecodeRecord(append(slices.Clip(data), make([]byte, sl)...))
 					if err != nil {
@@ -43,8 +50,15 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		cp, err := DecodeRecord(data)
+		in, ierr := DecodeRecordInto(dirtyDV(len(data)), data)
+		if (ierr == nil) != (err == nil) {
+			t.Fatalf("DecodeRecordInto says %v, DecodeRecord %v", ierr, err)
+		}
 		if err != nil {
 			return
+		}
+		if in.Process != cp.Process || in.Index != cp.Index || !in.DV.Equal(cp.DV) || !bytes.Equal(in.State, cp.State) {
+			t.Fatalf("DecodeRecordInto = %+v, DecodeRecord %+v", in, cp)
 		}
 		dv, err := DecodeVector(data[:len(data)-len(cp.State)], len(cp.State))
 		if err != nil {
@@ -64,4 +78,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed the checkpoint: %+v vs %+v", cp, re)
 		}
 	})
+}
+
+// dirtyDV is a destination vector full of garbage: shorter than, as long as
+// or longer than the vector an input of size bytes can hold, by its size.
+func dirtyDV(size int) vclock.DV {
+	dv := make(vclock.DV, size%7, size%7+size%3)
+	for i := range dv {
+		dv[i] = -1 - i
+	}
+	return dv
 }

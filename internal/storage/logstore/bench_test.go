@@ -104,3 +104,52 @@ func BenchmarkSaveGroup(b *testing.B) {
 		})
 	}
 }
+
+// TestLoadAllocationBudget pins the reads a restart makes once warm:
+// LoadDV fills the caller's vector and allocates nothing on either store;
+// MemStore's Load lends its own copies and allocates nothing, and the log
+// store's Load copies the record out — its vector and its state, two
+// allocations — because its concurrent readers share one read buffer.
+func TestLoadAllocationBudget(t *testing.T) {
+	const n, records = 32, 3
+	ls, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	for _, tc := range []struct {
+		st         storage.Store
+		loadAllocs float64
+	}{{storage.NewMemStore(), 0}, {ls, 2 * records}} {
+		st := tc.st
+		dv := vclock.New(n)
+		for i := 0; i < records; i++ {
+			dv[0] = i + 1
+			if err := st.Save(storage.Checkpoint{Index: i, DV: dv, State: make([]byte, 4096)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		load := func() {
+			for i := 0; i < records; i++ {
+				if cp, err := st.Load(i); err != nil || len(cp.State) != 4096 || cp.DV[0] != i+1 {
+					t.Fatalf("%T Load(%d) = %v, %v", st, i, cp.DV, err)
+				}
+			}
+		}
+		dst := vclock.New(n)
+		loadDV := func() {
+			for i := 0; i < records; i++ {
+				if dst, err = st.LoadDV(i, dst); err != nil || dst[0] != i+1 {
+					t.Fatalf("%T LoadDV(%d) = %v, %v", st, i, dst, err)
+				}
+			}
+		}
+		load() // the log store's read buffer grows to the largest record once
+		if allocs := testing.AllocsPerRun(100, load); allocs != tc.loadAllocs {
+			t.Errorf("%T: warm Load of %d records: %v allocs, want %v", st, records, allocs, tc.loadAllocs)
+		}
+		if allocs := testing.AllocsPerRun(100, loadDV); allocs != 0 {
+			t.Errorf("%T: warm LoadDV of %d records: %v allocs, want 0", st, records, allocs)
+		}
+	}
+}

@@ -85,7 +85,10 @@
 // read whole. The committer's write handle is a separate file, because the
 // committer opens and closes it without the store lock. No decoded record is
 // cached: every read still decodes the bytes on disk, so the record parser
-// checks what is on the device at each Load and LoadDV.
+// checks what is on the device at each Load and LoadDV. A LoadDV decodes
+// into the caller's vector and, once the read buffer has grown to the
+// largest record, allocates nothing; a Load copies the record out, because
+// concurrent readers share the read buffer.
 package logstore
 
 import (
@@ -228,8 +231,9 @@ type LogStore struct {
 	live   int64 // body bytes of the live records
 	stats  storage.Stats
 
-	enc  []byte // reused record-encode buffer
-	rbuf []byte // reused record-read buffer; the decoders copy out of it
+	enc  []byte    // reused record-encode buffer
+	rbuf []byte    // reused record-read buffer; Load copies out of it
+	ldv  vclock.DV // replay's scratch vector: the index keeps no vector
 
 	gen    int      // current generation; −1 before the first record
 	genOff int64    // projected end of the current generation
@@ -596,7 +600,10 @@ func (s *LogStore) Delete(index int) error {
 
 // Load implements Store: one read and one decode. Staged-but-unsynced
 // records are served from the staging buffer; durable ones are read back
-// from the current generation. A failed store still serves what it holds; a
+// from the current generation. The checkpoint is a copy the caller may keep
+// — stricter than the lend Store.Load permits — because the log store serves
+// concurrent readers, and a shared read buffer lent to one would be
+// overwritten by the next. A failed store still serves what it holds; a
 // closed one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
@@ -608,18 +615,26 @@ func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	if s.obs.LoadNs != nil {
 		t0 = time.Now()
 	}
-	cp, err := s.loadLocked(index)
-	if err == nil && s.obs.LoadNs != nil {
+	ri := s.recs[index]
+	body, err := s.bodyLocked(ri, ri.size)
+	if err != nil {
+		return storage.Checkpoint{}, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
+	}
+	cp, err := storage.DecodeRecord(body)
+	if err != nil {
+		return storage.Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
+	}
+	if s.obs.LoadNs != nil {
 		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
-	return cp, err
+	return cp, nil
 }
 
 // LoadDV implements Store: Load's one read cut to the record's prefix —
-// every word before the state — decoded by storage.DecodeVector, whose
-// state-length word must match the one this index recorded. It serves and
-// refuses what Load does.
-func (s *LogStore) LoadDV(index int) (vclock.DV, error) {
+// every word before the state — decoded into dst by
+// storage.DecodeVectorInto, whose state-length word must match the one this
+// index recorded. It serves and refuses what Load does.
+func (s *LogStore) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.readableLocked(index); err != nil {
@@ -630,7 +645,7 @@ func (s *LogStore) LoadDV(index int) (vclock.DV, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
 	}
-	dv, err := storage.DecodeVector(prefix, ri.stateLen)
+	dv, err := storage.DecodeVectorInto(dst, prefix, ri.stateLen)
 	if err != nil {
 		return nil, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
 	}
@@ -649,26 +664,10 @@ func (s *LogStore) readableLocked(index int) error {
 	return nil
 }
 
-// loadLocked reads and decodes the record of index, which the caller has
-// checked is present.
-func (s *LogStore) loadLocked(index int) (storage.Checkpoint, error) {
-	ri := s.recs[index]
-	body, err := s.bodyLocked(ri, ri.size)
-	if err != nil {
-		return storage.Checkpoint{}, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
-	}
-	cp, err := storage.DecodeRecord(body)
-	if err != nil {
-		return storage.Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
-	}
-	return cp, nil
-}
-
 // bodyLocked returns the first n bytes of a record's body: from the staging
 // copy while its batch is in flight, by one read through the current
 // generation's kept descriptor once durable. The read lands in s.rbuf, so
-// the bytes are valid only until the next call; the decoders copy out of
-// them.
+// the bytes are valid only until the next read.
 func (s *LogStore) bodyLocked(ri recInfo, n int) ([]byte, error) {
 	if ri.pending != nil {
 		return ri.pending[:n], nil

@@ -47,11 +47,26 @@ func AppendRecord(buf []byte, cp Checkpoint) []byte {
 	return append(buf, cp.State...)
 }
 
-// DecodeRecord parses one on-disk checkpoint record. Any structural
-// corruption — bad magic, a kind other than the full record, truncation,
-// implausible counts — fails loudly with ErrCorrupt.
+// DecodeRecord parses one on-disk checkpoint record into a checkpoint that
+// owns its vector and state. Any structural corruption — bad magic, a kind
+// other than the full record, truncation, implausible counts — fails loudly
+// with ErrCorrupt.
 func DecodeRecord(b []byte) (Checkpoint, error) {
-	cp, sl, off, err := decodeHead(b, true)
+	cp, err := DecodeRecordInto(nil, b)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	cp.State = append(make([]byte, 0, len(cp.State)), cp.State...)
+	return cp, nil
+}
+
+// DecodeRecordInto is DecodeRecord reading in place: the vector is written
+// into dst's memory — grown only when dst is shorter than the record's — and
+// the state is left where it lies, cp.State a slice of b. It accepts and
+// rejects what DecodeRecord does, with the same errors and the same content,
+// whatever dst held.
+func DecodeRecordInto(dst vclock.DV, b []byte) (Checkpoint, error) {
+	cp, sl, off, err := decodeHead(b, dst, true)
 	if err != nil {
 		return Checkpoint{}, err
 	}
@@ -59,8 +74,7 @@ func DecodeRecord(b []byte) (Checkpoint, error) {
 		// The state length must not exceed the bytes actually present.
 		return Checkpoint{}, corruptf(nil, "storage: bad state length")
 	}
-	cp.State = make([]byte, sl)
-	copy(cp.State, b[off:off+sl])
+	cp.State = b[off : off+sl : off+sl]
 	return cp, nil
 }
 
@@ -73,7 +87,14 @@ func DecodeRecord(b []byte) (Checkpoint, error) {
 // that DecodeRecord would reject once its stateLen state bytes follow; its
 // errors are DecodeRecord's. No state byte is read.
 func DecodeVector(prefix []byte, stateLen int) (vclock.DV, error) {
-	cp, sl, _, err := decodeHead(prefix, true)
+	return DecodeVectorInto(nil, prefix, stateLen)
+}
+
+// DecodeVectorInto is DecodeVector writing the vector into dst's memory,
+// grown only when dst is shorter than the record's vector. It accepts and
+// rejects what DecodeVector does, with the same vector, whatever dst held.
+func DecodeVectorInto(dst vclock.DV, prefix []byte, stateLen int) (vclock.DV, error) {
+	cp, sl, _, err := decodeHead(prefix, dst, true)
 	if err != nil {
 		return nil, err
 	}
@@ -88,20 +109,21 @@ func DecodeVector(prefix []byte, stateLen int) (vclock.DV, error) {
 // allocates nothing on success. A store that moves a record without reading
 // its vector checks it with this.
 func CheckPrefix(prefix []byte, stateLen int) error {
-	_, sl, _, err := decodeHead(prefix, false)
+	_, sl, _, err := decodeHead(prefix, nil, false)
 	if err == nil && sl != stateLen {
 		err = corruptf(nil, "storage: bad state length")
 	}
 	return err
 }
 
-// decodeHead is the one record parser behind DecodeRecord, DecodeVector and
-// CheckPrefix: it reads the header, the vector and the state-length word of
-// b, and returns the checkpoint without its state, the state length
-// (checked non-negative) and the offset of the state bytes. With vec false
-// the vector's entries are skipped, not read: the checkpoint's DV is nil
-// and every structural check still holds.
-func decodeHead(b []byte, vec bool) (cp Checkpoint, stateLen, off int, err error) {
+// decodeHead is the one record parser behind the decoders and CheckPrefix:
+// it reads the header, the vector and the state-length word of b, and
+// returns the checkpoint without its state, the state length (checked
+// non-negative) and the offset of the state bytes. With vec the vector is
+// read into dst's memory, grown if short; without, the vector's entries are
+// skipped, not read: the checkpoint's DV is nil and every structural check
+// still holds.
+func decodeHead(b []byte, dst vclock.DV, vec bool) (cp Checkpoint, stateLen, off int, err error) {
 	rd := func() (int64, bool) {
 		if off+8 > len(b) {
 			return 0, false
@@ -131,7 +153,10 @@ func decodeHead(b []byte, vec bool) (cp Checkpoint, stateLen, off int, err error
 	}
 	cp = Checkpoint{Process: int(p), Index: int(idx)}
 	if vec {
-		cp.DV = vclock.New(int(n))
+		if cap(dst) < int(n) {
+			dst = vclock.New(int(n))
+		}
+		cp.DV = dst[:n]
 	} else {
 		off += 8 * int(n)
 	}

@@ -85,15 +85,23 @@ type Store interface {
 	// MemStore applies every delete at once; the log store defers as far as
 	// this contract allows.
 	Delete(index int) error
-	// Load returns the checkpoint with the given index.
+	// Load returns the checkpoint with the given index, lent: its vector and
+	// state may be the store's memory, valid until the store's next call,
+	// and the caller must not modify them. A restart restores its
+	// application from the state straight away (app.App.Restore reads it for
+	// the call); a caller that keeps a checkpoint past the next call copies
+	// it. MemStore lends its own copies; the log store, whose concurrent
+	// readers share one read buffer, returns copies.
 	Load(index int) (Checkpoint, error)
-	// LoadDV returns the dependency vector of the checkpoint with the given
-	// index, which the caller owns, and reads none of its state: the readers
-	// that compare vectors alone (the rollback's survivor pass, the recovery
-	// line, the global collector) call it, and only the checkpoint a process
-	// restores from costs a Load. It fails where Load fails, with the same
-	// errors, and makes the same structural checks of what it reads.
-	LoadDV(index int) (vclock.DV, error)
+	// LoadDV reads the dependency vector of the checkpoint with the given
+	// index into dst — grown only when it is shorter than the vector — and
+	// returns it; the caller owns it, and none of the checkpoint's state is
+	// read. The readers that compare vectors alone (the rollback's survivor
+	// pass, the recovery line, the global collector) call it with scratch
+	// they keep, and only the checkpoint a process restores from costs a
+	// Load. It fails where Load fails, with the same errors, and makes the
+	// same structural checks of what it reads.
+	LoadDV(index int, dst vclock.DV) (vclock.DV, error)
 	// Indices returns the indices of stored checkpoints in ascending order.
 	Indices() []int
 	// Stats returns space-accounting counters.
@@ -114,8 +122,9 @@ type Stats struct {
 // of each checkpoint. The zero value is not usable; use NewMemStore.
 // MemStore is safe for concurrent use.
 //
-// It encodes nothing: Save costs one O(n) copy of the vector, Load and
-// LoadDV one more.
+// It encodes nothing: Save costs one O(n) copy of the vector, Load lends the
+// store's own copies, and LoadDV costs one O(n) copy into the caller's
+// vector.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec
@@ -125,8 +134,9 @@ type MemStore struct {
 	// spare holds the vectors of the records deleted last, for the next Save
 	// to copy into: a collector that deletes as fast as it saves (RDT-LGC,
 	// Section 4.5) then saves without allocating. A fixed array, so keeping a
-	// spare costs nothing and the list cannot grow; Load and LoadDV clone, so
-	// no caller can hold a recycled vector.
+	// spare costs nothing and the list cannot grow. A vector Load lent may be
+	// recycled here by the next Delete and overwritten by the Save after it:
+	// the lend ends at the store's next call.
 	spare  [maxSpare]vclock.DV
 	nSpare int
 
@@ -245,7 +255,7 @@ func (s *MemStore) Delete(index int) error {
 	return nil
 }
 
-// Load implements Store, returning copies the caller owns.
+// Load implements Store, lending the store's own copies.
 func (s *MemStore) Load(index int) (Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,27 +267,22 @@ func (s *MemStore) Load(index int) (Checkpoint, error) {
 	if s.obs.LoadNs != nil {
 		t0 = time.Now()
 	}
-	cp := Checkpoint{
-		Process: rec.process,
-		Index:   index,
-		DV:      rec.dv.Clone(),
-		State:   append([]byte(nil), rec.state...),
-	}
+	cp := Checkpoint{Process: rec.process, Index: index, DV: rec.dv, State: rec.state}
 	if s.obs.LoadNs != nil {
 		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return cp, nil
 }
 
-// LoadDV implements Store, returning a copy of the vector alone.
-func (s *MemStore) LoadDV(index int) (vclock.DV, error) {
+// LoadDV implements Store, copying the vector alone into dst.
+func (s *MemStore) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.byIdx[index]
 	if !ok {
 		return nil, fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
-	return rec.dv.Clone(), nil
+	return append(dst[:0], rec.dv...), nil
 }
 
 // NotifyDurable implements Store: a MemStore save is as stable as it will
