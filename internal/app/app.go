@@ -20,7 +20,10 @@ type App interface {
 	// node's lock, into a buffer it reuses: an implementation that encodes
 	// straight into dst keeps checkpoints free of garbage.
 	AppendSnapshot(dst []byte) []byte
-	// Restore replaces the state with a previously snapshotted one.
+	// Restore replaces the state with a previously snapshotted one. The
+	// snapshot is lent for the duration of the call: the caller reuses its
+	// memory afterwards, so an implementation that keeps any of its bytes
+	// copies them.
 	Restore(snapshot []byte) error
 }
 

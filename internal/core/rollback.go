@@ -84,8 +84,8 @@ func (g *LGC) Rollback(ri int, li []int) (vclock.DV, error) {
 			g.uc[f] = nil // no stable checkpoint of f is known
 			continue
 		}
-		// Binary search (the paper's O(log n) remark): dvs[k][f] is
-		// non-decreasing in k, so find the last k with dvs[k][f] < bound.
+		// Binary search (the paper's O(log n) remark): survivor(k)[f] is
+		// non-decreasing in k, so find the last k with survivor(k)[f] < bound.
 		k := sort.Search(len(kept), func(k int) bool { return g.survivor(k)[f] >= bound }) - 1
 		if k < 0 {
 			g.uc[f] = nil
@@ -123,7 +123,8 @@ func (g *LGC) loadDVs(kept []int) error {
 		g.rb = g.rb[:size]
 	}
 	for k, idx := range kept {
-		dv, err := g.store.LoadDV(idx, g.rb[k*n:k*n:(k+1)*n])
+		slot := g.rb[k*n : (k+1)*n]
+		dv, err := g.store.LoadDV(idx, slot[:0])
 		if err != nil {
 			return fmt.Errorf("core: p%d rollback: %w", g.self, err)
 		}
@@ -131,6 +132,7 @@ func (g *LGC) loadDVs(kept []int) error {
 			return fmt.Errorf("core: p%d rollback: checkpoint %d has a %d-entry vector, want %d",
 				g.self, idx, len(dv), n)
 		}
+		copy(slot, dv) // a no-op when the store filled slot, as both stores do
 	}
 	return nil
 }

@@ -398,7 +398,9 @@ func (k *Kernel) Rollback(ri int, li []int) error {
 		if err != nil {
 			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
 		}
-		if err := k.app.Restore(cp.State); err != nil {
+		err = k.app.Restore(cp.State)
+		k.store.Release(cp)
+		if err != nil {
 			return fmt.Errorf("node: restore p%d: %w", k.cfg.ID, err)
 		}
 	}
@@ -436,14 +438,15 @@ func (k *Kernel) CrashVolatile() {
 // the dependency vector and interval index come from the most recent stored
 // checkpoint (the one checkpoint no collector ever discards), copied into
 // the parked vector, and the parked application is restored from its
-// snapshot at once, while the store lends it; fresh protocol and collector
-// instances are constructed from the config factories, and the parked
-// compressor is reset. The recovery session that follows immediately rolls
-// the process back to its recovery-line component, which rebuilds the
-// collector's UC state from the surviving checkpoints — and restores the
-// application again only if the component is older than the one restored
-// here — so the conservatively fresh instances never face traffic. On error
-// the kernel stays crashed, with everything still parked.
+// snapshot at once, after which the checkpoint goes back to the store
+// (storage.Store.Release); fresh protocol and collector instances are
+// constructed from the config factories, and the parked compressor is
+// reset. The recovery session that follows immediately rolls the process
+// back to its recovery-line component, which rebuilds the collector's UC
+// state from the surviving checkpoints — and restores the application again
+// only if the component is older than the one restored here — so the
+// conservatively fresh instances never face traffic. On error the kernel
+// stays crashed, with everything still parked.
 func (k *Kernel) Rehydrate(store storage.Store) error {
 	if store == nil {
 		store = k.store
@@ -457,12 +460,11 @@ func (k *Kernel) Rehydrate(store storage.Store) error {
 	if err != nil {
 		return fmt.Errorf("node: rehydrate p%d: %w", k.cfg.ID, err)
 	}
+	defer store.Release(cp) // restored and copied below; nothing keeps it
 	if cp.DV.Len() != k.cfg.N {
 		return fmt.Errorf("node: rehydrate p%d: checkpoint %d has a %d-entry vector, want %d",
 			k.cfg.ID, last, cp.DV.Len(), k.cfg.N)
 	}
-	// The checkpoint is the store's until its next call: restore from it,
-	// and copy its vector, before anything else calls the store.
 	restored := -1
 	if a := k.parked.app; a != nil {
 		if err := a.Restore(cp.State); err != nil {

@@ -105,11 +105,11 @@ func BenchmarkSaveGroup(b *testing.B) {
 	}
 }
 
-// TestLoadAllocationBudget pins the reads a restart makes once warm:
-// LoadDV fills the caller's vector and allocates nothing on either store;
-// MemStore's Load lends its own copies and allocates nothing, and the log
-// store's Load copies the record out — its vector and its state, two
-// allocations — because its concurrent readers share one read buffer.
+// TestLoadAllocationBudget pins the reads a restart makes once warm: LoadDV
+// fills the caller's vector, and a Load whose checkpoint is released before
+// the next one decodes into the released memory, so neither allocates on
+// either store. A Load whose checkpoint is kept allocates its vector and its
+// state, two allocations, on both.
 func TestLoadAllocationBudget(t *testing.T) {
 	const n, records = 32, 3
 	ls, err := Open(t.TempDir(), Options{})
@@ -117,11 +117,7 @@ func TestLoadAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	for _, tc := range []struct {
-		st         storage.Store
-		loadAllocs float64
-	}{{storage.NewMemStore(), 0}, {ls, 2 * records}} {
-		st := tc.st
+	for _, st := range []storage.Store{storage.NewMemStore(), ls} {
 		dv := vclock.New(n)
 		for i := 0; i < records; i++ {
 			dv[0] = i + 1
@@ -129,10 +125,16 @@ func TestLoadAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		load := func() {
-			for i := 0; i < records; i++ {
-				if cp, err := st.Load(i); err != nil || len(cp.State) != 4096 || cp.DV[0] != i+1 {
-					t.Fatalf("%T Load(%d) = %v, %v", st, i, cp.DV, err)
+		load := func(release bool) func() {
+			return func() {
+				for i := 0; i < records; i++ {
+					cp, err := st.Load(i)
+					if err != nil || len(cp.State) != 4096 || cp.DV[0] != i+1 {
+						t.Fatalf("%T Load(%d) = %v, %v", st, i, cp.DV, err)
+					}
+					if release {
+						st.Release(cp)
+					}
 				}
 			}
 		}
@@ -144,9 +146,12 @@ func TestLoadAllocationBudget(t *testing.T) {
 				}
 			}
 		}
-		load() // the log store's read buffer grows to the largest record once
-		if allocs := testing.AllocsPerRun(100, load); allocs != tc.loadAllocs {
-			t.Errorf("%T: warm Load of %d records: %v allocs, want %v", st, records, allocs, tc.loadAllocs)
+		load(true)() // the read buffer and the released memory grow once
+		if allocs := testing.AllocsPerRun(100, load(true)); allocs != 0 {
+			t.Errorf("%T: warm Load and Release of %d records: %v allocs, want 0", st, records, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, load(false)); allocs != 2*records {
+			t.Errorf("%T: warm Load of %d kept records: %v allocs, want %d", st, records, allocs, 2*records)
 		}
 		if allocs := testing.AllocsPerRun(100, loadDV); allocs != 0 {
 			t.Errorf("%T: warm LoadDV of %d records: %v allocs, want 0", st, records, allocs)

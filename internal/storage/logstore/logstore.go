@@ -87,8 +87,10 @@
 // cached: every read still decodes the bytes on disk, so the record parser
 // checks what is on the device at each Load and LoadDV. A LoadDV decodes
 // into the caller's vector and, once the read buffer has grown to the
-// largest record, allocates nothing; a Load copies the record out, because
-// concurrent readers share the read buffer.
+// largest record, allocates nothing. A Load copies the record out of the
+// shared read buffer into memory the caller owns: the memory of the
+// checkpoint Release last handed back, if any, so a restart that loads,
+// restores and releases allocates nothing here once warm.
 package logstore
 
 import (
@@ -231,9 +233,14 @@ type LogStore struct {
 	live   int64 // body bytes of the live records
 	stats  storage.Stats
 
-	enc  []byte    // reused record-encode buffer
-	rbuf []byte    // reused record-read buffer; Load copies out of it
-	ldv  vclock.DV // replay's scratch vector: the index keeps no vector
+	enc  []byte // reused record-encode buffer
+	rbuf []byte // reused record-read buffer; Load copies out of it
+	// spareDV and spareState are the memory of a checkpoint Release handed
+	// back, for the next Load to decode into: a restart's load and release
+	// then copy no snapshot out. One slot, taken whole by a Load, so two
+	// loaders never share it.
+	spareDV    vclock.DV
+	spareState []byte
 
 	gen    int      // current generation; −1 before the first record
 	genOff int64    // projected end of the current generation
@@ -600,11 +607,10 @@ func (s *LogStore) Delete(index int) error {
 
 // Load implements Store: one read and one decode. Staged-but-unsynced
 // records are served from the staging buffer; durable ones are read back
-// from the current generation. The checkpoint is a copy the caller may keep
-// — stricter than the lend Store.Load permits — because the log store serves
-// concurrent readers, and a shared read buffer lent to one would be
-// overwritten by the next. A failed store still serves what it holds; a
-// closed one serves nothing.
+// from the current generation. The checkpoint is copied out of the read
+// buffer, into the memory the last Release handed back when there is some,
+// else into new slices. A failed store still serves what it holds; a closed
+// one serves nothing.
 func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -620,14 +626,26 @@ func (s *LogStore) Load(index int) (storage.Checkpoint, error) {
 	if err != nil {
 		return storage.Checkpoint{}, fmt.Errorf("storage: read checkpoint %d: %w", index, err)
 	}
-	cp, err := storage.DecodeRecord(body)
+	cp, err := storage.DecodeRecordInto(s.spareDV, body)
 	if err != nil {
 		return storage.Checkpoint{}, fmt.Errorf("storage: corrupt checkpoint %d: %w", index, err)
 	}
+	cp.State = append(s.spareState[:0], cp.State...)
+	s.spareDV, s.spareState = nil, nil
 	if s.obs.LoadNs != nil {
 		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	return cp, nil
+}
+
+// Release implements Store: the checkpoint's memory fills the spare slot if
+// it is empty, and is dropped otherwise.
+func (s *LogStore) Release(cp storage.Checkpoint) {
+	s.mu.Lock()
+	if s.spareDV == nil && s.spareState == nil {
+		s.spareDV, s.spareState = cp.DV, cp.State
+	}
+	s.mu.Unlock()
 }
 
 // LoadDV implements Store: Load's one read cut to the record's prefix —

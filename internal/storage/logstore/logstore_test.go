@@ -754,7 +754,6 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 		}
 		// The vector alone, read from the record's prefix — from the staging
 		// copy while the record is in flight, the generation once durable.
-		want.DV = want.DV.Clone() // the lend ends at p.mem's next call
 		for _, st := range []storage.Store{p.mem, p.log} {
 			dv, err := st.LoadDV(idx, vclock.DV{-1, -1, -1})
 			if err != nil {
@@ -764,6 +763,10 @@ func (p *storePair) apply(what string, do func(storage.Store) error) bool {
 				p.t.Fatalf("%s: %T LoadDV(%d) = %v, Load gives %v", what, st, idx, dv, want.DV)
 			}
 		}
+		// Handed back, so the next Load of each store decodes into this one's
+		// memory.
+		p.mem.Release(want)
+		p.log.Release(got)
 	}
 	want := p.mem.Stats()
 	want.Saved -= p.resaved
@@ -1447,6 +1450,78 @@ func TestLoadsRaceCommitterAndCompactor(t *testing.T) {
 	}
 	if reg.Counter(obs.StorageCompactions).Value() == 0 {
 		t.Fatal("the writer never switched generations")
+	}
+}
+
+// TestLoadReleaseRacesSavesAndDeletes holds both stores' Load/Release
+// contract under concurrent use: loaders load, check and release what they
+// read — keeping every fifth checkpoint instead — while a writer saves and
+// deletes. A released checkpoint's memory serves a later Load, so a store
+// that handed one loader's memory to another, or reused memory a caller
+// kept, shows as a wrong record here or as a race under -race.
+func TestLoadReleaseRacesSavesAndDeletes(t *testing.T) {
+	for _, st := range []storage.Store{storage.NewMemStore(), openFloor(t, t.TempDir(), Options{Sync: noSync}, 512)} {
+		t.Run(fmt.Sprintf("%T", st), func(t *testing.T) {
+			const n, readers = 400, 4
+			var saved atomic.Int64 // highest index saved; kept ones at or below it are loadable
+			saved.Store(-1)
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			kept := make([][]storage.Checkpoint, readers)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for loads := 0; ; loads++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						top := saved.Load()
+						if top < 0 {
+							runtime.Gosched()
+							continue
+						}
+						idx := 4 * rng.Intn(int(top/4)+1)
+						got, err := st.Load(idx)
+						if want := ckpt(idx); err != nil || !got.DV.Equal(want.DV) || !bytes.Equal(got.State, want.State) {
+							t.Errorf("Load(%d) = %+v, %v; want %+v", idx, got, err, want)
+							return
+						}
+						if loads%5 == 0 {
+							kept[r] = append(kept[r], got)
+						} else {
+							st.Release(got)
+						}
+					}
+				}(r)
+			}
+			for i := 0; i < n; i++ {
+				if err := st.Save(ckpt(i)); err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 0 {
+					saved.Store(int64(i))
+				} else if i%4 == 3 {
+					for d := i - 2; d <= i; d++ {
+						if err := st.Delete(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			close(done)
+			wg.Wait()
+			for _, cps := range kept {
+				for _, cp := range cps {
+					if want := ckpt(cp.Index); !cp.DV.Equal(want.DV) || !bytes.Equal(cp.State, want.State) {
+						t.Fatalf("a kept checkpoint changed after later loads: %+v, want %+v", cp, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -207,11 +207,10 @@ func (s *LogStore) replayBatch(g int, base int64, payload []byte, records int) e
 // index is saved again only after a tombstone freed it, so a save of a live
 // index can only be corruption.
 func (s *LogStore) replayApplySave(g int, bodyOff int64, body []byte) error {
-	cp, err := storage.DecodeRecordInto(s.ldv, body)
+	cp, err := storage.DecodeRecord(body)
 	if err != nil {
 		return fmt.Errorf("logstore: generation %d: %w", g, err)
 	}
-	s.ldv = cp.DV // the index keeps neither the vector nor the state
 	if _, ok := s.recs[cp.Index]; ok {
 		return corruptf("logstore: generation %d: duplicate live checkpoint %d", g, cp.Index)
 	}

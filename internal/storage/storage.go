@@ -85,13 +85,9 @@ type Store interface {
 	// MemStore applies every delete at once; the log store defers as far as
 	// this contract allows.
 	Delete(index int) error
-	// Load returns the checkpoint with the given index, lent: its vector and
-	// state may be the store's memory, valid until the store's next call,
-	// and the caller must not modify them. A restart restores its
-	// application from the state straight away (app.App.Restore reads it for
-	// the call); a caller that keeps a checkpoint past the next call copies
-	// it. MemStore lends its own copies; the log store, whose concurrent
-	// readers share one read buffer, returns copies.
+	// Load returns the checkpoint with the given index. Its vector and state
+	// are the caller's until it hands them back with Release; a caller that
+	// never releases keeps them.
 	Load(index int) (Checkpoint, error)
 	// LoadDV reads the dependency vector of the checkpoint with the given
 	// index into dst — grown only when it is shorter than the vector — and
@@ -102,6 +98,14 @@ type Store interface {
 	// Load. It fails where Load fails, with the same errors, and makes the
 	// same structural checks of what it reads.
 	LoadDV(index int, dst vclock.DV) (vclock.DV, error)
+	// Release hands back a checkpoint Load returned, which the caller does
+	// not touch again: the store may reuse its memory for a later Load. A
+	// restart restores its application from the state (app.App.Restore reads
+	// it for the call) and releases it at once, so a store that reuses the
+	// memory serves restarts without copying a snapshot out. Release each
+	// loaded checkpoint at most once, and nothing Load did not return; with
+	// those kept, concurrent callers never share memory.
+	Release(cp Checkpoint)
 	// Indices returns the indices of stored checkpoints in ascending order.
 	Indices() []int
 	// Stats returns space-accounting counters.
@@ -122,9 +126,10 @@ type Stats struct {
 // of each checkpoint. The zero value is not usable; use NewMemStore.
 // MemStore is safe for concurrent use.
 //
-// It encodes nothing: Save costs one O(n) copy of the vector, Load lends the
-// store's own copies, and LoadDV costs one O(n) copy into the caller's
-// vector.
+// It encodes nothing: Save costs one O(n) copy of the vector, Load one more
+// and a copy of the state, and LoadDV one O(n) copy into the caller's
+// vector. Load copies into the memory Release hands back when there is
+// some, so a load that is released before the next allocates nothing.
 type MemStore struct {
 	mu     sync.Mutex
 	byIdx  map[int]memRec
@@ -134,11 +139,14 @@ type MemStore struct {
 	// spare holds the vectors of the records deleted last, for the next Save
 	// to copy into: a collector that deletes as fast as it saves (RDT-LGC,
 	// Section 4.5) then saves without allocating. A fixed array, so keeping a
-	// spare costs nothing and the list cannot grow. A vector Load lent may be
-	// recycled here by the next Delete and overwritten by the Save after it:
-	// the lend ends at the store's next call.
+	// spare costs nothing and the list cannot grow. Load copies into a spare
+	// too, and Release adds the vector it hands back: no spare is ever
+	// memory a caller still holds.
 	spare  [maxSpare]vclock.DV
 	nSpare int
+	// spareState is the state of a checkpoint Release handed back, for the
+	// next Load of a non-empty state to copy into.
+	spareState []byte
 
 	obs    obs.StoreMetrics // zero (free) unless SetObs attached handles
 	flight *obs.Recorder
@@ -204,14 +212,7 @@ func (s *MemStore) Save(cp Checkpoint) error {
 	if _, dup := s.byIdx[cp.Index]; dup {
 		return fmt.Errorf("storage: duplicate save of checkpoint %d of p%d", cp.Index, cp.Process)
 	}
-	rec := memRec{process: cp.Process, state: append([]byte(nil), cp.State...)}
-	if k := s.nSpare - 1; k >= 0 && len(s.spare[k]) == len(cp.DV) {
-		s.nSpare = k
-		rec.dv = s.spare[k]
-		rec.dv.CopyFrom(cp.DV)
-	} else {
-		rec.dv = cp.DV.Clone()
-	}
+	rec := memRec{process: cp.Process, dv: s.copyLocked(cp.DV), state: append([]byte(nil), cp.State...)}
 	s.byIdx[cp.Index] = rec
 	s.sorted = InsertSorted(s.sorted, cp.Index)
 	s.stats.Saved++
@@ -241,10 +242,7 @@ func (s *MemStore) Delete(index int) error {
 		return fmt.Errorf("storage: delete of absent checkpoint %d", index)
 	}
 	delete(s.byIdx, index)
-	if len(rec.dv) > 0 && s.nSpare < maxSpare {
-		s.spare[s.nSpare] = rec.dv
-		s.nSpare++
-	}
+	s.spareLocked(rec.dv)
 	s.sorted = RemoveSorted(s.sorted, index)
 	s.stats.Collected++
 	s.stats.Live--
@@ -255,7 +253,28 @@ func (s *MemStore) Delete(index int) error {
 	return nil
 }
 
-// Load implements Store, lending the store's own copies.
+// copyLocked returns a copy of dv, in a spare of the right size when one is
+// at hand.
+func (s *MemStore) copyLocked(dv vclock.DV) vclock.DV {
+	if k := s.nSpare - 1; k >= 0 && len(s.spare[k]) == len(dv) {
+		s.nSpare = k
+		s.spare[k].CopyFrom(dv)
+		return s.spare[k]
+	}
+	return dv.Clone()
+}
+
+// spareLocked keeps dv, which no record or caller holds any more, for the
+// next copy, if the spare list has room.
+func (s *MemStore) spareLocked(dv vclock.DV) {
+	if len(dv) > 0 && s.nSpare < maxSpare {
+		s.spare[s.nSpare] = dv
+		s.nSpare++
+	}
+}
+
+// Load implements Store, returning copies the caller owns, made in memory
+// Release handed back when there is some.
 func (s *MemStore) Load(index int) (Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,7 +286,15 @@ func (s *MemStore) Load(index int) (Checkpoint, error) {
 	if s.obs.LoadNs != nil {
 		t0 = time.Now()
 	}
-	cp := Checkpoint{Process: rec.process, Index: index, DV: rec.dv, State: rec.state}
+	cp := Checkpoint{
+		Process: rec.process,
+		Index:   index,
+		DV:      s.copyLocked(rec.dv),
+	}
+	if len(rec.state) > 0 {
+		cp.State = append(s.spareState[:0], rec.state...)
+		s.spareState = nil
+	}
 	if s.obs.LoadNs != nil {
 		s.obs.LoadNs.Observe(time.Since(t0).Nanoseconds())
 	}
@@ -283,6 +310,17 @@ func (s *MemStore) LoadDV(index int, dst vclock.DV) (vclock.DV, error) {
 		return nil, fmt.Errorf("storage: load of absent checkpoint %d", index)
 	}
 	return append(dst[:0], rec.dv...), nil
+}
+
+// Release implements Store, keeping the vector as a spare and the state,
+// if the state slot is empty, for the next Load.
+func (s *MemStore) Release(cp Checkpoint) {
+	s.mu.Lock()
+	s.spareLocked(cp.DV)
+	if s.spareState == nil && cap(cp.State) > 0 {
+		s.spareState = cp.State
+	}
+	s.mu.Unlock()
 }
 
 // NotifyDurable implements Store: a MemStore save is as stable as it will

@@ -56,9 +56,7 @@ func testStoreBasics(t *testing.T, s Store) {
 
 func TestMemStoreBasics(t *testing.T) { testStoreBasics(t, NewMemStore()) }
 
-// TestMemStoreIsolation checks stored checkpoints do not alias caller data,
-// and that the vector LoadDV fills is the caller's: writing it leaves the
-// store's copy as it was.
+// TestMemStoreIsolation checks stored checkpoints do not alias caller data.
 func TestMemStoreIsolation(t *testing.T) {
 	s := NewMemStore()
 	dv := vclock.DV{1, 2}
@@ -75,13 +73,15 @@ func TestMemStoreIsolation(t *testing.T) {
 	if got.DV[0] != 1 || got.State[0] != 9 {
 		t.Fatalf("stored checkpoint aliases caller slices: %+v", got)
 	}
+	got.DV[0] = 77
+	again, _ := s.Load(0)
+	if again.DV[0] != 1 {
+		t.Fatal("Load result aliases store internals")
+	}
 	vec, _ := s.LoadDV(0, nil)
 	vec[0] = 77
-	if again, _ := s.LoadDV(0, vec); again[0] != 1 {
+	if again, _ := s.LoadDV(0, nil); again[0] != 1 {
 		t.Fatal("LoadDV result aliases store internals")
-	}
-	if again, _ := s.Load(0); again.DV[0] != 1 {
-		t.Fatal("LoadDV result aliases the vector Load lends")
 	}
 }
 
@@ -141,11 +141,10 @@ func TestStatsPeakTracking(t *testing.T) {
 // TestMemStoreReusesReapedVectors runs the collector's steady state — every
 // save followed by the delete of the checkpoint it made obsolete — and
 // checks that Save copies into the vectors Delete freed instead of
-// allocating, that a vector LoadDV read before its record was deleted does
-// not change when the store reuses the record's vector (it is the caller's;
-// only what Load lends is the store's, and only until the next call), that
-// what stays live still loads exactly, and that the spare list stays capped
-// when many records go at once.
+// allocating, that a checkpoint loaded before its record was deleted does
+// not change when the vector is reused, that what stays live still loads
+// exactly, and that the spare list stays capped when many records go at
+// once.
 func TestMemStoreReusesReapedVectors(t *testing.T) {
 	const n = 32
 	s := NewMemStore()
@@ -169,16 +168,16 @@ func TestMemStoreReusesReapedVectors(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		cycle()
 	}
-	held, err := s.LoadDV(idx-1, nil)
+	held, err := s.Load(idx - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := held.Clone()
+	want := held.DV.Clone()
 	if allocs := testing.AllocsPerRun(160, cycle); allocs != 0 {
 		t.Errorf("save+delete cycle: %v allocs/op, want 0", allocs)
 	}
-	if !held.Equal(want) {
-		t.Fatalf("a vector read before its record was deleted changed when the store reused the record's: %v, want %v", held, want)
+	if !held.DV.Equal(want) {
+		t.Fatalf("a loaded checkpoint changed after its record was deleted and its vector reused: %v, want %v", held.DV, want)
 	}
 	if got, err := s.Load(idx - 1); err != nil || !got.DV.Equal(dv) {
 		t.Fatalf("live checkpoint loads as %v (err %v), want %v", got.DV, err, dv)
