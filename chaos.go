@@ -55,7 +55,11 @@ func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 	for _, f := range opt {
 		f(&o)
 	}
-	cfg, err := chaos.Stack(o.protocol.String(), o.collector.String())
+	s, err := o.stack()
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	cfg, err := chaos.Stack(s)
 	if err != nil {
 		return ChaosResult{}, err
 	}
@@ -65,7 +69,7 @@ func RunChaos(plan ChaosPlan, net Network, opt ...Option) (ChaosResult, error) {
 		Loss:     net.Loss,
 		Seed:     net.Seed,
 	}
-	cfg.GlobalLI, cfg.Deterministic = true, true
+	cfg.GlobalLI, cfg.Deterministic, cfg.PCheckpoint = true, true, 0.2
 	cfg.Compress, cfg.TCP = o.compress, net.TCP
 	if cfg.NewStore, err = o.stores(); err != nil {
 		return ChaosResult{}, err

@@ -81,6 +81,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaos: -cycles must be >= 1, got %d\n", *cycles)
 		os.Exit(2)
 	}
+	if err := sweep.CheckLoad(*ops, *pcheck); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	backend, err := storage.ParseBackend(*store)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -49,7 +49,11 @@ func runObserved(f observedFlags, backend storage.Backend, pat chaos.Pattern, n,
 		return err
 	}
 	const proto, collector = "FDAS", core.RDTLGC
-	cfg, err := chaos.Stack(proto, collector)
+	s, err := core.NewStack(proto, collector)
+	if err != nil {
+		return err
+	}
+	cfg, err := chaos.Stack(s)
 	if err != nil {
 		return err
 	}

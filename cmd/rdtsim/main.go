@@ -18,6 +18,7 @@ import (
 	rdt "repro"
 	"repro/internal/core"
 	"repro/internal/protocol"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -43,7 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := checkLoad(*ops, *pc); err != nil {
+	if err := sweep.CheckLoad(*ops, *pc); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -124,19 +125,6 @@ func checkShape(n, crash int) error {
 	}
 	if crash < -1 || crash >= n {
 		return fmt.Errorf("rdtsim: -crash must be -1 (none) or a process in [0, %d), got %d", n, crash)
-	}
-	return nil
-}
-
-// checkLoad refuses, in both modes and before anything is built, a run
-// that would do nothing and still print a table: fewer than one operation,
-// or a checkpoint probability outside [0, 1] (NaN included).
-func checkLoad(ops int, pcheckpoint float64) error {
-	if ops < 1 {
-		return fmt.Errorf("rdtsim: -ops must be at least 1, got %d", ops)
-	}
-	if !(pcheckpoint >= 0 && pcheckpoint <= 1) {
-		return fmt.Errorf("rdtsim: -pcheckpoint must be a probability in [0, 1], got %g", pcheckpoint)
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: -seeds must be >= 1, got %d\n", *seeds)
 		os.Exit(2)
 	}
-	if err := checkLoad(*ops, *pcheck); err != nil {
+	if err := sweep.CheckLoad(*ops, *pcheck); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -74,17 +74,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// checkLoad refuses, before any cell runs, a grid that would do nothing and
-// still print a table: fewer than one operation per run, or a checkpoint
-// probability outside [0, 1] (NaN included).
-func checkLoad(ops int, pcheckpoint float64) error {
-	if ops < 1 {
-		return fmt.Errorf("sweep: -ops must be at least 1, got %d", ops)
-	}
-	if !(pcheckpoint >= 0 && pcheckpoint <= 1) {
-		return fmt.Errorf("sweep: -pcheckpoint must be a probability in [0, 1], got %g", pcheckpoint)
-	}
-	return nil
 }

@@ -29,21 +29,23 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
+// TestCheckLoad lists the -ops and -pcheckpoint values that cmd/sweep,
+// cmd/chaos and cmd/rdtsim refuse with exit 2.
 func TestCheckLoad(t *testing.T) {
 	for _, ok := range []struct {
 		ops int
 		pc  float64
 	}{{1, 0}, {1, 1}, {3000, 0.2}} {
-		if err := checkLoad(ok.ops, ok.pc); err != nil {
-			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) = %v", ok.ops, ok.pc, err)
+		if err := sweep.CheckLoad(ok.ops, ok.pc); err != nil {
+			t.Errorf("sweep.CheckLoad(ops=%d, pcheckpoint=%g) = %v", ok.ops, ok.pc, err)
 		}
 	}
 	for _, bad := range []struct {
 		ops int
 		pc  float64
 	}{{0, 0.2}, {-5, 0.2}, {10, -1}, {10, 2}, {10, -0.01}, {10, 1.01}, {10, math.NaN()}} {
-		if err := checkLoad(bad.ops, bad.pc); err == nil {
-			t.Errorf("checkLoad(ops=%d, pcheckpoint=%g) should fail", bad.ops, bad.pc)
+		if err := sweep.CheckLoad(bad.ops, bad.pc); err == nil {
+			t.Errorf("sweep.CheckLoad(ops=%d, pcheckpoint=%g) should fail", bad.ops, bad.pc)
 		}
 	}
 }

@@ -8,11 +8,8 @@ import (
 
 	"repro/internal/ccp"
 	"repro/internal/core"
-	"repro/internal/gc"
-	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // Both engines are drivers of the same middleware kernel (internal/node),
@@ -134,24 +131,26 @@ func xcompare(t *testing.T, phase string, r *sim.Runner, c *runtime.Cluster) {
 // — compressed — the same piggybacks, in both of their wire forms.
 func TestCrossEngineDifferential(t *testing.T) {
 	const n = 4
+	st, err := core.NewStack("FDAS", core.RDTLGC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, compress := range []bool{false, true} {
 		compress := compress
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			lgc := func(self, nn int, st storage.Store) gc.Local { return core.New(self, nn, st) }
-			fdas := func(int) protocol.Protocol { return protocol.NewFDAS() }
-
 			r, err := sim.NewRunner(sim.Config{
-				N: n, Protocol: fdas, LocalGC: lgc, Compress: compress,
+				N: n, Protocol: st.Protocol, LocalGC: st.Local, Compress: compress,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			c, err := runtime.NewCluster(runtime.Config{
-				N: n, Protocol: fdas, LocalGC: lgc, Compress: compress, Record: true,
+				N: n, Protocol: st.Protocol, LocalGC: st.Local, Compress: compress, Record: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer c.Close()
 
 			stream := xstream(n, 120, 1303)
 			if err := r.Run(xscript(n, stream)); err != nil {
@@ -195,6 +194,31 @@ func TestCrossEngineDifferential(t *testing.T) {
 	}
 }
 
+// TestCrossEngineUnsetProtocol gives both engines no protocol and no
+// collector. Each falls back to node.New's FDAS, so on one stream they force
+// the same checkpoints, and force some.
+func TestCrossEngineUnsetProtocol(t *testing.T) {
+	const n = 4
+	r, err := sim.NewRunner(sim.Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := runtime.NewCluster(runtime.Config{N: n, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stream := xstream(n, 120, 1303)
+	if err := r.Run(xscript(n, stream)); err != nil {
+		t.Fatal(err)
+	}
+	xdrive(t, c, stream)
+	xcompare(t, "unset protocol", r, c)
+	if r.Metrics().Forced == 0 {
+		t.Error("neither engine forced a checkpoint: the unset protocol is not FDAS")
+	}
+}
+
 // TestCrossEngineDeterminism pins the serialized live replay itself: two
 // clusters fed the same stream produce byte-identical histories, so the
 // differential test above cannot pass by accident of scheduling.
@@ -206,6 +230,7 @@ func TestCrossEngineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		xdrive(t, c, stream)
 		return c.History()
 	}

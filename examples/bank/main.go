@@ -20,9 +20,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
-	"repro/internal/gc"
 	"repro/internal/runtime"
-	"repro/internal/storage"
 )
 
 const (
@@ -31,12 +29,15 @@ const (
 )
 
 func main() {
+	stack, err := core.NewStack("FDAS", core.RDTLGC)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cluster, err := runtime.NewCluster(runtime.Config{
-		N:   branches,
-		TCP: true,
-		LocalGC: func(self, n int, st storage.Store) gc.Local {
-			return core.New(self, n, st)
-		},
+		N:        branches,
+		TCP:      true,
+		Protocol: stack.Protocol,
+		LocalGC:  stack.Local,
 		NewApp: func(self int) app.App {
 			kv := app.NewKV()
 			kv.Set("balance", initial)

@@ -24,6 +24,7 @@ func lgcConfig(det bool) chaos.Config {
 		LocalGC:       func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 		Net:           runtime.NetworkOptions{Loss: 0.05, Seed: 7},
 		GlobalLI:      true,
+		PCheckpoint:   0.2,
 		Deterministic: det,
 		RDT:           true,
 		CheckNBound:   true,

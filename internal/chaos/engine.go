@@ -31,7 +31,7 @@ type Config struct {
 	// for the recovery sessions.
 	GlobalLI bool
 	// PCheckpoint is the probability a drive operation is a basic
-	// checkpoint (default 0.2).
+	// checkpoint.
 	PCheckpoint float64
 
 	// Deterministic serializes the drive phases (one operation at a time,
@@ -70,20 +70,14 @@ type Config struct {
 	Obs obs.Options
 }
 
-// Stack returns a Config that runs the named protocol under the named local
-// collector, with the oracle checks that stack promises: RD-trackability
-// under an RDT protocol, and the n-bound when RDT-LGC runs under one.
-func Stack(protocolName, collectorName string) (Config, error) {
-	pf := protocol.Factory(protocolName)
-	if pf == nil {
-		return Config{}, fmt.Errorf("chaos: unknown protocol %q", protocolName)
-	}
-	col, err := core.LookupCollector(collectorName, true)
-	if err != nil {
+// Stack returns a Config that runs s, with the oracle checks s promises:
+// RD-trackability under an RDT protocol, and the n-bound when RDT-LGC runs
+// under one. It refuses a global collector (core.Stack.Live).
+func Stack(s core.Stack) (Config, error) {
+	if err := s.Live(); err != nil {
 		return Config{}, fmt.Errorf("chaos: %w", err)
 	}
-	rdt := protocol.RDT(pf(0))
-	return Config{Protocol: pf, LocalGC: col.Local, RDT: rdt, CheckNBound: rdt && col.Name == core.RDTLGC}, nil
+	return Config{Protocol: s.Protocol, LocalGC: s.Local, RDT: s.RDT, CheckNBound: s.NBound}, nil
 }
 
 // Result aggregates a run's survivability measurements. All counters are
@@ -142,9 +136,6 @@ func (r Result) MeanHealLatency() time.Duration {
 // recovery session against the ground-truth oracles. The first oracle
 // violation aborts the run with an error describing it.
 func Run(cfg Config, plan Plan) (Result, error) {
-	if cfg.PCheckpoint == 0 {
-		cfg.PCheckpoint = 0.2
-	}
 	base := cfg.Net
 	if cfg.Deterministic {
 		base.MinDelay, base.MaxDelay = 0, 0

@@ -23,6 +23,7 @@ func TestObsChaosMetrics(t *testing.T) {
 	res, err := Run(Config{
 		LocalGC:       func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) },
 		GlobalLI:      true,
+		PCheckpoint:   0.2,
 		Deterministic: true,
 		RDT:           true,
 		CheckNBound:   true,

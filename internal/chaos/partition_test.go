@@ -25,6 +25,7 @@ func partitionConfig() chaos.Config {
 		TCP:           true,
 		Compress:      true,
 		GlobalLI:      true,
+		PCheckpoint:   0.2,
 		Deterministic: true,
 		RDT:           true,
 		CheckNBound:   true,

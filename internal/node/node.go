@@ -156,7 +156,9 @@ type Piggyback struct {
 }
 
 // New builds the kernel and stores the initial checkpoint s^0 with the zero
-// vector, as the model requires, before any activity.
+// vector, as the model requires, before any activity. It refuses a store
+// that already holds checkpoints: s^0 saved beside an earlier run's records
+// would mix the two runs.
 func New(cfg Config) (*Kernel, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("node: need at least one process")
@@ -166,6 +168,9 @@ func New(cfg Config) (*Kernel, error) {
 	}
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("node: p%d has no stable store", cfg.ID)
+	}
+	if held := cfg.Store.Indices(); len(held) > 0 {
+		return nil, fmt.Errorf("node: p%d's stable store already holds checkpoints %v of an earlier run", cfg.ID, held)
 	}
 	if cfg.Protocol == nil {
 		cfg.Protocol = func(int) protocol.Protocol { return protocol.NewFDAS() }

@@ -77,7 +77,7 @@ func TestBCSIsZCycleFreeButNotRDT(t *testing.T) {
 func TestNoneExhibitsDominoEffect(t *testing.T) {
 	fig := ccp.NewFig2()
 
-	rNone, err := sim.NewRunner(sim.Config{N: 2})
+	rNone, err := sim.NewRunner(sim.Config{N: 2, Protocol: protocol.Factory("none")})
 	if err != nil {
 		t.Fatal(err)
 	}

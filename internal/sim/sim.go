@@ -35,7 +35,8 @@ import (
 )
 
 // Config assembles a Runner. Protocol and LocalGC are per-process
-// constructors; NewStore defaults to in-memory stores.
+// constructors, unset meaning node.New's FDAS and no collection as in every
+// engine; NewStore defaults to in-memory stores.
 type Config struct {
 	N        int
 	Protocol func(self int) protocol.Protocol
@@ -111,9 +112,6 @@ type message struct {
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("sim: need at least one process")
-	}
-	if cfg.Protocol == nil {
-		cfg.Protocol = protocol.Factory("none")
 	}
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) (storage.Store, error) { return storage.NewMemStore(), nil }

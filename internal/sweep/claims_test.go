@@ -59,8 +59,12 @@ func TestCollectorsTableBounds(t *testing.T) {
 // than any one process's.
 func TestOccupancySamplesEveryEvent(t *testing.T) {
 	c := Cell{Table: Collectors, Workload: workload.Ring, N: 3, Ops: 90, PCheckpoint: 0.2, GlobalEvery: 1}
+	st, err := core.NewStack("FDAS", core.RDTLGC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var occ occupancy
-	if _, err := c.simulate(0, "FDAS", core.RDTLGC, &occ); err != nil {
+	if _, err := c.simulate(0, st, &occ); err != nil {
 		t.Fatal(err)
 	}
 	script, _ := c.script(0)

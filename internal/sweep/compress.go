@@ -6,11 +6,8 @@ import (
 
 	"repro/internal/ccp"
 	"repro/internal/core"
-	"repro/internal/gc"
-	"repro/internal/protocol"
 	rt "repro/internal/runtime"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // This file implements the Compression table (E6): the control-information
@@ -79,16 +76,10 @@ func compressTraffic(n, ops int, seed int64, pCheckpoint float64) []trafficOp {
 	return out
 }
 
-func compressStack() (func(int) protocol.Protocol, func(int, int, storage.Store) gc.Local) {
-	return protocol.Factory("FDAS"),
-		func(self, n int, st storage.Store) gc.Local { return core.New(self, n, st) }
-}
-
 // runCompressSim replays the traffic as a simulator script with immediate
 // deliveries and returns (piggybacked entries, their wire bytes, sends).
-func runCompressSim(n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
-	pf, lgc := compressStack()
-	r, err := sim.NewRunner(sim.Config{N: n, Protocol: pf, LocalGC: lgc, Compress: compress})
+func runCompressSim(st core.Stack, n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
+	r, err := sim.NewRunner(sim.Config{N: n, Protocol: st.Protocol, LocalGC: st.Local, Compress: compress})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -110,12 +101,12 @@ func runCompressSim(n int, traffic []trafficOp, compress bool) (entries, bytes, 
 // runCompressLive replays the traffic serialized on a live cluster (zero
 // delays, network drained after every operation, so the run is
 // deterministic) and returns (piggybacked entries, their wire bytes, sends).
-func runCompressLive(n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
-	pf, lgc := compressStack()
-	c, err := rt.NewCluster(rt.Config{N: n, Protocol: pf, LocalGC: lgc, Compress: compress})
+func runCompressLive(st core.Stack, n int, traffic []trafficOp, compress bool) (entries, bytes, sends int, err error) {
+	c, err := rt.NewCluster(rt.Config{N: n, Protocol: st.Protocol, LocalGC: st.Local, Compress: compress})
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	defer c.Close()
 	for _, op := range traffic {
 		if op.ckpt {
 			if err := c.Node(op.p).Checkpoint(); err != nil {
@@ -134,7 +125,7 @@ func runCompressLive(n int, traffic []trafficOp, compress bool) (entries, bytes,
 
 // runCompress measures one Compression cell: Seeds independent seeded
 // traffic streams through the cell's engine and mode.
-func (c Cell) runCompress(res *Result) error {
+func (c Cell) runCompress(st core.Stack, res *Result) error {
 	v := c.CompressVariant
 	if c.N < 2 {
 		return fmt.Errorf("sweep: cell %d (n=%d %s): compression traffic needs at least 2 processes", c.Index, c.N, v.Name())
@@ -146,9 +137,9 @@ func (c Cell) runCompress(res *Result) error {
 		var err error
 		switch v.Engine {
 		case "sim":
-			e, b, snd, err = runCompressSim(c.N, traffic, v.Compress)
+			e, b, snd, err = runCompressSim(st, c.N, traffic, v.Compress)
 		case "live":
-			e, b, snd, err = runCompressLive(c.N, traffic, v.Compress)
+			e, b, snd, err = runCompressLive(st, c.N, traffic, v.Compress)
 		default:
 			err = fmt.Errorf("sweep: unknown compression engine %q", v.Engine)
 		}

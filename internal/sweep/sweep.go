@@ -96,6 +96,20 @@ func ParseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
+// CheckLoad refuses -ops and -pcheckpoint flag values that would run
+// nothing and still print a result: fewer than one operation, or a
+// checkpoint probability outside [0, 1] (NaN included). Shared by the
+// cmd/sweep, cmd/chaos and cmd/rdtsim CLIs.
+func CheckLoad(ops int, pcheckpoint float64) error {
+	if ops < 1 {
+		return fmt.Errorf("sweep: -ops must be at least 1, got %d", ops)
+	}
+	if !(pcheckpoint >= 0 && pcheckpoint <= 1) {
+		return fmt.Errorf("sweep: -pcheckpoint must be a probability in [0, 1], got %g", pcheckpoint)
+	}
+	return nil
+}
+
 // OverheadProtocols is the protocol axis of the Protocols table, ordered
 // from strongest causal tracking to none.
 func OverheadProtocols() []string {
@@ -207,13 +221,12 @@ type Cell struct {
 	Table    Table
 	Workload workload.Kind
 	N        int
-	// Exactly one of Collector / Protocol / ChaosVariant / CompressVariant
-	// is meaningful, per Table.
-	Collector       string
-	Protocol        string
-	Pattern         chaos.Pattern
-	ChaosVariant    ChaosVariant
-	CompressVariant CompressVariant
+	// Protocol and Collector name the stack the cell runs: FDAS under
+	// RDT-LGC unless its table varies one or both. CompressVariant is the
+	// Compression table's alone.
+	Protocol, Collector string
+	Pattern             chaos.Pattern
+	CompressVariant     CompressVariant
 
 	Seeds       int
 	Ops         int
@@ -229,7 +242,7 @@ func (c Cell) Variant() string {
 	case Collectors:
 		return c.Collector
 	case Chaos:
-		return c.ChaosVariant.Name()
+		return ChaosVariant{c.Protocol, c.Collector}.Name()
 	case Compression:
 		return c.CompressVariant.Name()
 	default:
@@ -248,7 +261,7 @@ func (g Grid) Cells() []Cell {
 				for _, v := range g.Chaos {
 					cells = append(cells, Cell{
 						Index: len(cells), Table: Chaos, Pattern: pat, N: n,
-						ChaosVariant: v, Seeds: g.Seeds, Ops: g.Ops,
+						Protocol: v.Protocol, Collector: v.Collector, Seeds: g.Seeds, Ops: g.Ops,
 						PCheckpoint: g.PCheckpoint, Cycles: g.Cycles,
 					})
 				}
@@ -260,7 +273,7 @@ func (g Grid) Cells() []Cell {
 		for _, n := range g.Sizes {
 			for _, v := range g.Compress {
 				cells = append(cells, Cell{
-					Index: len(cells), Table: Compression, N: n,
+					Index: len(cells), Table: Compression, N: n, Protocol: "FDAS", Collector: core.RDTLGC,
 					CompressVariant: v, Seeds: g.Seeds, Ops: g.Ops,
 					PCheckpoint: g.PCheckpoint,
 				})
@@ -271,9 +284,12 @@ func (g Grid) Cells() []Cell {
 	for _, kind := range g.Workloads {
 		for _, n := range g.Sizes {
 			base := Cell{
-				Table: g.Table, Workload: kind, N: n,
+				Table: g.Table, Workload: kind, N: n, Protocol: "FDAS", Collector: core.RDTLGC,
 				Seeds: g.Seeds, Ops: g.Ops,
 				PCheckpoint: g.PCheckpoint, GlobalEvery: g.GlobalEvery,
+			}
+			if g.Table == Rollback {
+				base.Collector = core.NoGC
 			}
 			switch g.Table {
 			case Collectors:
@@ -342,18 +358,21 @@ type Result struct {
 func (c Cell) Run() (Result, error) {
 	start := time.Now()
 	res := Result{Cell: c}
-	var err error
+	st, err := core.NewStack(c.Protocol, c.Collector)
+	if err != nil {
+		return res, fmt.Errorf("sweep: cell %d (n=%d %s): %w", c.Index, c.N, c.Variant(), err)
+	}
 	switch c.Table {
 	case Collectors:
-		err = c.runCollectors(&res)
+		err = c.runCollectors(st, &res)
 	case Protocols:
-		err = c.runProtocols(&res)
+		err = c.runProtocols(st, &res)
 	case Rollback:
-		err = c.runRollback(&res)
+		err = c.runRollback(st, &res)
 	case Chaos:
-		err = c.runChaos(&res)
+		err = c.runChaos(st, &res)
 	case Compression:
-		err = c.runCompress(&res)
+		err = c.runCompress(st, &res)
 	default:
 		err = fmt.Errorf("sweep: unknown table %d", int(c.Table))
 	}
@@ -378,24 +397,15 @@ func (c Cell) script(s int) (sc ccp.Script, err error) {
 	return sc, nil
 }
 
-// simulate runs the cell's s-th script on the simulator under the named
-// protocol and collector. With occ set it samples the stable-checkpoint
-// occupancy after every event.
-func (c Cell) simulate(s int, proto, collector string, occ *occupancy) (*sim.Runner, error) {
+// simulate runs the cell's s-th script on the simulator under the stack st.
+// With occ set it samples the stable-checkpoint occupancy after every event.
+func (c Cell) simulate(s int, st core.Stack, occ *occupancy) (*sim.Runner, error) {
 	script, err := c.script(s)
 	if err != nil {
 		return nil, err
 	}
-	pf := protocol.Factory(proto)
-	if pf == nil {
-		return nil, fmt.Errorf("sweep: unknown protocol %q", proto)
-	}
-	col, err := core.LookupCollector(collector, false)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
 	var r *sim.Runner
-	cfg := sim.Config{N: c.N, Protocol: pf, LocalGC: col.Local, GlobalGC: col.Global, GlobalEvery: c.GlobalEvery}
+	cfg := sim.Config{N: c.N, Protocol: st.Protocol, LocalGC: st.Local, GlobalGC: st.Global, GlobalEvery: c.GlobalEvery}
 	if occ != nil {
 		cfg.AfterEvent = func() error { occ.sample(r); return nil }
 	}
@@ -445,12 +455,12 @@ func collectRatio(r *sim.Runner) float64 {
 	return ratio(obsolete-kept, obsolete)
 }
 
-func (c Cell) runCollectors(res *Result) error {
+func (c Cell) runCollectors(st core.Stack, res *Result) error {
 	var mean, collected float64
 	var forced int
 	for s := 0; s < c.Seeds; s++ {
 		var occ occupancy
-		r, err := c.simulate(s, "FDAS", c.Collector, &occ)
+		r, err := c.simulate(s, st, &occ)
 		if err != nil {
 			return err
 		}
@@ -467,12 +477,12 @@ func (c Cell) runCollectors(res *Result) error {
 	return nil
 }
 
-func (c Cell) runProtocols(res *Result) error {
+func (c Cell) runProtocols(st core.Stack, res *Result) error {
 	var basic, forced int
 	var mean float64
 	for s := 0; s < c.Seeds; s++ {
 		var occ occupancy
-		r, err := c.simulate(s, c.Protocol, core.RDTLGC, &occ)
+		r, err := c.simulate(s, st, &occ)
 		if err != nil {
 			return err
 		}
@@ -481,7 +491,7 @@ func (c Cell) runProtocols(res *Result) error {
 		forced += m.Forced
 		mean += occ.mean()
 	}
-	res.RDT = protocol.RDT(protocol.Factory(c.Protocol)(0))
+	res.RDT = st.RDT
 	res.Basic = basic / c.Seeds
 	res.Forced = forced / c.Seeds
 	res.ForcedPerBasic = ratio(forced, basic)
@@ -496,11 +506,11 @@ func (c Cell) runProtocols(res *Result) error {
 // alike) and records how far every other process is dragged back. This is
 // the quantity Agbaria, Attiya, Friedman and Vitenberg (SRDS 2001, the
 // paper's reference [1]) study analytically.
-func (c Cell) runRollback(res *Result) error {
+func (c Cell) runRollback(st core.Stack, res *Result) error {
 	var mean float64
 	var lost, crashes int
 	for s := 0; s < c.Seeds; s++ {
-		r, err := c.simulate(s, c.Protocol, core.NoGC, nil)
+		r, err := c.simulate(s, st, nil)
 		if err != nil {
 			return err
 		}
@@ -558,8 +568,7 @@ func (c Cell) runRollback(res *Result) error {
 // Wall-clock recovery latency is the one non-deterministic column; it is
 // reported only through the JSON output, so the text table stays
 // byte-identical across runs and worker counts.
-func (c Cell) runChaos(res *Result) error {
-	v := c.ChaosVariant
+func (c Cell) runChaos(st core.Stack, res *Result) error {
 	var depth float64
 	var crashes, recoveries, orphans, replayed, partitions, heals int
 	var latency, healLatency time.Duration
@@ -571,7 +580,7 @@ func (c Cell) runChaos(res *Result) error {
 		if err != nil {
 			return err
 		}
-		cfg, err := chaos.Stack(v.Protocol, v.Collector)
+		cfg, err := chaos.Stack(st)
 		if err != nil {
 			return err
 		}
@@ -579,7 +588,7 @@ func (c Cell) runChaos(res *Result) error {
 		cfg.GlobalLI, cfg.Deterministic, cfg.PCheckpoint = true, true, c.PCheckpoint
 		r, err := chaos.Run(cfg, plan)
 		if err != nil {
-			return fmt.Errorf("sweep: cell %d (%s n=%d %s): %w", c.Index, c.Pattern, c.N, v.Name(), err)
+			return fmt.Errorf("sweep: cell %d (%s n=%d %s): %w", c.Index, c.Pattern, c.N, c.Variant(), err)
 		}
 		crashes += r.Crashes
 		recoveries += r.Recoveries

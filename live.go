@@ -3,7 +3,6 @@ package rdt
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/runtime"
 )
 
@@ -40,18 +39,17 @@ func NewCluster(n int, net Network, opt ...Option) (*Cluster, error) {
 	for _, f := range opt {
 		f(&o)
 	}
-	pf, err := o.protocol.factory()
-	if err != nil {
-		return nil, err
+	s, err := o.stack()
+	if err == nil {
+		err = s.Live()
 	}
-	col, err := core.LookupCollector(o.collector.String(), true)
 	if err != nil {
 		return nil, err
 	}
 	cfg := runtime.Config{
 		N:        n,
-		Protocol: pf,
-		LocalGC:  col.Local,
+		Protocol: s.Protocol,
+		LocalGC:  s.Local,
 		TCP:      net.TCP,
 		Compress: o.compress,
 		Obs:      o.obs,

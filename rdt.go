@@ -78,15 +78,8 @@ func (p Protocol) String() string {
 // RDT reports whether the protocol guarantees rollback-dependency
 // trackability, the property RDT-LGC's guarantees are stated under.
 func (p Protocol) RDT() bool {
-	pf, err := p.factory()
-	return err == nil && protocol.RDT(pf(0))
-}
-
-func (p Protocol) factory() (func(int) protocol.Protocol, error) {
-	if pf := protocol.Factory(p.String()); pf != nil {
-		return pf, nil
-	}
-	return nil, fmt.Errorf("rdt: unknown protocol %d", int(p))
+	s, err := options{protocol: p, collector: RDTLGC}.stack()
+	return err == nil && s.RDT
 }
 
 // Collector selects the garbage-collection strategy.
@@ -189,20 +182,21 @@ func (o options) stores() (func(self int) (storage.Store, error), error) {
 	return logstore.Factory(o.storageDir), nil
 }
 
+// stack resolves the configured protocol and collector (core.NewStack).
+func (o options) stack() (core.Stack, error) {
+	return core.NewStack(o.protocol.String(), o.collector.String())
+}
+
 func (o options) simConfig(n int) (sim.Config, error) {
-	pf, err := o.protocol.factory()
-	if err != nil {
-		return sim.Config{}, err
-	}
-	col, err := core.LookupCollector(o.collector.String(), false)
+	s, err := o.stack()
 	if err != nil {
 		return sim.Config{}, err
 	}
 	cfg := sim.Config{
 		N:        n,
-		Protocol: pf,
-		LocalGC:  col.Local,
-		GlobalGC: col.Global,
+		Protocol: s.Protocol,
+		LocalGC:  s.Local,
+		GlobalGC: s.Global,
 		Compress: o.compress,
 		Obs:      o.obs,
 	}

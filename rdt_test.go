@@ -1,7 +1,9 @@
 package rdt_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +117,45 @@ func TestStorageBackendOption(t *testing.T) {
 		if !reflect.DeepEqual(views[0], views[i]) {
 			t.Errorf("backend views diverge: mem %v vs %v", views[0], views[i])
 		}
+	}
+}
+
+// TestStoresOfAnEarlierRunAreRefused reopens the log stores a closed
+// cluster left behind. Neither engine may save a fresh s^0 beside the
+// earlier run's checkpoints, and the refusal names the process and what its
+// store holds.
+func TestStoresOfAnEarlierRunAreRefused(t *testing.T) {
+	opt := rdt.WithStorage(rdt.BackendLog, t.TempDir())
+	c, err := rdt.NewCluster(2, rdt.Network{}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 24; k++ {
+		if err := c.Node(k % 2).Send(1 - k%2); err != nil {
+			t.Fatal(err)
+		}
+		if k%3 == 0 {
+			if err := c.Node(k % 2).Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Quiesce()
+	}
+	want := fmt.Sprintf("p0's stable store already holds checkpoints %v", c.Node(0).Store().Indices())
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := rdt.NewCluster(2, rdt.Network{}, opt); err == nil || !strings.Contains(err.Error(), want) {
+		if err == nil {
+			again.Close()
+		}
+		t.Errorf("NewCluster over an earlier run's stores: %v; want an error containing %q", err, want)
+	}
+	if sys, err := rdt.New(2, opt); err == nil || !strings.Contains(err.Error(), want) {
+		if err == nil {
+			sys.Close()
+		}
+		t.Errorf("New over an earlier run's stores: %v; want an error containing %q", err, want)
 	}
 }
 

@@ -94,6 +94,28 @@ if grep -nE 'protocol\.New(FDAS|FDI|CBR|Russell|BCS|None)\(\)|"(RDT-LGC|no-gc|sy
 	echo "layering violation: a protocol constructor or collector name outside the vocabulary (internal/protocol/protocol.go, internal/core/collectors.go)" >&2
 	fail=1
 fi
+# One stack constructor. core.NewStack (internal/core/collectors.go) is the
+# one place a protocol name and a collector name become an engine's
+# protocol and collector, with what the pair promises; every other site
+# copies a Stack's fields. A second protocol.Factory caller, a collector
+# lookup outside it, a hand-written Protocol/LocalGC closure, or one of the
+# assemblies it replaced is a second description of a stack growing back.
+if grep -n 'protocol\.Factory(' $go_files >&2 ||
+	grep -nE '(Protocol|LocalGC): *func\(' $go_files >&2 ||
+	grep -nE '\bcollectors\(\)|LookupCollector' $go_files >&2; then
+	echo "layering violation: a stack resolved outside core.NewStack (internal/core/collectors.go)" >&2
+	fail=1
+fi
+if [ "$(grep -c 'protocol\.Factory(' internal/core/collectors.go)" -ne 1 ]; then
+	echo "layering violation: core.NewStack must be protocol.Factory's one caller" >&2
+	fail=1
+fi
+for gone in 'repro/internal/core LookupCollector' 'repro/internal/sweep compressStack' 'repro Protocol.factory'; do
+	if go doc -u $gone >/dev/null 2>&1; then
+		echo "layering violation: $gone is back; resolve the stack with core.NewStack" >&2
+		fail=1
+	fi
+done
 for gone in internal/metrics internal/zcfgc; do
 	if [ -e "$gone" ]; then
 		echo "layering violation: $gone exists; its statistics live in internal/sweep and its argument in DESIGN.md" >&2
@@ -388,4 +410,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link or empty queue, clears no encoder, walks only held UC entries and reads the crashed set without a lock; a message takes no cluster-wide lock and is written once per hand-off; each destination has one sender worker from NewCluster to Close; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
+echo "layering ok: internal/node imports neither engine; both engines drive it; the stores and the transport import neither; one file of the runtime names the socket wire; obs is a stdlib-only leaf; protocols and collectors are named in one table each and every stack is resolved by core.NewStack; piggybacks are encoded at send alone, from an encoder state of 7n ints and no change log; a session sweeps no idle link or empty queue, clears no encoder, walks only held UC entries and reads the crashed set without a lock; a message takes no cluster-wide lock and is written once per hand-off; each destination has one sender worker from NewCluster to Close; both engines lend buffers from node.Pool and read kernels through node.View; every event is recorded once, in one file of the runtime, and a recorded cluster's recorder is its history; a cut drains and nothing resends; every message is delivered by the kernel's one per-message step, by the goroutine that brought it, and every count has one cell; every setting has a caller; every log record is a full record and a log store has no compactor; the simulator keeps one history; each paper algorithm has one implementation"
