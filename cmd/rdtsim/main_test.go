@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
@@ -12,6 +15,37 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/workload"
 )
+
+// TestMain runs the rdtsim command itself when RDTSIM_RUN_MAIN is set, so a
+// test can hold main's flag checks and exit codes to account in a child
+// process.
+func TestMain(m *testing.M) {
+	if os.Getenv("RDTSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs rdtsim with args in a child process and returns its exit
+// code, standard output and standard error.
+func runMain(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RDTSIM_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stdout.String(), stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.String(), stderr.String()
+	}
+	t.Fatalf("rdtsim %v: %v", args, err)
+	return 0, "", ""
+}
 
 func TestParseWorkload(t *testing.T) {
 	for _, k := range workload.Kinds() {
@@ -138,5 +172,32 @@ func TestLiveRefusesGlobalCollector(t *testing.T) {
 	err := runLive(new(bytes.Buffer), run, nil)
 	if err == nil || !strings.Contains(err.Error(), "live engines run only local collectors") {
 		t.Fatalf("runLive with %s: %v", rdt.SyncOptimal, err)
+	}
+}
+
+// TestCheckLoad runs the command: in the simulator and under -live alike,
+// -ops below 1 or a -pcheckpoint outside [0, 1] (NaN included) exits 2,
+// names the flag and prints no table, while the edges of the accepted range
+// run.
+func TestCheckLoad(t *testing.T) {
+	for _, mode := range [][]string{{}, {"-live"}} {
+		for _, bad := range [][]string{
+			{"-ops", "0"}, {"-ops", "-5"},
+			{"-pcheckpoint", "-1"}, {"-pcheckpoint", "2"}, {"-pcheckpoint", "-0.01"},
+			{"-pcheckpoint", "1.01"}, {"-pcheckpoint", "NaN"},
+		} {
+			args := append(append([]string{"-n", "2"}, mode...), bad...)
+			code, stdout, stderr := runMain(t, args...)
+			if code != 2 || stdout != "" || !strings.Contains(stderr, bad[0]) {
+				t.Errorf("rdtsim %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output",
+					args, code, stdout, stderr, bad[0])
+			}
+		}
+		for _, ok := range [][]string{{"-ops", "1", "-pcheckpoint", "0"}, {"-ops", "1", "-pcheckpoint", "1"}} {
+			args := append(append([]string{"-n", "2"}, mode...), ok...)
+			if code, stdout, stderr := runMain(t, args...); code != 0 || stdout == "" {
+				t.Errorf("rdtsim %v: exit %d, stdout %q, stderr %q; want a run", args, code, stdout, stderr)
+			}
+		}
 	}
 }
